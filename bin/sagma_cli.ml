@@ -324,7 +324,7 @@ let run_remote_query sum count_flag avg group_by where_raw port name key_file se
        | None -> failwith (Printf.sprintf "no such remote table %S" name))
     | _ -> failwith "unexpected response"
   in
-  (* --explain sets the v4 sampling flag on the request, forcing the
+  (* --explain sets the sampling flag on the request, forcing the
      server to trace it and return an EXPLAIN trailer. *)
   let trace =
     if explain then Some { Sagma_protocol.Protocol.tc_id = None; tc_sampled = true } else None
@@ -357,7 +357,6 @@ let run_remote_query sum count_flag avg group_by where_raw port name key_file se
        List.iter
          (fun (k, v) -> if v > 0 then Printf.printf "  cost.%-19s %10d\n" k v)
          (Trace.cost_fields x.Sagma_protocol.Protocol.x_cost);
-       (* v5 servers attach the per-request GC differential. *)
        match x.Sagma_protocol.Protocol.x_gc with
        | None -> ()
        | Some gc ->
@@ -368,11 +367,11 @@ let run_remote_query sum count_flag avg group_by where_raw port name key_file se
     failwith (Printf.sprintf "%s: %s" (Sagma_protocol.Protocol.error_code_to_string code) message)
   | _ -> failwith "unexpected response"
 
-(* Fetch the server's metrics snapshot + audit summary over the v2 Stats
+(* Fetch the server's metrics snapshot + audit summary over the Stats
    RPC. Rendered human-readable by default; --prometheus emits the
    text-format exposition (what a scrape endpoint would serve), --json
    the structured snapshot. *)
-(* The v5 gc section rendered as the conventional Prometheus
+(* The gc section rendered as the conventional Prometheus
    process-level families. *)
 let gc_raw_samples (g : Sagma_protocol.Protocol.gc_stats) : (string * float) list =
   [ ("ocaml_gc_minor_words_total", g.Sagma_protocol.Protocol.gs_minor_words);
@@ -500,16 +499,16 @@ let run_stats port prometheus json cluster =
   | Sagma_protocol.Protocol.Stats_report
       ({ sr_snapshot; sr_audit; sr_uptime_s; sr_start_time; sr_gc; sr_topology } as report) ->
     if prometheus then
-      (* The exposition carries the v4 uptime and the v5 heap/GC state
+      (* The exposition carries the uptime and the heap/GC state
          rather than dropping them on the floor. *)
       print_string
         (Sagma_obs.Export.prometheus ~uptime_s:sr_uptime_s
            ~raw:(match sr_gc with Some g -> gc_raw_samples g | None -> [])
            sr_snapshot)
     else if json then
-      (* One object carrying the whole report: snapshot, uptime, the v5
-         gc block, the audit summary and the v6 topology — not just the
-         bare snapshot. *)
+      (* One object carrying the whole report: snapshot, uptime, the gc
+         block, the audit summary and the topology — not just the bare
+         snapshot. *)
       print_endline (Sagma_protocol.Protocol.stats_report_to_json report)
     else if cluster then render_cluster report
     else begin
@@ -517,15 +516,10 @@ let run_stats port prometheus json cluster =
           && sr_snapshot.Sagma_obs.Metrics.histograms = []
        then print_endline "no metrics recorded (is the server running with --metrics?)"
        else Format.printf "%a@." Sagma_obs.Metrics.pp_snapshot sr_snapshot);
-      (* Uptime arrived with protocol v4; a v2/v3 server decodes to 0. *)
-      if sr_start_time > 0. then begin
-        let t = Unix.localtime sr_start_time in
-        Printf.printf "uptime: %.1fs (started %04d-%02d-%02d %02d:%02d:%02d)\n" sr_uptime_s
-          (t.Unix.tm_year + 1900) (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour
-          t.Unix.tm_min t.Unix.tm_sec
-      end;
-      (* The heap line arrived with protocol v5; older servers send no
-         gc section. *)
+      (let t = Unix.localtime sr_start_time in
+       Printf.printf "uptime: %.1fs (started %04d-%02d-%02d %02d:%02d:%02d)\n" sr_uptime_s
+         (t.Unix.tm_year + 1900) (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour
+         t.Unix.tm_min t.Unix.tm_sec);
       (match sr_gc with
        | Some g ->
          let mib words = float_of_int words *. float_of_int (Sys.word_size / 8) /. 1048576. in
@@ -535,8 +529,6 @@ let run_stats port prometheus json cluster =
            g.Sagma_protocol.Protocol.gs_minor_collections
            g.Sagma_protocol.Protocol.gs_major_collections
        | None -> ());
-      (* The topology line arrived with protocol v6; pre-sharding
-         servers send none. *)
       (match sr_topology with
        | Some t ->
          (match t.Sagma_protocol.Protocol.tp_role with
@@ -563,7 +555,7 @@ let run_stats port prometheus json cluster =
    as rates: req/s and pairings/s from counter deltas between polls, p95
    latency from the proto.request_ms histogram, pool queue depth and
    in-flight connections from gauges, shed connections from
-   transport.rejected, heap size from the v5 gc section. --once prints a
+   transport.rejected, heap size from the gc section. --once prints a
    single frame (rates averaged over the server's uptime) and exits —
    the scripts/CI mode. *)
 
@@ -660,7 +652,7 @@ let run_top port interval once =
     done
   end
 
-(* Pull the server's completed-trace ring (v4 Traces RPC) and export it
+(* Pull the server's completed-trace ring (Traces RPC) and export it
    as Chrome trace-event JSON — loadable in chrome://tracing or
    Perfetto. "-" writes to stdout. *)
 let run_trace port out =
@@ -680,7 +672,7 @@ let run_trace port out =
     failwith (Printf.sprintf "%s: %s" (Sagma_protocol.Protocol.error_code_to_string code) message)
   | _ -> failwith "unexpected response"
 
-(* --- health: fleet health & alerting (protocol v7) ---------------------------
+(* --- health: fleet health & alerting --------------------------------------------
 
    One Health RPC: status word, uptime, currently-firing watchdog
    alerts, and — against a coordinator — the per-shard reachability
@@ -694,8 +686,6 @@ let fetch_health port : Sagma_protocol.Protocol.health_report =
   Unix.close fd;
   match resp with
   | Sagma_protocol.Protocol.Health_report r -> r
-  | Sagma_protocol.Protocol.Failed { code = Sagma_protocol.Protocol.Version_unsupported; _ } ->
-    failwith "server does not speak protocol v7 (no Health RPC; upgrade the server)"
   | Sagma_protocol.Protocol.Failed { code; message } ->
     failwith (Printf.sprintf "%s: %s" (Sagma_protocol.Protocol.error_code_to_string code) message)
   | _ -> failwith "unexpected response"
@@ -723,10 +713,10 @@ let render_health port (r : Sagma_protocol.Protocol.health_report) =
     print_endline "shards:";
     List.iter
       (fun s ->
-        Printf.printf "  %d %-22s %-4s v%d  rtt %6.1fms  failures %d%s\n" s.P.shc_index
+        Printf.printf "  %d %-22s %-4s rtt %6.1fms  failures %d%s\n" s.P.shc_index
           s.P.shc_endpoint
           (if s.P.shc_reachable then "up" else "DOWN")
-          s.P.shc_version s.P.shc_rtt_ms s.P.shc_failures
+          s.P.shc_rtt_ms s.P.shc_failures
           (if s.P.shc_last_error = "" then ""
            else Printf.sprintf "  last error: %s" s.P.shc_last_error))
       shards
@@ -852,7 +842,7 @@ let remote_query_cmd =
   let explain =
     Arg.(value & flag
          & info [ "explain" ]
-             ~doc:"Set the v4 sampling flag so the server traces this request, and print the \
+             ~doc:"Set the sampling flag so the server traces this request, and print the \
                    EXPLAIN trailer (per-phase timings and cost block) from the reply.")
   in
   Cmd.v
@@ -881,7 +871,7 @@ let stats_cmd =
   in
   Cmd.v
     (Cmd.info "stats"
-       ~doc:"Fetch a sagma_server's metrics snapshot and audit summary (protocol v2).")
+       ~doc:"Fetch a sagma_server's metrics snapshot and audit summary.")
     Term.(const run_stats $ port_arg $ prometheus $ json $ cluster)
 
 let top_cmd =
@@ -909,7 +899,7 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Export a sagma_server's completed request traces as Chrome trace-event JSON \
-             (protocol v4; view in chrome://tracing or Perfetto).")
+             (view in chrome://tracing or Perfetto).")
     Term.(const run_trace $ port_arg $ out)
 
 let health_cmd =
@@ -926,7 +916,7 @@ let health_cmd =
   in
   Cmd.v
     (Cmd.info "health"
-       ~doc:"Fetch a sagma_server's v7 health report: status, firing SLO alerts and (on a \
+       ~doc:"Fetch a sagma_server's health report: status, firing SLO alerts and (on a \
              coordinator) per-shard reachability. Exits non-zero unless the status is a \
              clean \"ok\" with no alerts.")
     Term.(const run_health $ port_arg $ json $ watch $ interval)

@@ -42,7 +42,7 @@
                 auditor; the trace summary rides along in Stats.
    --trace-sample  trace every Nth request: span tree + per-request
                 cost block land on the completed-trace ring (served by
-                the v4 Traces RPC / sagma trace) and v4 replies carry
+                the Traces RPC / sagma trace) and their replies carry
                 an EXPLAIN trailer. Implies --metrics. 0 = off.
    --slow-query-ms  requests slower than T ms emit a slow_query log
                 event with their span tree and cost block; implies
@@ -56,12 +56,12 @@
                 connection opened/closed) to FILE.
    --log-level  debug|info|warn|error (default info).
    --probe-interval-ms  coordinator only: background-probe each shard
-                every T ms, maintaining the per-shard health state v7
+                every T ms, maintaining the per-shard health state
                 Health reports and fast-failing fan-out to known-down
                 shards (default 1000; 0 = off).
    --watchdog-interval-ms  evaluate the SLO watchdog rules every T ms;
                 firing/resolved transitions emit `alert` log events and
-                active alerts ride in v7 Health replies
+                active alerts ride in Health replies
                 (default 1000; 0 disables the watchdog).
    --alert-rules  replace the default watchdog rules with FILE (one
                 `name source cmp threshold` per line; see
@@ -226,7 +226,7 @@ let () =
   let request_stop _ =
     Atomic.set stop true;
     (* Health flips to "draining" the moment the signal lands, so peers
-       polling v7 Health see the shutdown before the listener closes. *)
+       polling Health see the shutdown before the listener closes. *)
     Sagma_protocol.Server.set_draining state true;
     Option.iter (fun r -> Sagma_protocol.Router.set_draining r true) router
   in

@@ -411,9 +411,11 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-(* JSON numbers may not be inf/nan; snapshots only expose nonempty
-   histograms, so min/max are always finite here. *)
-let json_float f = Printf.sprintf "%.6g" f
+(* JSON numbers may not be inf/nan, and a snapshot that arrived over the
+   wire can hold an empty histogram (NaN mean, infinite min/max): render
+   non-finite values as [null]. *)
+let json_float (v : float) : string =
+  if Float.is_finite v then Printf.sprintf "%.17g" v else "null"
 
 let snapshot_to_json (s : snapshot) : string =
   let buf = Buffer.create 256 in

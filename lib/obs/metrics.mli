@@ -148,3 +148,7 @@ val snapshot_to_json : snapshot -> string
 val json_escape : string -> string
 (** Escape a string for embedding inside JSON quotes (exposed for the
     bench harness's hand-rolled emitter). *)
+
+val json_float : float -> string
+(** A float as a JSON number ([%.17g], so it round-trips), or [null]
+    for NaN and ±infinity, which JSON cannot represent. *)

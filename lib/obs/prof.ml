@@ -122,7 +122,7 @@ let top_sites ?(n = 10) () : site list =
 
 (* --- process-level gauges ----------------------------------------------------
 
-   Snapshot samples for the Prometheus exposition and the v5 Stats
+   Snapshot samples for the Prometheus exposition and the Stats
    report: the conventional [ocaml_gc_*] family straight out of
    [Gc.quick_stat], plus [process_*] from the OS. Names follow the
    prometheus/client exposition conventions ([_total] marks

@@ -266,7 +266,7 @@ let with_ctx (ctx : ctx) (f : unit -> 'a) : 'a =
 (* The id of the request currently being traced on this domain (set by
    [with_request_full], inherited through [capture]/[with_ctx]). A
    query router propagates this across the coordinator → shard hop as
-   the v4 trace context, so both nodes record the same trace id. *)
+   the trace context, so both nodes record the same trace id. *)
 let current_request_id () : string option = (Domain.DLS.get state).d_req_id
 
 (* Graft an already-completed span — e.g. one rebuilt from a shard's

@@ -122,7 +122,7 @@ val current_request_id : unit -> string option
 (** The id of the request currently being traced on this domain — set
     by {!with_request_full}, inherited through {!capture}/{!with_ctx},
     [None] outside a traced request. A query router propagates this
-    across the coordinator → shard hop (as the v4 trace context of its
+    across the coordinator → shard hop (as the trace context of its
     shard calls), so both nodes record the same trace id. *)
 
 val attach_span : span -> unit

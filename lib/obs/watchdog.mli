@@ -5,7 +5,7 @@
     fleet's down-shard count — against a threshold. {!poll} evaluates
     every rule, tracks per-rule firing state, and emits a structured
     [alert] log event (via {!Log}) on each firing→resolved transition.
-    Active alerts are served to peers in the protocol-v7
+    Active alerts are served to peers in the
     [Health_report], and `sagma_cli health` exits non-zero while any
     fires, so fleet health is a CI-gateable check.
 

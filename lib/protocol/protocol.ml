@@ -11,33 +11,12 @@
    Every message starts with a 2-byte magic ("SG") and a version byte,
    so mismatched peers fail loudly instead of misparsing ciphertext
    payloads: bad magic is a {!Sagma_wire.Wire.Decode_error} (not a SAGMA
-   frame at all), while a good magic with an unknown version raises the
-   typed {!Version_mismatch}.
-
-   Version history: v1 carried requests 0–4 (Upload/Aggregate/Append/
-   List_tables/Drop) and responses 0–3; v2 adds the Stats request and
-   the StatsReport response; v3 adds the Busy error code (load shedding
-   under a connection limit) and a gauges section in StatsReport; v4
-   adds an optional trace context after every request header (trace id +
-   sampling flag), an optional EXPLAIN trailer after every response
-   payload (per-phase timings + cost block), the Traces request with its
-   TraceDump response, and uptime/start-time fields in StatsReport; v5
-   adds resource telemetry: an optional gc section in StatsReport
-   (process-lifetime GC stats and heap size), an optional gc
-   differential in the EXPLAIN trailer, and a GC/allocation summary on
-   every dumped trace; v6 adds scatter-gather sharding: an optional
-   topology section in StatsReport (node role, shard index/count,
-   coordinator shard endpoints) and an optional explicit row id on
-   Append so a coordinator can stamp the global row position (and hence
-   the owning shard) when fanning an append across replicas; v7 adds
-   fleet health: a Health request with its HealthReport response —
-   node status (ok/degraded/draining), uptime, the watchdog's active
-   alerts, and on coordinators a per-shard block (reachability,
-   consecutive probe failures, last error, negotiated version, EWMA
-   probe RTT). Each older frame is a valid newer frame with a different
-   version byte, so the decoders accept every supported version and
-   only reject tags (and error codes, and trailers) the claimed version
-   does not define. *)
+   frame at all), while a good magic with any version other than
+   {!version} raises the typed {!Version_mismatch}. Every peer of the
+   protocol ships in this build and the server keeps no stored frames,
+   so there is exactly one version: each request carries an optional
+   trace context after the header, each response an optional EXPLAIN
+   trailer after its payload. *)
 
 module W = Sagma_wire.Wire
 module Sse = Sagma_sse.Sse
@@ -49,8 +28,7 @@ module Trace = Sagma_obs.Trace
 module Watchdog = Sagma_obs.Watchdog
 
 let magic = "SG"
-let version = 7
-let min_version = 1
+let version = 8
 
 exception Version_mismatch of { expected : int; got : int }
 
@@ -61,25 +39,18 @@ let () =
               expected got)
     | _ -> None)
 
-let put_header ?version:(v = version) (s : W.sink) : unit =
-  if v < min_version || v > version then
-    invalid_arg
-      (Printf.sprintf "Protocol.put_header: version %d outside supported range %d..%d" v
-         min_version version);
+let put_header (s : W.sink) : unit =
   W.put_u8 s (Char.code magic.[0]);
   W.put_u8 s (Char.code magic.[1]);
-  W.put_u8 s v
+  W.put_u8 s version
 
-(* Returns the frame's version so tag dispatch can reject constructs the
-   claimed version does not define. *)
-let get_header (s : W.source) : int =
+let get_header (s : W.source) : unit =
   let m0 = W.get_u8 s in
   let m1 = W.get_u8 s in
   if m0 <> Char.code magic.[0] || m1 <> Char.code magic.[1] then
     W.fail "bad magic 0x%02x%02x (not a SAGMA frame)" m0 m1;
   let v = W.get_u8 s in
-  if v < min_version || v > version then raise (Version_mismatch { expected = version; got = v });
-  v
+  if v <> version then raise (Version_mismatch { expected = version; got = v })
 
 (* Structured failure codes, so clients can react programmatically
    instead of string-matching messages. *)
@@ -89,7 +60,7 @@ type error_code =
   | Unsupported          (* recognized but deliberately not implemented *)
   | Version_unsupported  (* peer spoke a different protocol version *)
   | Internal_error
-  | Busy                 (* v3: server at its connection limit, retry later *)
+  | Busy                 (* server at its connection limit, retry later *)
 
 let error_code_to_string = function
   | No_such_table -> "no-such-table"
@@ -99,7 +70,7 @@ let error_code_to_string = function
   | Internal_error -> "internal-error"
   | Busy -> "busy"
 
-let put_error_code ~(version : int) (s : W.sink) (c : error_code) : unit =
+let put_error_code (s : W.sink) (c : error_code) : unit =
   W.put_u8 s
     (match c with
      | No_such_table -> 0
@@ -107,20 +78,17 @@ let put_error_code ~(version : int) (s : W.sink) (c : error_code) : unit =
      | Unsupported -> 2
      | Version_unsupported -> 3
      | Internal_error -> 4
-     | Busy ->
-       if version < 3 then
-         invalid_arg "Protocol.put_error_code: Busy needs protocol version >= 3";
-       5)
+     | Busy -> 5)
 
-let get_error_code ~(version : int) (s : W.source) : error_code =
+let get_error_code (s : W.source) : error_code =
   match W.get_u8 s with
   | 0 -> No_such_table
   | 1 -> Bad_request
   | 2 -> Unsupported
   | 3 -> Version_unsupported
   | 4 -> Internal_error
-  | 5 when version >= 3 -> Busy
-  | v -> W.fail "bad error code %d for protocol version %d" v version
+  | 5 -> Busy
+  | v -> W.fail "bad error code %d" v
 
 type request =
   | Upload of { name : string; table : Scheme.enc_table }
@@ -132,12 +100,11 @@ type request =
       row : Scheme.enc_row;
       keywords : Sse.token list;
       row_id : int option;
-          (** v6: the row's global position, stamped by a coordinator
+          (** The row's global position, stamped by a coordinator
               fanning the append across shard replicas so every replica
               agrees on the id (and hence on the owning shard,
               [row_id mod shard_count]). [None] — every direct client
-              append — means "next local position". Dropped from
-              encodings below v6. *)
+              append — means "next local position". *)
     }
       (** Append one encrypted row; the server extends the SSE postings of
           each keyword token itself (leaking those keywords' identities —
@@ -145,30 +112,30 @@ type request =
   | List_tables
   | Drop of string
   | Stats
-      (** v2: fetch the server's metrics snapshot and audit summary. *)
+      (** Fetch the server's metrics snapshot and audit summary. *)
   | Traces
-      (** v4: fetch the server's completed request-trace ring. *)
+      (** Fetch the server's completed request-trace ring. *)
   | Health
-      (** v7: fetch the node's health — status, uptime, active alerts,
+      (** Fetch the node's health — status, uptime, active alerts,
           and (on a coordinator) the per-shard probe state. *)
 
-(* v4: a request may carry a trace context right after the header — a
+(* A request may carry a trace context right after the header — a
    client-supplied id to correlate across systems and a sampling flag
    forcing the server to trace this request. *)
 type trace_ctx = { tc_id : string option; tc_sampled : bool }
 
-(* v4: the EXPLAIN block a traced request's response carries — the trace
-   id, per-phase wall-clock timings from the span tree, and the cost
-   block of request-scoped counter deltas. v5 adds the per-request GC
-   differential ([None] when decoded from a v4 frame). *)
+(* The EXPLAIN block a traced request's response carries — the trace
+   id, per-phase wall-clock timings from the span tree, the cost block
+   of request-scoped counter deltas, and the per-request GC
+   differential. *)
 type explain = {
   x_id : string;
   x_timings : (string * float) list;
   x_cost : Trace.cost;
-  x_gc : Trace.gc_delta option;  (* v5 *)
+  x_gc : Trace.gc_delta option;
 }
 
-(* v5: process-lifetime GC statistics in a StatsReport — the server's
+(* Process-lifetime GC statistics in a StatsReport — the server's
    [Gc.quick_stat] at reply time, word counts as floats because they
    are monotone process totals. *)
 type gc_stats = {
@@ -182,7 +149,7 @@ type gc_stats = {
   gs_top_heap_words : int;
 }
 
-(* v6: the node's place in a scatter-gather deployment, carried in a
+(* The node's place in a scatter-gather deployment, carried in a
    StatsReport so operators (and the CLI) can see the cluster shape from
    any node. A standalone server reports ["single"], a storage node
    ["shard"] with its index/count, a query router ["coordinator"] with
@@ -197,13 +164,13 @@ type topology = {
 type stats_report = {
   sr_snapshot : Sagma_obs.Metrics.snapshot;
   sr_audit : Sagma_obs.Audit.summary;
-  sr_uptime_s : float;     (* v4; 0. when decoded from an older frame *)
-  sr_start_time : float;   (* v4; epoch seconds, 0. from an older frame *)
-  sr_gc : gc_stats option; (* v5; [None] from an older frame *)
-  sr_topology : topology option; (* v6; [None] from an older frame *)
+  sr_uptime_s : float;
+  sr_start_time : float;   (* epoch seconds *)
+  sr_gc : gc_stats option;
+  sr_topology : topology option;
 }
 
-(* v7: one shard's health as the coordinator's prober sees it. The
+(* One shard's health as the coordinator's prober sees it. The
    block carries only reachability and timing data — nothing the §4.2
    leakage function does not already license. *)
 type shard_health = {
@@ -213,11 +180,10 @@ type shard_health = {
   shc_since : float;         (* epoch seconds the shard has been up (or down) since *)
   shc_failures : int;        (* consecutive probe/call failures, 0 when healthy *)
   shc_last_error : string;   (* "" when none recorded *)
-  shc_version : int;         (* negotiated wire version from the downgrade ladder *)
   shc_rtt_ms : float;        (* EWMA probe round-trip, 0. before the first success *)
 }
 
-(* v7: the answer to Health. [hr_shards] is empty on single servers and
+(* The answer to Health. [hr_shards] is empty on single servers and
    storage shards; a coordinator reports one entry per shard. *)
 type health_report = {
   hr_status : string;        (* "ok" | "degraded" | "draining" *)
@@ -231,9 +197,9 @@ type response =
   | Tables of (string * int) list  (** table name, row count *)
   | Aggregates of Scheme.agg_result
   | Failed of { code : error_code; message : string }
-  | Stats_report of stats_report  (** v2: answer to {!Stats} *)
-  | Trace_dump of Trace.rtrace list  (** v4: answer to {!Traces} *)
-  | Health_report of health_report  (** v7: answer to {!Health} *)
+  | Stats_report of stats_report  (** answer to {!Stats} *)
+  | Trace_dump of Trace.rtrace list  (** answer to {!Traces} *)
+  | Health_report of health_report  (** answer to {!Health} *)
 
 let failed code fmt = Printf.ksprintf (fun message -> Failed { code; message }) fmt
 
@@ -270,7 +236,7 @@ let get_hist_stats (s : W.source) : Metrics.hist_stats =
   let h_p99 = W.get_f64 s in
   { Metrics.h_count; h_sum; h_min; h_max; h_buckets; h_p50; h_p95; h_p99 }
 
-(* --- v4 tracing codecs ---------------------------------------------------- *)
+(* --- tracing codecs ------------------------------------------------------- *)
 
 let put_trace_ctx (s : W.sink) (tc : trace_ctx) : unit =
   W.put_option s (fun s id -> W.put_bytes s id) tc.tc_id;
@@ -298,7 +264,7 @@ let get_cost (s : W.source) : Trace.cost =
   { Trace.pairings; miller_steps; bgn_mul; dlog_solves; dlog_giant_steps; sse_postings;
     agg_rows; agg_buckets; bytes_in; bytes_out }
 
-(* v5 resource codecs: the per-request GC differential (explain
+(* Resource codecs: the per-request GC differential (explain
    trailer, trace dumps) and the process-lifetime GC stats (Stats
    report). *)
 
@@ -326,7 +292,7 @@ let put_gc_stats (s : W.sink) (g : gc_stats) : unit =
   W.put_int s g.gs_heap_words;
   W.put_int s g.gs_top_heap_words
 
-(* v6 topology codecs (StatsReport section). *)
+(* Topology codecs (StatsReport section). *)
 
 let put_topology (s : W.sink) (t : topology) : unit =
   W.put_bytes s t.tp_role;
@@ -353,9 +319,7 @@ let get_gc_stats (s : W.source) : gc_stats =
   { gs_minor_words; gs_promoted_words; gs_major_words; gs_minor_collections;
     gs_major_collections; gs_compactions; gs_heap_words; gs_top_heap_words }
 
-(* The gc differential travels only in v5 explain trailers: encoding at
-   v4 drops it, decoding a v4 frame yields [None]. *)
-let put_explain ~(version : int) (s : W.sink) (x : explain) : unit =
+let put_explain (s : W.sink) (x : explain) : unit =
   W.put_bytes s x.x_id;
   W.put_list s
     (fun s (name, ms) ->
@@ -363,9 +327,9 @@ let put_explain ~(version : int) (s : W.sink) (x : explain) : unit =
       W.put_f64 s ms)
     x.x_timings;
   put_cost s x.x_cost;
-  if version >= 5 then W.put_option s put_gc_delta x.x_gc
+  W.put_option s put_gc_delta x.x_gc
 
-let get_explain ~(version : int) (s : W.source) : explain =
+let get_explain (s : W.source) : explain =
   let x_id = W.get_bytes s in
   let x_timings =
     W.get_list s (fun s ->
@@ -374,7 +338,7 @@ let get_explain ~(version : int) (s : W.source) : explain =
         (name, ms))
   in
   let x_cost = get_cost s in
-  let x_gc = if version >= 5 then W.get_option s get_gc_delta else None in
+  let x_gc = W.get_option s get_gc_delta in
   { x_id; x_timings; x_cost; x_gc }
 
 let rec put_span (s : W.sink) (sp : Trace.span) : unit =
@@ -395,56 +359,43 @@ let rec get_span ~(depth : int) (s : W.source) : Trace.span =
   let children = W.get_list s (get_span ~depth:(depth + 1)) in
   { Trace.name; t0; ms; children }
 
-(* Dumped traces carry their GC differential and allocation table only
-   in v5 frames; a v4 peer gets the v4 shape and a v4 frame decodes to
-   zero/empty resource fields. *)
-let put_rtrace ~(version : int) (s : W.sink) (rt : Trace.rtrace) : unit =
+let put_rtrace (s : W.sink) (rt : Trace.rtrace) : unit =
   W.put_bytes s rt.Trace.r_id;
   W.put_f64 s rt.Trace.r_start;
   put_span s rt.Trace.r_root;
   put_cost s rt.Trace.r_cost;
-  if version >= 5 then begin
-    put_gc_delta s rt.Trace.r_gc;
-    W.put_list s
-      (fun s (span, words) ->
-        W.put_bytes s span;
-        W.put_int s words)
-      rt.Trace.r_alloc
-  end
+  put_gc_delta s rt.Trace.r_gc;
+  W.put_list s
+    (fun s (span, words) ->
+      W.put_bytes s span;
+      W.put_int s words)
+    rt.Trace.r_alloc
 
-let get_rtrace ~(version : int) (s : W.source) : Trace.rtrace =
+let get_rtrace (s : W.source) : Trace.rtrace =
   let r_id = W.get_bytes s in
   let r_start = W.get_f64 s in
   let r_root = get_span ~depth:0 s in
   let r_cost = get_cost s in
-  let r_gc = if version >= 5 then get_gc_delta s else Trace.zero_gc in
+  let r_gc = get_gc_delta s in
   let r_alloc =
-    if version >= 5 then
-      W.get_list s (fun s ->
-          let span = W.get_bytes s in
-          let words = W.get_int s in
-          (span, words))
-    else []
+    W.get_list s (fun s ->
+        let span = W.get_bytes s in
+        let words = W.get_int s in
+        (span, words))
   in
   { Trace.r_id; r_start; r_root; r_cost; r_gc; r_alloc }
 
-(* A v2 report has no gauges section: encoding at v2 drops the gauges
-   (the only consumers of v2 frames predate them), decoding a v2 frame
-   yields [gauges = []]. Likewise the v4 uptime/start-time fields are
-   dropped from older encodings and decode to 0, and the v5 gc section
-   is dropped from older encodings and decodes to [None]. *)
-let put_stats_report ~(version : int) (s : W.sink) (r : stats_report) : unit =
+let put_stats_report (s : W.sink) (r : stats_report) : unit =
   W.put_list s
     (fun s (name, v) ->
       W.put_bytes s name;
       W.put_int s v)
     r.sr_snapshot.Metrics.counters;
-  if version >= 3 then
-    W.put_list s
-      (fun s (name, v) ->
-        W.put_bytes s name;
-        W.put_int s v)
-      r.sr_snapshot.Metrics.gauges;
+  W.put_list s
+    (fun s (name, v) ->
+      W.put_bytes s name;
+      W.put_int s v)
+    r.sr_snapshot.Metrics.gauges;
   W.put_list s
     (fun s (name, h) ->
       W.put_bytes s name;
@@ -454,14 +405,12 @@ let put_stats_report ~(version : int) (s : W.sink) (r : stats_report) : unit =
   W.put_int s r.sr_audit.Audit.s_probes;
   W.put_int s r.sr_audit.Audit.s_checks_run;
   W.put_int s r.sr_audit.Audit.s_check_failures;
-  if version >= 4 then begin
-    W.put_f64 s r.sr_uptime_s;
-    W.put_f64 s r.sr_start_time
-  end;
-  if version >= 5 then W.put_option s put_gc_stats r.sr_gc;
-  if version >= 6 then W.put_option s put_topology r.sr_topology
+  W.put_f64 s r.sr_uptime_s;
+  W.put_f64 s r.sr_start_time;
+  W.put_option s put_gc_stats r.sr_gc;
+  W.put_option s put_topology r.sr_topology
 
-let get_stats_report ~(version : int) (s : W.source) : stats_report =
+let get_stats_report (s : W.source) : stats_report =
   let counters =
     W.get_list s (fun s ->
         let name = W.get_bytes s in
@@ -469,12 +418,10 @@ let get_stats_report ~(version : int) (s : W.source) : stats_report =
         (name, v))
   in
   let gauges =
-    if version < 3 then []
-    else
-      W.get_list s (fun s ->
-          let name = W.get_bytes s in
-          let v = W.get_int s in
-          (name, v))
+    W.get_list s (fun s ->
+        let name = W.get_bytes s in
+        let v = W.get_int s in
+        (name, v))
   in
   let histograms =
     W.get_list s (fun s ->
@@ -486,15 +433,15 @@ let get_stats_report ~(version : int) (s : W.source) : stats_report =
   let s_probes = W.get_int s in
   let s_checks_run = W.get_int s in
   let s_check_failures = W.get_int s in
-  let sr_uptime_s = if version >= 4 then W.get_f64 s else 0. in
-  let sr_start_time = if version >= 4 then W.get_f64 s else 0. in
-  let sr_gc = if version >= 5 then W.get_option s get_gc_stats else None in
-  let sr_topology = if version >= 6 then W.get_option s get_topology else None in
+  let sr_uptime_s = W.get_f64 s in
+  let sr_start_time = W.get_f64 s in
+  let sr_gc = W.get_option s get_gc_stats in
+  let sr_topology = W.get_option s get_topology in
   { sr_snapshot = { Metrics.counters; gauges; histograms };
     sr_audit = { Audit.s_requests; s_probes; s_checks_run; s_check_failures };
     sr_uptime_s; sr_start_time; sr_gc; sr_topology }
 
-(* v7 health codecs. *)
+(* Health codecs. *)
 
 let put_alert (s : W.sink) (a : Watchdog.alert) : unit =
   W.put_bytes s a.Watchdog.a_rule;
@@ -518,7 +465,6 @@ let put_shard_health (s : W.sink) (sh : shard_health) : unit =
   W.put_f64 s sh.shc_since;
   W.put_int s sh.shc_failures;
   W.put_bytes s sh.shc_last_error;
-  W.put_int s sh.shc_version;
   W.put_f64 s sh.shc_rtt_ms
 
 let get_shard_health (s : W.source) : shard_health =
@@ -528,10 +474,9 @@ let get_shard_health (s : W.source) : shard_health =
   let shc_since = W.get_f64 s in
   let shc_failures = W.get_int s in
   let shc_last_error = W.get_bytes s in
-  let shc_version = W.get_int s in
   let shc_rtt_ms = W.get_f64 s in
   { shc_index; shc_endpoint; shc_reachable; shc_since; shc_failures; shc_last_error;
-    shc_version; shc_rtt_ms }
+    shc_rtt_ms }
 
 let put_health_report (s : W.sink) (h : health_report) : unit =
   W.put_bytes s h.hr_status;
@@ -546,16 +491,11 @@ let get_health_report (s : W.source) : health_report =
   let hr_shards = W.get_list s get_shard_health in
   { hr_status; hr_uptime_s; hr_alerts; hr_shards }
 
-(* [?version] lets a caller (or a compat test) emit a frame an older
-   peer accepts; only tags the requested version defines are allowed.
-   [?trace] is the v4 trace context, written (as an option) right after
-   the header of every v4 frame. *)
-let put_request ?(version = version) ?(trace : trace_ctx option) (s : W.sink) (r : request) :
-    unit =
-  put_header ~version s;
-  if version >= 4 then W.put_option s put_trace_ctx trace
-  else if trace <> None then
-    invalid_arg "Protocol.put_request: trace context needs protocol version >= 4";
+(* [?trace] is the trace context, written (as an option) right after
+   the header. *)
+let put_request ?(trace : trace_ctx option) (s : W.sink) (r : request) : unit =
+  put_header s;
+  W.put_option s put_trace_ctx trace;
   match r with
   | Upload { name; table } ->
     W.put_u8 s 0;
@@ -570,29 +510,20 @@ let put_request ?(version = version) ?(trace : trace_ctx option) (s : W.sink) (r
     W.put_bytes s name;
     Serialize.put_enc_row s row;
     W.put_list s Serialize.put_sse_token keywords;
-    (* A pre-v6 peer assigns the next local position itself, which is
-       exactly what dropping the field means. *)
-    if version >= 6 then W.put_option s W.put_int row_id
+    W.put_option s W.put_int row_id
   | List_tables -> W.put_u8 s 3
   | Drop name ->
     W.put_u8 s 4;
     W.put_bytes s name
-  | Stats ->
-    if version < 2 then invalid_arg "Protocol.put_request: Stats needs protocol version >= 2";
-    W.put_u8 s 5
-  | Traces ->
-    if version < 4 then invalid_arg "Protocol.put_request: Traces needs protocol version >= 4";
-    W.put_u8 s 6
-  | Health ->
-    if version < 7 then invalid_arg "Protocol.put_request: Health needs protocol version >= 7";
-    W.put_u8 s 7
+  | Stats -> W.put_u8 s 5
+  | Traces -> W.put_u8 s 6
+  | Health -> W.put_u8 s 7
 
-(* Returns the frame's version and trace context alongside the request,
-   so a server can frame its reply at the peer's version and honor the
-   peer's sampling request (see {!Server.handle_encoded}). *)
-let get_request_vt (s : W.source) : int * trace_ctx option * request =
-  let v = get_header s in
-  let trace = if v >= 4 then W.get_option s get_trace_ctx else None in
+(* Returns the trace context alongside the request, so a server can
+   honor the peer's sampling request (see {!Server.handle_encoded}). *)
+let get_request (s : W.source) : trace_ctx option * request =
+  get_header s;
+  let trace = W.get_option s get_trace_ctx in
   let req =
     match W.get_u8 s with
     | 0 ->
@@ -607,30 +538,21 @@ let get_request_vt (s : W.source) : int * trace_ctx option * request =
       let name = W.get_bytes s in
       let row = Serialize.get_enc_row s in
       let keywords = W.get_list s Serialize.get_sse_token in
-      let row_id = if v >= 6 then W.get_option s W.get_int else None in
+      let row_id = W.get_option s W.get_int in
       Append { name; row; keywords; row_id }
     | 3 -> List_tables
     | 4 -> Drop (W.get_bytes s)
-    | 5 when v >= 2 -> Stats
-    | 6 when v >= 4 -> Traces
-    | 7 when v >= 7 -> Health
-    | t -> W.fail "bad request tag %d for protocol version %d" t v
+    | 5 -> Stats
+    | 6 -> Traces
+    | 7 -> Health
+    | t -> W.fail "bad request tag %d" t
   in
-  (v, trace, req)
+  (trace, req)
 
-let get_request_v (s : W.source) : int * request =
-  let v, _, req = get_request_vt s in
-  (v, req)
-
-let get_request (s : W.source) : request = snd (get_request_v s)
-
-(* [?explain] is the v4 EXPLAIN trailer, written (as an option) after
-   the payload of every v4 frame so older decoders never see it. *)
-let put_response ?(version = version) ?(explain : explain option) (s : W.sink) (r : response) :
-    unit =
-  put_header ~version s;
-  if version < 4 && explain <> None then
-    invalid_arg "Protocol.put_response: explain trailer needs protocol version >= 4";
+(* [?explain] is the EXPLAIN trailer, written (as an option) after the
+   payload. *)
+let put_response ?(explain : explain option) (s : W.sink) (r : response) : unit =
+  put_header s;
   (match r with
    | Ack -> W.put_u8 s 0
    | Tables ts ->
@@ -645,27 +567,21 @@ let put_response ?(version = version) ?(explain : explain option) (s : W.sink) (
      Serialize.put_agg_result s a
    | Failed { code; message } ->
      W.put_u8 s 3;
-     put_error_code ~version s code;
+     put_error_code s code;
      W.put_bytes s message
    | Stats_report r ->
-     if version < 2 then
-       invalid_arg "Protocol.put_response: Stats_report needs protocol version >= 2";
      W.put_u8 s 4;
-     put_stats_report ~version s r
+     put_stats_report s r
    | Trace_dump ts ->
-     if version < 4 then
-       invalid_arg "Protocol.put_response: Trace_dump needs protocol version >= 4";
      W.put_u8 s 5;
-     W.put_list s (put_rtrace ~version) ts
+     W.put_list s put_rtrace ts
    | Health_report h ->
-     if version < 7 then
-       invalid_arg "Protocol.put_response: Health_report needs protocol version >= 7";
      W.put_u8 s 6;
      put_health_report s h);
-  if version >= 4 then W.put_option s (put_explain ~version) explain
+  W.put_option s put_explain explain
 
-let get_response_x (s : W.source) : response * explain option =
-  let v = get_header s in
+let get_response (s : W.source) : response * explain option =
+  get_header s;
   let resp =
     match W.get_u8 s with
     | 0 -> Ack
@@ -677,32 +593,27 @@ let get_response_x (s : W.source) : response * explain option =
              (name, rows)))
     | 2 -> Aggregates (Serialize.get_agg_result s)
     | 3 ->
-      let code = get_error_code ~version:v s in
+      let code = get_error_code s in
       let message = W.get_bytes s in
       Failed { code; message }
-    | 4 when v >= 2 -> Stats_report (get_stats_report ~version:v s)
-    | 5 when v >= 4 -> Trace_dump (W.get_list s (get_rtrace ~version:v))
-    | 6 when v >= 7 -> Health_report (get_health_report s)
-    | t -> W.fail "bad response tag %d for protocol version %d" t v
+    | 4 -> Stats_report (get_stats_report s)
+    | 5 -> Trace_dump (W.get_list s get_rtrace)
+    | 6 -> Health_report (get_health_report s)
+    | t -> W.fail "bad response tag %d" t
   in
-  let explain = if v >= 4 then W.get_option s (get_explain ~version:v) else None in
+  let explain = W.get_option s get_explain in
   (resp, explain)
 
-let get_response (s : W.source) : response = fst (get_response_x s)
+let encode_request ?trace (r : request) : string =
+  W.encode (fun s r -> put_request ?trace s r) r
 
-let encode_request ?version ?trace (r : request) : string =
-  W.encode (fun s r -> put_request ?version ?trace s r) r
+let decode_request_x (s : string) : trace_ctx option * request = W.decode get_request s
+let decode_request (s : string) : request = snd (decode_request_x s)
 
-let decode_request_vt (s : string) : int * trace_ctx option * request =
-  W.decode get_request_vt s
+let encode_response ?explain (r : response) : string =
+  W.encode (fun s r -> put_response ?explain s r) r
 
-let decode_request_v (s : string) : int * request = W.decode get_request_v s
-let decode_request (s : string) : request = snd (decode_request_v s)
-
-let encode_response ?version ?explain (r : response) : string =
-  W.encode (fun s r -> put_response ?version ?explain s r) r
-
-let decode_response_x (s : string) : response * explain option = W.decode get_response_x s
+let decode_response_x (s : string) : response * explain option = W.decode get_response s
 let decode_response (s : string) : response = fst (decode_response_x s)
 
 (* --- JSON rendering ----------------------------------------------------------
@@ -713,16 +624,12 @@ let decode_response (s : string) : response = fst (decode_response_x s)
    the snapshot. Kept here next to the types so the shape and the codec
    evolve together. *)
 
-let json_float (v : float) : string =
-  if Float.is_nan v || v = infinity || v = neg_infinity then "null"
-  else Printf.sprintf "%.17g" v
-
 let stats_report_to_json (r : stats_report) : string =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\"snapshot\":%s" (Metrics.snapshot_to_json r.sr_snapshot);
-  add ",\"uptime_s\":%s,\"start_time\":%s" (json_float r.sr_uptime_s)
-    (json_float r.sr_start_time);
+  add ",\"uptime_s\":%s,\"start_time\":%s" (Metrics.json_float r.sr_uptime_s)
+    (Metrics.json_float r.sr_start_time);
   add ",\"audit\":{\"requests\":%d,\"probes\":%d,\"checks_run\":%d,\"check_failures\":%d}"
     r.sr_audit.Audit.s_requests r.sr_audit.Audit.s_probes r.sr_audit.Audit.s_checks_run
     r.sr_audit.Audit.s_check_failures;
@@ -733,8 +640,8 @@ let stats_report_to_json (r : stats_report) : string =
        ",\"gc\":{\"minor_words\":%s,\"promoted_words\":%s,\"major_words\":%s,\
         \"minor_collections\":%d,\"major_collections\":%d,\"compactions\":%d,\
         \"heap_words\":%d,\"top_heap_words\":%d}"
-       (json_float g.gs_minor_words) (json_float g.gs_promoted_words)
-       (json_float g.gs_major_words) g.gs_minor_collections g.gs_major_collections
+       (Metrics.json_float g.gs_minor_words) (Metrics.json_float g.gs_promoted_words)
+       (Metrics.json_float g.gs_major_words) g.gs_minor_collections g.gs_major_collections
        g.gs_compactions g.gs_heap_words g.gs_top_heap_words);
   (match r.sr_topology with
    | None -> add ",\"topology\":null"
@@ -750,15 +657,15 @@ let health_report_to_json (h : health_report) : string =
   let buf = Buffer.create 512 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\"status\":\"%s\",\"uptime_s\":%s" (Metrics.json_escape h.hr_status)
-    (json_float h.hr_uptime_s);
+    (Metrics.json_float h.hr_uptime_s);
   add ",\"alerts\":[%s]"
     (String.concat ","
        (List.map
           (fun (a : Watchdog.alert) ->
             Printf.sprintf
               "{\"rule\":\"%s\",\"since\":%s,\"value\":%s,\"threshold\":%s,\"message\":\"%s\"}"
-              (Metrics.json_escape a.Watchdog.a_rule) (json_float a.Watchdog.a_since)
-              (json_float a.Watchdog.a_value) (json_float a.Watchdog.a_threshold)
+              (Metrics.json_escape a.Watchdog.a_rule) (Metrics.json_float a.Watchdog.a_since)
+              (Metrics.json_float a.Watchdog.a_value) (Metrics.json_float a.Watchdog.a_threshold)
               (Metrics.json_escape a.Watchdog.a_message))
           h.hr_alerts));
   add ",\"shards\":[%s]}"
@@ -767,11 +674,11 @@ let health_report_to_json (h : health_report) : string =
           (fun sh ->
             Printf.sprintf
               "{\"index\":%d,\"endpoint\":\"%s\",\"reachable\":%b,\"since\":%s,\
-               \"failures\":%d,\"last_error\":\"%s\",\"version\":%d,\"rtt_ms\":%s}"
+               \"failures\":%d,\"last_error\":\"%s\",\"rtt_ms\":%s}"
               sh.shc_index
               (Metrics.json_escape sh.shc_endpoint)
-              sh.shc_reachable (json_float sh.shc_since) sh.shc_failures
-              (Metrics.json_escape sh.shc_last_error) sh.shc_version
-              (json_float sh.shc_rtt_ms))
+              sh.shc_reachable (Metrics.json_float sh.shc_since) sh.shc_failures
+              (Metrics.json_escape sh.shc_last_error)
+              (Metrics.json_float sh.shc_rtt_ms))
           h.hr_shards));
   Buffer.contents buf

@@ -4,23 +4,11 @@
     uploads encrypted tables, sends grouping tokens, and decrypts the
     returned encrypted aggregates. Framing is {!Transport}'s job.
 
-    Every message is prefixed with the magic {!magic} and a version
-    byte. This build speaks v7 but still decodes v1–v6 frames (v6 = v7
-    minus the fleet-health constructs: the [Health]/[Health_report]
-    pair; v5 = v6
-    minus the scatter-gather sharding constructs: the topology section
-    of [Stats_report] and the explicit row id on [Append]; v4 = v5
-    minus the resource-telemetry sections: the gc block of
-    [Stats_report], the gc differential of the EXPLAIN trailer, and the
-    GC/allocation summary on dumped traces; v3 = v4 minus the
-    per-request trace context, the EXPLAIN response trailer, the
-    [Traces]/[Trace_dump] messages and the uptime fields of
-    [Stats_report]; v2 = v3 minus the [Busy] error code and the gauges
-    section of [Stats_report]; v1 = v2 minus the
-    [Stats]/[Stats_report] messages), so old clients keep working
-    against a new server; frames claiming any other version raise
-    {!Version_mismatch}, and frames without the magic raise
-    [Sagma_wire.Wire.Decode_error]. *)
+    Every message is prefixed with the magic {!magic} and the version
+    byte {!version}. Every peer of the protocol ships in the same build
+    and the server stores no frames, so there is one version only: a
+    frame claiming any other version raises {!Version_mismatch}, and a
+    frame without the magic raises [Sagma_wire.Wire.Decode_error]. *)
 
 module Sse = Sagma_sse.Sse
 module Scheme = Sagma.Scheme
@@ -29,11 +17,7 @@ val magic : string
 (** ["SG"] — the two bytes opening every frame. *)
 
 val version : int
-(** Wire protocol version this build speaks and encodes by default
-    (currently 7). *)
-
-val min_version : int
-(** Oldest version the decoders still accept (currently 1). *)
+(** The one wire protocol version this build speaks (currently 8). *)
 
 exception Version_mismatch of { expected : int; got : int }
 
@@ -45,7 +29,7 @@ type error_code =
   | Unsupported          (** recognized but deliberately not implemented *)
   | Version_unsupported  (** peer spoke a different protocol version *)
   | Internal_error
-  | Busy                 (** v3: server at its connection limit, retry later *)
+  | Busy                 (** server at its connection limit, retry later *)
 
 val error_code_to_string : error_code -> string
 (** Stable kebab-case name, e.g. ["no-such-table"]. *)
@@ -58,31 +42,31 @@ type request =
       row : Scheme.enc_row;
       keywords : Sse.token list;
       row_id : int option;
-          (** v6: the global row position a coordinator stamps when
+          (** The global row position a coordinator stamps when
               fanning an append across shard replicas, so every replica
               agrees on the id (and the owning shard,
               [row_id mod shard_count]). [None] means "next local
-              position". Dropped from encodings below v6. *)
+              position". *)
     }
       (** The server extends each keyword token's postings itself —
           standard dynamic-SSE update leakage. *)
   | List_tables
   | Drop of string
   | Stats
-      (** v2: fetch the server's metrics snapshot and audit summary. *)
+      (** Fetch the server's metrics snapshot and audit summary. *)
   | Traces
-      (** v4: fetch the server's completed request-trace ring. *)
+      (** Fetch the server's completed request-trace ring. *)
   | Health
-      (** v7: fetch the node's health — status, uptime, the watchdog's
+      (** Fetch the node's health — status, uptime, the watchdog's
           active alerts, and (on a coordinator) the per-shard probe
           state. *)
 
-(** v4: the optional trace context after a request header — a
+(** The optional trace context after a request header — a
     client-supplied id to correlate across systems, and a sampling flag
     forcing the server to trace this request. *)
 type trace_ctx = { tc_id : string option; tc_sampled : bool }
 
-(** v4: the EXPLAIN block a traced request's response carries — trace
+(** The EXPLAIN block a traced request's response carries — trace
     id, per-phase wall-clock timings from the span tree, and the cost
     block of request-scoped counter deltas. *)
 type explain = {
@@ -90,10 +74,10 @@ type explain = {
   x_timings : (string * float) list;
   x_cost : Sagma_obs.Trace.cost;
   x_gc : Sagma_obs.Trace.gc_delta option;
-      (** v5: per-request GC differential; [None] from v4 frames. *)
+      (** Per-request GC differential. *)
 }
 
-(** v5: process-lifetime GC statistics in a {!Stats_report} — the
+(** Process-lifetime GC statistics in a {!Stats_report} — the
     server's [Gc.quick_stat] at reply time. Word counts are floats
     because they are monotone process totals. *)
 type gc_stats = {
@@ -107,7 +91,7 @@ type gc_stats = {
   gs_top_heap_words : int;
 }
 
-(** v6: the node's place in a scatter-gather deployment, carried in a
+(** The node's place in a scatter-gather deployment, carried in a
     {!Stats_report} so operators can see the cluster shape from any
     node: ["single"] for a standalone server, ["shard"] (with
     index/count) for a storage node serving slice
@@ -122,20 +106,14 @@ type topology = {
 
 type stats_report = {
   sr_snapshot : Sagma_obs.Metrics.snapshot;
-      (** The snapshot's gauges travel only in v3+ frames: encoding at
-          v2 drops them, decoding a v2 frame yields [gauges = []]. *)
   sr_audit : Sagma_obs.Audit.summary;
-  sr_uptime_s : float;
-      (** v4: seconds since the server started; 0. from older frames. *)
-  sr_start_time : float;
-      (** v4: server start, epoch seconds; 0. from older frames. *)
-  sr_gc : gc_stats option;
-      (** v5: the server's GC/heap state; [None] from older frames. *)
-  sr_topology : topology option;
-      (** v6: the node's cluster role; [None] from older frames. *)
+  sr_uptime_s : float;  (** seconds since the server started *)
+  sr_start_time : float;  (** server start, epoch seconds *)
+  sr_gc : gc_stats option;  (** the server's GC/heap state *)
+  sr_topology : topology option;  (** the node's cluster role *)
 }
 
-(** v7: one shard's health as the coordinator's prober sees it. The
+(** One shard's health as the coordinator's prober sees it. The
     block carries only reachability/timing data — nothing the §4.2
     leakage function does not already license. *)
 type shard_health = {
@@ -145,11 +123,10 @@ type shard_health = {
   shc_since : float;        (** epoch seconds up (or down) since *)
   shc_failures : int;       (** consecutive probe/call failures *)
   shc_last_error : string;  (** [""] when none recorded *)
-  shc_version : int;        (** negotiated version from the downgrade ladder *)
   shc_rtt_ms : float;       (** EWMA probe RTT; 0. before the first success *)
 }
 
-(** v7: the answer to {!Health}. [hr_shards] is empty on single servers
+(** The answer to {!Health}. [hr_shards] is empty on single servers
     and storage shards; a coordinator reports one entry per shard. *)
 type health_report = {
   hr_status : string;  (** ["ok"] | ["degraded"] | ["draining"] *)
@@ -163,9 +140,9 @@ type response =
   | Tables of (string * int) list  (** name, row count *)
   | Aggregates of Scheme.agg_result
   | Failed of { code : error_code; message : string }
-  | Stats_report of stats_report  (** v2: answer to {!Stats} *)
-  | Trace_dump of Sagma_obs.Trace.rtrace list  (** v4: answer to {!Traces} *)
-  | Health_report of health_report  (** v7: answer to {!Health} *)
+  | Stats_report of stats_report  (** answer to {!Stats} *)
+  | Trace_dump of Sagma_obs.Trace.rtrace list  (** answer to {!Traces} *)
+  | Health_report of health_report  (** answer to {!Health} *)
 
 val failed : error_code -> ('a, unit, string, response) format4 -> 'a
 (** [failed code fmt ...] builds a {!Failed} response. *)
@@ -179,37 +156,16 @@ val stats_report_to_json : stats_report -> string
 val health_report_to_json : health_report -> string
 (** One JSON object: [status], [uptime_s], [alerts], [shards]. *)
 
-val encode_request : ?version:int -> ?trace:trace_ctx -> request -> string
+val encode_request : ?trace:trace_ctx -> request -> string
 val decode_request : string -> request
-val decode_request_v : string -> int * request
-(** Like {!decode_request}, but also returns the frame's version byte so
-    a server can encode its reply at the peer's version. *)
+val decode_request_x : string -> trace_ctx option * request
+(** Like {!decode_request}, but also returns the trace context. *)
 
-val decode_request_vt : string -> int * trace_ctx option * request
-(** Like {!decode_request_v}, but also returns the v4 trace context
-    (always [None] for v1–v3 frames). *)
-
-val encode_response : ?version:int -> ?explain:explain -> response -> string
+val encode_response : ?explain:explain -> response -> string
 val decode_response : string -> response
 val decode_response_x : string -> response * explain option
-(** Decoders accept versions {!min_version}..{!version} and raise
-    {!Version_mismatch} on anything else, [Sagma_wire.Wire.Decode_error]
-    on malformed frames (including tags and trailers the claimed version
-    does not define). Encoders default to {!version}; pass [?version] to
-    emit a frame an older peer accepts (@raise Invalid_argument if the
-    version is outside {!min_version}..{!version}, the message does not
-    exist in that version, or [?trace]/[?explain] is passed below v4).
-    The v4 trace context and EXPLAIN trailer travel only in v4+ frames
-    (and the trailer's gc differential only in v5 frames);
-    {!decode_response} silently drops a trailer,
+(** Decoders raise {!Version_mismatch} on a frame whose version byte is
+    not {!version}, and [Sagma_wire.Wire.Decode_error] on malformed
+    frames (bad magic, unknown tags or error codes, truncation, trailing
+    bytes). {!decode_response} silently drops an EXPLAIN trailer,
     {!decode_response_x} returns it. *)
-
-val put_request :
-  ?version:int -> ?trace:trace_ctx -> Sagma_wire.Wire.sink -> request -> unit
-val get_request : Sagma_wire.Wire.source -> request
-val get_request_v : Sagma_wire.Wire.source -> int * request
-val get_request_vt : Sagma_wire.Wire.source -> int * trace_ctx option * request
-val put_response :
-  ?version:int -> ?explain:explain -> Sagma_wire.Wire.sink -> response -> unit
-val get_response : Sagma_wire.Wire.source -> response
-val get_response_x : Sagma_wire.Wire.source -> response * explain option

@@ -1,4 +1,4 @@
-(* The query router of a scatter-gather deployment (protocol v6/v7).
+(* The query router of a scatter-gather deployment.
 
    Speaks the same wire protocol as a storage server, but owns no rows:
    every request is routed to a fleet of shard endpoints and the
@@ -14,34 +14,32 @@
 
    Storage is replicated: [Upload] and [Append] fan to every shard (the
    SSE index is PRF-opaque, so rows cannot be partitioned server-side),
-   with appends stamped with the coordinator's global row id (v6) so
+   with appends stamped with the coordinator's global row id so
    replicas stay aligned and the owning shard — [row_id mod count] — is
    deterministic.
 
    Tracing: when the router's own request is sampled, each shard call
-   carries the router's trace id as its v4 trace context (with the
+   carries the router's trace id as its trace context (with the
    sampling flag forced), so coordinator and shards record the same
    id; the shard's EXPLAIN phase timings are grafted back under the
    router's per-shard span, rendering the distributed request as one
    tree: request → fanout → shard:N → remote:aggregate.
 
-   Version-mixed fleets: the router remembers, per shard, the highest
-   protocol version the shard accepted (starting at {!Protocol.version})
-   and steps down on [Failed Version_unsupported] replies — a v5 shard
-   behind a v7 coordinator keeps working, it just never sees newer
-   constructs (its appends fall back to local row numbering, which
-   matches the coordinator's as long as replicas stay aligned).
+   One protocol version: coordinator and shards ship in the same build,
+   so the router never negotiates. A shard built at another version
+   answers [Failed Version_unsupported], which is reported like any
+   other shard failure.
 
-   Fleet health (v7): with [?probe_interval_ms] set, a background
-   domain probes every shard on a small dedicated {!Sagma_pool} —
-   [Health] for v7 shards, [List_tables] for older ones — maintaining
-   per-shard state (up/down since, consecutive-failure streak, last
-   error, EWMA probe RTT) that is served in [Health_report], exported
-   as router.shard_up{shard="..."} gauges, and used to fast-fail
-   fan-out calls to known-down shards (the prober keeps watching, so a
-   recovered shard rejoins within one interval). Direct shard traffic
-   feeds the same state opportunistically: a transport-level failure
-   marks the shard down, any reply marks it up. *)
+   Fleet health: with [?probe_interval_ms] set, a background domain
+   sends [Health] to every shard on a small dedicated {!Sagma_pool},
+   maintaining per-shard state (up/down since, consecutive-failure
+   streak, last error, EWMA probe RTT) that is served in
+   [Health_report], exported as router.shard_up{shard="..."} gauges,
+   and used to fast-fail fan-out calls to known-down shards (the prober
+   keeps watching, so a recovered shard rejoins within one interval).
+   Direct shard traffic feeds the same state opportunistically: a
+   transport-level failure marks the shard down, any reply marks it
+   up. *)
 
 module P = Protocol
 module Obs = Sagma_obs.Metrics
@@ -58,7 +56,6 @@ let m_fanouts = Obs.counter "router.fanouts"
 let m_shard_calls = Obs.counter "router.shard_calls"
 let m_shard_errors = Obs.counter "router.shard_errors"
 let m_merges = Obs.counter "router.merges"
-let m_downgrades = Obs.counter "router.version_downgrades"
 let m_probes = Obs.counter "router.probes"
 let m_probe_failures = Obs.counter "router.probe_failures"
 let m_fast_fails = Obs.counter "router.fast_fails"
@@ -67,7 +64,6 @@ type shard = {
   sh_endpoint : string;          (* as configured, for messages/topology *)
   sh_host : string option;       (* None = loopback *)
   sh_port : int;
-  mutable sh_version : int;      (* highest protocol version the shard accepted *)
   (* Health state, guarded by the router's [hlock] (not the request
      lock — probes must never wait on an in-flight append fan-out). *)
   mutable sh_up : bool;
@@ -97,7 +93,7 @@ type t = {
   probe_pool : Pool.t option;
   probe_stop : bool Atomic.t;
   mutable probe_domain : unit Domain.t option;
-  watchdog : Watchdog.t option;     (* alerts served in v7 Health replies *)
+  watchdog : Watchdog.t option;     (* alerts served in Health replies *)
   draining : bool Atomic.t;
 }
 
@@ -140,7 +136,7 @@ let create ?(deadline_ms = 5000) ?fanout_workers ?(trace_sample = 0) ?(slow_quer
            (* Optimistic start: a shard is presumed up until a probe or
               call says otherwise, so a freshly booted fleet is never
               fast-failed before its first probe. *)
-           { sh_endpoint = ep; sh_host; sh_port; sh_version = P.version; sh_up = true;
+           { sh_endpoint = ep; sh_host; sh_port; sh_up = true;
              sh_since = now; sh_failures = 0; sh_last_error = ""; sh_rtt_ms = 0.;
              sh_up_gauge = g })
          endpoints)
@@ -210,8 +206,7 @@ let shard_health (r : t) : P.shard_health list =
          (fun i sh ->
            { P.shc_index = i; shc_endpoint = sh.sh_endpoint; shc_reachable = sh.sh_up;
              shc_since = sh.sh_since; shc_failures = sh.sh_failures;
-             shc_last_error = sh.sh_last_error; shc_version = sh.sh_version;
-             shc_rtt_ms = sh.sh_rtt_ms })
+             shc_last_error = sh.sh_last_error; shc_rtt_ms = sh.sh_rtt_ms })
          r.shards)
   in
   Mutex.unlock r.hlock;
@@ -225,19 +220,8 @@ let down_count (r : t) : int =
 
 (* --- shard calls ----------------------------------------------------------- *)
 
-(* The downgrade ladder must stop at the oldest version that can still
-   encode the request — probing a v6 shard with Health would otherwise
-   try to emit Health in a v6 frame ([Invalid_argument]). *)
-let request_min_version : P.request -> int = function
-  | P.Stats -> 2
-  | P.Traces -> 4
-  | P.Health -> 7
-  | _ -> P.min_version
-
-(* One shard exchange: fresh connection, the router's deadline on both
-   directions, the request encoded at the shard's cached version, and a
-   downgrade-and-retry on [Version_unsupported] so a fleet can mix
-   protocol generations. *)
+(* One shard exchange: fresh connection and the router's deadline on
+   both directions. *)
 let call_shard (r : t) (sh : shard) (req : P.request) : P.response * P.explain option =
   Obs.incr m_shard_calls;
   let trace =
@@ -246,35 +230,16 @@ let call_shard (r : t) (sh : shard) (req : P.request) : P.response * P.explain o
     | None -> None
   in
   let deadline = float_of_int r.deadline_ms /. 1000. in
-  let floor = request_min_version req in
-  let rec attempt v =
-    let fd = Transport.connect ?host:sh.sh_host ~port:sh.sh_port () in
-    let resp, x =
-      Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          if deadline > 0. then
-            (try
-               Unix.setsockopt_float fd Unix.SO_RCVTIMEO deadline;
-               Unix.setsockopt_float fd Unix.SO_SNDTIMEO deadline
-             with Unix.Unix_error _ | Invalid_argument _ -> ());
-          Transport.send fd
-            (P.encode_request ~version:v ?trace:(if v >= 4 then trace else None) req);
-          P.decode_response_x (Transport.recv fd))
-    in
-    match resp with
-    | P.Failed { code = P.Version_unsupported; _ } when v > floor ->
-      Obs.incr m_downgrades;
-      attempt (v - 1)
-    | P.Failed { code = P.Version_unsupported; _ } ->
-      (* The shard is older than this request's floor: reachable, but
-         the request cannot be downgraded to it. Leave the cached
-         version alone — it reflects what the shard actually accepted. *)
-      (resp, x)
-    | _ ->
-      sh.sh_version <- v;
-      (resp, x)
-  in
-  attempt (max sh.sh_version floor)
+  let fd = Transport.connect ?host:sh.sh_host ~port:sh.sh_port () in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      if deadline > 0. then
+        (try
+           Unix.setsockopt_float fd Unix.SO_RCVTIMEO deadline;
+           Unix.setsockopt_float fd Unix.SO_SNDTIMEO deadline
+         with Unix.Unix_error _ | Invalid_argument _ -> ());
+      Transport.send fd (P.encode_request ?trace req);
+      P.decode_response_x (Transport.recv fd))
 
 (* [call_shard] with every failure mode — unreachable endpoint,
    deadline, malformed reply, or the shard's own [Failed] — turned into
@@ -324,27 +289,16 @@ let safe_call (r : t) (i : int) (sh : shard) (req : P.request) :
 
 (* --- background probing ---------------------------------------------------- *)
 
-(* One lightweight probe: [Health] once a shard is known to speak v7,
-   [List_tables] otherwise (the ladder in [call_shard] then settles
-   [sh_version], after which pre-v7 shards keep being probed cheaply).
-   Runs outside [safe_call] so a probe is never itself fast-failed. *)
+(* One lightweight [Health] probe. Runs outside [safe_call] so a probe
+   is never itself fast-failed. *)
 let probe_shard (r : t) (i : int) (sh : shard) : unit =
   Obs.incr m_probes;
   let t0 = Unix.gettimeofday () in
   let finish_ok () = record_success r i sh ((Unix.gettimeofday () -. t0) *. 1000.) in
-  let req = if sh.sh_version >= 7 then P.Health else P.List_tables in
-  match call_shard r sh req with
-  | P.Failed { code = P.Version_unsupported; _ }, _ -> begin
-    (* Reachable but older than v7: re-probe with a v1 request so the
-       ladder can negotiate the shard's real version. *)
-    match call_shard r sh P.List_tables with
-    | _, _ -> finish_ok ()
-    | exception Unix.Unix_error (e, _, _) -> record_failure r i sh (Unix.error_message e)
-    | exception (Failure msg | Sagma_wire.Wire.Decode_error msg) -> record_failure r i sh msg
-  end
+  match call_shard r sh P.Health with
   | _, _ ->
-    (* Any decoded reply — Health_report, Tables, even an application
-       Failed — proves the shard is alive and answering. *)
+    (* Any decoded reply — Health_report, even a Failed — proves the
+       shard is alive and answering. *)
     finish_ok ()
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
     record_failure r i sh (Printf.sprintf "deadline exceeded after %d ms" r.deadline_ms)
@@ -442,7 +396,7 @@ let label_snapshot (i : int) (s : Obs.snapshot) : Obs.snapshot =
 (* The coordinator's Stats reply covers the fleet: its own snapshot is
    ⊕-merged with every reachable shard's into unlabeled fleet
    aggregates, and each shard's snapshot additionally rides along as
-   {shard="i"}-labeled series. Unreachable or pre-v2 shards are
+   {shard="i"}-labeled series. Unreachable or failing shards are
    skipped — a Stats scrape must degrade, never fail. *)
 let federated_snapshot (r : t) : Obs.snapshot =
   let own = Obs.snapshot () in

@@ -11,23 +11,23 @@
 
     [Upload]/[Append] fan to every shard (storage is replicated — the
     SSE index is PRF-opaque and cannot be split server-side); appends
-    are stamped with the coordinator's global row id (v6) so replicas
+    are stamped with the coordinator's global row id so replicas
     stay aligned and the compute owner [row_id mod count] is stable.
 
     Fault handling: any unreachable, timed-out or failing shard turns
     the reply into [Failed] naming that shard, within the per-call
-    deadline. Version-mixed fleets work: the router caches each shard's
-    accepted protocol version and steps down on
-    [Failed Version_unsupported] (a v5 shard simply never sees v6-only
-    constructs).
+    deadline. There is no version negotiation: coordinator and shards
+    ship in one build, and a shard built at another protocol version
+    answers [Failed Version_unsupported], reported like any other shard
+    failure.
 
     Tracing: when the router's request is sampled, shard calls carry
-    the router's trace id as their v4 trace context, and shard EXPLAIN
+    the router's trace id as their trace context, and shard EXPLAIN
     timings are grafted back under the per-shard spans — the
     distributed request renders as one tree:
     request → fanout → shard:N → remote:aggregate.
 
-    Fleet health (v7): with [?probe_interval_ms] set, a background
+    Fleet health: with [?probe_interval_ms] set, a background
     prober maintains per-shard reachability state (up/down since,
     failure streak, EWMA RTT) served in [Health_report], exported as
     [router.shard_up]{shard="..."} gauges, and used to fast-fail
@@ -59,7 +59,7 @@ val create :
     [probe_interval_ms] (default 0 = off) enables background health
     probing at that period — call {!start_probes} to actually start the
     loop — and with it the fast-fail of calls to known-down shards.
-    [watchdog] serves that watchdog's firing alerts in v7 [Health]
+    [watchdog] serves that watchdog's firing alerts in [Health]
     replies (the caller runs the poll loop, feeding it
     {!down_count}).
     @raise Invalid_argument on an empty or unparsable endpoint list. *)
@@ -67,8 +67,7 @@ val create :
 val start_probes : t -> unit
 (** Spawn the background probe domain (a no-op when
     [probe_interval_ms] is 0 or the loop already runs). Each round
-    probes every shard on a small dedicated pool — [Health] once a
-    shard is known to speak v7, [List_tables] for older peers — and
+    sends [Health] to every shard on a small dedicated pool and
     updates the per-shard state. Stopped by {!shutdown}. *)
 
 val shutdown : t -> unit
@@ -76,10 +75,10 @@ val shutdown : t -> unit
     (idempotent via [Sagma_pool]). *)
 
 val set_draining : t -> bool -> unit
-(** Flip the v7 health status to ["draining"] — and back. *)
+(** Flip the health status to ["draining"] — and back. *)
 
 val shard_health : t -> Protocol.shard_health list
-(** The per-shard block a v7 [Health_report] carries, one entry per
+(** The per-shard block a [Health_report] carries, one entry per
     shard in fan-out order. *)
 
 val down_count : t -> int
@@ -87,11 +86,11 @@ val down_count : t -> int
     [Shards_down] signal. *)
 
 val topology : t -> Protocol.topology
-(** The ["coordinator"] topology this router reports in v6 Stats. *)
+(** The ["coordinator"] topology this router reports in Stats. *)
 
 val handle : t -> Protocol.request -> Protocol.response
 
 val handle_encoded : t -> string -> string
 (** [Server.pipeline] over {!handle}: same metrics, logging, audit
-    bracketing, sampling and version-mirrored framing as a storage
+    bracketing, sampling and framing as a storage
     server's [Server.handle_encoded]. *)

@@ -69,7 +69,7 @@ type t = {
   trace_sample : int;      (* trace every Nth request; 0 disables *)
   slow_query_ms : float;   (* requests over this emit a slow_query event; 0. disables *)
   started : float;         (* epoch seconds, for Stats uptime *)
-  watchdog : Watchdog.t option;  (* active alerts served in v7 Health replies *)
+  watchdog : Watchdog.t option;  (* active alerts served in Health replies *)
   draining : bool Atomic.t;      (* graceful shutdown begun: Health says "draining" *)
 }
 
@@ -84,7 +84,7 @@ let create ?agg_pool ?shard ?(trace_sample = 0) ?(slow_query_ms = 0.) ?watchdog 
 
 let set_draining (s : t) (d : bool) : unit = Atomic.set s.draining d
 
-(* The v7 health summary shared by the storage server and (with a
+(* The health summary shared by the storage server and (with a
    per-shard block) the {!Router}: draining beats everything, any
    firing alert means degraded, a down shard likewise. *)
 let health_status ~(draining : bool) ~(alerts : Watchdog.alert list)
@@ -113,7 +113,7 @@ let request_kind : Protocol.request -> string = function
   | Protocol.Traces -> "traces"
   | Protocol.Health -> "health"
 
-(* The v5 gc section of a Stats reply — also used by {!Router}. *)
+(* The gc section of a Stats reply — also used by {!Router}. *)
 let gc_stats_now () : Protocol.gc_stats =
   let g = Gc.quick_stat () in
   { Protocol.gs_minor_words = g.Gc.minor_words; gs_promoted_words = g.Gc.promoted_words;
@@ -125,9 +125,7 @@ let handle (s : t) (req : Protocol.request) : Protocol.response =
   match req with
   | Protocol.Stats ->
     (* A read-only snapshot: safe to serve even while the registry is
-       being written — counters are atomic, histograms lock per cell.
-       The gc (v5) and topology (v6) sections are filled
-       unconditionally and dropped by the encoder for older peers. *)
+       being written — counters are atomic, histograms lock per cell. *)
     Protocol.Stats_report
       { Protocol.sr_snapshot = Obs.snapshot (); sr_audit = Audit.summary ();
         sr_uptime_s = Unix.gettimeofday () -. s.started; sr_start_time = s.started;
@@ -257,22 +255,13 @@ let pipeline ~(trace_sample : int) ~(slow_query_ms : float)
   Audit.begin_request req_id;
   let t0 = Unix.gettimeofday () in
   let kind = ref "undecodable" in
-  (* Reply in the version the peer spoke, so a v1 client can decode the
-     response to its own v1 request. Until the request header has been
-     decoded successfully we only know the peer claims *some* version,
-     so undecodable or version-mismatched frames get a min_version reply
-     — the one framing every conforming peer accepts. A v1 request can
-     never yield a v2-only response (the decoder rejects v2 tags in v1
-     frames), so encoding at the request's version cannot fail. *)
-  let resp_version = ref Protocol.min_version in
   let rtrace : Trace.rtrace option ref = ref None in
   let response =
     Obs.observe_ms h_request_ms (fun () ->
         try
-          let req_version, tc, req = Protocol.decode_request_vt raw in
-          resp_version := req_version;
+          let tc, req = Protocol.decode_request_x raw in
           kind := request_kind req;
-          (* Sampling: the peer can force a trace (v4 sampling flag);
+          (* Sampling: the peer can force a trace (its sampling flag);
              otherwise every [trace_sample]th request is traced, and a
              configured slow-query threshold traces everything — a slow
              request can only report its span tree if it was traced from
@@ -307,20 +296,20 @@ let pipeline ~(trace_sample : int) ~(slow_query_ms : float)
   (match response with Protocol.Failed _ -> Obs.incr m_failed | _ -> ());
   (* Fill the byte counts into the trace's cost block (the completed
      ring holds the same record, so exports see them too), then attach
-     the EXPLAIN trailer for v4 peers. [bytes_out] must describe the
+     the EXPLAIN trailer. [bytes_out] must describe the
      frame that actually leaves — trailer included — but the trailer
      itself embeds the cost block, and the varint width of [bytes_out]
      depends on its value; iterate to the (immediately reached)
      fixpoint instead of reporting the trailer-less first encoding.
-     Re-encoding is confined to sampled v4 requests. *)
-  let encoded = Protocol.encode_response ~version:!resp_version response in
+     Re-encoding is confined to sampled requests. *)
+  let encoded = Protocol.encode_response response in
   let encoded =
     match !rtrace with
-    | Some rt when !resp_version >= 4 ->
+    | Some rt ->
       let encode_with bytes_out =
         Trace.set_cost rt
           { rt.Trace.r_cost with Trace.bytes_in = String.length raw; bytes_out };
-        Protocol.encode_response ~version:!resp_version
+        Protocol.encode_response
           ~explain:
             { Protocol.x_id = rt.Trace.r_id;
               x_timings = Trace.phase_timings rt.Trace.r_root; x_cost = rt.Trace.r_cost;
@@ -333,11 +322,6 @@ let pipeline ~(trace_sample : int) ~(slow_query_ms : float)
         else fix (String.length e) (attempts - 1)
       in
       fix (String.length encoded) 4
-    | Some rt ->
-      Trace.set_cost rt
-        { rt.Trace.r_cost with
-          Trace.bytes_in = String.length raw; bytes_out = String.length encoded };
-      encoded
     | None -> encoded
   in
   Obs.add m_bytes_out (String.length encoded);

@@ -29,25 +29,25 @@ val create :
     PRF-opaque and cannot be split server-side), but aggregation only
     pairs the rows of slice [row mod n = i], so the fleet divides the
     pairing work and a coordinator ⊕-merges the partials. The node
-    reports role ["shard"] in its v6 Stats topology.
+    reports role ["shard"] in its Stats topology.
     @raise Invalid_argument unless [0 <= i < n].
 
     [trace_sample] (default 0 = off) traces every Nth request:
     a sampled request runs under [Sagma_obs.Trace.with_request_full],
-    lands on the completed-trace ring (served by the v4 [Traces]
-    request) and carries an EXPLAIN trailer in v4 replies. A v4 peer's
-    sampling flag forces a trace regardless. [slow_query_ms] (default
+    lands on the completed-trace ring (served by the [Traces] request)
+    and carries an EXPLAIN trailer in its reply. A peer's sampling flag
+    forces a trace regardless. [slow_query_ms] (default
     0. = off) makes every request over the threshold emit a
     [slow_query] log event with its span tree and cost block — which
     requires tracing every request, so a nonzero threshold implies
     sampling them all. Both need metrics collection enabled.
 
-    [watchdog] serves that watchdog's currently-firing alerts in v7
+    [watchdog] serves that watchdog's currently-firing alerts in
     [Health] replies (the caller runs the poll loop); without one the
     alert list is always empty. *)
 
 val set_draining : t -> bool -> unit
-(** Flip the v7 health status to ["draining"] (graceful shutdown has
+(** Flip the health status to ["draining"] (graceful shutdown has
     begun) — and back, should the drain be aborted. *)
 
 val health_status :
@@ -55,7 +55,7 @@ val health_status :
   alerts:Sagma_obs.Watchdog.alert list ->
   shards:Protocol.shard_health list ->
   string
-(** The v7 status word: ["draining"] wins, then any firing alert or
+(** The status word: ["draining"] wins, then any firing alert or
     unreachable shard means ["degraded"], else ["ok"]. Shared with
     {!Router}. *)
 
@@ -70,7 +70,7 @@ val validate_table_name : string -> string option
     memory-amplifying registry key). Shared with {!Router}. *)
 
 val gc_stats_now : unit -> Protocol.gc_stats
-(** The process's current [Gc.quick_stat] as the v5 Stats section. *)
+(** The process's current [Gc.quick_stat] as the Stats gc section. *)
 
 val pipeline :
   trace_sample:int ->
@@ -80,19 +80,18 @@ val pipeline :
   string
 (** The encoded-request pipeline {!handle_encoded} is built on, generic
     over the actual handler so a query router ({!Router}) shares the
-    metrics, logging, audit bracketing, sampling, version-mirroring and
+    metrics, logging, audit bracketing, sampling, framing and
     EXPLAIN-trailer machinery of the storage server. *)
 
 val handle : t -> Protocol.request -> Protocol.response
 
 val handle_encoded : t -> string -> string
 (** Decode, handle, encode; never lets an exception escape (malformed
-    requests yield [Failed]). The response is framed at the request's
-    protocol version, so old clients can decode replies to their own
-    requests; undecodable frames get a [Protocol.min_version] reply.
-    Brackets the handler with a fresh request id shared by the
+    requests yield [Failed]; a frame at any other protocol version
+    yields [Failed Version_unsupported]). Every reply is framed at
+    {!Protocol.version}. Brackets the handler with a fresh request id shared by the
     [Sagma_obs.Log] "request" event (which carries
     [duration_ms]/[bytes_out]) and the [Sagma_obs.Audit] trace (when
     those subsystems are enabled). Sampled requests (see {!create}) run
     under a [Sagma_obs.Trace] request context and attach an EXPLAIN
-    trailer to v4 replies. *)
+    trailer to the reply. *)

@@ -30,13 +30,13 @@ val recv : ?max_frame:int -> ?stop:(unit -> bool) -> Unix.file_descr -> string
 val call :
   ?max_frame:int -> ?trace:Protocol.trace_ctx -> Unix.file_descr -> Protocol.request ->
   Protocol.response
-(** One request/response exchange. [?trace] attaches a v4 trace context
+(** One request/response exchange. [?trace] attaches a trace context
     to the request (id and/or sampling flag). *)
 
 val call_x :
   ?max_frame:int -> ?trace:Protocol.trace_ctx -> Unix.file_descr -> Protocol.request ->
   Protocol.response * Protocol.explain option
-(** Like {!call} but also returns the v4 EXPLAIN trailer, present when
+(** Like {!call} but also returns the EXPLAIN trailer, present when
     the server traced the request. *)
 
 val serve_connection :

@@ -110,7 +110,7 @@ grep -q "^sagma_scheme_agg_rows_total " "$OBS_DIR/exposition.txt"
 grep -q 'sagma_proto_request_ms_bucket{le="+Inf"}' "$OBS_DIR/exposition.txt"
 grep -q "^sagma_proto_request_ms_p50 " "$OBS_DIR/exposition.txt"
 grep -q "^sagma_proto_request_ms_p99 " "$OBS_DIR/exposition.txt"
-# v5 additions: server uptime and the process-level GC gauges derived
+# Server uptime and the process-level GC gauges derived
 # from the Stats reply's gc section.
 grep -q "^sagma_uptime_seconds " "$OBS_DIR/exposition.txt"
 grep -q "^ocaml_gc_heap_words " "$OBS_DIR/exposition.txt"
@@ -125,7 +125,7 @@ grep -q -- "-- explain (server trace " "$OBS_DIR/explain.out"
 grep -q "cost.agg_rows" "$OBS_DIR/explain.out"
 grep -q "cost.bgn_mul" "$OBS_DIR/explain.out"
 # With --profile on the server, the trailer also carries the request's
-# GC differential (v5).
+# GC differential.
 grep -q "gc.minor_words" "$OBS_DIR/explain.out"
 # The live dashboard's script mode: one frame against the same server.
 "$CLI" top --once --port "$OBS_PORT" > "$OBS_DIR/top.out"
@@ -153,6 +153,43 @@ assert all(e["dur"] >= 0 for e in xs)
 print(f"trace export OK: {len(roots)} request tree(s), {len(xs)} spans")' \
   "$OBS_DIR/trace.json"
 cp "$OBS_DIR/trace.json" sagma_trace.json
+# Raw-frame probe: the server speaks exactly one protocol version. A
+# frame at the previous or an old version gets Failed (tag 3)
+# version-unsupported (code 3), a frame without the magic gets Failed
+# bad-request (code 1), every reply is framed at the current version,
+# and the connection keeps serving afterwards.
+PROTO_VERSION=$(sed -n 's/^let version = \([0-9][0-9]*\)$/\1/p' lib/protocol/protocol.ml)
+python3 - "$OBS_PORT" "$PROTO_VERSION" <<'EOF'
+import socket, struct, sys
+
+port, version = int(sys.argv[1]), int(sys.argv[2])
+sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+
+def recv_exact(n):
+    buf = b""
+    while len(buf) < n:
+        chunk = sock.recv(n - len(buf))
+        assert chunk, "server closed the connection"
+        buf += chunk
+    return buf
+
+def call(payload):
+    sock.sendall(struct.pack(">I", len(payload)) + payload)
+    (n,) = struct.unpack(">I", recv_exact(4))
+    reply = recv_exact(n)
+    assert reply[:3] == b"SG" + bytes([version]), (payload, reply[:3])
+    return reply
+
+for payload, code in [(b"SG" + bytes([version - 1]) + b"\x00\x03", 3),
+                      (b"SG\x01\x03", 3),
+                      (b"XXjunk", 1)]:
+    reply = call(payload)
+    assert reply[3] == 3 and reply[4] == code, (payload, reply[3:5])
+reply = call(b"SG" + bytes([version]) + b"\x00\x03")
+assert reply[3] == 1, ("List_tables after the probes", reply[3])
+sock.close()
+print(f"raw-frame probe OK: one protocol version ({version})")
+EOF
 # The audit ran and flagged nothing.
 "$CLI" stats --port "$OBS_PORT" | grep "^audit: " | grep -q " failures=0"
 # The structured log is non-empty JSON lines including request events
@@ -176,7 +213,7 @@ trap - EXIT
 rm -rf "$OBS_DIR"
 echo "observability smoke OK"
 
-echo "== cluster smoke (2 shards + coordinator, v6 scatter-gather, v7 health) =="
+echo "== cluster smoke (2 shards + coordinator, scatter-gather, fleet health) =="
 CL_DIR=$(mktemp -d)
 SHARD0_PORT=7501
 SHARD1_PORT=7502
@@ -219,7 +256,7 @@ grep -q "coordinator over 2 shards" "$CL_DIR/coord.out"
   > "$CL_DIR/query.out"
 grep -q "sales" "$CL_DIR/query.out"
 grep -q "4000" "$CL_DIR/query.out"
-# The v6 Stats topology line names each node's role.
+# The Stats topology line names each node's role.
 "$CLI" stats --port "$COORD_PORT" | grep -q "^topology: coordinator over 2 shards"
 "$CLI" stats --port "$SHARD0_PORT" | grep -q "^topology: shard 0/2"
 # The distributed request renders as ONE stitched span tree on the
@@ -236,7 +273,7 @@ remote = [n for n in names if n.startswith("remote:")]
 assert remote, f"no grafted shard spans in {names}"
 print(f"cluster trace OK: stitched spans {sorted(names)}")' \
   "$CL_DIR/cluster_trace.json"
-# --- v7 fleet health: probe, kill a shard, alert, recover -------------
+# --- fleet health: probe, kill a shard, alert, recover -------------
 # With both shards up the coordinator's health report is "ok" and the
 # health subcommand exits zero.
 "$CLI" health --port "$COORD_PORT" > "$CL_DIR/health_ok.out"

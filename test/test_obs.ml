@@ -123,14 +123,86 @@ let contains haystack needle =
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
   go 0
 
+(* A strict recognizer for the JSON grammar (RFC 8259), enough to tell
+   whether an emitter's output parses. *)
+let is_json (s : string) : bool =
+  let n = String.length s in
+  let pos = ref 0 in
+  let peek () = if !pos < n then Some s.[!pos] else None in
+  let fail () = raise Exit in
+  let ws () =
+    while (match peek () with Some (' ' | '\t' | '\n' | '\r') -> true | _ -> false) do
+      incr pos
+    done
+  in
+  let eat c = if peek () = Some c then incr pos else fail () in
+  let lit w = String.iter eat w in
+  let digits () =
+    let start = !pos in
+    while (match peek () with Some '0' .. '9' -> true | _ -> false) do incr pos done;
+    if !pos = start then fail ()
+  in
+  let str () =
+    eat '"';
+    let rec go () =
+      match peek () with
+      | Some '"' -> incr pos
+      | Some '\\' -> pos := !pos + 2; go ()
+      | Some c when Char.code c >= 0x20 -> incr pos; go ()
+      | _ -> fail ()
+    in
+    go ()
+  in
+  let rec value () =
+    ws ();
+    (match peek () with
+     | Some '{' -> incr pos; members '}' (fun () -> ws (); str (); ws (); eat ':'; value ())
+     | Some '[' -> incr pos; members ']' value
+     | Some '"' -> str ()
+     | Some 't' -> lit "true"
+     | Some 'f' -> lit "false"
+     | Some 'n' -> lit "null"
+     | _ ->
+       if peek () = Some '-' then incr pos;
+       digits ();
+       if peek () = Some '.' then (incr pos; digits ());
+       if peek () = Some 'e' || peek () = Some 'E' then begin
+         incr pos;
+         if peek () = Some '+' || peek () = Some '-' then incr pos;
+         digits ()
+       end);
+    ws ()
+  and members close item =
+    ws ();
+    if peek () = Some close then incr pos
+    else begin
+      item ();
+      while peek () = Some ',' do incr pos; item () done;
+      eat close
+    end
+  in
+  match value () with () -> !pos = n | exception Exit -> false
+
 let test_snapshot_json () =
   with_metrics @@ fun () ->
   Metrics.add (Metrics.counter "test.json") 5;
   Metrics.observe (Metrics.histogram "test.json_hist") 2.0;
-  let j = Metrics.snapshot_to_json (Metrics.snapshot ()) in
+  let snap = Metrics.snapshot () in
+  let j = Metrics.snapshot_to_json snap in
   Alcotest.(check bool) "counter in JSON" true (contains j "\"test.json\":5");
   Alcotest.(check bool) "histogram in JSON" true (contains j "\"test.json_hist\"");
-  Alcotest.(check string) "escaping" "a\\\"b\\\\c\\n" (Metrics.json_escape "a\"b\\c\n")
+  Alcotest.(check bool) "snapshot parses as JSON" true (is_json j);
+  Alcotest.(check string) "escaping" "a\\\"b\\\\c\\n" (Metrics.json_escape "a\"b\\c\n");
+  (* A snapshot that arrived over the wire can carry an empty histogram:
+     its mean is 0/0 and its extremes infinite, none of them JSON
+     numbers. *)
+  let empty =
+    { Metrics.h_count = 0; h_sum = 0.; h_min = infinity; h_max = neg_infinity; h_buckets = [||];
+      h_p50 = nan; h_p95 = nan; h_p99 = nan }
+  in
+  let j = Metrics.snapshot_to_json { snap with Metrics.histograms = [ ("test.empty", empty) ] } in
+  Alcotest.(check bool) (Printf.sprintf "empty histogram parses as JSON: %s" j) true (is_json j);
+  Alcotest.(check bool) "empty mean is null" true (contains j "\"mean\":null")
 
 let test_gauge_export () =
   with_metrics @@ fun () ->

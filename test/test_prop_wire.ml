@@ -70,14 +70,12 @@ let stats_report =
   M.reset ();
   { P.sr_snapshot = snap; sr_audit = Sagma_obs.Audit.summary (); sr_uptime_s = 9.5;
     sr_start_time = 1234.0; sr_gc = None;
-    (* v6 shard topology: encoded in the current-version corpus, dropped
-       from the v1 reframings. *)
     sr_topology =
       Some
         { P.tp_role = "coordinator"; tp_shard_index = -1; tp_shard_count = 2;
           tp_shards = [ "7481"; "host:7482" ] } }
 
-(* A v7 health report exercising every codec branch: an alert list, a
+(* A health report exercising every codec branch: an alert list, a
    mixed up/down shard block, empty and non-empty strings. *)
 let health_report =
   { P.hr_status = "degraded"; hr_uptime_s = 33.25;
@@ -86,43 +84,37 @@ let health_report =
           a_threshold = 0.5; a_message = "error-rate breached" } ];
     hr_shards =
       [ { P.shc_index = 0; shc_endpoint = "7481"; shc_reachable = true; shc_since = 400.0;
-          shc_failures = 0; shc_last_error = ""; shc_version = 7; shc_rtt_ms = 0.5 };
+          shc_failures = 0; shc_last_error = ""; shc_rtt_ms = 0.5 };
         { P.shc_index = 1; shc_endpoint = "host:7482"; shc_reachable = false;
           shc_since = 450.75; shc_failures = 4; shc_last_error = "Connection refused";
-          shc_version = 5; shc_rtt_ms = 2.25 } ] }
+          shc_rtt_ms = 2.25 } ] }
 
-let v1_requests =
-  [ P.Upload { name = "t"; table = enc };
-    P.Aggregate { name = "t"; token };
-    P.Append { name = "t"; row = append_row; keywords = append_keywords; row_id = None };
-    (* The v6 coordinator-stamped row id; older encodings drop it. *)
-    P.Append { name = "t"; row = append_row; keywords = append_keywords; row_id = Some 8 };
-    P.List_tables;
-    P.Drop "t" ]
+let request_corpus =
+  List.map P.encode_request
+    [ P.Upload { name = "t"; table = enc };
+      P.Aggregate { name = "t"; token };
+      P.Append { name = "t"; row = append_row; keywords = append_keywords; row_id = None };
+      (* The coordinator-stamped row id. *)
+      P.Append { name = "t"; row = append_row; keywords = append_keywords; row_id = Some 8 };
+      P.List_tables;
+      P.Drop "t";
+      P.Stats;
+      P.Health ]
 
-let v1_responses =
-  [ P.Ack;
-    P.Tables [ ("t", 8); ("u", 0) ];
-    P.Aggregates agg;
-    P.Failed { code = P.No_such_table; message = "no such table" } ]
-
-let request_corpus = List.map P.encode_request (v1_requests @ [ P.Stats; P.Health ])
 let response_corpus =
   List.map P.encode_response
-    (v1_responses @ [ P.Stats_report stats_report; P.Health_report health_report ])
+    [ P.Ack;
+      P.Tables [ ("t", 8); ("u", 0) ];
+      P.Aggregates agg;
+      P.Failed { code = P.No_such_table; message = "no such table" };
+      P.Stats_report stats_report;
+      P.Health_report health_report ]
 
-(* v1 reframings of every message that exists in v1: the v2 decoders
-   must keep accepting these, and the fuzz contract holds for them too. *)
-let v1_request_corpus = List.map (P.encode_request ~version:1) v1_requests
-let v1_response_corpus = List.map (P.encode_response ~version:1) v1_responses
-
-let all_requests = request_corpus @ v1_request_corpus
-let all_responses = response_corpus @ v1_response_corpus
-let corpus = all_requests @ all_responses
+let corpus = request_corpus @ response_corpus
 
 (* Decoders matching each corpus frame, index-aligned. *)
 let decoder_of i : string -> unit =
-  if i < List.length all_requests then fun s -> ignore (P.decode_request s)
+  if i < List.length request_corpus then fun s -> ignore (P.decode_request s)
   else fun s -> ignore (P.decode_response s)
 
 (* --- primitive roundtrips ----------------------------------------------------- *)
@@ -197,10 +189,6 @@ let t_response_canonical = R.test ~count:40 ~name:"response encoding canonical"
     (R.arbitrary ~print:String.escaped (Gen.oneofl response_corpus))
     (fun frame -> P.encode_response (P.decode_response frame) = frame)
 
-let t_v1_canonical = R.test ~count:40 ~name:"v1 reframing canonical"
-    (R.arbitrary ~print:String.escaped (Gen.oneofl v1_request_corpus))
-    (fun frame -> P.encode_request ~version:1 (P.decode_request frame) = frame)
-
 (* --- adversarial inputs ------------------------------------------------------- *)
 
 let well_behaved (decode : string -> unit) (s : string) : bool =
@@ -254,45 +242,6 @@ let t_garbage = R.test ~count:300 ~name:"garbage never crashes the decoders"
       well_behaved (fun s -> ignore (P.decode_request s)) s
       && well_behaved (fun s -> ignore (P.decode_response s)) s)
 
-(* v6 constructs (stamped append row ids, shard topology) reframed into
-   a v5 frame must read as trailing garbage: the v5 layout ends before
-   those bytes, so the decoder rejects the forgery instead of smuggling
-   newer fields into an older frame. *)
-let reframe v frame = String.mapi (fun i c -> if i = 2 then Char.chr v else c) frame
-
-let t_v5_reframe = R.test ~count:1 ~name:"v6 bytes inside a v5 frame are trailing garbage"
-    (R.arbitrary ~print:(fun () -> "()") (Gen.return ()))
-    (fun () ->
-      let append_v6 =
-        P.encode_request
-          (P.Append { name = "t"; row = append_row; keywords = append_keywords; row_id = Some 8 })
-      in
-      let stats_v6 = P.encode_response (P.Stats_report stats_report) in
-      (match P.decode_request (reframe 5 append_v6) with
-       | _ -> false
-       | exception W.Decode_error _ -> true)
-      &&
-      match P.decode_response (reframe 5 stats_v6) with
-      | _ -> false
-      | exception W.Decode_error _ -> true)
-
-(* Same forgery at the v7 boundary: a Health request (tag 7) and a
-   Health_report (tag 6) reframed as v6 claim tags that version never
-   defined, so both must be rejected — forged v6 frames cannot smuggle
-   the fleet-health constructs to a v6 peer. *)
-let t_v6_reframe = R.test ~count:1 ~name:"v7 bytes inside a v6 frame are trailing garbage"
-    (R.arbitrary ~print:(fun () -> "()") (Gen.return ()))
-    (fun () ->
-      let health_v7 = P.encode_request P.Health in
-      let report_v7 = P.encode_response (P.Health_report health_report) in
-      (match P.decode_request (reframe 6 health_v7) with
-       | _ -> false
-       | exception W.Decode_error _ -> true)
-      &&
-      match P.decode_response (reframe 6 report_v7) with
-      | _ -> false
-      | exception W.Decode_error _ -> true)
-
 (* --- the server absorbs anything ---------------------------------------------- *)
 
 let server =
@@ -315,15 +264,37 @@ let server_absorbs (s : string) : bool =
       false
 
 let t_server_valid = R.test ~count:30 ~name:"server answers every valid request"
-    (R.arbitrary ~print:String.escaped (Gen.oneofl all_requests))
+    (R.arbitrary ~print:String.escaped (Gen.oneofl request_corpus))
     server_absorbs
+
+(* Any version byte but the current one, on any corpus frame: the
+   decoders raise the typed mismatch, and the server answers
+   [Failed Version_unsupported] framed at its own version. *)
+let t_other_version = R.test ~count:150 ~name:"other version bytes rejected"
+    (R.arbitrary
+       ~print:(fun (i, b) -> Printf.sprintf "frame %d with version byte %d" i b)
+       (Gen.pair (Gen.int_below (List.length corpus)) (Gen.int_below 256)))
+    (fun (i, b) ->
+      if b = P.version then raise R.Discard;
+      let frame = String.mapi (fun k c -> if k = 2 then Char.chr b else c) (List.nth corpus i) in
+      (match decoder_of i frame with
+       | () -> false
+       | exception P.Version_mismatch { expected; got } -> expected = P.version && got = b
+       | exception _ -> false)
+      &&
+      let reply = Server.handle_encoded server frame in
+      Char.code reply.[2] = P.version
+      &&
+      match P.decode_response reply with
+      | P.Failed { code = P.Version_unsupported; _ } -> true
+      | _ -> false)
 
 let t_server_mutated = R.test ~count:200 ~name:"server absorbs mutated requests"
     (R.arbitrary
        ~print:(fun (i, s) -> Printf.sprintf "frame %d mutated to %s" i (String.escaped s))
-       (Gen.bind (Gen.int_below (List.length all_requests)) (fun i ->
+       (Gen.bind (Gen.int_below (List.length request_corpus)) (fun i ->
             fun d ->
-             let frame = List.nth all_requests i in
+             let frame = List.nth request_corpus i in
              let b = Bytes.of_string frame in
              let hits = Gen.int_range 1 4 d in
              for _ = 1 to hits do
@@ -339,6 +310,5 @@ let t_server_garbage = R.test ~count:200 ~name:"server absorbs garbage"
 let () =
   R.run ~suite:"test_prop_wire"
     [ t_int_rt; t_u62_rt; t_u32_rt; t_bytes_rt; t_compound_rt; t_count_guard; t_z_rt;
-      t_value_rt; t_request_canonical; t_response_canonical; t_v1_canonical; t_truncation;
-      t_mutation; t_garbage; t_v5_reframe; t_v6_reframe; t_server_valid; t_server_mutated;
-      t_server_garbage ]
+      t_value_rt; t_request_canonical; t_response_canonical; t_truncation; t_mutation;
+      t_garbage; t_server_valid; t_other_version; t_server_mutated; t_server_garbage ]

@@ -174,9 +174,7 @@ let test_server_remote_append () =
 let test_malformed_request () =
   let state = Server.create () in
   let raw = Server.handle_encoded state "\xff\x00garbage" in
-  (* An undecodable frame tells us nothing about the peer's version, so
-     the failure is framed at min_version for maximum reach. *)
-  Alcotest.(check int) "failure framed at min_version" P.min_version (Char.code raw.[2]);
+  Alcotest.(check int) "failure framed at the protocol version" P.version (Char.code raw.[2]);
   match P.decode_response raw with
   | P.Failed { code; message } ->
     Alcotest.(check string) "bad-request code" "bad-request" (P.error_code_to_string code);
@@ -217,22 +215,6 @@ let test_old_frame_rejected () =
    | exception W.Decode_error _ -> ()
    | _ -> Alcotest.fail "bad magic accepted")
 
-let test_encoder_version_bounds () =
-  (* Encoders refuse out-of-range versions outright instead of silently
-     emitting a frame every conforming decoder rejects. *)
-  List.iter
-    (fun v ->
-      match P.encode_request ~version:v P.List_tables with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.failf "request encoded at unsupported version %d" v)
-    [ 0; P.version + 1 ];
-  List.iter
-    (fun v ->
-      match P.encode_response ~version:v P.Ack with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.failf "response encoded at unsupported version %d" v)
-    [ 0; P.version + 1 ]
-
 let test_server_rejects_old_frame () =
   (* The server answers a mismatched frame with a current-version
      structured failure rather than crashing the connection. *)
@@ -244,71 +226,9 @@ let test_server_rejects_old_frame () =
     Alcotest.failf "wrong code %s" (P.error_code_to_string code)
   | _ -> Alcotest.fail "expected failure"
 
-(* --- v1 compatibility ------------------------------------------------------------ *)
+(* --- stats ----------------------------------------------------------------------- *)
 
 let decode_with state req = P.decode_response (Server.handle_encoded state req)
-
-let test_v1_frames_still_served () =
-  (* A v2 server keeps answering v1-encoded requests: every v1 message
-     uses the same tag and payload encoding in v2. *)
-  let state = Server.create () in
-  let send req = decode_with state (P.encode_request ~version:1 req) in
-  Alcotest.(check int) "v1 frame carries version byte 1" 1
-    (Char.code (P.encode_request ~version:1 P.List_tables).[2]);
-  (* The reply to a v1 request must itself be a v1 frame — a real v1
-     client's decoder rejects any other version byte, even on an Ack to
-     its own request. *)
-  Alcotest.(check int) "v1 request answered with a v1 frame" 1
-    (Char.code (Server.handle_encoded state (P.encode_request ~version:1 P.List_tables)).[2]);
-  Alcotest.(check int) "v2 request answered with a v2 frame" 2
-    (Char.code (Server.handle_encoded state (P.encode_request ~version:2 P.List_tables)).[2]);
-  Alcotest.(check bool) "v1 upload" true (send (P.Upload { name = "t"; table = enc }) = P.Ack);
-  (match send P.List_tables with
-   | P.Tables [ ("t", 15) ] -> ()
-   | _ -> Alcotest.fail "bad listing for v1 client");
-  let tok = Scheme.token client query in
-  (match send (P.Aggregate { name = "t"; token = tok }) with
-   | P.Aggregates agg ->
-     let results = Scheme.decrypt client tok agg ~total_rows:15 in
-     Alcotest.(check (list (triple (list string) int int))) "v1 aggregate" expected
-       (List.map
-          (fun r -> (List.map Value.to_string r.Scheme.group, r.Scheme.sum, r.Scheme.count))
-          results)
-   | _ -> Alcotest.fail "expected aggregates for v1 client");
-  Alcotest.(check bool) "v1 drop" true (send (P.Drop "t") = P.Ack);
-  (* Anything past the current version still gets the typed rejection. *)
-  let future = flip_version (P.encode_request P.List_tables) ~v:9 in
-  Alcotest.check_raises "future version rejected"
-    (P.Version_mismatch { expected = P.version; got = 9 })
-    (fun () -> ignore (P.decode_request future));
-  (match decode_with state future with
-   | P.Failed { code = P.Version_unsupported; _ } -> ()
-   | _ -> Alcotest.fail "server accepted a future version");
-  (* When the claimed version is unknown, the rejection is framed at
-     min_version — the one framing any conforming peer can read. *)
-  Alcotest.(check int) "version rejection framed at min_version" P.min_version
-    (Char.code (Server.handle_encoded state future).[2])
-
-let test_v2_only_messages_gated () =
-  (* Stats does not exist in v1: encoders refuse to emit it... *)
-  (match P.encode_request ~version:1 P.Stats with
-   | exception Invalid_argument _ -> ()
-   | _ -> Alcotest.fail "Stats encoded into a v1 frame");
-  (match
-     P.encode_response ~version:1
-       (P.Stats_report
-          { P.sr_snapshot = { Sagma_obs.Metrics.counters = []; gauges = []; histograms = [] };
-            sr_audit = Sagma_obs.Audit.summary (); sr_uptime_s = 0.; sr_start_time = 0.;
-            sr_gc = None; sr_topology = None })
-   with
-   | exception Invalid_argument _ -> ()
-   | _ -> Alcotest.fail "Stats_report encoded into a v1 frame");
-  (* ...and a forged v1 frame carrying the v2-only tag is malformed —
-     a decode error, not a version mismatch. *)
-  let forged = flip_version (P.encode_request P.Stats) ~v:1 in
-  (match P.decode_request forged with
-   | exception W.Decode_error _ -> ()
-   | _ -> Alcotest.fail "v2-only tag accepted inside a v1 frame")
 
 let test_stats_roundtrip () =
   let module M = Sagma_obs.Metrics in
@@ -316,6 +236,7 @@ let test_stats_roundtrip () =
   M.reset ();
   M.set_enabled true;
   M.add (M.counter "test.proto_stats") 7;
+  M.gauge_set (M.gauge "test.proto_gauge") 3;
   let h = M.histogram "test.proto_stats_ms" in
   M.observe h 0.5;
   M.observe h 12.0;
@@ -331,6 +252,8 @@ let test_stats_roundtrip () =
   (match P.decode_response (P.encode_response resp) with
    | P.Stats_report r ->
      Alcotest.(check bool) "snapshot survives the wire" true (r.P.sr_snapshot = report.P.sr_snapshot);
+     Alcotest.(check bool) "gauges survive the wire" true
+       (List.assoc_opt "test.proto_gauge" r.P.sr_snapshot.Sagma_obs.Metrics.gauges = Some 3);
      Alcotest.(check bool) "audit summary survives the wire" true (r.P.sr_audit = report.P.sr_audit);
      Alcotest.(check (float 1e-9)) "uptime survives the wire" 12.5 r.P.sr_uptime_s;
      Alcotest.(check (float 1e-9)) "start time survives the wire" 1000.25 r.P.sr_start_time
@@ -368,39 +291,7 @@ let test_error_code_roundtrip () =
     [ P.No_such_table; P.Bad_request; P.Unsupported; P.Version_unsupported;
       P.Internal_error; P.Busy ]
 
-let test_v3_only_constructs_gated () =
-  (* Busy does not exist before v3: encoders refuse to emit it... *)
-  (match P.encode_response ~version:2 (P.Failed { code = P.Busy; message = "m" }) with
-   | exception Invalid_argument _ -> ()
-   | _ -> Alcotest.fail "Busy encoded into a v2 frame");
-  (* ...and a forged v2 frame carrying error code 5 is malformed. *)
-  let forged = flip_version (P.encode_response (P.Failed { code = P.Busy; message = "m" })) ~v:2 in
-  (match P.decode_response forged with
-   | exception W.Decode_error _ -> ()
-   | _ -> Alcotest.fail "v3-only error code accepted inside a v2 frame");
-  (* Stats_report gauges travel only in v3 frames: a v2 encoding drops
-     them and decodes to an empty gauge list. *)
-  let module M = Sagma_obs.Metrics in
-  let report =
-    { P.sr_snapshot =
-        { M.counters = [ ("c", 1) ]; gauges = [ ("g", 2) ]; histograms = [] };
-      sr_audit = Sagma_obs.Audit.summary (); sr_uptime_s = 3.5; sr_start_time = 77.;
-      sr_gc = None; sr_topology = None }
-  in
-  (match P.decode_response (P.encode_response ~version:2 (P.Stats_report report)) with
-   | P.Stats_report r ->
-     Alcotest.(check bool) "counters survive a v2 frame" true
-       (r.P.sr_snapshot.M.counters = [ ("c", 1) ]);
-     Alcotest.(check bool) "gauges dropped from a v2 frame" true
-       (r.P.sr_snapshot.M.gauges = [])
-   | _ -> Alcotest.fail "expected Stats_report");
-  (match P.decode_response (P.encode_response (P.Stats_report report)) with
-   | P.Stats_report r ->
-     Alcotest.(check bool) "gauges survive a v3 frame" true
-       (r.P.sr_snapshot.M.gauges = [ ("g", 2) ])
-   | _ -> Alcotest.fail "expected Stats_report")
-
-(* --- v4: trace contexts, EXPLAIN trailers, Trace_dump ---------------------------- *)
+(* --- trace contexts, EXPLAIN trailers, Trace_dump -------------------------------- *)
 
 module Trace = Sagma_obs.Trace
 
@@ -408,67 +299,20 @@ let sample_cost =
   { Trace.pairings = 1; miller_steps = 2; bgn_mul = 3; dlog_solves = 4; dlog_giant_steps = 5;
     sse_postings = 6; agg_rows = 7; agg_buckets = 8; bytes_in = 9; bytes_out = 10 }
 
-(* Patch the tag byte of a frame whose header is magic(2) + version(1):
-   v1–v3 frames put the tag right after the header. *)
-let flip_tag (frame : string) ~(tag : int) : string =
-  String.mapi (fun i c -> if i = 3 then Char.chr tag else c) frame
-
-let test_v4_only_constructs_gated () =
-  (* Trace contexts, Traces/Trace_dump and EXPLAIN trailers do not exist
-     before v4: encoders refuse to emit them... *)
-  (match P.encode_request ~version:3 ~trace:{ P.tc_id = None; tc_sampled = true } P.Stats with
-   | exception Invalid_argument _ -> ()
-   | _ -> Alcotest.fail "trace context encoded into a v3 frame");
-  (match P.encode_request ~version:3 P.Traces with
-   | exception Invalid_argument _ -> ()
-   | _ -> Alcotest.fail "Traces encoded into a v3 frame");
-  (match P.encode_response ~version:3 (P.Trace_dump []) with
-   | exception Invalid_argument _ -> ()
-   | _ -> Alcotest.fail "Trace_dump encoded into a v3 frame");
-  (match
-     P.encode_response ~version:3
-       ~explain:{ P.x_id = "t"; x_timings = []; x_cost = sample_cost; x_gc = None } P.Ack
-   with
-   | exception Invalid_argument _ -> ()
-   | _ -> Alcotest.fail "explain trailer encoded into a v3 frame");
-  (* ...and forged v3 frames carrying the v4-only tags are malformed —
-     a decode error, not a version mismatch. *)
-  let forged_req = flip_tag (P.encode_request ~version:3 P.List_tables) ~tag:6 in
-  (match P.decode_request forged_req with
-   | exception W.Decode_error _ -> ()
-   | _ -> Alcotest.fail "v4-only request tag accepted inside a v3 frame");
-  let forged_resp = flip_tag (P.encode_response ~version:3 P.Ack) ~tag:5 in
-  (match P.decode_response forged_resp with
-   | exception W.Decode_error _ -> ()
-   | _ -> Alcotest.fail "v4-only response tag accepted inside a v3 frame");
-  (* Uptime travels only in v4 Stats_report frames: a v3 encoding drops
-     it and decodes to 0. *)
-  let module M = Sagma_obs.Metrics in
-  let report =
-    { P.sr_snapshot = { M.counters = []; gauges = []; histograms = [] };
-      sr_audit = Sagma_obs.Audit.summary (); sr_uptime_s = 42.0; sr_start_time = 99.0;
-      sr_gc = None; sr_topology = None }
-  in
-  (match P.decode_response (P.encode_response ~version:3 (P.Stats_report report)) with
-   | P.Stats_report r ->
-     Alcotest.(check (float 1e-9)) "uptime dropped from a v3 frame" 0. r.P.sr_uptime_s;
-     Alcotest.(check (float 1e-9)) "start time dropped from a v3 frame" 0. r.P.sr_start_time
-   | _ -> Alcotest.fail "expected Stats_report")
-
 let test_v4_trace_ctx_roundtrip () =
   (* A request carrying a trace context: id and sampling flag survive,
-     and the version/trace-aware decoder exposes them. *)
+     and the trace-aware decoder exposes them. *)
   let tc = { P.tc_id = Some "client-7"; tc_sampled = true } in
-  (match P.decode_request_vt (P.encode_request ~trace:tc P.Stats) with
-   | v, Some tc', P.Stats when v = P.version ->
+  (match P.decode_request_x (P.encode_request ~trace:tc P.Stats) with
+   | Some tc', P.Stats ->
      Alcotest.(check (option string)) "trace id" (Some "client-7") tc'.P.tc_id;
      Alcotest.(check bool) "sampling flag" true tc'.P.tc_sampled
    | _ -> Alcotest.fail "trace context lost on the wire");
-  (* Without a context the current-version frame still decodes (None),
-     and the plain decoder keeps working on the same bytes. *)
-  (match P.decode_request_vt (P.encode_request P.List_tables) with
-   | v, None, P.List_tables when v = P.version -> ()
-   | _ -> Alcotest.fail "bare v4 request misdecoded");
+  (* Without a context the frame still decodes (None), and the plain
+     decoder keeps working on the same bytes. *)
+  (match P.decode_request_x (P.encode_request P.List_tables) with
+   | None, P.List_tables -> ()
+   | _ -> Alcotest.fail "bare request misdecoded");
   Alcotest.(check bool) "plain decoder drops the context" true
     (P.decode_request (P.encode_request ~trace:tc P.Stats) = P.Stats);
   (* Traces request roundtrips. *)
@@ -487,13 +331,10 @@ let test_v4_explain_roundtrip () =
        x.P.x_timings x'.P.x_timings;
      Alcotest.(check bool) "cost block" true (x'.P.x_cost = sample_cost)
    | _ -> Alcotest.fail "explain trailer lost on the wire");
-  (* No trailer: v4 frames still carry the (empty) option; old decoders
-     of the same response constructor keep working at v3. *)
-  (match P.decode_response_x (P.encode_response P.Ack) with
-   | P.Ack, None -> ()
-   | _ -> Alcotest.fail "bare v4 response misdecoded");
-  Alcotest.(check bool) "v3 Ack still decodes" true
-    (P.decode_response (P.encode_response ~version:3 P.Ack) = P.Ack)
+  (* No trailer: the frame still carries the (empty) option. *)
+  match P.decode_response_x (P.encode_response P.Ack) with
+  | P.Ack, None -> ()
+  | _ -> Alcotest.fail "bare response misdecoded"
 
 let test_v4_trace_dump_roundtrip () =
   let leaf = { Trace.name = "pairing_loop"; t0 = 10.5; ms = 3.25; children = [] } in
@@ -526,7 +367,7 @@ let test_v4_trace_dump_roundtrip () =
    | exception W.Decode_error _ -> ()
    | _ -> Alcotest.fail "80-deep span tree decoded")
 
-(* --- v5: GC telemetry on the wire ------------------------------------------------ *)
+(* --- GC telemetry on the wire ---------------------------------------------------- *)
 
 let sample_gc =
   { Trace.gc_minor_words = 4096; gc_promoted_words = 512; gc_major_words = 768;
@@ -541,20 +382,20 @@ let sample_gc_stats =
 let empty_snapshot = { Sagma_obs.Metrics.counters = []; gauges = []; histograms = [] }
 
 let test_v5_gc_roundtrip () =
-  (* Stats_report heap stats survive a v5 frame... *)
+  (* Stats_report heap stats survive the wire... *)
   let report =
     { P.sr_snapshot = empty_snapshot; sr_audit = Sagma_obs.Audit.summary ();
       sr_uptime_s = 1.5; sr_start_time = 10.; sr_gc = Some sample_gc_stats; sr_topology = None }
   in
   (match P.decode_response (P.encode_response (P.Stats_report report)) with
    | P.Stats_report r ->
-     Alcotest.(check bool) "gc stats survive a v5 frame" true (r.P.sr_gc = Some sample_gc_stats)
+     Alcotest.(check bool) "gc stats survive the wire" true (r.P.sr_gc = Some sample_gc_stats)
    | _ -> Alcotest.fail "expected Stats_report");
   (* ...the EXPLAIN trailer's gc differential survives... *)
   let x = { P.x_id = "x"; x_timings = []; x_cost = sample_cost; x_gc = Some sample_gc } in
   (match P.decode_response_x (P.encode_response ~explain:x P.Ack) with
    | P.Ack, Some x' ->
-     Alcotest.(check bool) "explain gc survives a v5 frame" true (x'.P.x_gc = Some sample_gc)
+     Alcotest.(check bool) "explain gc survives the wire" true (x'.P.x_gc = Some sample_gc)
    | _ -> Alcotest.fail "explain trailer lost on the wire");
   (* ...and so do the trace dump's gc block and allocation table. *)
   let root = { Trace.name = "request"; t0 = 0.; ms = 1.; children = [] } in
@@ -568,45 +409,6 @@ let test_v5_gc_roundtrip () =
      Alcotest.(check bool) "alloc table survives" true
        (rt'.Trace.r_alloc = [ ("pairing_loop", 4000); ("filter", 96) ])
    | _ -> Alcotest.fail "expected Trace_dump")
-
-let test_v5_only_constructs_gated () =
-  (* GC telemetry travels only in v5 frames: v4 encodings silently drop
-     it — the same discipline as v4's uptime in v3 frames. *)
-  let report =
-    { P.sr_snapshot = empty_snapshot; sr_audit = Sagma_obs.Audit.summary ();
-      sr_uptime_s = 2.; sr_start_time = 20.; sr_gc = Some sample_gc_stats; sr_topology = None }
-  in
-  (match P.decode_response (P.encode_response ~version:4 (P.Stats_report report)) with
-   | P.Stats_report r ->
-     Alcotest.(check bool) "gc stats dropped from a v4 frame" true (r.P.sr_gc = None);
-     Alcotest.(check (float 1e-9)) "uptime still travels at v4" 2. r.P.sr_uptime_s
-   | _ -> Alcotest.fail "expected Stats_report");
-  let x = { P.x_id = "x"; x_timings = []; x_cost = sample_cost; x_gc = Some sample_gc } in
-  (match P.decode_response_x (P.encode_response ~version:4 ~explain:x P.Ack) with
-   | P.Ack, Some x' ->
-     Alcotest.(check bool) "explain gc dropped from a v4 frame" true (x'.P.x_gc = None)
-   | _ -> Alcotest.fail "explain trailer lost in a v4 frame");
-  let root = { Trace.name = "request"; t0 = 0.; ms = 1.; children = [] } in
-  let rt =
-    { Trace.r_id = "t5-2"; r_start = 0.; r_root = root; r_cost = sample_cost;
-      r_gc = sample_gc; r_alloc = [ ("pairing_loop", 4000) ] }
-  in
-  (match P.decode_response (P.encode_response ~version:4 (P.Trace_dump [ rt ])) with
-   | P.Trace_dump [ rt' ] ->
-     Alcotest.(check bool) "trace gc dropped at v4" true (rt'.Trace.r_gc = Trace.zero_gc);
-     Alcotest.(check bool) "alloc table dropped at v4" true (rt'.Trace.r_alloc = [])
-   | _ -> Alcotest.fail "expected Trace_dump");
-  (* A forged v4 frame that still carries the v5 gc bytes is malformed:
-     the v4 layout ends before them, so the decoder reports trailing
-     garbage instead of smuggling newer fields into an older frame. *)
-  let forged = flip_version (P.encode_response (P.Stats_report report)) ~v:4 in
-  (match P.decode_response forged with
-   | exception W.Decode_error _ -> ()
-   | _ -> Alcotest.fail "v5 gc bytes accepted inside a v4 frame");
-  let forged_x = flip_version (P.encode_response ~explain:x P.Ack) ~v:4 in
-  (match P.decode_response_x forged_x with
-   | exception W.Decode_error _ -> ()
-   | _ -> Alcotest.fail "v5 explain gc accepted inside a v4 frame")
 
 (* --- transport over a real socket pair ------------------------------------------- *)
 
@@ -691,11 +493,12 @@ let test_parallel_clients () =
                   (fun () ->
                     for _ = 1 to 4 do
                       if i = 0 then begin
-                        (* One client speaks v2; its replies must come back
-                           framed at v2, not the server's v3. *)
-                        Transport.send fd (P.encode_request ~version:2 P.List_tables);
+                        (* One client lists tables between the others'
+                           aggregates; replies are framed at the one
+                           protocol version. *)
+                        Transport.send fd (P.encode_request P.List_tables);
                         let raw = Transport.recv fd in
-                        if Char.code raw.[2] <> 2 then Atomic.incr errors
+                        if Char.code raw.[2] <> P.version then Atomic.incr errors
                         else
                           match P.decode_response raw with
                           | P.Tables [ ("t", 15) ] -> ()
@@ -783,8 +586,8 @@ let test_max_conns_shed () =
           | P.Tables [ ("t", 15) ] -> ()
           | _ -> Alcotest.fail "server did not recover after shedding"))
 
-(* The PR-5 acceptance test: a --workers 4 server tracing every request,
-   hammered by version-mixed parallel clients. Every sampled v4 reply
+(* A --workers 4 server tracing every request, hammered by parallel
+   clients. Every sampled aggregate reply
    must carry an EXPLAIN trailer; every captured trace must be one
    intact tree (aggregate an ancestor of pairing_loop) with a cost block
    scoped to its own request — no cross-request leakage even though
@@ -813,11 +616,11 @@ let test_traced_parallel_clients () =
                       (fun () ->
                         for _ = 1 to 3 do
                           if i = 0 then begin
-                            (* One v2 peer in the mix: its replies must stay
-                               v2-framed with no trailer bytes. *)
-                            Transport.send fd (P.encode_request ~version:2 P.List_tables);
+                            (* One peer lists tables without a trace
+                               context; its replies still decode. *)
+                            Transport.send fd (P.encode_request P.List_tables);
                             let raw = Transport.recv fd in
-                            if Char.code raw.[2] <> 2 then Atomic.incr errors
+                            if Char.code raw.[2] <> P.version then Atomic.incr errors
                             else
                               match P.decode_response raw with
                               | P.Tables [ ("t", 15) ] -> ()
@@ -853,9 +656,9 @@ let test_traced_parallel_clients () =
           List.iter Thread.join threads;
           Alcotest.(check int) "all traced parallel clients answered correctly" 0
             (Atomic.get errors);
-          Alcotest.(check int) "every sampled v4 reply carried an EXPLAIN trailer" 9
+          Alcotest.(check int) "every sampled aggregate reply carried an EXPLAIN trailer" 9
             (Atomic.get explains);
-          (* Pull the completed ring over the v4 Traces RPC and validate
+          (* Pull the completed ring over the Traces RPC and validate
              every aggregate trace's shape and cost attribution. *)
           let fd = Transport.connect ~port:7496 () in
           Fun.protect
@@ -915,7 +718,7 @@ let test_oversized_frame_rejected () =
           | P.Tables [ ("t", 15) ] -> ()
           | _ -> Alcotest.fail "server did not survive an oversized frame"))
 
-(* --- v6: scatter-gather sharding -------------------------------------------------- *)
+(* --- scatter-gather sharding ----------------------------------------------------- *)
 
 module Router = Sagma_protocol.Router
 module Sse = Sagma_sse.Sse
@@ -929,8 +732,20 @@ let sample_topology =
   { P.tp_role = "shard"; tp_shard_index = 1; tp_shard_count = 4;
     tp_shards = [ "7481"; "7482"; "host:7483"; "7484" ] }
 
+(* A construct is gated to the one protocol version: it round-trips in a
+   current frame, and the same bytes claiming any other version byte —
+   what a stale binary would send or expect — raise [Version_mismatch]
+   instead of being misparsed. *)
+let check_other_versions_rejected what decode frame =
+  List.iter
+    (fun v ->
+      match decode (flip_version frame ~v) with
+      | exception P.Version_mismatch { expected; got } when expected = P.version && got = v -> ()
+      | exception e -> Alcotest.failf "%s at version %d: %s" what v (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s accepted inside a version-%d frame" what v)
+    [ 1; P.version - 1; P.version + 1 ]
+
 let test_v6_topology_gated () =
-  (* The shard topology travels only in v6 Stats_report frames. *)
   let report =
     { P.sr_snapshot = empty_snapshot; sr_audit = Sagma_obs.Audit.summary ();
       sr_uptime_s = 1.; sr_start_time = 10.; sr_gc = Some sample_gc_stats;
@@ -938,43 +753,23 @@ let test_v6_topology_gated () =
   in
   (match P.decode_response (P.encode_response (P.Stats_report report)) with
    | P.Stats_report r ->
-     Alcotest.(check bool) "topology survives a v6 frame" true
-       (r.P.sr_topology = Some sample_topology)
+     Alcotest.(check bool) "topology survives the wire" true
+       (r.P.sr_topology = Some sample_topology);
+     Alcotest.(check bool) "gc stats survive alongside" true (r.P.sr_gc = Some sample_gc_stats)
    | _ -> Alcotest.fail "expected Stats_report");
-  (* A v5 encoding drops it — and keeps the v5 gc section intact. *)
-  (match P.decode_response (P.encode_response ~version:5 (P.Stats_report report)) with
-   | P.Stats_report r ->
-     Alcotest.(check bool) "topology dropped from a v5 frame" true (r.P.sr_topology = None);
-     Alcotest.(check bool) "gc stats still travel at v5" true (r.P.sr_gc = Some sample_gc_stats)
-   | _ -> Alcotest.fail "expected Stats_report");
-  (* A forged v5 frame still carrying the v6 topology bytes is
-     malformed: the v5 layout ends before them, so the decoder reports
-     trailing garbage instead of smuggling topology into an old frame. *)
-  let forged = flip_version (P.encode_response (P.Stats_report report)) ~v:5 in
-  match P.decode_response forged with
-  | exception W.Decode_error _ -> ()
-  | _ -> Alcotest.fail "v6 topology bytes accepted inside a v5 frame"
+  check_other_versions_rejected "topology" P.decode_response
+    (P.encode_response (P.Stats_report report))
 
 let test_v6_append_row_id_gated () =
   let row, keywords =
     Scheme.append_payload client ~values:[| 1 |] ~groups:[| str "x" |] ~filters:[ ("f", vi 0) ]
   in
   let req = P.Append { name = "t"; row; keywords; row_id = Some 15 } in
-  (* The coordinator-stamped row id survives a v6 frame... *)
+  (* The coordinator-stamped row id survives the wire. *)
   (match P.decode_request (P.encode_request req) with
    | P.Append { row_id = Some 15; _ } -> ()
    | _ -> Alcotest.fail "row id lost on the wire");
-  (* ...a v5 encoding drops it (the shard assigns its local next
-     position — the pre-sharding behavior)... *)
-  (match P.decode_request (P.encode_request ~version:5 req) with
-   | P.Append { row_id = None; _ } -> ()
-   | _ -> Alcotest.fail "row id leaked into a v5 frame");
-  (* ...and a forged v5 frame still carrying the id bytes is trailing
-     garbage. *)
-  let forged = flip_version (P.encode_request req) ~v:5 in
-  match P.decode_request forged with
-  | exception W.Decode_error _ -> ()
-  | _ -> Alcotest.fail "v6 row id bytes accepted inside a v5 frame"
+  check_other_versions_rejected "stamped append" P.decode_request (P.encode_request req)
 
 (* Upload accepted any table name — including "" and multi-MiB strings
    that bloat every List_tables reply. Empty and oversized names are now
@@ -1056,7 +851,7 @@ let test_append_posting_count_cached () =
         true (elapsed < 2.))
 
 (* The EXPLAIN cost block's bytes_out was filled from the response's
-   first encoding, before the v4 trailer itself was attached — always
+   first encoding, before the trailer itself was attached — always
    short. It must equal the final frame length, trailer included. *)
 let test_explain_bytes_out_exact () =
   let module M = Sagma_obs.Metrics in
@@ -1110,25 +905,39 @@ let with_handler ~port handler f =
     f
 
 let test_coordinator_scatter_gather () =
+  let module M = Sagma_obs.Metrics in
+  let dlog_solves () =
+    Option.value ~default:0 (List.assoc_opt "bgn.dlog.solves" (M.snapshot ()).M.counters)
+  in
   let s0 = Server.create ~shard:(0, 2) () in
   let s1 = Server.create ~shard:(1, 2) () in
+  M.reset ();
+  M.set_enabled true;
   with_handler ~port:7481 (Server.handle_encoded s0) (fun () ->
       with_handler ~port:7482 (Server.handle_encoded s1) (fun () ->
           let r = Router.create [ "7481"; "7482" ] in
           Fun.protect
-            ~finally:(fun () -> Router.shutdown r)
+            ~finally:(fun () ->
+              Router.shutdown r;
+              M.set_enabled false;
+              M.reset ())
             (fun () ->
               (match Router.handle r (P.Upload { name = "t"; table = enc }) with
                | P.Ack -> ()
                | P.Failed { message; _ } -> Alcotest.failf "coordinator upload: %s" message
                | _ -> Alcotest.fail "unexpected upload reply");
               let tok = Scheme.token client query in
+              let solves_before = dlog_solves () in
               let merged =
                 match Router.handle r (P.Aggregate { name = "t"; token = tok }) with
                 | P.Aggregates a -> a
                 | P.Failed { message; _ } -> Alcotest.failf "coordinator aggregate: %s" message
                 | _ -> Alcotest.fail "unexpected aggregate reply"
               in
+              (* Shards and coordinator only pair and ⊕-merge: discrete
+                 logs are the client's job, inside its decrypt. *)
+              Alcotest.(check int) "no dlog solved while coordinating" solves_before
+                (dlog_solves ());
               (* The ⊕-merged partials are byte-identical to the answer a
                  single unsharded server computes. *)
               Alcotest.(check string) "merged result byte-identical to the single-server answer"
@@ -1146,7 +955,10 @@ let test_coordinator_scatter_gather () =
                | _ -> Alcotest.fail "unexpected append reply");
               match Router.handle r (P.Aggregate { name = "t"; token = tok }) with
               | P.Aggregates agg ->
+                let solves_before = dlog_solves () in
                 let results = Scheme.decrypt client tok agg ~total_rows:16 in
+                Alcotest.(check bool) "the client's decrypt solves dlogs" true
+                  (dlog_solves () > solves_before);
                 let x_row = List.find (fun r -> r.Scheme.group = [ str "x" ]) results in
                 let _, sum_before, count_before =
                   List.find (fun (g, _, _) -> g = [ "x" ]) expected
@@ -1201,59 +1013,7 @@ let test_coordinator_shard_down () =
                 true
                 (elapsed >= 0.4 && elapsed < 5.))))
 
-let test_coordinator_version_mixed_fleet () =
-  let s0 = Server.create ~shard:(0, 2) () in
-  let s1 = Server.create ~shard:(1, 2) () in
-  (* Simulate a v5-era binary for shard 1: it rejects v6 frames the way
-     the real pre-v6 server rejects future versions — a structured
-     Version_unsupported framed at min_version — and serves v5 frames
-     normally. *)
-  let v5_handler raw =
-    if String.length raw > 2 && Char.code raw.[2] > 5 then
-      P.encode_response ~version:P.min_version
-        (P.Failed
-           { code = P.Version_unsupported;
-             message = "frame version 6 newer than 5: this server speaks 5" })
-    else Server.handle_encoded s1 raw
-  in
-  with_handler ~port:7485 (Server.handle_encoded s0) (fun () ->
-      with_handler ~port:7486 v5_handler (fun () ->
-          let r = Router.create [ "7485"; "7486" ] in
-          Fun.protect
-            ~finally:(fun () -> Router.shutdown r)
-            (fun () ->
-              (* The router steps down to v5 for that shard and the
-                 fleet still answers. *)
-              (match Router.handle r (P.Upload { name = "t"; table = enc }) with
-               | P.Ack -> ()
-               | P.Failed { message; _ } -> Alcotest.failf "mixed-fleet upload: %s" message
-               | _ -> Alcotest.fail "unexpected upload reply");
-              (* Appends still work: the v5 encoding drops the stamped
-                 row id, and the v5 shard assigns the same position
-                 locally because replicas are aligned. *)
-              let row, keywords =
-                Scheme.append_payload client ~values:[| 7 |] ~groups:[| str "y" |]
-                  ~filters:[ ("f", vi 1) ]
-              in
-              (match Router.handle r (P.Append { name = "t"; row; keywords; row_id = None }) with
-               | P.Ack -> ()
-               | P.Failed { message; _ } -> Alcotest.failf "mixed-fleet append: %s" message
-               | _ -> Alcotest.fail "unexpected append reply");
-              let tok = Scheme.token client query in
-              match Router.handle r (P.Aggregate { name = "t"; token = tok }) with
-              | P.Aggregates merged ->
-                let results = Scheme.decrypt client tok merged ~total_rows:16 in
-                let y_row = List.find (fun r -> r.Scheme.group = [ str "y" ]) results in
-                let _, sum_before, count_before =
-                  List.find (fun (g, _, _) -> g = [ "y" ]) expected
-                in
-                Alcotest.(check int) "mixed-fleet merged sum" (sum_before + 7) y_row.Scheme.sum;
-                Alcotest.(check int) "mixed-fleet merged count" (count_before + 1)
-                  y_row.Scheme.count
-              | P.Failed { message; _ } -> Alcotest.failf "mixed-fleet aggregate: %s" message
-              | _ -> Alcotest.fail "unexpected aggregate reply")))
-
-(* --- v7: fleet health & alerting --------------------------------------------------- *)
+(* --- fleet health & alerting ------------------------------------------------------ *)
 
 module Wd = Sagma_obs.Watchdog
 
@@ -1263,61 +1023,30 @@ let sample_alert =
 
 let sample_shard_health =
   { P.shc_index = 1; shc_endpoint = "host:7482"; shc_reachable = false; shc_since = 2000.25;
-    shc_failures = 3; shc_last_error = "Connection refused"; shc_version = 5;
-    shc_rtt_ms = 1.75 }
+    shc_failures = 3; shc_last_error = "Connection refused"; shc_rtt_ms = 1.75 }
 
 let sample_health_report =
   { P.hr_status = "degraded"; hr_uptime_s = 42.5; hr_alerts = [ sample_alert ];
     hr_shards =
       [ { sample_shard_health with P.shc_index = 0; shc_endpoint = "7481"; shc_reachable = true;
-          shc_failures = 0; shc_last_error = ""; shc_version = 7 };
+          shc_failures = 0; shc_last_error = "" };
         sample_shard_health ] }
 
 let test_v7_health_gated () =
-  (* The Health request and its report round-trip at the current
-     version, alerts and shard block intact. *)
+  (* The Health request and its report round-trip, alerts and shard
+     block intact. *)
   (match P.decode_request (P.encode_request P.Health) with
    | P.Health -> ()
    | _ -> Alcotest.fail "Health request lost on the wire");
   (match P.decode_response (P.encode_response (P.Health_report sample_health_report)) with
    | P.Health_report hr ->
-     Alcotest.(check bool) "health report survives a v7 frame" true (hr = sample_health_report)
+     Alcotest.(check bool) "health report survives the wire" true (hr = sample_health_report)
    | _ -> Alcotest.fail "expected Health_report");
-  (* Neither construct exists before v7: the encoder refuses to frame
-     them for an old peer instead of emitting bytes it cannot label. *)
-  (match P.encode_request ~version:6 P.Health with
-   | exception Invalid_argument _ -> ()
-   | _ -> Alcotest.fail "Health encoded into a v6 frame");
-  (match P.encode_response ~version:6 (P.Health_report sample_health_report) with
-   | exception Invalid_argument _ -> ()
-   | _ -> Alcotest.fail "Health_report encoded into a v6 frame");
-  (* Forged v6 frames carrying the v7 bytes are trailing garbage: tag 7
-     (request) and tag 6 (response) are undefined at v6. *)
-  (match P.decode_request (flip_version (P.encode_request P.Health) ~v:6) with
-   | exception W.Decode_error _ -> ()
-   | _ -> Alcotest.fail "v7 Health bytes accepted inside a v6 frame");
-  match
-    P.decode_response (flip_version (P.encode_response (P.Health_report sample_health_report)) ~v:6)
-  with
-  | exception W.Decode_error _ -> ()
-  | _ -> Alcotest.fail "v7 Health_report bytes accepted inside a v6 frame"
-
-let test_v7_old_peer_stats_unchanged () =
-  (* The v7 bump must not disturb what older peers see: a v6-framed
-     Stats_report still round-trips with its topology, and v5 keeps the
-     gc section. *)
-  let report =
-    { P.sr_snapshot = empty_snapshot; sr_audit = Sagma_obs.Audit.summary (); sr_uptime_s = 1.;
-      sr_start_time = 10.; sr_gc = Some sample_gc_stats; sr_topology = Some sample_topology }
-  in
-  (match P.decode_response (P.encode_response ~version:6 (P.Stats_report report)) with
-   | P.Stats_report r ->
-     Alcotest.(check bool) "v6 stats round-trips under a v7 codebase" true
-       (r.P.sr_topology = Some sample_topology && r.P.sr_gc = Some sample_gc_stats)
-   | _ -> Alcotest.fail "expected Stats_report");
-  match P.decode_request (P.encode_request ~version:1 P.List_tables) with
-  | P.List_tables -> ()
-  | _ -> Alcotest.fail "v1 request no longer decodes"
+  (* The report layout changed with the version byte, so a stale peer
+     gets a version mismatch rather than a misparse. *)
+  check_other_versions_rejected "Health" P.decode_request (P.encode_request P.Health);
+  check_other_versions_rejected "Health_report" P.decode_response
+    (P.encode_response (P.Health_report sample_health_report))
 
 let test_stats_report_json () =
   (* The whole report as one JSON object — snapshot, uptime, gc, audit
@@ -1360,14 +1089,11 @@ let test_coordinator_health_probing () =
         (fun () ->
           Router.start_probes r;
           with_handler ~port:7498 (Server.handle_encoded s1) (fun () ->
-              (* Probes must see both shards up and negotiate v7. *)
+              (* Probes must see both shards up. *)
               let rec wait_up tries =
                 let h = Router.shard_health r in
-                if
-                  List.for_all (fun s -> s.P.shc_reachable && s.P.shc_version = P.version) h
-                  && Router.down_count r = 0
-                then ()
-                else if tries = 0 then Alcotest.fail "probes never saw both shards up at v7"
+                if List.for_all (fun s -> s.P.shc_reachable) h && Router.down_count r = 0 then ()
+                else if tries = 0 then Alcotest.fail "probes never saw both shards up"
                 else begin
                   Unix.sleepf 0.05;
                   wait_up (tries - 1)
@@ -1450,18 +1176,14 @@ let () =
       ( "versioning",
         [ Alcotest.test_case "frame prefix" `Quick test_version_prefix;
           Alcotest.test_case "old frame rejected" `Quick test_old_frame_rejected;
-          Alcotest.test_case "encoder version bounds" `Quick test_encoder_version_bounds;
           Alcotest.test_case "server rejects old frame" `Quick test_server_rejects_old_frame;
-          Alcotest.test_case "error code roundtrip" `Quick test_error_code_roundtrip;
-          Alcotest.test_case "v3-only constructs gated" `Quick test_v3_only_constructs_gated;
-          Alcotest.test_case "v4-only constructs gated" `Quick test_v4_only_constructs_gated ] );
+          Alcotest.test_case "error code roundtrip" `Quick test_error_code_roundtrip ] );
       ( "v4 tracing",
         [ Alcotest.test_case "trace context roundtrip" `Quick test_v4_trace_ctx_roundtrip;
           Alcotest.test_case "explain trailer roundtrip" `Quick test_v4_explain_roundtrip;
           Alcotest.test_case "trace dump roundtrip" `Quick test_v4_trace_dump_roundtrip ] );
       ( "v5 resource telemetry",
-        [ Alcotest.test_case "gc telemetry roundtrip" `Quick test_v5_gc_roundtrip;
-          Alcotest.test_case "v5-only constructs gated" `Quick test_v5_only_constructs_gated ] );
+        [ Alcotest.test_case "gc telemetry roundtrip" `Quick test_v5_gc_roundtrip ] );
       ( "v6 sharding",
         [ Alcotest.test_case "topology gated" `Quick test_v6_topology_gated;
           Alcotest.test_case "append row id gated" `Quick test_v6_append_row_id_gated;
@@ -1469,18 +1191,14 @@ let () =
           Alcotest.test_case "append posting-count cache" `Quick test_append_posting_count_cached;
           Alcotest.test_case "explain bytes_out exact" `Quick test_explain_bytes_out_exact;
           Alcotest.test_case "coordinator scatter-gather" `Quick test_coordinator_scatter_gather;
-          Alcotest.test_case "coordinator shard down" `Quick test_coordinator_shard_down;
-          Alcotest.test_case "version-mixed fleet" `Quick test_coordinator_version_mixed_fleet ] );
+          Alcotest.test_case "coordinator shard down" `Quick test_coordinator_shard_down ] );
       ( "v7 fleet health",
         [ Alcotest.test_case "health constructs gated" `Quick test_v7_health_gated;
-          Alcotest.test_case "old-peer stats unchanged" `Quick test_v7_old_peer_stats_unchanged;
           Alcotest.test_case "stats report json" `Quick test_stats_report_json;
           Alcotest.test_case "health report json" `Quick test_health_report_json;
           Alcotest.test_case "coordinator health probing" `Quick test_coordinator_health_probing ] );
       ( "v1 compat",
-        [ Alcotest.test_case "v1 frames still served" `Quick test_v1_frames_still_served;
-          Alcotest.test_case "v2-only messages gated" `Quick test_v2_only_messages_gated;
-          Alcotest.test_case "stats roundtrip" `Quick test_stats_roundtrip;
+        [ Alcotest.test_case "stats roundtrip" `Quick test_stats_roundtrip;
           Alcotest.test_case "stats via server" `Quick test_stats_via_server ] );
       ("transport", [ Alcotest.test_case "socket roundtrip" `Quick test_socket_roundtrip ]);
       ( "concurrency",
