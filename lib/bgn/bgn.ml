@@ -95,13 +95,44 @@ let add1 (pk : public_key) (a : c1) (b : c1) : c1 =
 
 let neg1 (pk : public_key) (a : c1) : c1 = Curve.neg pk.group.Pairing.curve a
 
+(* Public scalars are recoded to their centred representative in
+   (−n/2, n/2]: ciphertexts live in the order-n subgroup, so k and k − n
+   act alike, and −1 (stored as n − 1 by the indicator polynomials)
+   becomes a negation instead of a full-width ladder. *)
+let centred (pk : public_key) (k : Z.t) : Z.t =
+  let n = n pk in
+  let k = if Z.sign k >= 0 && Z.lt k n then k else Z.erem k n in
+  if Z.gt k (Z.shift_right n 1) then Z.sub k n else k
+
 (* Multiply a ciphertext by a plaintext scalar (the ⊗-by-plaintext the
    paper uses for polynomial coefficients). *)
 let smul1 (pk : public_key) (k : Z.t) (a : c1) : c1 =
   Metrics.incr m_smul1;
-  Curve.mul pk.group.Pairing.curve (Z.erem k (n pk)) a
+  (Curve.lincomb_batch pk.group.Pairing.curve [| [ (centred pk k, a) ] |]).(0)
 
 let zero1 : c1 = Curve.Infinity
+
+(* Signed combinations of level-1 ciphertexts ({!Curve.lincomb_batch}). *)
+let recode (pk : public_key) combos = Array.map (List.map (fun (k, x) -> (centred pk k, x))) combos
+
+(* The counters record what a combination actually costs: one [smul1]
+   per term whose centred scalar is not ±1 (a ladder), one [add1] per
+   live term after the first. *)
+let count_ops live (terms : (Z.t * 'a) list) =
+  let live_terms = List.filter (fun (k, x) -> (not (Z.is_zero k)) && live x) terms in
+  let ladders = List.filter (fun (k, _) -> Z.num_bits (Z.abs k) > 1) live_terms in
+  Metrics.add m_smul1 (List.length ladders);
+  Metrics.add m_add1 (max 0 (List.length live_terms - 1))
+
+let lincomb1_batch2 (pk : public_key) (first : (Z.t * c1) list array)
+    (second : (Z.t * int) list array) : c1 array * c1 array =
+  let first = recode pk first and second = recode pk second in
+  Array.iter (count_ops (fun c -> not (Curve.is_infinity c))) first;
+  Array.iter (count_ops (fun _ -> true)) second;
+  Curve.lincomb_batch2 pk.group.Pairing.curve first second
+
+let lincomb1_batch (pk : public_key) (combos : (Z.t * c1) list array) : c1 array =
+  fst (lincomb1_batch2 pk combos [||])
 
 let rerandomize1 (pk : public_key) (drbg : Drbg.t) (a : c1) : c1 =
   let curve = pk.group.Pairing.curve in

@@ -52,10 +52,27 @@ val neg1 : public_key -> c1 -> c1
 
 val smul1 : public_key -> Z.t -> c1 -> c1
 (** Multiply the plaintext by a public scalar (the ⊗-by-plaintext used
-    for SAGMA's polynomial coefficients). *)
+    for SAGMA's polynomial coefficients). The scalar is recoded to its
+    centred representative in (−n/2, n/2], so ±1 (including n − 1)
+    costs no ladder. *)
 
 val zero1 : c1
 (** The trivial encryption of 0. *)
+
+val lincomb1_batch : public_key -> (Z.t * c1) list array -> c1 array
+(** [lincomb1_batch pk combos] is every Σ kᵢ·Cᵢ of [combos] with public
+    scalars, via {!Curve.lincomb_batch} after the same centred recoding
+    as {!smul1}: a ±1 coefficient costs one mixed addition, and the
+    whole batch shares one field inversion. [bgn.smul1] advances once per
+    term whose scalar is not ±1 and [bgn.add1] once per non-zero,
+    non-[zero1] term after the first of its combination — the
+    operations actually performed. *)
+
+val lincomb1_batch2 :
+  public_key -> (Z.t * c1) list array -> (Z.t * int) list array -> c1 array * c1 array
+(** Two-stage {!lincomb1_batch} ({!Curve.lincomb_batch2}): the second
+    stage combines results of the first by index, under the same one
+    inversion. *)
 
 val rerandomize1 : public_key -> Drbg.t -> c1 -> c1
 

@@ -15,7 +15,7 @@
    whichever domain finished a root span.
 
    Resource accounting rides the same structures. Every completed
-   request carries a [gc_delta] (Gc.quick_stat differential over the
+   request carries a [gc_delta] (GC counter differential over the
    request, on the domain that ran it), and when the profiler
    ({!Sagma_obs.Prof}) is active each request also accumulates a
    span-name → allocated-words table: either from Gc.Memprof samples
@@ -299,8 +299,15 @@ let cost_of_scope (sc : Metrics.scope) : cost =
     agg_rows = g "scheme.agg.rows"; agg_buckets = g "scheme.agg.joint_buckets";
     bytes_in = 0; bytes_out = 0 }
 
-let gc_delta_of ~(before : Gc.stat) ~(after : Gc.stat) : gc_delta =
-  { gc_minor_words = int_of_float (after.Gc.minor_words -. before.Gc.minor_words);
+(* A GC reading: [Gc.quick_stat] plus [Gc.minor_words ()]. On OCaml 5 the
+   stat's minor_words only advances at a minor collection, so a request
+   lighter than the minor heap would read 0; [Gc.minor_words ()] also
+   counts this domain's allocation since the last collection. *)
+let gc_reading () = (Gc.quick_stat (), Gc.minor_words ())
+
+let gc_delta_of ~(before : Gc.stat * float) ~(after : Gc.stat * float) : gc_delta =
+  let (before, minor0), (after, minor1) = (before, after) in
+  { gc_minor_words = int_of_float (minor1 -. minor0);
     gc_promoted_words = int_of_float (after.Gc.promoted_words -. before.Gc.promoted_words);
     gc_major_words = int_of_float (after.Gc.major_words -. before.Gc.major_words);
     gc_minor_collections = after.Gc.minor_collections - before.Gc.minor_collections;
@@ -330,7 +337,7 @@ let with_request_full ?trace_id f =
     let saved_req_id = st.d_req_id in
     let sc = Metrics.scope_create () in
     let saved_scope = Metrics.scope_swap (Some sc) in
-    let gc0 = Gc.quick_stat () in
+    let gc0 = gc_reading () in
     let start = now () in
     let root =
       { f_name = "request"; f_start = start; children_rev = [];
@@ -365,7 +372,7 @@ let with_request_full ?trace_id f =
         match Atomic.get prof_hook with Some hook -> hook "request" root_w | None -> ()
       end;
       let sp = { name = "request"; t0 = start; ms; children = List.rev root.children_rev } in
-      let gc = gc_delta_of ~before:gc0 ~after:(Gc.quick_stat ()) in
+      let gc = gc_delta_of ~before:gc0 ~after:(gc_reading ()) in
       let alloc = match tab with Some t -> alloc_table_entries t | None -> [] in
       let rt =
         { r_id = id; r_start = start; r_root = sp; r_cost = cost_of_scope sc; r_gc = gc;

@@ -156,40 +156,101 @@ let mul (cp : params) (k : Z.t) (pt : point) : point =
 
 let mul_int (cp : params) (k : int) (pt : point) : point = mul cp (Z.of_int k) pt
 
-(* Batch scalar multiplication: run every ladder in Jacobian form and
-   normalize all results with one batched inversion (Montgomery's trick
-   in Bigint) instead of one invm per point. *)
-let mul_batch (cp : params) (pairs : (Z.t * point) array) : point array =
-  let p = cp.p in
-  let jacs =
-    Array.map
-      (fun (k, pt) ->
-        if Z.sign k < 0 then invalid_arg "Curve.mul_batch: negative scalar";
-        match pt with
-        | Infinity -> jac_infinity
-        | Affine (x, y) ->
-          let nbits = Z.num_bits k in
-          let acc = ref jac_infinity in
-          for i = nbits - 1 downto 0 do
-            acc := jac_double cp !acc;
-            if Z.bit k i then acc := jac_add_affine cp !acc x y
-          done;
-          !acc)
-      pairs
+(* --- signed linear combinations, one inversion per batch -----------------
+
+   A combination Σ kᵢ·Pᵢ with signed scalars runs as one interleaved
+   (Straus) double-and-add: the doubling chain is shared by every term,
+   and each set bit of |kᵢ| costs one addition of ±Pᵢ. A ±1 term is
+   therefore a single addition, with no ladder at all. Everything stays
+   in Jacobian form until the whole batch is normalised together. *)
+
+let jac_of_point = function
+  | Infinity -> jac_infinity
+  | Affine (x, y) -> { jx = x; jy = y; jz = Z.one }
+
+let jac_neg (cp : params) (q : jacobian) : jacobian = { q with jy = Z.erem (Z.neg q.jy) cp.p }
+
+(* General addition of two Jacobian points; an operand with Z = 1 takes
+   the cheaper mixed formula. *)
+let jac_add (cp : params) (q : jacobian) (r : jacobian) : jacobian =
+  if Z.is_zero r.jz then q
+  else if Z.equal r.jz Z.one then jac_add_affine cp q r.jx r.jy
+  else if Z.is_zero q.jz then r
+  else begin
+    let p = cp.p in
+    let z1z1 = Z.mulm q.jz q.jz p in
+    let z2z2 = Z.mulm r.jz r.jz p in
+    let u1 = Z.mulm q.jx z2z2 p in
+    let u2 = Z.mulm r.jx z1z1 p in
+    let s1 = Z.mulm q.jy (Z.mulm r.jz z2z2 p) p in
+    let s2 = Z.mulm r.jy (Z.mulm q.jz z1z1 p) p in
+    let h = Z.subm u2 u1 p in
+    let rr = Z.subm s2 s1 p in
+    if Z.is_zero h then begin
+      if Z.is_zero rr then jac_double cp q else jac_infinity
+    end
+    else begin
+      let h2 = Z.mulm h h p in
+      let h3 = Z.mulm h2 h p in
+      let u1h2 = Z.mulm u1 h2 p in
+      let x3 = Z.erem (Z.sub (Z.sub (Z.mul rr rr) h3) (Z.shift_left u1h2 1)) p in
+      let y3 = Z.erem (Z.sub (Z.mul rr (Z.sub u1h2 x3)) (Z.mul s1 h3)) p in
+      let z3 = Z.mulm (Z.mulm q.jz r.jz p) h p in
+      { jx = x3; jy = y3; jz = z3 }
+    end
+  end
+
+let jac_lincomb (cp : params) (terms : (Z.t * jacobian) list) : jacobian =
+  let terms =
+    List.filter_map
+      (fun (k, b) ->
+        if Z.is_zero k || Z.is_zero b.jz then None
+        else Some (Z.abs k, if Z.sign k < 0 then jac_neg cp b else b))
+      terms
   in
-  let live = ref [] in
-  Array.iteri (fun i q -> if not (Z.is_zero q.jz) then live := i :: !live) jacs;
-  let idxs = Array.of_list (List.rev !live) in
-  let zinvs = Z.invm_batch (Array.map (fun i -> jacs.(i).jz) idxs) p in
-  let out = Array.make (Array.length jacs) Infinity in
+  let nbits = List.fold_left (fun m (k, _) -> max m (Z.num_bits k)) 0 terms in
+  let acc = ref jac_infinity in
+  for i = nbits - 1 downto 0 do
+    acc := jac_double cp !acc;
+    List.iter (fun (k, b) -> if Z.bit k i then acc := jac_add cp !acc b) terms
+  done;
+  !acc
+
+(* Normalise a batch with one [Z.invm_batch]. Points whose Z is already 1
+   (a lone ±1 term) need no inversion, so a batch of those costs none. *)
+let to_affine_batch (cp : params) (qs : jacobian array) : point array =
+  let p = cp.p in
+  let scaled q = not (Z.is_zero q.jz || Z.equal q.jz Z.one) in
+  let zs = List.filter_map (fun q -> if scaled q then Some q.jz else None) (Array.to_list qs) in
+  let zinvs = Z.invm_batch (Array.of_list zs) p in
+  let next = ref 0 in
+  let out = Array.make (Array.length qs) Infinity in
   Array.iteri
-    (fun j i ->
-      let q = jacs.(i) in
-      let zi = zinvs.(j) in
-      let zi2 = Z.mulm zi zi p in
-      out.(i) <- Affine (Z.mulm q.jx zi2 p, Z.mulm q.jy (Z.mulm zi2 zi p) p))
-    idxs;
+    (fun i q ->
+      if Z.equal q.jz Z.one then out.(i) <- Affine (q.jx, q.jy)
+      else if scaled q then begin
+        let zi = zinvs.(!next) in
+        incr next;
+        let zi2 = Z.mulm zi zi p in
+        out.(i) <- Affine (Z.mulm q.jx zi2 p, Z.mulm q.jy (Z.mulm zi2 zi p) p)
+      end)
+    qs;
   out
+
+let lincomb_batch2 (cp : params) (first : (Z.t * point) list array)
+    (second : (Z.t * int) list array) : point array * point array =
+  let jfirst =
+    Array.map (fun terms -> jac_lincomb cp (List.map (fun (k, pt) -> (k, jac_of_point pt)) terms)) first
+  in
+  let jsecond =
+    Array.map (fun terms -> jac_lincomb cp (List.map (fun (k, i) -> (k, jfirst.(i))) terms)) second
+  in
+  let out = to_affine_batch cp (Array.append jfirst jsecond) in
+  let n1 = Array.length first in
+  (Array.sub out 0 n1, Array.sub out n1 (Array.length second))
+
+let lincomb_batch (cp : params) (combos : (Z.t * point) list array) : point array =
+  fst (lincomb_batch2 cp combos [||])
 
 (* Sample a uniformly random curve point (never Infinity). *)
 let random_point (cp : params) (rng : Z.rng) : point =

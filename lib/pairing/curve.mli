@@ -32,11 +32,22 @@ val mul : params -> Z.t -> point -> point
 
 val mul_int : params -> int -> point -> point
 
-val mul_batch : params -> (Z.t * point) array -> point array
-(** [mul_batch cp [|(k1, p1); ...|]] computes every [ki·pi] with a single
-    field inversion shared across the batch ({!Z.invm_batch}) instead of
-    one per point — the cheap way to materialize a table of scalar
-    multiples (e.g. per-block constants in the aggregation loop). *)
+val lincomb_batch : params -> (Z.t * point) list array -> point array
+(** [lincomb_batch cp combos] evaluates every signed combination
+    Σ kᵢ·Pᵢ of [combos] (any integer scalars; zero terms, [Infinity]
+    points and empty combinations contribute nothing). Each combination
+    is one interleaved double-and-add in Jacobian coordinates, so a
+    ±1 term costs one mixed addition; all results are normalised
+    together with a single {!Z.invm_batch}, and results already at
+    Z = 1 (a lone ±1 term) need none. *)
+
+val lincomb_batch2 :
+  params -> (Z.t * point) list array -> (Z.t * int) list array -> point array * point array
+(** [lincomb_batch2 cp first second] is [lincomb_batch cp first] plus a
+    second stage: each combination of [second] has terms [(k, i)]
+    standing for k·(result [i] of [first]). The second stage reads the
+    first's Jacobian results directly, so both stages share the one
+    batched inversion — e.g. column sums and then combinations of them. *)
 
 val tangent_slope : params -> Z.t -> Z.t -> Z.t
 (** Slope of the tangent at an affine point (used by Miller's algorithm,

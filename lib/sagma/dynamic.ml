@@ -80,16 +80,16 @@ let enc_row (c : client) ~(value : int) ~(group : Value.t) : enc_row =
     bucket = Mapping.bucket c.mapping group }
 
 (* Server: derive the per-channel encrypted shift of a row by evaluating
-   the packed polynomial over the monomials. *)
+   the packed polynomial over the monomials — a signed combination with
+   the constant term [const] (a point). *)
+let shift_terms (c : client) (row : enc_row) (channel : int) const : (Z.t * Bgn.c1) list =
+  let coeffs = c.shift_polys.(channel) in
+  const :: List.mapi (fun e mono -> (coeffs.(e + 1), mono)) (Array.to_list row.monomial_cts)
+
 let shift_ct (c : client) (row : enc_row) (channel : int) : Bgn.c1 =
   let pk = c.kp.Bgn.pk in
-  let coeffs = c.shift_polys.(channel) in
-  let curve = pk.Bgn.group.Sagma_pairing.Pairing.curve in
-  let acc = ref (Sagma_pairing.Curve.mul curve coeffs.(0) pk.Bgn.g) in
-  Array.iteri
-    (fun e mono -> acc := Bgn.add1 pk !acc (Bgn.smul1 pk coeffs.(e + 1) mono))
-    row.monomial_cts;
-  !acc
+  let const = (c.shift_polys.(channel).(0), pk.Bgn.g) in
+  (Bgn.lincomb1_batch pk [| shift_terms c row channel const |]).(0)
 
 type bucket_aggregate = {
   agg_bucket : int;
@@ -102,6 +102,10 @@ type bucket_aggregate = {
 let aggregate (c : client) (rows : enc_row list) : bucket_aggregate list =
   let pk = c.kp.Bgn.pk in
   let nch = Crt.channels c.channels in
+  (* Each channel's constant term c₀·g, shared by every row. *)
+  let const_points =
+    Bgn.lincomb1_batch pk (Array.map (fun coeffs -> [ (coeffs.(0), pk.Bgn.g) ]) c.shift_polys)
+  in
   let by_bucket : (int, enc_row list ref) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun r ->
@@ -111,18 +115,24 @@ let aggregate (c : client) (rows : enc_row list) : bucket_aggregate list =
     rows;
   Hashtbl.fold
     (fun bucket rows acc ->
-      let rows = !rows in
+      let rows = Array.of_list !rows in
+      let nrows = Array.length rows in
+      (* Every (row, channel) shift, then per channel the COUNT Σ_r shift
+         as a second stage over them: one batched inversion per bucket. *)
+      let shifts, count_cts =
+        Bgn.lincomb1_batch2 pk
+          (Array.init (nrows * nch) (fun i ->
+               shift_terms c rows.(i / nch) (i mod nch) (Z.one, const_points.(i mod nch))))
+          (Array.init nch (fun ch -> List.init nrows (fun r -> (Z.one, (r * nch) + ch))))
+      in
       let sum_cts =
         (* One product of pairings (single final exponentiation) per
            channel instead of one pairing per row. *)
         Array.init nch (fun ch ->
-            Bgn.mul_many pk (List.map (fun r -> (r.value_cts.(ch), shift_ct c r ch)) rows))
+            Bgn.mul_many pk
+              (List.init nrows (fun r -> (rows.(r).value_cts.(ch), shifts.((r * nch) + ch)))))
       in
-      let count_cts =
-        Array.init nch (fun ch ->
-            List.fold_left (fun acc r -> Bgn.add1 pk acc (shift_ct c r ch)) Bgn.zero1 rows)
-      in
-      { agg_bucket = bucket; sum_cts; count_cts; agg_rows = List.length rows } :: acc)
+      { agg_bucket = bucket; sum_cts; count_cts; agg_rows = nrows } :: acc)
     by_bucket []
   |> List.sort (fun a b -> compare a.agg_bucket b.agg_bucket)
 

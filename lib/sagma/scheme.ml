@@ -755,24 +755,25 @@ let aggregate ?(domains = 1) ?pool ?owned (et : enc_table) (tok : token) : agg_r
           terms;
         (!constant, !monos))
   in
-  (* Unit shift S_r^{(j)} = Enc(1 iff offsets = j): a trivial encryption of
-     the constant term plus coefficient-weighted monomial ciphertexts. The
-     constant-term point a₀·g is shared by every row. *)
-  let curve = pk.Bgn.group.Sagma_pairing.Pairing.curve in
+  (* Unit shift S_r^{(j)} = Enc(1 iff offsets = j): the constant-term
+     point a₀·g plus the coefficient-weighted monomial ciphertexts, as one
+     signed combination. The constant-term points are shared by every row. *)
   let block_const_points =
-    (* One batched inversion normalizes all B^arity scalar multiples. *)
-    Curve.mul_batch curve (Array.map (fun (constant, _) -> (constant, pk.Bgn.g)) block_coeffs)
+    Bgn.lincomb1_batch pk (Array.map (fun (constant, _) -> [ (constant, pk.Bgn.g) ]) block_coeffs)
   in
-  let shift_of_row row_idx bi : Bgn.c1 =
-    let row = et.rows.(row_idx) in
+  let shift_terms (row : enc_row) bi =
     let _, monos = block_coeffs.(bi) in
-    let acc = ref block_const_points.(bi) in
-    List.iter
-      (fun (pos, coeff) ->
-        acc := Bgn.add1 pk !acc (Bgn.smul1 pk coeff row.monomial_cts.(pos)))
-      monos;
-    !acc
+    (Z.one, block_const_points.(bi))
+    :: List.map (fun (pos, coeff) -> (coeff, row.monomial_cts.(pos))) monos
   in
+  (* The monomial columns a linear COUNT sums, and each one's slot. *)
+  let count_columns =
+    Array.to_list block_coeffs
+    |> List.concat_map (fun (_, monos) -> List.map fst monos)
+    |> List.sort_uniq compare |> Array.of_list
+  in
+  let column_slot = Hashtbl.create 16 in
+  Array.iteri (fun i pos -> Hashtbl.replace column_slot pos i) count_columns;
   (* Precomputation-cache accessors for the table-side pairing arguments
      (the row's value/count ciphertexts are the fixed left argument of
      every multiplication they appear in). *)
@@ -807,50 +808,56 @@ let aggregate ?(domains = 1) ?pool ?owned (et : enc_table) (tok : token) : agg_r
     Obs.add m_agg_rows (List.length rows);
     if !Audit.enabled then Audit.rows_paired (List.length rows);
     let num_channels = Crt.channels pp.channels in
-        (* Each (block, channel) accumulator is one product of pairings:
-           gather the chunk's (precomp, shift) pairs and hand the whole
-           batch to [Bgn.mul_many_pre] — one interleaved Miller loop and
-           one shared final exponentiation per accumulator, instead of
-           one final exponentiation (and, before the Jacobian rewrite,
-           ~|n| field inversions) per row. *)
+        (* Level 1 first, as one batched combination with a single
+           inversion: every (row, block) shift the pairings need, and in
+           Count_level1 every block's count by linearity,
+             Σ_r S_{r,b} = |rows|·a₀·g + Σ_m c_{b,m}·(Σ_r C_{r,m}),
+           so each monomial column is summed once per chunk. Then each
+           (block, channel) accumulator is one product of pairings
+           ([Bgn.mul_many_pre]: one interleaved Miller loop and one shared
+           final exponentiation). *)
         let accumulate_chunk (chunk : int list) =
-          let sum_pairs =
-            Option.map
-              (fun _ -> Array.init num_blocks (fun _ -> Array.make num_channels []))
-              tok.value_column
+          let chunk_rows = Array.of_list (List.map (fun r -> et.rows.(r)) chunk) in
+          let nrows = Array.length chunk_rows in
+          let shift_combos =
+            if Option.is_none tok.value_column && et.count_mode = Count_level1 then [||]
+            else
+              Array.init (nrows * num_blocks) (fun i ->
+                  shift_terms chunk_rows.(i / num_blocks) (i mod num_blocks))
           in
-          let counts_l1 =
+          let column_combos, count_combos =
             match et.count_mode with
-            | Count_level1 -> Some (Array.make num_blocks Bgn.zero1)
-            | Count_paired -> None
+            | Count_paired -> ([||], [||])
+            | Count_level1 ->
+              let g_slot = Array.length shift_combos in
+              let column pos =
+                Array.to_list (Array.map (fun row -> (Z.one, row.monomial_cts.(pos))) chunk_rows)
+              in
+              ( Array.append [| [ (Z.one, pk.Bgn.g) ] |] (Array.map column count_columns),
+                Array.map
+                  (fun (constant, monos) ->
+                    (Z.mul_int constant nrows, g_slot)
+                    :: List.map
+                         (fun (pos, coeff) -> (coeff, g_slot + 1 + Hashtbl.find column_slot pos))
+                         monos)
+                  block_coeffs )
           in
-          let count_pairs =
+          let shifts, counts =
+            Bgn.lincomb1_batch2 pk (Array.append shift_combos column_combos) count_combos
+          in
+          let paired pair bi =
+            Bgn.mul_many_pre pk
+              (List.init nrows (fun i -> (pair chunk_rows.(i), shifts.((i * num_blocks) + bi))))
+          in
+          ( Option.map
+              (fun vcol ->
+                Array.init num_blocks (fun bi ->
+                    Array.init num_channels (fun ch -> paired (fun row -> value_pre row vcol ch) bi)))
+              tok.value_column,
+            (match et.count_mode with Count_level1 -> Some counts | Count_paired -> None),
             match et.count_mode with
-            | Count_paired -> Some (Array.make num_blocks [])
-            | Count_level1 -> None
-          in
-          List.iter
-            (fun r ->
-              for bi = 0 to num_blocks - 1 do
-                let s = shift_of_row r bi in
-                (match (sum_pairs, tok.value_column) with
-                 | Some acc, Some vcol ->
-                   for ch = 0 to num_channels - 1 do
-                     acc.(bi).(ch) <- (value_pre et.rows.(r) vcol ch, s) :: acc.(bi).(ch)
-                   done
-                 | _ -> ());
-                (match counts_l1 with
-                 | Some c -> c.(bi) <- Bgn.add1 pk c.(bi) s
-                 | None -> ());
-                (match count_pairs with
-                 | Some c -> c.(bi) <- (count_pre et.rows.(r), s) :: c.(bi)
-                 | None -> ())
-              done)
-            chunk;
-          let batch pairs = Bgn.mul_many_pre pk (List.rev pairs) in
-          ( Option.map (Array.map (Array.map batch)) sum_pairs,
-            counts_l1,
-            Option.map (Array.map batch) count_pairs )
+            | Count_paired -> Some (Array.init num_blocks (paired count_pre))
+            | Count_level1 -> None )
         in
         (* The "chunk" span rides the submitting request's trace context
            (Pool.submit captures it), so pooled chunk work shows up

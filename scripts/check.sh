@@ -622,4 +622,16 @@ rm -rf "$TREND_DIR"
 trap - EXIT
 echo "bench_trend negative check OK (2x regression exits nonzero)"
 
+echo "== perfbench correctness smoke (count-filtered + fleet-append-mix, 2 s each) =="
+# Every perfbench answer is checked against the plaintext executor; the
+# bench exits nonzero on any wrong answer or failed operation. Short runs:
+# this is a correctness gate, not a timing comparison.
+PERF_DIR=$(mktemp -d)
+trap 'rm -rf "$PERF_DIR"' EXIT
+bash perfbench/run.sh --workload count-filtered --workload fleet-append-mix --seconds 2 \
+  --out "$PERF_DIR/perf.json"
+rm -rf "$PERF_DIR"
+trap - EXIT
+echo "perfbench correctness smoke OK"
+
 echo "== all checks passed =="

@@ -913,6 +913,38 @@ let config =
 let client = Scheme.setup config ~domains:[ ("dept", dept_domain) ] (Sagma_crypto.Drbg.create "obs-tests")
 let enc = Scheme.encrypt_table client table
 
+(* The same rows twice over: same joint buckets, twice the rows in each. *)
+let enc_doubled =
+  Scheme.encrypt_table client (Table.of_rows schema (Table.rows table @ Table.rows table))
+
+(* Field inversions spent by [Scheme.aggregate] alone — decryption's
+   discrete logs walk affine additions and are not counted here. Besides
+   the per-query Lagrange denominators of the indicator polynomials,
+   level-1 shifts and counts are normalised with one batched inversion
+   per joint bucket and chunk, so the count must not grow with the rows. *)
+let check_aggregate_invms q =
+  let invm () = Metrics.value (Metrics.counter "bigint.invm") in
+  let delta f =
+    let before = invm () in
+    f ();
+    invm () - before
+  in
+  let aggregate enc () = ignore (Scheme.aggregate enc (Scheme.token client q)) in
+  let indicators () =
+    let n = Sagma_bgn.Bgn.n client.Scheme.pp.Scheme.bgn_pk in
+    List.iter
+      (fun j -> ignore (Polynomial.multivariate_indicator ~n ~bucket_size:2 [| j |]))
+      [ 0; 1 ]
+  in
+  let once = delta (aggregate enc) in
+  let level1 = once - delta indicators in
+  (* Two joint buckets, one chunk each (no worker pool). *)
+  Alcotest.(check bool)
+    (Printf.sprintf "at most one level-1 invm per joint bucket x chunk (%d)" level1)
+    true (level1 <= 2);
+  Alcotest.(check int) "doubling the rows leaves the invm count unchanged" once
+    (delta (aggregate enc_doubled))
+
 let test_sum_matches_cost_model () =
   with_metrics @@ fun () ->
   let q = Query.make ~group_by:[ "dept" ] (Query.Sum "salary") in
@@ -938,7 +970,8 @@ let test_sum_matches_cost_model () =
   Alcotest.(check bool) "aggregation uses pairing_prod" true
     (Metrics.value (Metrics.counter "pairing.prod_calls") > 0);
   Alcotest.(check bool) "invm collapsed below one per pairing" true
-    (Metrics.value (Metrics.counter "bigint.invm") < expected_mul)
+    (Metrics.value (Metrics.counter "bigint.invm") < expected_mul);
+  check_aggregate_invms q
 
 let test_count_needs_no_pairings () =
   with_metrics @@ fun () ->
@@ -950,7 +983,8 @@ let test_count_needs_no_pairings () =
   Alcotest.(check int) "COUNT performs no bgn.mul" 0
     (Metrics.value (Metrics.counter "bgn.mul"));
   Alcotest.(check int) "rows still walked" 4
-    (Metrics.value (Metrics.counter "scheme.agg.rows"))
+    (Metrics.value (Metrics.counter "scheme.agg.rows"));
+  check_aggregate_invms q
 
 let test_query_trace_shape () =
   with_metrics @@ fun () ->
@@ -997,15 +1031,15 @@ let test_explain_cost_matches_model () =
 let test_request_gc_delta () =
   with_metrics @@ fun () ->
   (* The per-request GC differential must be real allocation, bounded by
-     an outer Gc.quick_stat differential taken around the same request:
-     the EXPLAIN gc block can't claim more minor words than the whole
-     enclosing region allocated. *)
+     an outer differential of the same counter (Gc.minor_words) taken
+     around the same request: the EXPLAIN gc block can't claim more minor
+     words than the whole enclosing region allocated. *)
   let q = Query.make ~group_by:[ "dept" ] (Query.Sum "salary") in
-  let before = Gc.quick_stat () in
+  let before = Gc.minor_words () in
   let rows, rt = Trace.with_request_full (fun () -> Scheme.query client enc q) in
-  let after = Gc.quick_stat () in
+  let after = Gc.minor_words () in
   Alcotest.(check int) "three groups" 3 (List.length rows);
-  let outer = int_of_float (after.Gc.minor_words -. before.Gc.minor_words) in
+  let outer = int_of_float (after -. before) in
   let inner = rt.Trace.r_gc.Trace.gc_minor_words in
   Alcotest.(check bool) "SUM allocates nonzero minor words" true (inner > 0);
   Alcotest.(check bool) "request delta bounded by the outer differential" true (inner <= outer);

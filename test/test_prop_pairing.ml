@@ -190,17 +190,117 @@ let t_prod_additive = R.test ~count:8 ~name:"e(P+Q, R) via one pairing_prod call
       in
       Pairing.gt_equal lhs (e (Curve.add params p q) r))
 
-let t_mul_batch = R.test ~count:10 ~name:"mul_batch agrees with scalar mul"
+(* --- signed linear combinations ------------------------------------------------
+
+   [Curve.lincomb_batch] against the affine fold of [Curve.mul] and
+   [Curve.add]. Terms draw their points from a small pool holding
+   Infinity, P, −P, 2P and an unrelated Q, so one combination often
+   repeats or cancels a point: that drives the mixed addition into its
+   doubling and vertical-line branches mid-chain. *)
+
+let half_n = Z.shift_right n61 1
+
+let signed_scalar_gen : Z.t Gen.t =
+  Gen.oneof
+    [ Gen.oneofl
+        [ Z.zero; Z.one; Z.minus_one; Z.pred n61; half_n; Z.succ half_n; Z.neg half_n;
+          Z.two; Z.neg Z.two; n61 ];
+      scalar_gen;
+      Gen.map Z.neg scalar_gen ]
+
+let combo_gen : (Z.t * int) list Gen.t = Gen.list ~max_len:6 (Gen.pair signed_scalar_gen (Gen.int_below 5))
+
+let lincomb_case_gen = Gen.triple point_gen point_gen (Gen.list ~max_len:4 combo_gen)
+
+let pool (p, q) = [| Curve.Infinity; p; Curve.neg params p; Curve.double params p; q |]
+
+let oracle_lincomb terms =
+  List.fold_left
+    (fun acc (k, pt) ->
+      let kp = Curve.mul params (Z.abs k) pt in
+      Curve.add params acc (if Z.sign k < 0 then Curve.neg params kp else kp))
+    Curve.Infinity terms
+
+let pp_lincomb_case (p, q, combos) =
+  Printf.sprintf "%s; %s" (pp2 (p, q))
+    (String.concat " | "
+       (List.map
+          (fun terms ->
+            String.concat " + "
+              (List.map (fun (k, i) -> Printf.sprintf "%s·#%d" (Z.to_string k) i) terms))
+          combos))
+
+let t_lincomb = R.test ~count:25 ~name:"lincomb_batch equals the affine fold"
+    (R.arbitrary ~print:pp_lincomb_case lincomb_case_gen)
+    (fun (p, q, combos) ->
+      let pts = pool (p, q) in
+      let combos = Array.of_list (List.map (List.map (fun (k, i) -> (k, pts.(i)))) combos) in
+      let got = Curve.lincomb_batch params combos in
+      Array.length got = Array.length combos
+      && Array.for_all2 (fun terms r -> Curve.equal r (oracle_lincomb terms)) combos got)
+
+let t_lincomb_edges = R.test ~count:10 ~name:"lincomb_batch: empty, infinity, cancellation" point_arb
+    (fun p ->
+      let np = Curve.neg params p in
+      let got =
+        Curve.lincomb_batch params
+          [| [];
+             [ (Z.one, Curve.Infinity) ];
+             [ (Z.zero, p) ];
+             [ (Z.one, p); (Z.minus_one, p) ];
+             [ (Z.one, p); (Z.one, np) ];
+             [ (Z.one, p); (Z.one, p) ];
+             [ (Z.minus_one, np) ];
+             [ (Z.pred n61, p) ] |]
+      in
+      Array.for_all Curve.is_infinity (Array.sub got 0 5)
+      && Curve.equal got.(5) (Curve.double params p)
+      && Curve.equal got.(6) p
+      && Curve.equal got.(7) np
+      && Curve.lincomb_batch params [||] = [||])
+
+let t_lincomb2 = R.test ~count:15 ~name:"lincomb_batch2 second stage combines first-stage results"
     (R.arbitrary
-       ~print:(fun pairs ->
-         String.concat "; "
-           (List.map (fun (k, pt) -> Printf.sprintf "%s·%s" (Z.to_string k) (Curve.to_string pt)) pairs))
-       (Gen.list ~max_len:5 (Gen.pair scalar_gen point_gen)))
-    (fun pairs ->
-      let arr = Array.of_list pairs in
-      let batch = Curve.mul_batch params arr in
-      Array.length batch = Array.length arr
-      && Array.for_all2 (fun (k, pt) b -> Curve.equal b (Curve.mul params k pt)) arr batch)
+       ~print:(fun (case, second) ->
+         pp_lincomb_case case ^ " then "
+         ^ String.concat " | "
+             (List.map
+                (fun terms ->
+                  String.concat " + " (List.map (fun (k, i) -> Printf.sprintf "%s·r%d" (Z.to_string k) i) terms))
+                second))
+       (Gen.pair lincomb_case_gen (Gen.list ~max_len:3 combo_gen)))
+    (fun ((p, q, combos), second) ->
+      let pts = pool (p, q) in
+      let first = Array.of_list (List.map (List.map (fun (k, i) -> (k, pts.(i)))) combos) in
+      let nfirst = Array.length first in
+      (* Second-stage indices refer to first-stage results. *)
+      let second =
+        if nfirst = 0 then [||]
+        else Array.of_list (List.map (List.map (fun (k, i) -> (k, i mod nfirst))) second)
+      in
+      let r1, r2 = Curve.lincomb_batch2 params first second in
+      Array.for_all2 (fun a b -> Curve.equal a b) r1 (Curve.lincomb_batch params first)
+      && Array.for_all2
+           (fun terms r -> Curve.equal r (oracle_lincomb (List.map (fun (k, i) -> (k, r1.(i))) terms)))
+           second r2)
+
+(* BGN's centred recoding: any scalar acts through its residue mod n. *)
+let bgn_kp = lazy (Sagma_bgn.Bgn.keygen ~bits:64 (Sagma_crypto.Drbg.create "prop-pairing-bgn"))
+
+let t_smul1_recoding = R.test ~count:15 ~name:"Bgn.smul1 depends only on k mod n"
+    (R.arbitrary
+       ~print:(fun (k, m) -> Printf.sprintf "(%s, %d)" (Z.to_string k) m)
+       (Gen.pair (Gen.oneof [ Gen.bigint_signed ~bits:80 (); signed_scalar_gen ]) (Gen.int_below 1000)))
+    (fun (k, m) ->
+      let module Bgn = Sagma_bgn.Bgn in
+      let kp = Lazy.force bgn_kp in
+      let pk = kp.Bgn.pk in
+      let n = Bgn.n pk in
+      let c = Bgn.enc1_int pk (Sagma_crypto.Drbg.create (Printf.sprintf "smul1|%d" m)) m in
+      Curve.equal (Bgn.smul1 pk k c) (Bgn.smul1 pk (Z.erem k n) c)
+      && Curve.equal (Bgn.smul1 pk (Z.pred n) c) (Bgn.neg1 pk c)
+      && Curve.equal (Bgn.smul1 pk (Z.shift_right n 1) c)
+           (Curve.mul pk.Bgn.group.Pairing.curve (Z.shift_right n 1) c))
 
 let t_composite_prod = R.test ~count:4 ~name:"composite order: fast equals affine on projected points"
     (R.arbitrary
@@ -263,5 +363,6 @@ let () =
     [ t_closure; t_add_comm; t_add_assoc; t_identity; t_double; t_mul_distrib; t_mul_assoc;
       t_mul_small; t_order; t_bilinear; t_additive; t_symmetric; t_scalar_slides;
       t_nondegenerate; t_infinity; t_target_order; t_new_vs_affine; t_precomp_reuse;
-      t_prod_product; t_prod_infinity; t_prod_additive; t_mul_batch; t_composite_prod;
+      t_prod_product; t_prod_infinity; t_prod_additive; t_lincomb; t_lincomb_edges; t_lincomb2; t_smul1_recoding;
+      t_composite_prod;
       t_gt_ops; t_composite ]
