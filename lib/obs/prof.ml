@@ -22,10 +22,10 @@
    allocation table inside {!Trace} (per-trace top-N, exported over the
    wire and into the Chrome trace).
 
-   Overhead: the Spans sampler costs one [Gc.quick_stat] per span
-   open/close; spans are per-phase (a handful per request), so the
-   measured end-to-end penalty on the PR 4 workload is a few percent —
-   BENCH_PR8.json enforces the ≥ 0.5× bound. *)
+   Overhead: the Spans sampler costs one [Gc.quick_stat] and one
+   [Gc.minor_words] per span open/close, and spans are per-phase (a
+   handful per request). It runs only under the server's --profile
+   flag. *)
 
 type site = { site_span : string; site_words : int; site_samples : int }
 

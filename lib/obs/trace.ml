@@ -142,9 +142,12 @@ let prof_hook : (string -> int -> unit) option Atomic.t = Atomic.make None
 
 let set_prof_hook h = Atomic.set prof_hook h
 
+(* The minor part comes from [Gc.minor_words ()]: the stat's minor_words
+   only advances at a minor collection on OCaml 5, so a span lighter than
+   the minor heap would read 0 (see [gc_reading]). *)
 let allocated_words () =
   let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
 
 let current_span_name () : string option =
   let st = Domain.DLS.get state in

@@ -971,6 +971,8 @@ let test_sum_matches_cost_model () =
     (Metrics.value (Metrics.counter "pairing.prod_calls") > 0);
   Alcotest.(check bool) "invm collapsed below one per pairing" true
     (Metrics.value (Metrics.counter "bigint.invm") < expected_mul);
+  Alcotest.(check bool) "batched inversion used" true
+    (Metrics.value (Metrics.counter "bigint.invm_batch") > 0);
   check_aggregate_invms q
 
 let test_count_needs_no_pairings () =
@@ -1070,6 +1072,25 @@ let test_prof_attributes_pairing_loop () =
         Alcotest.(check string) "global top site" "pairing_loop" s.Prof.site_span;
         Alcotest.(check bool) "samples counted" true (s.Prof.site_samples > 0)
       | _ -> Alcotest.fail "no allocation sites recorded")
+
+let test_prof_light_span () =
+  with_metrics @@ fun () ->
+  Prof.reset ();
+  Prof.start ~rate:1. ();
+  Fun.protect
+    ~finally:(fun () ->
+      Prof.stop ();
+      Prof.reset ())
+    (fun () ->
+      (* A span far lighter than the minor heap, opened right after a
+         minor collection: no collection runs inside it, so its words
+         must come from the live minor counter, not the last GC's. *)
+      Gc.minor ();
+      Trace.with_span "light_span" (fun () ->
+          ignore (Sys.opaque_identity (List.init 2000 (fun i -> Some i))));
+      match List.find_opt (fun s -> s.Prof.site_span = "light_span") (Prof.top_sites ~n:64 ()) with
+      | Some s -> Alcotest.(check bool) "light span words recorded" true (s.Prof.site_words > 0)
+      | None -> Alcotest.fail "light span never reached the site table")
 
 (* --- leakage auditor against the real scheme -------------------------------- *)
 
@@ -1231,7 +1252,8 @@ let () =
       ( "profiler",
         [ Alcotest.test_case "request gc delta" `Quick test_request_gc_delta;
           Alcotest.test_case "allocation attributed to pairing_loop" `Quick
-            test_prof_attributes_pairing_loop ] );
+            test_prof_attributes_pairing_loop;
+          Alcotest.test_case "light span allocation recorded" `Quick test_prof_light_span ] );
       ( "scheme audit",
         [ Alcotest.test_case "honest execution passes" `Quick test_scheme_audit_honest_pass;
           Alcotest.test_case "extra probe flagged" `Quick test_scheme_audit_flags_extra_probe;

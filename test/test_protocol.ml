@@ -906,9 +906,8 @@ let with_handler ~port handler f =
 
 let test_coordinator_scatter_gather () =
   let module M = Sagma_obs.Metrics in
-  let dlog_solves () =
-    Option.value ~default:0 (List.assoc_opt "bgn.dlog.solves" (M.snapshot ()).M.counters)
-  in
+  let counter name = Option.value ~default:0 (List.assoc_opt name (M.snapshot ()).M.counters) in
+  let dlog_solves () = counter "bgn.dlog.solves" in
   let s0 = Server.create ~shard:(0, 2) () in
   let s1 = Server.create ~shard:(1, 2) () in
   M.reset ();
@@ -928,12 +927,15 @@ let test_coordinator_scatter_gather () =
                | _ -> Alcotest.fail "unexpected upload reply");
               let tok = Scheme.token client query in
               let solves_before = dlog_solves () in
+              let calls_before = counter "router.shard_calls" in
               let merged =
                 match Router.handle r (P.Aggregate { name = "t"; token = tok }) with
                 | P.Aggregates a -> a
                 | P.Failed { message; _ } -> Alcotest.failf "coordinator aggregate: %s" message
                 | _ -> Alcotest.fail "unexpected aggregate reply"
               in
+              Alcotest.(check int) "one aggregate call per shard" 2
+                (counter "router.shard_calls" - calls_before);
               (* Shards and coordinator only pair and ⊕-merge: discrete
                  logs are the client's job, inside its decrypt. *)
               Alcotest.(check int) "no dlog solved while coordinating" solves_before
@@ -1082,40 +1084,53 @@ let test_health_report_json () =
 let test_coordinator_health_probing () =
   let s0 = Server.create ~shard:(0, 2) () in
   let s1 = Server.create ~shard:(1, 2) () in
+  let probe_interval_ms = 100 in
   with_handler ~port:7497 (Server.handle_encoded s0) (fun () ->
-      let r = Router.create ~deadline_ms:1000 ~probe_interval_ms:50 [ "7497"; "7498" ] in
+      let r = Router.create ~deadline_ms:1000 ~probe_interval_ms [ "7497"; "7498" ] in
+      let rec wait_for cond what tries =
+        if cond () then ()
+        else if tries = 0 then Alcotest.fail what
+        else begin
+          Unix.sleepf 0.05;
+          wait_for cond what (tries - 1)
+        end
+      in
+      (* Serve shard 1 until a probe round has seen both shards up, then
+         kill its listener; returns how long the prober took to notice. *)
+      let kill_shard1 () =
+        with_handler ~port:7498 (Server.handle_encoded s1) (fun () ->
+            wait_for
+              (fun () ->
+                List.for_all
+                  (fun s -> s.P.shc_reachable && s.P.shc_rtt_ms > 0.)
+                  (Router.shard_health r)
+                && Router.down_count r = 0)
+              "probes never saw both shards up" 100;
+            match Router.handle r P.Health with
+            | P.Health_report hr ->
+              Alcotest.(check string) "healthy fleet is ok" "ok" hr.P.hr_status;
+              Alcotest.(check int) "report carries both shards" 2 (List.length hr.P.hr_shards)
+            | _ -> Alcotest.fail "expected Health_report");
+        let t0 = Unix.gettimeofday () in
+        wait_for (fun () -> Router.down_count r >= 1) "prober never noticed the dead shard" 100;
+        Unix.gettimeofday () -. t0
+      in
       Fun.protect
         ~finally:(fun () -> Router.shutdown r)
         (fun () ->
           Router.start_probes r;
-          with_handler ~port:7498 (Server.handle_encoded s1) (fun () ->
-              (* Probes must see both shards up. *)
-              let rec wait_up tries =
-                let h = Router.shard_health r in
-                if List.for_all (fun s -> s.P.shc_reachable) h && Router.down_count r = 0 then ()
-                else if tries = 0 then Alcotest.fail "probes never saw both shards up"
-                else begin
-                  Unix.sleepf 0.05;
-                  wait_up (tries - 1)
-                end
-              in
-              wait_up 100;
-              match Router.handle r P.Health with
-              | P.Health_report hr ->
-                Alcotest.(check string) "healthy fleet is ok" "ok" hr.P.hr_status;
-                Alcotest.(check int) "report carries both shards" 2 (List.length hr.P.hr_shards)
-              | _ -> Alcotest.fail "expected Health_report");
-          (* Shard 1's listener is gone now: the prober must notice
-             within a couple of intervals... *)
-          let rec wait_down tries =
-            if Router.down_count r >= 1 then ()
-            else if tries = 0 then Alcotest.fail "prober never noticed the dead shard"
-            else begin
-              Unix.sleepf 0.05;
-              wait_down (tries - 1)
-            end
+          (* The dead shard is marked down within two probe intervals.
+             One retry (a fresh recover-and-kill cycle) damps scheduler
+             hiccups on a loaded host. *)
+          let gate_s = 2. *. float_of_int probe_interval_ms /. 1000. in
+          let detect_s =
+            let d = kill_shard1 () in
+            if d < gate_s then d else kill_shard1 ()
           in
-          wait_down 100;
+          Alcotest.(check bool)
+            (Printf.sprintf "shard kill detected in %.0f ms, under two probe intervals"
+               (detect_s *. 1000.))
+            true (detect_s < gate_s);
           (match Router.handle r P.Health with
            | P.Health_report hr ->
              Alcotest.(check string) "half-dead fleet is degraded" "degraded" hr.P.hr_status;
@@ -1123,8 +1138,8 @@ let test_coordinator_health_probing () =
              Alcotest.(check bool) "shard 1 reported unreachable" false sh1.P.shc_reachable;
              Alcotest.(check bool) "failure streak recorded" true (sh1.P.shc_failures > 0)
            | _ -> Alcotest.fail "expected Health_report");
-          (* ...and fan-out to the known-down shard fast-fails without
-             waiting on a connect. *)
+          (* Fan-out to the known-down shard fast-fails without waiting
+             on a connect. *)
           let t0 = Unix.gettimeofday () in
           (match Router.handle r (P.Upload { name = "t"; table = enc }) with
            | P.Failed { message; _ } ->
