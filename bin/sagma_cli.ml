@@ -509,7 +509,8 @@ let run_stats port prometheus json cluster =
       (* One object carrying the whole report: snapshot, uptime, the gc
          block, the audit summary and the topology — not just the bare
          snapshot. *)
-      print_endline (Sagma_protocol.Protocol.stats_report_to_json report)
+      print_endline
+        (Sagma_obs.Json.to_string (Sagma_protocol.Protocol.stats_report_to_json report))
     else if cluster then render_cluster report
     else begin
       (if sr_snapshot.Sagma_obs.Metrics.counters = []
@@ -661,7 +662,7 @@ let run_trace port out =
   Unix.close fd;
   match resp with
   | Sagma_protocol.Protocol.Trace_dump traces ->
-    let json = Sagma_obs.Trace.chrome_json traces in
+    let json = Sagma_obs.Json.to_string (Sagma_obs.Trace.chrome_json traces) in
     if out = "-" then print_endline json
     else begin
       write_file out json;
@@ -732,7 +733,8 @@ let run_health port json watch interval =
     done
   else begin
     let r = fetch_health port in
-    if json then print_endline (Sagma_protocol.Protocol.health_report_to_json r)
+    if json then
+      print_endline (Sagma_obs.Json.to_string (Sagma_protocol.Protocol.health_report_to_json r))
     else render_health port r;
     if not (health_ok r) then exit 1
   end

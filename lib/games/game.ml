@@ -5,6 +5,7 @@
 
 module Drbg = Sagma_crypto.Drbg
 module R = Sagma_prop.Runner
+module Json = Sagma_obs.Json
 
 type outcome = {
   game : string;
@@ -68,21 +69,10 @@ let report (o : outcome) : string =
     o.game o.wins o.trials o.win_rate o.advantage (o.confidence *. 100.0) o.lo o.hi
     verdict replay
 
-let json (o : outcome) : string =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "{";
-  Buffer.add_string b (Printf.sprintf "\"game\": %S, " o.game);
-  Buffer.add_string b (Printf.sprintf "\"trials\": %d, \"wins\": %d, " o.trials o.wins);
-  Buffer.add_string b
-    (Printf.sprintf "\"win_rate\": %.6f, \"advantage\": %.6f, \"bound\": %.6f, "
-       o.win_rate o.advantage o.bound);
-  Buffer.add_string b
-    (Printf.sprintf "\"lo\": %.6f, \"hi\": %.6f, \"confidence\": %.4f, " o.lo o.hi
-       o.confidence);
-  Buffer.add_string b
-    (Printf.sprintf "\"distinguished\": %b, \"seed\": %S, " o.distinguished o.seed);
-  Buffer.add_string b
-    (Printf.sprintf "\"winning_seeds\": [%s]"
-       (String.concat ", " (List.map (Printf.sprintf "%S") o.winning_seeds)));
-  Buffer.add_string b "}";
-  Buffer.contents b
+let json (o : outcome) : Json.t =
+  Obj
+    [ ("game", Str o.game); ("trials", Json.int o.trials); ("wins", Json.int o.wins);
+      ("win_rate", Num o.win_rate); ("advantage", Num o.advantage); ("bound", Num o.bound);
+      ("lo", Num o.lo); ("hi", Num o.hi); ("confidence", Num o.confidence);
+      ("distinguished", Bool o.distinguished); ("seed", Str o.seed);
+      ("winning_seeds", Arr (List.map (fun s -> Json.Str s) o.winning_seeds)) ]

@@ -48,6 +48,6 @@ val report : outcome -> string
 (** One human-readable block: win rate, advantage vs. bound, verdict,
     and a replayable seed for the first adversary win. *)
 
-val json : outcome -> string
+val json : outcome -> Sagma_obs.Json.t
 (** One JSON object per game (advantage, bound, interval, seeds) — the
     shape the CI games-smoke artifact aggregates. *)

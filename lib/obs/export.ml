@@ -75,8 +75,8 @@ let with_label (labels : string) (extra : string) : string =
   else String.sub labels 0 (String.length labels - 1) ^ "," ^ extra ^ "}"
 
 (* [raw] samples carry their final exposition names (the conventional
-   process-level families "ocaml_gc_*" / "process_*" from
-   {!Prof.gc_samples}/{!Prof.process_samples}); they bypass the sagma
+   process-level "ocaml_gc_*" family that [sagma stats --prometheus]
+   renders from a Stats reply's gc section); they bypass the sagma
    namespace. Names ending in "_total" are typed counter, everything
    else gauge. *)
 let prometheus ?uptime_s ?(raw : (string * float) list = []) (s : Metrics.snapshot) : string =

@@ -32,8 +32,8 @@ val prometheus : ?uptime_s:float -> ?raw:(string * float) list -> Metrics.snapsh
 (** The full exposition page, one sample per line, newline-terminated.
     [uptime_s] adds a [sagma_uptime_seconds] gauge. [raw] samples are
     emitted under their given names unprefixed — the process-level
-    [ocaml_gc_*]/[process_*] families from {!Prof.gc_samples} and
-    {!Prof.process_samples}; names ending in [_total] are typed
+    [ocaml_gc_*] family [sagma stats --prometheus] renders from a
+    Stats reply's gc section; names ending in [_total] are typed
     counter, everything else gauge. HELP/TYPE headers are emitted once
     per family, so labeled and unlabeled series of one family share
     them. *)

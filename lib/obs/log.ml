@@ -2,13 +2,13 @@
 
    Disabled until a sink is attached: [event] reduces to one load and a
    comparison, so instrumented request paths cost nothing in the default
-   configuration. Each emitted line is a single flat JSON object —
+   configuration. Each emitted line is a single JSON object —
    {"ts":...,"level":"info","event":"request","req":17,...} — so files
    are greppable and jq-able without a parser for a bespoke format.
 
    A mutex serializes emission (the transport can log from the accept
-   loop while a handler logs mid-request in tests); field values are
-   escaped through Metrics.json_escape. *)
+   loop while a handler logs mid-request in tests); lines are printed
+   by Json.to_string. *)
 
 type level = Debug | Info | Warn | Error
 
@@ -27,14 +27,12 @@ let level_of_string = function
 
 let severity = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
 
-type field_value = S of string | I of int | F of float | B of bool
+type field = string * Json.t
 
-type field = string * field_value
-
-let str k v = (k, S v)
-let int k v = (k, I v)
-let float k v = (k, F v)
-let bool k v = (k, B v)
+let str k v : field = (k, Str v)
+let int k v : field = (k, Json.int v)
+let float k v : field = (k, Num v)
+let bool k v : field = (k, Bool v)
 
 (* --- sink ----------------------------------------------------------------- *)
 
@@ -78,29 +76,19 @@ let enabled (l : level) : bool = !sink <> None && severity l >= severity !min_le
 let request_ids = Atomic.make 0
 let next_request_id () = Atomic.fetch_and_add request_ids 1 + 1
 
-let add_field buf (k, v) =
-  Buffer.add_string buf (Printf.sprintf ",\"%s\":" (Metrics.json_escape k));
-  match v with
-  | S s -> Buffer.add_string buf (Printf.sprintf "\"%s\"" (Metrics.json_escape s))
-  | I i -> Buffer.add_string buf (string_of_int i)
-  | F f ->
-    Buffer.add_string buf
-      (if Float.is_finite f then Printf.sprintf "%.6g" f else Printf.sprintf "\"%f\"" f)
-  | B b -> Buffer.add_string buf (string_of_bool b)
-
 let event ?(fields : field list = []) (l : level) (name : string) : unit =
   if enabled l then begin
-    let buf = Buffer.create 128 in
-    Buffer.add_string buf
-      (Printf.sprintf "{\"ts\":%.6f,\"level\":\"%s\",\"event\":\"%s\""
-         (Unix.gettimeofday ()) (level_to_string l) (Metrics.json_escape name));
-    List.iter (add_field buf) fields;
-    Buffer.add_char buf '}';
+    let line =
+      Json.to_string
+        (Obj
+           (("ts", Num (Unix.gettimeofday ())) :: ("level", Str (level_to_string l))
+           :: ("event", Str name) :: fields))
+    in
     Mutex.lock lock;
     (match !sink with
      | Some s ->
        (try
-          output_string s.oc (Buffer.contents buf);
+          output_string s.oc line;
           output_char s.oc '\n';
           flush s.oc
         with Sys_error _ -> ())

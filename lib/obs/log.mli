@@ -1,6 +1,6 @@
 (** Structured logging: leveled JSON-lines events.
 
-    Events are flat JSON objects, one per line:
+    Events are JSON objects, one per line:
 
     {v
     {"ts":1722871234.561,"level":"info","event":"request.done","req":17,"kind":"Aggregate","ms":41.2}
@@ -38,7 +38,8 @@ val enabled : level -> bool
 
 (** {1 Fields} *)
 
-type field
+type field = string * Json.t
+(** A key and its value; a value may nest (a span tree, say). *)
 
 val str : string -> string -> field
 val int : string -> int -> field

@@ -396,53 +396,14 @@ let pp_snapshot fmt (s : snapshot) =
 
 (* --- JSON export ---------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* JSON numbers may not be inf/nan, and a snapshot that arrived over the
-   wire can hold an empty histogram (NaN mean, infinite min/max): render
-   non-finite values as [null]. *)
-let json_float (v : float) : string =
-  if Float.is_finite v then Printf.sprintf "%.17g" v else "null"
-
-let snapshot_to_json (s : snapshot) : string =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "{\"counters\":{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (json_escape name) v))
-    s.counters;
-  Buffer.add_string buf "},\"gauges\":{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (json_escape name) v))
-    s.gauges;
-  Buffer.add_string buf "},\"histograms\":{";
-  List.iteri
-    (fun i (name, h) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\"%s\":{\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,\"mean\":%s,\
-            \"p50\":%s,\"p95\":%s,\"p99\":%s}"
-           (json_escape name) h.h_count (json_float h.h_sum) (json_float h.h_min)
-           (json_float h.h_max)
-           (json_float (h.h_sum /. float_of_int h.h_count))
-           (json_float h.h_p50) (json_float h.h_p95) (json_float h.h_p99)))
-    s.histograms;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+let snapshot_to_json (s : snapshot) : Json.t =
+  let ints l = Json.Obj (List.map (fun (name, v) -> (name, Json.int v)) l) in
+  let hist h =
+    Json.Obj
+      [ ("count", Json.int h.h_count); ("sum", Num h.h_sum); ("min", Num h.h_min);
+        ("max", Num h.h_max); ("mean", Num (h.h_sum /. float_of_int h.h_count));
+        ("p50", Num h.h_p50); ("p95", Num h.h_p95); ("p99", Num h.h_p99) ]
+  in
+  Obj
+    [ ("counters", ints s.counters); ("gauges", ints s.gauges);
+      ("histograms", Obj (List.map (fun (name, h) -> (name, hist h)) s.histograms)) ]

@@ -140,15 +140,7 @@ val reset : unit -> unit
 
 val pp_snapshot : Format.formatter -> snapshot -> unit
 
-val snapshot_to_json : snapshot -> string
+val snapshot_to_json : snapshot -> Json.t
 (** A JSON object [{"counters": {...}, "gauges": {...},
     "histograms": {...}}]; histogram entries carry count/sum/min/max/mean
     and p50/p95/p99. *)
-
-val json_escape : string -> string
-(** Escape a string for embedding inside JSON quotes (exposed for the
-    bench harness's hand-rolled emitter). *)
-
-val json_float : float -> string
-(** A float as a JSON number ([%.17g], so it round-trips), or [null]
-    for NaN and ±infinity, which JSON cannot represent. *)

@@ -119,27 +119,3 @@ let top_sites ?(n = 10) () : site list =
   Mutex.unlock sites_lock;
   let sorted = List.sort (fun a b -> compare b.site_words a.site_words) l in
   List.filteri (fun i _ -> i < n) sorted
-
-(* --- process-level gauges ----------------------------------------------------
-
-   Snapshot samples for the Prometheus exposition and the Stats
-   report: the conventional [ocaml_gc_*] family straight out of
-   [Gc.quick_stat], plus [process_*] from the OS. Names follow the
-   prometheus/client exposition conventions ([_total] marks
-   counters). *)
-
-let gc_samples () : (string * float) list =
-  let s = Gc.quick_stat () in
-  [ ("ocaml_gc_minor_words_total", s.Gc.minor_words);
-    ("ocaml_gc_promoted_words_total", s.Gc.promoted_words);
-    ("ocaml_gc_major_words_total", s.Gc.major_words);
-    ("ocaml_gc_minor_collections_total", float_of_int s.Gc.minor_collections);
-    ("ocaml_gc_major_collections_total", float_of_int s.Gc.major_collections);
-    ("ocaml_gc_compactions_total", float_of_int s.Gc.compactions);
-    ("ocaml_gc_heap_words", float_of_int s.Gc.heap_words);
-    ("ocaml_gc_top_heap_words", float_of_int s.Gc.top_heap_words) ]
-
-let process_samples () : (string * float) list =
-  let t = Unix.times () in
-  [ ("process_cpu_seconds_total", t.Unix.tms_utime +. t.Unix.tms_stime);
-    ("process_word_size_bytes", float_of_int (Sys.word_size / 8)) ]

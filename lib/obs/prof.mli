@@ -42,11 +42,3 @@ val reset : unit -> unit
 val top_sites : ?n:int -> unit -> site list
 (** The [n] (default 10) largest allocation sites by words, largest
     first. *)
-
-val gc_samples : unit -> (string * float) list
-(** [ocaml_gc_*] exposition samples straight from [Gc.quick_stat]:
-    minor/promoted/major words, collection and compaction counts, heap
-    and top-heap words. *)
-
-val process_samples : unit -> (string * float) list
-(** [process_*] exposition samples: CPU seconds and word size. *)

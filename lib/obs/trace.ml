@@ -435,28 +435,10 @@ let pp fmt s =
   pp_indented fmt "" s;
   Format.fprintf fmt "@]"
 
-let rec to_json (s : span) : string =
-  Printf.sprintf "{\"name\":\"%s\",\"ms\":%.3f,\"children\":[%s]}"
-    (Metrics.json_escape s.name) s.ms
-    (String.concat "," (List.map to_json s.children))
+let rec to_json (s : span) : Json.t =
+  Obj [ ("name", Str s.name); ("ms", Num s.ms); ("children", Arr (List.map to_json s.children)) ]
 
-let cost_to_json (c : cost) : string =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" k v) (cost_fields c))
-  ^ "}"
-
-let gc_to_json (g : gc_delta) : string =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" k v) (gc_fields g))
-  ^ "}"
-
-let alloc_to_json (a : (string * int) list) : string =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" (Metrics.json_escape k) v) a)
-  ^ "}"
+let int_fields l = Json.Obj (List.map (fun (k, v) -> (k, Json.int v)) l)
 
 (* Chrome trace-event JSON (the chrome://tracing / Perfetto format):
    each span becomes one "X" complete event with microsecond timestamps;
@@ -464,37 +446,28 @@ let alloc_to_json (a : (string * int) list) : string =
    parallel tracks. The root event carries the trace id, cost block, GC
    differential and (when the profiler ran) allocation table in
    [args]. *)
-let chrome_json (ts : rtrace list) : string =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  let first = ref true in
-  let emit s =
-    if !first then first := false else Buffer.add_char buf ',';
-    Buffer.add_string buf s
+let chrome_json (ts : rtrace list) : Json.t =
+  let events =
+    List.concat
+      (List.mapi
+         (fun i rt ->
+           let tid = Json.int (i + 1) in
+           let root_args =
+             [ ("trace_id", Json.Str rt.r_id); ("cost", int_fields (cost_fields rt.r_cost));
+               ("gc", int_fields (gc_fields rt.r_gc)) ]
+             @ if rt.r_alloc = [] then [] else [ ("alloc_words", int_fields rt.r_alloc) ]
+           in
+           let rec walk (sp : span) =
+             Json.Obj
+               ([ ("name", Json.Str sp.name); ("ph", Str "X"); ("ts", Num (sp.t0 *. 1e6));
+                  ("dur", Num (sp.ms *. 1000.)); ("pid", Num 1.); ("tid", tid) ]
+               @ if sp == rt.r_root then [ ("args", Obj root_args) ] else [])
+             :: List.concat_map walk sp.children
+           in
+           Json.Obj
+             [ ("name", Str "thread_name"); ("ph", Str "M"); ("pid", Num 1.); ("tid", tid);
+               ("args", Obj [ ("name", Str rt.r_id) ]) ]
+           :: walk rt.r_root)
+         ts)
   in
-  List.iteri
-    (fun i rt ->
-      let tid = i + 1 in
-      emit
-        (Printf.sprintf
-           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\
-            \"args\":{\"name\":\"%s\"}}"
-           tid (Metrics.json_escape rt.r_id));
-      let rec walk (sp : span) =
-        let args =
-          if sp == rt.r_root then
-            Printf.sprintf ",\"args\":{\"trace_id\":\"%s\",\"cost\":%s,\"gc\":%s%s}"
-              (Metrics.json_escape rt.r_id) (cost_to_json rt.r_cost) (gc_to_json rt.r_gc)
-              (if rt.r_alloc = [] then ""
-               else Printf.sprintf ",\"alloc_words\":%s" (alloc_to_json rt.r_alloc))
-          else ""
-        in
-        emit
-          (Printf.sprintf "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.1f,\"dur\":%.1f,\"pid\":1,\"tid\":%d%s}"
-             (Metrics.json_escape sp.name) (sp.t0 *. 1e6) (sp.ms *. 1000.) tid args);
-        List.iter walk sp.children
-      in
-      walk rt.r_root)
-    ts;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  Obj [ ("displayTimeUnit", Str "ms"); ("traceEvents", Arr events) ]

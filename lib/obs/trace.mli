@@ -193,16 +193,10 @@ val phase_timings : span -> (string * float) list
 val pp : Format.formatter -> span -> unit
 (** The indented tree rendering shown above. *)
 
-val to_json : span -> string
+val to_json : span -> Json.t
 (** [{"name": ..., "ms": ..., "children": [...]}]. *)
 
-val cost_to_json : cost -> string
-(** A flat JSON object keyed by {!cost_fields} names. *)
-
-val gc_to_json : gc_delta -> string
-(** A flat JSON object keyed by {!gc_fields} names. *)
-
-val chrome_json : rtrace list -> string
+val chrome_json : rtrace list -> Json.t
 (** Chrome trace-event JSON ([{"traceEvents": [...]}]): one "X"
     complete event per span with microsecond timestamps, one thread per
     trace, the trace id, cost block and GC/allocation summary in the

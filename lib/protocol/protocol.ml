@@ -26,6 +26,7 @@ module Metrics = Sagma_obs.Metrics
 module Audit = Sagma_obs.Audit
 module Trace = Sagma_obs.Trace
 module Watchdog = Sagma_obs.Watchdog
+module Json = Sagma_obs.Json
 
 let magic = "SG"
 let version = 8
@@ -620,65 +621,55 @@ let decode_response (s : string) : response = fst (decode_response_x s)
 
    `sagma_cli stats --json` must carry everything the human and
    Prometheus paths render — snapshot, uptime/start-time, audit
-   summary, GC block, topology — as one object; it used to print only
-   the snapshot. Kept here next to the types so the shape and the codec
-   evolve together. *)
+   summary, GC block, topology — as one object. Kept here next to the
+   types so the shape and the codec evolve together. *)
 
-let stats_report_to_json (r : stats_report) : string =
-  let buf = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\"snapshot\":%s" (Metrics.snapshot_to_json r.sr_snapshot);
-  add ",\"uptime_s\":%s,\"start_time\":%s" (Metrics.json_float r.sr_uptime_s)
-    (Metrics.json_float r.sr_start_time);
-  add ",\"audit\":{\"requests\":%d,\"probes\":%d,\"checks_run\":%d,\"check_failures\":%d}"
-    r.sr_audit.Audit.s_requests r.sr_audit.Audit.s_probes r.sr_audit.Audit.s_checks_run
-    r.sr_audit.Audit.s_check_failures;
-  (match r.sr_gc with
-   | None -> add ",\"gc\":null"
-   | Some g ->
-     add
-       ",\"gc\":{\"minor_words\":%s,\"promoted_words\":%s,\"major_words\":%s,\
-        \"minor_collections\":%d,\"major_collections\":%d,\"compactions\":%d,\
-        \"heap_words\":%d,\"top_heap_words\":%d}"
-       (Metrics.json_float g.gs_minor_words) (Metrics.json_float g.gs_promoted_words)
-       (Metrics.json_float g.gs_major_words) g.gs_minor_collections g.gs_major_collections
-       g.gs_compactions g.gs_heap_words g.gs_top_heap_words);
-  (match r.sr_topology with
-   | None -> add ",\"topology\":null"
-   | Some t ->
-     add ",\"topology\":{\"role\":\"%s\",\"shard_index\":%d,\"shard_count\":%d,\"shards\":[%s]}"
-       (Metrics.json_escape t.tp_role) t.tp_shard_index t.tp_shard_count
-       (String.concat ","
-          (List.map (fun e -> "\"" ^ Metrics.json_escape e ^ "\"") t.tp_shards)));
-  add "}";
-  Buffer.contents buf
+let opt f = function None -> Json.Null | Some v -> f v
 
-let health_report_to_json (h : health_report) : string =
-  let buf = Buffer.create 512 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\"status\":\"%s\",\"uptime_s\":%s" (Metrics.json_escape h.hr_status)
-    (Metrics.json_float h.hr_uptime_s);
-  add ",\"alerts\":[%s]"
-    (String.concat ","
-       (List.map
-          (fun (a : Watchdog.alert) ->
-            Printf.sprintf
-              "{\"rule\":\"%s\",\"since\":%s,\"value\":%s,\"threshold\":%s,\"message\":\"%s\"}"
-              (Metrics.json_escape a.Watchdog.a_rule) (Metrics.json_float a.Watchdog.a_since)
-              (Metrics.json_float a.Watchdog.a_value) (Metrics.json_float a.Watchdog.a_threshold)
-              (Metrics.json_escape a.Watchdog.a_message))
-          h.hr_alerts));
-  add ",\"shards\":[%s]}"
-    (String.concat ","
-       (List.map
-          (fun sh ->
-            Printf.sprintf
-              "{\"index\":%d,\"endpoint\":\"%s\",\"reachable\":%b,\"since\":%s,\
-               \"failures\":%d,\"last_error\":\"%s\",\"rtt_ms\":%s}"
-              sh.shc_index
-              (Metrics.json_escape sh.shc_endpoint)
-              sh.shc_reachable (Metrics.json_float sh.shc_since) sh.shc_failures
-              (Metrics.json_escape sh.shc_last_error)
-              (Metrics.json_float sh.shc_rtt_ms))
-          h.hr_shards));
-  Buffer.contents buf
+let stats_report_to_json (r : stats_report) : Json.t =
+  let a = r.sr_audit in
+  Obj
+    [ ("snapshot", Metrics.snapshot_to_json r.sr_snapshot); ("uptime_s", Num r.sr_uptime_s);
+      ("start_time", Num r.sr_start_time);
+      ( "audit",
+        Obj
+          [ ("requests", Json.int a.Audit.s_requests); ("probes", Json.int a.Audit.s_probes);
+            ("checks_run", Json.int a.Audit.s_checks_run);
+            ("check_failures", Json.int a.Audit.s_check_failures) ] );
+      ( "gc",
+        opt
+          (fun g ->
+            Json.Obj
+              [ ("minor_words", Num g.gs_minor_words); ("promoted_words", Num g.gs_promoted_words);
+                ("major_words", Num g.gs_major_words);
+                ("minor_collections", Json.int g.gs_minor_collections);
+                ("major_collections", Json.int g.gs_major_collections);
+                ("compactions", Json.int g.gs_compactions);
+                ("heap_words", Json.int g.gs_heap_words);
+                ("top_heap_words", Json.int g.gs_top_heap_words) ])
+          r.sr_gc );
+      ( "topology",
+        opt
+          (fun t ->
+            Json.Obj
+              [ ("role", Str t.tp_role); ("shard_index", Json.int t.tp_shard_index);
+                ("shard_count", Json.int t.tp_shard_count);
+                ("shards", Arr (List.map (fun e -> Json.Str e) t.tp_shards)) ])
+          r.sr_topology ) ]
+
+let health_report_to_json (h : health_report) : Json.t =
+  let alert (a : Watchdog.alert) =
+    Json.Obj
+      [ ("rule", Str a.a_rule); ("since", Num a.a_since); ("value", Num a.a_value);
+        ("threshold", Num a.a_threshold); ("message", Str a.a_message) ]
+  in
+  let shard sh =
+    Json.Obj
+      [ ("index", Json.int sh.shc_index); ("endpoint", Str sh.shc_endpoint);
+        ("reachable", Bool sh.shc_reachable); ("since", Num sh.shc_since);
+        ("failures", Json.int sh.shc_failures); ("last_error", Str sh.shc_last_error);
+        ("rtt_ms", Num sh.shc_rtt_ms) ]
+  in
+  Obj
+    [ ("status", Str h.hr_status); ("uptime_s", Num h.hr_uptime_s);
+      ("alerts", Arr (List.map alert h.hr_alerts)); ("shards", Arr (List.map shard h.hr_shards)) ]

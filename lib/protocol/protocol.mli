@@ -147,13 +147,13 @@ type response =
 val failed : error_code -> ('a, unit, string, response) format4 -> 'a
 (** [failed code fmt ...] builds a {!Failed} response. *)
 
-val stats_report_to_json : stats_report -> string
+val stats_report_to_json : stats_report -> Sagma_obs.Json.t
 (** One JSON object carrying everything a {!Stats_report} holds —
     [snapshot], [uptime_s]/[start_time], [audit], [gc] (or null),
     [topology] (or null) — so `sagma stats --json` drops nothing the
     human and Prometheus paths render. *)
 
-val health_report_to_json : health_report -> string
+val health_report_to_json : health_report -> Sagma_obs.Json.t
 (** One JSON object: [status], [uptime_s], [alerts], [shards]. *)
 
 val encode_request : ?trace:trace_ctx -> request -> string

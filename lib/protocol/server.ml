@@ -352,7 +352,7 @@ let pipeline ~(trace_sample : int) ~(slow_query_ms : float)
     let trace_fields =
       match !rtrace with
       | Some rt ->
-        [ Log.str "trace_id" rt.Trace.r_id; Log.str "spans" (Trace.to_json rt.Trace.r_root) ]
+        [ Log.str "trace_id" rt.Trace.r_id; ("spans", Trace.to_json rt.Trace.r_root) ]
         @ List.map (fun (k, v) -> Log.int ("cost_" ^ k) v) (Trace.cost_fields rt.Trace.r_cost)
         @ List.map (fun (k, v) -> Log.int ("gc_" ^ k) v) (Trace.gc_fields rt.Trace.r_gc)
       | None -> []

@@ -194,7 +194,8 @@ EOF
 "$CLI" stats --port "$OBS_PORT" | grep "^audit: " | grep -q " failures=0"
 # The structured log is non-empty JSON lines including request events
 # (now with duration_ms/bytes_out) and, with --slow-query-ms 1, at
-# least one slow_query event carrying a span tree and cost block.
+# least one slow_query event carrying a span tree (a nested object) and
+# cost block.
 [ -s "$OBS_DIR/server.jsonl" ]
 grep -q '"event":"request"' "$OBS_DIR/server.jsonl"
 grep -q '"event":"slow_query"' "$OBS_DIR/server.jsonl"
@@ -206,7 +207,10 @@ reqs = [e for e in lines if e["event"] == "request"]
 assert all("duration_ms" in e and "bytes_out" in e for e in reqs), reqs
 slow = [e for e in lines if e["event"] == "slow_query"]
 assert slow, "no slow_query events despite --slow-query-ms 1"
-assert any("spans" in e and "cost_bgn_mul" in e for e in slow), slow' \
+traced = [e for e in slow if "spans" in e]
+assert any("cost_bgn_mul" in e for e in traced), slow
+assert all(e["spans"]["name"] == "request" and isinstance(e["spans"]["children"], list)
+           for e in traced), traced' \
   "$OBS_DIR/server.jsonl"
 kill "$SERVER_PID" 2>/dev/null || true
 trap - EXIT

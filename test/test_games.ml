@@ -30,6 +30,7 @@ module Dbgen = Sagma_prop.Dbgen
 module Game = Sagma_games.Game
 module Ind_cpa = Sagma_games.Ind_cpa
 module Sim_ind = Sagma_games.Sim_ind
+module Json = Sagma_obs.Json
 open Sagma
 
 let seed =
@@ -94,8 +95,12 @@ let () =
   | None -> ()
   | Some file ->
     let oc = open_out file in
-    Printf.fprintf oc "{\"schema_version\": 1, \"seed\": %S, \"games\": [%s]}\n" seed
-      (String.concat ", " (List.rev_map Game.json !outcomes));
+    output_string oc
+      (Json.to_string
+         (Obj
+            [ ("schema_version", Num 1.); ("seed", Str seed);
+              ("games", Arr (List.rev_map Game.json !outcomes)) ]));
+    output_char oc '\n';
     close_out oc;
     Printf.printf "wrote per-game advantage/bound artifact: %s\n%!" file
 
@@ -194,6 +199,24 @@ let () =
     incr failures;
     Printf.printf "  FAIL simulated transcript digest drifted:\n       expected %s\n       got      %s\n%!"
       pinned_digest digest
+  end
+
+(* GAMES.json must stay JSON whatever SAGMA_GAMES_SEED holds: a UTF-8
+   seed passes through verbatim, not as OCaml's decimal escapes. *)
+let () =
+  let o = Game.play ~trials:1 ~name:"json" ~seed:"caf\xc3\xa9" (fun _ -> true) in
+  let j = Json.to_string (Game.json o) in
+  let has needle =
+    let n = String.length needle in
+    let rec go i = i + n <= String.length j && (String.sub j i n = needle || go (i + 1)) in
+    go 0
+  in
+  if has "\"seed\":\"caf\xc3\xa9\"" && has "\"winning_seeds\":[\"caf\xc3\xa9\"]"
+     && not (has "\\195") then
+    Printf.printf "  ok   non-ASCII seed written verbatim in GAMES.json\n%!"
+  else begin
+    incr failures;
+    Printf.printf "  FAIL non-ASCII seed mangled in GAMES.json: %s\n%!" j
   end
 
 (* --- meta: the failure path itself ------------------------------------------- *)

@@ -12,6 +12,7 @@ module Trace = Sagma_obs.Trace
 module Prof = Sagma_obs.Prof
 module Export = Sagma_obs.Export
 module Log = Sagma_obs.Log
+module Json = Sagma_obs.Json
 module Audit = Sagma_obs.Audit
 open Sagma
 
@@ -147,7 +148,19 @@ let is_json (s : string) : bool =
     let rec go () =
       match peek () with
       | Some '"' -> incr pos
-      | Some '\\' -> pos := !pos + 2; go ()
+      | Some '\\' ->
+        incr pos;
+        (match peek () with
+         | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') -> incr pos
+         | Some 'u' ->
+           incr pos;
+           for _ = 1 to 4 do
+             match peek () with
+             | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> incr pos
+             | _ -> fail ()
+           done
+         | _ -> fail ());
+        go ()
       | Some c when Char.code c >= 0x20 -> incr pos; go ()
       | _ -> fail ()
     in
@@ -188,11 +201,10 @@ let test_snapshot_json () =
   Metrics.add (Metrics.counter "test.json") 5;
   Metrics.observe (Metrics.histogram "test.json_hist") 2.0;
   let snap = Metrics.snapshot () in
-  let j = Metrics.snapshot_to_json snap in
+  let j = Json.to_string (Metrics.snapshot_to_json snap) in
   Alcotest.(check bool) "counter in JSON" true (contains j "\"test.json\":5");
   Alcotest.(check bool) "histogram in JSON" true (contains j "\"test.json_hist\"");
   Alcotest.(check bool) "snapshot parses as JSON" true (is_json j);
-  Alcotest.(check string) "escaping" "a\\\"b\\\\c\\n" (Metrics.json_escape "a\"b\\c\n");
   (* A snapshot that arrived over the wire can carry an empty histogram:
      its mean is 0/0 and its extremes infinite, none of them JSON
      numbers. *)
@@ -200,15 +212,40 @@ let test_snapshot_json () =
     { Metrics.h_count = 0; h_sum = 0.; h_min = infinity; h_max = neg_infinity; h_buckets = [||];
       h_p50 = nan; h_p95 = nan; h_p99 = nan }
   in
-  let j = Metrics.snapshot_to_json { snap with Metrics.histograms = [ ("test.empty", empty) ] } in
+  let j =
+    Json.to_string (Metrics.snapshot_to_json { snap with Metrics.histograms = [ ("test.empty", empty) ] })
+  in
   Alcotest.(check bool) (Printf.sprintf "empty histogram parses as JSON: %s" j) true (is_json j);
   Alcotest.(check bool) "empty mean is null" true (contains j "\"mean\":null")
+
+(* Random trees over every byte value and every non-finite float: the
+   writer's output must always be JSON. *)
+let test_json_writer () =
+  Alcotest.(check string) "escaping" "\"a\\\"b\\\\c\\n\\u0001\""
+    (Json.to_string (Str "a\"b\\c\n\001"));
+  Alcotest.(check bool) "recognizer rejects OCaml escapes" false (is_json "\"caf\\195\"");
+  let st = Random.State.make [| 19 |] in
+  let bytes () = String.init (Random.State.int st 6) (fun _ -> Char.chr (Random.State.int st 256)) in
+  let nums = [| nan; infinity; neg_infinity; -0.; 0.1; 1e300; 5e-324; 1e15; -42. |] in
+  let rec gen depth : Json.t =
+    match Random.State.int st (if depth = 0 then 4 else 6) with
+    | 0 -> Null
+    | 1 -> Bool (Random.State.bool st)
+    | 2 -> Num nums.(Random.State.int st (Array.length nums))
+    | 3 -> Str (bytes ())
+    | 4 -> Arr (List.init (Random.State.int st 4) (fun _ -> gen (depth - 1)))
+    | _ -> Obj (List.init (Random.State.int st 4) (fun _ -> (bytes (), gen (depth - 1))))
+  in
+  for _ = 1 to 2000 do
+    let j = Json.to_string (gen 3) in
+    if not (is_json j) then Alcotest.failf "writer output is not JSON: %S" j
+  done
 
 let test_gauge_export () =
   with_metrics @@ fun () ->
   Metrics.gauge_set (Metrics.gauge "proto.inflight") 4;
   let s = Metrics.snapshot () in
-  let j = Metrics.snapshot_to_json s in
+  let j = Json.to_string (Metrics.snapshot_to_json s) in
   Alcotest.(check bool) "gauge in JSON" true (contains j "\"gauges\":{\"proto.inflight\":4}");
   let text = Export.prometheus s in
   Alcotest.(check bool) "gauge TYPE" true
@@ -531,7 +568,9 @@ let test_log_jsonl () =
   with_log_file @@ fun path ->
   Log.set_level Log.Debug;
   Log.debug "fields"
-    ~fields:[ Log.str "s" "a\"b"; Log.int "n" 42; Log.float "f" 1.5; Log.bool "b" true ];
+    ~fields:
+      [ Log.str "s" "a\"b"; Log.int "n" 42; Log.float "f" 1.5; Log.bool "b" true;
+        Log.float "inf" infinity ];
   Log.info "bare";
   Log.detach ();
   match read_lines path with
@@ -544,6 +583,8 @@ let test_log_jsonl () =
     Alcotest.(check bool) "string field escaped" true (contains l1 "\"s\":\"a\\\"b\"");
     Alcotest.(check bool) "int field" true (contains l1 "\"n\":42");
     Alcotest.(check bool) "bool field" true (contains l1 "\"b\":true");
+    Alcotest.(check bool) "non-finite float is null" true (contains l1 "\"inf\":null");
+    Alcotest.(check bool) "line parses as JSON" true (is_json l1);
     Alcotest.(check bool) "second event" true (contains l2 "\"event\":\"bare\"")
   | lines -> Alcotest.failf "expected 2 log lines, got %d" (List.length lines)
 
@@ -650,7 +691,13 @@ let test_with_request_basics () =
   (* A raising request still completes its trace, then re-raises. *)
   (try ignore (Trace.with_request (fun () -> failwith "x")) with Failure _ -> ());
   Alcotest.(check int) "raising request still recorded" 3
-    (List.length (Trace.requests ()))
+    (List.length (Trace.requests ()));
+  let _, rt =
+    Trace.with_request_full ~trace_id:"id\"\001\n" (fun () ->
+        Trace.with_span "span\"\007\t" (fun () -> ()))
+  in
+  Alcotest.(check bool) "chrome trace with quotes and control bytes parses" true
+    (is_json (Json.to_string (Trace.chrome_json [ rt ])))
 
 let test_pool_inherits_context () =
   with_metrics @@ fun () ->
@@ -1208,6 +1255,7 @@ let () =
           Alcotest.test_case "histogram stats" `Quick test_histogram_stats;
           Alcotest.test_case "observe_ms" `Quick test_observe_ms;
           Alcotest.test_case "snapshot to JSON" `Quick test_snapshot_json;
+          Alcotest.test_case "JSON writer output parses" `Quick test_json_writer;
           Alcotest.test_case "bucket boundaries" `Quick test_bucket_boundaries;
           Alcotest.test_case "quantile estimates" `Quick test_quantiles;
           Alcotest.test_case "prometheus exposition" `Quick test_prometheus_exposition ] );

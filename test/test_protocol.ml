@@ -199,7 +199,7 @@ let test_version_prefix () =
 let flip_version (frame : string) ~(v : int) : string =
   String.mapi (fun i c -> if i = 2 then Char.chr v else c) frame
 
-let test_old_frame_rejected () =
+let test_other_versions_rejected () =
   (* A frame carrying another version must raise the typed exception,
      not misparse: flip the version byte of a valid frame. *)
   let req = flip_version (P.encode_request P.List_tables) ~v:(P.version + 1) in
@@ -215,7 +215,7 @@ let test_old_frame_rejected () =
    | exception W.Decode_error _ -> ()
    | _ -> Alcotest.fail "bad magic accepted")
 
-let test_server_rejects_old_frame () =
+let test_server_rejects_other_versions () =
   (* The server answers a mismatched frame with a current-version
      structured failure rather than crashing the connection. *)
   let state = Server.create () in
@@ -299,7 +299,7 @@ let sample_cost =
   { Trace.pairings = 1; miller_steps = 2; bgn_mul = 3; dlog_solves = 4; dlog_giant_steps = 5;
     sse_postings = 6; agg_rows = 7; agg_buckets = 8; bytes_in = 9; bytes_out = 10 }
 
-let test_v4_trace_ctx_roundtrip () =
+let test_trace_ctx_roundtrip () =
   (* A request carrying a trace context: id and sampling flag survive,
      and the trace-aware decoder exposes them. *)
   let tc = { P.tc_id = Some "client-7"; tc_sampled = true } in
@@ -319,7 +319,7 @@ let test_v4_trace_ctx_roundtrip () =
   Alcotest.(check bool) "Traces roundtrips" true
     (P.decode_request (P.encode_request P.Traces) = P.Traces)
 
-let test_v4_explain_roundtrip () =
+let test_explain_roundtrip () =
   let x =
     { P.x_id = "t99-1"; x_timings = [ ("aggregate", 1.5); ("decrypt", 0.25) ];
       x_cost = sample_cost; x_gc = None }
@@ -336,7 +336,7 @@ let test_v4_explain_roundtrip () =
   | P.Ack, None -> ()
   | _ -> Alcotest.fail "bare response misdecoded"
 
-let test_v4_trace_dump_roundtrip () =
+let test_trace_dump_roundtrip () =
   let leaf = { Trace.name = "pairing_loop"; t0 = 10.5; ms = 3.25; children = [] } in
   let mid = { Trace.name = "aggregate"; t0 = 10.0; ms = 5.0; children = [ leaf ] } in
   let root = { Trace.name = "request"; t0 = 9.5; ms = 6.0; children = [ mid ] } in
@@ -381,7 +381,7 @@ let sample_gc_stats =
 
 let empty_snapshot = { Sagma_obs.Metrics.counters = []; gauges = []; histograms = [] }
 
-let test_v5_gc_roundtrip () =
+let test_gc_roundtrip () =
   (* Stats_report heap stats survive the wire... *)
   let report =
     { P.sr_snapshot = empty_snapshot; sr_audit = Sagma_obs.Audit.summary ();
@@ -745,7 +745,7 @@ let check_other_versions_rejected what decode frame =
       | _ -> Alcotest.failf "%s accepted inside a version-%d frame" what v)
     [ 1; P.version - 1; P.version + 1 ]
 
-let test_v6_topology_gated () =
+let test_topology_roundtrip () =
   let report =
     { P.sr_snapshot = empty_snapshot; sr_audit = Sagma_obs.Audit.summary ();
       sr_uptime_s = 1.; sr_start_time = 10.; sr_gc = Some sample_gc_stats;
@@ -760,7 +760,7 @@ let test_v6_topology_gated () =
   check_other_versions_rejected "topology" P.decode_response
     (P.encode_response (P.Stats_report report))
 
-let test_v6_append_row_id_gated () =
+let test_append_row_id_roundtrip () =
   let row, keywords =
     Scheme.append_payload client ~values:[| 1 |] ~groups:[| str "x" |] ~filters:[ ("f", vi 0) ]
   in
@@ -1034,7 +1034,7 @@ let sample_health_report =
           shc_failures = 0; shc_last_error = "" };
         sample_shard_health ] }
 
-let test_v7_health_gated () =
+let test_health_roundtrip () =
   (* The Health request and its report round-trip, alerts and shard
      block intact. *)
   (match P.decode_request (P.encode_request P.Health) with
@@ -1060,7 +1060,7 @@ let test_stats_report_json () =
       sr_audit = Sagma_obs.Audit.summary (); sr_uptime_s = 12.5; sr_start_time = 99.25;
       sr_gc = Some sample_gc_stats; sr_topology = Some sample_topology }
   in
-  let j = P.stats_report_to_json report in
+  let j = Sagma_obs.Json.to_string (P.stats_report_to_json report) in
   List.iter
     (fun needle ->
       Alcotest.(check bool) (Printf.sprintf "stats json carries %s" needle) true (contains j needle))
@@ -1069,12 +1069,12 @@ let test_stats_report_json () =
   (* Without the optional sections the keys stay present but null, so
      consumers need no key-existence probing. *)
   let bare = { report with P.sr_gc = None; sr_topology = None } in
-  let j = P.stats_report_to_json bare in
+  let j = Sagma_obs.Json.to_string (P.stats_report_to_json bare) in
   Alcotest.(check bool) "absent gc is null" true (contains j "\"gc\":null");
   Alcotest.(check bool) "absent topology is null" true (contains j "\"topology\":null")
 
 let test_health_report_json () =
-  let j = P.health_report_to_json sample_health_report in
+  let j = Sagma_obs.Json.to_string (P.health_report_to_json sample_health_report) in
   List.iter
     (fun needle ->
       Alcotest.(check bool) (Printf.sprintf "health json carries %s" needle) true (contains j needle))
@@ -1188,33 +1188,33 @@ let () =
         [ Alcotest.test_case "handler" `Quick test_server_handler;
           Alcotest.test_case "remote append" `Quick test_server_remote_append;
           Alcotest.test_case "malformed request" `Quick test_malformed_request ] );
-      ( "versioning",
-        [ Alcotest.test_case "frame prefix" `Quick test_version_prefix;
-          Alcotest.test_case "old frame rejected" `Quick test_old_frame_rejected;
-          Alcotest.test_case "server rejects old frame" `Quick test_server_rejects_old_frame;
+      ( "frames",
+        [ Alcotest.test_case "version prefix" `Quick test_version_prefix;
+          Alcotest.test_case "other versions rejected" `Quick test_other_versions_rejected;
+          Alcotest.test_case "server rejects other versions" `Quick
+            test_server_rejects_other_versions;
           Alcotest.test_case "error code roundtrip" `Quick test_error_code_roundtrip ] );
-      ( "v4 tracing",
-        [ Alcotest.test_case "trace context roundtrip" `Quick test_v4_trace_ctx_roundtrip;
-          Alcotest.test_case "explain trailer roundtrip" `Quick test_v4_explain_roundtrip;
-          Alcotest.test_case "trace dump roundtrip" `Quick test_v4_trace_dump_roundtrip ] );
-      ( "v5 resource telemetry",
-        [ Alcotest.test_case "gc telemetry roundtrip" `Quick test_v5_gc_roundtrip ] );
-      ( "v6 sharding",
-        [ Alcotest.test_case "topology gated" `Quick test_v6_topology_gated;
-          Alcotest.test_case "append row id gated" `Quick test_v6_append_row_id_gated;
-          Alcotest.test_case "table name validation" `Quick test_table_name_validation;
-          Alcotest.test_case "append posting-count cache" `Quick test_append_posting_count_cached;
-          Alcotest.test_case "explain bytes_out exact" `Quick test_explain_bytes_out_exact;
-          Alcotest.test_case "coordinator scatter-gather" `Quick test_coordinator_scatter_gather;
-          Alcotest.test_case "coordinator shard down" `Quick test_coordinator_shard_down ] );
-      ( "v7 fleet health",
-        [ Alcotest.test_case "health constructs gated" `Quick test_v7_health_gated;
-          Alcotest.test_case "stats report json" `Quick test_stats_report_json;
-          Alcotest.test_case "health report json" `Quick test_health_report_json;
-          Alcotest.test_case "coordinator health probing" `Quick test_coordinator_health_probing ] );
-      ( "v1 compat",
+      ( "tracing",
+        [ Alcotest.test_case "trace context roundtrip" `Quick test_trace_ctx_roundtrip;
+          Alcotest.test_case "explain trailer roundtrip" `Quick test_explain_roundtrip;
+          Alcotest.test_case "trace dump roundtrip" `Quick test_trace_dump_roundtrip;
+          Alcotest.test_case "explain bytes_out exact" `Quick test_explain_bytes_out_exact ] );
+      ( "stats and health",
         [ Alcotest.test_case "stats roundtrip" `Quick test_stats_roundtrip;
-          Alcotest.test_case "stats via server" `Quick test_stats_via_server ] );
+          Alcotest.test_case "stats via server" `Quick test_stats_via_server;
+          Alcotest.test_case "gc telemetry roundtrip" `Quick test_gc_roundtrip;
+          Alcotest.test_case "stats report json" `Quick test_stats_report_json;
+          Alcotest.test_case "health roundtrip" `Quick test_health_roundtrip;
+          Alcotest.test_case "health report json" `Quick test_health_report_json ] );
+      ( "sharding",
+        [ Alcotest.test_case "topology roundtrip" `Quick test_topology_roundtrip;
+          Alcotest.test_case "append row id roundtrip" `Quick test_append_row_id_roundtrip;
+          Alcotest.test_case "table name validation" `Quick test_table_name_validation;
+          Alcotest.test_case "append posting-count cache" `Quick test_append_posting_count_cached ] );
+      ( "coordinator",
+        [ Alcotest.test_case "scatter-gather" `Quick test_coordinator_scatter_gather;
+          Alcotest.test_case "shard down" `Quick test_coordinator_shard_down;
+          Alcotest.test_case "health probing" `Quick test_coordinator_health_probing ] );
       ("transport", [ Alcotest.test_case "socket roundtrip" `Quick test_socket_roundtrip ]);
       ( "concurrency",
         [ Alcotest.test_case "parallel clients" `Quick test_parallel_clients;
