@@ -1,4 +1,5 @@
-(* Byte-identity pins for the server's aggregation output.
+(* Byte-identity pins for the server's aggregation output and for the
+   bytes a client uploads.
 
    Each case runs the whole pipeline — setup, encryption, token and
    [Scheme.aggregate] — from a fixed DRBG seed and hashes the encoded
@@ -6,6 +7,12 @@
    before level-1 shifts moved to signed scalars and batched Jacobian
    combinations, so they show that rewrite changed no output byte: every
    group element is normalised to the same affine point as before.
+
+   The [uploads] group hashes encrypted tables, [append_row] results and
+   [append_payload] rows and tokens in every index mode, so a change to
+   how a row is encrypted or which keywords it is posted under shows up
+   as a moved digest. [Serialize] sorts index entries, so these digests
+   depend only on the postings, not on hash-table order.
 
    If a deliberate change to the scheme, the encryption or the wire
    encoding moves a digest, re-record it and say why in the commit. *)
@@ -129,6 +136,78 @@ let cases =
     ("B = 3: 2-attribute SUM", wide, sum2,
      "4aa132867a618c78f092bf4f225d5b23d704fd11444b628fd40e788d9fa5bb97") ]
 
+(* Uploads: a config with an equality filter column and a range-filter
+   column, so every keyword family (grp/jgrp, flt, rng) is posted. Each
+   case builds its own client, so DRBG draws do not depend on the order
+   the cases run in. *)
+let upload_client seed =
+  let config =
+    Config.make ~bucket_size:2 ~max_group_attrs:2 ~filter_columns:[ "dept" ]
+      ~range_filter_columns:[ "salary" ] ~value_columns:[ "salary" ]
+      ~group_columns:[ "gender"; "dept" ] ()
+  in
+  Scheme.setup config
+    ~domains:[ ("gender", gender_domain); ("dept", dept_domain) ]
+    (Drbg.create seed)
+
+let mode_name = function
+  | Scheme.Per_attribute -> "Per_attribute"
+  | Scheme.Joint -> "Joint"
+  | Scheme.Oxt_conjunctive -> "Oxt_conjunctive"
+
+let table_digest enc = Sha256.hexdigest (Serialize.enc_table_to_string enc)
+
+let new_row = [| str "female"; str "Finance" |]
+
+let upload_table index_mode () =
+  let c = upload_client ("golden-upload-" ^ mode_name index_mode) in
+  table_digest (Scheme.encrypt_table ~index_mode c table)
+
+let upload_dummies () =
+  let c = upload_client "golden-upload-dummies" in
+  let hist col = Bucketing.histogram table col in
+  let dummies = Bucketing.dummy_rows c.Scheme.mappings [| hist "gender"; hist "dept" |] in
+  assert (dummies <> []);
+  table_digest (Scheme.encrypt_table ~dummy_groups:dummies c table)
+
+let upload_append_row index_mode () =
+  let c = upload_client ("golden-append-" ^ mode_name index_mode) in
+  let enc = Scheme.encrypt_table ~index_mode c table in
+  table_digest
+    (Scheme.append_row ~range_values:[ ("salary", 4200) ] c enc ~values:[| 4200 |]
+       ~groups:new_row ~filters:[ ("dept", str "Finance") ])
+
+let upload_append_payload index_mode () =
+  let c = upload_client ("golden-payload-" ^ mode_name index_mode) in
+  let row, tokens =
+    Scheme.append_payload ~index_mode ~range_values:[ ("salary", 4200) ] c ~values:[| 4200 |]
+      ~groups:new_row ~filters:[ ("dept", str "Finance") ]
+  in
+  Sha256.hexdigest
+    (String.concat ""
+       (Sagma_wire.Wire.encode Serialize.put_enc_row row
+        :: List.map Sagma_sse.Sse.token_id tokens))
+
+let upload_cases =
+  [ ("Per_attribute table", upload_table Scheme.Per_attribute,
+     "01804fc5f194f7ca7c4e277a8d473f88b78e73b7b2c8dcacab8360397a59e3fb");
+    ("Joint table", upload_table Scheme.Joint,
+     "964ff17b9b21fd800dcd11a8d830c230c9c97b840c8d03cd6f3b850b776a3417");
+    ("Oxt_conjunctive table", upload_table Scheme.Oxt_conjunctive,
+     "91d124ccf44fa265218075b2f167c54f73ac224e13f7543fe27f4747cb80128a");
+    ("table with dummy rows", upload_dummies,
+     "05813d2e0be63f0a967ce433fa114fc3cf4dd96855123796f96b1e0160f120dc");
+    ("append_row Per_attribute", upload_append_row Scheme.Per_attribute,
+     "7378832b33571a15a4a3a139662cafcf11e3e66fb9ab889dc6368ee1c222d76e");
+    ("append_row Joint", upload_append_row Scheme.Joint,
+     "1cef6c73e5519d4cee1502c678a95eddf56652748b67f89b6e9623eb5974487f");
+    ("append_row Oxt_conjunctive", upload_append_row Scheme.Oxt_conjunctive,
+     "9dc4cf939c21cea25dcd8b26aa256806069aa312eba75e48f3e65ff32e5f7c78");
+    ("append_payload Per_attribute", upload_append_payload Scheme.Per_attribute,
+     "e145043802863234d4bc49e02c252b2a6c046ce51ff1223d1fe197b7355805ef");
+    ("append_payload Joint", upload_append_payload Scheme.Joint,
+     "6d3dc3e26ce261df83573982d91f91c2b73f65bb071c9fe62fc5e26d2fd43726") ]
+
 let () =
   Alcotest.run "test_golden"
     [ ( "aggregates reply",
@@ -138,4 +217,10 @@ let () =
                 let c, enc = Lazy.force setup in
                 Alcotest.(check string) "reply digest" digest (reply_digest c enc q)))
           cases
-        @ [ Alcotest.test_case "dynamic shifts" `Quick test_dynamic ] ) ]
+        @ [ Alcotest.test_case "dynamic shifts" `Quick test_dynamic ] );
+      ( "uploads",
+        List.map
+          (fun (name, digest_of, digest) ->
+            Alcotest.test_case name `Quick (fun () ->
+                Alcotest.(check string) "upload digest" digest (digest_of ())))
+          upload_cases ) ]
