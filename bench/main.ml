@@ -511,7 +511,9 @@ let ablation_parallel () =
   let base = ref 0. in
   List.iter
     (fun d ->
-      let _, t = time_ms (fun () -> Scheme.aggregate ~domains:d enc tok) in
+      let pool = Sagma_pool.Pool.create ~name:"ablation" ~workers:(d - 1) () in
+      let _, t = time_ms (fun () -> Scheme.aggregate ~pool enc tok) in
+      Sagma_pool.Pool.shutdown pool;
       if d = 1 then base := t;
       Printf.printf "%10d %14.1f %9.2fx\n%!" d t (!base /. t))
     (List.filter (fun d -> d = 1 || d <= 2 * cores) [ 1; 2; 4; 8 ]);

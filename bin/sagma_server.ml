@@ -8,7 +8,7 @@
        [--max-frame BYTES] [--agg-domains D] \
        [--shard-of I/N | --coordinator HOST:PORT,...] \
        [--metrics] [--audit] [--trace-sample N] [--slow-query-ms T] \
-       [--profile] [--prof-rate R] \
+       [--profile] \
        [--log-json FILE] [--log-level LEVEL]
 
    --workers    serve connections on an N-domain pool (default 4;
@@ -50,8 +50,6 @@
    --profile    start the sampling resource profiler (Sagma_obs.Prof):
                 span-attributed allocation sampling plus per-request GC
                 deltas in EXPLAIN/trace exports. Implies --metrics.
-   --prof-rate  Memprof sampling rate in (0,1] (default 0.001); the
-                span-delta fallback sampler ignores it.
    --log-json   append one JSON object per event (request handled,
                 connection opened/closed) to FILE.
    --log-level  debug|info|warn|error (default info).
@@ -90,7 +88,6 @@ let () =
   let trace_sample = ref 0 in
   let slow_query_ms = ref 0.0 in
   let profile = ref false in
-  let prof_rate = ref Sagma_obs.Prof.default_rate in
   let log_json = ref "" in
   let log_level = ref "info" in
   let probe_interval_ms = ref 1000 in
@@ -122,8 +119,6 @@ let () =
        "Log a slow_query event for requests over T ms (implies tracing all; 0 = off)");
       ("--profile", Arg.Set profile,
        "Start the sampling resource profiler (allocation sites + GC deltas; implies --metrics)");
-      ("--prof-rate", Arg.Set_float prof_rate,
-       "Memprof sampling rate in (0,1] (default 0.001)");
       ("--log-json", Arg.Set_string log_json, "Append JSON-lines structured logs to FILE");
       ("--log-level", Arg.Set_string log_level, "Log threshold: debug|info|warn|error (default info)");
       ("--probe-interval-ms", Arg.Set_int probe_interval_ms,
@@ -149,7 +144,7 @@ let () =
      so --profile drags metrics on too. *)
   if !profile then begin
     Sagma_obs.Metrics.set_enabled true;
-    Sagma_obs.Prof.start ~rate:!prof_rate ()
+    Sagma_obs.Prof.start ()
   end;
   if !shard_of <> "" && !coordinator <> "" then
     raise (Arg.Bad "--shard-of and --coordinator are mutually exclusive");
@@ -265,7 +260,7 @@ let () =
     (if !audit then " (audit on)" else "")
     (if !trace_sample > 0 then Printf.sprintf " (tracing 1/%d)" !trace_sample else "")
     (if !slow_query_ms > 0.0 then Printf.sprintf " (slow-query %gms)" !slow_query_ms else "")
-    ((if !profile then Printf.sprintf " (profiling: %s)" (Sagma_obs.Prof.mode_name ()) else "")
+    ((if !profile then " (profiling on)" else "")
      ^ if !log_json <> "" then Printf.sprintf " (logging to %s)" !log_json else "");
   Log.info "server.start"
     ~fields:
@@ -278,7 +273,7 @@ let () =
            | None, None -> "single");
         Log.bool "metrics" !metrics; Log.bool "audit" !audit;
         Log.int "trace_sample" !trace_sample; Log.float "slow_query_ms" !slow_query_ms;
-        Log.str "profiler" (Sagma_obs.Prof.mode_name ());
+        Log.bool "profile" !profile;
         Log.int "probe_interval_ms" (if router = None then 0 else !probe_interval_ms);
         Log.int "watchdog_interval_ms" !watchdog_interval_ms;
         Log.int "protocol_version" Sagma_protocol.Protocol.version ];

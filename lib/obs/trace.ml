@@ -18,9 +18,8 @@
    request carries a [gc_delta] (GC counter differential over the
    request, on the domain that ran it), and when the profiler
    ({!Sagma_obs.Prof}) is active each request also accumulates a
-   span-name → allocated-words table: either from Gc.Memprof samples
-   (via [note_alloc]) or, on runtimes without multicore memprof, from
-   allocation deltas measured at span close (via the [prof_hook]). *)
+   span-name → allocated-words table, from allocation deltas measured
+   at span close (via the [prof_hook]). *)
 
 type span = {
   name : string;
@@ -135,9 +134,8 @@ let now () = Unix.gettimeofday ()
 (* --- profiler plumbing ------------------------------------------------------- *)
 
 (* When set, span closes measure their allocation delta and report
-   (name, self words) — the fallback sampler for runtimes where
-   Gc.Memprof is unavailable. Checked once per span close; [None] keeps
-   the tracing fast path free of any Gc call. *)
+   (name, self words) — the profiler's sampler. Checked once per span
+   close; [None] keeps the tracing fast path free of any Gc call. *)
 let prof_hook : (string -> int -> unit) option Atomic.t = Atomic.make None
 
 let set_prof_hook h = Atomic.set prof_hook h
@@ -149,17 +147,8 @@ let allocated_words () =
   let s = Gc.quick_stat () in
   Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
 
-let current_span_name () : string option =
-  let st = Domain.DLS.get state in
-  match st.d_stack with
-  | fr :: _ -> Some fr.f_name
-  | [] -> (match st.d_base with Some fr -> Some fr.f_name | None -> None)
-
 (* Charge [words] to [span] in the current request's allocation table
-   (a no-op outside a profiled request). Callable from any domain that
-   inherited the request context — Memprof callbacks run on the
-   allocating domain, which is exactly where d_alloc points at the
-   right table. *)
+   (a no-op outside a profiled request). *)
 let note_alloc ~(span : string) ~(words : int) : unit =
   if words > 0 then begin
     let st = Domain.DLS.get state in

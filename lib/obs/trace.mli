@@ -143,16 +143,6 @@ val set_prof_hook : (string -> int -> unit) option -> unit
     total up into the enclosing frame. [None] (the default) keeps span
     close free of any [Gc] call. *)
 
-val current_span_name : unit -> string option
-(** The innermost open span on this domain (falling back to the
-    inherited parent frame) — what a [Gc.Memprof] callback should
-    attribute its sample to. *)
-
-val note_alloc : span:string -> words:int -> unit
-(** Charge [words] to [span] in the current request's allocation table;
-    a no-op outside a profiled request. Safe from any domain that
-    inherited the request context. *)
-
 (** {1 Context inheritance} *)
 
 type ctx

@@ -75,13 +75,14 @@ type shard = {
 }
 
 type t = {
-  lock : Mutex.t;
+  lock : Mutex.t;  (* serialises appends: row-id stamping order *)
   shards : shard array;
   pool : Pool.t;  (* fan-out pool — distinct from any connection-serving pool *)
   (* Per-table state gleaned from the uploads that passed through: the
      BGN public key (all ⊕-merging needs) and the global row count
      (appends are stamped with it so every replica agrees on ids). *)
   pks : (string, Bgn.public_key) Hashtbl.t;
+  pks_lock : Mutex.t;  (* apart from [lock], so queries never wait behind an append *)
   row_counts : (string, int) Hashtbl.t;
   deadline_ms : int;
   trace_sample : int;
@@ -114,7 +115,7 @@ let shard_label (i : int) (sh : shard) : string =
 
 (* Forward declaration dance is avoided by defining the probe loop after
    [call_shard]; [create] stores the domain once spawned. *)
-let create ?(deadline_ms = 5000) ?fanout_workers ?(trace_sample = 0) ?(slow_query_ms = 0.)
+let create ?(deadline_ms = 5000) ?(trace_sample = 0) ?(slow_query_ms = 0.)
     ?(probe_interval_ms = 0) ?watchdog (endpoints : string list) : t =
   if endpoints = [] then invalid_arg "Router.create: need at least one shard endpoint";
   let now = Unix.gettimeofday () in
@@ -141,11 +142,9 @@ let create ?(deadline_ms = 5000) ?fanout_workers ?(trace_sample = 0) ?(slow_quer
              sh_up_gauge = g })
          endpoints)
   in
-  let workers =
-    match fanout_workers with Some w -> w | None -> min (Array.length shards) 8
-  in
+  let workers = min (Array.length shards) 8 in
   { lock = Mutex.create (); shards; pool = Pool.create ~name:"fanout" ~workers ();
-    pks = Hashtbl.create 8; row_counts = Hashtbl.create 8; deadline_ms; trace_sample;
+    pks = Hashtbl.create 8; pks_lock = Mutex.create (); row_counts = Hashtbl.create 8; deadline_ms; trace_sample;
     slow_query_ms; started = now; hlock = Mutex.create (); probe_interval_ms;
     probe_pool =
       (if probe_interval_ms > 0 then
@@ -153,10 +152,6 @@ let create ?(deadline_ms = 5000) ?fanout_workers ?(trace_sample = 0) ?(slow_quer
        else None);
     probe_stop = Atomic.make false; probe_domain = None; watchdog;
     draining = Atomic.make false }
-
-let with_lock (r : t) (f : unit -> 'a) : 'a =
-  Mutex.lock r.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock r.lock) f
 
 let topology (r : t) : P.topology =
   { P.tp_role = "coordinator"; tp_shard_index = -1; tp_shard_count = Array.length r.shards;
@@ -453,21 +448,22 @@ let handle (r : t) (req : P.request) : P.response =
       | None ->
         (* Remember what ⊕-merging and append stamping need: the
            table's public key and its global row count. *)
-        with_lock r (fun () ->
-            Hashtbl.replace r.pks name table.Scheme.pp.Scheme.bgn_pk;
+        Mutex.protect r.pks_lock (fun () ->
+            Hashtbl.replace r.pks name table.Scheme.pp.Scheme.bgn_pk);
+        Mutex.protect r.lock (fun () ->
             Hashtbl.replace r.row_counts name (Array.length table.Scheme.rows));
         P.Ack)
   end
   | P.Drop name -> (
     let results = fanout r req in
-    with_lock r (fun () ->
-        Hashtbl.remove r.pks name;
-        Hashtbl.remove r.row_counts name);
+    Mutex.protect r.pks_lock (fun () -> Hashtbl.remove r.pks name);
+    Mutex.protect r.lock (fun () -> Hashtbl.remove r.row_counts name);
     match first_failure results with Some f -> f | None -> P.Ack)
   | P.Append { name; row; keywords; row_id = _ } ->
     (* The whole read-stamp-fanout-commit holds the lock so concurrent
-       appends through the router get distinct row ids in order. *)
-    with_lock r (fun () ->
+       appends through the router get distinct row ids in order. Queries
+       read [pks] under [pks_lock] and never wait on it. *)
+    Mutex.protect r.lock (fun () ->
         match Hashtbl.find_opt r.row_counts name with
         | None ->
           P.failed P.No_such_table
@@ -481,7 +477,7 @@ let handle (r : t) (req : P.request) : P.response =
             Hashtbl.replace r.row_counts name (next + 1);
             P.Ack))
   | P.Aggregate { name; _ } -> begin
-    match with_lock r (fun () -> Hashtbl.find_opt r.pks name) with
+    match Mutex.protect r.pks_lock (fun () -> Hashtbl.find_opt r.pks name) with
     | None ->
       P.failed P.No_such_table
         "no such table %S (uploads must pass through this coordinator)" name

@@ -40,7 +40,6 @@ type t
 
 val create :
   ?deadline_ms:int ->
-  ?fanout_workers:int ->
   ?trace_sample:int ->
   ?slow_query_ms:float ->
   ?probe_interval_ms:int ->
@@ -51,9 +50,9 @@ val create :
     ("host:port"; a bare port means loopback). [deadline_ms] (default
     5000) bounds each shard call's reads and writes, so a dead shard
     yields a prompt [Failed] instead of a hang; 0 disables.
-    [fanout_workers] sizes the internal fan-out pool (default
-    [min shards 8]) — it is always distinct from any connection-serving
-    pool, as required by [Sagma_pool]. [trace_sample]/[slow_query_ms]
+    The internal fan-out pool has [min shards 8] workers and is always
+    distinct from any connection-serving pool, as required by
+    [Sagma_pool]. [trace_sample]/[slow_query_ms]
     as in [Server.create].
 
     [probe_interval_ms] (default 0 = off) enables background health

@@ -40,8 +40,8 @@ let encrypted (t : t) : Scheme.enc_table =
 let row_count (t : t) : int =
   match t.table with None -> 0 | Some et -> Array.length et.Scheme.rows
 
-let query ?index_mode ?oxt_rows ?domains ?pool (t : t) (q : Query.t) : Scheme.result_row list =
-  Scheme.query ?index_mode ?oxt_rows ?domains ?pool t.client (encrypted t) q
+let query ?index_mode ?oxt_rows ?pool (t : t) (q : Query.t) : Scheme.result_row list =
+  Scheme.query ?index_mode ?oxt_rows ?pool t.client (encrypted t) q
 
 let append ?range_values ?(filters = []) (t : t) ~(values : int array)
     ~(groups : Value.t array) : unit =

@@ -68,14 +68,13 @@ val row_count : t -> int
 val query :
   ?index_mode:Scheme.index_mode ->
   ?oxt_rows:int ->
-  ?domains:int ->
   ?pool:Sagma_pool.Pool.t ->
   t ->
   Sagma_db.Query.t ->
   Scheme.result_row list
 (** Token → aggregate → decrypt against the current table (defaults
     follow [Scheme.query]: the table's own index mode and row count).
-    [domains]/[pool] parallelize the server-side aggregation as in
+    [pool] parallelizes the server-side aggregation as in
     [Scheme.aggregate].
     @raise Invalid_argument when nothing has been encrypted yet. *)
 

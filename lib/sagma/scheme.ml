@@ -217,151 +217,6 @@ let filter_keyword ~(column : string) (v : Value.t) : string =
 let range_keyword ~(column : string) (i : Sagma_sse.Dyadic.interval) : string =
   Printf.sprintf "rng:%s:%s" column (Sagma_sse.Dyadic.keyword_tag i)
 
-(* [encrypt_table c table ~dummy_groups] runs Algorithm 2 over the
-   plaintext [table] and appends one all-zero dummy row per entry of
-   [dummy_groups] (each an array of group-column values, §5).
-   [index_mode] selects per-attribute bucket keywords (Algorithm 2) or
-   the joint-bucket index (see {!index_mode}). *)
-let encrypt_table ?(dummy_groups : Value.t array list = []) ?(index_mode = Per_attribute)
-    (c : client) (table : Table.t) : enc_table =
-  let pp = c.pp in
-  let config = pp.config in
-  let value_idxs =
-    Array.of_list (List.map (Table.column_index table) config.Config.value_columns)
-  in
-  let group_idxs =
-    Array.of_list (List.map (Table.column_index table) config.Config.group_columns)
-  in
-  let real_rows = Array.of_list (Table.rows table) in
-  let l = Config.num_group_columns config in
-  (* Per-row group values: real rows read from the table, dummies from the
-     caller-provided assignments. *)
-  let group_values =
-    Array.append
-      (Array.map (fun row -> Array.map (fun i -> row.(i)) group_idxs) real_rows)
-      (Array.of_list
-         (List.map
-            (fun g ->
-              if Array.length g <> l then
-                invalid_arg "Scheme.encrypt_table: dummy group arity mismatch";
-              g)
-            dummy_groups))
-  in
-  let num_real = Array.length real_rows in
-  let total = Array.length group_values in
-  let enc_rows =
-    Array.init total (fun r ->
-        let offsets = Array.mapi (fun i g -> Mapping.offset c.mappings.(i) g) group_values.(r) in
-        let values =
-          if r < num_real then
-            Array.map (fun i -> Value.as_int real_rows.(r).(i)) value_idxs
-          else Array.make (Array.length value_idxs) 0
-        in
-        enc_row_raw c ~values ~offsets ~dummy:(r >= num_real))
-  in
-  Obs.add m_enc_rows total;
-  (* SSE postings: bucket membership for every group column (Algorithm 2)
-     plus filter keywords for real rows. *)
-  let postings : (string, int list ref) Hashtbl.t = Hashtbl.create 64 in
-  let post kw id =
-    match Hashtbl.find_opt postings kw with
-    | Some l -> l := id :: !l
-    | None -> Hashtbl.add postings kw (ref [ id ])
-  in
-  (match index_mode with
-   | Per_attribute ->
-     Array.iteri
-       (fun r groups ->
-         Array.iteri
-           (fun i g -> post (bucket_keyword ~column:i ~bucket:(Mapping.bucket c.mappings.(i) g)) r)
-           groups)
-       group_values
-   | Joint ->
-     let subsets =
-       column_subsets ~l:(Config.num_group_columns config) ~t:config.Config.max_group_attrs
-     in
-     Array.iteri
-       (fun r groups ->
-         Array.iter
-           (fun columns ->
-             let buckets =
-               Array.map (fun i -> Mapping.bucket c.mappings.(i) groups.(i)) columns
-             in
-             post (joint_keyword ~columns ~buckets) r)
-           subsets)
-       group_values
-   | Oxt_conjunctive ->
-     (* Bucket membership lives in the OXT structures, built below. *)
-     ());
-  List.iteri
-    (fun i col ->
-      ignore i;
-      let idx = Table.column_index table col in
-      Array.iteri (fun r row -> post (filter_keyword ~column:col row.(idx)) r) real_rows)
-    config.Config.filter_columns;
-  (* Range-filter columns: post every value under its dyadic ancestors. *)
-  List.iter
-    (fun col ->
-      let idx = Table.column_index table col in
-      Array.iteri
-        (fun r row ->
-          let v = Value.as_int row.(idx) in
-          List.iter
-            (fun interval -> post (range_keyword ~column:col interval) r)
-            (Sagma_sse.Dyadic.keywords_for_value ~depth:config.Config.range_bits v))
-        real_rows)
-    config.Config.range_filter_columns;
-  let assoc = Hashtbl.fold (fun kw ids acc -> (kw, List.rev !ids) :: acc) postings [] in
-  let index = Sse.build c.sse_key (List.sort compare assoc) in
-  (* OXT mode: bucket keywords go into the TSet/XSet instead. *)
-  let oxt_index =
-    match index_mode with
-    | Per_attribute | Joint -> None
-    | Oxt_conjunctive ->
-      let oxt_postings : (string, int list ref) Hashtbl.t = Hashtbl.create 64 in
-      Array.iteri
-        (fun r groups ->
-          Array.iteri
-            (fun i g ->
-              let kw = bucket_keyword ~column:i ~bucket:(Mapping.bucket c.mappings.(i) g) in
-              match Hashtbl.find_opt oxt_postings kw with
-              | Some l -> l := r :: !l
-              | None -> Hashtbl.add oxt_postings kw (ref [ r ]))
-            groups)
-        group_values;
-      let oxt_assoc =
-        Hashtbl.fold (fun kw ids acc -> (kw, List.rev !ids) :: acc) oxt_postings []
-      in
-      Some (Oxt.build (oxt_params ()) c.oxt_key (List.sort compare oxt_assoc))
-  in
-  { pp;
-    rows = enc_rows;
-    index;
-    oxt_index;
-    count_mode = (if dummy_groups = [] then Count_level1 else Count_paired);
-    index_mode }
-
-(* The grouping keywords a new row must be posted under, depending on the
-   table's index mode. *)
-let row_keywords (c : client) (index_mode : index_mode) (groups : Value.t array) : string list =
-  let config = c.pp.config in
-  match index_mode with
-  | Per_attribute | Oxt_conjunctive ->
-    Array.to_list
-      (Array.mapi
-         (fun i g -> bucket_keyword ~column:i ~bucket:(Mapping.bucket c.mappings.(i) g))
-         groups)
-  | Joint ->
-    let subsets =
-      column_subsets ~l:(Config.num_group_columns config) ~t:config.Config.max_group_attrs
-    in
-    Array.to_list
-      (Array.map
-         (fun columns ->
-           let buckets = Array.map (fun i -> Mapping.bucket c.mappings.(i) groups.(i)) columns in
-           joint_keyword ~columns ~buckets)
-         subsets)
-
 let filter_keywords (c : client) (filters : (string * Value.t) list) ~(caller : string) :
     string list =
   List.map
@@ -382,53 +237,125 @@ let range_keywords (c : client) (range_values : (string * int) list) ~(caller : 
         (Sagma_sse.Dyadic.keywords_for_value ~depth:c.pp.config.Config.range_bits v))
     range_values
 
-let check_append_arity (c : client) ~(caller : string) (values : int array)
-    (groups : Value.t array) : unit =
+(* EncRow: Algorithm 3 plus the row's place in the index. Returns the
+   encrypted row, the keywords it is posted under in the Π_bas index
+   (its grouping keywords unless OXT, then its filter and range
+   keywords) and, in OXT mode, the bucket keywords it is posted under in
+   the TSet/XSet. Uploads, local appends and remote appends all go
+   through here, so they agree on where a row is posted. *)
+let encrypt_row (c : client) ~(caller : string) (index_mode : index_mode) ~(values : int array)
+    ~(groups : Value.t array) ~(filters : (string * Value.t) list)
+    ~(range_values : (string * int) list) ~(dummy : bool) : enc_row * string list * string list =
   let config = c.pp.config in
+  let l = Config.num_group_columns config in
   if Array.length values <> Config.num_value_columns config then
     invalid_arg (Printf.sprintf "Scheme.%s: value arity mismatch" caller);
-  if Array.length groups <> Config.num_group_columns config then
-    invalid_arg (Printf.sprintf "Scheme.%s: group arity mismatch" caller)
+  if Array.length groups <> l then
+    invalid_arg (Printf.sprintf "Scheme.%s: group arity mismatch" caller);
+  let aux = filter_keywords c filters ~caller @ range_keywords c range_values ~caller in
+  let offsets = Array.mapi (fun i g -> Mapping.offset c.mappings.(i) g) groups in
+  let row = enc_row_raw c ~values ~offsets ~dummy in
+  let bucket i = Mapping.bucket c.mappings.(i) groups.(i) in
+  let buckets = List.init l (fun i -> bucket_keyword ~column:i ~bucket:(bucket i)) in
+  match index_mode with
+  | Per_attribute -> (row, buckets @ aux, [])
+  | Joint ->
+    let joint columns = joint_keyword ~columns ~buckets:(Array.map bucket columns) in
+    let subsets = column_subsets ~l ~t:config.Config.max_group_attrs in
+    (row, List.map joint (Array.to_list subsets) @ aux, [])
+  | Oxt_conjunctive -> (row, aux, buckets)
+
+(* [encrypt_table c table ~dummy_groups] runs Algorithm 2: EncRow over
+   every row of the plaintext [table] (its filter and range keywords read
+   from the row), then one all-zero dummy row per entry of
+   [dummy_groups] (each an array of group-column values, §5; no filter or
+   range keywords), then the index over the collected postings.
+   [index_mode] selects per-attribute bucket keywords (Algorithm 2), the
+   joint-bucket index or OXT (see {!index_mode}). *)
+let encrypt_table ?(dummy_groups : Value.t array list = []) ?(index_mode = Per_attribute)
+    (c : client) (table : Table.t) : enc_table =
+  let config = c.pp.config in
+  (* [read f cols row]: the row's (column, f cell) pairs for [cols]. *)
+  let read f cols =
+    let idxs = List.map (fun col -> (col, Table.column_index table col)) cols in
+    fun row -> List.map (fun (col, i) -> (col, f row.(i))) idxs
+  in
+  let values = read Value.as_int config.Config.value_columns
+  and groups = read Fun.id config.Config.group_columns
+  and filters = read Fun.id config.Config.filter_columns
+  and range_values = read Value.as_int config.Config.range_filter_columns in
+  let cells cols row = Array.of_list (List.map snd (cols row)) in
+  let real =
+    List.map
+      (fun row ->
+        encrypt_row c ~caller:"encrypt_table" index_mode ~values:(cells values row)
+          ~groups:(cells groups row) ~filters:(filters row) ~range_values:(range_values row)
+          ~dummy:false)
+      (Table.rows table)
+  in
+  let dummies =
+    List.map
+      (fun groups ->
+        encrypt_row c ~caller:"encrypt_table" index_mode
+          ~values:(Array.make (Config.num_value_columns config) 0)
+          ~groups ~filters:[] ~range_values:[] ~dummy:true)
+      dummy_groups
+  in
+  let encrypted = Array.of_list (real @ dummies) in
+  Obs.add m_enc_rows (Array.length encrypted);
+  (* Keyword → ascending row ids, for either index. *)
+  let postings keywords_of =
+    let tbl : (string, int list ref) Hashtbl.t = Hashtbl.create 64 in
+    Array.iteri
+      (fun r e ->
+        List.iter
+          (fun kw ->
+            match Hashtbl.find_opt tbl kw with
+            | Some ids -> ids := r :: !ids
+            | None -> Hashtbl.add tbl kw (ref [ r ]))
+          (keywords_of e))
+      encrypted;
+    List.sort compare (Hashtbl.fold (fun kw ids acc -> (kw, List.rev !ids) :: acc) tbl [])
+  in
+  { pp = c.pp;
+    rows = Array.map (fun (row, _, _) -> row) encrypted;
+    index = Sse.build c.sse_key (postings (fun (_, kws, _) -> kws));
+    oxt_index =
+      (match index_mode with
+       | Per_attribute | Joint -> None
+       | Oxt_conjunctive ->
+         Some (Oxt.build (oxt_params ()) c.oxt_key (postings (fun (_, _, kws) -> kws))));
+    count_mode = (if dummy_groups = [] then Count_level1 else Count_paired);
+    index_mode }
 
 (* Database updates (§3/§8: "this algorithm can be used for database
    updates after the initial table encryption if the bucket index I is
-   updated correspondingly"): encrypt one new row and extend the SSE
+   updated correspondingly"): EncRow one new row and extend the SSE
    postings. The per-keyword counters are recovered by replaying the
    keyword search, which only uses key material the client holds. *)
 let append_row ?(range_values : (string * int) list = []) (c : client) (et : enc_table)
     ~(values : int array) ~(groups : Value.t array) ~(filters : (string * Value.t) list) :
     enc_table =
-  check_append_arity c ~caller:"append_row" values groups;
+  let row, keywords, oxt_keywords =
+    encrypt_row c ~caller:"append_row" et.index_mode ~values ~groups ~filters ~range_values
+      ~dummy:false
+  in
   let id = Array.length et.rows in
-  let offsets = Array.mapi (fun i g -> Mapping.offset c.mappings.(i) g) groups in
-  let row = enc_row_raw c ~values ~offsets ~dummy:false in
-  let add_keyword index kw =
-    let counter = List.length (Sse.search index (Sse.token c.sse_key kw)) in
-    Sse.add c.sse_key index kw ~counter id
+  let index =
+    List.fold_left
+      (fun index kw ->
+        let counter = List.length (Sse.search index (Sse.token c.sse_key kw)) in
+        Sse.add c.sse_key index kw ~counter id)
+      et.index keywords
   in
-  let aux_keywords =
-    filter_keywords c filters ~caller:"append_row"
-    @ range_keywords c range_values ~caller:"append_row"
+  let add_oxt oxt kw =
+    let counter = Oxt.stag_count oxt (Oxt.stag c.oxt_key kw) in
+    Oxt.add (oxt_params ()) c.oxt_key oxt kw ~counter id
   in
-  match et.index_mode with
-  | Per_attribute | Joint ->
-    let index =
-      List.fold_left add_keyword et.index (row_keywords c et.index_mode groups @ aux_keywords)
-    in
-    { et with rows = Array.append et.rows [| row |]; index }
-  | Oxt_conjunctive ->
-    (* Bucket keywords extend the OXT structures; filters stay in Π_bas. *)
-    let params = oxt_params () in
-    let oxt =
-      List.fold_left
-        (fun oxt kw ->
-          let counter = Oxt.stag_count oxt (Oxt.stag c.oxt_key kw) in
-          Oxt.add params c.oxt_key oxt kw ~counter id)
-        (Option.get et.oxt_index)
-        (row_keywords c et.index_mode groups)
-    in
-    let index = List.fold_left add_keyword et.index aux_keywords in
-    { et with rows = Array.append et.rows [| row |]; index; oxt_index = Some oxt }
+  { et with
+    rows = Array.append et.rows [| row |];
+    index;
+    oxt_index = Option.map (fun oxt -> List.fold_left add_oxt oxt oxt_keywords) et.oxt_index }
 
 (* Client-side half of a *remote* append: the encrypted row plus the SSE
    tokens of its keywords. A server holding the encrypted table can
@@ -440,13 +367,9 @@ let append_payload ?(index_mode = Per_attribute) ?(range_values : (string * int)
   if index_mode = Oxt_conjunctive then
     invalid_arg
       "Scheme.append_payload: remote appends need secret OXT keys; append client-side instead";
-  check_append_arity c ~caller:"append_payload" values groups;
-  let offsets = Array.mapi (fun i g -> Mapping.offset c.mappings.(i) g) groups in
-  let row = enc_row_raw c ~values ~offsets ~dummy:false in
-  let keywords =
-    row_keywords c index_mode groups
-    @ filter_keywords c filters ~caller:"append_payload"
-    @ range_keywords c range_values ~caller:"append_payload"
+  let row, keywords, _ =
+    encrypt_row c ~caller:"append_payload" index_mode ~values ~groups ~filters ~range_values
+      ~dummy:false
   in
   (row, List.map (Sse.token c.sse_key) keywords)
 
@@ -546,12 +469,7 @@ let token ?(index_mode = Per_attribute) ?(oxt_rows : int option) (c : client) (q
     end
   in
   let filter_tokens =
-    List.map
-      (fun (col, v) ->
-        if not (List.mem col config.Config.filter_columns) then
-          invalid_arg (Printf.sprintf "Scheme.token: %S is not a filter column" col);
-        Sse.token c.sse_key (filter_keyword ~column:col v))
-      q.Query.where
+    List.map (Sse.token c.sse_key) (filter_keywords c q.Query.where ~caller:"token")
   in
   let range_token_groups =
     List.map
@@ -636,15 +554,13 @@ let sort_buckets (buckets : bucket_aggregate list) : bucket_aggregate list =
   List.sort (fun a b -> compare a.bucket_ids b.bucket_ids) buckets
 
 (* [aggregate et tok] is Algorithm 5 (pure server side). Row work within
-   each joint bucket is split across worker domains when [pool] is given
-   (a long-lived pool, spawned once per process) or when [domains] > 1
-   (a transient pool spanning this one call) — never one spawn per
-   bucket. [owned] restricts the pairing work to the rows this node is
+   each joint bucket is split across the worker domains of [pool] (a
+   long-lived pool, spawned once per process). [owned] restricts the pairing work to the rows this node is
    responsible for in a sharded deployment (storage is replicated,
    compute is partitioned): rows failing the predicate are excluded
    before any pairing, and joint buckets left empty are dropped, so the
    per-shard partials ⊕-combine to exactly the unsharded answer. *)
-let aggregate ?(domains = 1) ?pool ?owned (et : enc_table) (tok : token) : agg_result =
+let aggregate ?pool ?owned (et : enc_table) (tok : token) : agg_result =
   let pp = et.pp in
   let pk = pp.bgn_pk in
   let n = Bgn.n pk in
@@ -802,7 +718,7 @@ let aggregate ?(domains = 1) ?pool ?owned (et : enc_table) (tok : token) : agg_r
      and feed it to both the sum and the count accumulators. Row chunks
      are processed on the worker pool's domains (the paper parallelizes
      query execution the same way). *)
-  let aggregate_bucket chunk_pool (bucket_ids, rows) =
+  let aggregate_bucket (bucket_ids, rows) =
     touched := !touched + List.length rows;
     Obs.incr m_agg_buckets;
     Obs.add m_agg_rows (List.length rows);
@@ -887,14 +803,14 @@ let aggregate ?(domains = 1) ?pool ?owned (et : enc_table) (tok : token) : agg_r
     let sums, counts_l1, counts_l2 =
       (* The caller runs one chunk itself, so [workers] helpers give
          [workers + 1]-way parallelism; tiny buckets stay inline. *)
-      let workers = match chunk_pool with Some p -> Pool.workers p | None -> 0 in
+      let workers = match pool with Some p -> Pool.workers p | None -> 0 in
       let chunk_count = workers + 1 in
       if workers = 0 || List.length rows < 2 * chunk_count then accumulate_inline rows
       else begin
         (* Round-robin split keeps chunks balanced. *)
         let chunks = Array.make chunk_count [] in
         List.iteri (fun i r -> chunks.(i mod chunk_count) <- r :: chunks.(i mod chunk_count)) rows;
-        let p = Option.get chunk_pool in
+        let p = Option.get pool in
         let futures =
           Array.to_list
             (Array.map (fun chunk -> Pool.submit p (fun () -> accumulate chunk))
@@ -906,22 +822,8 @@ let aggregate ?(domains = 1) ?pool ?owned (et : enc_table) (tok : token) : agg_r
     in
     { bucket_ids; group_size = List.length rows; blocks = { sums; counts_l1; counts_l2 } }
   in
-  (* A caller-supplied pool is shared and long-lived; otherwise
-     [domains] > 1 gets a transient pool spanning every bucket of this
-     call (the caller contributes the (+1)th domain). *)
-  let owned_pool =
-    match pool with
-    | Some _ -> None
-    | None when domains > 1 -> Some (Pool.create ~name:"aggregate" ~workers:(domains - 1) ())
-    | None -> None
-  in
-  let chunk_pool = match pool with Some _ -> pool | None -> owned_pool in
   let buckets =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Pool.shutdown owned_pool)
-      (fun () ->
-        Trace.with_span "pairing_loop" (fun () ->
-            List.map (aggregate_bucket chunk_pool) joint_bucket_rows))
+    Trace.with_span "pairing_loop" (fun () -> List.map aggregate_bucket joint_bucket_rows)
   in
   { buckets = sort_buckets buckets; touched_rows = !touched }
 
@@ -1052,13 +954,13 @@ let decrypt (c : client) (tok : token) (agg : agg_result) ~(total_rows : int) : 
 
 (* End-to-end convenience: token → aggregate → decrypt. The optional
    arguments default to the table's own mode and row count;
-   [domains]/[pool] parallelize the aggregation step. *)
-let query ?index_mode ?oxt_rows ?(domains = 1) ?pool (c : client) (et : enc_table) (q : Query.t) :
+   [pool] parallelizes the aggregation step. *)
+let query ?index_mode ?oxt_rows ?pool (c : client) (et : enc_table) (q : Query.t) :
     result_row list =
   let index_mode = Option.value index_mode ~default:et.index_mode in
   let oxt_rows = Option.value oxt_rows ~default:(Array.length et.rows) in
   let tok = Trace.with_span "token" (fun () -> token ~index_mode ~oxt_rows c q) in
-  let agg = Trace.with_span "aggregate" (fun () -> aggregate ~domains ?pool et tok) in
+  let agg = Trace.with_span "aggregate" (fun () -> aggregate ?pool et tok) in
   Trace.with_span "decrypt" (fun () ->
       decrypt c tok agg ~total_rows:(Array.length et.rows))
 

@@ -112,9 +112,6 @@ type enc_table = {
 (** What the server stores: semantically secure ciphertexts plus the SSE
     index — no keys. *)
 
-val enc_row_raw : client -> values:int array -> offsets:int array -> dummy:bool -> enc_row
-(** Algorithm 3 on pre-bucketized offsets (exposed for tests). *)
-
 val encrypt_table :
   ?dummy_groups:Value.t array list -> ?index_mode:index_mode -> client -> Table.t -> enc_table
 (** Algorithm 2. [dummy_groups] appends one all-zero dummy row per entry
@@ -228,7 +225,6 @@ val audited_oxt_search :
     probe. *)
 
 val aggregate :
-  ?domains:int ->
   ?pool:Sagma_pool.Pool.t ->
   ?owned:(int -> bool) ->
   enc_table ->
@@ -236,11 +232,9 @@ val aggregate :
   agg_result
 (** Algorithm 5. Deliberately takes only public data — no keys.
     Row work within each joint bucket is split across worker domains
-    (the paper's multi-core parallelization): pass [pool] to reuse a
-    long-lived pool spawned once per process (the caller runs one chunk
-    itself, so a [w]-worker pool gives [w + 1]-way parallelism), or
-    [domains] > 1 for a transient pool spanning this one call. [pool]
-    wins when both are given.
+    (the paper's multi-core parallelization) when [pool] is given: a
+    long-lived pool spawned once per process. The caller runs one chunk
+    itself, so a [w]-worker pool gives [w + 1]-way parallelism.
 
     [owned] restricts pairing work to the rows this node is responsible
     for in a sharded deployment (replicated storage, partitioned
@@ -276,7 +270,6 @@ val decrypt : client -> token -> agg_result -> total_rows:int -> result_row list
 val query :
   ?index_mode:index_mode ->
   ?oxt_rows:int ->
-  ?domains:int ->
   ?pool:Sagma_pool.Pool.t ->
   client ->
   enc_table ->
@@ -286,8 +279,7 @@ val query :
     ("token"/"aggregate"/"decrypt", see {!Sagma_obs.Trace}).
     [index_mode] defaults to the table's own mode and [oxt_rows] to its
     row count — override only to exercise a mismatch deliberately.
-    [domains]/[pool] parallelize the aggregation step as in
-    {!aggregate}. *)
+    [pool] parallelizes the aggregation step as in {!aggregate}. *)
 
 val aggregate_value : Query.t -> result_row -> float
 (** SUM/COUNT/AVG as the query requested. *)

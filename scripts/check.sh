@@ -213,6 +213,17 @@ assert all(e["spans"]["name"] == "request" and isinstance(e["spans"]["children"]
            for e in traced), traced' \
   "$OBS_DIR/server.jsonl"
 kill "$SERVER_PID" 2>/dev/null || true
+trap 'rm -rf "$OBS_DIR"' EXIT
+# SIGTERM stops the server gracefully; the --profile server then prints
+# its allocation sites, and the served SUMs allocate most in the
+# pairing loop.
+wait "$SERVER_PID"
+grep -q -- "-- top allocation sites --" "$OBS_DIR/server.out"
+TOP_SITE=$(awk '/^-- top allocation sites --$/ { getline; print $1; exit }' "$OBS_DIR/server.out")
+if [ "$TOP_SITE" != "pairing_loop" ]; then
+  echo "top allocation site is '$TOP_SITE', want pairing_loop" >&2
+  exit 1
+fi
 trap - EXIT
 rm -rf "$OBS_DIR"
 echo "observability smoke OK"

@@ -1123,7 +1123,7 @@ let test_prof_attributes_pairing_loop () =
 let test_prof_light_span () =
   with_metrics @@ fun () ->
   Prof.reset ();
-  Prof.start ~rate:1. ();
+  Prof.start ();
   Fun.protect
     ~finally:(fun () ->
       Prof.stop ();

@@ -93,8 +93,7 @@ let test_pooled_aggregate_matches () =
       check_res "shared pool" expected (results (Scheme.query ~pool:p client enc q));
       (* The pool survives a query and answers the next one too. *)
       check_res "shared pool, second query" expected
-        (results (Scheme.query ~pool:p client enc q)));
-  check_res "owned domains" expected (results (Scheme.query ~domains:3 client enc q))
+        (results (Scheme.query ~pool:p client enc q)))
 
 let () =
   Alcotest.run "pool"

@@ -882,11 +882,11 @@ let test_explain_bytes_out_exact () =
 
 (* A live TCP endpoint serving an arbitrary raw-frame handler — the
    building block for the cluster tests below. *)
-let with_handler ~port handler f =
+let with_handler ?(workers = 0) ~port handler f =
   let stop = Atomic.make false in
   let srv =
     Domain.spawn (fun () ->
-        Transport.listen_and_serve ~workers:0 ~max_conns:16 ~request_timeout_ms:0
+        Transport.listen_and_serve ~workers ~max_conns:16 ~request_timeout_ms:0
           ~stop:(fun () -> Atomic.get stop)
           ~port handler)
   in
@@ -970,6 +970,57 @@ let test_coordinator_scatter_gather () =
                 Alcotest.(check int) "appended count visible through the coordinator"
                   (count_before + 1) x_row.Scheme.count
               | _ -> Alcotest.fail "unexpected aggregate reply after append")))
+
+(* A slow append must not hold up queries: the coordinator serialises
+   appends (row-id stamping) but reads a table's public key apart from
+   that lock. Shard 0 sleeps on every Append and serves two connections
+   at once, so only the coordinator could make the Aggregate wait. *)
+let test_coordinator_query_during_append () =
+  let s0 = Server.create ~shard:(0, 2) () in
+  let s1 = Server.create ~shard:(1, 2) () in
+  let slow_appends raw =
+    (match P.decode_request raw with
+     | P.Append _ -> Unix.sleepf 0.5
+     | _ | (exception _) -> ());
+    Server.handle_encoded s0 raw
+  in
+  with_handler ~workers:2 ~port:7485 slow_appends (fun () ->
+      with_handler ~port:7486 (Server.handle_encoded s1) (fun () ->
+          let r = Router.create [ "7485"; "7486" ] in
+          Fun.protect
+            ~finally:(fun () -> Router.shutdown r)
+            (fun () ->
+              (match Router.handle r (P.Upload { name = "t"; table = enc }) with
+               | P.Ack -> ()
+               | _ -> Alcotest.fail "coordinator upload failed");
+              let aggregate () =
+                Router.handle r (P.Aggregate { name = "t"; token = Scheme.token client query })
+              in
+              (* Warm the shards' pairing precomputations, so the timed
+                 query below costs tens of milliseconds, not the first
+                 query's ~200. *)
+              ignore (aggregate ());
+              let row, keywords =
+                Scheme.append_payload client ~values:[| 1 |] ~groups:[| str "y" |]
+                  ~filters:[ ("f", vi 1) ]
+              in
+              let append =
+                Domain.spawn (fun () ->
+                    Router.handle r (P.Append { name = "t"; row; keywords; row_id = None }))
+              in
+              Unix.sleepf 0.05;
+              let t0 = Unix.gettimeofday () in
+              let reply = aggregate () in
+              let ms = (Unix.gettimeofday () -. t0) *. 1000. in
+              (match Domain.join append with
+               | P.Ack -> ()
+               | _ -> Alcotest.fail "coordinator append failed");
+              (match reply with
+               | P.Aggregates _ -> ()
+               | _ -> Alcotest.fail "expected Aggregates during the append");
+              Alcotest.(check bool)
+                (Printf.sprintf "aggregate did not wait behind the append (%.0f ms)" ms)
+                true (ms < 250.))))
 
 let test_coordinator_shard_down () =
   let s0 = Server.create ~shard:(0, 2) () in
@@ -1214,6 +1265,7 @@ let () =
       ( "coordinator",
         [ Alcotest.test_case "scatter-gather" `Quick test_coordinator_scatter_gather;
           Alcotest.test_case "shard down" `Quick test_coordinator_shard_down;
+          Alcotest.test_case "query during append" `Quick test_coordinator_query_during_append;
           Alcotest.test_case "health probing" `Quick test_coordinator_health_probing ] );
       ("transport", [ Alcotest.test_case "socket roundtrip" `Quick test_socket_roundtrip ]);
       ( "concurrency",

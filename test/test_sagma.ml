@@ -537,8 +537,13 @@ let test_parallel_aggregation_equivalent () =
   let enc = Scheme.encrypt_table client table in
   let q = Query.make ~group_by:[ "g1"; "g2" ] (Query.Sum "v") in
   let tok = Scheme.token client q in
-  let seq = Scheme.aggregate ~domains:1 enc tok in
-  let par = Scheme.aggregate ~domains:4 enc tok in
+  let seq = Scheme.aggregate enc tok in
+  let pool = Sagma_pool.Pool.create ~workers:3 () in
+  let par =
+    Fun.protect
+      ~finally:(fun () -> Sagma_pool.Pool.shutdown pool)
+      (fun () -> Scheme.aggregate ~pool enc tok)
+  in
   let dec agg =
     List.map
       (fun r -> (List.map Value.to_string r.Scheme.group, r.Scheme.sum, r.Scheme.count))
