@@ -35,6 +35,16 @@ let time_ms f =
   let r = f () in
   (r, (Unix.gettimeofday () -. t0) *. 1000.)
 
+(* Call [f] until [budget] seconds have passed; mean seconds per call. *)
+let mean_s ~budget f =
+  let t0 = Unix.gettimeofday () in
+  let iters = ref 0 in
+  while Unix.gettimeofday () -. t0 < budget do
+    ignore (f ());
+    incr iters
+  done;
+  (Unix.gettimeofday () -. t0) /. float_of_int !iters
+
 let header title = Printf.printf "\n== %s ==\n%!" title
 
 (* --- Figure 5: processing time vs number of rows --------------------------- *)
@@ -270,15 +280,7 @@ let ablation_karatsuba () =
       let b = Z.random_bits (Drbg.rng drbg) bits in
       let na = Sagma_bigint.Nat.of_hex (Z.to_hex a) in
       let nb = Sagma_bigint.Nat.of_hex (Z.to_hex b) in
-      let time_us f =
-        let t0 = Unix.gettimeofday () in
-        let iters = ref 0 in
-        while Unix.gettimeofday () -. t0 < 0.2 do
-          ignore (f ());
-          incr iters
-        done;
-        (Unix.gettimeofday () -. t0) *. 1_000_000. /. float_of_int !iters
-      in
+      let time_us f = mean_s ~budget:0.2 f *. 1_000_000. in
       let t_school = time_us (fun () -> Sagma_bigint.Nat.mul_schoolbook na nb) in
       let t_kara = time_us (fun () -> Sagma_bigint.Nat.mul na nb) in
       Printf.printf "%8d %16.2f %16.2f\n%!" bits t_school t_kara)
@@ -442,15 +444,7 @@ let ablation_montgomery () =
       let m = Z.random_prime (Drbg.rng drbg) ~bits in
       let base = Z.random_below (Drbg.rng drbg) m in
       let expo = Z.random_below (Drbg.rng drbg) m in
-      let time f =
-        let t0 = Unix.gettimeofday () in
-        let iters = ref 0 in
-        while Unix.gettimeofday () -. t0 < 0.3 do
-          ignore (f ());
-          incr iters
-        done;
-        (Unix.gettimeofday () -. t0) *. 1000. /. float_of_int !iters
-      in
+      let time f = mean_s ~budget:0.3 f *. 1000. in
       let t_naive = time (fun () -> powm_naive base expo m) in
       let t_mont = time (fun () -> Z.powm base expo m) in
       Printf.printf "%8d %18.3f %18.3f %8.2fx\n%!" bits t_naive t_mont (t_naive /. t_mont))

@@ -6,7 +6,6 @@
 
 module Drbg = Sagma_crypto.Drbg
 
-val modulus_bits : int
 val modulus : int
 
 type key

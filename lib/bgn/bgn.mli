@@ -41,8 +41,6 @@ val keygen : bits:int -> Drbg.t -> keypair
 (** [keygen ~bits] draws two primes of [bits/2] each. The paper's setting
     is 1024-bit n; tests and default benches use smaller moduli. *)
 
-val random_blinding : public_key -> Drbg.t -> Z.t
-
 (** {1 Level 1} *)
 
 val enc1 : public_key -> Drbg.t -> Z.t -> c1
@@ -112,9 +110,6 @@ val mul_many_pre : public_key -> (precomp1 * c1) list -> c2
 
 type dec1_table
 type dec2_table
-
-val curve_ops : public_key -> Curve.point Dlog.ops
-val gt_ops : public_key -> Fp2.t Dlog.ops
 
 val make_dec1_table : keypair -> max:int -> dec1_table
 val dec1 : keypair -> dec1_table -> max:int -> c1 -> int option

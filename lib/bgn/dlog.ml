@@ -55,8 +55,3 @@ let solve (t : 'a table) (target : 'a) ~(max : int) : int option =
     end
   in
   go 0 target
-
-let solve_exn t target ~max =
-  match solve t target ~max with
-  | Some x -> x
-  | None -> failwith "Dlog.solve_exn: no solution in range (plaintext overflow?)"

@@ -20,7 +20,3 @@ val make : 'a ops -> 'a -> max:int -> 'a table
 
 val solve : 'a table -> 'a -> max:int -> int option
 (** [solve t target ~max] finds x ∈ [\[0, max\]] with base^x = target. *)
-
-val solve_exn : 'a table -> 'a -> max:int -> int
-(** @raise Failure when no exponent in range matches (plaintext
-    overflow). *)

@@ -84,7 +84,6 @@ let ediv_rem a b =
   else if b.sign > 0 then (pred q, add r b)
   else (succ q, sub r b)
 
-let ediv a b = fst (ediv_rem a b)
 let erem a b = snd (ediv_rem a b)
 
 let shift_left a k = mk a.sign (Nat.shift_left a.mag k)
@@ -342,7 +341,10 @@ let miller_rabin_round n a =
     loop x 0
   end
 
-let is_probable_prime ?(rounds = 32) (rng : rng) (n : t) : bool =
+(* Random Miller–Rabin rounds after the fixed bases. *)
+let mr_rounds = 32
+
+let is_probable_prime (rng : rng) (n : t) : bool =
   if leq n one then false
   else if lt n (of_int 4) then true (* 2, 3 *)
   else if is_even n then false
@@ -369,7 +371,7 @@ let is_probable_prime ?(rounds = 32) (rng : rng) (n : t) : bool =
       if not fixed_ok then false
       else begin
         let rec random_rounds i =
-          if i >= rounds then true
+          if i >= mr_rounds then true
           else begin
             let a = add (random_below rng (sub n (of_int 3))) two in
             if miller_rabin_round n a then random_rounds (i + 1) else false
@@ -380,7 +382,7 @@ let is_probable_prime ?(rounds = 32) (rng : rng) (n : t) : bool =
     end
   end
 
-let random_prime ?(rounds = 32) (rng : rng) ~(bits : int) : t =
+let random_prime (rng : rng) ~(bits : int) : t =
   if bits < 2 then invalid_arg "Bigint.random_prime: bits < 2";
   let rec go () =
     let candidate = random_bits rng (bits - 1) in
@@ -390,7 +392,7 @@ let random_prime ?(rounds = 32) (rng : rng) ~(bits : int) : t =
         (if is_even candidate then succ candidate else candidate)
     in
     let candidate = if num_bits candidate > bits then pred (shift_left one bits) else candidate in
-    if is_probable_prime ~rounds rng candidate then candidate else go ()
+    if is_probable_prime rng candidate then candidate else go ()
   in
   go ()
 

@@ -30,7 +30,6 @@ val sign : t -> int
 
 val is_zero : t -> bool
 val is_even : t -> bool
-val is_odd : t -> bool
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val lt : t -> t -> bool
@@ -62,7 +61,6 @@ val rem : t -> t -> t
 val ediv_rem : t -> t -> t * t
 (** Euclidean division: the remainder is always in [\[0, |b|)]. *)
 
-val ediv : t -> t -> t
 val erem : t -> t -> t
 
 val shift_left : t -> int -> t
@@ -176,11 +174,11 @@ val random_bits : rng -> int -> t
 val random_below : rng -> t -> t
 (** Uniform value in [\[0, bound)] (rejection sampling). *)
 
-val is_probable_prime : ?rounds:int -> rng -> t -> bool
+val is_probable_prime : rng -> t -> bool
 (** Trial division by small primes, deterministic Miller–Rabin bases up to
-    37, then [rounds] random Miller–Rabin rounds. *)
+    37, then 32 random Miller–Rabin rounds. *)
 
-val random_prime : ?rounds:int -> rng -> bits:int -> t
+val random_prime : rng -> bits:int -> t
 (** Random probable prime of exactly [bits] bits. *)
 
 (** Operators for readable arithmetic-heavy code; [mod] is Euclidean. *)

@@ -32,23 +32,14 @@ val add : t -> t -> t
 val sub : t -> t -> t
 (** @raise Invalid_argument on underflow. *)
 
-val add_int : t -> int -> t
-val mul_limb : t -> int -> t
-
 val mul_schoolbook : t -> t -> t
 (** O(n²) multiplication (kept public for the Karatsuba ablation). *)
 
-val karatsuba_threshold : int
-
 val mul : t -> t -> t
-(** Schoolbook below {!karatsuba_threshold} limbs, Karatsuba above. *)
+(** Schoolbook below 80 limbs, Karatsuba above. *)
 
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t
-val shift_limbs : t -> int -> t
-val split_at : t -> int -> t * t
-
-val divmod_limb : t -> int -> t * int
 
 val divmod : t -> t -> t * t
 (** Knuth TAOCP Algorithm D. @raise Division_by_zero. *)

@@ -12,9 +12,5 @@ val block_size : int
 val block : key:string -> nonce:string -> int -> string
 (** [block ~key ~nonce counter] is one 64-byte keystream block. *)
 
-val xor_stream : ?counter:int -> key:string -> nonce:string -> string -> string
-(** XOR a message with the keystream starting at block [counter]
-    (default 1). Encryption and decryption are the same operation. *)
-
 val encrypt : ?counter:int -> key:string -> nonce:string -> string -> string
 val decrypt : ?counter:int -> key:string -> nonce:string -> string -> string

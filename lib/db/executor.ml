@@ -42,12 +42,3 @@ let run (t : Table.t) (q : Query.t) : result_row list =
     (Table.rows t);
   Hashtbl.fold (fun group (sum, count) acc -> { group; sum; count } :: acc) groups []
   |> List.sort (fun a b -> Stdlib.compare (List.map Value.to_string a.group) (List.map Value.to_string b.group))
-
-let pp_results fmt (q : Query.t) (results : result_row list) =
-  Format.fprintf fmt "%s | %s@." (Query.aggregate_name q.Query.aggregate)
-    (String.concat " | " q.Query.group_by);
-  List.iter
-    (fun r ->
-      Format.fprintf fmt "%g | %s@." (aggregate_value q r)
-        (String.concat " | " (List.map Value.to_string r.group)))
-    results

@@ -10,10 +10,5 @@ type result_row = {
 val aggregate_value : Query.t -> result_row -> float
 (** The aggregate the query asked for, derived from sum/count. *)
 
-val matches_where : Table.t -> (string * Value.t) list -> Value.t array -> bool
-val matches_ranges : Table.t -> (string * int * int) list -> Value.t array -> bool
-
 val run : Table.t -> Query.t -> result_row list
 (** Evaluate the query; results sorted by group key. *)
-
-val pp_results : Format.formatter -> Query.t -> result_row list -> unit

@@ -55,8 +55,3 @@ let query_sum_by_returnflag =
 
 let query_count_by_flag_status =
   Query.make ~group_by:[ "l_returnflag"; "l_linestatus" ] Query.Count
-
-let query_sum_by_flag_status_month =
-  Query.make
-    ~group_by:[ "l_returnflag"; "l_linestatus"; "l_shipmonth" ]
-    (Query.Sum "l_quantity")

@@ -18,4 +18,3 @@ val generate : rows:int -> Drbg.t -> Table.t
 
 val query_sum_by_returnflag : Query.t
 val query_count_by_flag_status : Query.t
-val query_sum_by_flag_status_month : Query.t

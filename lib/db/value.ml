@@ -37,5 +37,3 @@ let as_int = function
   | Str s -> invalid_arg (Printf.sprintf "Value.as_int: %S is not an Int" s)
 
 let pp fmt v = Format.pp_print_string fmt (to_string v)
-
-let ty_to_string = function TInt -> "int" | TStr -> "str"

@@ -25,4 +25,3 @@ val as_int : t -> int
 (** @raise Invalid_argument on strings. *)
 
 val pp : Format.formatter -> t -> unit
-val ty_to_string : ty -> string

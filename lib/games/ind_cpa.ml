@@ -19,8 +19,6 @@ type scheme = {
       (* key generation, then an encryptor to ciphertext bytes *)
 }
 
-let scheme_name (s : scheme) : string = s.name
-
 (* Key sizes match the repository's test defaults: far below the
    paper's 1024-bit production setting, large enough that ciphertext
    bytes carry no small-modulus artifacts. *)

@@ -18,8 +18,6 @@ type scheme
 (** A byte-level encryption scheme under test: one-time key generation
     plus an [int -> bytes] encryptor. *)
 
-val scheme_name : scheme -> string
-
 val bgn : scheme
 (** BGN level-1 encryption, ciphertext = serialized curve point. *)
 

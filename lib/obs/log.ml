@@ -54,12 +54,6 @@ let detach () =
   sink := None;
   Mutex.unlock lock
 
-let to_channel oc =
-  detach ();
-  Mutex.lock lock;
-  sink := Some { oc; close_on_detach = false };
-  Mutex.unlock lock
-
 let to_file path =
   detach ();
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in

@@ -6,14 +6,13 @@
     {"ts":1722871234.561,"level":"info","event":"request.done","req":17,"kind":"Aggregate","ms":41.2}
     v}
 
-    Logging is off until a sink is attached ({!to_file} / {!to_channel});
+    Logging is off until a sink is attached ({!to_file});
     with no sink, {!event} is a load and a comparison, so request paths
     can stay instrumented unconditionally. Emission takes a mutex, so
     the transport accept loop and handlers may log concurrently. *)
 
 type level = Debug | Info | Warn | Error
 
-val level_to_string : level -> string
 val level_of_string : string -> level option
 
 (** {1 Configuration} *)
@@ -24,9 +23,6 @@ val set_level : level -> unit
 val to_file : string -> unit
 (** Attach a JSON-lines sink appending to [path] (created 0o644),
     replacing any previous sink. *)
-
-val to_channel : out_channel -> unit
-(** Attach an already-open channel (not closed on {!detach}). *)
 
 val detach : unit -> unit
 (** Flush and drop the sink (closing it if {!to_file} opened it);

@@ -94,9 +94,6 @@ let scope_current () : scope option = !(Domain.DLS.get active_scope)
 let scope_get (s : scope) (name : string) : int =
   match scope_slot name with -1 -> 0 | i -> Atomic.get s.(i)
 
-let scope_counters (s : scope) : (string * int) list =
-  Array.to_list (Array.mapi (fun i v -> (scope_names.(i), Atomic.get v)) s)
-
 let scope_bump (slot : int) (n : int) : unit =
   if slot >= 0 then
     match !(Domain.DLS.get active_scope) with

@@ -91,9 +91,6 @@ val scope_current : unit -> scope option
 val scope_get : scope -> string -> int
 (** Delta recorded for a tracked counter name (0 for untracked names). *)
 
-val scope_counters : scope -> (string * int) list
-(** Every tracked counter with its recorded delta, in registry order. *)
-
 (** {1 Snapshots} *)
 
 val bucket_bounds : float array

@@ -54,8 +54,6 @@ type cost = {
   bytes_out : int;
 }
 
-val zero_cost : cost
-
 val cost_fields : cost -> (string * int) list
 (** Every cost field with its stable name, declaration order — for log
     events, CLI printing and JSON emitters. *)

@@ -70,6 +70,3 @@ let smul (pk : public_key) (k : Z.t) (a : ciphertext) : ciphertext =
   Z.powm a (Z.erem k pk.n) pk.n2
 
 let zero (pk : public_key) (drbg : Drbg.t) : ciphertext = encrypt pk drbg Z.zero
-
-let rerandomize (pk : public_key) (drbg : Drbg.t) (a : ciphertext) : ciphertext =
-  add pk a (zero pk drbg)

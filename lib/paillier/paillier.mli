@@ -29,4 +29,3 @@ val smul : public_key -> Z.t -> ciphertext -> ciphertext
 (** Multiply the plaintext by a public scalar. *)
 
 val zero : public_key -> Drbg.t -> ciphertext
-val rerandomize : public_key -> Drbg.t -> ciphertext -> ciphertext

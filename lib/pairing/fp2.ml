@@ -12,8 +12,6 @@ let make ~p re im = { re = Z.erem re p; im = Z.erem im p }
 let zero = { re = Z.zero; im = Z.zero }
 let one = { re = Z.one; im = Z.zero }
 
-let of_fp (a : Z.t) : t = { re = a; im = Z.zero }
-
 let equal a b = Z.equal a.re b.re && Z.equal a.im b.im
 let is_zero a = Z.is_zero a.re && Z.is_zero a.im
 let is_one a = Z.equal a.re Z.one && Z.is_zero a.im

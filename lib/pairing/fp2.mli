@@ -12,9 +12,6 @@ val make : p:Z.t -> Z.t -> Z.t -> t
 val zero : t
 val one : t
 
-val of_fp : Z.t -> t
-(** Embed a base-field element. *)
-
 val equal : t -> t -> bool
 val is_zero : t -> bool
 val is_one : t -> bool

@@ -42,6 +42,8 @@ let domain_gen ~(max_size : int) : Value.t list Gen.t =
               (Gen.shuffle [ 0; 1; 2; 3; 4; 5; 6; 7 ])
             |> Gen.map (List.map (fun i -> Value.Int i))))
 
+(* Random GROUP BY subset (≤ t), SUM/COUNT/AVG, optional equality
+   filter — sometimes on a value absent from the table. *)
 let query_gen (sc_groups : (string * Value.t list) list)
     (sc_filters : (string * Value.t list) list) (value_columns : string list)
     ~(max_group_attrs : int) : Query.t Gen.t =

@@ -21,18 +21,6 @@ type scenario = {
   queries : Query.t list;
 }
 
-val domain_gen : max_size:int -> Value.t list Gen.t
-(** Distinct string- or int-typed domain of 1..max_size values. *)
-
-val query_gen :
-  (string * Value.t list) list ->
-  (string * Value.t list) list ->
-  string list ->
-  max_group_attrs:int ->
-  Query.t Gen.t
-(** Random GROUP BY subset (≤ t), SUM/COUNT/AVG, optional equality
-    filter — sometimes on a value absent from the table. *)
-
 val scenario_gen : ?max_rows:int -> ?max_queries:int -> unit -> scenario Gen.t
 
 val equal_leakage_pair_gen :

@@ -14,7 +14,6 @@ type 'a t = Drbg.t -> 'a
 val return : 'a -> 'a t
 val map : ('a -> 'b) -> 'a t -> 'b t
 val map2 : ('a -> 'b -> 'c) -> 'a t -> 'b t -> 'c t
-val map3 : ('a -> 'b -> 'c -> 'd) -> 'a t -> 'b t -> 'c t -> 'd t
 val bind : 'a t -> ('a -> 'b t) -> 'b t
 val pair : 'a t -> 'b t -> ('a * 'b) t
 val triple : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
@@ -44,10 +43,8 @@ val frequency : (int * 'a t) list -> 'a t
 
 val list_size : int t -> 'a t -> 'a list t
 val list : ?max_len:int -> 'a t -> 'a list t
-val array_size : int t -> 'a t -> 'a array t
 val array : ?max_len:int -> 'a t -> 'a array t
 
-val string_size : ?chars:char t -> int t -> string t
 val string : ?max_len:int -> unit -> string t
 (** Printable ASCII. *)
 
@@ -63,12 +60,6 @@ val subset : 'a list -> 'a list t
 
 val bigint_bits : int -> Z.t t
 val bigint_below : Z.t -> Z.t t
-
-val bigint_boundary : Z.t t
-(** Values hugging the 26-bit limb boundaries of the bignum
-    representation: [2^26k ± δ], all-ones limb runs, single high limbs
-    with the top bit set — where carry, borrow and normalization bugs
-    live. *)
 
 val bigint : ?bits:int -> unit -> Z.t t
 (** Mixes uniform values (up to [bits], default 192), limb-boundary

@@ -33,8 +33,6 @@ val test : ?count:int -> name:string -> 'a arbitrary -> ('a -> bool) -> test
     are drawn per run. The property fails by returning [false] or
     raising (other than {!Discard}). *)
 
-val default_seed : string
-
 val case_seed : string -> int -> string
 (** [case_seed seed i] is the seed of case [i]: [seed] itself for
     [i = 0], [seed ^ "@" ^ i] otherwise — the string failure reports

@@ -25,10 +25,6 @@ let int : int t =
     candidates x
   end
 
-(* Shrink toward [lo] rather than 0. *)
-let int_toward (lo : int) : int t =
- fun x -> Seq.map (fun d -> lo + d) (int (x - lo))
-
 let bigint : Z.t t =
  fun x ->
   if Z.is_zero x then Seq.empty

@@ -11,7 +11,6 @@ val nothing : 'a t
 val int : int t
 (** Halving walk toward zero. *)
 
-val int_toward : int -> int t
 val bigint : Z.t t
 val option : 'a t -> 'a option t
 val pair : 'a t -> 'b t -> ('a * 'b) t

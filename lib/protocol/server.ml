@@ -103,6 +103,7 @@ let table_names (s : t) : (string * int) list =
       Hashtbl.fold (fun name e acc -> (name, Array.length e.table.Scheme.rows) :: acc) s.tables [])
   |> List.sort compare
 
+(* Stable kebab-case name of the request constructor (log field). *)
 let request_kind : Protocol.request -> string = function
   | Protocol.Upload _ -> "upload"
   | Protocol.Aggregate _ -> "aggregate"
@@ -203,7 +204,13 @@ let handle (s : t) (req : Protocol.request) : Protocol.response =
         | Some e -> (
           let et = e.table in
           let local = Array.length et.Scheme.rows in
+          let encode_row = Sagma_wire.Wire.encode Sagma.Serialize.put_enc_row in
           match row_id with
+          | Some id when 0 <= id && id < local && encode_row et.Scheme.rows.(id) = encode_row row ->
+            (* A coordinator retry of a row this replica already applied
+               (another shard failed the first attempt): acknowledging it
+               unchanged lets the fleet converge instead of wedging. *)
+            Protocol.Ack
           | Some id when id <> local ->
             (* A coordinator-stamped id that is not our next position
                means this replica diverged from the fleet; refusing is

@@ -59,11 +59,6 @@ val health_status :
     unreachable shard means ["degraded"], else ["ok"]. Shared with
     {!Router}. *)
 
-val table_names : t -> (string * int) list
-
-val request_kind : Protocol.request -> string
-(** Stable kebab-case name of the request constructor (log field). *)
-
 val validate_table_name : string -> string option
 (** [Some message] when a table name must be rejected with
     [Bad_request] — empty, or longer than 1024 bytes (an unlistable or

@@ -132,7 +132,7 @@ let peer_name = function
   | Unix.ADDR_INET (addr, port) -> Printf.sprintf "%s:%d" (Unix.string_of_inet_addr addr) port
   | Unix.ADDR_UNIX path -> path
 
-let listen_and_serve ?(backlog = 64) ?after_request ?(workers = 0) ?(max_conns = 64)
+let listen_and_serve ?after_request ?(workers = 0) ?(max_conns = 64)
     ?request_timeout_ms ?(max_frame = default_server_max_frame)
     ?(stop = fun () -> false) ~(port : int) (handler : string -> string) : unit =
   (* A peer that disappears mid-reply must surface as EPIPE on the
@@ -143,7 +143,7 @@ let listen_and_serve ?(backlog = 64) ?after_request ?(workers = 0) ?(max_conns =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
   Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.listen sock backlog;
+  Unix.listen sock 64;
   (* In-flight bookkeeping. [conns] lets the drain path unblock reads
      that are still waiting on slow peers; closing happens exactly once,
      under the registry lock, so a drained fd can never be reused by a

@@ -56,7 +56,6 @@ val serve_connection :
     loops are agnostic to the node's role. *)
 
 val listen_and_serve :
-  ?backlog:int ->
   ?after_request:(unit -> unit) ->
   ?workers:int ->
   ?max_conns:int ->

@@ -11,17 +11,6 @@ module Value = Sagma_db.Value
 type auxiliary = (Value.t * int) list
 (** The attacker's auxiliary plaintext distribution. *)
 
-val frequency_match : (string * int) list -> auxiliary -> (string * Value.t) list
-(** Align observed tag frequencies with auxiliary frequencies (the
-    optimal attack when frequencies are distinct). *)
-
-val recovery_rate :
-  truth:(string * Value.t) list ->
-  freqs:(string * int) list ->
-  (string * Value.t) list ->
-  float
-(** Row-weighted fraction of correctly recovered values. *)
-
 val attack_cryptdb :
   leaked:(string * int) list -> aux:auxiliary -> truth:(string * Value.t) list -> float
 (** Run the frequency attack against a CryptDB-style deterministic

@@ -36,8 +36,6 @@ val dummy_rows : Mapping.t array -> (Value.t * int) list array -> Value.t array 
 
 (** {1 Attribute value splits (§5)} *)
 
-val split_name : string -> int -> string
-
 val split_column : Table.t -> column:string -> value:Value.t -> parts:int -> Table.t
 (** Replace a high-frequency value by round-robin sub-values g.1 … g.k.
     Only string values are splittable. *)

@@ -21,8 +21,6 @@ let create ?mapping_strategy ?(seed = "sagma-client") ~config ~domains () : t =
   in
   { client; table = None }
 
-let of_client ?table (client : Scheme.client) : t = { client; table }
-
 let client (t : t) : Scheme.client = t.client
 
 let mappings (t : t) : Mapping.t array = t.client.Scheme.mappings

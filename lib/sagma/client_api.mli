@@ -34,10 +34,6 @@ val create :
     full value domain; [seed] (default ["sagma-client"]) seeds the
     deterministic DRBG, so equal seeds give identical keys. *)
 
-val of_client : ?table:Scheme.enc_table -> Scheme.client -> t
-(** Wrap an existing scheme-level client (e.g. one restored through
-    [Serialize.client_of_string]). *)
-
 val client : t -> Scheme.client
 (** The underlying scheme-level client, for interop with {!Scheme} and
     [Sagma_protocol]. *)

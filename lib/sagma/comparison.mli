@@ -12,6 +12,4 @@ type scheme_row = {
 }
 
 val rows : scheme_row list
-val security_glyph : security -> string
-val bool_glyph : bool -> string
 val render : unit -> string

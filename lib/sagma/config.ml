@@ -28,8 +28,6 @@ type t = {
   (* |D_V|: bit width of a value-column entry (paper: 32). *)
 }
 
-let default_value_columns = [ "value" ]
-
 let make ?(bucket_size = 2) ?(max_group_attrs = 3) ?(filter_columns = [])
     ?(range_filter_columns = []) ?(range_bits = 16) ?(bgn_bits = 64) ?(channel_bits = 12)
     ?(value_bits = 32) ~value_columns ~group_columns () : t =

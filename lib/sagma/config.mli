@@ -27,8 +27,6 @@ type t = {
       (** |D_V|: bit width of a value entry (paper: 32) *)
 }
 
-val default_value_columns : string list
-
 val make :
   ?bucket_size:int ->
   ?max_group_attrs:int ->

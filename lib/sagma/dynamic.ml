@@ -86,11 +86,6 @@ let shift_terms (c : client) (row : enc_row) (channel : int) const : (Z.t * Bgn.
   let coeffs = c.shift_polys.(channel) in
   const :: List.mapi (fun e mono -> (coeffs.(e + 1), mono)) (Array.to_list row.monomial_cts)
 
-let shift_ct (c : client) (row : enc_row) (channel : int) : Bgn.c1 =
-  let pk = c.kp.Bgn.pk in
-  let const = (c.shift_polys.(channel).(0), pk.Bgn.g) in
-  (Bgn.lincomb1_batch pk [| shift_terms c row channel const |]).(0)
-
 type bucket_aggregate = {
   agg_bucket : int;
   sum_cts : Bgn.c2 array;    (* per channel: Σ e(value, shift) *)

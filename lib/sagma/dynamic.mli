@@ -47,10 +47,6 @@ type enc_row = {
 
 val enc_row : client -> value:int -> group:Value.t -> enc_row
 
-val shift_ct : client -> enc_row -> int -> Bgn.c1
-(** Server-side: the encrypted per-channel shift, from the packed
-    polynomial over the monomials. *)
-
 type bucket_aggregate = {
   agg_bucket : int;
   sum_cts : Bgn.c2 array;

@@ -128,6 +128,9 @@ let equal (a : t) (b : t) : bool = canonical a = canonical b
 module Audit = Sagma_obs.Audit
 module Int_set = Set.Make (Int)
 
+(* The exact probe set (kind, tag, posting list) an honest execution of
+   Algorithm 5 may produce for this token, plus a tight bound on the rows
+   entering the pairing loop. *)
 let audit_prediction (et : Scheme.enc_table) (tok : Scheme.token) :
     (string * string * int list) list * int =
   let obs_of kind t =

@@ -32,9 +32,6 @@ type t = {
   queries : query_leakage list;
 }
 
-val observe_token : Sse.index -> Sse.token -> sse_observation
-(** What a persistent honest-but-curious server records per keyword. *)
-
 val of_query : Scheme.enc_table -> Scheme.token -> query_leakage
 
 val profile : Scheme.enc_table -> Scheme.token list -> t
@@ -55,20 +52,16 @@ val equal : t -> t -> bool
 (** {1 Leakage audit}
 
     {!Scheme.aggregate} records every index access it performs as a
-    {!Sagma_obs.Audit} probe; these derive the matching prediction from
-    the declared leakage, so an audited trace can be replayed against
-    what L licenses. *)
-
-val audit_prediction :
-  Scheme.enc_table -> Scheme.token -> (string * string * int list) list * int
-(** The exact probe set (kind, tag, posting list) an honest execution of
-    Algorithm 5 may produce for this token, plus a tight bound on the
-    rows entering the pairing loop. *)
+    {!Sagma_obs.Audit} probe; {!audit_check} derives the matching
+    prediction from the declared leakage, so an audited trace can be
+    replayed against what L licenses. *)
 
 val audit_check :
   Scheme.enc_table -> Scheme.token -> Sagma_obs.Audit.trace -> Sagma_obs.Audit.verdict
-(** [Audit.check] against {!audit_prediction}: fails iff the server
-    observed anything the declared leakage does not predict. *)
+(** [Audit.check] against the exact probe set (kind, tag, posting list)
+    an honest execution of Algorithm 5 may produce for this token, plus
+    a tight bound on the rows entering the pairing loop: fails iff the
+    server observed anything the declared leakage does not predict. *)
 
 type simulated = {
   sim_rows : Scheme.enc_row array;

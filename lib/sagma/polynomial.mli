@@ -10,9 +10,6 @@
 
 module Z = Sagma_bigint.Bigint
 
-val expand_roots : n:Z.t -> int list -> Z.t array
-(** Coefficients of Π (X − k) mod n, lowest degree first. *)
-
 val eval : n:Z.t -> Z.t array -> int -> Z.t
 (** Horner evaluation (the tests' oracle). *)
 

@@ -493,9 +493,9 @@ let token ?(index_mode = Per_attribute) ?(oxt_rows : int option) (c : client) (q
    any WHERE filtering — filtering happens on the server after the read,
    so the read itself is what leaks) under the token's deterministic tag
    (the search pattern). [Leakage] derives the matching prediction from
-   the declared leakage function; Audit.check compares the two. The
-   helpers are exported so tests can drive a forged probe through the
-   production recording path. *)
+   the declared leakage function; Audit.check compares the two.
+   [audited_search] is exported so tests can drive a forged probe
+   through the production recording path. *)
 
 let audited_search ~(kind : string) (index : Sse.index) (t : Sse.token) : int list =
   let rows = Sse.search index t in
@@ -507,6 +507,7 @@ let audited_search ~(kind : string) (index : Sse.index) (t : Sse.token) : int li
 let oxt_stag_tag (st : Oxt.stag) : string =
   Sagma_crypto.Encoding.to_hex (String.sub st.Oxt.s_keyword_key 0 8)
 
+(* OXT conjunction search (sorted row ids) plus an ["oxt.bucket"] probe. *)
 let audited_oxt_search (params : Oxt.params) (oxt : Oxt.index) (st : Oxt.stag)
     (xtoks : Curve.point array array) : int list =
   let rows = List.sort compare (Oxt.search params oxt st xtoks) in

@@ -118,11 +118,7 @@ val encrypt_table :
     (each an array of group-column values, §5), switching counting to
     {!Count_paired}. *)
 
-val bucket_keyword : column:int -> bucket:int -> string
-val joint_keyword : columns:int array -> buckets:int array -> string
 val filter_keyword : column:string -> Value.t -> string
-val range_keyword : column:string -> Sagma_sse.Dyadic.interval -> string
-val column_subsets : l:int -> t:int -> int array array
 
 (** {1 Database updates} *)
 
@@ -218,11 +214,6 @@ val oxt_stag_tag : Oxt.stag -> string
 (** Deterministic public identity of an OXT conjunction (the s-term
     stag's keyword-key prefix) — the tag both the auditor and
     {!Leakage.of_query} record it under. *)
-
-val audited_oxt_search :
-  Oxt.params -> Oxt.index -> Oxt.stag -> Curve.point array array -> int list
-(** OXT conjunction search (sorted row ids) plus an ["oxt.bucket"]
-    probe. *)
 
 val aggregate :
   ?pool:Sagma_pool.Pool.t ->

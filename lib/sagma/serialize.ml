@@ -393,17 +393,6 @@ let get_agg_result (s : W.source) : Scheme.agg_result =
   let touched_rows = W.get_int s in
   { Scheme.buckets; touched_rows }
 
-let put_result_row (s : W.sink) (r : Scheme.result_row) : unit =
-  W.put_list s put_value r.Scheme.group;
-  W.put_int s r.Scheme.sum;
-  W.put_int s r.Scheme.count
-
-let get_result_row (s : W.source) : Scheme.result_row =
-  let group = W.get_list s get_value in
-  let sum = W.get_int s in
-  let count = W.get_int s in
-  { Scheme.group; sum; count }
-
 (* --- secret client state -------------------------------------------------------------
 
    Contains the BGN factorization, the SSE key and the secret mappings:

@@ -11,8 +11,6 @@ module W = Sagma_wire.Wire
 module Z = Sagma_bigint.Bigint
 module Value = Sagma_db.Value
 module Curve = Sagma_pairing.Curve
-module Fp2 = Sagma_pairing.Fp2
-module Bgn = Sagma_bgn.Bgn
 module Sse = Sagma_sse.Sse
 module Drbg = Sagma_crypto.Drbg
 
@@ -27,38 +25,15 @@ val max_pk_bits : int ref
 val put_z : W.sink -> Z.t -> unit
 val get_z : W.source -> Z.t
 val put_point : W.sink -> Curve.point -> unit
-val get_point : W.source -> Curve.point
-val put_fp2 : W.sink -> Fp2.t -> unit
-val get_fp2 : W.source -> Fp2.t
 val put_value : W.sink -> Value.t -> unit
 val get_value : W.source -> Value.t
-
-(** {1 Keys and parameters} *)
-
-val put_bgn_pk : W.sink -> Bgn.public_key -> unit
-val get_bgn_pk : W.source -> Bgn.public_key
-val put_config : W.sink -> Config.t -> unit
-val get_config : W.source -> Config.t
-val put_public_params : W.sink -> Scheme.public_params -> unit
-val get_public_params : W.source -> Scheme.public_params
 
 (** {1 Encrypted data} *)
 
 val put_enc_row : W.sink -> Scheme.enc_row -> unit
 val get_enc_row : W.source -> Scheme.enc_row
-val put_sse_index : W.sink -> Sse.index -> unit
-val get_sse_index : W.source -> Sse.index
 val put_enc_table : W.sink -> Scheme.enc_table -> unit
 val get_enc_table : W.source -> Scheme.enc_table
-
-(** {1 OXT components} *)
-
-module Oxt = Sagma_sse.Oxt
-
-val put_oxt_stag : W.sink -> Oxt.stag -> unit
-val get_oxt_stag : W.source -> Oxt.stag
-val put_oxt_index : W.sink -> Oxt.index -> unit
-val get_oxt_index : W.source -> Oxt.index
 
 (** {1 Tokens and aggregates} *)
 
@@ -66,23 +41,8 @@ val put_sse_token : W.sink -> Sse.token -> unit
 val get_sse_token : W.source -> Sse.token
 val put_token : W.sink -> Scheme.token -> unit
 val get_token : W.source -> Scheme.token
-val put_block_aggregates : W.sink -> Scheme.block_aggregates -> unit
-val get_block_aggregates : W.source -> Scheme.block_aggregates
-val put_bucket_aggregate : W.sink -> Scheme.bucket_aggregate -> unit
-val get_bucket_aggregate : W.source -> Scheme.bucket_aggregate
 val put_agg_result : W.sink -> Scheme.agg_result -> unit
 val get_agg_result : W.source -> Scheme.agg_result
-val put_result_row : W.sink -> Scheme.result_row -> unit
-val get_result_row : W.source -> Scheme.result_row
-
-(** {1 Secret client state} *)
-
-val put_client : W.sink -> Scheme.client -> unit
-(** Contains the BGN factorization, SSE key and secret mappings. *)
-
-val get_client : drbg:Drbg.t -> W.source -> Scheme.client
-(** [drbg] supplies fresh randomness for future encryptions; decryption
-    tables start empty. *)
 
 (** {1 Whole-value helpers} *)
 
@@ -93,4 +53,9 @@ val token_of_string : string -> Scheme.token
 val agg_result_to_string : Scheme.agg_result -> string
 val agg_result_of_string : string -> Scheme.agg_result
 val client_to_string : Scheme.client -> string
+(** The secret client state: contains the BGN factorization, SSE key
+    and secret mappings. *)
+
 val client_of_string : drbg:Drbg.t -> string -> Scheme.client
+(** [drbg] supplies fresh randomness for future encryptions; decryption
+    tables start empty. *)

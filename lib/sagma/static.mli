@@ -20,8 +20,6 @@ type client = {
   drbg : Drbg.t;
 }
 
-val blocks_per_ciphertext : Paillier.public_key -> value_bits:int -> int
-
 val setup :
   ?paillier_bits:int ->
   ?value_bits:int ->

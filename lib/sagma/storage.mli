@@ -23,9 +23,6 @@ val sagma_server : l:int -> t:int -> k:int -> r:int -> b:int -> int
 
 (** {1 Table 10: client operations per query} *)
 
-val result_count : t:int -> d:int -> int
-(** C = |D|^t. *)
-
 val precomputed_client : int
 val seabed_client : rho:int -> t:int -> d:int -> int
 val sagma_client : t:int -> d:int -> int

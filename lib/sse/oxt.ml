@@ -41,8 +41,8 @@ type params = {
    carry no secrets. *)
 let default_order = Z.of_string "170141183460469231731687303715884105727"
 
-let make_params ?(order = default_order) () : params =
-  let group = Pairing.make_group order in
+let make_params () : params =
+  let group = Pairing.make_group default_order in
   let seed = Drbg.create "oxt-generator" in
   { group; base = Pairing.random_order_n_point group (Drbg.rng seed) }
 

@@ -21,8 +21,7 @@ type params = {
   base : Curve.point;
 }
 
-val default_order : Z.t
-val make_params : ?order:Z.t -> unit -> params
+val make_params : unit -> params
 
 type key = { k_t : Prf.key; k_x : Prf.key; k_i : Prf.key; k_z : Prf.key }
 (** Exposed for serialization; treat as an opaque secret. *)

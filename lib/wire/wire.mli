@@ -44,7 +44,6 @@ type source
 
 val source : string -> source
 val remaining : source -> int
-val ensure : source -> int -> unit
 
 val get_count : source -> int
 (** A u32 element count, validated against the bytes remaining (each

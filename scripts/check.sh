@@ -9,6 +9,10 @@ cd "$(dirname "$0")/.."
 echo "== dune build =="
 dune build @all
 
+echo "== dead exports =="
+# Every val in a lib/**/*.mli must have a caller outside its own module.
+sh scripts/dead_exports.sh
+
 echo "== dune runtest =="
 dune runtest
 

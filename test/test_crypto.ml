@@ -99,53 +99,6 @@ let test_chacha20_encrypt_vector () =
     ct;
   Alcotest.(check string) "roundtrip" plaintext (C.Chacha20.decrypt ~counter:1 ~key ~nonce ct)
 
-(* --- AES / AES-GCM: FIPS 197 + McGrew-Viega vectors --- *)
-
-let test_aes_fips197 () =
-  let pt = Hex.of_hex "00112233445566778899aabbccddeeff" in
-  let k128 = C.Aes.expand_key (Hex.of_hex "000102030405060708090a0b0c0d0e0f") in
-  check_hex "aes-128 C.1" "69c4e0d86a7b0430d8cdb78070b4c55a" (C.Aes.encrypt_block k128 pt);
-  let k256 =
-    C.Aes.expand_key
-      (Hex.of_hex "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f")
-  in
-  check_hex "aes-256 C.3" "8ea2b7ca516745bfeafc49904b496089" (C.Aes.encrypt_block k256 pt)
-
-let test_aes_gf_mul () =
-  (* FIPS 197 §4.2 example: 0x57 · 0x83 = 0xc1. *)
-  Alcotest.(check int) "57*83" 0xc1 (C.Aes.gf_mul 0x57 0x83);
-  Alcotest.(check int) "57*13" 0xfe (C.Aes.gf_mul 0x57 0x13);
-  Alcotest.(check int) "identity" 0x7a (C.Aes.gf_mul 0x7a 1)
-
-let test_gcm_vectors () =
-  (* GCM spec (McGrew & Viega) test cases 1-2. *)
-  let k = C.Aes.expand_key (String.make 16 '\000') in
-  let nonce = String.make 12 '\000' in
-  let ct1, tag1 = C.Aes.gcm_encrypt k ~nonce "" in
-  Alcotest.(check string) "tc1 empty ct" "" ct1;
-  check_hex "tc1 tag" "58e2fccefa7e3061367f1d57a4e7455a" tag1;
-  let ct2, tag2 = C.Aes.gcm_encrypt k ~nonce (String.make 16 '\000') in
-  check_hex "tc2 ct" "0388dace60b6a392f328c2b971b2fe78" ct2;
-  check_hex "tc2 tag" "ab6e47d42cec13bdf53a67b21257bddf" tag2
-
-let test_gcm_roundtrip_and_tamper () =
-  let k = C.Aes.expand_key (C.Drbg.bytes (C.Drbg.create "gcm-key") 32) in
-  let nonce = C.Drbg.bytes (C.Drbg.create "gcm-nonce") 12 in
-  List.iter
-    (fun pt ->
-      let ct, tag = C.Aes.gcm_encrypt k ~nonce ~aad:"header" pt in
-      Alcotest.(check (option string)) "roundtrip" (Some pt)
-        (C.Aes.gcm_decrypt k ~nonce ~aad:"header" ~tag ct);
-      Alcotest.(check (option string)) "wrong aad" None
-        (C.Aes.gcm_decrypt k ~nonce ~aad:"other" ~tag ct);
-      if String.length ct > 0 then begin
-        let bad = Bytes.of_string ct in
-        Bytes.set bad 0 (Char.chr (Char.code (Bytes.get bad 0) lxor 1));
-        Alcotest.(check (option string)) "tamper" None
-          (C.Aes.gcm_decrypt k ~nonce ~aad:"header" ~tag (Bytes.to_string bad))
-      end)
-    [ ""; "x"; "exactly sixteen."; String.make 100 'q' ]
-
 (* --- DRBG --- *)
 
 let test_drbg_deterministic () =
@@ -280,11 +233,6 @@ let () =
       ( "chacha20",
         [ Alcotest.test_case "block vector" `Quick test_chacha20_block_vector;
           Alcotest.test_case "encrypt vector" `Quick test_chacha20_encrypt_vector ] );
-      ( "aes",
-        [ Alcotest.test_case "fips-197 blocks" `Quick test_aes_fips197;
-          Alcotest.test_case "gf(2^8)" `Quick test_aes_gf_mul;
-          Alcotest.test_case "gcm vectors" `Quick test_gcm_vectors;
-          Alcotest.test_case "gcm roundtrip + tamper" `Quick test_gcm_roundtrip_and_tamper ] );
       ( "drbg",
         [ Alcotest.test_case "deterministic" `Quick test_drbg_deterministic;
           Alcotest.test_case "chunking" `Quick test_drbg_chunking_irrelevant;

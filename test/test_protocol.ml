@@ -971,6 +971,62 @@ let test_coordinator_scatter_gather () =
                   (count_before + 1) x_row.Scheme.count
               | _ -> Alcotest.fail "unexpected aggregate reply after append")))
 
+(* A failed append must not wedge the table: shard 1 fails its first
+   Append without applying it, so shard 0 holds the row and shard 1 does
+   not. The coordinator's retry carries the same stamped row id; shard 0
+   acknowledges the row it already holds, shard 1 applies it, and later
+   appends line up again. *)
+let test_coordinator_append_retry () =
+  let s0 = Server.create ~shard:(0, 2) () in
+  let s1 = Server.create ~shard:(1, 2) () in
+  let failed_once = Atomic.make false in
+  let flaky_append raw =
+    match P.decode_request raw with
+    | P.Append _ when not (Atomic.exchange failed_once true) ->
+      P.encode_response (P.failed P.Internal_error "injected")
+    | _ | (exception _) -> Server.handle_encoded s1 raw
+  in
+  with_handler ~port:7487 (Server.handle_encoded s0) (fun () ->
+      with_handler ~port:7488 flaky_append (fun () ->
+          let r = Router.create [ "7487"; "7488" ] in
+          Fun.protect
+            ~finally:(fun () -> Router.shutdown r)
+            (fun () ->
+              (match Router.handle r (P.Upload { name = "t"; table = enc }) with
+               | P.Ack -> ()
+               | _ -> Alcotest.fail "coordinator upload failed");
+              let append value group =
+                let row, keywords =
+                  Scheme.append_payload client ~values:[| value |] ~groups:[| str group |]
+                    ~filters:[ ("f", vi 0) ]
+                in
+                fun () -> Router.handle r (P.Append { name = "t"; row; keywords; row_id = None })
+              in
+              let first = append 55 "x" in
+              (match first () with
+               | P.Failed _ -> ()
+               | _ -> Alcotest.fail "the injected shard failure must fail the append");
+              (match first () with
+               | P.Ack -> ()
+               | P.Failed { message; _ } -> Alcotest.failf "append retry: %s" message
+               | _ -> Alcotest.fail "unexpected append retry reply");
+              (match append 7 "y" () with
+               | P.Ack -> ()
+               | P.Failed { message; _ } -> Alcotest.failf "append after retry: %s" message
+               | _ -> Alcotest.fail "unexpected append reply");
+              let tok = Scheme.token client query in
+              match Router.handle r (P.Aggregate { name = "t"; token = tok }) with
+              | P.Aggregates agg ->
+                let results = Scheme.decrypt client tok agg ~total_rows:17 in
+                List.iter
+                  (fun (group, value) ->
+                    let row = List.find (fun r -> r.Scheme.group = [ str group ]) results in
+                    let _, sum, count = List.find (fun (g, _, _) -> g = [ group ]) expected in
+                    Alcotest.(check int) ("sum of " ^ group) (sum + value) row.Scheme.sum;
+                    Alcotest.(check int) ("count of " ^ group) (count + 1) row.Scheme.count)
+                  [ ("x", 55); ("y", 7) ]
+              | _ -> Alcotest.fail "unexpected aggregate reply after the appends")))
+
 (* A slow append must not hold up queries: the coordinator serialises
    appends (row-id stamping) but reads a table's public key apart from
    that lock. Shard 0 sleeps on every Append and serves two connections
@@ -1266,6 +1322,7 @@ let () =
         [ Alcotest.test_case "scatter-gather" `Quick test_coordinator_scatter_gather;
           Alcotest.test_case "shard down" `Quick test_coordinator_shard_down;
           Alcotest.test_case "query during append" `Quick test_coordinator_query_during_append;
+          Alcotest.test_case "append retry" `Quick test_coordinator_append_retry;
           Alcotest.test_case "health probing" `Quick test_coordinator_health_probing ] );
       ("transport", [ Alcotest.test_case "socket roundtrip" `Quick test_socket_roundtrip ]);
       ( "concurrency",
