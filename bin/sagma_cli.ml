@@ -23,6 +23,7 @@ module Table = Sagma_db.Table
 module Query = Sagma_db.Query
 module Csv = Sagma_db.Csv
 module Drbg = Sagma_crypto.Drbg
+module P = Sagma_protocol.Protocol
 open Sagma
 open Cmdliner
 
@@ -55,6 +56,21 @@ let parse_where (t : Table.t) (clauses : string list) : (string * Value.t) list 
     clauses
 
 (* --- query ----------------------------------------------------------------- *)
+
+(* The body of an EXPLAIN block: phase timings, the nonzero cost
+   counters and, when present, the request's nonzero GC deltas
+   (heap_words is a size, not a delta, so it prints whenever nonzero). *)
+let print_explain timings cost gc =
+  List.iter (fun (phase, ms) -> Printf.printf "  %-24s %10.3f ms\n" phase ms) timings;
+  List.iter
+    (fun (k, v) -> if v > 0 then Printf.printf "  cost.%-19s %10d\n" k v)
+    (Sagma_obs.Trace.cost_fields cost);
+  Option.iter
+    (fun gc ->
+      List.iter
+        (fun (k, v) -> if v <> 0 then Printf.printf "  gc.%-21s %10d\n" k v)
+        (Sagma_obs.Trace.gc_fields gc))
+    gc
 
 let run_query csv schema sql sum count_flag avg group_by where bucket_size threshold seed metrics
     explain profile =
@@ -155,17 +171,7 @@ let run_query csv schema sql sum count_flag avg group_by where bucket_size thres
   | Some rt ->
     let module Trace = Sagma_obs.Trace in
     Printf.printf "\n-- explain (trace %s) --\n" rt.Trace.r_id;
-    List.iter
-      (fun (phase, ms) -> Printf.printf "  %-24s %10.3f ms\n" phase ms)
-      (Trace.phase_timings rt.Trace.r_root);
-    List.iter
-      (fun (k, v) -> if v > 0 then Printf.printf "  cost.%-19s %10d\n" k v)
-      (Trace.cost_fields rt.Trace.r_cost);
-    (* The gc block: per-request Gc.quick_stat differential. heap_words
-       is a size, not a delta, so it always prints. *)
-    List.iter
-      (fun (k, v) -> if v <> 0 then Printf.printf "  gc.%-21s %10d\n" k v)
-      (Trace.gc_fields rt.Trace.r_gc);
+    print_explain (Trace.phase_timings rt.Trace.r_root) rt.Trace.r_cost (Some rt.Trace.r_gc);
     (match rt.Trace.r_alloc with
      | [] -> ()
      | sites ->
@@ -263,6 +269,21 @@ let read_file path =
   close_in ic;
   s
 
+(* One request to the server on [port] over its own connection, closed
+   even when the call raises. A [Failed] reply becomes the command's
+   error; any other reply (and its EXPLAIN trailer) is the caller's to
+   match. *)
+let remote_call ?trace port req =
+  let fd = Sagma_protocol.Transport.connect ~port () in
+  match
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () -> Sagma_protocol.Transport.call_x ?trace fd req)
+  with
+  | P.Failed { code; message }, _ ->
+    failwith (Printf.sprintf "%s: %s" (P.error_code_to_string code) message)
+  | reply -> reply
+
 (* Encrypt a CSV locally, persist the secret client state to [key_file]
    (private!), and upload the ciphertexts to the server. *)
 let run_remote_upload csv schema group_by value_cols filter_cols bucket_size threshold seed port
@@ -276,18 +297,11 @@ let run_remote_upload csv schema group_by value_cols filter_cols bucket_size thr
   let client = Scheme.setup config ~domains (Drbg.create seed) in
   let enc = Scheme.encrypt_table client table in
   write_file key_file (Serialize.client_to_string client);
-  let fd = Sagma_protocol.Transport.connect ~port () in
-  let resp =
-    Sagma_protocol.Transport.call fd (Sagma_protocol.Protocol.Upload { name; table = enc })
-  in
-  Unix.close fd;
-  (match resp with
-   | Sagma_protocol.Protocol.Ack ->
-     Printf.printf "uploaded %d encrypted rows as %S; client key saved to %s\n"
-       (Table.row_count table) name key_file
-   | Sagma_protocol.Protocol.Failed { code; message } ->
-     failwith (Printf.sprintf "%s: %s" (Sagma_protocol.Protocol.error_code_to_string code) message)
-   | _ -> failwith "unexpected response")
+  match remote_call port (P.Upload { name; table = enc }) with
+  | P.Ack, _ ->
+    Printf.printf "uploaded %d encrypted rows as %S; client key saved to %s\n"
+      (Table.row_count table) name key_file
+  | _ -> failwith "unexpected response"
 
 (* Query a previously uploaded table: only the token goes up, only
    ciphertext aggregates come back. *)
@@ -314,11 +328,9 @@ let run_remote_query sum count_flag avg group_by where_raw port name key_file se
   in
   let q = Query.make ~where ~group_by aggregate in
   let tok = Scheme.token client q in
-  let fd = Sagma_protocol.Transport.connect ~port () in
-  let listing = Sagma_protocol.Transport.call fd Sagma_protocol.Protocol.List_tables in
   let total_rows =
-    match listing with
-    | Sagma_protocol.Protocol.Tables ts ->
+    match remote_call port P.List_tables with
+    | P.Tables ts, _ ->
       (match List.assoc_opt name ts with
        | Some rows -> rows
        | None -> failwith (Printf.sprintf "no such remote table %S" name))
@@ -326,16 +338,9 @@ let run_remote_query sum count_flag avg group_by where_raw port name key_file se
   in
   (* --explain sets the sampling flag on the request, forcing the
      server to trace it and return an EXPLAIN trailer. *)
-  let trace =
-    if explain then Some { Sagma_protocol.Protocol.tc_id = None; tc_sampled = true } else None
-  in
-  let resp, wire_explain =
-    Sagma_protocol.Transport.call_x ?trace fd
-      (Sagma_protocol.Protocol.Aggregate { name; token = tok })
-  in
-  Unix.close fd;
-  match resp with
-  | Sagma_protocol.Protocol.Aggregates agg ->
+  let trace = if explain then Some { P.tc_id = None; tc_sampled = true } else None in
+  match remote_call ?trace port (P.Aggregate { name; token = tok }) with
+  | P.Aggregates agg, wire_explain ->
     let results = Scheme.decrypt client tok agg ~total_rows in
     Printf.printf "%s\n" (Query.to_sql q);
     List.iter
@@ -348,23 +353,9 @@ let run_remote_query sum count_flag avg group_by where_raw port name key_file se
     (match wire_explain with
      | _ when not explain -> ()
      | None -> print_endline "\n(no EXPLAIN trailer: server not collecting metrics?)"
-     | Some x ->
-       let module Trace = Sagma_obs.Trace in
-       Printf.printf "\n-- explain (server trace %s) --\n" x.Sagma_protocol.Protocol.x_id;
-       List.iter
-         (fun (phase, ms) -> Printf.printf "  %-24s %10.3f ms\n" phase ms)
-         x.Sagma_protocol.Protocol.x_timings;
-       List.iter
-         (fun (k, v) -> if v > 0 then Printf.printf "  cost.%-19s %10d\n" k v)
-         (Trace.cost_fields x.Sagma_protocol.Protocol.x_cost);
-       match x.Sagma_protocol.Protocol.x_gc with
-       | None -> ()
-       | Some gc ->
-         List.iter
-           (fun (k, v) -> if v <> 0 then Printf.printf "  gc.%-21s %10d\n" k v)
-           (Trace.gc_fields gc))
-  | Sagma_protocol.Protocol.Failed { code; message } ->
-    failwith (Printf.sprintf "%s: %s" (Sagma_protocol.Protocol.error_code_to_string code) message)
+     | Some { P.x_id; x_timings; x_cost; x_gc } ->
+       Printf.printf "\n-- explain (server trace %s) --\n" x_id;
+       print_explain x_timings x_cost x_gc)
   | _ -> failwith "unexpected response"
 
 (* Fetch the server's metrics snapshot + audit summary over the Stats
@@ -373,17 +364,15 @@ let run_remote_query sum count_flag avg group_by where_raw port name key_file se
    the structured snapshot. *)
 (* The gc section rendered as the conventional Prometheus
    process-level families. *)
-let gc_raw_samples (g : Sagma_protocol.Protocol.gc_stats) : (string * float) list =
-  [ ("ocaml_gc_minor_words_total", g.Sagma_protocol.Protocol.gs_minor_words);
-    ("ocaml_gc_promoted_words_total", g.Sagma_protocol.Protocol.gs_promoted_words);
-    ("ocaml_gc_major_words_total", g.Sagma_protocol.Protocol.gs_major_words);
-    ("ocaml_gc_minor_collections_total",
-     float_of_int g.Sagma_protocol.Protocol.gs_minor_collections);
-    ("ocaml_gc_major_collections_total",
-     float_of_int g.Sagma_protocol.Protocol.gs_major_collections);
-    ("ocaml_gc_compactions_total", float_of_int g.Sagma_protocol.Protocol.gs_compactions);
-    ("ocaml_gc_heap_words", float_of_int g.Sagma_protocol.Protocol.gs_heap_words);
-    ("ocaml_gc_top_heap_words", float_of_int g.Sagma_protocol.Protocol.gs_top_heap_words) ]
+let gc_raw_samples (g : P.gc_stats) : (string * float) list =
+  [ ("ocaml_gc_minor_words_total", g.P.gs_minor_words);
+    ("ocaml_gc_promoted_words_total", g.P.gs_promoted_words);
+    ("ocaml_gc_major_words_total", g.P.gs_major_words);
+    ("ocaml_gc_minor_collections_total", float_of_int g.P.gs_minor_collections);
+    ("ocaml_gc_major_collections_total", float_of_int g.P.gs_major_collections);
+    ("ocaml_gc_compactions_total", float_of_int g.P.gs_compactions);
+    ("ocaml_gc_heap_words", float_of_int g.P.gs_heap_words);
+    ("ocaml_gc_top_heap_words", float_of_int g.P.gs_top_heap_words) ]
 
 (* Split a federated series name into its base and the shard id its
    {shard="i"} label carries (None for unlabeled fleet aggregates). *)
@@ -408,8 +397,7 @@ let split_shard name =
 (* The per-shard column view of a coordinator's federated snapshot:
    every series that arrived labeled {shard="i"} becomes a column next
    to the unlabeled fleet aggregate. *)
-let render_cluster (r : Sagma_protocol.Protocol.stats_report) =
-  let module P = Sagma_protocol.Protocol in
+let render_cluster (r : P.stats_report) =
   let module M = Sagma_obs.Metrics in
   let tbl = Hashtbl.create 64 in
   let shard_ids = ref [] in
@@ -491,64 +479,58 @@ let render_cluster (r : Sagma_protocol.Protocol.stats_report) =
     end
   end
 
-let run_stats port prometheus json cluster =
-  let fd = Sagma_protocol.Transport.connect ~port () in
-  let resp = Sagma_protocol.Transport.call fd Sagma_protocol.Protocol.Stats in
-  Unix.close fd;
-  match resp with
-  | Sagma_protocol.Protocol.Stats_report
-      ({ sr_snapshot; sr_audit; sr_uptime_s; sr_start_time; sr_gc; sr_topology } as report) ->
-    if prometheus then
-      (* The exposition carries the uptime and the heap/GC state
-         rather than dropping them on the floor. *)
-      print_string
-        (Sagma_obs.Export.prometheus ~uptime_s:sr_uptime_s
-           ~raw:(match sr_gc with Some g -> gc_raw_samples g | None -> [])
-           sr_snapshot)
-    else if json then
-      (* One object carrying the whole report: snapshot, uptime, the gc
-         block, the audit summary and the topology — not just the bare
-         snapshot. *)
-      print_endline
-        (Sagma_obs.Json.to_string (Sagma_protocol.Protocol.stats_report_to_json report))
-    else if cluster then render_cluster report
-    else begin
-      (if sr_snapshot.Sagma_obs.Metrics.counters = []
-          && sr_snapshot.Sagma_obs.Metrics.histograms = []
-       then print_endline "no metrics recorded (is the server running with --metrics?)"
-       else Format.printf "%a@." Sagma_obs.Metrics.pp_snapshot sr_snapshot);
-      (let t = Unix.localtime sr_start_time in
-       Printf.printf "uptime: %.1fs (started %04d-%02d-%02d %02d:%02d:%02d)\n" sr_uptime_s
-         (t.Unix.tm_year + 1900) (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour
-         t.Unix.tm_min t.Unix.tm_sec);
-      (match sr_gc with
-       | Some g ->
-         let mib words = float_of_int words *. float_of_int (Sys.word_size / 8) /. 1048576. in
-         Printf.printf "heap: %.1f MiB (peak %.1f MiB) minor_gcs=%d major_gcs=%d\n"
-           (mib g.Sagma_protocol.Protocol.gs_heap_words)
-           (mib g.Sagma_protocol.Protocol.gs_top_heap_words)
-           g.Sagma_protocol.Protocol.gs_minor_collections
-           g.Sagma_protocol.Protocol.gs_major_collections
-       | None -> ());
-      (match sr_topology with
-       | Some t ->
-         (match t.Sagma_protocol.Protocol.tp_role with
-          | "shard" ->
-            Printf.printf "topology: shard %d/%d\n" t.Sagma_protocol.Protocol.tp_shard_index
-              t.Sagma_protocol.Protocol.tp_shard_count
-          | "coordinator" ->
-            Printf.printf "topology: coordinator over %d shards (%s)\n"
-              t.Sagma_protocol.Protocol.tp_shard_count
-              (String.concat ", " t.Sagma_protocol.Protocol.tp_shards)
-          | role -> Printf.printf "topology: %s\n" role)
-       | None -> ());
-      Printf.printf "audit: requests=%d probes=%d checks=%d failures=%d\n"
-        sr_audit.Sagma_obs.Audit.s_requests sr_audit.Sagma_obs.Audit.s_probes
-        sr_audit.Sagma_obs.Audit.s_checks_run sr_audit.Sagma_obs.Audit.s_check_failures
-    end
-  | Sagma_protocol.Protocol.Failed { code; message } ->
-    failwith (Printf.sprintf "%s: %s" (Sagma_protocol.Protocol.error_code_to_string code) message)
+let fetch_stats port : P.stats_report =
+  match remote_call port P.Stats with
+  | P.Stats_report r, _ -> r
   | _ -> failwith "unexpected response"
+
+let run_stats port prometheus json cluster =
+  let ({ P.sr_snapshot; sr_audit; sr_uptime_s; sr_start_time; sr_gc; sr_topology } as report) =
+    fetch_stats port
+  in
+  if prometheus then
+    (* The exposition carries the uptime and the heap/GC state
+       rather than dropping them on the floor. *)
+    print_string
+      (Sagma_obs.Export.prometheus ~uptime_s:sr_uptime_s
+         ~raw:(match sr_gc with Some g -> gc_raw_samples g | None -> [])
+         sr_snapshot)
+  else if json then
+    (* One object carrying the whole report: snapshot, uptime, the gc
+       block, the audit summary and the topology — not just the bare
+       snapshot. *)
+    print_endline (Sagma_obs.Json.to_string (P.stats_report_to_json report))
+  else if cluster then render_cluster report
+  else begin
+    (if sr_snapshot.Sagma_obs.Metrics.counters = []
+        && sr_snapshot.Sagma_obs.Metrics.histograms = []
+     then print_endline "no metrics recorded (is the server running with --metrics?)"
+     else Format.printf "%a@." Sagma_obs.Metrics.pp_snapshot sr_snapshot);
+    (let t = Unix.localtime sr_start_time in
+     Printf.printf "uptime: %.1fs (started %04d-%02d-%02d %02d:%02d:%02d)\n" sr_uptime_s
+       (t.Unix.tm_year + 1900) (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour
+       t.Unix.tm_min t.Unix.tm_sec);
+    (match sr_gc with
+     | Some g ->
+       let mib words = float_of_int words *. float_of_int (Sys.word_size / 8) /. 1048576. in
+       Printf.printf "heap: %.1f MiB (peak %.1f MiB) minor_gcs=%d major_gcs=%d\n"
+         (mib g.P.gs_heap_words) (mib g.P.gs_top_heap_words) g.P.gs_minor_collections
+         g.P.gs_major_collections
+     | None -> ());
+    (match sr_topology with
+     | Some t ->
+       (match t.P.tp_role with
+        | "shard" ->
+          Printf.printf "topology: shard %d/%d\n" t.P.tp_shard_index t.P.tp_shard_count
+        | "coordinator" ->
+          Printf.printf "topology: coordinator over %d shards (%s)\n" t.P.tp_shard_count
+            (String.concat ", " t.P.tp_shards)
+        | role -> Printf.printf "topology: %s\n" role)
+     | None -> ());
+    Printf.printf "audit: requests=%d probes=%d checks=%d failures=%d\n"
+      sr_audit.Sagma_obs.Audit.s_requests sr_audit.Sagma_obs.Audit.s_probes
+      sr_audit.Sagma_obs.Audit.s_checks_run sr_audit.Sagma_obs.Audit.s_check_failures
+  end
 
 (* --- top: live resource dashboard -------------------------------------------
 
@@ -560,18 +542,7 @@ let run_stats port prometheus json cluster =
    single frame (rates averaged over the server's uptime) and exits —
    the scripts/CI mode. *)
 
-let fetch_stats port : Sagma_protocol.Protocol.stats_report =
-  let fd = Sagma_protocol.Transport.connect ~port () in
-  let resp = Sagma_protocol.Transport.call fd Sagma_protocol.Protocol.Stats in
-  Unix.close fd;
-  match resp with
-  | Sagma_protocol.Protocol.Stats_report r -> r
-  | Sagma_protocol.Protocol.Failed { code; message } ->
-    failwith (Printf.sprintf "%s: %s" (Sagma_protocol.Protocol.error_code_to_string code) message)
-  | _ -> failwith "unexpected response"
-
 let run_top port interval once =
-  let module P = Sagma_protocol.Protocol in
   let module M = Sagma_obs.Metrics in
   let counter (r : P.stats_report) name =
     Option.value ~default:0 (List.assoc_opt name r.P.sr_snapshot.M.counters)
@@ -657,11 +628,8 @@ let run_top port interval once =
    as Chrome trace-event JSON — loadable in chrome://tracing or
    Perfetto. "-" writes to stdout. *)
 let run_trace port out =
-  let fd = Sagma_protocol.Transport.connect ~port () in
-  let resp = Sagma_protocol.Transport.call fd Sagma_protocol.Protocol.Traces in
-  Unix.close fd;
-  match resp with
-  | Sagma_protocol.Protocol.Trace_dump traces ->
+  match remote_call port P.Traces with
+  | P.Trace_dump traces, _ ->
     let json = Sagma_obs.Json.to_string (Sagma_obs.Trace.chrome_json traces) in
     if out = "-" then print_endline json
     else begin
@@ -669,8 +637,6 @@ let run_trace port out =
       Printf.printf "wrote %d trace(s) to %s (chrome://tracing format)\n"
         (List.length traces) out
     end
-  | Sagma_protocol.Protocol.Failed { code; message } ->
-    failwith (Printf.sprintf "%s: %s" (Sagma_protocol.Protocol.error_code_to_string code) message)
   | _ -> failwith "unexpected response"
 
 (* --- health: fleet health & alerting --------------------------------------------
@@ -681,21 +647,15 @@ let run_trace port out =
    while the target is anything but a clean "ok", so scripts and CI can
    gate on it. --watch re-polls and redraws like top. *)
 
-let fetch_health port : Sagma_protocol.Protocol.health_report =
-  let fd = Sagma_protocol.Transport.connect ~port () in
-  let resp = Sagma_protocol.Transport.call fd Sagma_protocol.Protocol.Health in
-  Unix.close fd;
-  match resp with
-  | Sagma_protocol.Protocol.Health_report r -> r
-  | Sagma_protocol.Protocol.Failed { code; message } ->
-    failwith (Printf.sprintf "%s: %s" (Sagma_protocol.Protocol.error_code_to_string code) message)
+let fetch_health port : P.health_report =
+  match remote_call port P.Health with
+  | P.Health_report r, _ -> r
   | _ -> failwith "unexpected response"
 
-let health_ok (r : Sagma_protocol.Protocol.health_report) =
-  r.Sagma_protocol.Protocol.hr_status = "ok" && r.Sagma_protocol.Protocol.hr_alerts = []
+let health_ok (r : P.health_report) =
+  r.P.hr_status = "ok" && r.P.hr_alerts = []
 
-let render_health port (r : Sagma_protocol.Protocol.health_report) =
-  let module P = Sagma_protocol.Protocol in
+let render_health port (r : P.health_report) =
   let module W = Sagma_obs.Watchdog in
   Printf.printf "127.0.0.1:%d: %s (uptime %.1fs)\n" port r.P.hr_status r.P.hr_uptime_s;
   (match r.P.hr_alerts with
@@ -734,7 +694,7 @@ let run_health port json watch interval =
   else begin
     let r = fetch_health port in
     if json then
-      print_endline (Sagma_obs.Json.to_string (Sagma_protocol.Protocol.health_report_to_json r))
+      print_endline (Sagma_obs.Json.to_string (P.health_report_to_json r))
     else render_health port r;
     if not (health_ok r) then exit 1
   end

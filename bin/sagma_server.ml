@@ -17,11 +17,12 @@
                 fleet ("I/N", zero-based): stores every uploaded row
                 but only pairs the rows of slice row mod N = I, so a
                 coordinator can ⊕-merge the partial aggregates.
-   --coordinator  run as the fleet's query router instead of a storage
-                node: fan every request out to the comma-separated
+   --coordinator  run as the fleet's coordinator instead of a storage
+                node: fan every table request out to the comma-separated
                 shard endpoints, homomorphically merge Aggregate
                 partials (never decrypting), stamp appends with global
-                row ids. Mutually exclusive with --shard-of.
+                row ids. Mutually exclusive with --shard-of and with
+                --agg-domains above 1.
    --shard-deadline-ms  coordinator-side per-shard call deadline
                 (default 5000; 0 = none).
    --max-conns  shed connections beyond M in flight with a Failed Busy
@@ -148,6 +149,8 @@ let () =
   end;
   if !shard_of <> "" && !coordinator <> "" then
     raise (Arg.Bad "--shard-of and --coordinator are mutually exclusive");
+  if !coordinator <> "" && !agg_domains > 1 then
+    raise (Arg.Bad "--agg-domains does not apply to --coordinator (it aggregates nothing)");
   let shard =
     if !shard_of = "" then None
     else
@@ -195,18 +198,12 @@ let () =
       in
       Some
         (Sagma_protocol.Router.create ~deadline_ms:!shard_deadline_ms
-           ~trace_sample:!trace_sample ~slow_query_ms:!slow_query_ms
-           ~probe_interval_ms:!probe_interval_ms ?watchdog endpoints)
+           ~probe_interval_ms:!probe_interval_ms endpoints)
   in
   Option.iter Sagma_protocol.Router.start_probes router;
   let state =
-    Sagma_protocol.Server.create ?agg_pool ?shard ~trace_sample:!trace_sample
+    Sagma_protocol.Server.create ?agg_pool ?shard ?fleet:router ~trace_sample:!trace_sample
       ~slow_query_ms:!slow_query_ms ?watchdog ()
-  in
-  let handler =
-    match router with
-    | Some r -> Sagma_protocol.Router.handle_encoded r
-    | None -> Sagma_protocol.Server.handle_encoded state
   in
   let role =
     match (router, shard) with
@@ -222,8 +219,7 @@ let () =
     Atomic.set stop true;
     (* Health flips to "draining" the moment the signal lands, so peers
        polling Health see the shutdown before the listener closes. *)
-    Sagma_protocol.Server.set_draining state true;
-    Option.iter (fun r -> Sagma_protocol.Router.set_draining r true) router
+    Sagma_protocol.Server.set_draining state true
   in
   Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
   Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
@@ -290,7 +286,7 @@ let () =
   Sagma_protocol.Transport.listen_and_serve ?after_request ~workers:!workers
     ~max_conns:!max_conns ~request_timeout_ms:!request_timeout_ms ~max_frame:!max_frame
     ~stop:(fun () -> Atomic.get stop)
-    ~port:!port handler;
+    ~port:!port (Sagma_protocol.Server.handle_encoded state);
   (* listen_and_serve only returns once drained: flush the final
      numbers, then the log stream. *)
   Option.iter Domain.join watchdog_domain;

@@ -1,11 +1,12 @@
-(* The query router of a scatter-gather deployment.
+(* The query router of a scatter-gather deployment: the fan-out a
+   coordinator node serves its table requests through.
 
-   Speaks the same wire protocol as a storage server, but owns no rows:
-   every request is routed to a fleet of shard endpoints and the
-   replies are combined. The interesting case is [Aggregate]: the fan
-   out queries all shards concurrently (over {!Sagma_pool}), each shard
-   pairs only the rows it owns ([Server] created with [?shard]), and
-   the per-bucket level-2 partial sums come back ⊕-mergeable — BGN
+   It owns no rows: every table request is routed to a fleet of shard
+   endpoints and the replies are combined. The interesting case is
+   [Aggregate]: the fan out queries all shards concurrently (over
+   {!Sagma_pool}), each shard pairs only the rows it owns (a storage
+   node created with [?shard]), and the per-bucket level-2 partial
+   sums come back ⊕-mergeable — BGN
    ciphertexts are additively homomorphic — so the router combines them
    with {!Sagma.Scheme.merge_agg_results} using only the table's PUBLIC
    key and returns one [Aggregates] reply. The router never decrypts
@@ -30,6 +31,12 @@
    answers [Failed Version_unsupported], which is reported like any
    other shard failure.
 
+   The router is not a node of its own. The coordinator node is created
+   with [~fleet] over a router: it answers Stats/Traces/Health itself
+   (reading {!federated_snapshot}, {!topology} and {!shard_health}),
+   runs the request pipeline (sampling, logging, audit, draining) and
+   hands every table request to {!handle}.
+
    Fleet health: with [?probe_interval_ms] set, a background domain
    sends [Health] to every shard on a small dedicated {!Sagma_pool},
    maintaining per-shard state (up/down since, consecutive-failure
@@ -44,10 +51,8 @@
 module P = Protocol
 module Obs = Sagma_obs.Metrics
 module Export = Sagma_obs.Export
-module Audit = Sagma_obs.Audit
 module Trace = Sagma_obs.Trace
 module Log = Sagma_obs.Log
-module Watchdog = Sagma_obs.Watchdog
 module Pool = Sagma_pool.Pool
 module Scheme = Sagma.Scheme
 module Bgn = Sagma.Scheme.Bgn
@@ -85,17 +90,12 @@ type t = {
   pks_lock : Mutex.t;  (* apart from [lock], so queries never wait behind an append *)
   row_counts : (string, int) Hashtbl.t;
   deadline_ms : int;
-  trace_sample : int;
-  slow_query_ms : float;
-  started : float;
   (* Fleet health. *)
   hlock : Mutex.t;
   probe_interval_ms : int;          (* 0 = probing (and fast-fail) off *)
   probe_pool : Pool.t option;
   probe_stop : bool Atomic.t;
   mutable probe_domain : unit Domain.t option;
-  watchdog : Watchdog.t option;     (* alerts served in Health replies *)
-  draining : bool Atomic.t;
 }
 
 (* "host:port" (host optional — ":7501" or "7501" mean loopback). *)
@@ -115,8 +115,7 @@ let shard_label (i : int) (sh : shard) : string =
 
 (* Forward declaration dance is avoided by defining the probe loop after
    [call_shard]; [create] stores the domain once spawned. *)
-let create ?(deadline_ms = 5000) ?(trace_sample = 0) ?(slow_query_ms = 0.)
-    ?(probe_interval_ms = 0) ?watchdog (endpoints : string list) : t =
+let create ?(deadline_ms = 5000) ?(probe_interval_ms = 0) (endpoints : string list) : t =
   if endpoints = [] then invalid_arg "Router.create: need at least one shard endpoint";
   let now = Unix.gettimeofday () in
   let shards =
@@ -144,14 +143,13 @@ let create ?(deadline_ms = 5000) ?(trace_sample = 0) ?(slow_query_ms = 0.)
   in
   let workers = min (Array.length shards) 8 in
   { lock = Mutex.create (); shards; pool = Pool.create ~name:"fanout" ~workers ();
-    pks = Hashtbl.create 8; pks_lock = Mutex.create (); row_counts = Hashtbl.create 8; deadline_ms; trace_sample;
-    slow_query_ms; started = now; hlock = Mutex.create (); probe_interval_ms;
+    pks = Hashtbl.create 8; pks_lock = Mutex.create (); row_counts = Hashtbl.create 8;
+    deadline_ms; hlock = Mutex.create (); probe_interval_ms;
     probe_pool =
       (if probe_interval_ms > 0 then
          Some (Pool.create ~name:"probe" ~workers:(min (Array.length shards) 4) ())
        else None);
-    probe_stop = Atomic.make false; probe_domain = None; watchdog;
-    draining = Atomic.make false }
+    probe_stop = Atomic.make false; probe_domain = None }
 
 let topology (r : t) : P.topology =
   { P.tp_role = "coordinator"; tp_shard_index = -1; tp_shard_count = Array.length r.shards;
@@ -177,7 +175,6 @@ let record_success (r : t) (i : int) (sh : shard) (rtt_ms : float) : unit =
       ~fields:[ Log.int "shard" i; Log.str "endpoint" sh.sh_endpoint ]
 
 let record_failure (r : t) (i : int) (sh : shard) (msg : string) : unit =
-  Obs.incr m_probe_failures;
   Mutex.lock r.hlock;
   let was_up = sh.sh_up in
   sh.sh_up <- false;
@@ -290,15 +287,19 @@ let probe_shard (r : t) (i : int) (sh : shard) : unit =
   Obs.incr m_probes;
   let t0 = Unix.gettimeofday () in
   let finish_ok () = record_success r i sh ((Unix.gettimeofday () -. t0) *. 1000.) in
+  let failed msg =
+    Obs.incr m_probe_failures;
+    record_failure r i sh msg
+  in
   match call_shard r sh P.Health with
   | _, _ ->
     (* Any decoded reply — Health_report, even a Failed — proves the
        shard is alive and answering. *)
     finish_ok ()
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-    record_failure r i sh (Printf.sprintf "deadline exceeded after %d ms" r.deadline_ms)
-  | exception Unix.Unix_error (e, _, _) -> record_failure r i sh (Unix.error_message e)
-  | exception (Failure msg | Sagma_wire.Wire.Decode_error msg) -> record_failure r i sh msg
+    failed (Printf.sprintf "deadline exceeded after %d ms" r.deadline_ms)
+  | exception Unix.Unix_error (e, _, _) -> failed (Unix.error_message e)
+  | exception (Failure msg | Sagma_wire.Wire.Decode_error msg) -> failed msg
 
 let probe_all (r : t) : unit =
   match r.probe_pool with
@@ -342,8 +343,6 @@ let shutdown (r : t) : unit =
    | None -> ());
   (match r.probe_pool with Some p -> Pool.shutdown p | None -> ());
   Pool.shutdown r.pool
-
-let set_draining (r : t) (d : bool) : unit = Atomic.set r.draining d
 
 (* Query every shard concurrently on the fan-out pool. Each call runs
    under a "shard:N" span (the pool inherits the router's trace
@@ -415,20 +414,9 @@ let federated_snapshot (r : t) : Obs.snapshot =
 
 let handle (r : t) (req : P.request) : P.response =
   match req with
-  | P.Stats ->
-    P.Stats_report
-      { P.sr_snapshot = federated_snapshot r; sr_audit = Audit.summary ();
-        sr_uptime_s = Unix.gettimeofday () -. r.started; sr_start_time = r.started;
-        sr_gc = Some (Server.gc_stats_now ()); sr_topology = Some (topology r) }
-  | P.Traces -> P.Trace_dump (Trace.requests ())
-  | P.Health ->
-    let shards = shard_health r in
-    let alerts = match r.watchdog with Some w -> Watchdog.active w | None -> [] in
-    P.Health_report
-      { P.hr_status =
-          Server.health_status ~draining:(Atomic.get r.draining) ~alerts ~shards;
-        hr_uptime_s = Unix.gettimeofday () -. r.started; hr_alerts = alerts;
-        hr_shards = shards }
+  | P.Stats | P.Traces | P.Health ->
+    (* Node requests: the coordinator node answers them itself. *)
+    P.failed P.Bad_request "the router answers table requests only"
   | P.List_tables ->
     (* Replicas are identical by construction; one (live) shard speaks
        for the fleet. *)
@@ -438,22 +426,18 @@ let handle (r : t) (req : P.request) : P.response =
       find 0
     in
     fst (safe_call r i r.shards.(i) P.List_tables)
-  | P.Upload { name; table } -> begin
-    match Server.validate_table_name name with
-    | Some msg -> P.failed P.Bad_request "%s" msg
-    | None -> (
-      let results = fanout r req in
-      match first_failure results with
-      | Some f -> f
-      | None ->
-        (* Remember what ⊕-merging and append stamping need: the
-           table's public key and its global row count. *)
-        Mutex.protect r.pks_lock (fun () ->
-            Hashtbl.replace r.pks name table.Scheme.pp.Scheme.bgn_pk);
-        Mutex.protect r.lock (fun () ->
-            Hashtbl.replace r.row_counts name (Array.length table.Scheme.rows));
-        P.Ack)
-  end
+  | P.Upload { name; table } -> (
+    let results = fanout r req in
+    match first_failure results with
+    | Some f -> f
+    | None ->
+      (* Remember what ⊕-merging and append stamping need: the
+         table's public key and its global row count. *)
+      Mutex.protect r.pks_lock (fun () ->
+          Hashtbl.replace r.pks name table.Scheme.pp.Scheme.bgn_pk);
+      Mutex.protect r.lock (fun () ->
+          Hashtbl.replace r.row_counts name (Array.length table.Scheme.rows));
+      P.Ack)
   | P.Drop name -> (
     let results = fanout r req in
     Mutex.protect r.pks_lock (fun () -> Hashtbl.remove r.pks name);
@@ -507,6 +491,3 @@ let handle (r : t) (req : P.request) : P.response =
           (Trace.with_span "merge" (fun () ->
                Scheme.merge_agg_results pk (List.rev !parts))))
   end
-
-let handle_encoded (r : t) (raw : string) : string =
-  Server.pipeline ~trace_sample:r.trace_sample ~slow_query_ms:r.slow_query_ms (handle r) raw

@@ -1,11 +1,14 @@
-(** The query router (coordinator) of a scatter-gather deployment.
+(** The query router of a scatter-gather deployment: the fan-out a
+    coordinator node ([Server.create ~fleet]) serves its table requests
+    through. The router is not a node: the coordinator's [Server]
+    answers [Stats]/[Traces]/[Health] from {!federated_snapshot},
+    {!topology} and {!shard_health}, and runs the request pipeline.
 
-    Speaks the same wire protocol as a storage server but owns no rows:
-    [Aggregate] fans out to every shard concurrently (over
-    [Sagma_pool]), each shard — a [Server] created with [?shard] —
-    pairs only the rows it owns, and the per-bucket partial sums come
-    back ⊕-mergeable ([Sagma.Scheme.merge_agg_results], public key
-    only). The router NEVER decrypts; the client pays one decrypt, same
+    The router owns no rows: [Aggregate] fans out to every shard
+    concurrently (over [Sagma_pool]), each shard — a [Server] created
+    with [?shard] — pairs only the rows it owns, and the per-bucket
+    partial sums come back ⊕-mergeable
+    ([Sagma.Scheme.merge_agg_results], public key only). The router NEVER decrypts; the client pays one decrypt, same
     as against a single server, and receives bytes identical to the
     single-server answer.
 
@@ -31,36 +34,22 @@
     prober maintains per-shard reachability state (up/down since,
     failure streak, EWMA RTT) served in [Health_report], exported as
     [router.shard_up]{shard="..."} gauges, and used to fast-fail
-    fan-out calls to known-down shards until a probe sees them recover.
-    The Stats reply federates: the coordinator's own snapshot is merged
-    with every reachable shard's into fleet aggregates, with each
-    shard's series riding along labeled {shard="i"}. *)
+    fan-out calls to known-down shards until a probe sees them recover. *)
 
 type t
 
-val create :
-  ?deadline_ms:int ->
-  ?trace_sample:int ->
-  ?slow_query_ms:float ->
-  ?probe_interval_ms:int ->
-  ?watchdog:Sagma_obs.Watchdog.t ->
-  string list ->
-  t
+val create : ?deadline_ms:int -> ?probe_interval_ms:int -> string list -> t
 (** [create endpoints] builds a router over the given shard endpoints
     ("host:port"; a bare port means loopback). [deadline_ms] (default
     5000) bounds each shard call's reads and writes, so a dead shard
     yields a prompt [Failed] instead of a hang; 0 disables.
     The internal fan-out pool has [min shards 8] workers and is always
     distinct from any connection-serving pool, as required by
-    [Sagma_pool]. [trace_sample]/[slow_query_ms]
-    as in [Server.create].
+    [Sagma_pool].
 
     [probe_interval_ms] (default 0 = off) enables background health
     probing at that period — call {!start_probes} to actually start the
     loop — and with it the fast-fail of calls to known-down shards.
-    [watchdog] serves that watchdog's firing alerts in [Health]
-    replies (the caller runs the poll loop, feeding it
-    {!down_count}).
     @raise Invalid_argument on an empty or unparsable endpoint list. *)
 
 val start_probes : t -> unit
@@ -73,9 +62,6 @@ val shutdown : t -> unit
 (** Stop the probe loop (if running) and shut the pools down
     (idempotent via [Sagma_pool]). *)
 
-val set_draining : t -> bool -> unit
-(** Flip the health status to ["draining"] — and back. *)
-
 val shard_health : t -> Protocol.shard_health list
 (** The per-shard block a [Health_report] carries, one entry per
     shard in fan-out order. *)
@@ -85,11 +71,17 @@ val down_count : t -> int
     [Shards_down] signal. *)
 
 val topology : t -> Protocol.topology
-(** The ["coordinator"] topology this router reports in Stats. *)
+(** The ["coordinator"] topology a coordinator reports in Stats. *)
+
+val federated_snapshot : t -> Sagma_obs.Metrics.snapshot
+(** The fleet's metrics: this process's snapshot ⊕-merged with every
+    reachable shard's (one [Stats] fan-out) into unlabeled fleet
+    aggregates, plus each shard's series labeled [{shard="i"}].
+    Unreachable or failing shards are skipped, so a scrape degrades
+    instead of failing. *)
 
 val handle : t -> Protocol.request -> Protocol.response
-
-val handle_encoded : t -> string -> string
-(** [Server.pipeline] over {!handle}: same metrics, logging, audit
-    bracketing, sampling and framing as a storage
-    server's [Server.handle_encoded]. *)
+(** Route one table request ([Upload], [Drop], [Append], [Aggregate],
+    [List_tables]) through the fleet. Node requests ([Stats], [Traces],
+    [Health]) are the coordinator node's to answer and get
+    [Failed Bad_request]. *)

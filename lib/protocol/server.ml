@@ -10,8 +10,13 @@
    ([?shard]): storage stays replicated (each node holds every uploaded
    row — the SSE index is PRF-opaque, so the server cannot split it),
    but compute is partitioned: aggregation only pairs the rows the node
-   owns ([row mod count = index]), so a coordinator ({!Router}) can
-   ⊕-merge the per-shard partials into the full answer. *)
+   owns ([row mod count = index]), so a coordinator can ⊕-merge the
+   per-shard partials into the full answer.
+
+   The coordinator is a server too ([?fleet]): it holds no tables and
+   hands every table request to its {!Router} fan-out, but it answers
+   Stats, Traces and Health and runs the request pipeline exactly as
+   the other two roles do. *)
 
 module Sse = Sagma_sse.Sse
 module Scheme = Sagma.Scheme
@@ -32,14 +37,6 @@ let h_request_ms = Obs.histogram "proto.request_ms"
    let arbitrary strings in; an empty name is invisible in listings and
    a multi-MiB one is a memory-amplification vector. *)
 let max_table_name_len = 1024
-
-let validate_table_name (name : string) : string option =
-  if name = "" then Some "table name must not be empty"
-  else if String.length name > max_table_name_len then
-    Some
-      (Printf.sprintf "table name too long (%d bytes, max %d)" (String.length name)
-         max_table_name_len)
-  else None
 
 (* One registered table: the immutable snapshot plus a per-token
    posting-count cache keyed by {!Sse.token_id}. Without the cache every
@@ -66,6 +63,7 @@ type t = {
   tables : (string, entry) Hashtbl.t;
   agg_pool : Pool.t option;
   shard : (int * int) option;  (* (index, count) storage-node slice *)
+  fleet : Router.t option;     (* coordinator: table requests fan out here *)
   trace_sample : int;      (* trace every Nth request; 0 disables *)
   slow_query_ms : float;   (* requests over this emit a slow_query event; 0. disables *)
   started : float;         (* epoch seconds, for Stats uptime *)
@@ -73,26 +71,18 @@ type t = {
   draining : bool Atomic.t;      (* graceful shutdown begun: Health says "draining" *)
 }
 
-let create ?agg_pool ?shard ?(trace_sample = 0) ?(slow_query_ms = 0.) ?watchdog () : t =
+let create ?agg_pool ?shard ?fleet ?(trace_sample = 0) ?(slow_query_ms = 0.) ?watchdog () : t =
   (match shard with
    | Some (i, n) when n < 1 || i < 0 || i >= n ->
      invalid_arg (Printf.sprintf "Server.create: shard %d/%d out of range" i n)
    | _ -> ());
-  { lock = Mutex.create (); tables = Hashtbl.create 8; agg_pool; shard; trace_sample;
+  if Option.is_some fleet && (Option.is_some shard || Option.is_some agg_pool) then
+    invalid_arg "Server.create: a coordinator (?fleet) takes neither ?shard nor ?agg_pool";
+  { lock = Mutex.create (); tables = Hashtbl.create 8; agg_pool; shard; fleet; trace_sample;
     slow_query_ms; started = Unix.gettimeofday (); watchdog;
     draining = Atomic.make false }
 
 let set_draining (s : t) (d : bool) : unit = Atomic.set s.draining d
-
-(* The health summary shared by the storage server and (with a
-   per-shard block) the {!Router}: draining beats everything, any
-   firing alert means degraded, a down shard likewise. *)
-let health_status ~(draining : bool) ~(alerts : Watchdog.alert list)
-    ~(shards : Protocol.shard_health list) : string =
-  if draining then "draining"
-  else if alerts <> [] || List.exists (fun sh -> not sh.Protocol.shc_reachable) shards then
-    "degraded"
-  else "ok"
 
 let with_lock (s : t) (f : unit -> 'a) : 'a =
   Mutex.lock s.lock;
@@ -114,7 +104,7 @@ let request_kind : Protocol.request -> string = function
   | Protocol.Traces -> "traces"
   | Protocol.Health -> "health"
 
-(* The gc section of a Stats reply — also used by {!Router}. *)
+(* The gc section of a Stats reply. *)
 let gc_stats_now () : Protocol.gc_stats =
   let g = Gc.quick_stat () in
   { Protocol.gs_minor_words = g.Gc.minor_words; gs_promoted_words = g.Gc.promoted_words;
@@ -123,41 +113,53 @@ let gc_stats_now () : Protocol.gc_stats =
     gs_heap_words = g.Gc.heap_words; gs_top_heap_words = g.Gc.top_heap_words }
 
 let handle (s : t) (req : Protocol.request) : Protocol.response =
-  match req with
-  | Protocol.Stats ->
+  match (req, s.fleet) with
+  | Protocol.Stats, _ ->
     (* A read-only snapshot: safe to serve even while the registry is
-       being written — counters are atomic, histograms lock per cell. *)
+       being written — counters are atomic, histograms lock per cell.
+       A coordinator's covers the fleet. *)
     Protocol.Stats_report
-      { Protocol.sr_snapshot = Obs.snapshot (); sr_audit = Audit.summary ();
+      { Protocol.sr_snapshot =
+          (match s.fleet with Some r -> Router.federated_snapshot r | None -> Obs.snapshot ());
+        sr_audit = Audit.summary ();
         sr_uptime_s = Unix.gettimeofday () -. s.started; sr_start_time = s.started;
         sr_gc = Some (gc_stats_now ());
         sr_topology =
           Some
-            (match s.shard with
-             | Some (i, n) ->
+            (match (s.fleet, s.shard) with
+             | Some r, _ -> Router.topology r
+             | None, Some (i, n) ->
                { Protocol.tp_role = "shard"; tp_shard_index = i; tp_shard_count = n;
                  tp_shards = [] }
-             | None ->
+             | None, None ->
                { Protocol.tp_role = "single"; tp_shard_index = -1; tp_shard_count = 1;
                  tp_shards = [] }) }
-  | Protocol.Traces -> Protocol.Trace_dump (Trace.requests ())
-  | Protocol.Health ->
+  | Protocol.Traces, _ -> Protocol.Trace_dump (Trace.requests ())
+  | Protocol.Health, _ ->
+    (* Draining beats everything; a firing alert or (on a coordinator)
+       an unreachable shard means degraded. *)
     let alerts = match s.watchdog with Some w -> Watchdog.active w | None -> [] in
+    let shards = match s.fleet with Some r -> Router.shard_health r | None -> [] in
     Protocol.Health_report
       { Protocol.hr_status =
-          health_status ~draining:(Atomic.get s.draining) ~alerts ~shards:[];
+          (if Atomic.get s.draining then "draining"
+           else if alerts <> [] || List.exists (fun sh -> not sh.Protocol.shc_reachable) shards
+           then "degraded"
+           else "ok");
         hr_uptime_s = Unix.gettimeofday () -. s.started; hr_alerts = alerts;
-        hr_shards = [] }
-  | Protocol.Upload { name; table } -> begin
-    match validate_table_name name with
-    | Some msg -> Protocol.failed Protocol.Bad_request "%s" msg
-    | None ->
-      with_lock s (fun () ->
-          Hashtbl.replace s.tables name { table; post_counts = Hashtbl.create 8 });
-      Protocol.Ack
-  end
-  | Protocol.List_tables -> Protocol.Tables (table_names s)
-  | Protocol.Drop name ->
+        hr_shards = shards }
+  | Protocol.Upload { name = ""; _ }, _ ->
+    Protocol.failed Protocol.Bad_request "table name must not be empty"
+  | Protocol.Upload { name; _ }, _ when String.length name > max_table_name_len ->
+    Protocol.failed Protocol.Bad_request "table name too long (%d bytes, max %d)"
+      (String.length name) max_table_name_len
+  | _, Some r -> Router.handle r req
+  | Protocol.Upload { name; table }, None ->
+    with_lock s (fun () ->
+        Hashtbl.replace s.tables name { table; post_counts = Hashtbl.create 8 });
+    Protocol.Ack
+  | Protocol.List_tables, None -> Protocol.Tables (table_names s)
+  | Protocol.Drop name, None ->
     if
       with_lock s (fun () ->
           let existed = Hashtbl.mem s.tables name in
@@ -165,7 +167,7 @@ let handle (s : t) (req : Protocol.request) : Protocol.response =
           existed)
     then Protocol.Ack
     else Protocol.failed Protocol.No_such_table "no such table %S" name
-  | Protocol.Aggregate { name; token } -> begin
+  | Protocol.Aggregate { name; token }, None -> begin
     (* Snapshot under the lock, aggregate outside it: concurrent
        requests pay for the lookup, not for each other's pairings. *)
     match with_lock s (fun () -> Hashtbl.find_opt s.tables name) with
@@ -191,7 +193,7 @@ let handle (s : t) (req : Protocol.request) : Protocol.response =
       | Invalid_argument msg -> Protocol.failed Protocol.Bad_request "%s" msg
       | Failure msg -> Protocol.failed Protocol.Internal_error "%s" msg)
   end
-  | Protocol.Append { name; row; keywords; row_id } ->
+  | Protocol.Append { name; row; keywords; row_id }, None ->
     (* The whole read-modify-write stays under the lock so two
        concurrent appends cannot lose one row. *)
     with_lock s (fun () ->
@@ -251,11 +253,8 @@ let handle (s : t) (req : Protocol.request) : Protocol.response =
    transport boundary. Each request gets a fresh id shared by its log
    lines and its audit trace: the audit brackets the whole handler, so
    every index probe [Scheme.aggregate] fires lands in this request's
-   trace. Generic over the actual request handler so the storage
-   server ({!handle}) and the query router ({!Router.handle}) share
-   the metrics/tracing/framing pipeline. *)
-let pipeline ~(trace_sample : int) ~(slow_query_ms : float)
-    (handle : Protocol.request -> Protocol.response) (raw : string) : string =
+   trace. *)
+let handle_encoded (s : t) (raw : string) : string =
   Obs.incr m_requests;
   Obs.add m_bytes_in (String.length raw);
   let req_id = Log.next_request_id () in
@@ -276,18 +275,18 @@ let pipeline ~(trace_sample : int) ~(slow_query_ms : float)
           let sampled =
             !Obs.enabled
             && ((match tc with Some { Protocol.tc_sampled = true; _ } -> true | _ -> false)
-               || (trace_sample > 0 && req_id mod trace_sample = 0)
-               || slow_query_ms > 0.)
+               || (s.trace_sample > 0 && req_id mod s.trace_sample = 0)
+               || s.slow_query_ms > 0.)
           in
           if sampled then begin
             let trace_id =
               match tc with Some { Protocol.tc_id = Some id; _ } -> Some id | _ -> None
             in
-            let resp, rt = Trace.with_request_full ?trace_id (fun () -> handle req) in
+            let resp, rt = Trace.with_request_full ?trace_id (fun () -> handle s req) in
             rtrace := Some rt;
             resp
           end
-          else handle req
+          else handle s req
         with
         | Sagma_wire.Wire.Decode_error msg ->
           Protocol.failed Protocol.Bad_request "malformed request: %s" msg
@@ -355,7 +354,7 @@ let pipeline ~(trace_sample : int) ~(slow_query_ms : float)
       in
       Log.info "request" ~fields:(base @ audit_fields)
   end;
-  if slow_query_ms > 0. && duration_ms > slow_query_ms && Log.enabled Log.Warn then begin
+  if s.slow_query_ms > 0. && duration_ms > s.slow_query_ms && Log.enabled Log.Warn then begin
     let trace_fields =
       match !rtrace with
       | Some rt ->
@@ -367,10 +366,7 @@ let pipeline ~(trace_sample : int) ~(slow_query_ms : float)
     Log.warn "slow_query"
       ~fields:
         ([ Log.int "req" req_id; Log.str "kind" !kind; Log.float "duration_ms" duration_ms;
-           Log.float "threshold_ms" slow_query_ms ]
+           Log.float "threshold_ms" s.slow_query_ms ]
         @ trace_fields)
   end;
   encoded
-
-let handle_encoded (s : t) (raw : string) : string =
-  pipeline ~trace_sample:s.trace_sample ~slow_query_ms:s.slow_query_ms (handle s) raw

@@ -1,8 +1,14 @@
-(** The untrusted server's request handler.
+(** The untrusted server's request handler: the one serving node.
 
     Deliberately key-free: the state holds only uploaded ciphertexts and
     SSE indexes; aggregation is [Sagma.Scheme.aggregate], appends extend
-    postings from tokens. Transport-agnostic. *)
+    postings from tokens. Transport-agnostic.
+
+    A node has one of three roles: a single server, a shard of a
+    scatter-gather fleet ([?shard]) or the fleet's coordinator
+    ([?fleet]), which stores nothing and routes table requests through
+    a {!Router}. Every role answers [Stats], [Traces] and [Health]
+    itself and runs the same request pipeline ({!handle_encoded}). *)
 
 module Scheme = Sagma.Scheme
 
@@ -11,6 +17,7 @@ type t
 val create :
   ?agg_pool:Sagma_pool.Pool.t ->
   ?shard:int * int ->
+  ?fleet:Router.t ->
   ?trace_sample:int ->
   ?slow_query_ms:float ->
   ?watchdog:Sagma_obs.Watchdog.t ->
@@ -32,6 +39,14 @@ val create :
     reports role ["shard"] in its Stats topology.
     @raise Invalid_argument unless [0 <= i < n].
 
+    [fleet] makes this the coordinator of that fleet: [Upload], [Drop],
+    [Append], [Aggregate] and [List_tables] go to {!Router.handle}
+    (after the table-name check); [Stats] serves
+    {!Router.federated_snapshot} and the ["coordinator"] topology, and
+    [Health] carries {!Router.shard_health}. The caller owns the
+    router: it starts its probes and shuts it down.
+    @raise Invalid_argument when combined with [shard] or [agg_pool].
+
     [trace_sample] (default 0 = off) traces every Nth request:
     a sampled request runs under [Sagma_obs.Trace.with_request_full],
     lands on the completed-trace ring (served by the [Traces] request)
@@ -44,41 +59,17 @@ val create :
 
     [watchdog] serves that watchdog's currently-firing alerts in
     [Health] replies (the caller runs the poll loop); without one the
-    alert list is always empty. *)
+    alert list is always empty. [Health] reads ["draining"] while
+    draining (see {!set_draining}), else ["degraded"] while an alert
+    fires or a fleet shard is unreachable, else ["ok"]. *)
 
 val set_draining : t -> bool -> unit
 (** Flip the health status to ["draining"] (graceful shutdown has
     begun) — and back, should the drain be aborted. *)
 
-val health_status :
-  draining:bool ->
-  alerts:Sagma_obs.Watchdog.alert list ->
-  shards:Protocol.shard_health list ->
-  string
-(** The status word: ["draining"] wins, then any firing alert or
-    unreachable shard means ["degraded"], else ["ok"]. Shared with
-    {!Router}. *)
-
-val validate_table_name : string -> string option
-(** [Some message] when a table name must be rejected with
-    [Bad_request] — empty, or longer than 1024 bytes (an unlistable or
-    memory-amplifying registry key). Shared with {!Router}. *)
-
-val gc_stats_now : unit -> Protocol.gc_stats
-(** The process's current [Gc.quick_stat] as the Stats gc section. *)
-
-val pipeline :
-  trace_sample:int ->
-  slow_query_ms:float ->
-  (Protocol.request -> Protocol.response) ->
-  string ->
-  string
-(** The encoded-request pipeline {!handle_encoded} is built on, generic
-    over the actual handler so a query router ({!Router}) shares the
-    metrics, logging, audit bracketing, sampling, framing and
-    EXPLAIN-trailer machinery of the storage server. *)
-
 val handle : t -> Protocol.request -> Protocol.response
+(** Answer one request. In every role an [Upload] whose table name is
+    empty or longer than 1024 bytes gets [Failed Bad_request]. *)
 
 val handle_encoded : t -> string -> string
 (** Decode, handle, encode; never lets an exception escape (malformed

@@ -110,10 +110,8 @@ let call ?max_frame ?trace (fd : Unix.file_descr) (req : Protocol.request) : Pro
    mid-reply, a send deadline — end this connection the same way
    instead of escaping to the accept loop. [after_request] runs once
    per handled request — the server binary hooks periodic metric dumps
-   here. The [handler] is any raw-frame function — a storage server's
-   [Server.handle_encoded state], a query router's
-   [Router.handle_encoded router] — so the serving loops are agnostic
-   to the node's role. *)
+   here. The [handler] is any raw-frame function, such as
+   [Server.handle_encoded state]. *)
 let serve_connection ?(after_request = fun () -> ()) ?max_frame ?stop
     (handler : string -> string) (fd : Unix.file_descr) : unit =
   let rec loop () =

@@ -51,9 +51,8 @@ val serve_connection :
     mid-reply) — never letting an I/O error escape. [after_request]
     runs after each handled request (e.g. to dump metrics
     periodically). The handler maps one raw request frame to one raw
-    response frame — [Server.handle_encoded state] for a storage node,
-    [Router.handle_encoded router] for a coordinator — so the serving
-    loops are agnostic to the node's role. *)
+    response frame — [Server.handle_encoded state], whatever the node's
+    role. *)
 
 val listen_and_serve :
   ?after_request:(unit -> unit) ->

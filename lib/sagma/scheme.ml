@@ -554,6 +554,23 @@ let block_vector ~(bucket_size : int) ~(arity : int) (idx : int) : int array =
 let sort_buckets (buckets : bucket_aggregate list) : bucket_aggregate list =
   List.sort (fun a b -> compare a.bucket_ids b.bucket_ids) buckets
 
+(* ⊕ of two partial block aggregates (chunk partials within a bucket,
+   or one bucket's per-node partials): a component absent on one side
+   passes through. *)
+let merge_blocks (pk : Bgn.public_key) (a : block_aggregates) (b : block_aggregates) :
+    block_aggregates =
+  let merge_opt f a b =
+    match (a, b) with
+    | Some a, Some b -> Some (f a b)
+    | a, None -> a
+    | None, b -> b
+  in
+  {
+    sums = merge_opt (Array.map2 (Array.map2 (Bgn.add2 pk))) a.sums b.sums;
+    counts_l1 = merge_opt (Array.map2 (Bgn.add1 pk)) a.counts_l1 b.counts_l1;
+    counts_l2 = merge_opt (Array.map2 (Bgn.add2 pk)) a.counts_l2 b.counts_l2;
+  }
+
 (* [aggregate et tok] is Algorithm 5 (pure server side). Row work within
    each joint bucket is split across the worker domains of [pool] (a
    long-lived pool, spawned once per process). [owned] restricts the pairing work to the rows this node is
@@ -766,15 +783,20 @@ let aggregate ?pool ?owned (et : enc_table) (tok : token) : agg_result =
             Bgn.mul_many_pre pk
               (List.init nrows (fun i -> (pair chunk_rows.(i), shifts.((i * num_blocks) + bi))))
           in
-          ( Option.map
-              (fun vcol ->
-                Array.init num_blocks (fun bi ->
-                    Array.init num_channels (fun ch -> paired (fun row -> value_pre row vcol ch) bi)))
-              tok.value_column,
-            (match et.count_mode with Count_level1 -> Some counts | Count_paired -> None),
-            match et.count_mode with
-            | Count_paired -> Some (Array.init num_blocks (paired count_pre))
-            | Count_level1 -> None )
+          {
+            sums =
+              Option.map
+                (fun vcol ->
+                  Array.init num_blocks (fun bi ->
+                      Array.init num_channels (fun ch ->
+                          paired (fun row -> value_pre row vcol ch) bi)))
+                tok.value_column;
+            counts_l1 = (match et.count_mode with Count_level1 -> Some counts | Count_paired -> None);
+            counts_l2 =
+              (match et.count_mode with
+               | Count_paired -> Some (Array.init num_blocks (paired count_pre))
+               | Count_level1 -> None);
+          }
         in
         (* The "chunk" span rides the submitting request's trace context
            (Pool.submit captures it), so pooled chunk work shows up
@@ -786,22 +808,7 @@ let aggregate ?pool ?owned (et : enc_table) (tok : token) : agg_result =
           Obs.observe_ms h_chunk_ms (fun () -> accumulate_chunk chunk)
         in
         let accumulate chunk = Trace.with_span "chunk" (fun () -> accumulate_inline chunk) in
-        let merge (s1, c1a, c1b) (s2, c2a, c2b) =
-          let merge_arr2 a b = Array.map2 (Array.map2 (Bgn.add2 pk)) a b in
-          ( (match (s1, s2) with
-             | Some a, Some b -> Some (merge_arr2 a b)
-             | a, None -> a
-             | None, b -> b),
-            (match (c1a, c2a) with
-             | Some a, Some b -> Some (Array.map2 (Bgn.add1 pk) a b)
-             | a, None -> a
-             | None, b -> b),
-            (match (c1b, c2b) with
-             | Some a, Some b -> Some (Array.map2 (Bgn.add2 pk) a b)
-             | a, None -> a
-             | None, b -> b) )
-        in
-    let sums, counts_l1, counts_l2 =
+    let blocks =
       (* The caller runs one chunk itself, so [workers] helpers give
          [workers + 1]-way parallelism; tiny buckets stay inline. *)
       let workers = match pool with Some p -> Pool.workers p | None -> 0 in
@@ -818,10 +825,10 @@ let aggregate ?pool ?owned (et : enc_table) (tok : token) : agg_result =
                (Array.sub chunks 1 (chunk_count - 1)))
         in
         let first = accumulate chunks.(0) in
-        List.fold_left (fun acc f -> merge acc (Pool.await f)) first futures
+        List.fold_left (fun acc f -> merge_blocks pk acc (Pool.await f)) first futures
       end
     in
-    { bucket_ids; group_size = List.length rows; blocks = { sums; counts_l1; counts_l2 } }
+    { bucket_ids; group_size = List.length rows; blocks }
   in
   let buckets =
     Trace.with_span "pairing_loop" (fun () -> List.map aggregate_bucket joint_bucket_rows)
@@ -836,19 +843,6 @@ let aggregate ?pool ?owned (et : enc_table) (tok : token) : agg_result =
    joint bucket vector; a bucket present in only some parts passes
    through unchanged (its rows all lived on those nodes). *)
 let merge_agg_results (pk : Bgn.public_key) (parts : agg_result list) : agg_result =
-  let merge_opt f a b =
-    match (a, b) with
-    | Some a, Some b -> Some (f a b)
-    | a, None -> a
-    | None, b -> b
-  in
-  let merge_blocks (a : block_aggregates) (b : block_aggregates) : block_aggregates =
-    {
-      sums = merge_opt (Array.map2 (Array.map2 (Bgn.add2 pk))) a.sums b.sums;
-      counts_l1 = merge_opt (Array.map2 (Bgn.add1 pk)) a.counts_l1 b.counts_l1;
-      counts_l2 = merge_opt (Array.map2 (Bgn.add2 pk)) a.counts_l2 b.counts_l2;
-    }
-  in
   let tbl : (int list, bucket_aggregate) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun part ->
@@ -862,7 +856,7 @@ let merge_agg_results (pk : Bgn.public_key) (parts : agg_result list) : agg_resu
               {
                 bucket_ids = prev.bucket_ids;
                 group_size = prev.group_size + b.group_size;
-                blocks = merge_blocks prev.blocks b.blocks;
+                blocks = merge_blocks pk prev.blocks b.blocks;
               })
         part.buckets)
     parts;

@@ -358,7 +358,26 @@ until grep '"event":"alert"' "$CL_DIR/coord.jsonl" | grep -q '"state":"resolved"
   sleep 0.1
 done
 echo "fleet health kill/alert/recover OK"
-kill "$SHARD0_PID" "$SHARD1_PID" "$COORD_PID" 2>/dev/null || true
+# SIGTERM drains the coordinator: the router's probe loop joins, its
+# pools stop, then the node logs server.stop and exits 0. A drain that
+# hangs is cut off by SIGKILL after 10 s and fails the exit check.
+kill -TERM "$COORD_PID"
+( sleep 10; kill -9 "$COORD_PID" 2>/dev/null ) &
+COORD_KILLER=$!
+COORD_STATUS=0
+wait "$COORD_PID" || COORD_STATUS=$?
+kill "$COORD_KILLER" 2>/dev/null || true
+if [ "$COORD_STATUS" -ne 0 ]; then
+  echo "coordinator exited with status $COORD_STATUS after SIGTERM" >&2
+  exit 1
+fi
+STOPS=$(grep -c '"event":"server.stop"' "$CL_DIR/coord.jsonl" || true)
+if [ "$STOPS" -ne 1 ]; then
+  echo "coordinator log has $STOPS server.stop events, want 1" >&2
+  exit 1
+fi
+echo "coordinator SIGTERM drain OK"
+kill "$SHARD0_PID" "$SHARD1_PID" 2>/dev/null || true
 trap - EXIT
 rm -rf "$CL_DIR"
 echo "cluster smoke OK"

@@ -1079,6 +1079,8 @@ let test_coordinator_query_during_append () =
                 true (ms < 250.))))
 
 let test_coordinator_shard_down () =
+  let module M = Sagma_obs.Metrics in
+  let counter name = Option.value ~default:0 (List.assoc_opt name (M.snapshot ()).M.counters) in
   let s0 = Server.create ~shard:(0, 2) () in
   with_handler ~port:7483 (Server.handle_encoded s0) (fun () ->
       (* Nothing listens on :7484 — connection refused, instantly. *)
@@ -1087,7 +1089,21 @@ let test_coordinator_shard_down () =
         ~finally:(fun () -> Router.shutdown r)
         (fun () ->
           let t0 = Unix.gettimeofday () in
-          (match Router.handle r (P.Upload { name = "t"; table = enc }) with
+          M.reset ();
+          M.set_enabled true;
+          let reply =
+            Fun.protect
+              ~finally:(fun () -> M.set_enabled false)
+              (fun () -> Router.handle r (P.Upload { name = "t"; table = enc }))
+          in
+          (* The failed call to shard 1 is a shard error. No probe ran
+             (probing is off), so no probe failure is counted. *)
+          Alcotest.(check bool) "failed fan-out call counts in router.shard_errors" true
+            (counter "router.shard_errors" > 0);
+          Alcotest.(check int) "failed fan-out call is not a probe failure" 0
+            (counter "router.probe_failures");
+          M.reset ();
+          (match reply with
            | P.Failed { message; _ } ->
              Alcotest.(check bool)
                (Printf.sprintf "failure names the dead shard: %s" message)
@@ -1194,6 +1210,7 @@ let test_coordinator_health_probing () =
   let probe_interval_ms = 100 in
   with_handler ~port:7497 (Server.handle_encoded s0) (fun () ->
       let r = Router.create ~deadline_ms:1000 ~probe_interval_ms [ "7497"; "7498" ] in
+      let node = Server.create ~fleet:r () in
       let rec wait_for cond what tries =
         if cond () then ()
         else if tries = 0 then Alcotest.fail what
@@ -1213,7 +1230,7 @@ let test_coordinator_health_probing () =
                   (Router.shard_health r)
                 && Router.down_count r = 0)
               "probes never saw both shards up" 100;
-            match Router.handle r P.Health with
+            match Server.handle node P.Health with
             | P.Health_report hr ->
               Alcotest.(check string) "healthy fleet is ok" "ok" hr.P.hr_status;
               Alcotest.(check int) "report carries both shards" 2 (List.length hr.P.hr_shards)
@@ -1238,7 +1255,7 @@ let test_coordinator_health_probing () =
             (Printf.sprintf "shard kill detected in %.0f ms, under two probe intervals"
                (detect_s *. 1000.))
             true (detect_s < gate_s);
-          (match Router.handle r P.Health with
+          (match Server.handle node P.Health with
            | P.Health_report hr ->
              Alcotest.(check string) "half-dead fleet is degraded" "degraded" hr.P.hr_status;
              let sh1 = List.nth hr.P.hr_shards 1 in
@@ -1256,6 +1273,76 @@ let test_coordinator_health_probing () =
            | _ -> Alcotest.fail "upload to a known-down fleet succeeded");
           Alcotest.(check bool) "known-down shard fails fast" true
             (Unix.gettimeofday () -. t0 < 0.5)))
+
+(* Draining turns Health to "draining" and back, in the single-server
+   role and in the coordinator role. *)
+let test_draining () =
+  let status node =
+    match Server.handle node P.Health with
+    | P.Health_report hr -> hr.P.hr_status
+    | _ -> Alcotest.fail "expected Health_report"
+  in
+  let drain role node =
+    Alcotest.(check string) (role ^ " starts ok") "ok" (status node);
+    Server.set_draining node true;
+    Alcotest.(check string) (role ^ " reads draining") "draining" (status node);
+    Server.set_draining node false;
+    Alcotest.(check string) (role ^ " is ok again") "ok" (status node)
+  in
+  drain "single server" (Server.create ());
+  (* Shards are presumed up until a call or probe says otherwise, so
+     nothing needs to listen on these endpoints. *)
+  let r = Router.create [ "7489"; "7490" ] in
+  Fun.protect
+    ~finally:(fun () -> Router.shutdown r)
+    (fun () -> drain "coordinator" (Server.create ~fleet:r ()))
+
+(* A coordinator node answers Stats and Health for the fleet: the
+   federated snapshot with per-shard labeled series, the "coordinator"
+   topology and the per-shard health block. *)
+let test_coordinator_node_stats_health () =
+  let module M = Sagma_obs.Metrics in
+  let s0 = Server.create ~shard:(0, 2) () in
+  let s1 = Server.create ~shard:(1, 2) () in
+  M.reset ();
+  M.set_enabled true;
+  with_handler ~port:7489 (Server.handle_encoded s0) (fun () ->
+      with_handler ~port:7490 (Server.handle_encoded s1) (fun () ->
+          let r = Router.create [ "7489"; "7490" ] in
+          Fun.protect
+            ~finally:(fun () ->
+              Router.shutdown r;
+              M.set_enabled false;
+              M.reset ())
+            (fun () ->
+              (match Server.create ~shard:(0, 2) ~fleet:r () with
+               | _ -> Alcotest.fail "a coordinator node accepted ?shard"
+               | exception Invalid_argument _ -> ());
+              let node = Server.create ~fleet:r () in
+              (match Server.handle node (P.Upload { name = "t"; table = enc }) with
+               | P.Ack -> ()
+               | _ -> Alcotest.fail "upload through the coordinator node failed");
+              (match Server.handle node P.Stats with
+               | P.Stats_report { P.sr_snapshot; sr_topology; _ } ->
+                 (match sr_topology with
+                  | Some t ->
+                    Alcotest.(check string) "topology role" "coordinator" t.P.tp_role;
+                    Alcotest.(check (list string)) "topology endpoints" [ "7489"; "7490" ]
+                      t.P.tp_shards
+                  | None -> Alcotest.fail "coordinator Stats without a topology");
+                 List.iter
+                   (fun label ->
+                     Alcotest.(check bool)
+                       (Printf.sprintf "federated counters carry %s" label)
+                       true
+                       (List.exists (fun (name, _) -> contains name label) sr_snapshot.M.counters))
+                   [ "{shard=\"0\"}"; "{shard=\"1\"}" ]
+               | _ -> Alcotest.fail "expected Stats_report");
+              match Server.handle node P.Health with
+              | P.Health_report hr ->
+                Alcotest.(check string) "healthy fleet is ok" "ok" hr.P.hr_status;
+                Alcotest.(check int) "one health entry per shard" 2 (List.length hr.P.hr_shards)
+              | _ -> Alcotest.fail "expected Health_report")))
 
 let qprop name count gen f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count gen f)
 
@@ -1312,7 +1399,8 @@ let () =
           Alcotest.test_case "gc telemetry roundtrip" `Quick test_gc_roundtrip;
           Alcotest.test_case "stats report json" `Quick test_stats_report_json;
           Alcotest.test_case "health roundtrip" `Quick test_health_roundtrip;
-          Alcotest.test_case "health report json" `Quick test_health_report_json ] );
+          Alcotest.test_case "health report json" `Quick test_health_report_json;
+          Alcotest.test_case "draining" `Quick test_draining ] );
       ( "sharding",
         [ Alcotest.test_case "topology roundtrip" `Quick test_topology_roundtrip;
           Alcotest.test_case "append row id roundtrip" `Quick test_append_row_id_roundtrip;
@@ -1323,7 +1411,8 @@ let () =
           Alcotest.test_case "shard down" `Quick test_coordinator_shard_down;
           Alcotest.test_case "query during append" `Quick test_coordinator_query_during_append;
           Alcotest.test_case "append retry" `Quick test_coordinator_append_retry;
-          Alcotest.test_case "health probing" `Quick test_coordinator_health_probing ] );
+          Alcotest.test_case "health probing" `Quick test_coordinator_health_probing;
+          Alcotest.test_case "node stats and health" `Quick test_coordinator_node_stats_health ] );
       ("transport", [ Alcotest.test_case "socket roundtrip" `Quick test_socket_roundtrip ]);
       ( "concurrency",
         [ Alcotest.test_case "parallel clients" `Quick test_parallel_clients;
