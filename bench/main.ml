@@ -426,7 +426,7 @@ let ablation_attack () =
     \ matching; bucketization caps the attack; dummy rows flatten it to near-guessing)"
 
 let ablation_montgomery () =
-  header "Ablation: Montgomery (CIOS) vs divide-and-reduce modular exponentiation";
+  header "Ablation: Montgomery (product scanning) vs divide-and-reduce modular exponentiation";
   Printf.printf "%8s %18s %18s %9s\n%!" "bits" "binary powm (ms)" "montgomery (ms)" "speedup";
   let drbg = Drbg.create "montgomery" in
   (* Division-based reference exponentiation. *)

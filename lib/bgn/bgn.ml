@@ -222,13 +222,11 @@ let dec1 (kp : keypair) (table : dec1_table) ~(max : int) (c : c1) : int option 
   Dlog.solve table (Curve.mul curve kp.sk.q1 c) ~max
 
 let make_dec2_table (kp : keypair) ~(max : int) : dec2_table =
-  let p = kp.pk.group.Pairing.p in
-  let base = Fp2.pow ~p kp.pk.e_gg kp.sk.q1 in
+  let base = Pairing.gt_pow kp.pk.group kp.pk.e_gg kp.sk.q1 in
   Dlog.make (gt_ops kp.pk) base ~max
 
 let dec2 (kp : keypair) (table : dec2_table) ~(max : int) (c : c2) : int option =
-  let p = kp.pk.group.Pairing.p in
-  Dlog.solve table (Fp2.pow ~p c kp.sk.q1) ~max
+  Dlog.solve table (Pairing.gt_pow kp.pk.group c kp.sk.q1) ~max
 
 (* One-shot decryption helpers (build a throwaway table). *)
 let dec1_once (kp : keypair) ~(max : int) (c : c1) : int option =

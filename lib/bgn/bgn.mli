@@ -94,7 +94,10 @@ val precompute1 : public_key -> c1 -> precomp1
 val mul_many : public_key -> (c1 * c1) list -> c2
 (** [mul_many pk [(a1,b1); ...]] is Σᵢ aᵢ·bᵢ at level 2 — equal to
     folding {!mul} results with {!add2}, but computed as one product of
-    pairings with a {e single} shared final exponentiation. The empty
+    pairings with a {e single} shared final exponentiation. Each extra
+    pair costs one [Pairing.precompute] (a ladder walk plus one F_p
+    inversion) and 4 Montgomery multiplications per Miller step; the
+    shared final exponentiation is ~1.5|p| multiplications. The empty
     list yields {!zero2}. [bgn.mul] advances by the list length, exactly
     as the termwise loop would. *)
 

@@ -142,7 +142,8 @@ let powm_binary base expo m =
   if equal m one then zero else !acc
 
 (* Montgomery pays off once the modulus clears a few limbs and there are
-   enough squarings to amortize the context setup. *)
+   enough squarings to amortize the context setup. Moduli wider than
+   [Montgomery.max_limbs] stay on the binary path. *)
 let montgomery_threshold_bits = 96
 
 let m_powm = Sagma_obs.Metrics.counter "bigint.powm"
@@ -153,7 +154,12 @@ let powm base expo m =
   if m.sign <= 0 then invalid_arg "Bigint.powm: modulus <= 0";
   if expo.sign < 0 then invalid_arg "Bigint.powm: negative exponent";
   Sagma_obs.Metrics.incr m_powm;
-  if is_odd m && num_bits m >= montgomery_threshold_bits && num_bits expo > 4 then begin
+  if
+    is_odd m
+    && num_bits m >= montgomery_threshold_bits
+    && Array.length m.mag <= Montgomery.max_limbs
+    && num_bits expo > 4
+  then begin
     let ctx = Montgomery.make m.mag in
     mk 1 (Montgomery.powm ctx (erem base m).mag expo.mag)
   end

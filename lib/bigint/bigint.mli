@@ -137,7 +137,8 @@ module Mont : sig
   type el
 
   val make : t -> ctx
-  (** @raise Invalid_argument for non-positive or even moduli. *)
+  (** @raise Invalid_argument for non-positive or even moduli and for
+      moduli wider than [Montgomery.max_limbs] limbs. *)
 
   val of_z : ctx -> t -> el
   val to_z : ctx -> el -> t

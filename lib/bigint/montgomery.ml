@@ -1,4 +1,4 @@
-(* Montgomery modular multiplication (CIOS variant) over 26-bit limbs.
+(* Montgomery modular multiplication (product scanning) over 26-bit limbs.
 
    For an odd modulus n of k limbs, numbers are represented as
    x·R mod n with R = base^k. One Montgomery multiplication costs
@@ -6,7 +6,13 @@
    multiply-then-Knuth-divide for the exponentiation loads in this
    repository (Paillier over n², Miller–Rabin, F_p² final
    exponentiations). [Bigint.powm] dispatches here for large odd moduli;
-   `bench ablation:montgomery` measures the gain. *)
+   `bench ablation:montgomery` measures the gain.
+
+   The product is scanned column by column: column i sums every
+   a_j·b_{i−j} and m_j·n_{i−j} in one native int and carries once. A
+   limb product is below 2^52, so a column of up to 2k products plus the
+   incoming carry stays below 2^62 while k ≤ [max_limbs] = 511 limbs
+   (13,286 bits); [make] refuses larger moduli. *)
 
 type ctx = {
   n : Nat.t;           (* the modulus, odd, normalized *)
@@ -15,6 +21,10 @@ type ctx = {
   r2 : Nat.t;          (* R² mod n, for conversion into Montgomery form *)
   one_mont : Nat.t;    (* R mod n = Montgomery form of 1 *)
 }
+
+(* 2·511·(2^26 − 1)² + 2^36 < 2^62: the widest column, with its carry,
+   fits a native int. *)
+let max_limbs = 511
 
 (* Inverse of an odd limb modulo 2^26 by Newton iteration. *)
 let limb_inverse (n0 : int) : int =
@@ -27,67 +37,71 @@ let limb_inverse (n0 : int) : int =
 let make (n : Nat.t) : ctx =
   if Nat.is_zero n || n.(0) land 1 = 0 then invalid_arg "Montgomery.make: modulus must be odd";
   let k = Array.length n in
+  if k > max_limbs then invalid_arg "Montgomery.make: modulus wider than max_limbs";
   let n0_inv = Nat.limb_mask land (Nat.base - limb_inverse n.(0)) in
   (* R² mod n via shifting (no division beyond Nat.rem). *)
   let r = Nat.rem (Nat.shift_left (Nat.of_int 1) (k * Nat.limb_bits)) n in
   let r2 = Nat.rem (Nat.mul r r) n in
   { n; k; n0_inv; r2; one_mont = r }
 
-(* CIOS Montgomery multiplication: returns a·b·R⁻¹ mod n. Operands are
-   k-limb arrays (zero-padded); the result is a fresh k-limb array. *)
+(* Product-scanning Montgomery multiplication: returns a·b·R⁻¹ mod n.
+   Operands are k-limb arrays (zero-padded, < n); the result is a fresh
+   k-limb array. The quotient digits m_j share [t] with the result:
+   column k + j writes result limb j after the last read of m_j. *)
 let mont_mul (c : ctx) (a : int array) (b : int array) : int array =
-  let k = c.k in
-  let n = c.n in
-  let t = Array.make (k + 2) 0 in
+  let k = c.k and n = c.n and n0_inv = c.n0_inv in
+  if Array.length a <> k || Array.length b <> k then
+    invalid_arg "Montgomery.mont_mul: operands must have k limbs";
+  let t = Array.make k 0 in
+  let carry = ref 0 in
   for i = 0 to k - 1 do
-    (* t := t + a_i * b *)
-    let ai = a.(i) in
-    let carry = ref 0 in
-    for j = 0 to k - 1 do
-      let s = t.(j) + (ai * b.(j)) + !carry in
-      t.(j) <- s land Nat.limb_mask;
-      carry := s lsr Nat.limb_bits
+    let s = ref !carry in
+    for j = 0 to i - 1 do
+      s :=
+        !s
+        + (Array.unsafe_get a j * Array.unsafe_get b (i - j))
+        + (Array.unsafe_get t j * Array.unsafe_get n (i - j))
     done;
-    let s = t.(k) + !carry in
-    t.(k) <- s land Nat.limb_mask;
-    t.(k + 1) <- t.(k + 1) + (s lsr Nat.limb_bits);
-    (* m := t_0 · n' mod base; t := (t + m·n) / base *)
-    let m = (t.(0) * c.n0_inv) land Nat.limb_mask in
-    let s = t.(0) + (m * n.(0)) in
-    let carry = ref (s lsr Nat.limb_bits) in
-    for j = 1 to k - 1 do
-      let s = t.(j) + (m * n.(j)) + !carry in
-      t.(j - 1) <- s land Nat.limb_mask;
-      carry := s lsr Nat.limb_bits
-    done;
-    let s = t.(k) + !carry in
-    t.(k - 1) <- s land Nat.limb_mask;
-    t.(k) <- t.(k + 1) + (s lsr Nat.limb_bits);
-    t.(k + 1) <- 0
+    let s = !s + (Array.unsafe_get a i * Array.unsafe_get b 0) in
+    let m = (s land Nat.limb_mask) * n0_inv land Nat.limb_mask in
+    Array.unsafe_set t i m;
+    carry := (s + (m * Array.unsafe_get n 0)) lsr Nat.limb_bits
   done;
-  (* t may be >= n (but < 2n): one conditional subtraction. *)
-  let result = Array.sub t 0 k in
+  for i = k to (2 * k) - 2 do
+    let s = ref !carry in
+    for j = i - k + 1 to k - 1 do
+      s :=
+        !s
+        + (Array.unsafe_get a j * Array.unsafe_get b (i - j))
+        + (Array.unsafe_get t j * Array.unsafe_get n (i - j))
+    done;
+    Array.unsafe_set t (i - k) (!s land Nat.limb_mask);
+    carry := !s lsr Nat.limb_bits
+  done;
+  Array.unsafe_set t (k - 1) (!carry land Nat.limb_mask);
+  let top = !carry lsr Nat.limb_bits in
+  (* t + top·R < 2n: one conditional subtraction; its final borrow
+     cancels [top]. *)
   let ge =
-    t.(k) > 0
+    top > 0
     ||
-    let rec cmp i = if i < 0 then true else if result.(i) <> n.(i) then result.(i) > n.(i) else cmp (i - 1) in
+    let rec cmp i =
+      if i < 0 then true
+      else
+        let ti = Array.unsafe_get t i and ni = Array.unsafe_get n i in
+        if ti <> ni then ti > ni else cmp (i - 1)
+    in
     cmp (k - 1)
   in
   if ge then begin
     let borrow = ref 0 in
     for j = 0 to k - 1 do
-      let d = result.(j) - n.(j) - !borrow in
-      if d < 0 then begin
-        result.(j) <- d + Nat.base;
-        borrow := 1
-      end
-      else begin
-        result.(j) <- d;
-        borrow := 0
-      end
+      let d = Array.unsafe_get t j - Array.unsafe_get n j - !borrow in
+      Array.unsafe_set t j (d land Nat.limb_mask);
+      borrow := (d lsr Nat.limb_bits) land 1
     done
   end;
-  result
+  t
 
 let pad (c : ctx) (a : Nat.t) : int array =
   let out = Array.make c.k 0 in

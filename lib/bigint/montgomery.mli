@@ -1,19 +1,28 @@
-(** Montgomery modular multiplication (CIOS) over 26-bit limbs.
+(** Montgomery modular multiplication (product scanning) over 26-bit
+    limbs.
 
     Numbers are carried as x·R mod n with R = base^k; a multiplication
-    costs ~2k² limb products and no division. {!Bigint.powm} dispatches
-    here for large odd moduli. *)
+    costs ~2k² limb products and no division. Each output column is
+    summed in one native int, which bounds the modulus at
+    {!max_limbs} limbs. {!Bigint.powm} dispatches here for large odd
+    moduli up to that bound. *)
 
 type ctx
 
+val max_limbs : int
+(** 511: the widest modulus (13,286 bits) whose product columns fit a
+    native int. *)
+
 val make : Nat.t -> ctx
-(** @raise Invalid_argument for even or zero moduli. *)
+(** @raise Invalid_argument for even or zero moduli and for moduli of
+    more than {!max_limbs} limbs. *)
 
 val limb_inverse : int -> int
 (** Inverse of an odd limb mod 2^26 (exposed for tests). *)
 
 val mont_mul : ctx -> int array -> int array -> int array
-(** a·b·R⁻¹ mod n on k-limb padded operands (exposed for tests). *)
+(** a·b·R⁻¹ mod n on k-limb padded operands below n (exposed for
+    tests). @raise Invalid_argument unless both operands have k limbs. *)
 
 val pad : ctx -> Nat.t -> int array
 val to_mont : ctx -> Nat.t -> int array

@@ -12,13 +12,14 @@
    (p²−1)/n = (p−1)·(p+1)/n and a^(p−1) = 1. So the Miller loop only
    accumulates the (F_p²-valued) tangent/chord line evaluations.
 
-   The production path is inversion-free: [precompute] walks the Miller
-   loop once per left argument in Jacobian coordinates, storing the line
-   coefficients (projectively scaled — the F_p^* scale factors are also
-   annihilated by the final exponentiation) in Montgomery form, and
-   [pairing_prod] evaluates any number of such precomputed lines against
-   their right arguments in one interleaved loop with a single shared
-   final exponentiation. The original affine loop survives as
+   The production path runs on Montgomery residues and pays one F_p
+   inversion per call: [precompute] walks the Miller loop once per left
+   argument in Jacobian coordinates and stores each line scaled to a unit
+   imaginary coefficient (the F_p^* scale factors are also annihilated
+   by the final exponentiation), and [pairing_prod] evaluates any number
+   of such precomputed lines against their right arguments in one
+   interleaved loop with a single shared final exponentiation, taken
+   through the Frobenius. The original affine loop survives as
    [pairing_affine], the reference the property tests compare against. *)
 
 module Z = Sagma_bigint.Bigint
@@ -29,7 +30,6 @@ type group = {
   n : Z.t;          (* order of the pairing subgroup *)
   l : Z.t;          (* cofactor *)
   curve : Curve.params;
-  final_exp : Z.t;  (* (p² − 1) / n *)
   mont : M.ctx;     (* Montgomery context for F_p (p is odd by construction) *)
 }
 
@@ -57,8 +57,7 @@ let make_group ?(rng : Z.rng option) (n : Z.t) : group =
     if Z.is_probable_prime rng p then (Z.of_int l, p) else find (l + 4)
   in
   let l, p = find 4 in
-  let final_exp = Z.div (Z.pred (Z.mul p p)) n in
-  { p; n; l; curve = Curve.make_params p; final_exp; mont = M.make p }
+  { p; n; l; curve = Curve.make_params p; mont = M.make p }
 
 (* A uniformly random point of order exactly n. Cofactor clearing leaves
    a point whose order divides n; the is_infinity rejection rules out
@@ -116,7 +115,8 @@ let miller_step (g : group) (t : Curve.point) (u : Curve.point) ~(xq : Z.t) ~(yq
     end
 
 (* Miller's algorithm computing f_{n,P}(φ(Q)) in affine coordinates (one
-   field inversion per step), followed by the final exponentiation. *)
+   field inversion per step), followed by the plain final exponentiation
+   to (p² − 1)/n — the oracle the fast path is tested against. *)
 let pairing_affine (g : group) (pp : Curve.point) (qq : Curve.point) : Fp2.t =
   match (pp, qq) with
   | Curve.Infinity, _ | _, Curve.Infinity -> Fp2.one
@@ -141,22 +141,39 @@ let pairing_affine (g : group) (pp : Curve.point) (qq : Curve.point) : Fp2.t =
       end
     done;
     Sagma_obs.Metrics.add m_miller_steps !steps;
-    Fp2.pow ~p !f g.final_exp
+    Fp2.pow ~p !f (Z.div (Z.pred (Z.mul p p)) g.n)
+
+(* --- Montgomery-form F_p helpers ----------------------------------------- *)
+
+(* x⁻¹ = x^(p−2) for x ≠ 0, in Montgomery form. One per [precompute]
+   and one per [pairing_prod]; an exponentiation rather than an egcd so
+   the whole path stays on Montgomery residues. *)
+let fp_inv (g : group) (x : M.el) : M.el =
+  let mc = g.mont in
+  let e = Z.sub g.p Z.two in
+  let acc = ref x in
+  for i = Z.num_bits e - 2 downto 0 do
+    acc := M.mul mc !acc !acc;
+    if Z.bit e i then acc := M.mul mc !acc x
+  done;
+  !acc
 
 (* --- fixed-argument precomputation ------------------------------------------
 
    The Miller loop's point ladder depends only on the left argument P and
    the (fixed) loop schedule of n, never on Q. [precompute] runs that
-   ladder once, in Jacobian coordinates (zero inversions), emitting for
-   every step the coefficients (c0, cx, cy) of the projectively scaled
-   line value  c0 + cx·x_Q + cy·y_Q·i  at φ(Q) = (−x_Q, i·y_Q). The scale
-   factors live in F_p^* and are annihilated by the final exponentiation,
-   so evaluating these lines is exactly equivalent to the affine loop.
-   Coefficients are stored in Montgomery form: [pairing_prod] never
-   leaves Montgomery residues until its final conversion. *)
+   ladder once, in Jacobian coordinates on Montgomery residues (zero
+   divisions), producing for every step the coefficients (c0, cx, cy) of
+   the projectively scaled line value  c0 + cx·x_Q + cy·y_Q·i  at
+   φ(Q) = (−x_Q, i·y_Q). Every non-vertical line has cy ≠ 0, so each
+   line is then divided by its cy (one batched inversion for the whole
+   ladder) and stored as d0 + dx·x_Q + y_Q·i with a unit imaginary
+   coefficient. All these scale factors live in F_p^* and are
+   annihilated by the final exponentiation, so evaluating the stored
+   lines is exactly equivalent to the affine loop. *)
 
 module Precomp = struct
-  type line = { c0 : M.el; cx : M.el; cy : M.el }
+  type line = { d0 : M.el; dx : M.el }
 
   type t = {
     point : Curve.point;         (* the fixed left argument *)
@@ -170,43 +187,42 @@ let precompute (g : group) (pp : Curve.point) : Precomp.t =
   match pp with
   | Curve.Infinity -> { Precomp.point = pp; lines = [||] }
   | Curve.Affine (xp, yp) ->
-    let p = g.p in
     let mc = g.mont in
+    let ( *: ) = M.mul mc and ( +: ) = M.add mc and ( -: ) = M.sub mc in
+    let dbl2 x = x +: x in
+    let xp = M.of_z mc xp and yp = M.of_z mc yp in
+    let one = M.one mc and zero = M.zero mc in
+    (* Lines in ladder order, before the division by cy. *)
     let lines = ref [] in
-    let emit = function
-      | None -> lines := None :: !lines
-      | Some (c0, cx, cy) ->
-        lines :=
-          Some { Precomp.c0 = M.of_z mc c0; cx = M.of_z mc cx; cy = M.of_z mc cy } :: !lines
-    in
+    let emit l = lines := l :: !lines in
     (* T = (tx, ty, tz) Jacobian, (X/Z², Y/Z³); tz = 0 encodes O. *)
-    let tx = ref xp and ty = ref yp and tz = ref Z.one in
+    let tx = ref xp and ty = ref yp and tz = ref one in
     let set_infinity () =
-      tx := Z.one;
-      ty := Z.one;
-      tz := Z.zero
+      tx := one;
+      ty := one;
+      tz := zero
     in
     (* Doubling step. Slope λ = M/Z3; the tangent at T evaluated at φ(Q),
        scaled by Z3·Z1Z1 ∈ F_p^*, is
-         (M·X1 − 2A) + M·Z1Z1·x_Q + Z3·Z1Z1·y_Q·i.  *)
+         (M·X1 − 2A) + M·Z1Z1·x_Q + Z3·Z1Z1·y_Q·i.
+       cy = Z3·Z1Z1 = 2·Y1·Z1³ ≠ 0 since Y1, Z1 ≠ 0. *)
     let dbl () =
-      if Z.is_zero !tz || Z.is_zero !ty then begin
+      if M.is_zero !tz || M.is_zero !ty then begin
         emit None;
         set_infinity ()
       end
       else begin
         let x1 = !tx and y1 = !ty and z1 = !tz in
-        let a = Z.mulm y1 y1 p in
-        let s = Z.erem (Z.shift_left (Z.mul x1 a) 2) p in
-        let z1z1 = Z.mulm z1 z1 p in
-        let m = Z.erem (Z.add (Z.mul_int (Z.mul x1 x1) 3) (Z.mul z1z1 z1z1)) p in
-        let x3 = Z.erem (Z.sub (Z.mul m m) (Z.shift_left s 1)) p in
-        let y3 = Z.erem (Z.sub (Z.mul m (Z.sub s x3)) (Z.shift_left (Z.mul a a) 3)) p in
-        let z3 = Z.erem (Z.shift_left (Z.mul y1 z1) 1) p in
-        let c0 = Z.erem (Z.sub (Z.mul m x1) (Z.shift_left a 1)) p in
-        let cx = Z.mulm m z1z1 p in
-        let cy = Z.mulm z3 z1z1 p in
-        emit (Some (c0, cx, cy));
+        let a = y1 *: y1 in
+        let s = dbl2 (dbl2 (x1 *: a)) in
+        let z1z1 = z1 *: z1 in
+        let xx = x1 *: x1 in
+        let m = dbl2 xx +: xx +: (z1z1 *: z1z1) in
+        let x3 = (m *: m) -: dbl2 s in
+        let aa = a *: a in
+        let y3 = (m *: (s -: x3)) -: dbl2 (dbl2 (dbl2 aa)) in
+        let z3 = dbl2 (y1 *: z1) in
+        emit (Some ((m *: x1) -: dbl2 a, m *: z1z1, z3 *: z1z1));
         tx := x3;
         ty := y3;
         tz := z3
@@ -214,24 +230,25 @@ let precompute (g : group) (pp : Curve.point) : Precomp.t =
     in
     (* Mixed addition step T := T + P. Slope λ = R/Z3; the chord,
        anchored at the affine P and scaled by Z3 ∈ F_p^*, is
-         (R·x_P − Z3·y_P) + R·x_Q + Z3·y_Q·i.  *)
+         (R·x_P − Z3·y_P) + R·x_Q + Z3·y_Q·i.
+       cy = Z3 = Z1·H ≠ 0 off the vertical case. *)
     let add_p () =
-      if Z.is_zero !tz then begin
+      if M.is_zero !tz then begin
         (* T = O: no line, the sum is just P (mirrors the affine step). *)
         emit None;
         tx := xp;
         ty := yp;
-        tz := Z.one
+        tz := one
       end
       else begin
         let x1 = !tx and y1 = !ty and z1 = !tz in
-        let z1z1 = Z.mulm z1 z1 p in
-        let u2 = Z.mulm xp z1z1 p in
-        let s2 = Z.mulm yp (Z.mulm z1 z1z1 p) p in
-        let h = Z.subm u2 x1 p in
-        let r = Z.subm s2 y1 p in
-        if Z.is_zero h then begin
-          if Z.is_zero r then
+        let z1z1 = z1 *: z1 in
+        let u2 = xp *: z1z1 in
+        let s2 = yp *: (z1 *: z1z1) in
+        let h = u2 -: x1 in
+        let r = s2 -: y1 in
+        if M.is_zero h then begin
+          if M.is_zero r then
             (* T = P mid-loop (small-order points): the chord degenerates
                to the tangent, exactly the affine fallback. *)
             dbl ()
@@ -242,14 +259,13 @@ let precompute (g : group) (pp : Curve.point) : Precomp.t =
           end
         end
         else begin
-          let h2 = Z.mulm h h p in
-          let h3 = Z.mulm h2 h p in
-          let x1h2 = Z.mulm x1 h2 p in
-          let x3 = Z.erem (Z.sub (Z.sub (Z.mul r r) h3) (Z.shift_left x1h2 1)) p in
-          let y3 = Z.erem (Z.sub (Z.mul r (Z.sub x1h2 x3)) (Z.mul y1 h3)) p in
-          let z3 = Z.mulm z1 h p in
-          let c0 = Z.erem (Z.sub (Z.mul r xp) (Z.mul z3 yp)) p in
-          emit (Some (c0, r, z3));
+          let h2 = h *: h in
+          let h3 = h2 *: h in
+          let x1h2 = x1 *: h2 in
+          let x3 = (r *: r) -: h3 -: dbl2 x1h2 in
+          let y3 = (r *: (x1h2 -: x3)) -: (y1 *: h3) in
+          let z3 = z1 *: h in
+          emit (Some ((r *: xp) -: (z3 *: yp), r, z3));
           tx := x3;
           ty := y3;
           tz := z3
@@ -261,7 +277,29 @@ let precompute (g : group) (pp : Curve.point) : Precomp.t =
       dbl ();
       if Z.bit g.n i then add_p ()
     done;
-    { Precomp.point = pp; lines = Array.of_list (List.rev !lines) }
+    let raw = Array.of_list (List.rev !lines) in
+    (* Montgomery's trick over every cy: prefix products, one [fp_inv],
+       back-substitution. prefix.(i) is the product of the cy before
+       line i; vertical lines contribute nothing. *)
+    let nraw = Array.length raw in
+    let prefix = Array.make nraw one in
+    let acc = ref one in
+    Array.iteri
+      (fun i l ->
+        prefix.(i) <- !acc;
+        match l with None -> () | Some (_, _, cy) -> acc := !acc *: cy)
+      raw;
+    let inv = ref (fp_inv g !acc) in
+    let lines = Array.make nraw None in
+    for i = nraw - 1 downto 0 do
+      match raw.(i) with
+      | None -> ()
+      | Some (c0, cx, cy) ->
+        let cy_inv = !inv *: prefix.(i) in
+        inv := !inv *: cy;
+        lines.(i) <- Some { Precomp.d0 = c0 *: cy_inv; dx = cx *: cy_inv }
+    done;
+    { Precomp.point = pp; lines }
 
 (* --- multi-pairing ----------------------------------------------------------
 
@@ -290,10 +328,34 @@ let mfp2_pow mc a e =
   done;
   !acc
 
+let fp2_of_mont mc (a : mfp2) : Fp2.t = { Fp2.re = M.to_z mc a.mre; im = M.to_z mc a.mim }
+
+(* The final exponentiation f^((p²−1)/n). Since p + 1 = ℓ·n the exponent
+   is (p − 1)·ℓ, and p ≡ 3 (mod 4) makes the Frobenius f^p the conjugate
+   f̄, so f^(p−1) = f̄/f = f̄²/N(f) with the norm N(f) = re² + im² ∈ F_p:
+   one [fp_inv] and a power of |ℓ| bits instead of 2|p| bits. f = 0 maps
+   to 0, as the plain power does. *)
+let final_exp (g : group) (f : mfp2) : Fp2.t =
+  let mc = g.mont in
+  if M.is_zero f.mre && M.is_zero f.mim then Fp2.zero
+  else begin
+    let rr = M.mul mc f.mre f.mre and ii = M.mul mc f.mim f.mim in
+    let ri = M.mul mc f.mre f.mim in
+    let ninv = fp_inv g (M.add mc rr ii) in
+    (* f̄² = (re² − im²) − 2·re·im·i *)
+    let u =
+      { mre = M.mul mc (M.sub mc rr ii) ninv;
+        mim = M.mul mc (M.sub mc (M.zero mc) (M.add mc ri ri)) ninv }
+    in
+    fp2_of_mont mc (mfp2_pow mc u g.l)
+  end
+
 (* Product of pairings Π ê(P_i, Q_i) with a single interleaved Miller
    loop and one shared final exponentiation. All pairs share the loop
    schedule (the bits of n), so the accumulator squares once per step
    regardless of the number of pairs:  (Π f_i)² · Π l_i = Π (f_i² · l_i).
+   Each line is a + y_Q·i with a = d0 + dx·x_Q, and f·(a + y_Q·i) is a
+   Karatsuba product: four multiplications per pair per step.
    Pairs with an infinity on either side contribute the factor 1. *)
 let pairing_prod (g : group) (pairs : (Precomp.t * Curve.point) list) : Fp2.t =
   let mc = g.mont in
@@ -321,10 +383,12 @@ let pairing_prod (g : group) (pairs : (Precomp.t * Curve.point) list) : Fp2.t =
         (fun (lines, mxq, myq) ->
           match lines.(i) with
           | None -> ()
-          | Some { Precomp.c0; cx; cy } ->
-            let re = M.add mc c0 (M.mul mc cx mxq) in
-            let im = M.mul mc cy myq in
-            f := mfp2_mul mc !f { mre = re; mim = im })
+          | Some { Precomp.d0; dx } ->
+            let a = M.add mc d0 (M.mul mc dx mxq) in
+            let { mre; mim } = !f in
+            let rr = M.mul mc mre a and ii = M.mul mc mim myq in
+            let t = M.mul mc (M.add mc mre mim) (M.add mc a myq) in
+            f := { mre = M.sub mc rr ii; mim = M.sub mc (M.sub mc t rr) ii })
         live;
       incr idx;
       incr steps
@@ -336,8 +400,7 @@ let pairing_prod (g : group) (pairs : (Precomp.t * Curve.point) list) : Fp2.t =
       if Z.bit g.n i then step ()
     done;
     Sagma_obs.Metrics.add m_miller_steps (!steps * nlive);
-    let r = mfp2_pow mc !f g.final_exp in
-    { Fp2.re = M.to_z mc r.mre; im = M.to_z mc r.mim }
+    final_exp g !f
 
 (* The scalar entry point, kept source-compatible: one precomputation,
    one pair, one final exponentiation. Callers that pair against the
@@ -349,6 +412,10 @@ let pairing (g : group) (pp : Curve.point) (qq : Curve.point) : Fp2.t =
 let gt_mul (g : group) a b = Fp2.mul ~p:g.p a b
 let gt_sqr (g : group) a = Fp2.sqr ~p:g.p a
 let gt_inv (g : group) a = Fp2.inv ~p:g.p a
-let gt_pow (g : group) a e = Fp2.pow ~p:g.p a (Z.erem e g.n)
+(* On Montgomery residues, like the final exponentiation: BGN decryption
+   raises every level-2 ciphertext to q1 through here. *)
+let gt_pow (g : group) (a : Fp2.t) e =
+  let mc = g.mont in
+  fp2_of_mont mc (mfp2_pow mc { mre = M.of_z mc a.Fp2.re; mim = M.of_z mc a.Fp2.im } (Z.erem e g.n))
 let gt_one = Fp2.one
 let gt_equal = Fp2.equal

@@ -11,15 +11,28 @@
 
     The production surface is context-oriented:
 
+    All of it runs on Montgomery residues of F_p ({!Z.Mont}); "mul"
+    below is one [M.mul].
+
     - {!precompute} runs the Miller point ladder for a fixed left
-      argument once, in Jacobian coordinates (zero field inversions),
-      and caches the per-step line coefficients in Montgomery form.
-      Cost: one ladder walk, ~|n| steps of a few modular multiplications.
+      argument once, in Jacobian coordinates, and caches each step's
+      line scaled to a unit imaginary coefficient, d0 + dx·x_Q + y_Q·i.
+      Cost: one ladder walk of ~|n| steps at ~15 muls each, plus ~5
+      muls per line and one [fp_inv] for the batched division.
     - {!pairing_prod} evaluates any number of (precomp, point) pairs in
       one interleaved Miller loop — the accumulator squares once per
       step {e regardless of the pair count} — and pays exactly {b one
       final exponentiation per call}. Marginal cost per extra pair:
-      ~6 Montgomery multiplications per Miller step, no inversions.
+      4 muls per Miller step (a Karatsuba product against the
+      unit-imaginary line), no inversions. The final exponentiation
+      uses p + 1 = ℓ·n and the Frobenius f^p = f̄: it raises
+      f̄²·N(f)⁻¹ to ℓ, about 1.5|p| muls, most of them in its one
+      [fp_inv].
+    - [fp_inv] (internal) is the F_p inversion x^(p−2) on Montgomery
+      residues. It runs once per {!precompute} and once per
+      {!pairing_prod} call. At 64-bit keys it beats the egcd; at
+      1024-bit keys it costs ~5–7 ms against ~0.7 ms for the egcd,
+      under 5% of a query, and keeps [bigint.invm] off this path.
     - {!pairing} is [fun g p q -> pairing_prod g [(precompute g p, q)]]:
       still the right call for one-off pairings, but callers that pair a
       fixed left argument repeatedly (or can share a final
@@ -38,7 +51,6 @@ type group = {
   n : Z.t;          (** order of the pairing subgroup (odd; composite for BGN) *)
   l : Z.t;          (** cofactor ℓ *)
   curve : Curve.params;
-  final_exp : Z.t;  (** (p² − 1)/n *)
   mont : Z.Mont.ctx;  (** Montgomery context for F_p, shared by the fast path *)
 }
 
@@ -71,9 +83,10 @@ module Precomp : sig
 end
 
 val precompute : group -> Curve.point -> Precomp.t
-(** One Jacobian Miller-ladder walk for the fixed left argument; no
-    field inversions. Precomputing [Infinity] yields an empty cache
-    whose pairs evaluate to 1. *)
+(** One Jacobian Miller-ladder walk for the fixed left argument and one
+    batched F_p inversion of the line scales (an exponentiation, not
+    an egcd). Precomputing [Infinity] yields an empty cache whose pairs
+    evaluate to 1. *)
 
 val pairing_prod : group -> (Precomp.t * Curve.point) list -> Fp2.t
 (** [pairing_prod g [(pc1, q1); ...]] is Π ê(P_i, Q_i), computed with a
@@ -89,8 +102,9 @@ val pairing : group -> Curve.point -> Curve.point -> Fp2.t
 
 val pairing_affine : group -> Curve.point -> Curve.point -> Fp2.t
 (** Reference implementation on affine coordinates (one field inversion
-    per Miller step, ~50× a multiplication). Deprecated for production
-    use; retained for property tests and benchmarks. *)
+    per Miller step, ~50× a multiplication) with the plain final
+    exponentiation to (p² − 1)/n. Deprecated for production use;
+    retained as the differential oracle of the property tests. *)
 
 (** Target-group (μ_n ⊆ F_p²) helpers. *)
 

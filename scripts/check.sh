@@ -27,6 +27,8 @@ SAGMA_PROP_SEED="sagma-fuzz-smoke" SAGMA_PROP_SCALE=100 \
   dune exec test/test_prop_bigint.exe
 SAGMA_PROP_SEED="sagma-fuzz-smoke" \
   dune exec test/test_prop_audit.exe
+SAGMA_PROP_SEED="sagma-fuzz-smoke" \
+  dune exec test/test_prop_pairing.exe
 
 echo "== security games smoke (pinned seed, reduced trials) =="
 # The adversary games (TESTING.md "Security games"): honest schemes must

@@ -243,6 +243,66 @@ let test_montgomery_matches_small_path () =
     check_z (Printf.sprintf "b^%d" e) (naive Z.one e) (Z.powm b (z e) m)
   done
 
+(* The product-scanning kernel against Nat.mul and Nat.rem: mont_mul
+   a b must be the residue r < n with r·R ≡ a·b (mod n). Limb counts
+   1, 2, 3 (64-bit keys), 40 (1024-bit keys), 159 (the p of a 4096-bit
+   key) and 511 (the column bound); the all-ones modulus with n − 1
+   operands fills every column to its largest sum. *)
+let test_montgomery_kernel_edges () =
+  let module Nat = Sagma_bigint.Nat in
+  let state = ref 0x5eed in
+  let limb () =
+    state := (!state * 1103515245 + 12345) land 0x3fffffffffff;
+    (!state lsr 13) land Nat.limb_mask
+  in
+  let random_odd k =
+    let n = Array.init k (fun _ -> limb ()) in
+    n.(0) <- n.(0) lor 1;
+    n.(k - 1) <- n.(k - 1) lor (1 lsl 25);
+    n
+  in
+  let all_ones k = Array.make k Nat.limb_mask in
+  let below n = Nat.rem (Array.init (Array.length n) (fun _ -> limb ())) n in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun (label, n) ->
+          let ctx = Mont.make n in
+          let nm1 = Nat.sub n (Nat.of_int 1) in
+          let operands = [ Nat.zero; Nat.of_int 1; nm1; Nat.sub n (Nat.of_int 2); below n; below n ] in
+          List.iter
+            (fun a ->
+              List.iter
+                (fun b ->
+                  let r = Nat.normalize (Mont.mont_mul ctx (Mont.pad ctx a) (Mont.pad ctx b)) in
+                  let name = Printf.sprintf "k=%d %s" k label in
+                  Alcotest.(check bool) (name ^ ": reduced") true (Nat.compare r n < 0);
+                  Alcotest.(check string) name
+                    (Nat.to_hex (Nat.rem (Nat.mul a b) n))
+                    (Nat.to_hex (Nat.rem (Nat.shift_left r (k * Nat.limb_bits)) n)))
+                operands)
+            operands)
+        [ ("random", random_odd k); ("all-ones", all_ones k) ])
+    [ 1; 2; 3; 40; 159; Mont.max_limbs ]
+
+(* Above the column bound the kernel refuses the modulus and powm stays
+   on the binary path; it must still agree with repeated mulm. *)
+let test_montgomery_limb_bound () =
+  let module Nat = Sagma_bigint.Nat in
+  let k = Mont.max_limbs + 1 in
+  let n = Array.make k Nat.limb_mask in
+  (match Mont.make n with
+   | _ -> Alcotest.fail "Montgomery.make accepted a 512-limb modulus"
+   | exception Invalid_argument _ -> ());
+  let m = Z.pred (Z.shift_left Z.one (k * Nat.limb_bits)) in
+  let m = Z.sub m (z 1234) in
+  let b = Z.add (Z.pow (z 7) 4000) (z 99) in
+  let acc = ref Z.one in
+  for e = 1 to 37 do
+    acc := Z.mulm !acc b m;
+    if e >= 16 then check_z (Printf.sprintf "b^%d" e) !acc (Z.powm b (z e) m)
+  done
+
 (* --- qcheck properties --------------------------------------------------- *)
 
 let small_int_gen = QCheck.int_range (-1_000_000_000) 1_000_000_000
@@ -364,6 +424,8 @@ let () =
         [ Alcotest.test_case "limb inverse" `Quick test_montgomery_limb_inverse;
           Alcotest.test_case "roundtrip" `Quick test_montgomery_roundtrip;
           Alcotest.test_case "fermat" `Quick test_montgomery_powm_fermat;
-          Alcotest.test_case "matches naive" `Quick test_montgomery_matches_small_path ] );
+          Alcotest.test_case "matches naive" `Quick test_montgomery_matches_small_path;
+          Alcotest.test_case "kernel edges" `Quick test_montgomery_kernel_edges;
+          Alcotest.test_case "limb bound" `Quick test_montgomery_limb_bound ] );
       ("properties", props);
     ]

@@ -324,6 +324,39 @@ let t_composite_prod = R.test ~count:4 ~name:"composite order: fast equals affin
            (Pairing.pairing group_comp q2pt p1)
            (Pairing.pairing_affine group_comp q2pt p1))
 
+(* Every group above has a p of 3 limbs. This one draws n = q1·q2 from
+   two 128-bit primes, so p spans about 11 limbs and the kernel's column
+   carries and the precompute's batched inversion run multi-limb. The
+   pairs mix order-n points, the q1-projected point of order q2, both
+   infinities and the 2-torsion point (0, 0), whose ladder alternates
+   the vertical doubling (y = 0) with the addition from T = O. *)
+let t_multilimb_prod = R.test ~count:3 ~name:"multi-limb composite: pairing_prod equals affine product"
+    (R.arbitrary
+       ~print:(fun s -> Printf.sprintf "%S" s)
+       (Gen.bytes_size (Gen.return 16)))
+    (fun seed ->
+      let d = Sagma_crypto.Drbg.create ("multilimb|" ^ seed) in
+      let rng = Sagma_crypto.Drbg.rng d in
+      let q1 = Z.random_prime rng ~bits:128 and q2 = Z.random_prime rng ~bits:128 in
+      let g = Pairing.make_group (Z.mul q1 q2) in
+      let cp = g.Pairing.curve in
+      let pt () = Pairing.random_order_n_point ~factors:[ q1; q2 ] g rng in
+      let p = pt () and q = pt () and r = pt () in
+      let small = Curve.mul cp q1 p and two = Curve.Affine (Z.zero, Z.zero) in
+      let pairs =
+        [ (p, q); (small, r); (Curve.Infinity, q); (r, small); (q, Curve.Infinity); (small, small);
+          (two, q); (p, two) ]
+      in
+      let prod = Pairing.pairing_prod g (List.map (fun (a, b) -> (Pairing.precompute g a, b)) pairs) in
+      let expected =
+        List.fold_left
+          (fun acc (a, b) -> Pairing.gt_mul g acc (Pairing.pairing_affine g a b))
+          Pairing.gt_one pairs
+      in
+      Z.num_bits g.Pairing.p > 250
+      && Pairing.gt_equal prod expected
+      && not (Pairing.gt_equal prod Pairing.gt_one))
+
 (* --- target group helpers ---------------------------------------------------- *)
 
 let t_gt_ops = R.test ~count:8 ~name:"gt helpers are consistent"
@@ -364,5 +397,5 @@ let () =
       t_mul_small; t_order; t_bilinear; t_additive; t_symmetric; t_scalar_slides;
       t_nondegenerate; t_infinity; t_target_order; t_new_vs_affine; t_precomp_reuse;
       t_prod_product; t_prod_infinity; t_prod_additive; t_lincomb; t_lincomb_edges; t_lincomb2; t_smul1_recoding;
-      t_composite_prod;
+      t_composite_prod; t_multilimb_prod;
       t_gt_ops; t_composite ]
