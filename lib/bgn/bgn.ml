@@ -81,11 +81,12 @@ let m_mul = Metrics.counter "bgn.mul"
 
 (* --- level 1 ------------------------------------------------------------ *)
 
+(* m·g + r·h as one signed combination: one shared doubling chain and
+   one inversion, instead of two ladders and an affine addition. *)
 let enc1 (pk : public_key) (drbg : Drbg.t) (m : Z.t) : c1 =
   Metrics.incr m_enc1;
-  let curve = pk.group.Pairing.curve in
   let r = random_blinding pk drbg in
-  Curve.add curve (Curve.mul curve (Z.erem m (n pk)) pk.g) (Curve.mul curve r pk.h)
+  (Curve.lincomb_batch pk.group.Pairing.curve [| [ (Z.erem m (n pk), pk.g); (r, pk.h) ] |]).(0)
 
 let enc1_int pk drbg m = enc1 pk drbg (Z.of_int m)
 
@@ -135,8 +136,8 @@ let lincomb1_batch (pk : public_key) (combos : (Z.t * c1) list array) : c1 array
   fst (lincomb1_batch2 pk combos [||])
 
 let rerandomize1 (pk : public_key) (drbg : Drbg.t) (a : c1) : c1 =
-  let curve = pk.group.Pairing.curve in
-  Curve.add curve a (Curve.mul curve (random_blinding pk drbg) pk.h)
+  let r = random_blinding pk drbg in
+  (Curve.lincomb_batch pk.group.Pairing.curve [| [ (Z.one, a); (r, pk.h) ] |]).(0)
 
 (* --- level 2 ------------------------------------------------------------ *)
 
@@ -191,11 +192,15 @@ let mul_many (pk : public_key) (pairs : (c1 * c1) list) : c2 =
 (* --- decryption ----------------------------------------------------------
 
    Decryption tables are exposed so callers can reuse them: one SAGMA
-   query decrypts many components under the same base. *)
+   query decrypts many components under the same base. Level 1 raises
+   the point to q1 with one [Curve.mul] and walks affine additions.
+   Level 2 converts the ciphertext into {!Pairing.Gt} once: the q1
+   power, the baby steps, the giant steps and the table keys all stay
+   on Montgomery F_p² residues. *)
 
 type dec1_table = Curve.point Dlog.table
 
-type dec2_table = Fp2.t Dlog.table
+type dec2_table = Pairing.Gt.t Dlog.table
 
 let curve_ops (pk : public_key) : Curve.point Dlog.ops =
   let curve = pk.group.Pairing.curve in
@@ -204,13 +209,13 @@ let curve_ops (pk : public_key) : Curve.point Dlog.ops =
     one = Curve.Infinity;
     serialize = Curve.serialize }
 
-let gt_ops (pk : public_key) : Fp2.t Dlog.ops =
-  let p = pk.group.Pairing.p in
-  { Dlog.mul = Fp2.mul ~p;
+let gt_ops (pk : public_key) : Pairing.Gt.t Dlog.ops =
+  let g = pk.group in
+  { Dlog.mul = Pairing.Gt.mul g;
     (* In μ_n ⊂ F_p²  conjugation is inversion: x^p = x⁻¹ since n | p+1. *)
-    inv = Fp2.conj ~p;
-    one = Fp2.one;
-    serialize = Fp2.serialize }
+    inv = Pairing.Gt.conj g;
+    one = Pairing.Gt.one g;
+    serialize = Pairing.Gt.key }
 
 let make_dec1_table (kp : keypair) ~(max : int) : dec1_table =
   let curve = kp.pk.group.Pairing.curve in
@@ -221,12 +226,16 @@ let dec1 (kp : keypair) (table : dec1_table) ~(max : int) (c : c1) : int option 
   let curve = kp.pk.group.Pairing.curve in
   Dlog.solve table (Curve.mul curve kp.sk.q1 c) ~max
 
+(* x^q1 on Montgomery residues. *)
+let gt_q1 (kp : keypair) (x : Fp2.t) : Pairing.Gt.t =
+  let g = kp.pk.group in
+  Pairing.Gt.pow g (Pairing.Gt.of_fp2 g x) kp.sk.q1
+
 let make_dec2_table (kp : keypair) ~(max : int) : dec2_table =
-  let base = Pairing.gt_pow kp.pk.group kp.pk.e_gg kp.sk.q1 in
-  Dlog.make (gt_ops kp.pk) base ~max
+  Dlog.make (gt_ops kp.pk) (gt_q1 kp kp.pk.e_gg) ~max
 
 let dec2 (kp : keypair) (table : dec2_table) ~(max : int) (c : c2) : int option =
-  Dlog.solve table (Pairing.gt_pow kp.pk.group c kp.sk.q1) ~max
+  Dlog.solve table (gt_q1 kp c) ~max
 
 (* One-shot decryption helpers (build a throwaway table). *)
 let dec1_once (kp : keypair) ~(max : int) (c : c1) : int option =

@@ -245,6 +245,7 @@ module Mont = struct
   let sub (c : ctx) (a : el) (b : el) : el = Montgomery.sub c.mctx a b
   let is_zero (a : el) : bool = Array.for_all (fun l -> l = 0) a
   let equal (a : el) (b : el) : bool = a = b
+  let limbs (a : el) : int array = a
 end
 
 (* Jacobi symbol (a/n) for odd positive n. *)

@@ -149,6 +149,11 @@ module Mont : sig
   val sub : ctx -> el -> el -> el
   val is_zero : el -> bool
   val equal : el -> el -> bool
+
+  val limbs : el -> int array
+  (** The residue's k limbs of 26 bits, least significant first — the
+      array itself, not a copy; do not mutate it. Residues are fully
+      reduced, so equal limbs mean equal elements (hash keys). *)
 end
 
 val jacobi : t -> t -> int

@@ -2,22 +2,29 @@
 
    For such p the curve is supersingular with #E(F_p) = p + 1; BGN key
    generation picks p = ℓ·n − 1 so the curve group has a subgroup of the
-   composite order n = q₁q₂. Affine coordinates; the point at infinity is
-   represented explicitly. *)
+   composite order n = q₁q₂. Points are affine, with the point at
+   infinity explicit. The affine operations ([add], [double], [neg], the
+   slopes, [is_on_curve], [random_point]) run on [Z]: each costs one egcd
+   anyway, and they are the reference the property tests and
+   [Pairing.pairing_affine] use. Scalar multiplication and signed
+   combinations run in Jacobian coordinates on Montgomery residues, with
+   one inversion per call or batch. *)
 
 module Z = Sagma_bigint.Bigint
+module M = Z.Mont
 
 type point =
   | Infinity
   | Affine of Z.t * Z.t
 
-type params = { p : Z.t }
-(* The field prime. Curve coefficients are fixed: a = 1, b = 0. *)
+type params = { p : Z.t; mont : M.ctx }
+(* The field prime and its Montgomery context. Curve coefficients are
+   fixed: a = 1, b = 0. *)
 
 let make_params (p : Z.t) : params =
-  if Z.to_int_exn (Z.erem p (Z.of_int 4)) <> 3 then
+  if Z.sign p <= 0 || not (Z.bit p 0 && Z.bit p 1) then
     invalid_arg "Curve.make_params: need p ≡ 3 (mod 4)";
-  { p }
+  { p; mont = M.make p }
 
 let is_infinity = function Infinity -> true | Affine _ -> false
 
@@ -81,78 +88,99 @@ let add (cp : params) (a : point) (b : point) : point =
 
 let sub (cp : params) a b = add cp a (neg cp b)
 
-(* --- Jacobian-coordinate fast path for scalar multiplication -------------
+(* --- Jacobian coordinates on Montgomery residues ---------------------------
 
-   Affine operations cost one field inversion each (~50× a multiplication
-   with our bignum), so the double-and-add ladder runs in Jacobian
-   coordinates (X, Y, Z) ≘ (X/Z², Y/Z³) with a single inversion at the
-   end. Curve coefficient a = 1. *)
+   Affine operations cost one field inversion each (an egcd, ~50× a
+   multiplication), so scalar multiplication and signed combinations run
+   in Jacobian coordinates (X, Y, Z) ≘ (X/Z², Y/Z³) with one inversion at
+   the end. The coordinates are Montgomery residues of [cp.mont]: they
+   enter through [M.of_z] once per input point and leave through
+   [M.to_z] when a result is normalised, so no product in between
+   divides. Curve coefficient a = 1. [Pairing.precompute] walks its
+   Miller ladder with the same two steps, reading each step's line
+   ingredients. *)
 
-type jacobian = { jx : Z.t; jy : Z.t; jz : Z.t }  (* jz = 0 encodes O *)
+type jacobian = { jx : M.el; jy : M.el; jz : M.el }  (* jz = 0 encodes O *)
 
-let jac_infinity = { jx = Z.one; jy = Z.one; jz = Z.zero }
+type line =
+  | No_line
+  | Tangent of { m : M.el; z1z1 : M.el; yy : M.el }
+  | Chord of { r : M.el }
 
-let jac_double (cp : params) (q : jacobian) : jacobian =
-  let p = cp.p in
-  if Z.is_zero q.jz || Z.is_zero q.jy then jac_infinity
+let jac_infinity (cp : params) = { jx = M.one cp.mont; jy = M.one cp.mont; jz = M.zero cp.mont }
+
+let jac_of_point (cp : params) = function
+  | Infinity -> jac_infinity cp
+  | Affine (x, y) -> { jx = M.of_z cp.mont x; jy = M.of_z cp.mont y; jz = M.one cp.mont }
+
+let jac_double_step (cp : params) (q : jacobian) : jacobian * line =
+  if M.is_zero q.jz || M.is_zero q.jy then (jac_infinity cp, No_line)
   else begin
-    let y2 = Z.mulm q.jy q.jy p in
-    let s = Z.erem (Z.shift_left (Z.mul q.jx y2) 2) p in
-    let z2 = Z.mulm q.jz q.jz p in
+    let mc = cp.mont in
+    let ( *: ) a b = M.mul mc a b and ( +: ) a b = M.add mc a b and ( -: ) a b = M.sub mc a b in
+    let dbl x = x +: x in
+    let yy = q.jy *: q.jy in
+    let s = dbl (dbl (q.jx *: yy)) in
+    let z1z1 = q.jz *: q.jz in
+    let xx = q.jx *: q.jx in
     (* M = 3X² + a·Z⁴ with a = 1 *)
-    let m = Z.erem (Z.add (Z.mul_int (Z.mul q.jx q.jx) 3) (Z.mul z2 z2)) p in
-    let x' = Z.erem (Z.sub (Z.mul m m) (Z.shift_left s 1)) p in
-    let y' = Z.erem (Z.sub (Z.mul m (Z.sub s x')) (Z.shift_left (Z.mul y2 y2) 3)) p in
-    let z' = Z.erem (Z.shift_left (Z.mul q.jy q.jz) 1) p in
-    { jx = x'; jy = y'; jz = z' }
+    let m = dbl xx +: xx +: (z1z1 *: z1z1) in
+    let x3 = (m *: m) -: dbl s in
+    let y3 = (m *: (s -: x3)) -: dbl (dbl (dbl (yy *: yy))) in
+    let z3 = dbl (q.jy *: q.jz) in
+    ({ jx = x3; jy = y3; jz = z3 }, Tangent { m; z1z1; yy })
   end
 
-(* Mixed addition: Jacobian + affine. *)
-let jac_add_affine (cp : params) (q : jacobian) (x2 : Z.t) (y2 : Z.t) : jacobian =
-  let p = cp.p in
-  if Z.is_zero q.jz then { jx = x2; jy = y2; jz = Z.one }
+(* Mixed addition: Jacobian + affine (x2, y2), both in Montgomery form. *)
+let jac_add_affine_step (cp : params) (q : jacobian) (x2 : M.el) (y2 : M.el) : jacobian * line =
+  let mc = cp.mont in
+  if M.is_zero q.jz then ({ jx = x2; jy = y2; jz = M.one mc }, No_line)
   else begin
-    let z1z1 = Z.mulm q.jz q.jz p in
-    let u2 = Z.mulm x2 z1z1 p in
-    let s2 = Z.mulm y2 (Z.mulm q.jz z1z1 p) p in
-    let h = Z.subm u2 q.jx p in
-    let r = Z.subm s2 q.jy p in
-    if Z.is_zero h then begin
-      if Z.is_zero r then jac_double cp q else jac_infinity
+    let ( *: ) a b = M.mul mc a b and ( -: ) a b = M.sub mc a b in
+    let z1z1 = q.jz *: q.jz in
+    let u2 = x2 *: z1z1 in
+    let s2 = y2 *: (q.jz *: z1z1) in
+    let h = u2 -: q.jx in
+    let r = s2 -: q.jy in
+    if M.is_zero h then begin
+      if M.is_zero r then jac_double_step cp q else (jac_infinity cp, No_line)
     end
     else begin
-      let h2 = Z.mulm h h p in
-      let h3 = Z.mulm h2 h p in
-      let x1h2 = Z.mulm q.jx h2 p in
-      let x3 = Z.erem (Z.sub (Z.sub (Z.mul r r) h3) (Z.shift_left x1h2 1)) p in
-      let y3 = Z.erem (Z.sub (Z.mul r (Z.sub x1h2 x3)) (Z.mul q.jy h3)) p in
-      let z3 = Z.mulm q.jz h p in
-      { jx = x3; jy = y3; jz = z3 }
+      let h2 = h *: h in
+      let h3 = h2 *: h in
+      let x1h2 = q.jx *: h2 in
+      let x3 = (r *: r) -: h3 -: M.add mc x1h2 x1h2 in
+      let y3 = (r *: (x1h2 -: x3)) -: (q.jy *: h3) in
+      let z3 = q.jz *: h in
+      ({ jx = x3; jy = y3; jz = z3 }, Chord { r })
     end
   end
 
-let jac_to_affine (cp : params) (q : jacobian) : point =
-  if Z.is_zero q.jz then Infinity
-  else begin
-    let p = cp.p in
-    let zi = Z.invm_exn q.jz p in
-    let zi2 = Z.mulm zi zi p in
-    Affine (Z.mulm q.jx zi2 p, Z.mulm q.jy (Z.mulm zi2 zi p) p)
-  end
+let jac_double cp q = fst (jac_double_step cp q)
+let jac_add_affine cp q x2 y2 = fst (jac_add_affine_step cp q x2 y2)
 
-(* Scalar multiplication, double-and-add MSB-first in Jacobian form. *)
+(* (X·zi², Y·zi³) for zi = Z⁻¹ in Montgomery form, back on [Z]. *)
+let scaled_affine (cp : params) (q : jacobian) (zi : M.el) : point =
+  let mc = cp.mont in
+  let zi2 = M.mul mc zi zi in
+  Affine (M.to_z mc (M.mul mc q.jx zi2), M.to_z mc (M.mul mc q.jy (M.mul mc zi2 zi)))
+
+(* Scalar multiplication, double-and-add MSB-first in Jacobian form, with
+   one [Z.invm_exn] at the end. *)
 let mul (cp : params) (k : Z.t) (pt : point) : point =
   if Z.sign k < 0 then invalid_arg "Curve.mul: negative scalar";
   match pt with
   | Infinity -> Infinity
-  | Affine (x, y) ->
-    let nbits = Z.num_bits k in
-    let acc = ref jac_infinity in
-    for i = nbits - 1 downto 0 do
+  | Affine _ ->
+    let b = jac_of_point cp pt in
+    let acc = ref (jac_infinity cp) in
+    for i = Z.num_bits k - 1 downto 0 do
       acc := jac_double cp !acc;
-      if Z.bit k i then acc := jac_add_affine cp !acc x y
+      if Z.bit k i then acc := jac_add_affine cp !acc b.jx b.jy
     done;
-    jac_to_affine cp !acc
+    let q = !acc and mc = cp.mont in
+    if M.is_zero q.jz then Infinity
+    else scaled_affine cp q (M.of_z mc (Z.invm_exn (M.to_z mc q.jz) cp.p))
 
 let mul_int (cp : params) (k : int) (pt : point) : point = mul cp (Z.of_int k) pt
 
@@ -164,38 +192,36 @@ let mul_int (cp : params) (k : int) (pt : point) : point = mul cp (Z.of_int k) p
    therefore a single addition, with no ladder at all. Everything stays
    in Jacobian form until the whole batch is normalised together. *)
 
-let jac_of_point = function
-  | Infinity -> jac_infinity
-  | Affine (x, y) -> { jx = x; jy = y; jz = Z.one }
-
-let jac_neg (cp : params) (q : jacobian) : jacobian = { q with jy = Z.erem (Z.neg q.jy) cp.p }
+let jac_neg (cp : params) (q : jacobian) : jacobian =
+  { q with jy = M.sub cp.mont (M.zero cp.mont) q.jy }
 
 (* General addition of two Jacobian points; an operand with Z = 1 takes
    the cheaper mixed formula. *)
 let jac_add (cp : params) (q : jacobian) (r : jacobian) : jacobian =
-  if Z.is_zero r.jz then q
-  else if Z.equal r.jz Z.one then jac_add_affine cp q r.jx r.jy
-  else if Z.is_zero q.jz then r
+  let mc = cp.mont in
+  if M.is_zero r.jz then q
+  else if M.equal r.jz (M.one mc) then jac_add_affine cp q r.jx r.jy
+  else if M.is_zero q.jz then r
   else begin
-    let p = cp.p in
-    let z1z1 = Z.mulm q.jz q.jz p in
-    let z2z2 = Z.mulm r.jz r.jz p in
-    let u1 = Z.mulm q.jx z2z2 p in
-    let u2 = Z.mulm r.jx z1z1 p in
-    let s1 = Z.mulm q.jy (Z.mulm r.jz z2z2 p) p in
-    let s2 = Z.mulm r.jy (Z.mulm q.jz z1z1 p) p in
-    let h = Z.subm u2 u1 p in
-    let rr = Z.subm s2 s1 p in
-    if Z.is_zero h then begin
-      if Z.is_zero rr then jac_double cp q else jac_infinity
+    let ( *: ) a b = M.mul mc a b and ( -: ) a b = M.sub mc a b in
+    let z1z1 = q.jz *: q.jz in
+    let z2z2 = r.jz *: r.jz in
+    let u1 = q.jx *: z2z2 in
+    let u2 = r.jx *: z1z1 in
+    let s1 = q.jy *: (r.jz *: z2z2) in
+    let s2 = r.jy *: (q.jz *: z1z1) in
+    let h = u2 -: u1 in
+    let rr = s2 -: s1 in
+    if M.is_zero h then begin
+      if M.is_zero rr then jac_double cp q else jac_infinity cp
     end
     else begin
-      let h2 = Z.mulm h h p in
-      let h3 = Z.mulm h2 h p in
-      let u1h2 = Z.mulm u1 h2 p in
-      let x3 = Z.erem (Z.sub (Z.sub (Z.mul rr rr) h3) (Z.shift_left u1h2 1)) p in
-      let y3 = Z.erem (Z.sub (Z.mul rr (Z.sub u1h2 x3)) (Z.mul s1 h3)) p in
-      let z3 = Z.mulm (Z.mulm q.jz r.jz p) h p in
+      let h2 = h *: h in
+      let h3 = h2 *: h in
+      let u1h2 = u1 *: h2 in
+      let x3 = (rr *: rr) -: h3 -: M.add mc u1h2 u1h2 in
+      let y3 = (rr *: (u1h2 -: x3)) -: (s1 *: h3) in
+      let z3 = (q.jz *: r.jz) *: h in
       { jx = x3; jy = y3; jz = z3 }
     end
   end
@@ -204,12 +230,12 @@ let jac_lincomb (cp : params) (terms : (Z.t * jacobian) list) : jacobian =
   let terms =
     List.filter_map
       (fun (k, b) ->
-        if Z.is_zero k || Z.is_zero b.jz then None
+        if Z.is_zero k || M.is_zero b.jz then None
         else Some (Z.abs k, if Z.sign k < 0 then jac_neg cp b else b))
       terms
   in
   let nbits = List.fold_left (fun m (k, _) -> max m (Z.num_bits k)) 0 terms in
-  let acc = ref jac_infinity in
+  let acc = ref (jac_infinity cp) in
   for i = nbits - 1 downto 0 do
     acc := jac_double cp !acc;
     List.iter (fun (k, b) -> if Z.bit k i then acc := jac_add cp !acc b) terms
@@ -219,20 +245,20 @@ let jac_lincomb (cp : params) (terms : (Z.t * jacobian) list) : jacobian =
 (* Normalise a batch with one [Z.invm_batch]. Points whose Z is already 1
    (a lone ±1 term) need no inversion, so a batch of those costs none. *)
 let to_affine_batch (cp : params) (qs : jacobian array) : point array =
-  let p = cp.p in
-  let scaled q = not (Z.is_zero q.jz || Z.equal q.jz Z.one) in
-  let zs = List.filter_map (fun q -> if scaled q then Some q.jz else None) (Array.to_list qs) in
-  let zinvs = Z.invm_batch (Array.of_list zs) p in
+  let mc = cp.mont in
+  let one = M.one mc in
+  let scaled q = not (M.is_zero q.jz || M.equal q.jz one) in
+  let zs = List.filter_map (fun q -> if scaled q then Some (M.to_z mc q.jz) else None) (Array.to_list qs) in
+  let zinvs = Z.invm_batch (Array.of_list zs) cp.p in
   let next = ref 0 in
   let out = Array.make (Array.length qs) Infinity in
   Array.iteri
     (fun i q ->
-      if Z.equal q.jz Z.one then out.(i) <- Affine (q.jx, q.jy)
+      if M.equal q.jz one then out.(i) <- Affine (M.to_z mc q.jx, M.to_z mc q.jy)
       else if scaled q then begin
         let zi = zinvs.(!next) in
         incr next;
-        let zi2 = Z.mulm zi zi p in
-        out.(i) <- Affine (Z.mulm q.jx zi2 p, Z.mulm q.jy (Z.mulm zi2 zi p) p)
+        out.(i) <- scaled_affine cp q (M.of_z mc zi)
       end)
     qs;
   out
@@ -240,7 +266,7 @@ let to_affine_batch (cp : params) (qs : jacobian array) : point array =
 let lincomb_batch2 (cp : params) (first : (Z.t * point) list array)
     (second : (Z.t * int) list array) : point array * point array =
   let jfirst =
-    Array.map (fun terms -> jac_lincomb cp (List.map (fun (k, pt) -> (k, jac_of_point pt)) terms)) first
+    Array.map (fun terms -> jac_lincomb cp (List.map (fun (k, pt) -> (k, jac_of_point cp pt)) terms)) first
   in
   let jsecond =
     Array.map (fun terms -> jac_lincomb cp (List.map (fun (k, i) -> (k, jfirst.(i))) terms)) second

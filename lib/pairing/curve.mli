@@ -2,9 +2,13 @@
     p ≡ 3 (mod 4), with #E(F_p) = p + 1.
 
     BGN key generation picks p = ℓ·n − 1 so the group has a subgroup of
-    composite order n = q₁q₂. Affine representation with an explicit
-    point at infinity; scalar multiplication runs in Jacobian coordinates
-    internally (one field inversion total instead of one per step). *)
+    composite order n = q₁q₂. Points are affine with an explicit point
+    at infinity. The affine operations ({!add}, {!double}, {!neg}, the
+    slopes, {!is_on_curve}, {!random_point}) run on {!Z}, one egcd each.
+    {!mul} and the signed combinations run in Jacobian coordinates on
+    Montgomery residues of {!params.mont}: coordinates convert in once
+    per input point and out once per result, with one field inversion
+    per call or batch instead of one per step. *)
 
 module Z = Sagma_bigint.Bigint
 
@@ -12,8 +16,11 @@ type point =
   | Infinity
   | Affine of Z.t * Z.t
 
-type params = { p : Z.t }
-(** The field prime; curve coefficients are fixed (a = 1, b = 0). *)
+type params = {
+  p : Z.t;              (** the field prime *)
+  mont : Z.Mont.ctx;    (** its Montgomery context, built once by {!make_params} *)
+}
+(** Curve coefficients are fixed (a = 1, b = 0). *)
 
 val make_params : Z.t -> params
 (** @raise Invalid_argument unless p ≡ 3 (mod 4). *)
@@ -48,6 +55,33 @@ val lincomb_batch2 :
     standing for k·(result [i] of [first]). The second stage reads the
     first's Jacobian results directly, so both stages share the one
     batched inversion — e.g. column sums and then combinations of them. *)
+
+(** {2 Jacobian steps}
+
+    The two steps every ladder here is made of, on Montgomery residues
+    (X, Y, Z) ≘ (X/Z², Y/Z³), Z = 0 encoding the point at infinity.
+    [Pairing.precompute] walks its Miller ladder with them, so each step
+    also returns what the step's line needs. *)
+
+type jacobian = private { jx : Z.Mont.el; jy : Z.Mont.el; jz : Z.Mont.el }
+
+type line =
+  | No_line  (** the step went through infinity or a vertical line *)
+  | Tangent of { m : Z.Mont.el; z1z1 : Z.Mont.el; yy : Z.Mont.el }
+      (** a doubling of (X1, Y1, Z1): M = 3X1² + Z1⁴, Z1², Y1² *)
+  | Chord of { r : Z.Mont.el }
+      (** a proper mixed addition: R = y₂·Z1³ − Y1; the result's Z is Z1·H *)
+
+val jac_of_point : params -> point -> jacobian
+(** Affine to Jacobian with Z = 1 (two {!Z.Mont.of_z}). *)
+
+val jac_double_step : params -> jacobian -> jacobian * line
+(** 2T; [No_line] when T is infinity or has Y = 0. *)
+
+val jac_add_affine_step : params -> jacobian -> Z.Mont.el -> Z.Mont.el -> jacobian * line
+(** T + (x₂, y₂) for an affine point in Montgomery form. T = O gives
+    (x₂, y₂, 1) and [No_line]; T = (x₂, y₂) falls back to the doubling
+    and its [Tangent]; T = −(x₂, y₂) gives O and [No_line]. *)
 
 val tangent_slope : params -> Z.t -> Z.t -> Z.t
 (** Slope of the tangent at an affine point (used by Miller's algorithm,

@@ -29,8 +29,7 @@ type group = {
   p : Z.t;          (* field prime, p = l*n - 1, p ≡ 3 (mod 4) *)
   n : Z.t;          (* order of the pairing subgroup *)
   l : Z.t;          (* cofactor *)
-  curve : Curve.params;
-  mont : M.ctx;     (* Montgomery context for F_p (p is odd by construction) *)
+  curve : Curve.params;  (* carries the one Montgomery context for F_p *)
 }
 
 (* Construct the group for a given subgroup order [n]: find the smallest
@@ -57,7 +56,7 @@ let make_group ?(rng : Z.rng option) (n : Z.t) : group =
     if Z.is_probable_prime rng p then (Z.of_int l, p) else find (l + 4)
   in
   let l, p = find 4 in
-  { p; n; l; curve = Curve.make_params p; mont = M.make p }
+  { p; n; l; curve = Curve.make_params p }
 
 (* A uniformly random point of order exactly n. Cofactor clearing leaves
    a point whose order divides n; the is_infinity rejection rules out
@@ -149,7 +148,7 @@ let pairing_affine (g : group) (pp : Curve.point) (qq : Curve.point) : Fp2.t =
    and one per [pairing_prod]; an exponentiation rather than an egcd so
    the whole path stays on Montgomery residues. *)
 let fp_inv (g : group) (x : M.el) : M.el =
-  let mc = g.mont in
+  let mc = g.curve.Curve.mont in
   let e = Z.sub g.p Z.two in
   let acc = ref x in
   for i = Z.num_bits e - 2 downto 0 do
@@ -186,96 +185,40 @@ end
 let precompute (g : group) (pp : Curve.point) : Precomp.t =
   match pp with
   | Curve.Infinity -> { Precomp.point = pp; lines = [||] }
-  | Curve.Affine (xp, yp) ->
-    let mc = g.mont in
-    let ( *: ) = M.mul mc and ( +: ) = M.add mc and ( -: ) = M.sub mc in
-    let dbl2 x = x +: x in
-    let xp = M.of_z mc xp and yp = M.of_z mc yp in
-    let one = M.one mc and zero = M.zero mc in
+  | Curve.Affine _ ->
+    let cp = g.curve in
+    let mc = cp.Curve.mont in
+    let ( *: ) a b = M.mul mc a b and ( -: ) a b = M.sub mc a b in
+    let one = M.one mc in
+    let t0 = Curve.jac_of_point cp pp in
+    let xp = t0.Curve.jx and yp = t0.Curve.jy in
     (* Lines in ladder order, before the division by cy. *)
     let lines = ref [] in
-    let emit l = lines := l :: !lines in
-    (* T = (tx, ty, tz) Jacobian, (X/Z², Y/Z³); tz = 0 encodes O. *)
-    let tx = ref xp and ty = ref yp and tz = ref one in
-    let set_infinity () =
-      tx := one;
-      ty := one;
-      tz := zero
-    in
-    (* Doubling step. Slope λ = M/Z3; the tangent at T evaluated at φ(Q),
-       scaled by Z3·Z1Z1 ∈ F_p^*, is
-         (M·X1 − 2A) + M·Z1Z1·x_Q + Z3·Z1Z1·y_Q·i.
-       cy = Z3·Z1Z1 = 2·Y1·Z1³ ≠ 0 since Y1, Z1 ≠ 0. *)
-    let dbl () =
-      if M.is_zero !tz || M.is_zero !ty then begin
-        emit None;
-        set_infinity ()
-      end
-      else begin
-        let x1 = !tx and y1 = !ty and z1 = !tz in
-        let a = y1 *: y1 in
-        let s = dbl2 (dbl2 (x1 *: a)) in
-        let z1z1 = z1 *: z1 in
-        let xx = x1 *: x1 in
-        let m = dbl2 xx +: xx +: (z1z1 *: z1z1) in
-        let x3 = (m *: m) -: dbl2 s in
-        let aa = a *: a in
-        let y3 = (m *: (s -: x3)) -: dbl2 (dbl2 (dbl2 aa)) in
-        let z3 = dbl2 (y1 *: z1) in
-        emit (Some ((m *: x1) -: dbl2 a, m *: z1z1, z3 *: z1z1));
-        tx := x3;
-        ty := y3;
-        tz := z3
-      end
-    in
-    (* Mixed addition step T := T + P. Slope λ = R/Z3; the chord,
-       anchored at the affine P and scaled by Z3 ∈ F_p^*, is
-         (R·x_P − Z3·y_P) + R·x_Q + Z3·y_Q·i.
-       cy = Z3 = Z1·H ≠ 0 off the vertical case. *)
-    let add_p () =
-      if M.is_zero !tz then begin
-        (* T = O: no line, the sum is just P (mirrors the affine step). *)
-        emit None;
-        tx := xp;
-        ty := yp;
-        tz := one
-      end
-      else begin
-        let x1 = !tx and y1 = !ty and z1 = !tz in
-        let z1z1 = z1 *: z1 in
-        let u2 = xp *: z1z1 in
-        let s2 = yp *: (z1 *: z1z1) in
-        let h = u2 -: x1 in
-        let r = s2 -: y1 in
-        if M.is_zero h then begin
-          if M.is_zero r then
-            (* T = P mid-loop (small-order points): the chord degenerates
-               to the tangent, exactly the affine fallback. *)
-            dbl ()
-          else begin
-            (* Vertical line: F_p-valued at φ(Q), eliminated. *)
-            emit None;
-            set_infinity ()
-          end
-        end
-        else begin
-          let h2 = h *: h in
-          let h3 = h2 *: h in
-          let x1h2 = x1 *: h2 in
-          let x3 = (r *: r) -: h3 -: dbl2 x1h2 in
-          let y3 = (r *: (x1h2 -: x3)) -: (y1 *: h3) in
-          let z3 = z1 *: h in
-          emit (Some ((r *: xp) -: (z3 *: yp), r, z3));
-          tx := x3;
-          ty := y3;
-          tz := z3
-        end
-      end
+    let t = ref t0 in
+    (* One ladder step from T to T'. Tangent at T = (X1, Y1, Z1): slope
+       λ = M/Z3, and the line at φ(Q) scaled by Z3·Z1Z1 ∈ F_p^* is
+         (M·X1 − 2·Y1²) + M·Z1Z1·x_Q + Z3·Z1Z1·y_Q·i,
+       with cy = Z3·Z1Z1 = 2·Y1·Z1³ ≠ 0. Chord through T and the affine
+       P: slope λ = R/Z3, and the line anchored at P, scaled by Z3, is
+         (R·x_P − Z3·y_P) + R·x_Q + Z3·y_Q·i,
+       with cy = Z3 = Z1·H ≠ 0. Vertical lines and steps through O carry
+       no line: they are F_p-valued at φ(Q) and eliminated. *)
+    let step (t', line) =
+      let z3 = t'.Curve.jz in
+      let l =
+        match line with
+        | Curve.No_line -> None
+        | Curve.Tangent { m; z1z1; yy } ->
+          Some ((m *: !t.Curve.jx) -: M.add mc yy yy, m *: z1z1, z3 *: z1z1)
+        | Curve.Chord { r } -> Some ((r *: xp) -: (z3 *: yp), r, z3)
+      in
+      lines := l :: !lines;
+      t := t'
     in
     let nbits = Z.num_bits g.n in
     for i = nbits - 2 downto 0 do
-      dbl ();
-      if Z.bit g.n i then add_p ()
+      step (Curve.jac_double_step cp !t);
+      if Z.bit g.n i then step (Curve.jac_add_affine_step cp !t xp yp)
     done;
     let raw = Array.of_list (List.rev !lines) in
     (* Montgomery's trick over every cy: prefix products, one [fp_inv],
@@ -308,9 +251,10 @@ let precompute (g : group) (pp : Curve.point) : Precomp.t =
 type mfp2 = { mre : M.el; mim : M.el }
 
 let mfp2_mul mc a b =
+  (* Karatsuba: three multiplications. *)
   let rr = M.mul mc a.mre b.mre and ii = M.mul mc a.mim b.mim in
-  let ri = M.mul mc a.mre b.mim and ir = M.mul mc a.mim b.mre in
-  { mre = M.sub mc rr ii; mim = M.add mc ri ir }
+  let t = M.mul mc (M.add mc a.mre a.mim) (M.add mc b.mre b.mim) in
+  { mre = M.sub mc rr ii; mim = M.sub mc (M.sub mc t rr) ii }
 
 let mfp2_sqr mc a =
   (* (a+bi)² = (a−b)(a+b) + 2ab·i — two multiplications. *)
@@ -319,12 +263,25 @@ let mfp2_sqr mc a =
 
 let mfp2_one mc = { mre = M.one mc; mim = M.zero mc }
 
+(* Fixed windows of w bits, MSB first: 2^w − 1 products up front, then
+   one product per nonzero window instead of one per set bit. Windows of
+   4 pay off only on long exponents (BGN's q1 power), not on the final
+   exponentiation's short cofactor ℓ, which keeps w = 1. *)
 let mfp2_pow mc a e =
   let nbits = Z.num_bits e in
+  let w = if nbits > 64 then 4 else 1 in
+  let pows = Array.make (1 lsl w) (mfp2_one mc) in
+  for i = 1 to (1 lsl w) - 1 do
+    pows.(i) <- mfp2_mul mc pows.(i - 1) a
+  done;
   let acc = ref (mfp2_one mc) in
-  for i = nbits - 1 downto 0 do
-    acc := mfp2_sqr mc !acc;
-    if Z.bit e i then acc := mfp2_mul mc !acc a
+  for j = ((nbits + w - 1) / w) - 1 downto 0 do
+    let d = ref 0 in
+    for b = w - 1 downto 0 do
+      acc := mfp2_sqr mc !acc;
+      d := (2 * !d) + if Z.bit e ((j * w) + b) then 1 else 0
+    done;
+    if !d > 0 then acc := mfp2_mul mc !acc pows.(!d)
   done;
   !acc
 
@@ -336,7 +293,7 @@ let fp2_of_mont mc (a : mfp2) : Fp2.t = { Fp2.re = M.to_z mc a.mre; im = M.to_z 
    one [fp_inv] and a power of |ℓ| bits instead of 2|p| bits. f = 0 maps
    to 0, as the plain power does. *)
 let final_exp (g : group) (f : mfp2) : Fp2.t =
-  let mc = g.mont in
+  let mc = g.curve.Curve.mont in
   if M.is_zero f.mre && M.is_zero f.mim then Fp2.zero
   else begin
     let rr = M.mul mc f.mre f.mre and ii = M.mul mc f.mim f.mim in
@@ -358,7 +315,7 @@ let final_exp (g : group) (f : mfp2) : Fp2.t =
    Karatsuba product: four multiplications per pair per step.
    Pairs with an infinity on either side contribute the factor 1. *)
 let pairing_prod (g : group) (pairs : (Precomp.t * Curve.point) list) : Fp2.t =
-  let mc = g.mont in
+  let mc = g.curve.Curve.mont in
   let live =
     List.filter_map
       (fun ((pc : Precomp.t), q) ->
@@ -412,10 +369,40 @@ let pairing (g : group) (pp : Curve.point) (qq : Curve.point) : Fp2.t =
 let gt_mul (g : group) a b = Fp2.mul ~p:g.p a b
 let gt_sqr (g : group) a = Fp2.sqr ~p:g.p a
 let gt_inv (g : group) a = Fp2.inv ~p:g.p a
-(* On Montgomery residues, like the final exponentiation: BGN decryption
-   raises every level-2 ciphertext to q1 through here. *)
-let gt_pow (g : group) (a : Fp2.t) e =
-  let mc = g.mont in
-  fp2_of_mont mc (mfp2_pow mc { mre = M.of_z mc a.Fp2.re; mim = M.of_z mc a.Fp2.im } (Z.erem e g.n))
 let gt_one = Fp2.one
 let gt_equal = Fp2.equal
+
+(* G_T on Montgomery residues, for BGN decryption: the q1 power and the
+   baby-step/giant-step walk stay in Montgomery form, and table keys are
+   the residues' limbs. Residues are fully reduced, so a key names one
+   element. *)
+module Gt = struct
+  type t = mfp2
+
+  let of_fp2 (g : group) (a : Fp2.t) : t =
+    let mc = g.curve.Curve.mont in
+    { mre = M.of_z mc a.Fp2.re; mim = M.of_z mc a.Fp2.im }
+
+  let one (g : group) : t = mfp2_one g.curve.Curve.mont
+  let mul (g : group) (a : t) (b : t) : t = mfp2_mul g.curve.Curve.mont a b
+
+  (* Inversion on μ_n, whose elements have norm 1. *)
+  let conj (g : group) (a : t) : t =
+    let mc = g.curve.Curve.mont in
+    { a with mim = M.sub mc (M.zero mc) a.mim }
+
+  let pow (g : group) (a : t) (e : Z.t) : t = mfp2_pow g.curve.Curve.mont a (Z.erem e g.n)
+
+  (* Both coordinates' 26-bit limbs, four bytes each. *)
+  let key (a : t) : string =
+    let re = M.limbs a.mre and im = M.limbs a.mim in
+    let k = Array.length re in
+    let b = Bytes.create (8 * k) in
+    for i = 0 to k - 1 do
+      Bytes.set_int32_le b (4 * i) (Int32.of_int re.(i));
+      Bytes.set_int32_le b (4 * (k + i)) (Int32.of_int im.(i))
+    done;
+    Bytes.unsafe_to_string b
+end
+
+let gt_pow (g : group) (a : Fp2.t) e = fp2_of_mont g.curve.Curve.mont (Gt.pow g (Gt.of_fp2 g a) e)

@@ -11,14 +11,16 @@
 
     The production surface is context-oriented:
 
-    All of it runs on Montgomery residues of F_p ({!Z.Mont}); "mul"
-    below is one [M.mul].
+    All of it runs on Montgomery residues of F_p ({!Z.Mont}, the
+    context in [group.curve]); "mul" below is one [M.mul].
 
     - {!precompute} runs the Miller point ladder for a fixed left
-      argument once, in Jacobian coordinates, and caches each step's
-      line scaled to a unit imaginary coefficient, d0 + dx·x_Q + y_Q·i.
-      Cost: one ladder walk of ~|n| steps at ~15 muls each, plus ~5
-      muls per line and one [fp_inv] for the batched division.
+      argument once, with {!Curve.jac_double_step} and
+      {!Curve.jac_add_affine_step} (the Jacobian steps of [Curve.mul]),
+      and caches each step's line scaled to a unit imaginary
+      coefficient, d0 + dx·x_Q + y_Q·i. Only the line algebra is
+      Pairing's. Cost: one ladder walk of ~|n| steps at ~15 muls each,
+      plus ~5 muls per line and one [fp_inv] for the batched division.
     - {!pairing_prod} evaluates any number of (precomp, point) pairs in
       one interleaved Miller loop — the accumulator squares once per
       step {e regardless of the pair count} — and pays exactly {b one
@@ -39,6 +41,10 @@
       exponentiation across a sum of products) should use the
       context-oriented surface; see [Bgn.mul_many].
 
+    - {!Gt} is G_T on the same residues: one F_p² product is 4 muls,
+      and its q₁ power (BGN decryption) is ~1.5|n| products. Its values
+      never leave Montgomery form; their {!Gt.key} reads the limbs.
+
     {!pairing_affine} is the original affine-coordinate loop (one field
     inversion per Miller step). It is retained as the reference
     implementation the property suite compares against and for
@@ -51,7 +57,8 @@ type group = {
   n : Z.t;          (** order of the pairing subgroup (odd; composite for BGN) *)
   l : Z.t;          (** cofactor ℓ *)
   curve : Curve.params;
-  mont : Z.Mont.ctx;  (** Montgomery context for F_p, shared by the fast path *)
+      (** the curve over F_p; its [mont] is the one Montgomery context
+          every fast path of the group shares *)
 }
 
 val make_group : ?rng:Z.rng -> Z.t -> group
@@ -114,3 +121,25 @@ val gt_inv : group -> Fp2.t -> Fp2.t
 val gt_pow : group -> Fp2.t -> Z.t -> Fp2.t
 val gt_one : Fp2.t
 val gt_equal : Fp2.t -> Fp2.t -> bool
+
+(** G_T on Montgomery F_p² residues, for the discrete-log walk of BGN
+    level-2 decryption. Elements enter once through {!of_fp2} and never
+    leave; they are bound to the group that made them. *)
+module Gt : sig
+  type t
+
+  val of_fp2 : group -> Fp2.t -> t
+  val one : group -> t
+  val mul : group -> t -> t -> t
+
+  val conj : group -> t -> t
+  (** Conjugation, which is inversion on μ_n (norm-1 elements). *)
+
+  val pow : group -> t -> Z.t -> t
+  (** [pow g a e] is a^(e mod n), square-and-multiply; the result stays
+      in Montgomery form. *)
+
+  val key : t -> string
+  (** Both coordinates' limbs as bytes: injective on elements, usable as
+      a hash-table key. *)
+end

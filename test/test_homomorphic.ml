@@ -142,6 +142,33 @@ let test_bgn_table_reuse () =
       (Bgn.dec1 kp table ~max:500 (Bgn.enc1_int pk drbg (m * 20)))
   done
 
+(* --- decryption seams ---------------------------------------------------- *)
+
+(* Plaintexts where the baby-step table and the giant-step walk meet: 0,
+   1, either side of the stride (Dlog's ⌊√(max + 1)⌋ + 1 baby steps), its
+   double, and both ends of the range. max + 1 must not decrypt. *)
+let check_decryption_seams kp ~max =
+  let pk = kp.Bgn.pk in
+  let drbg = Drbg.create (Printf.sprintf "seams|%d" (Z.num_bits (Bgn.n pk))) in
+  let stride = int_of_float (sqrt (float_of_int (max + 1))) + 1 in
+  let t1 = Bgn.make_dec1_table kp ~max and t2 = Bgn.make_dec2_table kp ~max in
+  let check m expected =
+    Alcotest.(check (option int)) (Printf.sprintf "dec1 %d" m) expected
+      (Bgn.dec1 kp t1 ~max (Bgn.enc1_int pk drbg m));
+    Alcotest.(check (option int)) (Printf.sprintf "dec2 %d" m) expected
+      (Bgn.dec2 kp t2 ~max (Bgn.enc2 pk drbg (z m)))
+  in
+  List.iter (fun m -> check m (Some m)) [ 0; 1; stride - 1; stride; stride + 1; 2 * stride; max - 1; max ];
+  check (max + 1) None;
+  (* A level-2 value that came through the pairing, at the seam. *)
+  Alcotest.(check (option int)) "dec2 of a product" (Some stride)
+    (Bgn.dec2 kp t2 ~max (Bgn.mul pk (Bgn.enc1_int pk drbg stride) (Bgn.enc1_int pk drbg 1)))
+
+let test_decryption_seams_64 () = check_decryption_seams kp ~max:1000
+
+let test_decryption_seams_256 () =
+  check_decryption_seams (Bgn.keygen ~bits:256 (Drbg.create "seams-256")) ~max:1000
+
 (* --- CRT channels ------------------------------------------------------- *)
 
 let test_crt_choose () =
@@ -258,6 +285,9 @@ let () =
           Alcotest.test_case "level2 additive" `Quick test_bgn_level2_additive;
           Alcotest.test_case "mul_many" `Quick test_bgn_mul_many;
           Alcotest.test_case "blinding vanishes" `Quick test_bgn_mul_bilinearity_of_blinding ] );
+      ( "bgn-decryption",
+        [ Alcotest.test_case "seams, 64-bit key" `Quick test_decryption_seams_64;
+          Alcotest.test_case "seams, 256-bit key" `Quick test_decryption_seams_256 ] );
       ( "crt-channels",
         [ Alcotest.test_case "choose" `Quick test_crt_choose;
           Alcotest.test_case "roundtrip" `Quick test_crt_roundtrip;

@@ -192,11 +192,24 @@ let t_prod_additive = R.test ~count:8 ~name:"e(P+Q, R) via one pairing_prod call
 
 (* --- signed linear combinations ------------------------------------------------
 
-   [Curve.lincomb_batch] against the affine fold of [Curve.mul] and
-   [Curve.add]. Terms draw their points from a small pool holding
-   Infinity, P, −P, 2P and an unrelated Q, so one combination often
-   repeats or cancels a point: that drives the mixed addition into its
-   doubling and vertical-line branches mid-chain. *)
+   [Curve.lincomb_batch] against an affine oracle. Terms draw their
+   points from a small pool holding Infinity, P, −P, 2P and an unrelated
+   Q, so one combination often repeats or cancels a point: that drives
+   the mixed addition into its doubling and vertical-line branches
+   mid-chain.
+
+   The oracle is a test-local double-and-add over [Curve.double] and
+   [Curve.add], which stay on [Z] with one egcd per step: it shares no
+   code with the Jacobian path on Montgomery residues that [Curve.mul]
+   and [Curve.lincomb_batch2] run. *)
+
+let affine_mul cp k pt =
+  let acc = ref Curve.Infinity in
+  for i = Z.num_bits k - 1 downto 0 do
+    acc := Curve.double cp !acc;
+    if Z.bit k i then acc := Curve.add cp !acc pt
+  done;
+  !acc
 
 let half_n = Z.shift_right n61 1
 
@@ -214,11 +227,11 @@ let lincomb_case_gen = Gen.triple point_gen point_gen (Gen.list ~max_len:4 combo
 
 let pool (p, q) = [| Curve.Infinity; p; Curve.neg params p; Curve.double params p; q |]
 
-let oracle_lincomb terms =
+let oracle_lincomb cp terms =
   List.fold_left
     (fun acc (k, pt) ->
-      let kp = Curve.mul params (Z.abs k) pt in
-      Curve.add params acc (if Z.sign k < 0 then Curve.neg params kp else kp))
+      let kp = affine_mul cp (Z.abs k) pt in
+      Curve.add cp acc (if Z.sign k < 0 then Curve.neg cp kp else kp))
     Curve.Infinity terms
 
 let pp_lincomb_case (p, q, combos) =
@@ -237,7 +250,7 @@ let t_lincomb = R.test ~count:25 ~name:"lincomb_batch equals the affine fold"
       let combos = Array.of_list (List.map (List.map (fun (k, i) -> (k, pts.(i)))) combos) in
       let got = Curve.lincomb_batch params combos in
       Array.length got = Array.length combos
-      && Array.for_all2 (fun terms r -> Curve.equal r (oracle_lincomb terms)) combos got)
+      && Array.for_all2 (fun terms r -> Curve.equal r (oracle_lincomb params terms)) combos got)
 
 let t_lincomb_edges = R.test ~count:10 ~name:"lincomb_batch: empty, infinity, cancellation" point_arb
     (fun p ->
@@ -281,8 +294,111 @@ let t_lincomb2 = R.test ~count:15 ~name:"lincomb_batch2 second stage combines fi
       let r1, r2 = Curve.lincomb_batch2 params first second in
       Array.for_all2 (fun a b -> Curve.equal a b) r1 (Curve.lincomb_batch params first)
       && Array.for_all2
-           (fun terms r -> Curve.equal r (oracle_lincomb (List.map (fun (k, i) -> (k, r1.(i))) terms)))
+           (fun terms r -> Curve.equal r (oracle_lincomb params (List.map (fun (k, i) -> (k, r1.(i))) terms)))
            second r2)
+
+(* [Curve.mul] of every scalar on every point, and [Curve.lincomb_batch2]
+   over [combos] (terms index [points]) with a second stage over the
+   first's results, all against the oracle. *)
+let agrees_with_oracle cp points scalars combos second =
+  let pts = Array.of_list points in
+  List.for_all
+    (fun pt ->
+      List.for_all
+        (fun k -> Curve.equal (Curve.mul cp (Z.abs k) pt) (affine_mul cp (Z.abs k) pt))
+        scalars)
+    points
+  &&
+  let first = Array.of_list (List.map (List.map (fun (k, i) -> (k, pts.(i)))) combos) in
+  let nfirst = Array.length first in
+  let second = Array.of_list (List.map (List.map (fun (k, i) -> (k, i mod nfirst))) second) in
+  let r1, r2 = Curve.lincomb_batch2 cp first second in
+  Array.for_all2 (fun terms r -> Curve.equal r (oracle_lincomb cp terms)) first r1
+  && Array.for_all2
+       (fun terms r -> Curve.equal r (oracle_lincomb cp (List.map (fun (k, i) -> (k, r1.(i))) terms)))
+       second r2
+
+(* Fixed combinations over a pool whose index 0 is a point P of large
+   order: P + P (the mixed addition's doubling branch), P − P (its
+   vertical branch), and terms at every pool index. The second stage
+   does the same to the first result, 2P, whose Z is not 1: the general
+   addition's doubling and vertical branches. *)
+let structural_combos k npts =
+  [ [ (Z.one, 0); (Z.one, 0) ];
+    [ (Z.one, 0); (Z.minus_one, 0) ];
+    [ (k, 0); (Z.neg k, 0) ];
+    [ (k, 0); (k, 0) ];
+    List.init npts (fun i -> (k, i));
+    List.init npts (fun i -> (Z.of_int (i + 1), i)) ]
+
+let structural_second k =
+  [ [ (Z.one, 0); (Z.one, 0) ]; [ (Z.one, 0); (Z.minus_one, 0) ]; [ (k, 0); (Z.one, 3) ] ]
+
+(* On a group with n = q1·q2: an order-n point, its q1- and q2-projections
+   (orders q2 and q1, whose ladders meet the doubling and vertical
+   branches mid-chain once the scalar passes their order), the 2-torsion
+   point (0, 0) and Infinity; scalars 0, 1, 2, n − 1, n, n + 1, random
+   and signed. *)
+let group_oracle_case g q1 q2 ~count ~name =
+  R.test ~count ~name
+    (R.arbitrary ~print:(fun s -> Printf.sprintf "%S" s) (Gen.bytes_size (Gen.return 16)))
+    (fun seed ->
+      let d = Sagma_crypto.Drbg.create ("oracle|" ^ seed) in
+      let g = Lazy.force g and q1 = Lazy.force q1 and q2 = Lazy.force q2 in
+      let cp = g.Pairing.curve and n = g.Pairing.n in
+      let p = Pairing.random_order_n_point ~factors:[ q1; q2 ] g (Sagma_crypto.Drbg.rng d) in
+      let points =
+        [ p; affine_mul cp q1 p; affine_mul cp q2 p; Curve.Affine (Z.zero, Z.zero); Curve.Infinity ]
+      in
+      let r = Gen.bigint_below n d in
+      let scalars =
+        [ Z.zero; Z.one; Z.two; Z.pred n; n; Z.succ n; r; Z.neg r; Z.minus_one; Z.neg (Z.pred n) ]
+      in
+      let term = Gen.pair (Gen.oneofl scalars) (Gen.int_below (List.length points)) in
+      let combos = structural_combos r (List.length points) @ Gen.list ~max_len:3 (Gen.list ~max_len:4 term) d in
+      let second =
+        structural_second r
+        @ Gen.list ~max_len:3 (Gen.list ~max_len:3 (Gen.pair (Gen.oneofl scalars) (Gen.int_below 64))) d
+      in
+      agrees_with_oracle cp points scalars combos second)
+
+let t_oracle_3limb =
+  group_oracle_case ~count:6 ~name:"3-limb group: mul and lincomb_batch2 equal the affine oracle"
+    (lazy group_comp) (lazy q1) (lazy q2)
+
+(* The ~11-limb composite of [t_multilimb_prod], fixed: n from two
+   128-bit primes. *)
+let multilimb_factors =
+  lazy
+    (let rng = Sagma_crypto.Drbg.rng (Sagma_crypto.Drbg.create "multilimb-oracle") in
+     let q1 = Z.random_prime rng ~bits:128 in
+     (q1, Z.random_prime rng ~bits:128))
+
+let multilimb_group = lazy (let q1, q2 = Lazy.force multilimb_factors in Pairing.make_group (Z.mul q1 q2))
+
+let t_oracle_multilimb =
+  group_oracle_case ~count:2 ~name:"multi-limb group: mul and lincomb_batch2 equal the affine oracle"
+    multilimb_group (lazy (fst (Lazy.force multilimb_factors))) (lazy (snd (Lazy.force multilimb_factors)))
+
+(* The paper's width: a fixed 1040-bit prime p ≡ 3 (mod 4), 40 limbs.
+   Random points of E(F_p) and scalars of at most 64 bits keep each
+   affine oracle ladder near 100 egcds. *)
+let p1040 =
+  Z.of_hex
+    "dddc6ff3187440ba62ac915dd25c02ffe09ea3d9b244a5ed016c7cbc32c203f4e8de9ebd4dd352d828af08d520ecda111eb8af5b7e97451fe9c6779dfdc483339f21d09160631fff749ff04b8797f725275bfd35122251221d8ad99c0cb54d0be5a0aea1b7354a596a42127bb0786da9aa43411be242ebd5c50d52d0f651a30040d7"
+
+let t_oracle_1040 = R.test ~count:1 ~name:"1040-bit field: mul and lincomb_batch2 equal the affine oracle"
+    (R.arbitrary ~print:(fun s -> Printf.sprintf "%S" s) (Gen.bytes_size (Gen.return 16)))
+    (fun seed ->
+      let d = Sagma_crypto.Drbg.create ("oracle1040|" ^ seed) in
+      let cp = Curve.make_params p1040 in
+      let p = Curve.random_point cp (Sagma_crypto.Drbg.rng d) in
+      let points = [ p; Curve.Affine (Z.zero, Z.zero); Curve.Infinity ] in
+      let r = Gen.bigint_bits 64 d in
+      let scalars = [ Z.zero; Z.one; Z.two; Z.pred (Z.shift_left Z.one 64); r; Z.neg r ] in
+      let combos = structural_combos r (List.length points) @ [ [ (r, 0); (Z.neg Z.two, 1) ] ] in
+      Z.num_bits p1040 = 1040
+      && agrees_with_oracle cp points scalars combos (structural_second r @ [ [ (Z.two, 5); (r, 6) ] ]))
 
 (* BGN's centred recoding: any scalar acts through its residue mod n. *)
 let bgn_kp = lazy (Sagma_bgn.Bgn.keygen ~bits:64 (Sagma_crypto.Drbg.create "prop-pairing-bgn"))
@@ -396,6 +512,7 @@ let () =
     [ t_closure; t_add_comm; t_add_assoc; t_identity; t_double; t_mul_distrib; t_mul_assoc;
       t_mul_small; t_order; t_bilinear; t_additive; t_symmetric; t_scalar_slides;
       t_nondegenerate; t_infinity; t_target_order; t_new_vs_affine; t_precomp_reuse;
-      t_prod_product; t_prod_infinity; t_prod_additive; t_lincomb; t_lincomb_edges; t_lincomb2; t_smul1_recoding;
+      t_prod_product; t_prod_infinity; t_prod_additive; t_lincomb; t_lincomb_edges; t_lincomb2;
+      t_oracle_3limb; t_oracle_multilimb; t_oracle_1040; t_smul1_recoding;
       t_composite_prod; t_multilimb_prod;
       t_gt_ops; t_composite ]
