@@ -12,8 +12,6 @@ type key
 
 val gen_key : Drbg.t -> key
 
-val pad : key -> int -> int
-
 type ciphertext = {
   body : int;
   ids : int list;  (** multiset of contributing row ids *)

@@ -36,19 +36,14 @@ val encrypt_table : client -> Table.t -> enc_table
 
 type token
 
-val token : client -> Query.t -> token
-
 type group_aggregate = {
   det_group : string list;  (** deterministic group key (leaked!) *)
   sum_ct : Paillier.ciphertext option;
   count : int;              (** plaintext — CryptDB leaks it *)
 }
 
-val aggregate : client -> enc_table -> token -> group_aggregate list
-
 type result_row = { group : Value.t list; sum : int; count : int }
 
-val decrypt : client -> group_aggregate list -> result_row list
 val query : client -> enc_table -> Query.t -> result_row list
 
 val leaked_histogram : enc_table -> column:int -> (string * int) list

@@ -23,8 +23,6 @@ type enc_table = { rows : enc_row array; num_dummies : int }
 
 val setup : common:Value.t list -> Drbg.t -> client
 
-val enc_row : client -> id:int -> value:int -> group:Value.t -> enc_row
-
 val encrypt_table : client -> Table.t -> value_column:string -> group_column:string -> enc_table
 
 type result_row = { group : Value.t; sum : int; count : int }

@@ -22,7 +22,6 @@ type public_key = {
   g : Curve.point;   (* generator of G, order n *)
   h : Curve.point;   (* generator of the order-q1 blinding subgroup *)
   e_gg : Fp2.t;      (* ê(g, g): level-2 generator *)
-  e_gh : Fp2.t;      (* ê(g, h): level-2 blinding generator *)
 }
 
 type secret_key = { q1 : Z.t; q2 : Z.t }
@@ -36,6 +35,12 @@ type c1 = Curve.point
 type c2 = Fp2.t
 
 let n (pk : public_key) = pk.group.Pairing.n
+
+(* The one place a public key is assembled: key generation and the wire
+   decoder both pass the group and the two points, and the level-2
+   generator is one pairing. *)
+let make_pk (group : Pairing.group) ~(g : Curve.point) ~(h : Curve.point) : public_key =
+  { group; g; h; e_gg = Pairing.pairing group g g }
 
 (* [keygen ~bits drbg] generates a key with an n of roughly [bits] bits
    (two primes of bits/2 each). The paper instantiates 1024-bit n for
@@ -58,11 +63,7 @@ let keygen ~(bits : int) (drbg : Drbg.t) : keypair =
   let g = order_n () in
   let u = order_n () in
   let h = Curve.mul curve q2 u in
-  (* One precomputation of g serves both cached level-2 generators. *)
-  let pre_g = Pairing.precompute group g in
-  let e_gg = Pairing.pairing_prod group [ (pre_g, g) ] in
-  let e_gh = Pairing.pairing_prod group [ (pre_g, h) ] in
-  { pk = { group; g; h; e_gg; e_gh }; sk = { q1; q2 } }
+  { pk = make_pk group ~g ~h; sk = { q1; q2 } }
 
 let random_blinding (pk : public_key) (drbg : Drbg.t) : Z.t =
   Z.random_below (Drbg.rng drbg) (n pk)
@@ -76,17 +77,19 @@ let m_enc2 = Metrics.counter "bgn.enc2"
 let m_add1 = Metrics.counter "bgn.add1"
 let m_add2 = Metrics.counter "bgn.add2"
 let m_smul1 = Metrics.counter "bgn.smul1"
-let m_smul2 = Metrics.counter "bgn.smul2"
 let m_mul = Metrics.counter "bgn.mul"
 
 (* --- level 1 ------------------------------------------------------------ *)
 
 (* m·g + r·h as one signed combination: one shared doubling chain and
    one inversion, instead of two ladders and an affine addition. *)
-let enc1 (pk : public_key) (drbg : Drbg.t) (m : Z.t) : c1 =
-  Metrics.incr m_enc1;
+let blinded_point (pk : public_key) (drbg : Drbg.t) (m : Z.t) : Curve.point =
   let r = random_blinding pk drbg in
   (Curve.lincomb_batch pk.group.Pairing.curve [| [ (Z.erem m (n pk), pk.g); (r, pk.h) ] |]).(0)
+
+let enc1 (pk : public_key) (drbg : Drbg.t) (m : Z.t) : c1 =
+  Metrics.incr m_enc1;
+  blinded_point pk drbg m
 
 let enc1_int pk drbg m = enc1 pk drbg (Z.of_int m)
 
@@ -141,25 +144,17 @@ let rerandomize1 (pk : public_key) (drbg : Drbg.t) (a : c1) : c1 =
 
 (* --- level 2 ------------------------------------------------------------ *)
 
+(* ê(m·g + r·h, g) = ê(g, g)^m · ê(g, h)^r: the level-1 encryption's
+   point, paired with g. *)
 let enc2 (pk : public_key) (drbg : Drbg.t) (m : Z.t) : c2 =
   Metrics.incr m_enc2;
-  let p = pk.group.Pairing.p in
-  let r = random_blinding pk drbg in
-  Fp2.mul ~p (Fp2.pow ~p pk.e_gg (Z.erem m (n pk))) (Fp2.pow ~p pk.e_gh r)
+  Pairing.pairing pk.group (blinded_point pk drbg m) pk.g
 
 let add2 (pk : public_key) (a : c2) (b : c2) : c2 =
   Metrics.incr m_add2;
   Fp2.mul ~p:pk.group.Pairing.p a b
 
-let smul2 (pk : public_key) (k : Z.t) (a : c2) : c2 =
-  Metrics.incr m_smul2;
-  Fp2.pow ~p:pk.group.Pairing.p a (Z.erem k (n pk))
-
 let zero2 : c2 = Fp2.one
-
-let rerandomize2 (pk : public_key) (drbg : Drbg.t) (a : c2) : c2 =
-  let p = pk.group.Pairing.p in
-  Fp2.mul ~p a (Fp2.pow ~p pk.e_gh (random_blinding pk drbg))
 
 (* The one ciphertext–ciphertext multiplication: G × G → G_T. *)
 let mul (pk : public_key) (a : c1) (b : c1) : c2 =
@@ -192,7 +187,8 @@ let mul_many (pk : public_key) (pairs : (c1 * c1) list) : c2 =
 (* --- decryption ----------------------------------------------------------
 
    Decryption tables are exposed so callers can reuse them: one SAGMA
-   query decrypts many components under the same base. Level 1 raises
+   query decrypts many components under the same base, and any table
+   solves any bound ({!Dlog.solve}). Level 1 raises
    the point to q1 with one [Curve.mul] and walks affine additions.
    Level 2 converts the ciphertext into {!Pairing.Gt} once: the q1
    power, the baby steps, the giant steps and the table keys all stay
@@ -236,10 +232,3 @@ let make_dec2_table (kp : keypair) ~(max : int) : dec2_table =
 
 let dec2 (kp : keypair) (table : dec2_table) ~(max : int) (c : c2) : int option =
   Dlog.solve table (gt_q1 kp c) ~max
-
-(* One-shot decryption helpers (build a throwaway table). *)
-let dec1_once (kp : keypair) ~(max : int) (c : c1) : int option =
-  dec1 kp (make_dec1_table kp ~max) ~max c
-
-let dec2_once (kp : keypair) ~(max : int) (c : c2) : int option =
-  dec2 kp (make_dec2_table kp ~max) ~max c

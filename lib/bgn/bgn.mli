@@ -8,7 +8,9 @@
 
     Decryption raises to q₁ (killing the blinding) and solves a bounded
     discrete log — the constraint SAGMA's CRT channels
-    ({!Crt_channels}) work around. *)
+    ({!Crt_channels}) work around. Each job has one implementation:
+    {!make_pk} assembles every public key, {!enc2} is a pairing, and
+    one decryption table per level serves any bound. *)
 
 module Z = Sagma_bigint.Bigint
 module Curve = Sagma_pairing.Curve
@@ -21,7 +23,6 @@ type public_key = {
   g : Curve.point;   (** generator of G, order n *)
   h : Curve.point;   (** generator of the order-q₁ blinding subgroup *)
   e_gg : Fp2.t;      (** ê(g, g): level-2 generator (cached) *)
-  e_gh : Fp2.t;      (** ê(g, h): level-2 blinding generator (cached) *)
 }
 
 type secret_key = { q1 : Z.t; q2 : Z.t }
@@ -36,6 +37,10 @@ type c2 = Fp2.t
 
 val n : public_key -> Z.t
 (** The plaintext modulus n = q₁q₂ (public). *)
+
+val make_pk : Pairing.group -> g:Curve.point -> h:Curve.point -> public_key
+(** The one public-key constructor: {!keygen} and the wire decoder both
+    call it. It computes [e_gg] with one [Pairing.pairing]. *)
 
 val keygen : bits:int -> Drbg.t -> keypair
 (** [keygen ~bits] draws two primes of [bits/2] each. The paper's setting
@@ -74,13 +79,18 @@ val lincomb1_batch2 :
 
 val rerandomize1 : public_key -> Drbg.t -> c1 -> c1
 
-(** {1 Level 2} *)
+(** {1 Level 2}
+
+    Level-2 ciphertexts come out of the pairing: {!mul}, {!mul_many},
+    {!mul_many_pre} and {!enc2}. They add with {!add2}. *)
 
 val enc2 : public_key -> Drbg.t -> Z.t -> c2
+(** [enc2 pk drbg m] is ê(m·g + r·h, g) = ê(g, g)^m·ê(g, h)^r, with r
+    drawn exactly as {!enc1} draws it: the {!enc1} point paired with g.
+    Among the [bgn.*] counters only [bgn.enc2] moves. *)
+
 val add2 : public_key -> c2 -> c2 -> c2
-val smul2 : public_key -> Z.t -> c2 -> c2
 val zero2 : c2
-val rerandomize2 : public_key -> Drbg.t -> c2 -> c2
 
 val mul : public_key -> c1 -> c1 -> c2
 (** The one ciphertext–ciphertext multiplication: ê(C₁, C₂). *)
@@ -108,8 +118,14 @@ val mul_many_pre : public_key -> (precomp1 * c1) list -> c2
 
 (** {1 Decryption}
 
-    Tables are exposed for reuse: building one costs O(√max) group
-    operations; each decryption is then O(√max) lookups. *)
+    One baby-step/giant-step table per level ({!Dlog}) serves every
+    decryption under a key, and any table solves any bound: [~max] of
+    {!dec1} / {!dec2} is the bound of that one solve, not of the table.
+    A table made for [~max:b] costs about √b group operations to build
+    and holds √b entries; a solve for bound m then walks at most
+    m/√b + 1 giant steps. Callers build one table for the largest bound
+    they expect and reuse it (as [Scheme.decrypt] does), rebuilding
+    only to trade build cost for shorter walks. *)
 
 type dec1_table
 type dec2_table
@@ -118,8 +134,3 @@ val make_dec1_table : keypair -> max:int -> dec1_table
 val dec1 : keypair -> dec1_table -> max:int -> c1 -> int option
 val make_dec2_table : keypair -> max:int -> dec2_table
 val dec2 : keypair -> dec2_table -> max:int -> c2 -> int option
-
-val dec1_once : keypair -> max:int -> c1 -> int option
-(** One-shot decryption with a throwaway table. *)
-
-val dec2_once : keypair -> max:int -> c2 -> int option

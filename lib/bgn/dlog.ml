@@ -3,7 +3,10 @@
    BGN decryption reduces to a discrete log in a subgroup with a known
    small exponent bound (the aggregate's value range). The baby table is
    reusable across decryptions with the same base, which matters because
-   one SAGMA query decrypts many aggregate components. *)
+   one SAGMA query decrypts many aggregate components. The bound a table
+   was built for only sets its stride: [solve] takes its own bound and
+   walks as many giant steps as that bound needs, so any table solves
+   any bound. *)
 
 type 'a ops = {
   mul : 'a -> 'a -> 'a;
@@ -14,7 +17,6 @@ type 'a ops = {
 
 type 'a table = {
   ops : 'a ops;
-  base : 'a;
   stride : int;                       (* number of baby steps *)
   baby : (string, int) Hashtbl.t;     (* base^j -> j, 0 <= j < stride *)
   giant : 'a;                         (* base^(-stride) *)
@@ -38,7 +40,7 @@ let make (ops : 'a ops) (base : 'a) ~(max : int) : 'a table =
     acc := ops.mul !acc base
   done;
   (* !acc = base^stride *)
-  { ops; base; stride; baby = baby; giant = ops.inv !acc }
+  { ops; stride; baby; giant = ops.inv !acc }
 
 (* [solve t target ~max] finds x in [0, max] with base^x = target. *)
 let solve (t : 'a table) (target : 'a) ~(max : int) : int option =

@@ -43,8 +43,6 @@ let lt a b = compare a b < 0
 let leq a b = compare a b <= 0
 let gt a b = compare a b > 0
 let geq a b = compare a b >= 0
-let min a b = if leq a b then a else b
-let max a b = if geq a b then a else b
 
 let add a b =
   if a.sign = 0 then b
@@ -121,8 +119,6 @@ let of_hex s =
 
 let of_bytes_be s = mk 1 (Nat.of_bytes_be s)
 let to_bytes_be a = Nat.to_bytes_be a.mag
-
-let pp fmt a = Format.pp_print_string fmt (to_string a)
 
 (* --- modular arithmetic ------------------------------------------------ *)
 

@@ -36,8 +36,6 @@ val lt : t -> t -> bool
 val leq : t -> t -> bool
 val gt : t -> t -> bool
 val geq : t -> t -> bool
-val min : t -> t -> t
-val max : t -> t -> t
 
 (** {1 Arithmetic} *)
 
@@ -96,8 +94,6 @@ val of_bytes_be : string -> t
 
 val to_bytes_be : t -> string
 (** Big-endian minimal byte encoding of the magnitude ([""] for zero). *)
-
-val pp : Format.formatter -> t -> unit
 
 (** {1 Modular arithmetic}
 

@@ -59,8 +59,6 @@ let compare (a : t) (b : t) : int =
     go (la - 1)
   end
 
-let equal a b = compare a b = 0
-
 let num_bits (a : t) : int =
   let n = Array.length a in
   if n = 0 then 0

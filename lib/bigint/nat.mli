@@ -22,7 +22,6 @@ val of_int : int -> t
 val to_int_opt : t -> int option
 
 val compare : t -> t -> int
-val equal : t -> t -> bool
 
 val num_bits : t -> int
 val bit : t -> int -> bool

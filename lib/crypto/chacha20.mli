@@ -6,9 +6,6 @@ val key_size : int
 val nonce_size : int
 (** 12 bytes. *)
 
-val block_size : int
-(** 64 bytes of keystream per block. *)
-
 val block : key:string -> nonce:string -> int -> string
 (** [block ~key ~nonce counter] is one 64-byte keystream block. *)
 

@@ -6,9 +6,6 @@
 
 type key
 
-val tag_size : int
-
-val of_master : string -> key
 val gen_key : Drbg.t -> key
 
 val encrypt : key -> string -> string

@@ -63,12 +63,6 @@ let int_range (t : t) (lo : int) (hi : int) : int =
 
 let bool (t : t) : bool = Char.code (bytes t 1).[0] land 1 = 1
 
-let float (t : t) : float =
-  (* 53 random bits scaled to [0,1). *)
-  let raw = bytes t 7 in
-  let v = ref 0 in
-  String.iter (fun c -> v := (!v lsl 8) lor Char.code c) raw;
-  float_of_int (!v lsr 3) /. 9007199254740992.0
 
 (* Fisher–Yates shuffle (in place). *)
 let shuffle (t : t) (a : 'a array) : unit =
@@ -78,7 +72,3 @@ let shuffle (t : t) (a : 'a array) : unit =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let pick (t : t) (a : 'a array) : 'a =
-  if Array.length a = 0 then invalid_arg "Drbg.pick: empty";
-  a.(int_below t (Array.length a))

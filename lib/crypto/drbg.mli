@@ -26,11 +26,5 @@ val int_range : t -> int -> int -> int
 
 val bool : t -> bool
 
-val float : t -> float
-(** Uniform in [\[0, 1)] with 53 random bits. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniformly random element of a non-empty array. *)

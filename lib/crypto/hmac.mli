@@ -1,8 +1,5 @@
 (** HMAC-SHA256 (RFC 2104) and HKDF (RFC 5869). *)
 
-val block_size : int
-(** SHA-256 block size, 64 bytes. *)
-
 val tag_size : int
 (** MAC tag size, 32 bytes. *)
 

@@ -6,8 +6,7 @@
 
 type key = { enc : string; mac : string }
 
-let key_size = 64
-
+(* Derive the encryption/MAC key pair from one master secret. *)
 let of_master (master : string) : key =
   let okm = Hmac.hkdf ~salt:"sagma-secretbox" ~ikm:master 64 in
   { enc = String.sub okm 0 32; mac = String.sub okm 32 32 }
@@ -36,5 +35,3 @@ let open_exn (k : key) (box : string) : string =
 
 let open_opt (k : key) (box : string) : string option =
   try Some (open_exn k box) with Invalid_argument _ -> None
-
-let overhead = nonce_size + tag_size

@@ -3,16 +3,6 @@
 
 type key
 
-val key_size : int
-val nonce_size : int
-val tag_size : int
-
-val overhead : int
-(** Bytes added to each plaintext (nonce + tag). *)
-
-val of_master : string -> key
-(** Derive the encryption/MAC key pair from one master secret. *)
-
 val gen_key : Drbg.t -> key
 
 val seal : key -> Drbg.t -> string -> string

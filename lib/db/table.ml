@@ -49,8 +49,6 @@ let of_rows (schema : schema) (rows : Value.t array list) : t =
     rows;
   { t with rows }
 
-let get (row : Value.t array) (idx : int) : Value.t = row.(idx)
-
 (* Distinct values of a column, sorted. *)
 let distinct (t : t) (name : string) : Value.t list =
   let idx = column_index t name in

@@ -24,8 +24,6 @@ val column_index : t -> string -> int
 
 val column_ty : t -> string -> Value.ty
 
-val get : Value.t array -> int -> Value.t
-
 val distinct : t -> string -> Value.t list
 (** Distinct values of a column, sorted. *)
 

@@ -35,5 +35,3 @@ let parse (ty : ty) (s : string) : t =
 let as_int = function
   | Int x -> x
   | Str s -> invalid_arg (Printf.sprintf "Value.as_int: %S is not an Int" s)
-
-let pp fmt v = Format.pp_print_string fmt (to_string v)

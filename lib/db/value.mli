@@ -23,5 +23,3 @@ val parse : ty -> string -> t
 
 val as_int : t -> int
 (** @raise Invalid_argument on strings. *)
-
-val pp : Format.formatter -> t -> unit

@@ -26,7 +26,5 @@ let call (o : ('q, 'r) t) (q : 'q) : 'r =
 
 let count (o : ('q, 'r) t) : int = o.calls
 
-let transcript (o : ('q, 'r) t) : ('q * 'r) list = List.rev o.log
-
 let queried (o : ('q, 'r) t) (p : 'q -> bool) : bool =
   List.exists (fun (q, _) -> p q) o.log

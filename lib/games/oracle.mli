@@ -23,9 +23,6 @@ val call : ('q, 'r) t -> 'q -> 'r
 val count : ('q, 'r) t -> int
 (** Queries answered so far. *)
 
-val transcript : ('q, 'r) t -> ('q * 'r) list
-(** Every (query, response) pair, in call order. *)
-
 val queried : ('q, 'r) t -> ('q -> bool) -> bool
 (** Was some recorded query satisfying the predicate made? The freshness
     check of forgery-style games (gameEuCma's "never queried"). *)

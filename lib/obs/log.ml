@@ -70,6 +70,7 @@ let enabled (l : level) : bool = !sink <> None && severity l >= severity !min_le
 let request_ids = Atomic.make 0
 let next_request_id () = Atomic.fetch_and_add request_ids 1 + 1
 
+(* Emit one line; a no-op when below the threshold or sink-less. *)
 let event ?(fields : field list = []) (l : level) (name : string) : unit =
   if enabled l then begin
     let line =

@@ -48,9 +48,6 @@ val next_request_id : unit -> int
 (** Fresh id tying together the log lines (and the {!Audit} trace) of
     one request; atomic, so safe from any domain. *)
 
-val event : ?fields:field list -> level -> string -> unit
-(** Emit one line; a no-op when below the threshold or sink-less. *)
-
 val debug : ?fields:field list -> string -> unit
 val info : ?fields:field list -> string -> unit
 val warn : ?fields:field list -> string -> unit

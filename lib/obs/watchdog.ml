@@ -205,5 +205,3 @@ let firing_count (t : t) : int =
   let n = Hashtbl.length t.firing in
   Mutex.unlock t.lock;
   n
-
-let rules (t : t) : rule list = t.rules

@@ -66,5 +66,3 @@ val active : t -> alert list
 (** Currently-firing alerts, sorted by rule name. *)
 
 val firing_count : t -> int
-
-val rules : t -> rule list

@@ -13,12 +13,7 @@ let zero = { re = Z.zero; im = Z.zero }
 let one = { re = Z.one; im = Z.zero }
 
 let equal a b = Z.equal a.re b.re && Z.equal a.im b.im
-let is_zero a = Z.is_zero a.re && Z.is_zero a.im
 let is_one a = Z.equal a.re Z.one && Z.is_zero a.im
-
-let add ~p a b = { re = Z.addm a.re b.re p; im = Z.addm a.im b.im p }
-let sub ~p a b = { re = Z.subm a.re b.re p; im = Z.subm a.im b.im p }
-let neg ~p a = { re = Z.erem (Z.neg a.re) p; im = Z.erem (Z.neg a.im) p }
 
 (* (a + bi)(c + di) = (ac − bd) + (ad + bc)i *)
 let mul ~p a b =
@@ -32,19 +27,6 @@ let sqr ~p a =
   let im = Z.shift_left (Z.mul a.re a.im) 1 in
   { re = Z.erem re p; im = Z.erem im p }
 
-(* Norm N(a + bi) = a² + b² ∈ F_p. *)
-let norm ~p a = Z.erem (Z.add (Z.mul a.re a.re) (Z.mul a.im a.im)) p
-
-(* Inverse via the norm: (a + bi)⁻¹ = (a − bi) / (a² + b²). *)
-let inv ~p a =
-  if is_zero a then invalid_arg "Fp2.inv: zero";
-  let n_inv = Z.invm_exn (norm ~p a) p in
-  { re = Z.mulm a.re n_inv p; im = Z.erem (Z.neg (Z.mulm a.im n_inv p)) p }
-
-let div ~p a b = mul ~p a (inv ~p b)
-
-let conj ~p a = { re = a.re; im = Z.erem (Z.neg a.im) p }
-
 let pow ~p (base : t) (e : Z.t) : t =
   if Z.sign e < 0 then invalid_arg "Fp2.pow: negative exponent";
   let nbits = Z.num_bits e in
@@ -55,7 +37,5 @@ let pow ~p (base : t) (e : Z.t) : t =
   done;
   !acc
 
-let to_string a = Printf.sprintf "%s + %s*i" (Z.to_string a.re) (Z.to_string a.im)
-
-(* Compact serialization, usable as a hashtable key in BSGS tables. *)
+(* Compact injective serialization. *)
 let serialize a = Z.to_bytes_be a.re ^ "|" ^ Z.to_bytes_be a.im

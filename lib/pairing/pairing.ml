@@ -178,8 +178,6 @@ module Precomp = struct
     point : Curve.point;         (* the fixed left argument *)
     lines : line option array;   (* one slot per Miller step; None = vertical *)
   }
-
-  let point (t : t) = t.point
 end
 
 let precompute (g : group) (pp : Curve.point) : Precomp.t =
@@ -365,13 +363,6 @@ let pairing_prod (g : group) (pairs : (Precomp.t * Curve.point) list) : Fp2.t =
 let pairing (g : group) (pp : Curve.point) (qq : Curve.point) : Fp2.t =
   pairing_prod g [ (precompute g pp, qq) ]
 
-(* G_T helpers (the pairing target group μ_n ⊂ F_p²). *)
-let gt_mul (g : group) a b = Fp2.mul ~p:g.p a b
-let gt_sqr (g : group) a = Fp2.sqr ~p:g.p a
-let gt_inv (g : group) a = Fp2.inv ~p:g.p a
-let gt_one = Fp2.one
-let gt_equal = Fp2.equal
-
 (* G_T on Montgomery residues, for BGN decryption: the q1 power and the
    baby-step/giant-step walk stay in Montgomery form, and table keys are
    the residues' limbs. Residues are fully reduced, so a key names one
@@ -404,5 +395,3 @@ module Gt = struct
     done;
     Bytes.unsafe_to_string b
 end
-
-let gt_pow (g : group) (a : Fp2.t) e = fp2_of_mont g.curve.Curve.mont (Gt.pow g (Gt.of_fp2 g a) e)

@@ -86,7 +86,6 @@ module Precomp : sig
     lines : line option array;   (** one slot per Miller step; [None] = vertical *)
   }
 
-  val point : t -> Curve.point
 end
 
 val precompute : group -> Curve.point -> Precomp.t
@@ -112,15 +111,6 @@ val pairing_affine : group -> Curve.point -> Curve.point -> Fp2.t
     per Miller step, ~50× a multiplication) with the plain final
     exponentiation to (p² − 1)/n. Deprecated for production use;
     retained as the differential oracle of the property tests. *)
-
-(** Target-group (μ_n ⊆ F_p²) helpers. *)
-
-val gt_mul : group -> Fp2.t -> Fp2.t -> Fp2.t
-val gt_sqr : group -> Fp2.t -> Fp2.t
-val gt_inv : group -> Fp2.t -> Fp2.t
-val gt_pow : group -> Fp2.t -> Z.t -> Fp2.t
-val gt_one : Fp2.t
-val gt_equal : Fp2.t -> Fp2.t -> bool
 
 (** G_T on Montgomery F_p² residues, for the discrete-log walk of BGN
     level-2 decryption. Elements enter once through {!of_fp2} and never

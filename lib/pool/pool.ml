@@ -65,12 +65,6 @@ let create ?(name = "pool") ~(workers : int) () : t =
 
 let workers (p : t) : int = Array.length p.domains
 
-let queue_depth (p : t) : int =
-  Mutex.lock p.lock;
-  let n = Queue.length p.queue in
-  Mutex.unlock p.lock;
-  n
-
 let fulfill (fut : 'a future) (st : 'a state) : unit =
   Mutex.lock fut.f_lock;
   fut.f_state <- st;

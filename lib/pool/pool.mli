@@ -47,6 +47,3 @@ val shutdown : t -> unit
 
 val workers : t -> int
 (** Number of worker domains (0 for an inline pool). *)
-
-val queue_depth : t -> int
-(** Tasks currently queued and not yet picked up by a worker. *)

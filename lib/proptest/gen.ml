@@ -116,19 +116,10 @@ let list_size (n : int t) (g : 'a t) : 'a list t =
 
 let list ?(max_len = 16) (g : 'a t) : 'a list t = list_size (size ~hi:max_len ()) g
 
-let array_size (n : int t) (g : 'a t) : 'a array t =
- fun d ->
-  let len = n d in
-  Array.init len (fun _ -> g d)
-
-let array ?(max_len = 16) (g : 'a t) : 'a array t = array_size (size ~hi:max_len ()) g
-
 let string_size ?(chars = fun d -> Char.chr (Drbg.int_range d 0x20 0x7e)) (n : int t) : string t =
  fun d ->
   let len = n d in
   String.init len (fun _ -> chars d)
-
-let string ?(max_len = 16) () : string t = string_size (size ~hi:max_len ())
 
 let bytes_size (n : int t) : string t =
   string_size ~chars:(fun d -> Char.chr (Drbg.int_below d 256)) n

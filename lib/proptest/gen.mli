@@ -41,12 +41,7 @@ val frequency : (int * 'a t) list -> 'a t
 
 (** {1 Structures} *)
 
-val list_size : int t -> 'a t -> 'a list t
 val list : ?max_len:int -> 'a t -> 'a list t
-val array : ?max_len:int -> 'a t -> 'a array t
-
-val string : ?max_len:int -> unit -> string t
-(** Printable ASCII. *)
 
 val bytes_size : int t -> string t
 val bytes : ?max_len:int -> unit -> string t

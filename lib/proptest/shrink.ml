@@ -76,9 +76,6 @@ let list ?(shrink_elt : 'a t = nothing) () : 'a list t =
     Seq.append removals in_place
   end
 
-let array ?(shrink_elt : 'a t = nothing) () : 'a array t =
- fun xs -> Seq.map Array.of_list (list ~shrink_elt () (Array.to_list xs))
-
 let string : string t =
  fun s ->
   let chars = List.init (String.length s) (String.get s) in

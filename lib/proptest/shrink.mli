@@ -20,6 +20,4 @@ val list : ?shrink_elt:'a t -> unit -> 'a list t
 (** Drops element chunks (halves, quarters, …, singletons), then shrinks
     elements in place. *)
 
-val array : ?shrink_elt:'a t -> unit -> 'a array t
-
 val string : string t

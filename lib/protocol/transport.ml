@@ -10,6 +10,7 @@
    in-flight connections, new arrivals are shed with a [Failed Busy]
    response instead of queueing without bound. *)
 
+(* Hard protocol-level frame cap (1 GiB): the default [?max_frame]. *)
 let max_frame = 1 lsl 30
 
 (* Server-side default frame cap. The length header is attacker

@@ -7,10 +7,6 @@
     chunks so memory committed to a connection tracks bytes actually
     received, never the attacker-controlled length header alone. *)
 
-val max_frame : int
-(** Hard protocol-level frame cap (1 GiB) — the largest [?max_frame]
-    that makes sense anywhere, and the client-side default. *)
-
 val default_server_max_frame : int
 (** Server-side default frame cap (64 MiB): the length header is
     peer-controlled, so servers only honor larger frames when
@@ -19,11 +15,11 @@ val default_server_max_frame : int
 val send : ?max_frame:int -> ?stop:(unit -> bool) -> Unix.file_descr -> string -> unit
 (** One frame: 4-byte big-endian length, then the payload.
     @raise Invalid_argument if the message exceeds [?max_frame]
-    (default {!max_frame}). *)
+    (default 1 GiB). *)
 
 val recv : ?max_frame:int -> ?stop:(unit -> bool) -> Unix.file_descr -> string
 (** @raise Failure when the peer closes mid-frame, the claimed length
-    exceeds [?max_frame] (default {!max_frame}; checked before reading
+    exceeds [?max_frame] (default 1 GiB; checked before reading
     or buffering any payload), or [?stop] turns true during an
     interrupted read. *)
 

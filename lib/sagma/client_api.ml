@@ -21,14 +21,10 @@ let create ?mapping_strategy ?(seed = "sagma-client") ~config ~domains () : t =
   in
   { client; table = None }
 
-let client (t : t) : Scheme.client = t.client
-
 let mappings (t : t) : Mapping.t array = t.client.Scheme.mappings
 
 let encrypt ?dummy_groups ?index_mode (t : t) ~(table : Table.t) : unit =
   t.table <- Some (Scheme.encrypt_table ?dummy_groups ?index_mode t.client table)
-
-let attach (t : t) (et : Scheme.enc_table) : unit = t.table <- Some et
 
 let encrypted (t : t) : Scheme.enc_table =
   match t.table with

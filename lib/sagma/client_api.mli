@@ -18,7 +18,7 @@
     [Sagma_protocol] directly. *)
 
 type t
-(** A trusted client plus (once {!encrypt} or {!attach} ran) its current
+(** A trusted client plus (once {!encrypt} ran) its current
     encrypted table. The table is replaced in place by {!encrypt} and
     {!append}; the underlying [Scheme.enc_table] values are immutable, so
     handles obtained via {!encrypted} stay valid. *)
@@ -34,10 +34,6 @@ val create :
     full value domain; [seed] (default ["sagma-client"]) seeds the
     deterministic DRBG, so equal seeds give identical keys. *)
 
-val client : t -> Scheme.client
-(** The underlying scheme-level client, for interop with {!Scheme} and
-    [Sagma_protocol]. *)
-
 val mappings : t -> Mapping.t array
 (** The secret bucket mappings, one per group column (needed e.g. by
     [Bucketing.dummy_rows]). *)
@@ -50,9 +46,6 @@ val encrypt :
   unit
 (** Algorithm 2 (EncTable): encrypt [table] and make it the handle's
     current table, replacing any previous one. *)
-
-val attach : t -> Scheme.enc_table -> unit
-(** Make an already-encrypted table the current one. *)
 
 val encrypted : t -> Scheme.enc_table
 (** The current encrypted table — what a server would store.

@@ -134,26 +134,30 @@ let aggregate (c : client) (rows : enc_row list) : bucket_aggregate list =
 type result_row = { group : Value.t; sum : int; count : int }
 
 (* Client: decrypt each channel (dlog bounded by rows·(d−1)² for sums,
-   rows·(d−1) for counts), CRT-recombine the packed aggregate, unpack. *)
+   rows·(d−1) for counts), CRT-recombine the packed aggregate, unpack.
+   One table per level per call, built for the widest channel's bound,
+   solves every channel. *)
 let decrypt (c : client) (aggs : bucket_aggregate list) ~(total_rows : int) : result_row list =
   let block_mod = Z.shift_left Z.one c.value_bits in
+  let count_max d = total_rows * (d - 1) and sum_max d = total_rows * (d - 1) * (d - 1) in
+  let d_max = Array.fold_left max 0 c.channels.Crt.moduli in
+  let t1 = lazy (Bgn.make_dec1_table c.kp ~max:(count_max d_max)) in
+  let t2 = lazy (Bgn.make_dec2_table c.kp ~max:(sum_max d_max)) in
   let out = ref [] in
   List.iter
     (fun ba ->
       let sum_channels =
         Array.mapi
           (fun ch ct ->
-            let d = c.channels.Crt.moduli.(ch) in
-            let max = total_rows * (d - 1) * (d - 1) in
-            Option.value (Bgn.dec2_once c.kp ~max ct) ~default:0)
+            let max = sum_max c.channels.Crt.moduli.(ch) in
+            Option.value (Bgn.dec2 c.kp (Lazy.force t2) ~max ct) ~default:0)
           ba.sum_cts
       in
       let count_channels =
         Array.mapi
           (fun ch ct ->
-            let d = c.channels.Crt.moduli.(ch) in
-            let max = total_rows * (d - 1) in
-            Option.value (Bgn.dec1_once c.kp ~max ct) ~default:0)
+            let max = count_max c.channels.Crt.moduli.(ch) in
+            Option.value (Bgn.dec1 c.kp (Lazy.force t1) ~max ct) ~default:0)
           ba.count_cts
       in
       let packed_sum = Crt.decode c.channels sum_channels in

@@ -37,8 +37,6 @@ val setup :
 val shift_value : client -> Value.t -> Z.t
 (** s(g) = |D_V|^(f(g) mod B) — Table 3's E_Gender contents. *)
 
-val int_pow : int -> int -> int
-
 type enc_row = {
   value_cts : Bgn.c1 array;
   monomial_cts : Bgn.c1 array;  (** Enc(xᵉ), e = 1..B−1 *)

@@ -97,8 +97,6 @@ let position (t : t) (e : int array) : int =
   | Some i -> i
   | None -> invalid_arg ("Monomials.position: unsupported exponent vector " ^ key_of e)
 
-let vector (t : t) (i : int) : int array = t.vectors.(i)
-
 (* Plaintext value of monomial [e] on bucketized group offsets [xs]
    (length l). Computed mod nothing — callers reduce. *)
 let eval_monomial (e : int array) (xs : int array) : Sagma_bigint.Bigint.t =

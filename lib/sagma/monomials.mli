@@ -28,8 +28,6 @@ val position : t -> int array -> int
 (** Storage position of an exponent vector.
     @raise Invalid_argument for unsupported vectors. *)
 
-val vector : t -> int -> int array
-
 val eval_monomial : int array -> int array -> Sagma_bigint.Bigint.t
 (** Plaintext value of monomial [e] on bucket offsets [xs]. *)
 

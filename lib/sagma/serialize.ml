@@ -122,15 +122,7 @@ let get_bgn_pk (s : W.source) : Bgn.public_key =
   if Z.sign n <= 0 || Z.is_even n then W.fail "bad BGN modulus (must be odd and positive)";
   if Z.num_bits n > !max_pk_bits then
     W.fail "BGN modulus of %d bits exceeds the %d-bit decode limit" (Z.num_bits n) !max_pk_bits;
-  guard "bad BGN public key" (fun () ->
-      let group = Pairing.make_group n in
-      (* One precomputation of g serves both cached level-2 generators. *)
-      let pre_g = Pairing.precompute group g in
-      { Bgn.group;
-        g;
-        h;
-        e_gg = Pairing.pairing_prod group [ (pre_g, g) ];
-        e_gh = Pairing.pairing_prod group [ (pre_g, h) ] })
+  guard "bad BGN public key" (fun () -> Bgn.make_pk (Pairing.make_group n) ~g ~h)
 
 (* --- configuration and public parameters ------------------------------------- *)
 
@@ -432,8 +424,8 @@ let get_client ~(drbg : Drbg.t) (s : W.source) : Scheme.client =
     oxt_key = { Oxt.k_t; k_x; k_i; k_z };
     mappings;
     drbg;
-    dec1_tables = [];
-    dec2_tables = [] }
+    dec1_tables = None;
+    dec2_tables = None }
 
 (* --- convenience whole-value entry points ----------------------------------------------- *)
 

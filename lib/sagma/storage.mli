@@ -2,11 +2,6 @@
     Figure 8). All storage figures count ciphertexts, as the paper
     does. *)
 
-val choose : int -> int -> int
-(** Binomial coefficient. *)
-
-val int_pow : int -> int -> int
-
 val monomial_count : l:int -> t:int -> b:int -> int
 (** m(l,t) = Σ C(l,i)(B−1)^i — monomials per row with reuse. *)
 

@@ -43,12 +43,6 @@ val put_pair : sink -> (sink -> 'a -> unit) -> (sink -> 'b -> unit) -> 'a * 'b -
 type source
 
 val source : string -> source
-val remaining : source -> int
-
-val get_count : source -> int
-(** A u32 element count, validated against the bytes remaining (each
-    element consumes at least one byte), so corrupted length fields fail
-    with {!Decode_error} instead of attempting huge allocations. *)
 
 val get_u8 : source -> int
 val get_u32 : source -> int

@@ -384,15 +384,18 @@ trap - EXIT
 rm -rf "$CL_DIR"
 echo "cluster smoke OK"
 
-echo "== perfbench correctness smoke (count-filtered + fleet-append-mix + paper-key-1024, 2 s each) =="
+echo "== perfbench correctness smoke (sum-2attr + count-filtered + fleet-append-mix + paper-key-1024, 2 s each) =="
 # Every perfbench answer is checked against the plaintext executor; the
 # bench exits nonzero on any wrong answer or failed operation. Short runs:
-# this is a correctness gate, not a timing comparison. paper-key-1024 is
-# the one end-to-end check of answers at the paper's 1024-bit key width.
+# this is a correctness gate, not a timing comparison. sum-2attr decrypts
+# multi-channel level-2 SUMs on two connections that copy one client's
+# dlog tables; paper-key-1024 is the one end-to-end check of answers at
+# the paper's 1024-bit key width.
 PERF_DIR=$(mktemp -d)
 trap 'rm -rf "$PERF_DIR"' EXIT
-bash perfbench/run.sh --workload count-filtered --workload fleet-append-mix \
-  --workload paper-key-1024 --seconds 2 --out "$PERF_DIR/perf.json"
+bash perfbench/run.sh --workload sum-2attr --workload count-filtered \
+  --workload fleet-append-mix --workload paper-key-1024 --seconds 2 \
+  --out "$PERF_DIR/perf.json"
 rm -rf "$PERF_DIR"
 trap - EXIT
 echo "perfbench correctness smoke OK"

@@ -10,12 +10,16 @@ module Crt = Sagma_bgn.Crt_channels
 module Paillier = Sagma_paillier.Paillier
 module Curve = Sagma_pairing.Curve
 module Fp2 = Sagma_pairing.Fp2
+module Pairing = Sagma_pairing.Pairing
 
 let drbg = Drbg.create "homomorphic-tests"
 
 (* Small key so the whole suite stays fast; correctness is size-independent. *)
 let kp = Bgn.keygen ~bits:64 drbg
 let pk = kp.Bgn.pk
+
+(* An about 256-bit key, for the cases that also run at a multi-limb size. *)
+let kp256 = lazy (Bgn.keygen ~bits:256 (Drbg.create "seams-256"))
 
 let z = Z.of_int
 
@@ -68,7 +72,8 @@ let test_bgn_semantic_randomness () =
   Alcotest.(check bool) "fresh randomness" false (Curve.equal c1 c2);
   let r = Bgn.rerandomize1 pk drbg c1 in
   Alcotest.(check bool) "rerandomized differs" false (Curve.equal c1 r);
-  Alcotest.(check (option int)) "rerandomized decrypts" (Some 5) (Bgn.dec1_once kp ~max:10 r)
+  Alcotest.(check (option int)) "rerandomized decrypts" (Some 5)
+    (Bgn.dec1 kp (Bgn.make_dec1_table kp ~max:10) ~max:10 r)
 
 (* --- BGN level 2 / multiplication --------------------------------------- *)
 
@@ -90,13 +95,32 @@ let test_bgn_level2_additive () =
   let s = Bgn.add2 pk (Bgn.mul pk ca cb) (Bgn.mul pk cc cd) in
   Alcotest.(check (option int)) "sum of products" (Some 72)
     (Bgn.dec2 kp table2 ~max:1000 s);
-  (* scalar on level 2: 3 * (6*7) = 126 *)
-  Alcotest.(check (option int)) "scalar level2" (Some 126)
-    (Bgn.dec2 kp table2 ~max:1000 (Bgn.smul2 pk (z 3) (Bgn.mul pk ca cb)));
   Alcotest.(check (option int)) "enc2 direct" (Some 55)
-    (Bgn.dec2 kp table2 ~max:1000 (Bgn.enc2 pk drbg (z 55)));
-  let r = Bgn.rerandomize2 pk drbg (Bgn.mul pk ca cb) in
-  Alcotest.(check (option int)) "rerandomize2" (Some 42) (Bgn.dec2 kp table2 ~max:1000 r)
+    (Bgn.dec2 kp table2 ~max:1000 (Bgn.enc2 pk drbg (z 55)))
+
+(* [enc2] against the closed form ê(g,g)^m · ê(g,h)^r, both pairings from
+   the affine reference and r drawn from a second DRBG on the same seed.
+   A sequence of encryptions and one trailing draw also pin how much of
+   the DRBG stream each encryption consumes. *)
+let check_enc2_oracle kp =
+  let pk = kp.Bgn.pk in
+  let group = pk.Bgn.group and n = Bgn.n pk in
+  let p = group.Pairing.p in
+  let e = Pairing.pairing_affine group pk.Bgn.g pk.Bgn.g in
+  let e' = Pairing.pairing_affine group pk.Bgn.g pk.Bgn.h in
+  let seed = Printf.sprintf "enc2-oracle|%d" (Z.num_bits n) in
+  let d = Drbg.create seed and d' = Drbg.create seed in
+  List.iter
+    (fun m ->
+      let r = Z.random_below (Drbg.rng d') n in
+      let expected = Fp2.mul ~p (Fp2.pow ~p e (Z.erem m n)) (Fp2.pow ~p e' r) in
+      Alcotest.(check bool) (Printf.sprintf "enc2 %s" (Z.to_string m)) true
+        (Fp2.equal (Bgn.enc2 pk d m) expected))
+    [ Z.zero; Z.one; z 55; Z.pred n; Z.add n (z 3) ];
+  Alcotest.(check string) "same DRBG stream consumed" (Drbg.rng d' 16) (Drbg.rng d 16)
+
+let test_enc2_oracle_64 () = check_enc2_oracle kp
+let test_enc2_oracle_256 () = check_enc2_oracle (Lazy.force kp256)
 
 let test_bgn_mul_many () =
   let table2 = Bgn.make_dec2_table kp ~max:1000 in
@@ -146,28 +170,41 @@ let test_bgn_table_reuse () =
 
 (* Plaintexts where the baby-step table and the giant-step walk meet: 0,
    1, either side of the stride (Dlog's ⌊√(max + 1)⌋ + 1 baby steps), its
-   double, and both ends of the range. max + 1 must not decrypt. *)
+   double, and both ends of the range. max + 1 must not decrypt. Any
+   table solves any bound, so each value also goes through tables built
+   for 4·max and for max/4. *)
 let check_decryption_seams kp ~max =
   let pk = kp.Bgn.pk in
   let drbg = Drbg.create (Printf.sprintf "seams|%d" (Z.num_bits (Bgn.n pk))) in
   let stride = int_of_float (sqrt (float_of_int (max + 1))) + 1 in
-  let t1 = Bgn.make_dec1_table kp ~max and t2 = Bgn.make_dec2_table kp ~max in
+  let tables =
+    List.map
+      (fun b ->
+        let label = if b = max then "" else Printf.sprintf " (table for %d)" b in
+        (label, Bgn.make_dec1_table kp ~max:b, Bgn.make_dec2_table kp ~max:b))
+      [ max; 4 * max; max / 4 ]
+  in
   let check m expected =
-    Alcotest.(check (option int)) (Printf.sprintf "dec1 %d" m) expected
-      (Bgn.dec1 kp t1 ~max (Bgn.enc1_int pk drbg m));
-    Alcotest.(check (option int)) (Printf.sprintf "dec2 %d" m) expected
-      (Bgn.dec2 kp t2 ~max (Bgn.enc2 pk drbg (z m)))
+    let c1 = Bgn.enc1_int pk drbg m and c2 = Bgn.enc2 pk drbg (z m) in
+    List.iter
+      (fun (label, t1, t2) ->
+        Alcotest.(check (option int)) (Printf.sprintf "dec1 %d%s" m label) expected
+          (Bgn.dec1 kp t1 ~max c1);
+        Alcotest.(check (option int)) (Printf.sprintf "dec2 %d%s" m label) expected
+          (Bgn.dec2 kp t2 ~max c2))
+      tables
   in
   List.iter (fun m -> check m (Some m)) [ 0; 1; stride - 1; stride; stride + 1; 2 * stride; max - 1; max ];
   check (max + 1) None;
   (* A level-2 value that came through the pairing, at the seam. *)
+  let _, _, t2 = List.hd tables in
   Alcotest.(check (option int)) "dec2 of a product" (Some stride)
     (Bgn.dec2 kp t2 ~max (Bgn.mul pk (Bgn.enc1_int pk drbg stride) (Bgn.enc1_int pk drbg 1)))
 
 let test_decryption_seams_64 () = check_decryption_seams kp ~max:1000
 
 let test_decryption_seams_256 () =
-  check_decryption_seams (Bgn.keygen ~bits:256 (Drbg.create "seams-256")) ~max:1000
+  check_decryption_seams (Lazy.force kp256) ~max:1000
 
 (* --- CRT channels ------------------------------------------------------- *)
 
@@ -254,15 +291,18 @@ let test_paillier_randomized () =
 
 let qprop name count gen f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count gen f)
 
+let table1_200 = Bgn.make_dec1_table kp ~max:200
+let table2_900 = Bgn.make_dec2_table kp ~max:900
+
 let props =
   [ qprop "bgn add1 homomorphic" 20 QCheck.(pair (int_range 0 100) (int_range 0 100))
       (fun (a, b) ->
         let c = Bgn.add1 pk (Bgn.enc1_int pk drbg a) (Bgn.enc1_int pk drbg b) in
-        Bgn.dec1_once kp ~max:200 c = Some (a + b));
+        Bgn.dec1 kp table1_200 ~max:200 c = Some (a + b));
     qprop "bgn mul homomorphic" 10 QCheck.(pair (int_range 0 30) (int_range 0 30))
       (fun (a, b) ->
         let c = Bgn.mul pk (Bgn.enc1_int pk drbg a) (Bgn.enc1_int pk drbg b) in
-        Bgn.dec2_once kp ~max:900 c = Some (a * b));
+        Bgn.dec2 kp table2_900 ~max:900 c = Some (a * b));
     qprop "paillier roundtrip" 20 QCheck.(int_range 0 1000000)
       (fun m ->
         Z.to_int_exn (Paillier.decrypt pkp (Paillier.encrypt_int ppk drbg m)) = m);
@@ -283,6 +323,8 @@ let () =
       ( "bgn-level2",
         [ Alcotest.test_case "multiplication" `Quick test_bgn_multiplication;
           Alcotest.test_case "level2 additive" `Quick test_bgn_level2_additive;
+          Alcotest.test_case "enc2 oracle, 64-bit key" `Quick test_enc2_oracle_64;
+          Alcotest.test_case "enc2 oracle, 256-bit key" `Quick test_enc2_oracle_256;
           Alcotest.test_case "mul_many" `Quick test_bgn_mul_many;
           Alcotest.test_case "blinding vanishes" `Quick test_bgn_mul_bilinearity_of_blinding ] );
       ( "bgn-decryption",

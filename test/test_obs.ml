@@ -1035,6 +1035,54 @@ let test_count_needs_no_pairings () =
     (Metrics.value (Metrics.counter "scheme.agg.rows"));
   check_aggregate_invms q
 
+(* Rows grow under one client: after each append it answers a SUM and a
+   COUNT, both equal to the plaintext executor. Each dlog level keeps one
+   table and rebuilds it only when the bound it needs has outgrown it, so
+   from [r0] rows at the first query to [r1] at the last a level builds at
+   most ⌈log₂(r1 / r0)⌉ + 1 tables. A level's cached bound only grows,
+   so its builds are the distinct bounds it held. *)
+let test_decrypt_while_rows_grow () =
+  with_metrics @@ fun () ->
+  let c = { client with Scheme.dec1_tables = None; dec2_tables = None } in
+  let builds () = Metrics.value (Metrics.counter "bgn.dlog.table_builds") in
+  let bounds1 = ref [] and bounds2 = ref [] in
+  let note r = function
+    | Some (b, _) when not (List.mem b !r) -> r := b :: !r
+    | _ -> ()
+  in
+  let sorted rows = List.sort compare rows in
+  let appends = 12 in
+  let before = builds () in
+  let plain = ref table and enc = ref enc in
+  for i = 1 to appends do
+    let salary = 500 * i and dept = List.nth dept_domain (i mod 3) in
+    plain := Table.of_rows schema (Table.rows !plain @ [ [| vi salary; dept |] ]);
+    enc := Scheme.append_row c !enc ~values:[| salary |] ~groups:[| dept |] ~filters:[ ("dept", dept) ];
+    List.iter
+      (fun agg ->
+        let q = Query.make ~group_by:[ "dept" ] agg in
+        let got =
+          List.map (fun r -> (List.map Value.to_string r.Scheme.group, r.Scheme.sum, r.Scheme.count))
+            (Scheme.query c !enc q)
+        and want =
+          List.map (fun r -> (List.map Value.to_string r.Executor.group, r.Executor.sum, r.Executor.count))
+            (Executor.run !plain q)
+        in
+        Alcotest.(check (list (triple (list string) int int)))
+          (Printf.sprintf "%d rows" (Table.row_count !plain))
+          (sorted want) (sorted got);
+        note bounds1 c.Scheme.dec1_tables;
+        note bounds2 c.Scheme.dec2_tables)
+      [ Query.Sum "salary"; Query.Count ]
+  done;
+  let r0 = Table.row_count table + 1 and r1 = Table.row_count table + appends in
+  let budget = int_of_float (Float.ceil (Float.log2 (float_of_int r1 /. float_of_int r0))) + 1 in
+  let built1 = List.length !bounds1 and built2 = List.length !bounds2 in
+  Alcotest.(check bool) (Printf.sprintf "level 1: %d builds <= %d" built1 budget) true (built1 <= budget);
+  Alcotest.(check bool) (Printf.sprintf "level 2: %d builds <= %d" built2 budget) true (built2 <= budget);
+  Alcotest.(check int) "bgn.dlog.table_builds counts exactly those" (built1 + built2)
+    (builds () - before)
+
 let test_query_trace_shape () =
   with_metrics @@ fun () ->
   let q = Query.make ~group_by:[ "dept" ] (Query.Sum "salary") in
@@ -1294,6 +1342,7 @@ let () =
       ( "scheme counters",
         [ Alcotest.test_case "SUM matches cost model" `Quick test_sum_matches_cost_model;
           Alcotest.test_case "COUNT needs no pairings" `Quick test_count_needs_no_pairings;
+          Alcotest.test_case "decryption while rows grow" `Quick test_decrypt_while_rows_grow;
           Alcotest.test_case "query trace shape" `Quick test_query_trace_shape;
           Alcotest.test_case "EXPLAIN cost matches model" `Quick
             test_explain_cost_matches_model ] );

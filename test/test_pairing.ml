@@ -54,25 +54,10 @@ let fp2_props =
       (fun (a, b, c) ->
         let a = lift a and b = lift b and c = lift c in
         Fp2.equal (Fp2.mul ~p (Fp2.mul ~p a b) c) (Fp2.mul ~p a (Fp2.mul ~p b c)));
-    qprop "fp2 distributive" 200 QCheck.(triple fp2_gen fp2_gen fp2_gen)
-      (fun (a, b, c) ->
-        let a = lift a and b = lift b and c = lift c in
-        Fp2.equal (Fp2.mul ~p a (Fp2.add ~p b c))
-          (Fp2.add ~p (Fp2.mul ~p a b) (Fp2.mul ~p a c)));
     qprop "fp2 sqr = mul self" 200 fp2_gen
       (fun a ->
         let a = lift a in
         Fp2.equal (Fp2.sqr ~p a) (Fp2.mul ~p a a));
-    qprop "fp2 inverse" 200 fp2_gen
-      (fun a ->
-        let a = lift a in
-        QCheck.assume (not (Fp2.is_zero a));
-        Fp2.is_one (Fp2.mul ~p a (Fp2.inv ~p a)));
-    qprop "fp2 conj multiplicative norm" 200 fp2_gen
-      (fun a ->
-        let a = lift a in
-        let nrm = Fp2.mul ~p a (Fp2.conj ~p a) in
-        Z.equal nrm.Fp2.re (Fp2.norm ~p a) && Z.is_zero nrm.Fp2.im);
   ]
 
 let test_fp2_pow () =
