@@ -5,7 +5,7 @@
    probes — (kind, tag, matching row ids) triples plus a paired-row
    count — against the current request, and [check] compares an observed
    trace with a caller-supplied prediction. The glue that derives the
-   prediction from [Sagma.Leakage.of_query] lives in the sagma library
+   prediction from the declared leakage lives in the sagma library
    (which depends on this one, not vice versa).
 
    Recording follows the request path's threading shape: every probe for

@@ -13,7 +13,7 @@
     This module is generic (it lives below the sagma library): a probe
     is a [(kind, tag, matches)] triple with opaque strings. The
     SAGMA-aware glue that builds the prediction from
-    [Sagma.Leakage.of_query] lives in [Sagma.Leakage].
+    a query token's predicted leakage lives in [Sagma.Leakage].
 
     Recording is off by default; when {!enabled} is false every hook is
     a single load-and-branch. *)

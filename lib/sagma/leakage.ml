@@ -42,6 +42,7 @@ type t = {
 let observe_token (index : Sse.index) (tok : Sse.token) : sse_observation =
   { token_tag = Sse.token_id tok; matches = Sse.search index tok }
 
+(* The leakage one query token reveals. *)
 let of_query (et : Scheme.enc_table) (tok : Scheme.token) : query_leakage =
   let bucket_observations =
     match tok.Scheme.source with
