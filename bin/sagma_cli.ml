@@ -57,20 +57,14 @@ let parse_where (t : Table.t) (clauses : string list) : (string * Value.t) list 
 
 (* --- query ----------------------------------------------------------------- *)
 
-(* The body of an EXPLAIN block: phase timings, the nonzero cost
-   counters and, when present, the request's nonzero GC deltas
-   (heap_words is a size, not a delta, so it prints whenever nonzero). *)
-let print_explain timings cost gc =
-  List.iter (fun (phase, ms) -> Printf.printf "  %-24s %10.3f ms\n" phase ms) timings;
+(* The body of an EXPLAIN block: the request's phase timings, then its
+   nonzero named counts (cost., gc. and, when profiled, alloc. entries). *)
+let print_explain (rt : Sagma_obs.Trace.rtrace) =
+  let module Trace = Sagma_obs.Trace in
   List.iter
-    (fun (k, v) -> if v > 0 then Printf.printf "  cost.%-19s %10d\n" k v)
-    (Sagma_obs.Trace.cost_fields cost);
-  Option.iter
-    (fun gc ->
-      List.iter
-        (fun (k, v) -> if v <> 0 then Printf.printf "  gc.%-21s %10d\n" k v)
-        (Sagma_obs.Trace.gc_fields gc))
-    gc
+    (fun (phase, ms) -> Printf.printf "  %-28s %10.3f ms\n" phase ms)
+    (Trace.phase_timings rt.Trace.r_root);
+  List.iter (fun (k, v) -> if v <> 0 then Printf.printf "  %-28s %10d\n" k v) rt.Trace.r_counts
 
 let run_query csv schema sql sum count_flag avg group_by where bucket_size threshold seed metrics
     explain profile =
@@ -141,7 +135,7 @@ let run_query csv schema sql sum count_flag avg group_by where bucket_size thres
   in
   let (tok, t3, results), request_trace =
     if explain then
-      let v, rt = Sagma_obs.Trace.with_request_full run_phases in
+      let v, rt = Sagma_obs.Trace.with_request run_phases in
       (v, Some rt)
     else (run_phases (), None)
   in
@@ -166,19 +160,11 @@ let run_query csv schema sql sum count_flag avg group_by where bucket_size thres
     print_endline "-- query trace --";
     List.iter (Format.printf "%a@." Sagma_obs.Trace.pp) (Sagma_obs.Trace.roots ())
   end;
-  match request_trace with
-  | None -> ()
-  | Some rt ->
-    let module Trace = Sagma_obs.Trace in
-    Printf.printf "\n-- explain (trace %s) --\n" rt.Trace.r_id;
-    print_explain (Trace.phase_timings rt.Trace.r_root) rt.Trace.r_cost (Some rt.Trace.r_gc);
-    (match rt.Trace.r_alloc with
-     | [] -> ()
-     | sites ->
-       print_endline "  -- allocation sites (words) --";
-       List.iteri
-         (fun i (span, words) -> if i < 10 then Printf.printf "  alloc.%-19s %10d\n" span words)
-         sites)
+  Option.iter
+    (fun rt ->
+      Printf.printf "\n-- explain (trace %s) --\n" rt.Sagma_obs.Trace.r_id;
+      print_explain rt)
+    request_trace
 
 (* --- inspect --------------------------------------------------------------- *)
 
@@ -353,9 +339,9 @@ let run_remote_query sum count_flag avg group_by where_raw port name key_file se
     (match wire_explain with
      | _ when not explain -> ()
      | None -> print_endline "\n(no EXPLAIN trailer: server not collecting metrics?)"
-     | Some { P.x_id; x_timings; x_cost; x_gc } ->
-       Printf.printf "\n-- explain (server trace %s) --\n" x_id;
-       print_explain x_timings x_cost x_gc)
+     | Some rt ->
+       Printf.printf "\n-- explain (server trace %s) --\n" rt.Sagma_obs.Trace.r_id;
+       print_explain rt)
   | _ -> failwith "unexpected response"
 
 (* Fetch the server's metrics snapshot + audit summary over the Stats
@@ -415,11 +401,10 @@ let render_cluster (r : P.stats_report) =
     print_endline
       "no per-shard series in this snapshot (expected a coordinator running with --metrics)"
   else begin
-    (match r.P.sr_topology with
-     | Some t when t.P.tp_role = "coordinator" ->
+    (let t = r.P.sr_topology in
+     if t.P.tp_role = "coordinator" then
        Printf.printf "coordinator over %d shards (%s)\n\n" t.P.tp_shard_count
-         (String.concat ", " t.P.tp_shards)
-     | _ -> ());
+         (String.concat ", " t.P.tp_shards));
     let bases =
       List.sort_uniq compare (Hashtbl.fold (fun (b, _) _ acc -> b :: acc) tbl [])
     in
@@ -479,6 +464,8 @@ let render_cluster (r : P.stats_report) =
     end
   end
 
+let mib_of_words words = float_of_int words *. float_of_int (Sys.word_size / 8) /. 1048576.
+
 let fetch_stats port : P.stats_report =
   match remote_call port P.Stats with
   | P.Stats_report r, _ -> r
@@ -493,7 +480,7 @@ let run_stats port prometheus json cluster =
        rather than dropping them on the floor. *)
     print_string
       (Sagma_obs.Export.prometheus ~uptime_s:sr_uptime_s
-         ~raw:(match sr_gc with Some g -> gc_raw_samples g | None -> [])
+         ~raw:(gc_raw_samples sr_gc)
          sr_snapshot)
   else if json then
     (* One object carrying the whole report: snapshot, uptime, the gc
@@ -510,23 +497,17 @@ let run_stats port prometheus json cluster =
      Printf.printf "uptime: %.1fs (started %04d-%02d-%02d %02d:%02d:%02d)\n" sr_uptime_s
        (t.Unix.tm_year + 1900) (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour
        t.Unix.tm_min t.Unix.tm_sec);
-    (match sr_gc with
-     | Some g ->
-       let mib words = float_of_int words *. float_of_int (Sys.word_size / 8) /. 1048576. in
-       Printf.printf "heap: %.1f MiB (peak %.1f MiB) minor_gcs=%d major_gcs=%d\n"
-         (mib g.P.gs_heap_words) (mib g.P.gs_top_heap_words) g.P.gs_minor_collections
-         g.P.gs_major_collections
-     | None -> ());
-    (match sr_topology with
-     | Some t ->
-       (match t.P.tp_role with
-        | "shard" ->
-          Printf.printf "topology: shard %d/%d\n" t.P.tp_shard_index t.P.tp_shard_count
-        | "coordinator" ->
-          Printf.printf "topology: coordinator over %d shards (%s)\n" t.P.tp_shard_count
-            (String.concat ", " t.P.tp_shards)
-        | role -> Printf.printf "topology: %s\n" role)
-     | None -> ());
+    Printf.printf "heap: %.1f MiB (peak %.1f MiB) minor_gcs=%d major_gcs=%d\n"
+      (mib_of_words sr_gc.P.gs_heap_words) (mib_of_words sr_gc.P.gs_top_heap_words)
+      sr_gc.P.gs_minor_collections sr_gc.P.gs_major_collections;
+    (match sr_topology.P.tp_role with
+     | "shard" ->
+       Printf.printf "topology: shard %d/%d\n" sr_topology.P.tp_shard_index
+         sr_topology.P.tp_shard_count
+     | "coordinator" ->
+       Printf.printf "topology: coordinator over %d shards (%s)\n" sr_topology.P.tp_shard_count
+         (String.concat ", " sr_topology.P.tp_shards)
+     | role -> Printf.printf "topology: %s\n" role);
     Printf.printf "audit: requests=%d probes=%d checks=%d failures=%d\n"
       sr_audit.Sagma_obs.Audit.s_requests sr_audit.Sagma_obs.Audit.s_probes
       sr_audit.Sagma_obs.Audit.s_checks_run sr_audit.Sagma_obs.Audit.s_check_failures
@@ -565,11 +546,7 @@ let run_top port interval once =
       match gauge r name with Some v -> string_of_int v | None -> "-"
     in
     let heap =
-      match r.P.sr_gc with
-      | Some g ->
-        Printf.sprintf "%.1f MiB"
-          (float_of_int g.P.gs_heap_words *. float_of_int (Sys.word_size / 8) /. 1048576.)
-      | None -> "-"
+      Printf.sprintf "%.1f MiB" (mib_of_words r.P.sr_gc.P.gs_heap_words)
     in
     if clear then print_string "\027[2J\027[H";
     Printf.printf "sagma top — 127.0.0.1:%d — uptime %.1fs%s\n\n" port r.P.sr_uptime_s
@@ -738,7 +715,7 @@ let query_cmd =
     Arg.(value & flag
          & info [ "profile" ]
              ~doc:"Start the sampling resource profiler for the query: with --explain, the \
-                   EXPLAIN output gains a span-attributed allocation-site table.")
+                   EXPLAIN output gains span-attributed alloc. lines.")
   in
   Cmd.v (Cmd.info "query" ~doc:"Encrypt a CSV and answer an aggregation query over ciphertexts.")
     Term.(
@@ -805,7 +782,8 @@ let remote_query_cmd =
     Arg.(value & flag
          & info [ "explain" ]
              ~doc:"Set the sampling flag so the server traces this request, and print the \
-                   EXPLAIN trailer (per-phase timings and cost block) from the reply.")
+                   EXPLAIN trailer, the server's trace of the request: per-phase timings, \
+                   cost. and gc. counts, and alloc. lines when the server runs --profile.")
   in
   Cmd.v
     (Cmd.info "remote-query"

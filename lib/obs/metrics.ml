@@ -53,35 +53,39 @@ let set_enabled b = enabled := b
 (* The §6 cost model is about a single query, but the registry counters
    are process-global: under a domain pool several requests bump the same
    cells at once, so global deltas no longer attribute work to a request.
-   A scope is a small fixed vector of the cost-model counters; while one
-   is installed (domain-locally, see {!scope_swap}) every [incr]/[add] on
-   a tracked counter also lands in it. The vector is atomic because one
-   request's aggregation chunks bump counters from several pool domains
-   that all inherit the same scope. *)
+   A scope is a small fixed vector with one slot per cost-block entry;
+   while one is installed (domain-locally, see {!scope_swap}) every
+   [incr]/[add] on a counter an entry lists also lands in that entry's
+   slot. The vector is atomic because one request's aggregation chunks
+   bump counters from several pool domains that all inherit the same
+   scope.
 
-let scope_names : string array =
-  [| "pairing.pairings"; "pairing.miller_steps"; "bgn.mul"; "bgn.dlog.solves";
-     "bgn.dlog.giant_steps"; "sse.postings_scanned"; "oxt.postings_scanned";
-     "scheme.agg.rows"; "scheme.agg.joint_buckets";
-     (* PR 6 multi-pairing engine: request-scoped so EXPLAIN can show the
-        invm collapse and the precomp/product batching next to the
-        unchanged [pairings] count. *)
-     "pairing.prod_calls"; "pairing.precomp_hits"; "bigint.invm"; "bigint.invm_batch" |]
+   This table is the whole cost block: an entry reaches EXPLAIN, the
+   slow-query log and the trace export by being listed here. *)
+
+let scope_blocks : (string * string list) list =
+  [ ("pairings", [ "pairing.pairings" ]); ("miller_steps", [ "pairing.miller_steps" ]);
+    ("bgn_mul", [ "bgn.mul" ]); ("dlog_solves", [ "bgn.dlog.solves" ]);
+    ("dlog_giant_steps", [ "bgn.dlog.giant_steps" ]);
+    ("sse_postings", [ "sse.postings_scanned"; "oxt.postings_scanned" ]);
+    ("agg_rows", [ "scheme.agg.rows" ]); ("agg_buckets", [ "scheme.agg.joint_buckets" ]);
+    ("prod_calls", [ "pairing.prod_calls" ]); ("precomp_hits", [ "pairing.precomp_hits" ]);
+    ("invm", [ "bigint.invm" ]); ("invm_batch", [ "bigint.invm_batch" ]) ]
 
 type scope = int Atomic.t array
 
+(* The slot of the entry listing registry counter [name], or -1. *)
 let scope_slot (name : string) : int =
-  let rec go i =
-    if i >= Array.length scope_names then -1
-    else if String.equal scope_names.(i) name then i
-    else go (i + 1)
+  let rec go i = function
+    | [] -> -1
+    | (_, counters) :: rest -> if List.mem name counters then i else go (i + 1) rest
   in
-  go 0
+  go 0 scope_blocks
 
 let active_scope : scope option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let scope_create () : scope = Array.init (Array.length scope_names) (fun _ -> Atomic.make 0)
+let scope_create () : scope = Array.init (List.length scope_blocks) (fun _ -> Atomic.make 0)
 
 let scope_swap (s : scope option) : scope option =
   let r = Domain.DLS.get active_scope in
@@ -91,8 +95,8 @@ let scope_swap (s : scope option) : scope option =
 
 let scope_current () : scope option = !(Domain.DLS.get active_scope)
 
-let scope_get (s : scope) (name : string) : int =
-  match scope_slot name with -1 -> 0 | i -> Atomic.get s.(i)
+let scope_counts (s : scope) : (string * int) list =
+  List.mapi (fun i (name, _) -> (name, Atomic.get s.(i))) scope_blocks
 
 let scope_bump (slot : int) (n : int) : unit =
   if slot >= 0 then

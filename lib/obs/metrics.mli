@@ -66,15 +66,16 @@ val value : counter -> int
 
     The registry counters are process-global, so under a domain pool the
     deltas of concurrent requests blend together. A scope is a small
-    atomic vector of the §6 cost-model counters ([pairing.pairings],
-    [pairing.miller_steps], [bgn.mul], [bgn.dlog.solves],
-    [bgn.dlog.giant_steps], [sse.postings_scanned],
-    [oxt.postings_scanned], [scheme.agg.rows],
-    [scheme.agg.joint_buckets]); while one is installed on a domain,
-    every {!incr}/{!add} on a tracked counter also lands in it, so the
-    request being served gets its own exact deltas. Scopes are installed
-    domain-locally and shared across the pool domains that run one
-    request's aggregation chunks (see [Trace.capture]/[Trace.with_ctx]). *)
+    atomic vector with one slot per entry of the cost block: [pairings],
+    [miller_steps], [bgn_mul], [dlog_solves], [dlog_giant_steps],
+    [sse_postings] (SSE and OXT postings), [agg_rows], [agg_buckets],
+    [prod_calls], [precomp_hits], [invm] and [invm_batch], each fed by
+    the registry counters its entry lists. While a scope is installed on
+    a domain, every {!incr}/{!add} on a listed counter also lands in its
+    entry's slot, so the request being served gets its own exact deltas.
+    Scopes are installed domain-locally and shared across the pool
+    domains that run one request's aggregation chunks (see
+    [Trace.capture]/[Trace.with_ctx]). *)
 
 type scope
 
@@ -88,8 +89,8 @@ val scope_swap : scope option -> scope option
 val scope_current : unit -> scope option
 (** The scope installed on the calling domain, if any. *)
 
-val scope_get : scope -> string -> int
-(** Delta recorded for a tracked counter name (0 for untracked names). *)
+val scope_counts : scope -> (string * int) list
+(** Every cost-block entry with its delta, in the block's order. *)
 
 (** {1 Snapshots} *)
 

@@ -6,11 +6,11 @@
     domain allocated inside that span (less its children's) to the
     span's name. It feeds two sinks: a process-wide site table
     ({!top_sites}) and the per-request allocation table on each
-    {!Trace.rtrace}.
+    {!Trace.rtrace} (its [alloc.<span>] counts).
 
     The profiler is process-global and independent of
     {!Metrics.enabled}; per-request attribution only happens inside
-    {!Trace.with_request_full}, which needs metrics on. *)
+    {!Trace.with_request}, which needs metrics on. *)
 
 type site = {
   site_span : string;     (** span name the allocation was attributed to *)

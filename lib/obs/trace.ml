@@ -14,12 +14,12 @@
    the old plain-[ref] completed list raced [roots]/[reset] against
    whichever domain finished a root span.
 
-   Resource accounting rides the same structures. Every completed
-   request carries a [gc_delta] (GC counter differential over the
-   request, on the domain that ran it), and when the profiler
-   ({!Sagma_obs.Prof}) is active each request also accumulates a
-   span-name → allocated-words table, from allocation deltas measured
-   at span close (via the [prof_hook]). *)
+   Every completed request carries one list of named counts: its cost
+   block ([cost.<entry>], from the {!Metrics} scope), its GC
+   differential ([gc.<field>], on the domain that ran it) and, when the
+   profiler ({!Sagma_obs.Prof}) is active, a span-name → allocated-words
+   table ([alloc.<span>], from allocation deltas measured at span close
+   via the [prof_hook]). *)
 
 type span = {
   name : string;
@@ -28,62 +28,11 @@ type span = {
   children : span list;
 }
 
-type cost = {
-  pairings : int;
-  miller_steps : int;
-  bgn_mul : int;
-  dlog_solves : int;
-  dlog_giant_steps : int;
-  sse_postings : int;
-  agg_rows : int;
-  agg_buckets : int;
-  bytes_in : int;
-  bytes_out : int;
-}
-
-let zero_cost =
-  { pairings = 0; miller_steps = 0; bgn_mul = 0; dlog_solves = 0; dlog_giant_steps = 0;
-    sse_postings = 0; agg_rows = 0; agg_buckets = 0; bytes_in = 0; bytes_out = 0 }
-
-let cost_fields (c : cost) : (string * int) list =
-  [ ("pairings", c.pairings); ("miller_steps", c.miller_steps); ("bgn_mul", c.bgn_mul);
-    ("dlog_solves", c.dlog_solves); ("dlog_giant_steps", c.dlog_giant_steps);
-    ("sse_postings", c.sse_postings); ("agg_rows", c.agg_rows);
-    ("agg_buckets", c.agg_buckets); ("bytes_in", c.bytes_in); ("bytes_out", c.bytes_out) ]
-
-(* Per-request GC differential, all in words (one word = 8 bytes on
-   64-bit). Word counts come from [Gc.quick_stat], which on OCaml 5 is
-   domain-local for the allocation counters: a request whose row work
-   ran on pool domains undercounts their share, which is the right
-   trade — the numbers are cheap, monotone, and attribute the
-   coordinating domain's allocation exactly. *)
-type gc_delta = {
-  gc_minor_words : int;
-  gc_promoted_words : int;
-  gc_major_words : int;
-  gc_minor_collections : int;
-  gc_major_collections : int;
-  gc_heap_words : int;      (* major heap size when the request finished *)
-  gc_heap_growth : int;     (* heap_words delta over the request *)
-}
-
-let zero_gc =
-  { gc_minor_words = 0; gc_promoted_words = 0; gc_major_words = 0; gc_minor_collections = 0;
-    gc_major_collections = 0; gc_heap_words = 0; gc_heap_growth = 0 }
-
-let gc_fields (g : gc_delta) : (string * int) list =
-  [ ("minor_words", g.gc_minor_words); ("promoted_words", g.gc_promoted_words);
-    ("major_words", g.gc_major_words); ("minor_collections", g.gc_minor_collections);
-    ("major_collections", g.gc_major_collections); ("heap_words", g.gc_heap_words);
-    ("heap_growth", g.gc_heap_growth) ]
-
 type rtrace = {
   r_id : string;
   r_start : float;
   r_root : span;
-  mutable r_cost : cost;
-  mutable r_gc : gc_delta;
-  mutable r_alloc : (string * int) list;  (* span name → sampled words, largest first *)
+  mutable r_counts : (string * int) list;
 }
 
 (* --- per-domain state ------------------------------------------------------- *)
@@ -147,20 +96,6 @@ let allocated_words () =
   let s = Gc.quick_stat () in
   Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
 
-(* Charge [words] to [span] in the current request's allocation table
-   (a no-op outside a profiled request). *)
-let note_alloc ~(span : string) ~(words : int) : unit =
-  if words > 0 then begin
-    let st = Domain.DLS.get state in
-    match st.d_alloc with
-    | None -> ()
-    | Some tab ->
-      Mutex.lock lock;
-      let prev = Option.value ~default:0 (Hashtbl.find_opt tab span) in
-      Hashtbl.replace tab span (prev + words);
-      Mutex.unlock lock
-  end
-
 let frame_alloc_base () =
   match Atomic.get prof_hook with None -> -1. | Some _ -> allocated_words ()
 
@@ -181,16 +116,26 @@ let frame_self_words (st : dstate) (fr : frame) : int =
        | [] -> ());
       int_of_float (Float.max 0. (total -. fr.f_child_w))
 
+(* Charge a closing frame's self-allocation to the current request's
+   table (when profiling one) and report it to the profiler. *)
+let charge_alloc (name : string) (words : int) : unit =
+  if words > 0 then begin
+    (match (Domain.DLS.get state).d_alloc with
+     | None -> ()
+     | Some tab ->
+       Mutex.lock lock;
+       let prev = Option.value ~default:0 (Hashtbl.find_opt tab name) in
+       Hashtbl.replace tab name (prev + words);
+       Mutex.unlock lock);
+    match Atomic.get prof_hook with Some hook -> hook name words | None -> ()
+  end
+
 let close_frame (st : dstate) (fr : frame) : unit =
   let ms = (now () -. fr.f_start) *. 1000. in
   (match st.d_stack with
    | top :: rest when top == fr -> st.d_stack <- rest
    | _ -> () (* unbalanced close: drop rather than corrupt the stack *));
-  let self_w = frame_self_words st fr in
-  if self_w > 0 then begin
-    note_alloc ~span:fr.f_name ~words:self_w;
-    match Atomic.get prof_hook with Some hook -> hook fr.f_name self_w | None -> ()
-  end;
+  charge_alloc fr.f_name (frame_self_words st fr);
   let sp = { name = fr.f_name; t0 = fr.f_start; ms; children = List.rev fr.children_rev } in
   Mutex.lock lock;
   (match st.d_stack with
@@ -256,7 +201,7 @@ let with_ctx (ctx : ctx) (f : unit -> 'a) : 'a =
     f
 
 (* The id of the request currently being traced on this domain (set by
-   [with_request_full], inherited through [capture]/[with_ctx]). A
+   [with_request], inherited through [capture]/[with_ctx]). A
    query router propagates this across the coordinator → shard hop as
    the trace context, so both nodes record the same trace id. *)
 let current_request_id () : string option = (Domain.DLS.get state).d_req_id
@@ -282,30 +227,25 @@ let trace_seq = Atomic.make 0
 let next_trace_id () =
   Printf.sprintf "t%d-%d" (Unix.getpid ()) (Atomic.fetch_and_add trace_seq 1 + 1)
 
-let cost_of_scope (sc : Metrics.scope) : cost =
-  let g = Metrics.scope_get sc in
-  { pairings = g "pairing.pairings"; miller_steps = g "pairing.miller_steps";
-    bgn_mul = g "bgn.mul"; dlog_solves = g "bgn.dlog.solves";
-    dlog_giant_steps = g "bgn.dlog.giant_steps";
-    sse_postings = g "sse.postings_scanned" + g "oxt.postings_scanned";
-    agg_rows = g "scheme.agg.rows"; agg_buckets = g "scheme.agg.joint_buckets";
-    bytes_in = 0; bytes_out = 0 }
-
 (* A GC reading: [Gc.quick_stat] plus [Gc.minor_words ()]. On OCaml 5 the
    stat's minor_words only advances at a minor collection, so a request
    lighter than the minor heap would read 0; [Gc.minor_words ()] also
-   counts this domain's allocation since the last collection. *)
+   counts this domain's allocation since the last collection. The
+   allocation counters are domain-local, so a request whose row work ran
+   on pool domains reports the coordinating domain's share — cheap,
+   monotone, and exact for that domain. All counts are in words. *)
 let gc_reading () = (Gc.quick_stat (), Gc.minor_words ())
 
-let gc_delta_of ~(before : Gc.stat * float) ~(after : Gc.stat * float) : gc_delta =
+let gc_counts ~(before : Gc.stat * float) ~(after : Gc.stat * float) : (string * int) list =
   let (before, minor0), (after, minor1) = (before, after) in
-  { gc_minor_words = int_of_float (minor1 -. minor0);
-    gc_promoted_words = int_of_float (after.Gc.promoted_words -. before.Gc.promoted_words);
-    gc_major_words = int_of_float (after.Gc.major_words -. before.Gc.major_words);
-    gc_minor_collections = after.Gc.minor_collections - before.Gc.minor_collections;
-    gc_major_collections = after.Gc.major_collections - before.Gc.major_collections;
-    gc_heap_words = after.Gc.heap_words;
-    gc_heap_growth = after.Gc.heap_words - before.Gc.heap_words }
+  [ ("gc.minor_words", int_of_float (minor1 -. minor0));
+    ("gc.promoted_words", int_of_float (after.Gc.promoted_words -. before.Gc.promoted_words));
+    ("gc.major_words", int_of_float (after.Gc.major_words -. before.Gc.major_words));
+    ("gc.minor_collections", after.Gc.minor_collections - before.Gc.minor_collections);
+    ("gc.major_collections", after.Gc.major_collections - before.Gc.major_collections);
+    (* the major heap's size when the request finished, then its growth *)
+    ("gc.heap_words", after.Gc.heap_words);
+    ("gc.heap_growth", after.Gc.heap_words - before.Gc.heap_words) ]
 
 let empty_root = { name = "request"; t0 = 0.; ms = 0.; children = [] }
 
@@ -315,12 +255,12 @@ let alloc_table_entries (tab : alloc_tab) : (string * int) list =
   Mutex.unlock lock;
   List.sort (fun (_, a) (_, b) -> compare b a) l
 
-let with_request_full ?trace_id f =
+let with_request ?trace_id f =
   if not !Metrics.enabled then begin
     let v = f () in
     ( v,
       { r_id = (match trace_id with Some id -> id | None -> ""); r_start = 0.;
-        r_root = empty_root; r_cost = zero_cost; r_gc = zero_gc; r_alloc = [] } )
+        r_root = empty_root; r_counts = [] } )
   end
   else begin
     let id = match trace_id with Some id -> id | None -> next_trace_id () in
@@ -347,28 +287,20 @@ let with_request_full ?trace_id f =
          frame's children counter is complete. The stack is forced to
          [] first so the root's total does not roll up anywhere. *)
       st.d_stack <- [];
-      let root_w = frame_self_words st root in
+      charge_alloc "request" (frame_self_words st root);
       st.d_stack <- saved_stack;
       st.d_base <- saved_base;
       st.d_alloc <- saved_alloc;
       st.d_req_id <- saved_req_id;
       ignore (Metrics.scope_swap saved_scope);
-      if root_w > 0 then begin
-        (match tab with
-         | Some t ->
-           Mutex.lock lock;
-           let prev = Option.value ~default:0 (Hashtbl.find_opt t "request") in
-           Hashtbl.replace t "request" (prev + root_w);
-           Mutex.unlock lock
-         | None -> ());
-        match Atomic.get prof_hook with Some hook -> hook "request" root_w | None -> ()
-      end;
       let sp = { name = "request"; t0 = start; ms; children = List.rev root.children_rev } in
-      let gc = gc_delta_of ~before:gc0 ~after:(gc_reading ()) in
       let alloc = match tab with Some t -> alloc_table_entries t | None -> [] in
       let rt =
-        { r_id = id; r_start = start; r_root = sp; r_cost = cost_of_scope sc; r_gc = gc;
-          r_alloc = alloc }
+        { r_id = id; r_start = start; r_root = sp;
+          r_counts =
+            List.map (fun (k, v) -> ("cost." ^ k, v)) (Metrics.scope_counts sc)
+            @ gc_counts ~before:gc0 ~after:(gc_reading ())
+            @ List.map (fun (k, v) -> ("alloc." ^ k, v)) alloc }
       in
       Mutex.lock lock;
       push_bounded completed_requests rt;
@@ -381,12 +313,6 @@ let with_request_full ?trace_id f =
       ignore (finish ());
       raise e
   end
-
-let with_request ?trace_id f =
-  let v, rt = with_request_full ?trace_id f in
-  (v, rt.r_root)
-
-let set_cost (rt : rtrace) (c : cost) : unit = rt.r_cost <- c
 
 (* --- completed rings --------------------------------------------------------- *)
 
@@ -427,14 +353,11 @@ let pp fmt s =
 let rec to_json (s : span) : Json.t =
   Obj [ ("name", Str s.name); ("ms", Num s.ms); ("children", Arr (List.map to_json s.children)) ]
 
-let int_fields l = Json.Obj (List.map (fun (k, v) -> (k, Json.int v)) l)
-
 (* Chrome trace-event JSON (the chrome://tracing / Perfetto format):
    each span becomes one "X" complete event with microsecond timestamps;
    traces are separated by thread id so concurrent requests render as
-   parallel tracks. The root event carries the trace id, cost block, GC
-   differential and (when the profiler ran) allocation table in
-   [args]. *)
+   parallel tracks. The root event's [args] carry the trace id and every
+   named count of the request. *)
 let chrome_json (ts : rtrace list) : Json.t =
   let events =
     List.concat
@@ -442,9 +365,7 @@ let chrome_json (ts : rtrace list) : Json.t =
          (fun i rt ->
            let tid = Json.int (i + 1) in
            let root_args =
-             [ ("trace_id", Json.Str rt.r_id); ("cost", int_fields (cost_fields rt.r_cost));
-               ("gc", int_fields (gc_fields rt.r_gc)) ]
-             @ if rt.r_alloc = [] then [] else [ ("alloc_words", int_fields rt.r_alloc) ]
+             ("trace_id", Json.Str rt.r_id) :: List.map (fun (k, v) -> (k, Json.int v)) rt.r_counts
            in
            let rec walk (sp : span) =
              Json.Obj

@@ -26,10 +26,9 @@
     ({!requests}). Both completed stores are mutex-guarded bounded rings
     capped at 1024 entries, oldest dropped first.
 
-    Resource accounting: every completed request carries a GC
-    differential ({!gc_delta}), and while {!Sagma_obs.Prof} is active
-    each request also accumulates a span-name → allocated-words table
-    ([r_alloc]). *)
+    Every completed request carries one list of named counts (see
+    {!rtrace}): its cost block, its GC differential and, while
+    {!Sagma_obs.Prof} is active, its span-attributed allocation table. *)
 
 type span = {
   name : string;
@@ -38,60 +37,28 @@ type span = {
   children : span list;    (** in execution order *)
 }
 
-(** Per-request deltas of the §6 cost-model counters, from the
-    {!Metrics.scope} installed for the request. [bytes_in]/[bytes_out]
-    are transport-level and filled by the server (zero elsewhere). *)
-type cost = {
-  pairings : int;          (** [pairing.pairings] *)
-  miller_steps : int;      (** [pairing.miller_steps] *)
-  bgn_mul : int;           (** [bgn.mul] — the analytic n·B^arity·c count *)
-  dlog_solves : int;       (** [bgn.dlog.solves] *)
-  dlog_giant_steps : int;  (** [bgn.dlog.giant_steps] *)
-  sse_postings : int;      (** [sse.postings_scanned] + [oxt.postings_scanned] *)
-  agg_rows : int;          (** [scheme.agg.rows] *)
-  agg_buckets : int;       (** [scheme.agg.joint_buckets] *)
-  bytes_in : int;
-  bytes_out : int;
-}
-
-val cost_fields : cost -> (string * int) list
-(** Every cost field with its stable name, declaration order — for log
-    events, CLI printing and JSON emitters. *)
-
-(** Per-request [Gc.quick_stat] differential, all in words. The
-    allocation counters are domain-local on OCaml 5, so a request whose
-    row work ran on pool domains reports the coordinating domain's
-    share. *)
-type gc_delta = {
-  gc_minor_words : int;
-  gc_promoted_words : int;
-  gc_major_words : int;
-  gc_minor_collections : int;
-  gc_major_collections : int;
-  gc_heap_words : int;    (** major heap size when the request finished *)
-  gc_heap_growth : int;   (** [heap_words] delta over the request *)
-}
-
-val zero_gc : gc_delta
-
-val gc_fields : gc_delta -> (string * int) list
-(** Every GC field with its stable name, declaration order — mirrors
-    {!cost_fields}. *)
-
-(** A completed request trace: the root span (named ["request"]), its
-    start time, the trace id (client-supplied or generated), the cost
-    block, the GC differential, and the profiler's allocation table
-    (empty unless {!Sagma_obs.Prof} was active; largest site first).
-    [r_cost] is mutable so the server can fill the byte counts after
+(** A completed request trace: the trace id (client-supplied or
+    generated), its start time, the root span (named ["request"]) and
+    [r_counts], the request's accounting as one named list:
+    - [cost.<entry>]: the request's {!Metrics.scope} deltas, one per
+      cost-block entry in the block's order, plus [cost.bytes_in] and
+      [cost.bytes_out] where a server fills them;
+    - [gc.<field>]: the [Gc.quick_stat] differential over the request in
+      words ([minor_words], [promoted_words], [major_words],
+      [minor_collections], [major_collections], [heap_growth]) and the
+      major heap's size at the end ([heap_words]). The allocation
+      counters are domain-local on OCaml 5, so a request whose row work
+      ran on pool domains reports the coordinating domain's share;
+    - [alloc.<span>]: words allocated under each span name, largest
+      first (only while {!Sagma_obs.Prof} is active).
+    [r_counts] is mutable so a server can add its byte counts after
     encoding the response; the {!requests} ring holds the same record,
     so the update is visible in later exports. *)
 type rtrace = {
   r_id : string;
   r_start : float;
   r_root : span;
-  mutable r_cost : cost;
-  mutable r_gc : gc_delta;
-  mutable r_alloc : (string * int) list;
+  mutable r_counts : (string * int) list;
 }
 
 val with_span : string -> (unit -> 'a) -> 'a
@@ -99,26 +66,18 @@ val with_span : string -> (unit -> 'a) -> 'a
     the inherited parent frame, or as a new ambient root). Exceptions
     propagate; the span is still recorded. *)
 
-val with_request : ?trace_id:string -> (unit -> 'a) -> 'a * span
+val with_request : ?trace_id:string -> (unit -> 'a) -> 'a * rtrace
 (** Run [f] as one traced request: a root span named ["request"] is
     opened, spans [f] opens (on this domain or on pool workers that
     inherited the context) become its descendants, and a fresh
     {!Metrics.scope} collects the request's counter deltas. Returns the
-    completed root. When metrics are disabled this is just [f ()] paired
-    with an empty span. *)
-
-val with_request_full : ?trace_id:string -> (unit -> 'a) -> 'a * rtrace
-(** Like {!with_request} but returns the full record (id, start, cost,
-    GC differential, allocation table) that was pushed onto the
-    {!requests} ring. *)
-
-val set_cost : rtrace -> cost -> unit
-(** Replace the cost block (the server uses this to fill
-    [bytes_in]/[bytes_out] after encoding the response). *)
+    completed record, which is also pushed onto the {!requests} ring.
+    When metrics are disabled this is just [f ()] paired with an empty
+    record (no counts, an empty root span). *)
 
 val current_request_id : unit -> string option
 (** The id of the request currently being traced on this domain — set
-    by {!with_request_full}, inherited through {!capture}/{!with_ctx},
+    by {!with_request}, inherited through {!capture}/{!with_ctx},
     [None] outside a traced request. A query router propagates this
     across the coordinator → shard hop (as the trace context of its
     shard calls), so both nodes record the same trace id. *)
@@ -176,7 +135,7 @@ val reset : unit -> unit
 
 val phase_timings : span -> (string * float) list
 (** The direct children as [(name, ms)] pairs — the per-phase timing
-    summary a response's EXPLAIN block carries. *)
+    summary an EXPLAIN block prints from a request's root span. *)
 
 val pp : Format.formatter -> span -> unit
 (** The indented tree rendering shown above. *)
@@ -187,5 +146,6 @@ val to_json : span -> Json.t
 val chrome_json : rtrace list -> Json.t
 (** Chrome trace-event JSON ([{"traceEvents": [...]}]): one "X"
     complete event per span with microsecond timestamps, one thread per
-    trace, the trace id, cost block and GC/allocation summary in the
-    root event's [args] — loadable in chrome://tracing or Perfetto. *)
+    trace; the root event's [args] carry [trace_id] and every entry of
+    [r_counts] under its own name — loadable in chrome://tracing or
+    Perfetto. *)

@@ -29,7 +29,7 @@ module Watchdog = Sagma_obs.Watchdog
 module Json = Sagma_obs.Json
 
 let magic = "SG"
-let version = 8
+let version = 9
 
 exception Version_mismatch of { expected : int; got : int }
 
@@ -125,17 +125,6 @@ type request =
    forcing the server to trace this request. *)
 type trace_ctx = { tc_id : string option; tc_sampled : bool }
 
-(* The EXPLAIN block a traced request's response carries — the trace
-   id, per-phase wall-clock timings from the span tree, the cost block
-   of request-scoped counter deltas, and the per-request GC
-   differential. *)
-type explain = {
-  x_id : string;
-  x_timings : (string * float) list;
-  x_cost : Trace.cost;
-  x_gc : Trace.gc_delta option;
-}
-
 (* Process-lifetime GC statistics in a StatsReport — the server's
    [Gc.quick_stat] at reply time, word counts as floats because they
    are monotone process totals. *)
@@ -167,8 +156,8 @@ type stats_report = {
   sr_audit : Sagma_obs.Audit.summary;
   sr_uptime_s : float;
   sr_start_time : float;   (* epoch seconds *)
-  sr_gc : gc_stats option;
-  sr_topology : topology option;
+  sr_gc : gc_stats;
+  sr_topology : topology;
 }
 
 (* One shard's health as the coordinator's prober sees it. The
@@ -205,6 +194,21 @@ type response =
 let failed code fmt = Printf.ksprintf (fun message -> Failed { code; message }) fmt
 
 (* --- codecs ------------------------------------------------------------------ *)
+
+(* One codec for every name → int list: table row counts, snapshot
+   counters and gauges, a request trace's counts. *)
+let put_counts (s : W.sink) (l : (string * int) list) : unit =
+  W.put_list s
+    (fun s (name, v) ->
+      W.put_bytes s name;
+      W.put_int s v)
+    l
+
+let get_counts (s : W.source) : (string * int) list =
+  W.get_list s (fun s ->
+      let name = W.get_bytes s in
+      let v = W.get_int s in
+      (name, v))
 
 let put_hist_stats (s : W.sink) (h : Metrics.hist_stats) : unit =
   W.put_int s h.Metrics.h_count;
@@ -248,100 +252,6 @@ let get_trace_ctx (s : W.source) : trace_ctx =
   let tc_sampled = W.get_bool s in
   { tc_id; tc_sampled }
 
-let put_cost (s : W.sink) (c : Trace.cost) : unit =
-  List.iter (fun (_, v) -> W.put_int s v) (Trace.cost_fields c)
-
-let get_cost (s : W.source) : Trace.cost =
-  let pairings = W.get_int s in
-  let miller_steps = W.get_int s in
-  let bgn_mul = W.get_int s in
-  let dlog_solves = W.get_int s in
-  let dlog_giant_steps = W.get_int s in
-  let sse_postings = W.get_int s in
-  let agg_rows = W.get_int s in
-  let agg_buckets = W.get_int s in
-  let bytes_in = W.get_int s in
-  let bytes_out = W.get_int s in
-  { Trace.pairings; miller_steps; bgn_mul; dlog_solves; dlog_giant_steps; sse_postings;
-    agg_rows; agg_buckets; bytes_in; bytes_out }
-
-(* Resource codecs: the per-request GC differential (explain
-   trailer, trace dumps) and the process-lifetime GC stats (Stats
-   report). *)
-
-let put_gc_delta (s : W.sink) (g : Trace.gc_delta) : unit =
-  List.iter (fun (_, v) -> W.put_int s v) (Trace.gc_fields g)
-
-let get_gc_delta (s : W.source) : Trace.gc_delta =
-  let gc_minor_words = W.get_int s in
-  let gc_promoted_words = W.get_int s in
-  let gc_major_words = W.get_int s in
-  let gc_minor_collections = W.get_int s in
-  let gc_major_collections = W.get_int s in
-  let gc_heap_words = W.get_int s in
-  let gc_heap_growth = W.get_int s in
-  { Trace.gc_minor_words; gc_promoted_words; gc_major_words; gc_minor_collections;
-    gc_major_collections; gc_heap_words; gc_heap_growth }
-
-let put_gc_stats (s : W.sink) (g : gc_stats) : unit =
-  W.put_f64 s g.gs_minor_words;
-  W.put_f64 s g.gs_promoted_words;
-  W.put_f64 s g.gs_major_words;
-  W.put_int s g.gs_minor_collections;
-  W.put_int s g.gs_major_collections;
-  W.put_int s g.gs_compactions;
-  W.put_int s g.gs_heap_words;
-  W.put_int s g.gs_top_heap_words
-
-(* Topology codecs (StatsReport section). *)
-
-let put_topology (s : W.sink) (t : topology) : unit =
-  W.put_bytes s t.tp_role;
-  W.put_int s t.tp_shard_index;
-  W.put_int s t.tp_shard_count;
-  W.put_list s W.put_bytes t.tp_shards
-
-let get_topology (s : W.source) : topology =
-  let tp_role = W.get_bytes s in
-  let tp_shard_index = W.get_int s in
-  let tp_shard_count = W.get_int s in
-  let tp_shards = W.get_list s W.get_bytes in
-  { tp_role; tp_shard_index; tp_shard_count; tp_shards }
-
-let get_gc_stats (s : W.source) : gc_stats =
-  let gs_minor_words = W.get_f64 s in
-  let gs_promoted_words = W.get_f64 s in
-  let gs_major_words = W.get_f64 s in
-  let gs_minor_collections = W.get_int s in
-  let gs_major_collections = W.get_int s in
-  let gs_compactions = W.get_int s in
-  let gs_heap_words = W.get_int s in
-  let gs_top_heap_words = W.get_int s in
-  { gs_minor_words; gs_promoted_words; gs_major_words; gs_minor_collections;
-    gs_major_collections; gs_compactions; gs_heap_words; gs_top_heap_words }
-
-let put_explain (s : W.sink) (x : explain) : unit =
-  W.put_bytes s x.x_id;
-  W.put_list s
-    (fun s (name, ms) ->
-      W.put_bytes s name;
-      W.put_f64 s ms)
-    x.x_timings;
-  put_cost s x.x_cost;
-  W.put_option s put_gc_delta x.x_gc
-
-let get_explain (s : W.source) : explain =
-  let x_id = W.get_bytes s in
-  let x_timings =
-    W.get_list s (fun s ->
-        let name = W.get_bytes s in
-        let ms = W.get_f64 s in
-        (name, ms))
-  in
-  let x_cost = get_cost s in
-  let x_gc = W.get_option s get_gc_delta in
-  { x_id; x_timings; x_cost; x_gc }
-
 let rec put_span (s : W.sink) (sp : Trace.span) : unit =
   W.put_bytes s sp.Trace.name;
   W.put_f64 s sp.Trace.t0;
@@ -364,39 +274,56 @@ let put_rtrace (s : W.sink) (rt : Trace.rtrace) : unit =
   W.put_bytes s rt.Trace.r_id;
   W.put_f64 s rt.Trace.r_start;
   put_span s rt.Trace.r_root;
-  put_cost s rt.Trace.r_cost;
-  put_gc_delta s rt.Trace.r_gc;
-  W.put_list s
-    (fun s (span, words) ->
-      W.put_bytes s span;
-      W.put_int s words)
-    rt.Trace.r_alloc
+  put_counts s rt.Trace.r_counts
 
 let get_rtrace (s : W.source) : Trace.rtrace =
   let r_id = W.get_bytes s in
   let r_start = W.get_f64 s in
   let r_root = get_span ~depth:0 s in
-  let r_cost = get_cost s in
-  let r_gc = get_gc_delta s in
-  let r_alloc =
-    W.get_list s (fun s ->
-        let span = W.get_bytes s in
-        let words = W.get_int s in
-        (span, words))
-  in
-  { Trace.r_id; r_start; r_root; r_cost; r_gc; r_alloc }
+  let r_counts = get_counts s in
+  { Trace.r_id; r_start; r_root; r_counts }
+
+(* Stats report sections: the process-lifetime GC stats and the
+   topology. *)
+
+let put_gc_stats (s : W.sink) (g : gc_stats) : unit =
+  W.put_f64 s g.gs_minor_words;
+  W.put_f64 s g.gs_promoted_words;
+  W.put_f64 s g.gs_major_words;
+  W.put_int s g.gs_minor_collections;
+  W.put_int s g.gs_major_collections;
+  W.put_int s g.gs_compactions;
+  W.put_int s g.gs_heap_words;
+  W.put_int s g.gs_top_heap_words
+
+let get_gc_stats (s : W.source) : gc_stats =
+  let gs_minor_words = W.get_f64 s in
+  let gs_promoted_words = W.get_f64 s in
+  let gs_major_words = W.get_f64 s in
+  let gs_minor_collections = W.get_int s in
+  let gs_major_collections = W.get_int s in
+  let gs_compactions = W.get_int s in
+  let gs_heap_words = W.get_int s in
+  let gs_top_heap_words = W.get_int s in
+  { gs_minor_words; gs_promoted_words; gs_major_words; gs_minor_collections;
+    gs_major_collections; gs_compactions; gs_heap_words; gs_top_heap_words }
+
+let put_topology (s : W.sink) (t : topology) : unit =
+  W.put_bytes s t.tp_role;
+  W.put_int s t.tp_shard_index;
+  W.put_int s t.tp_shard_count;
+  W.put_list s W.put_bytes t.tp_shards
+
+let get_topology (s : W.source) : topology =
+  let tp_role = W.get_bytes s in
+  let tp_shard_index = W.get_int s in
+  let tp_shard_count = W.get_int s in
+  let tp_shards = W.get_list s W.get_bytes in
+  { tp_role; tp_shard_index; tp_shard_count; tp_shards }
 
 let put_stats_report (s : W.sink) (r : stats_report) : unit =
-  W.put_list s
-    (fun s (name, v) ->
-      W.put_bytes s name;
-      W.put_int s v)
-    r.sr_snapshot.Metrics.counters;
-  W.put_list s
-    (fun s (name, v) ->
-      W.put_bytes s name;
-      W.put_int s v)
-    r.sr_snapshot.Metrics.gauges;
+  put_counts s r.sr_snapshot.Metrics.counters;
+  put_counts s r.sr_snapshot.Metrics.gauges;
   W.put_list s
     (fun s (name, h) ->
       W.put_bytes s name;
@@ -408,22 +335,12 @@ let put_stats_report (s : W.sink) (r : stats_report) : unit =
   W.put_int s r.sr_audit.Audit.s_check_failures;
   W.put_f64 s r.sr_uptime_s;
   W.put_f64 s r.sr_start_time;
-  W.put_option s put_gc_stats r.sr_gc;
-  W.put_option s put_topology r.sr_topology
+  put_gc_stats s r.sr_gc;
+  put_topology s r.sr_topology
 
 let get_stats_report (s : W.source) : stats_report =
-  let counters =
-    W.get_list s (fun s ->
-        let name = W.get_bytes s in
-        let v = W.get_int s in
-        (name, v))
-  in
-  let gauges =
-    W.get_list s (fun s ->
-        let name = W.get_bytes s in
-        let v = W.get_int s in
-        (name, v))
-  in
+  let counters = get_counts s in
+  let gauges = get_counts s in
   let histograms =
     W.get_list s (fun s ->
         let name = W.get_bytes s in
@@ -436,8 +353,8 @@ let get_stats_report (s : W.source) : stats_report =
   let s_check_failures = W.get_int s in
   let sr_uptime_s = W.get_f64 s in
   let sr_start_time = W.get_f64 s in
-  let sr_gc = W.get_option s get_gc_stats in
-  let sr_topology = W.get_option s get_topology in
+  let sr_gc = get_gc_stats s in
+  let sr_topology = get_topology s in
   { sr_snapshot = { Metrics.counters; gauges; histograms };
     sr_audit = { Audit.s_requests; s_probes; s_checks_run; s_check_failures };
     sr_uptime_s; sr_start_time; sr_gc; sr_topology }
@@ -550,19 +467,15 @@ let get_request (s : W.source) : trace_ctx option * request =
   in
   (trace, req)
 
-(* [?explain] is the EXPLAIN trailer, written (as an option) after the
-   payload. *)
-let put_response ?(explain : explain option) (s : W.sink) (r : response) : unit =
+(* [?explain] is the EXPLAIN trailer — the request's trace record —
+   written (as an option) after the payload. *)
+let put_response ?(explain : Trace.rtrace option) (s : W.sink) (r : response) : unit =
   put_header s;
   (match r with
    | Ack -> W.put_u8 s 0
    | Tables ts ->
      W.put_u8 s 1;
-     W.put_list s
-       (fun s (name, rows) ->
-         W.put_bytes s name;
-         W.put_int s rows)
-       ts
+     put_counts s ts
    | Aggregates a ->
      W.put_u8 s 2;
      Serialize.put_agg_result s a
@@ -579,19 +492,14 @@ let put_response ?(explain : explain option) (s : W.sink) (r : response) : unit 
    | Health_report h ->
      W.put_u8 s 6;
      put_health_report s h);
-  W.put_option s put_explain explain
+  W.put_option s put_rtrace explain
 
-let get_response (s : W.source) : response * explain option =
+let get_response (s : W.source) : response * Trace.rtrace option =
   get_header s;
   let resp =
     match W.get_u8 s with
     | 0 -> Ack
-    | 1 ->
-      Tables
-        (W.get_list s (fun s ->
-             let name = W.get_bytes s in
-             let rows = W.get_int s in
-             (name, rows)))
+    | 1 -> Tables (get_counts s)
     | 2 -> Aggregates (Serialize.get_agg_result s)
     | 3 ->
       let code = get_error_code s in
@@ -602,7 +510,7 @@ let get_response (s : W.source) : response * explain option =
     | 6 -> Health_report (get_health_report s)
     | t -> W.fail "bad response tag %d" t
   in
-  let explain = W.get_option s get_explain in
+  let explain = W.get_option s get_rtrace in
   (resp, explain)
 
 let encode_request ?trace (r : request) : string =
@@ -614,7 +522,7 @@ let decode_request (s : string) : request = snd (decode_request_x s)
 let encode_response ?explain (r : response) : string =
   W.encode (fun s r -> put_response ?explain s r) r
 
-let decode_response_x (s : string) : response * explain option = W.decode get_response s
+let decode_response_x (s : string) : response * Trace.rtrace option = W.decode get_response s
 let decode_response (s : string) : response = fst (decode_response_x s)
 
 (* --- JSON rendering ----------------------------------------------------------
@@ -624,10 +532,8 @@ let decode_response (s : string) : response = fst (decode_response_x s)
    summary, GC block, topology — as one object. Kept here next to the
    types so the shape and the codec evolve together. *)
 
-let opt f = function None -> Json.Null | Some v -> f v
-
 let stats_report_to_json (r : stats_report) : Json.t =
-  let a = r.sr_audit in
+  let a = r.sr_audit and g = r.sr_gc and t = r.sr_topology in
   Obj
     [ ("snapshot", Metrics.snapshot_to_json r.sr_snapshot); ("uptime_s", Num r.sr_uptime_s);
       ("start_time", Num r.sr_start_time);
@@ -637,25 +543,18 @@ let stats_report_to_json (r : stats_report) : Json.t =
             ("checks_run", Json.int a.Audit.s_checks_run);
             ("check_failures", Json.int a.Audit.s_check_failures) ] );
       ( "gc",
-        opt
-          (fun g ->
-            Json.Obj
-              [ ("minor_words", Num g.gs_minor_words); ("promoted_words", Num g.gs_promoted_words);
-                ("major_words", Num g.gs_major_words);
-                ("minor_collections", Json.int g.gs_minor_collections);
-                ("major_collections", Json.int g.gs_major_collections);
-                ("compactions", Json.int g.gs_compactions);
-                ("heap_words", Json.int g.gs_heap_words);
-                ("top_heap_words", Json.int g.gs_top_heap_words) ])
-          r.sr_gc );
+        Obj
+          [ ("minor_words", Num g.gs_minor_words); ("promoted_words", Num g.gs_promoted_words);
+            ("major_words", Num g.gs_major_words);
+            ("minor_collections", Json.int g.gs_minor_collections);
+            ("major_collections", Json.int g.gs_major_collections);
+            ("compactions", Json.int g.gs_compactions); ("heap_words", Json.int g.gs_heap_words);
+            ("top_heap_words", Json.int g.gs_top_heap_words) ] );
       ( "topology",
-        opt
-          (fun t ->
-            Json.Obj
-              [ ("role", Str t.tp_role); ("shard_index", Json.int t.tp_shard_index);
-                ("shard_count", Json.int t.tp_shard_count);
-                ("shards", Arr (List.map (fun e -> Json.Str e) t.tp_shards)) ])
-          r.sr_topology ) ]
+        Obj
+          [ ("role", Str t.tp_role); ("shard_index", Json.int t.tp_shard_index);
+            ("shard_count", Json.int t.tp_shard_count);
+            ("shards", Arr (List.map (fun e -> Json.Str e) t.tp_shards)) ] ) ]
 
 let health_report_to_json (h : health_report) : Json.t =
   let alert (a : Watchdog.alert) =

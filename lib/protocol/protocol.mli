@@ -17,7 +17,7 @@ val magic : string
 (** ["SG"] — the two bytes opening every frame. *)
 
 val version : int
-(** The one wire protocol version this build speaks (currently 8). *)
+(** The one wire protocol version this build speaks (currently 9). *)
 
 exception Version_mismatch of { expected : int; got : int }
 
@@ -66,17 +66,6 @@ type request =
     forcing the server to trace this request. *)
 type trace_ctx = { tc_id : string option; tc_sampled : bool }
 
-(** The EXPLAIN block a traced request's response carries — trace
-    id, per-phase wall-clock timings from the span tree, and the cost
-    block of request-scoped counter deltas. *)
-type explain = {
-  x_id : string;
-  x_timings : (string * float) list;
-  x_cost : Sagma_obs.Trace.cost;
-  x_gc : Sagma_obs.Trace.gc_delta option;
-      (** Per-request GC differential. *)
-}
-
 (** Process-lifetime GC statistics in a {!Stats_report} — the
     server's [Gc.quick_stat] at reply time. Word counts are floats
     because they are monotone process totals. *)
@@ -109,8 +98,8 @@ type stats_report = {
   sr_audit : Sagma_obs.Audit.summary;
   sr_uptime_s : float;  (** seconds since the server started *)
   sr_start_time : float;  (** server start, epoch seconds *)
-  sr_gc : gc_stats option;  (** the server's GC/heap state *)
-  sr_topology : topology option;  (** the node's cluster role *)
+  sr_gc : gc_stats;  (** the server's GC/heap state *)
+  sr_topology : topology;  (** the node's cluster role *)
 }
 
 (** One shard's health as the coordinator's prober sees it. The
@@ -149,8 +138,7 @@ val failed : error_code -> ('a, unit, string, response) format4 -> 'a
 
 val stats_report_to_json : stats_report -> Sagma_obs.Json.t
 (** One JSON object carrying everything a {!Stats_report} holds —
-    [snapshot], [uptime_s]/[start_time], [audit], [gc] (or null),
-    [topology] (or null) — so `sagma stats --json` drops nothing the
+    [snapshot], [uptime_s]/[start_time], [audit], [gc], [topology] — so `sagma stats --json` drops nothing the
     human and Prometheus paths render. *)
 
 val health_report_to_json : health_report -> Sagma_obs.Json.t
@@ -161,9 +149,13 @@ val decode_request : string -> request
 val decode_request_x : string -> trace_ctx option * request
 (** Like {!decode_request}, but also returns the trace context. *)
 
-val encode_response : ?explain:explain -> response -> string
+val encode_response : ?explain:Sagma_obs.Trace.rtrace -> response -> string
+(** [?explain] is the EXPLAIN trailer: the traced request's
+    {!Sagma_obs.Trace.rtrace} (id, start, span tree and named counts),
+    written after the payload. *)
+
 val decode_response : string -> response
-val decode_response_x : string -> response * explain option
+val decode_response_x : string -> response * Sagma_obs.Trace.rtrace option
 (** Decoders raise {!Version_mismatch} on a frame whose version byte is
     not {!version}, and [Sagma_wire.Wire.Decode_error] on malformed
     frames (bad magic, unknown tags or error codes, truncation, trailing

@@ -214,7 +214,7 @@ let down_count (r : t) : int =
 
 (* One shard exchange: fresh connection and the router's deadline on
    both directions. *)
-let call_shard (r : t) (sh : shard) (req : P.request) : P.response * P.explain option =
+let call_shard (r : t) (sh : shard) (req : P.request) : P.response * Trace.rtrace option =
   Obs.incr m_shard_calls;
   let trace =
     match Trace.current_request_id () with
@@ -241,7 +241,7 @@ let call_shard (r : t) (sh : shard) (req : P.request) : P.response * P.explain o
    on, a known-down shard is fast-failed without a connect attempt —
    the background prober notices recovery within one interval. *)
 let safe_call (r : t) (i : int) (sh : shard) (req : P.request) :
-    P.response * P.explain option =
+    P.response * Trace.rtrace option =
   let label = shard_label i sh in
   if r.probe_interval_ms > 0 && not sh.sh_up then begin
     Obs.incr m_fast_fails;
@@ -349,7 +349,7 @@ let shutdown (r : t) : unit =
    context, so these land under "fanout" in the request tree), and a
    traced shard's EXPLAIN phase timings are grafted back as
    "remote:..." child spans — the cross-node stitch. *)
-let fanout (r : t) (req : P.request) : (P.response * P.explain option) array =
+let fanout (r : t) (req : P.request) : (P.response * Trace.rtrace option) array =
   Obs.incr m_fanouts;
   Trace.with_span "fanout" @@ fun () ->
   let futures =
@@ -358,21 +358,21 @@ let fanout (r : t) (req : P.request) : (P.response * P.explain option) array =
         Pool.submit r.pool (fun () ->
             Trace.with_span (Printf.sprintf "shard:%d" i) (fun () ->
                 let ((_, x) as result) = safe_call r i sh req in
-                (match x with
-                 | Some { P.x_timings; _ } ->
-                   List.iter
-                     (fun (name, ms) ->
-                       Trace.attach_span
-                         { Trace.name = "remote:" ^ name;
-                           t0 = Unix.gettimeofday () -. (ms /. 1000.); ms; children = [] })
-                     x_timings
-                 | None -> ());
+                Option.iter
+                  (fun rt ->
+                    List.iter
+                      (fun (name, ms) ->
+                        Trace.attach_span
+                          { Trace.name = "remote:" ^ name;
+                            t0 = Unix.gettimeofday () -. (ms /. 1000.); ms; children = [] })
+                      (Trace.phase_timings rt.Trace.r_root))
+                  x;
                 result)))
       r.shards
   in
   Array.map Pool.await futures
 
-let first_failure (results : (P.response * P.explain option) array) : P.response option =
+let first_failure (results : (P.response * Trace.rtrace option) array) : P.response option =
   Array.find_map
     (fun (resp, _) -> match resp with P.Failed _ -> Some resp | _ -> None)
     results

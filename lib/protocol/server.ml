@@ -123,17 +123,16 @@ let handle (s : t) (req : Protocol.request) : Protocol.response =
           (match s.fleet with Some r -> Router.federated_snapshot r | None -> Obs.snapshot ());
         sr_audit = Audit.summary ();
         sr_uptime_s = Unix.gettimeofday () -. s.started; sr_start_time = s.started;
-        sr_gc = Some (gc_stats_now ());
+        sr_gc = gc_stats_now ();
         sr_topology =
-          Some
-            (match (s.fleet, s.shard) with
-             | Some r, _ -> Router.topology r
-             | None, Some (i, n) ->
-               { Protocol.tp_role = "shard"; tp_shard_index = i; tp_shard_count = n;
-                 tp_shards = [] }
-             | None, None ->
-               { Protocol.tp_role = "single"; tp_shard_index = -1; tp_shard_count = 1;
-                 tp_shards = [] }) }
+          (match (s.fleet, s.shard) with
+           | Some r, _ -> Router.topology r
+           | None, Some (i, n) ->
+             { Protocol.tp_role = "shard"; tp_shard_index = i; tp_shard_count = n;
+               tp_shards = [] }
+           | None, None ->
+             { Protocol.tp_role = "single"; tp_shard_index = -1; tp_shard_count = 1;
+               tp_shards = [] }) }
   | Protocol.Traces, _ -> Protocol.Trace_dump (Trace.requests ())
   | Protocol.Health, _ ->
     (* Draining beats everything; a firing alert or (on a coordinator)
@@ -282,7 +281,7 @@ let handle_encoded (s : t) (raw : string) : string =
             let trace_id =
               match tc with Some { Protocol.tc_id = Some id; _ } -> Some id | _ -> None
             in
-            let resp, rt = Trace.with_request_full ?trace_id (fun () -> handle s req) in
+            let resp, rt = Trace.with_request ?trace_id (fun () -> handle s req) in
             rtrace := Some rt;
             resp
           end
@@ -300,27 +299,23 @@ let handle_encoded (s : t) (raw : string) : string =
   in
   let trace = Audit.end_request () in
   (match response with Protocol.Failed _ -> Obs.incr m_failed | _ -> ());
-  (* Fill the byte counts into the trace's cost block (the completed
-     ring holds the same record, so exports see them too), then attach
-     the EXPLAIN trailer. [bytes_out] must describe the
-     frame that actually leaves — trailer included — but the trailer
-     itself embeds the cost block, and the varint width of [bytes_out]
-     depends on its value; iterate to the (immediately reached)
-     fixpoint instead of reporting the trailer-less first encoding.
-     Re-encoding is confined to sampled requests. *)
+  (* Add the byte counts to the trace's counts (the completed ring holds
+     the same record, so exports see them too), then attach the record
+     as the EXPLAIN trailer. [cost.bytes_out] must describe the frame
+     that actually leaves — trailer included — but the trailer embeds
+     [cost.bytes_out], and its varint width depends on its value; iterate
+     to the (immediately reached) fixpoint instead of reporting the
+     trailer-less first encoding. Re-encoding is confined to sampled
+     requests. *)
   let encoded = Protocol.encode_response response in
   let encoded =
     match !rtrace with
     | Some rt ->
+      let counts = rt.Trace.r_counts in
       let encode_with bytes_out =
-        Trace.set_cost rt
-          { rt.Trace.r_cost with Trace.bytes_in = String.length raw; bytes_out };
-        Protocol.encode_response
-          ~explain:
-            { Protocol.x_id = rt.Trace.r_id;
-              x_timings = Trace.phase_timings rt.Trace.r_root; x_cost = rt.Trace.r_cost;
-              x_gc = Some rt.Trace.r_gc }
-          response
+        rt.Trace.r_counts <-
+          ("cost.bytes_in", String.length raw) :: ("cost.bytes_out", bytes_out) :: counts;
+        Protocol.encode_response ~explain:rt response
       in
       let rec fix guess attempts =
         let e = encode_with guess in
@@ -359,8 +354,9 @@ let handle_encoded (s : t) (raw : string) : string =
       match !rtrace with
       | Some rt ->
         [ Log.str "trace_id" rt.Trace.r_id; ("spans", Trace.to_json rt.Trace.r_root) ]
-        @ List.map (fun (k, v) -> Log.int ("cost_" ^ k) v) (Trace.cost_fields rt.Trace.r_cost)
-        @ List.map (fun (k, v) -> Log.int ("gc_" ^ k) v) (Trace.gc_fields rt.Trace.r_gc)
+        @ List.map
+            (fun (k, v) -> Log.int (String.map (function '.' -> '_' | c -> c) k) v)
+            rt.Trace.r_counts
       | None -> []
     in
     Log.warn "slow_query"

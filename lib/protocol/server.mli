@@ -48,12 +48,13 @@ val create :
     @raise Invalid_argument when combined with [shard] or [agg_pool].
 
     [trace_sample] (default 0 = off) traces every Nth request:
-    a sampled request runs under [Sagma_obs.Trace.with_request_full],
+    a sampled request runs under [Sagma_obs.Trace.with_request],
     lands on the completed-trace ring (served by the [Traces] request)
-    and carries an EXPLAIN trailer in its reply. A peer's sampling flag
-    forces a trace regardless. [slow_query_ms] (default
-    0. = off) makes every request over the threshold emit a
-    [slow_query] log event with its span tree and cost block — which
+    and carries its trace record as the EXPLAIN trailer of its reply.
+    A peer's sampling flag forces a trace regardless. [slow_query_ms]
+    (default 0. = off) makes every request over the threshold emit a
+    [slow_query] log event with its span tree and every named count of
+    its trace ([cost_<entry>], [gc_<field>], [alloc_<span>]) — which
     requires tracing every request, so a nonzero threshold implies
     sampling them all. Both need metrics collection enabled.
 

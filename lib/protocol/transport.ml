@@ -98,7 +98,7 @@ let recv ?max_frame:(cap = max_frame) ?stop (fd : Unix.file_descr) : string =
 
 (* One client request/response exchange. *)
 let call_x ?max_frame ?trace (fd : Unix.file_descr) (req : Protocol.request) :
-    Protocol.response * Protocol.explain option =
+    Protocol.response * Sagma_obs.Trace.rtrace option =
   send ?max_frame fd (Protocol.encode_request ?trace req);
   Protocol.decode_response_x (recv ?max_frame fd)
 

@@ -31,9 +31,9 @@ val call :
 
 val call_x :
   ?max_frame:int -> ?trace:Protocol.trace_ctx -> Unix.file_descr -> Protocol.request ->
-  Protocol.response * Protocol.explain option
-(** Like {!call} but also returns the EXPLAIN trailer, present when
-    the server traced the request. *)
+  Protocol.response * Sagma_obs.Trace.rtrace option
+(** Like {!call} but also returns the EXPLAIN trailer — the server's
+    trace record of the request — present when the server traced it. *)
 
 val serve_connection :
   ?after_request:(unit -> unit) ->

@@ -37,43 +37,55 @@ type t = {
   queries : query_leakage list;
 }
 
-(* Replay a real token against the real index to materialize the trace —
-   what a persistent honest-but-curious server records. *)
-let observe_token (index : Sse.index) (tok : Sse.token) : sse_observation =
-  { token_tag = Sse.token_id tok; matches = Sse.search index tok }
+(* Every index access one query token makes, replayed once against the
+   real index — what a persistent honest-but-curious server records:
+   the bucket observations tagged with their audit probe kind, the
+   filter observations, and the range observations grouped per clause.
+   A [Per_attribute] token's bucket observations also come grouped per
+   queried column (the paired-row bound intersects the columns); the
+   other sources leave [per_column] empty. *)
+type observed = {
+  buckets : (string * sse_observation) list;
+  per_column : sse_observation list list;
+  filters : sse_observation list;
+  ranges : sse_observation list list;
+}
 
-(* The leakage one query token reveals. *)
-let of_query (et : Scheme.enc_table) (tok : Scheme.token) : query_leakage =
-  let bucket_observations =
+let observe (et : Scheme.enc_table) (tok : Scheme.token) : observed =
+  let obs t = { token_tag = Sse.token_id t; matches = Sse.search et.Scheme.index t } in
+  let per_column, buckets =
     match tok.Scheme.source with
     | Scheme.Per_attribute_tokens per_column ->
-      Array.to_list per_column
-      |> List.concat_map (fun per_bucket ->
-             Array.to_list (Array.map (observe_token et.Scheme.index) per_bucket))
+      let per_column =
+        Array.to_list
+          (Array.map (fun per_bucket -> Array.to_list (Array.map obs per_bucket)) per_column)
+      in
+      (per_column, List.map (fun o -> ("sse.bucket", o)) (List.concat per_column))
     | Scheme.Joint_tokens entries ->
-      Array.to_list (Array.map (fun (_, t) -> observe_token et.Scheme.index t) entries)
+      ([], Array.to_list (Array.map (fun (_, t) -> ("sse.bucket", obs t)) entries))
     | Scheme.Oxt_tokens entries ->
       (* OXT leakage per conjunction: the matching rows; the tag is the
          s-term stag's identity. *)
       let oxt = Option.get et.Scheme.oxt_index in
       let params = Scheme.oxt_params () in
-      Array.to_list
-        (Array.map
-           (fun (_, st, xtoks) ->
-             { token_tag = Scheme.oxt_stag_tag st;
-               matches = List.sort compare (Sagma_sse.Oxt.search params oxt st xtoks) })
-           entries)
+      ( [],
+        Array.to_list
+          (Array.map
+             (fun (_, st, xtoks) ->
+               ( "oxt.bucket",
+                 { token_tag = Scheme.oxt_stag_tag st;
+                   matches = List.sort compare (Sagma_sse.Oxt.search params oxt st xtoks) } ))
+             entries) )
   in
-  let observations =
-    bucket_observations
-    @ List.map (observe_token et.Scheme.index) tok.Scheme.filter_tokens
-    @ List.concat_map
-        (List.map (observe_token et.Scheme.index))
-        tok.Scheme.range_token_groups
-  in
+  { buckets; per_column; filters = List.map obs tok.Scheme.filter_tokens;
+    ranges = List.map (List.map obs) tok.Scheme.range_token_groups }
+
+(* The leakage one query token reveals. *)
+let of_query (et : Scheme.enc_table) (tok : Scheme.token) : query_leakage =
+  let o = observe et tok in
   { value_column = tok.Scheme.value_column;
     group_columns = tok.Scheme.group_columns;
-    observations }
+    observations = List.map snd o.buckets @ o.filters @ List.concat o.ranges }
 
 let profile (et : Scheme.enc_table) (tokens : Scheme.token list) : t =
   let pp = et.Scheme.pp in
@@ -134,80 +146,40 @@ module Int_set = Set.Make (Int)
    entering the pairing loop. *)
 let audit_prediction (et : Scheme.enc_table) (tok : Scheme.token) :
     (string * string * int list) list * int =
-  let obs_of kind t =
-    let o = observe_token et.Scheme.index t in
-    (kind, o.token_tag, o.matches)
-  in
-  let bucket_obs =
-    match tok.Scheme.source with
-    | Scheme.Per_attribute_tokens per_column ->
-      Array.to_list per_column
-      |> List.concat_map (fun per_bucket ->
-             Array.to_list (Array.map (obs_of "sse.bucket") per_bucket))
-    | Scheme.Joint_tokens entries ->
-      Array.to_list (Array.map (fun (_, t) -> obs_of "sse.bucket" t) entries)
-    | Scheme.Oxt_tokens entries ->
-      let oxt = Option.get et.Scheme.oxt_index in
-      let params = Scheme.oxt_params () in
-      Array.to_list
-        (Array.map
-           (fun (_, st, xtoks) ->
-             ( "oxt.bucket",
-               Scheme.oxt_stag_tag st,
-               List.sort compare (Sagma_sse.Oxt.search params oxt st xtoks) ))
-           entries)
-  in
-  let filter_obs = List.map (obs_of "sse.filter") tok.Scheme.filter_tokens in
-  let range_obs =
-    List.concat_map (List.map (obs_of "sse.range")) tok.Scheme.range_token_groups
-  in
+  let o = observe et tok in
+  let probe kind ob = (kind, ob.token_tag, ob.matches) in
+  let rows obs = Int_set.of_list obs.matches in
   (* Paired-row bound, mirroring the WHERE composition of Algorithm 5:
      equality clauses intersect, each range clause contributes the union
      of its cover, and a row feeds the pairing loop once per joint
      bucket containing it. *)
-  let equality_sets = List.map (fun (_, _, m) -> Int_set.of_list m) filter_obs in
-  let range_sets =
-    List.map
-      (fun group ->
-        List.fold_left
-          (fun acc t ->
-            Int_set.union acc (Int_set.of_list (observe_token et.Scheme.index t).matches))
-          Int_set.empty group)
-      tok.Scheme.range_token_groups
-  in
+  let union obs = List.fold_left (fun acc ob -> Int_set.union acc (rows ob)) Int_set.empty obs in
   let filtered =
-    match equality_sets @ range_sets with
+    match List.map rows o.filters @ List.map union o.ranges with
     | [] -> None
     | s0 :: rest -> Some (List.fold_left Int_set.inter s0 rest)
   in
   let keep r = match filtered with None -> true | Some s -> Int_set.mem r s in
   let bound =
     match tok.Scheme.source with
-    | Scheme.Per_attribute_tokens per_column ->
+    | Scheme.Per_attribute_tokens _ -> (
       (* A row pairs iff, in every queried column, it lies in some
          queried bucket — i.e. the intersection of the per-column match
          unions (each row inhabits exactly one bucket per column). *)
-      let col_sets =
-        Array.map
-          (fun per_bucket ->
-            Array.fold_left
-              (fun acc t ->
-                List.fold_left
-                  (fun acc r -> if keep r then Int_set.add r acc else acc)
-                  acc (observe_token et.Scheme.index t).matches)
-              Int_set.empty per_bucket)
-          per_column
-      in
-      if Array.length col_sets = 0 then 0
-      else Int_set.cardinal (Array.fold_left Int_set.inter col_sets.(0) col_sets)
+      match List.map (fun obs -> Int_set.filter keep (union obs)) o.per_column with
+      | [] -> 0
+      | s0 :: rest -> Int_set.cardinal (List.fold_left Int_set.inter s0 rest))
     | Scheme.Joint_tokens _ | Scheme.Oxt_tokens _ ->
       (* Joint buckets are read directly: each entry pairs its own
          (filtered) matches. *)
       List.fold_left
-        (fun acc (_, _, m) -> acc + List.length (List.filter keep m))
-        0 bucket_obs
+        (fun acc (_, ob) -> acc + List.length (List.filter keep ob.matches))
+        0 o.buckets
   in
-  (bucket_obs @ filter_obs @ range_obs, bound)
+  ( List.map (fun (kind, ob) -> probe kind ob) o.buckets
+    @ List.map (probe "sse.filter") o.filters
+    @ List.concat_map (List.map (probe "sse.range")) o.ranges,
+    bound )
 
 let audit_check (et : Scheme.enc_table) (tok : Scheme.token) (trace : Audit.trace) :
     Audit.verdict =

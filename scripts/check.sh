@@ -133,6 +133,11 @@ grep -q "cost.bgn_mul" "$OBS_DIR/explain.out"
 # With --profile on the server, the trailer also carries the request's
 # GC differential.
 grep -q "gc.minor_words" "$OBS_DIR/explain.out"
+# The trailer is the request's whole trace record: the multi-pairing
+# counters of the cost block and, from the --profile server, the
+# span-attributed allocation table.
+grep -q "cost.prod_calls" "$OBS_DIR/explain.out"
+grep -q "alloc.pairing_loop" "$OBS_DIR/explain.out"
 # The live dashboard's script mode: one frame against the same server.
 "$CLI" top --once --port "$OBS_PORT" > "$OBS_DIR/top.out"
 grep -q "req/s" "$OBS_DIR/top.out"

@@ -20,6 +20,10 @@ let str s = Value.Str s
 let vi i = Value.Int i
 
 (* Every test leaves the registry the way it found it: disabled, zeroed. *)
+(* The named count [name] of a request trace, 0 when absent. *)
+let count (rt : Trace.rtrace) (name : string) : int =
+  Option.value ~default:0 (List.assoc_opt name rt.Trace.r_counts)
+
 let with_metrics ?(enabled = true) f =
   Fun.protect
     ~finally:(fun () ->
@@ -668,7 +672,7 @@ let test_span_off_domain () =
 
 let test_with_request_basics () =
   with_metrics @@ fun () ->
-  let v, root =
+  let v, { Trace.r_root = root; _ } =
     Trace.with_request (fun () ->
         Trace.with_span "phase_a" (fun () -> ());
         Trace.with_span "phase_b" (fun () -> 17))
@@ -686,14 +690,14 @@ let test_with_request_basics () =
        (span_names rt.Trace.r_root.Trace.children)
    | rts -> Alcotest.failf "expected 1 request trace, got %d" (List.length rts));
   (* A caller-supplied (wire-propagated) id is preserved verbatim. *)
-  let _, rt = Trace.with_request_full ~trace_id:"client-42" (fun () -> ()) in
+  let _, rt = Trace.with_request ~trace_id:"client-42" (fun () -> ()) in
   Alcotest.(check string) "caller id preserved" "client-42" rt.Trace.r_id;
   (* A raising request still completes its trace, then re-raises. *)
   (try ignore (Trace.with_request (fun () -> failwith "x")) with Failure _ -> ());
   Alcotest.(check int) "raising request still recorded" 3
     (List.length (Trace.requests ()));
   let _, rt =
-    Trace.with_request_full ~trace_id:"id\"\001\n" (fun () ->
+    Trace.with_request ~trace_id:"id\"\001\n" (fun () ->
         Trace.with_span "span\"\007\t" (fun () -> ()))
   in
   Alcotest.(check bool) "chrome trace with quotes and control bytes parses" true
@@ -704,7 +708,7 @@ let test_pool_inherits_context () =
   let module Pool = Sagma_pool.Pool in
   let pool = Pool.create ~name:"trace-test" ~workers:2 () in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  let total, root =
+  let total, { Trace.r_root = root; _ } =
     Trace.with_request (fun () ->
         Trace.with_span "fanout" (fun () ->
             List.init 4 (fun i ->
@@ -735,7 +739,7 @@ let test_concurrent_requests_no_leak () =
   let ds =
     List.init 4 (fun i ->
         Domain.spawn (fun () ->
-            Trace.with_request_full ~trace_id:(Printf.sprintf "req%d" i) (fun () ->
+            Trace.with_request ~trace_id:(Printf.sprintf "req%d" i) (fun () ->
                 for _ = 1 to 50 do
                   Trace.with_span (Printf.sprintf "work%d" i) (fun () -> ())
                 done;
@@ -751,8 +755,7 @@ let test_concurrent_requests_no_leak () =
           Alcotest.(check string) "no cross-request span leakage"
             (Printf.sprintf "work%d" i) c.Trace.name)
         rt.Trace.r_root.Trace.children;
-      Alcotest.(check int) "cost scope isolated per request" (i + 1)
-        rt.Trace.r_cost.Trace.agg_rows)
+      Alcotest.(check int) "cost scope isolated per request" (i + 1) (count rt "cost.agg_rows"))
     rts;
   Alcotest.(check int) "all four requests on the ring" 4 (List.length (Trace.requests ()));
   Alcotest.(check int) "global counter saw every scoped bump" 10 (Metrics.value rows_counter)
@@ -768,7 +771,7 @@ let test_request_ring_eviction_under_load () =
         Domain.spawn (fun () ->
             for i = 0 to per_domain - 1 do
               ignore
-                (Trace.with_request_full ~trace_id:(Printf.sprintf "d%d-%d" d i) (fun () ->
+                (Trace.with_request ~trace_id:(Printf.sprintf "d%d-%d" d i) (fun () ->
                      Trace.with_span "work" (fun () -> ())))
             done))
   in
@@ -1102,22 +1105,19 @@ let test_explain_cost_matches_model () =
      channels, exactly what the global counters already verify — but
      here as a request-scoped delta, the number an EXPLAIN block ships. *)
   let q = Query.make ~group_by:[ "dept" ] (Query.Sum "salary") in
-  let rows, rt = Trace.with_request_full (fun () -> Scheme.query client enc q) in
+  let rows, rt = Trace.with_request (fun () -> Scheme.query client enc q) in
   Alcotest.(check int) "three groups" 3 (List.length rows);
   let channels = Scheme.Crt.channels client.Scheme.pp.Scheme.channels in
   Alcotest.(check int) "cost.bgn_mul = rows × blocks × channels" (4 * 2 * channels)
-    rt.Trace.r_cost.Trace.bgn_mul;
-  Alcotest.(check int) "cost.agg_rows counts each row once" 4
-    rt.Trace.r_cost.Trace.agg_rows;
-  Alcotest.(check int) "cost.agg_buckets" 2 rt.Trace.r_cost.Trace.agg_buckets;
-  Alcotest.(check bool) "dlog solves attributed" true
-    (rt.Trace.r_cost.Trace.dlog_solves > 0);
-  Alcotest.(check bool) "index postings attributed" true
-    (rt.Trace.r_cost.Trace.sse_postings > 0);
+    (count rt "cost.bgn_mul");
+  Alcotest.(check int) "cost.agg_rows counts each row once" 4 (count rt "cost.agg_rows");
+  Alcotest.(check int) "cost.agg_buckets" 2 (count rt "cost.agg_buckets");
+  Alcotest.(check bool) "dlog solves attributed" true (count rt "cost.dlog_solves" > 0);
+  Alcotest.(check bool) "index postings attributed" true (count rt "cost.sse_postings" > 0);
   (* For a lone request the scoped delta equals the global counter. *)
   Alcotest.(check int) "scope delta = global counter"
     (Metrics.value (Metrics.counter "bgn.mul"))
-    rt.Trace.r_cost.Trace.bgn_mul;
+    (count rt "cost.bgn_mul");
   (* The request tree carries the usual phase spans. *)
   Alcotest.(check (list string)) "request phases"
     [ "token"; "aggregate"; "decrypt" ]
@@ -1125,7 +1125,7 @@ let test_explain_cost_matches_model () =
 
 (* --- resource profiler ------------------------------------------------------ *)
 
-let test_request_gc_delta () =
+let test_request_gc_counts () =
   with_metrics @@ fun () ->
   (* The per-request GC differential must be real allocation, bounded by
      an outer differential of the same counter (Gc.minor_words) taken
@@ -1133,14 +1133,14 @@ let test_request_gc_delta () =
      words than the whole enclosing region allocated. *)
   let q = Query.make ~group_by:[ "dept" ] (Query.Sum "salary") in
   let before = Gc.minor_words () in
-  let rows, rt = Trace.with_request_full (fun () -> Scheme.query client enc q) in
+  let rows, rt = Trace.with_request (fun () -> Scheme.query client enc q) in
   let after = Gc.minor_words () in
   Alcotest.(check int) "three groups" 3 (List.length rows);
   let outer = int_of_float (after -. before) in
-  let inner = rt.Trace.r_gc.Trace.gc_minor_words in
+  let inner = count rt "gc.minor_words" in
   Alcotest.(check bool) "SUM allocates nonzero minor words" true (inner > 0);
   Alcotest.(check bool) "request delta bounded by the outer differential" true (inner <= outer);
-  Alcotest.(check bool) "heap size recorded" true (rt.Trace.r_gc.Trace.gc_heap_words > 0)
+  Alcotest.(check bool) "heap size recorded" true (count rt "gc.heap_words" > 0)
 
 let test_prof_attributes_pairing_loop () =
   with_metrics @@ fun () ->
@@ -1153,12 +1153,12 @@ let test_prof_attributes_pairing_loop () =
     (fun () ->
       Alcotest.(check bool) "profiler active" true (Prof.active ());
       let q = Query.make ~group_by:[ "dept" ] (Query.Sum "salary") in
-      let _, rt = Trace.with_request_full (fun () -> Scheme.query client enc q) in
+      let _, rt = Trace.with_request (fun () -> Scheme.query client enc q) in
       (* A SUM is pairings per row × block × channel: the pairing loop
          must dominate the request's allocation table. *)
-      (match rt.Trace.r_alloc with
+      (match List.filter (fun (k, _) -> String.starts_with ~prefix:"alloc." k) rt.Trace.r_counts with
        | (top, w) :: _ ->
-         Alcotest.(check string) "pairing_loop dominates the request" "pairing_loop" top;
+         Alcotest.(check string) "pairing_loop dominates the request" "alloc.pairing_loop" top;
          Alcotest.(check bool) "with real weight" true (w > 0)
        | [] -> Alcotest.fail "profiler left the allocation table empty");
       (* The global site table agrees with the per-request view. *)
@@ -1167,6 +1167,41 @@ let test_prof_attributes_pairing_loop () =
         Alcotest.(check string) "global top site" "pairing_loop" s.Prof.site_span;
         Alcotest.(check bool) "samples counted" true (s.Prof.site_samples > 0)
       | _ -> Alcotest.fail "no allocation sites recorded")
+
+(* A traced SUM served through the request pipeline carries the whole
+   cost block in its EXPLAIN trailer — the multi-pairing and batched
+   inversion counters included — and, under the profiler, the
+   request's allocation table. *)
+let test_served_explain_counts () =
+  with_metrics @@ fun () ->
+  let module P = Sagma_protocol.Protocol in
+  let module Server = Sagma_protocol.Server in
+  Prof.reset ();
+  Prof.start ();
+  Fun.protect
+    ~finally:(fun () ->
+      Prof.stop ();
+      Prof.reset ())
+  @@ fun () ->
+  let st = Server.create () in
+  ignore (Server.handle st (P.Upload { name = "t"; table = Scheme.encrypt_table client table }));
+  let tok = Scheme.token client (Query.make ~group_by:[ "dept" ] (Query.Sum "salary")) in
+  let served () =
+    let raw =
+      Server.handle_encoded st
+        (P.encode_request ~trace:{ P.tc_id = None; tc_sampled = true }
+           (P.Aggregate { name = "t"; token = tok }))
+    in
+    match P.decode_response_x raw with
+    | P.Aggregates _, Some rt -> rt
+    | _ -> Alcotest.fail "expected a traced Aggregates reply"
+  in
+  let first = served () in
+  List.iter
+    (fun name -> Alcotest.(check bool) (name ^ " > 0") true (count first name > 0))
+    [ "cost.prod_calls"; "cost.invm_batch"; "alloc.pairing_loop" ];
+  Alcotest.(check bool) "cost.precomp_hits > 0 on the repeated query" true
+    (count (served ()) "cost.precomp_hits" > 0)
 
 let test_prof_light_span () =
   with_metrics @@ fun () ->
@@ -1347,10 +1382,12 @@ let () =
           Alcotest.test_case "EXPLAIN cost matches model" `Quick
             test_explain_cost_matches_model ] );
       ( "profiler",
-        [ Alcotest.test_case "request gc delta" `Quick test_request_gc_delta;
+        [ Alcotest.test_case "request gc delta" `Quick test_request_gc_counts;
           Alcotest.test_case "allocation attributed to pairing_loop" `Quick
             test_prof_attributes_pairing_loop;
-          Alcotest.test_case "light span allocation recorded" `Quick test_prof_light_span ] );
+          Alcotest.test_case "light span allocation recorded" `Quick test_prof_light_span;
+          Alcotest.test_case "served EXPLAIN carries every count" `Quick
+            test_served_explain_counts ] );
       ( "scheme audit",
         [ Alcotest.test_case "honest execution passes" `Quick test_scheme_audit_honest_pass;
           Alcotest.test_case "extra probe flagged" `Quick test_scheme_audit_flags_extra_probe;

@@ -69,11 +69,14 @@ let stats_report =
   let snap = M.snapshot () in
   M.reset ();
   { P.sr_snapshot = snap; sr_audit = Sagma_obs.Audit.summary (); sr_uptime_s = 9.5;
-    sr_start_time = 1234.0; sr_gc = None;
+    sr_start_time = 1234.0;
+    sr_gc =
+      { P.gs_minor_words = 1e6; gs_promoted_words = 2e5; gs_major_words = 3e5;
+        gs_minor_collections = 17; gs_major_collections = 4; gs_compactions = 1;
+        gs_heap_words = 1 lsl 20; gs_top_heap_words = 1 lsl 21 };
     sr_topology =
-      Some
-        { P.tp_role = "coordinator"; tp_shard_index = -1; tp_shard_count = 2;
-          tp_shards = [ "7481"; "host:7482" ] } }
+      { P.tp_role = "coordinator"; tp_shard_index = -1; tp_shard_count = 2;
+        tp_shards = [ "7481"; "host:7482" ] } }
 
 (* A health report exercising every codec branch: an alert list, a
    mixed up/down shard block, empty and non-empty strings. *)

@@ -230,6 +230,15 @@ let test_server_rejects_other_versions () =
 
 let decode_with state req = P.decode_response (Server.handle_encoded state req)
 
+let sample_gc_stats =
+  { P.gs_minor_words = 1e6; gs_promoted_words = 2e5; gs_major_words = 3e5;
+    gs_minor_collections = 17; gs_major_collections = 4; gs_compactions = 1;
+    gs_heap_words = 1 lsl 20; gs_top_heap_words = 1 lsl 21 }
+
+let sample_topology =
+  { P.tp_role = "shard"; tp_shard_index = 1; tp_shard_count = 4;
+    tp_shards = [ "7481"; "7482"; "host:7483"; "7484" ] }
+
 let test_stats_roundtrip () =
   let module M = Sagma_obs.Metrics in
   let module A = Sagma_obs.Audit in
@@ -243,7 +252,7 @@ let test_stats_roundtrip () =
   M.set_enabled false;
   let report =
     { P.sr_snapshot = M.snapshot (); sr_audit = A.summary (); sr_uptime_s = 12.5;
-      sr_start_time = 1000.25; sr_gc = None; sr_topology = None }
+      sr_start_time = 1000.25; sr_gc = sample_gc_stats; sr_topology = sample_topology }
   in
   M.reset ();
   Alcotest.(check bool) "Stats roundtrips" true
@@ -295,9 +304,17 @@ let test_error_code_roundtrip () =
 
 module Trace = Sagma_obs.Trace
 
-let sample_cost =
-  { Trace.pairings = 1; miller_steps = 2; bgn_mul = 3; dlog_solves = 4; dlog_giant_steps = 5;
-    sse_postings = 6; agg_rows = 7; agg_buckets = 8; bytes_in = 9; bytes_out = 10 }
+(* A request trace's counts: cost block, GC differential and
+   allocation table in one list. *)
+let sample_counts =
+  [ ("cost.bytes_in", 9); ("cost.bytes_out", 10); ("cost.pairings", 1);
+    ("cost.miller_steps", 2); ("cost.bgn_mul", 3); ("cost.prod_calls", 11);
+    ("gc.minor_words", 4096); ("gc.heap_words", 65536); ("alloc.pairing_loop", 4000);
+    ("alloc.filter", 96) ]
+
+(* The named count [name] of a trace, 0 when absent. *)
+let count (rt : Trace.rtrace) (name : string) : int =
+  Option.value ~default:0 (List.assoc_opt name rt.Trace.r_counts)
 
 let test_trace_ctx_roundtrip () =
   (* A request carrying a trace context: id and sampling flag survive,
@@ -320,16 +337,21 @@ let test_trace_ctx_roundtrip () =
     (P.decode_request (P.encode_request P.Traces) = P.Traces)
 
 let test_explain_roundtrip () =
+  let phase name ms = { Trace.name; t0 = 1.0; ms; children = [] } in
   let x =
-    { P.x_id = "t99-1"; x_timings = [ ("aggregate", 1.5); ("decrypt", 0.25) ];
-      x_cost = sample_cost; x_gc = None }
+    { Trace.r_id = "t99-1"; r_start = 1.0;
+      r_root =
+        { Trace.name = "request"; t0 = 1.0; ms = 2.0;
+          children = [ phase "aggregate" 1.5; phase "decrypt" 0.25 ] };
+      r_counts = sample_counts }
   in
   (match P.decode_response_x (P.encode_response ~explain:x P.Ack) with
    | P.Ack, Some x' ->
-     Alcotest.(check string) "explain id" "t99-1" x'.P.x_id;
+     Alcotest.(check string) "explain id" "t99-1" x'.Trace.r_id;
      Alcotest.(check (list (pair string (float 1e-9)))) "phase timings"
-       x.P.x_timings x'.P.x_timings;
-     Alcotest.(check bool) "cost block" true (x'.P.x_cost = sample_cost)
+       [ ("aggregate", 1.5); ("decrypt", 0.25) ]
+       (Trace.phase_timings x'.Trace.r_root);
+     Alcotest.(check (list (pair string int))) "cost block" sample_counts x'.Trace.r_counts
    | _ -> Alcotest.fail "explain trailer lost on the wire");
   (* No trailer: the frame still carries the (empty) option. *)
   match P.decode_response_x (P.encode_response P.Ack) with
@@ -341,14 +363,13 @@ let test_trace_dump_roundtrip () =
   let mid = { Trace.name = "aggregate"; t0 = 10.0; ms = 5.0; children = [ leaf ] } in
   let root = { Trace.name = "request"; t0 = 9.5; ms = 6.0; children = [ mid ] } in
   let rt =
-    { Trace.r_id = "t1-1"; r_start = 9.5; r_root = root; r_cost = sample_cost;
-      r_gc = Trace.zero_gc; r_alloc = [] }
+    { Trace.r_id = "t1-1"; r_start = 9.5; r_root = root; r_counts = sample_counts }
   in
   (match P.decode_response (P.encode_response (P.Trace_dump [ rt ])) with
    | P.Trace_dump [ rt' ] ->
      Alcotest.(check string) "trace id" "t1-1" rt'.Trace.r_id;
      Alcotest.(check bool) "span tree survives" true (rt'.Trace.r_root = root);
-     Alcotest.(check bool) "cost survives" true (rt'.Trace.r_cost = sample_cost)
+     Alcotest.(check (list (pair string int))) "cost survives" sample_counts rt'.Trace.r_counts
    | _ -> Alcotest.fail "expected Trace_dump");
   (* A forged frame with a pathologically deep span tree is rejected
      instead of recursing the decoder off the stack. *)
@@ -360,8 +381,7 @@ let test_trace_dump_roundtrip () =
     build 80 { Trace.name = "leaf"; t0 = 0.; ms = 0.; children = [] }
   in
   let rt_deep =
-    { Trace.r_id = "deep"; r_start = 0.; r_root = deep; r_cost = sample_cost;
-      r_gc = Trace.zero_gc; r_alloc = [] }
+    { Trace.r_id = "deep"; r_start = 0.; r_root = deep; r_counts = sample_counts }
   in
   (match P.decode_response (P.encode_response (P.Trace_dump [ rt_deep ])) with
    | exception W.Decode_error _ -> ()
@@ -369,46 +389,40 @@ let test_trace_dump_roundtrip () =
 
 (* --- GC telemetry on the wire ---------------------------------------------------- *)
 
-let sample_gc =
-  { Trace.gc_minor_words = 4096; gc_promoted_words = 512; gc_major_words = 768;
-    gc_minor_collections = 3; gc_major_collections = 1; gc_heap_words = 65536;
-    gc_heap_growth = 8192 }
-
-let sample_gc_stats =
-  { P.gs_minor_words = 1e6; gs_promoted_words = 2e5; gs_major_words = 3e5;
-    gs_minor_collections = 17; gs_major_collections = 4; gs_compactions = 1;
-    gs_heap_words = 1 lsl 20; gs_top_heap_words = 1 lsl 21 }
-
 let empty_snapshot = { Sagma_obs.Metrics.counters = []; gauges = []; histograms = [] }
 
 let test_gc_roundtrip () =
   (* Stats_report heap stats survive the wire... *)
   let report =
     { P.sr_snapshot = empty_snapshot; sr_audit = Sagma_obs.Audit.summary ();
-      sr_uptime_s = 1.5; sr_start_time = 10.; sr_gc = Some sample_gc_stats; sr_topology = None }
+      sr_uptime_s = 1.5; sr_start_time = 10.; sr_gc = sample_gc_stats;
+      sr_topology = sample_topology }
   in
   (match P.decode_response (P.encode_response (P.Stats_report report)) with
    | P.Stats_report r ->
-     Alcotest.(check bool) "gc stats survive the wire" true (r.P.sr_gc = Some sample_gc_stats)
+     Alcotest.(check bool) "gc stats survive the wire" true (r.P.sr_gc = sample_gc_stats)
    | _ -> Alcotest.fail "expected Stats_report");
-  (* ...the EXPLAIN trailer's gc differential survives... *)
-  let x = { P.x_id = "x"; x_timings = []; x_cost = sample_cost; x_gc = Some sample_gc } in
-  (match P.decode_response_x (P.encode_response ~explain:x P.Ack) with
-   | P.Ack, Some x' ->
-     Alcotest.(check bool) "explain gc survives the wire" true (x'.P.x_gc = Some sample_gc)
-   | _ -> Alcotest.fail "explain trailer lost on the wire");
-  (* ...and so do the trace dump's gc block and allocation table. *)
+  (* ...and so do a request trace's gc counts and allocation table, both
+     as the EXPLAIN trailer and in a trace dump. *)
   let root = { Trace.name = "request"; t0 = 0.; ms = 1.; children = [] } in
-  let rt =
-    { Trace.r_id = "t5-1"; r_start = 0.; r_root = root; r_cost = sample_cost;
-      r_gc = sample_gc; r_alloc = [ ("pairing_loop", 4000); ("filter", 96) ] }
+  let rt = { Trace.r_id = "t5-1"; r_start = 0.; r_root = root; r_counts = sample_counts } in
+  let prefixed p rt =
+    List.filter (fun (k, _) -> String.starts_with ~prefix:p k) rt.Trace.r_counts
   in
-  (match P.decode_response (P.encode_response (P.Trace_dump [ rt ])) with
-   | P.Trace_dump [ rt' ] ->
-     Alcotest.(check bool) "trace gc survives" true (rt'.Trace.r_gc = sample_gc);
-     Alcotest.(check bool) "alloc table survives" true
-       (rt'.Trace.r_alloc = [ ("pairing_loop", 4000); ("filter", 96) ])
-   | _ -> Alcotest.fail "expected Trace_dump")
+  (match P.decode_response_x (P.encode_response ~explain:rt P.Ack) with
+   | P.Ack, Some x' ->
+     Alcotest.(check (list (pair string int))) "explain gc survives the wire"
+       [ ("gc.minor_words", 4096); ("gc.heap_words", 65536) ]
+       (prefixed "gc." x')
+   | _ -> Alcotest.fail "explain trailer lost on the wire");
+  match P.decode_response (P.encode_response (P.Trace_dump [ rt ])) with
+  | P.Trace_dump [ rt' ] ->
+    Alcotest.(check (list (pair string int))) "trace gc survives" (prefixed "gc." rt)
+      (prefixed "gc." rt');
+    Alcotest.(check (list (pair string int))) "alloc table survives"
+      [ ("alloc.pairing_loop", 4000); ("alloc.filter", 96) ]
+      (prefixed "alloc." rt')
+  | _ -> Alcotest.fail "expected Trace_dump"
 
 (* --- transport over a real socket pair ------------------------------------------- *)
 
@@ -638,7 +652,7 @@ let test_traced_parallel_clients () =
                               (match x with
                                | Some x ->
                                  Atomic.incr explains;
-                                 if x.P.x_cost.Trace.agg_rows <> 15 then Atomic.incr errors
+                                 if count x "cost.agg_rows" <> 15 then Atomic.incr errors
                                | None -> Atomic.incr errors);
                               let results =
                                 List.map
@@ -692,7 +706,7 @@ let test_traced_parallel_clients () =
                        15 rows: any other number means another request's
                        counters bled into this scope. *)
                     Alcotest.(check int) "cost scoped to this request" 15
-                      rt.Trace.r_cost.Trace.agg_rows)
+                      (count rt "cost.agg_rows"))
                   agg_traces;
                 Alcotest.(check bool) "wire-propagated trace ids preserved" true
                   (List.exists (fun rt -> rt.Trace.r_id = "cli1") agg_traces)
@@ -728,10 +742,6 @@ let contains hay needle =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
-let sample_topology =
-  { P.tp_role = "shard"; tp_shard_index = 1; tp_shard_count = 4;
-    tp_shards = [ "7481"; "7482"; "host:7483"; "7484" ] }
-
 (* A construct is gated to the one protocol version: it round-trips in a
    current frame, and the same bytes claiming any other version byte —
    what a stale binary would send or expect — raise [Version_mismatch]
@@ -748,14 +758,14 @@ let check_other_versions_rejected what decode frame =
 let test_topology_roundtrip () =
   let report =
     { P.sr_snapshot = empty_snapshot; sr_audit = Sagma_obs.Audit.summary ();
-      sr_uptime_s = 1.; sr_start_time = 10.; sr_gc = Some sample_gc_stats;
-      sr_topology = Some sample_topology }
+      sr_uptime_s = 1.; sr_start_time = 10.; sr_gc = sample_gc_stats;
+      sr_topology = sample_topology }
   in
   (match P.decode_response (P.encode_response (P.Stats_report report)) with
    | P.Stats_report r ->
      Alcotest.(check bool) "topology survives the wire" true
-       (r.P.sr_topology = Some sample_topology);
-     Alcotest.(check bool) "gc stats survive alongside" true (r.P.sr_gc = Some sample_gc_stats)
+       (r.P.sr_topology = sample_topology);
+     Alcotest.(check bool) "gc stats survive alongside" true (r.P.sr_gc = sample_gc_stats)
    | _ -> Alcotest.fail "expected Stats_report");
   check_other_versions_rejected "topology" P.decode_response
     (P.encode_response (P.Stats_report report))
@@ -876,7 +886,7 @@ let test_explain_bytes_out_exact () =
       match P.decode_response_x raw with
       | P.Aggregates _, Some x ->
         Alcotest.(check int) "bytes_out equals the final frame length" (String.length raw)
-          x.P.x_cost.Trace.bytes_out
+          (count x "cost.bytes_out")
       | _, None -> Alcotest.fail "sampled reply carried no EXPLAIN trailer"
       | _ -> Alcotest.fail "expected a traced aggregate reply")
 
@@ -1181,7 +1191,7 @@ let test_stats_report_json () =
         { Sagma_obs.Metrics.counters = [ ("proto.requests", 17) ]; gauges = [ ("pool.queue_depth", 2) ];
           histograms = [] };
       sr_audit = Sagma_obs.Audit.summary (); sr_uptime_s = 12.5; sr_start_time = 99.25;
-      sr_gc = Some sample_gc_stats; sr_topology = Some sample_topology }
+      sr_gc = sample_gc_stats; sr_topology = sample_topology }
   in
   let j = Sagma_obs.Json.to_string (P.stats_report_to_json report) in
   List.iter
@@ -1189,12 +1199,11 @@ let test_stats_report_json () =
       Alcotest.(check bool) (Printf.sprintf "stats json carries %s" needle) true (contains j needle))
     [ "\"snapshot\":"; "\"proto.requests\":17"; "\"pool.queue_depth\":2"; "\"uptime_s\":12.5";
       "\"start_time\":99.25"; "\"audit\":"; "\"gc\":"; "\"topology\":"; "\"role\":\"shard\"" ];
-  (* Without the optional sections the keys stay present but null, so
-     consumers need no key-existence probing. *)
-  let bare = { report with P.sr_gc = None; sr_topology = None } in
-  let j = Sagma_obs.Json.to_string (P.stats_report_to_json bare) in
-  Alcotest.(check bool) "absent gc is null" true (contains j "\"gc\":null");
-  Alcotest.(check bool) "absent topology is null" true (contains j "\"topology\":null")
+  (* Both sections are always present, with their fields. *)
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) (Printf.sprintf "stats json carries %s" needle) true (contains j needle))
+    [ "\"heap_words\":1048576"; "\"minor_collections\":17"; "\"shard_count\":4" ]
 
 let test_health_report_json () =
   let j = Sagma_obs.Json.to_string (P.health_report_to_json sample_health_report) in
@@ -1323,13 +1332,10 @@ let test_coordinator_node_stats_health () =
                | P.Ack -> ()
                | _ -> Alcotest.fail "upload through the coordinator node failed");
               (match Server.handle node P.Stats with
-               | P.Stats_report { P.sr_snapshot; sr_topology; _ } ->
-                 (match sr_topology with
-                  | Some t ->
-                    Alcotest.(check string) "topology role" "coordinator" t.P.tp_role;
-                    Alcotest.(check (list string)) "topology endpoints" [ "7489"; "7490" ]
-                      t.P.tp_shards
-                  | None -> Alcotest.fail "coordinator Stats without a topology");
+               | P.Stats_report { P.sr_snapshot; sr_topology = t; _ } ->
+                 Alcotest.(check string) "topology role" "coordinator" t.P.tp_role;
+                 Alcotest.(check (list string)) "topology endpoints" [ "7489"; "7490" ]
+                   t.P.tp_shards;
                  List.iter
                    (fun label ->
                      Alcotest.(check bool)
