@@ -360,44 +360,17 @@ let gc_raw_samples (g : P.gc_stats) : (string * float) list =
     ("ocaml_gc_heap_words", float_of_int g.P.gs_heap_words);
     ("ocaml_gc_top_heap_words", float_of_int g.P.gs_top_heap_words) ]
 
-(* Split a federated series name into its base and the shard id its
-   {shard="i"} label carries (None for unlabeled fleet aggregates). *)
-let split_shard name =
-  match String.index_opt name '{' with
-  | None -> (name, None)
-  | Some i ->
-    let base = String.sub name 0 i in
-    let rest = String.sub name i (String.length name - i) in
-    let pfx = "{shard=\"" in
-    let shard =
-      if String.length rest > String.length pfx && String.sub rest 0 (String.length pfx) = pfx
-      then
-        let j = String.length pfx in
-        match String.index_from_opt rest j '"' with
-        | Some k -> int_of_string_opt (String.sub rest j (k - j))
-        | None -> None
-      else None
-    in
-    (base, shard)
-
-(* The per-shard column view of a coordinator's federated snapshot:
-   every series that arrived labeled {shard="i"} becomes a column next
-   to the unlabeled fleet aggregate. *)
+(* The per-shard column view of a coordinator's Stats reply: every
+   series a shard reports becomes a row, with the fleet aggregate and
+   one column per shard. *)
 let render_cluster (r : P.stats_report) =
   let module M = Sagma_obs.Metrics in
-  let tbl = Hashtbl.create 64 in
-  let shard_ids = ref [] in
-  let note (base, sh) v =
-    match sh with
-    | None -> ()
-    | Some i ->
-      if not (List.mem i !shard_ids) then shard_ids := i :: !shard_ids;
-      Hashtbl.replace tbl (base, i) v
+  let shards = r.P.sr_shards in
+  let names series =
+    List.sort_uniq compare (List.concat_map (fun (_, s) -> List.map fst (series s)) shards)
   in
-  List.iter (fun (n, v) -> note (split_shard n) v) r.P.sr_snapshot.M.counters;
-  List.iter (fun (n, v) -> note (split_shard n) v) r.P.sr_snapshot.M.gauges;
-  let shards = List.sort compare !shard_ids in
-  if shards = [] then
+  let bases = names (fun s -> s.M.counters @ s.M.gauges) in
+  if bases = [] then
     print_endline
       "no per-shard series in this snapshot (expected a coordinator running with --metrics)"
   else begin
@@ -405,63 +378,31 @@ let render_cluster (r : P.stats_report) =
      if t.P.tp_role = "coordinator" then
        Printf.printf "coordinator over %d shards (%s)\n\n" t.P.tp_shard_count
          (String.concat ", " t.P.tp_shards));
-    let bases =
-      List.sort_uniq compare (Hashtbl.fold (fun (b, _) _ acc -> b :: acc) tbl [])
-    in
-    Printf.printf "%-34s %12s" "series" "fleet";
-    List.iter (fun i -> Printf.printf " %12s" (Printf.sprintf "shard %d" i)) shards;
-    print_newline ();
-    List.iter
-      (fun base ->
-        let fleet =
-          match List.assoc_opt base r.P.sr_snapshot.M.counters with
-          | Some v -> string_of_int v
-          | None -> (
-            match List.assoc_opt base r.P.sr_snapshot.M.gauges with
-            | Some v -> string_of_int v
-            | None -> "-")
-        in
-        Printf.printf "%-34s %12s" base fleet;
-        List.iter
-          (fun i ->
-            match Hashtbl.find_opt tbl (base, i) with
-            | Some v -> Printf.printf " %12d" v
-            | None -> Printf.printf " %12s" "-")
-          shards;
-        print_newline ())
-      bases;
-    (* Latency: the per-shard histograms next to the fleet-merged one. *)
-    let hists = Hashtbl.create 16 in
-    List.iter
-      (fun (n, h) ->
-        match split_shard n with
-        | base, Some i -> Hashtbl.replace hists (base, i) h.M.h_p95
-        | _ -> ())
-      r.P.sr_snapshot.M.histograms;
-    let hbases =
-      List.sort_uniq compare (Hashtbl.fold (fun (b, _) _ acc -> b :: acc) hists [])
-    in
-    if hbases <> [] then begin
-      Printf.printf "\n%-34s %12s" "p95 (ms)" "fleet";
-      List.iter (fun i -> Printf.printf " %12s" (Printf.sprintf "shard %d" i)) shards;
+    let table header rows (cell : M.snapshot -> string -> string option) =
+      Printf.printf "%-34s %12s" header "fleet";
+      List.iter (fun (i, _) -> Printf.printf " %12s" (Printf.sprintf "shard %d" i)) shards;
       print_newline ();
       List.iter
         (fun base ->
-          let fleet =
-            match List.assoc_opt base r.P.sr_snapshot.M.histograms with
-            | Some h -> Printf.sprintf "%.1f" h.M.h_p95
-            | None -> "-"
-          in
-          Printf.printf "%-34s %12s" base fleet;
-          List.iter
-            (fun i ->
-              match Hashtbl.find_opt hists (base, i) with
-              | Some p -> Printf.printf " %12.1f" p
-              | None -> Printf.printf " %12s" "-")
-            shards;
+          let show s = Option.value (cell s base) ~default:"-" in
+          Printf.printf "%-34s %12s" base (show r.P.sr_snapshot);
+          List.iter (fun (_, s) -> Printf.printf " %12s" (show s)) shards;
           print_newline ())
-        hbases
-    end
+        rows
+    in
+    table "series" bases (fun s name ->
+        match List.assoc_opt name s.M.counters with
+        | Some v -> Some (string_of_int v)
+        | None -> Option.map string_of_int (List.assoc_opt name s.M.gauges));
+    (* Latency: the per-shard histograms next to the fleet-merged one. *)
+    match names (fun s -> s.M.histograms) with
+    | [] -> ()
+    | hbases ->
+      print_newline ();
+      table "p95 (ms)" hbases (fun s name ->
+          Option.map
+            (fun h -> Printf.sprintf "%.1f" (M.quantile h 0.95))
+            (List.assoc_opt name s.M.histograms))
   end
 
 let mib_of_words words = float_of_int words *. float_of_int (Sys.word_size / 8) /. 1048576.
@@ -472,16 +413,16 @@ let fetch_stats port : P.stats_report =
   | _ -> failwith "unexpected response"
 
 let run_stats port prometheus json cluster =
-  let ({ P.sr_snapshot; sr_audit; sr_uptime_s; sr_start_time; sr_gc; sr_topology } as report) =
+  let ({ P.sr_snapshot; sr_shards; sr_audit; sr_uptime_s; sr_start_time; sr_gc; sr_topology }
+       as report) =
     fetch_stats port
   in
   if prometheus then
     (* The exposition carries the uptime and the heap/GC state
        rather than dropping them on the floor. *)
     print_string
-      (Sagma_obs.Export.prometheus ~uptime_s:sr_uptime_s
-         ~raw:(gc_raw_samples sr_gc)
-         sr_snapshot)
+      (Sagma_obs.Export.prometheus ~uptime_s:sr_uptime_s ~raw:(gc_raw_samples sr_gc)
+         ~shards:sr_shards sr_snapshot)
   else if json then
     (* One object carrying the whole report: snapshot, uptime, the gc
        block, the audit summary and the topology — not just the bare
@@ -493,6 +434,12 @@ let run_stats port prometheus json cluster =
         && sr_snapshot.Sagma_obs.Metrics.histograms = []
      then print_endline "no metrics recorded (is the server running with --metrics?)"
      else Format.printf "%a@." Sagma_obs.Metrics.pp_snapshot sr_snapshot);
+    (* A coordinator's view is the fleet merge; each shard's own
+       snapshot follows it. *)
+    List.iter
+      (fun (i, snap) ->
+        Format.printf "-- shard %d --@.%a@." i Sagma_obs.Metrics.pp_snapshot snap)
+      sr_shards;
     (let t = Unix.localtime sr_start_time in
      Printf.printf "uptime: %.1fs (started %04d-%02d-%02d %02d:%02d:%02d)\n" sr_uptime_s
        (t.Unix.tm_year + 1900) (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour
@@ -525,21 +472,25 @@ let run_stats port prometheus json cluster =
 
 let run_top port interval once =
   let module M = Sagma_obs.Metrics in
-  let counter (r : P.stats_report) name =
-    Option.value ~default:0 (List.assoc_opt name r.P.sr_snapshot.M.counters)
+  let count (s : M.snapshot) name = Option.value ~default:0 (List.assoc_opt name s.M.counters) in
+  let counter (r : P.stats_report) name = count r.P.sr_snapshot name in
+  (* A shard missing from a reply (unreachable) reads as zero. *)
+  let shard_counter i name (r : P.stats_report) =
+    match List.assoc_opt i r.P.sr_shards with Some s -> count s name | None -> 0
   in
   let gauge (r : P.stats_report) name = List.assoc_opt name r.P.sr_snapshot.M.gauges in
   let render ~clear ~(prev : (P.stats_report * float) option) (r : P.stats_report) =
     (* Rates: deltas between polls once we have two frames, otherwise
        (and in --once mode) averages over the server's whole uptime. *)
-    let rate name =
+    let rate_of (get : P.stats_report -> int) =
       match prev with
-      | Some (p, dt) when dt > 0. -> float_of_int (counter r name - counter p name) /. dt
-      | _ -> if r.P.sr_uptime_s > 0. then float_of_int (counter r name) /. r.P.sr_uptime_s else 0.
+      | Some (p, dt) when dt > 0. -> float_of_int (get r - get p) /. dt
+      | _ -> if r.P.sr_uptime_s > 0. then float_of_int (get r) /. r.P.sr_uptime_s else 0.
     in
+    let rate name = rate_of (fun r -> counter r name) in
     let p95 =
       match List.assoc_opt "proto.request_ms" r.P.sr_snapshot.M.histograms with
-      | Some h -> Printf.sprintf "%.1f ms" h.M.h_p95
+      | Some h -> Printf.sprintf "%.1f ms" (M.quantile h 0.95)
       | None -> "-"
     in
     let gauge_str name =
@@ -560,31 +511,22 @@ let run_top port interval once =
     Printf.printf "  %-22s %10d\n" "requests total" (counter r "proto.requests");
     Printf.printf "  %-22s %10d\n" "requests failed" (counter r "proto.requests_failed");
     Printf.printf "  %-22s %10s\n" "heap" heap;
-    (* Against a coordinator, the federated snapshot carries each
-       shard's series labeled {shard="i"}: render them as columns. *)
-    let shard_ids =
-      List.filter_map
-        (fun (n, _) -> match split_shard n with _, Some i -> Some i | _ -> None)
-        r.P.sr_snapshot.M.counters
-      |> List.sort_uniq compare
-    in
-    if shard_ids <> [] then begin
+    (* Against a coordinator, each shard's snapshot arrives under its
+       index: one row per shard. *)
+    if r.P.sr_shards <> [] then begin
       Printf.printf "\n  %-8s %10s %10s %10s %12s\n" "shard" "req/s" "requests" "failed"
         "p95 (ms)";
       List.iter
-        (fun i ->
-          let l name = Sagma_obs.Export.labeled name [ ("shard", string_of_int i) ] in
+        (fun (i, snap) ->
           let p95 =
-            match List.assoc_opt (l "proto.request_ms") r.P.sr_snapshot.M.histograms with
-            | Some h -> Printf.sprintf "%.1f" h.M.h_p95
+            match List.assoc_opt "proto.request_ms" snap.M.histograms with
+            | Some h -> Printf.sprintf "%.1f" (M.quantile h 0.95)
             | None -> "-"
           in
           Printf.printf "  %-8d %10.1f %10d %10d %12s\n" i
-            (rate (l "proto.requests"))
-            (counter r (l "proto.requests"))
-            (counter r (l "proto.requests_failed"))
-            p95)
-        shard_ids
+            (rate_of (shard_counter i "proto.requests"))
+            (count snap "proto.requests") (count snap "proto.requests_failed") p95)
+        r.P.sr_shards
     end;
     print_string "";
     flush stdout

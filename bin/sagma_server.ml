@@ -35,12 +35,13 @@
                 (default 1 = no intra-request parallelism); they form a
                 second pool, separate from --workers.
    --metrics    collect operation counters (pairings, SSE postings
-                scanned, request bytes/latency, ...) and dump them to
-                stderr after every handled request; also served over the
-                Stats RPC (sagma stats).
+                scanned, request bytes/latency, ...), served over the
+                Stats RPC (sagma stats) and dumped to stderr at
+                shutdown.
    --audit      record per-request access-pattern traces (bucket ids
-                touched, postings read, rows paired) for the leakage
-                auditor; the trace summary rides along in Stats.
+                touched, postings read, rows paired) and check each
+                Aggregate's trace against the declared leakage; the
+                trace and check summary rides along in Stats.
    --trace-sample  trace every Nth request: span tree + per-request
                 cost block land on the completed-trace ring (served by
                 the Traces RPC / sagma trace) and their replies carry
@@ -62,9 +63,6 @@
                 firing/resolved transitions emit `alert` log events and
                 active alerts ride in Health replies
                 (default 1000; 0 disables the watchdog).
-   --alert-rules  replace the default watchdog rules with FILE (one
-                `name source cmp threshold` per line; see
-                Sagma_obs.Watchdog.parse_rules).
 
    SIGINT/SIGTERM trigger a graceful shutdown: stop accepting (health
    turns "draining"), drain in-flight requests, flush logs and a final
@@ -93,7 +91,6 @@ let () =
   let log_level = ref "info" in
   let probe_interval_ms = ref 1000 in
   let watchdog_interval_ms = ref 1000 in
-  let alert_rules = ref "" in
   let args =
     [ ("--port", Arg.Set_int port, "Listen port (default 7477)");
       ("--workers", Arg.Set_int workers,
@@ -112,7 +109,7 @@ let () =
        "Run as the query router over comma-separated shard endpoints (host:port,...)");
       ("--shard-deadline-ms", Arg.Set_int shard_deadline_ms,
        "Coordinator per-shard call deadline in ms (default 5000; 0 = none)");
-      ("--metrics", Arg.Set metrics, "Collect metrics; dump counters to stderr per request");
+      ("--metrics", Arg.Set metrics, "Collect metrics (served by Stats, dumped to stderr at exit)");
       ("--audit", Arg.Set audit, "Record per-request access-pattern traces (leakage auditor)");
       ("--trace-sample", Arg.Set_int trace_sample,
        "Trace every Nth request (span tree + EXPLAIN cost; implies --metrics; 0 = off)");
@@ -125,9 +122,7 @@ let () =
       ("--probe-interval-ms", Arg.Set_int probe_interval_ms,
        "Coordinator shard-probe period in ms (default 1000; 0 = off)");
       ("--watchdog-interval-ms", Arg.Set_int watchdog_interval_ms,
-       "SLO watchdog evaluation period in ms (default 1000; 0 = off)");
-      ("--alert-rules", Arg.Set_string alert_rules,
-       "Replace the default watchdog rules with FILE (name source cmp threshold per line)") ]
+       "SLO watchdog evaluation period in ms (default 1000; 0 = off)") ]
   in
   Arg.parse args
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
@@ -137,10 +132,11 @@ let () =
    | None -> raise (Arg.Bad (Printf.sprintf "bad --log-level %S" !log_level)));
   if !log_json <> "" then Log.to_file !log_json;
   if !audit then Sagma_obs.Audit.set_enabled true;
-  (* Tracing is built on the metrics scopes, so either flag drags
-     collection on even without an explicit --metrics (the per-request
-     stderr dump stays tied to --metrics itself). *)
-  if !trace_sample > 0 || !slow_query_ms > 0.0 then Sagma_obs.Metrics.set_enabled true;
+  (* Tracing is built on the metrics scopes, so either tracing flag
+     drags collection on even without an explicit --metrics (the
+     shutdown dump stays tied to --metrics itself). *)
+  if !metrics || !trace_sample > 0 || !slow_query_ms > 0.0 then
+    Sagma_obs.Metrics.set_enabled true;
   (* The profiler's per-request attribution rides the request traces,
      so --profile drags metrics on too. *)
   if !profile then begin
@@ -169,24 +165,8 @@ let () =
     if !agg_domains > 1 then Some (Pool.create ~name:"aggregation" ~workers:(!agg_domains - 1) ())
     else None
   in
-  let rules =
-    if !alert_rules = "" then None
-    else begin
-      let text =
-        try
-          let ic = open_in_bin !alert_rules in
-          let n = in_channel_length ic in
-          let s = really_input_string ic n in
-          close_in ic; s
-        with Sys_error e -> raise (Arg.Bad (Printf.sprintf "--alert-rules: %s" e))
-      in
-      match Watchdog.parse_rules text with
-      | Ok rs -> Some rs
-      | Error e -> raise (Arg.Bad (Printf.sprintf "--alert-rules %s: %s" !alert_rules e))
-    end
-  in
   let watchdog =
-    if !watchdog_interval_ms > 0 then Some (Watchdog.create ?rules ()) else None
+    if !watchdog_interval_ms > 0 then Some (Watchdog.create ()) else None
   in
   let router =
     if !coordinator = "" then None
@@ -273,17 +253,7 @@ let () =
         Log.int "probe_interval_ms" (if router = None then 0 else !probe_interval_ms);
         Log.int "watchdog_interval_ms" !watchdog_interval_ms;
         Log.int "protocol_version" Sagma_protocol.Protocol.version ];
-  let after_request =
-    if !metrics then begin
-      Sagma_obs.Metrics.set_enabled true;
-      Some
-        (fun () ->
-          Format.eprintf "-- metrics after request --@.%a@." Sagma_obs.Metrics.pp_snapshot
-            (Sagma_obs.Metrics.snapshot ()))
-    end
-    else None
-  in
-  Sagma_protocol.Transport.listen_and_serve ?after_request ~workers:!workers
+  Sagma_protocol.Transport.listen_and_serve ~workers:!workers
     ~max_conns:!max_conns ~request_timeout_ms:!request_timeout_ms ~max_frame:!max_frame
     ~stop:(fun () -> Atomic.get stop)
     ~port:!port (Sagma_protocol.Server.handle_encoded state);

@@ -3,14 +3,15 @@
    Dotted registry names become legal Prometheus identifiers under a
    "sagma_" namespace ("proto.request_ms" → "sagma_proto_request_ms");
    counters gain the conventional "_total" suffix. Histograms expose the
-   full fixed-grid cumulative buckets (le="...", +Inf last) plus _sum and
-   _count, and the snapshot's p50/p95/p99 estimates ride along as gauges
-   so dashboards need no PromQL histogram_quantile to get first-look
-   latencies.
+   full fixed-grid cumulative buckets (le="...", +Inf last), summed here
+   from the snapshot's raw counts, plus _sum and _count, and p50/p95/p99
+   estimates ride along as gauges so dashboards need no PromQL
+   histogram_quantile to get first-look latencies.
 
-   Fleet federation (PR 10) introduces *labeled* series: a snapshot
-   entry named "proto.requests{shard=\"1\"}" (built with {!labeled})
-   renders as sagma_proto_requests_total{shard="1"}. Only the base name
+   Labels are added here, at the printer: a coordinator's per-shard
+   snapshots render with {shard="i"}. A registry name may also carry its
+   own label block, built with {!labeled} (the router's
+   router.shard_up{shard="0",endpoint="..."} gauges). Only the base name
    is sanitized; the label block travels verbatim, so label values must
    be escaped with {!escape_label_value} when the series is built —
    {!labeled} does it for you. *)
@@ -49,12 +50,12 @@ let labeled (name : string) (labels : (string * string) list) : string =
     let pair (k, v) = Printf.sprintf "%s=\"%s\"" (sanitize k) (escape_label_value v) in
     name ^ "{" ^ String.concat "," (List.map pair labels) ^ "}"
 
-(* Split "base{...}" into the sanitizable base and the opaque label
-   block (empty for unlabeled names). *)
+(* Split "base{...}" into the sanitizable base and the labels inside
+   the block ("" for unlabeled names). *)
 let split_labels (name : string) : string * string =
   match String.index_opt name '{' with
   | None -> (name, "")
-  | Some i -> (String.sub name 0 i, String.sub name i (String.length name - i))
+  | Some i -> (String.sub name 0 i, String.sub name (i + 1) (String.length name - i - 2))
 
 let metric_name (name : string) : string = namespace ^ "_" ^ sanitize (fst (split_labels name))
 
@@ -68,18 +69,20 @@ let float_value (v : float) : string =
   else if Float.is_nan v then "NaN"
   else Printf.sprintf "%g" v
 
-(* Merge a series' own label block with an extra label (the histogram
-   `le` bound): {shard="1"} + le → {shard="1",le="..."} . *)
-let with_label (labels : string) (extra : string) : string =
-  if labels = "" then "{" ^ extra ^ "}"
-  else String.sub labels 0 (String.length labels - 1) ^ "," ^ extra ^ "}"
+(* A series' label block from its parts, empty parts dropped:
+   [shard="1"] + [le="..."] → {shard="1",le="..."}. *)
+let block (parts : string list) : string =
+  match List.filter (fun p -> p <> "") parts with
+  | [] -> ""
+  | ps -> "{" ^ String.concat "," ps ^ "}"
 
 (* [raw] samples carry their final exposition names (the conventional
    process-level "ocaml_gc_*" family that [sagma stats --prometheus]
    renders from a Stats reply's gc section); they bypass the sagma
    namespace. Names ending in "_total" are typed counter, everything
    else gauge. *)
-let prometheus ?uptime_s ?(raw : (string * float) list = []) (s : Metrics.snapshot) : string =
+let prometheus ?uptime_s ?(raw : (string * float) list = [])
+    ?(shards : (int * Metrics.snapshot) list = []) (s : Metrics.snapshot) : string =
   let buf = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun l -> Buffer.add_string buf l; Buffer.add_char buf '\n') fmt in
   (* HELP/TYPE are per family: labeled series of one family share them,
@@ -108,40 +111,59 @@ let prometheus ?uptime_s ?(raw : (string * float) list = []) (s : Metrics.snapsh
       header m typ (Printf.sprintf "Process-level sample %s" name);
       line "%s %s" m (float_value v))
     raw;
-  List.iter
-    (fun (name, v) ->
-      let base, labels = split_labels name in
+  (* The unlabeled snapshot first, then each shard's under its label,
+     kind by kind. *)
+  let sections =
+    ("", s) :: List.map (fun (i, snap) -> (Printf.sprintf "shard=\"%d\"" i, snap)) shards
+  in
+  let each :
+        'a. (Metrics.snapshot -> (string * 'a) list) -> (string -> string list -> 'a -> unit) -> unit
+      =
+   fun series f ->
+    List.iter
+      (fun (shard, snap) ->
+        List.iter
+          (fun (name, v) ->
+            let base, labels = split_labels name in
+            f base [ labels; shard ] v)
+          (series snap))
+      sections
+  in
+  each
+    (fun snap -> snap.Metrics.counters)
+    (fun base labels v ->
       let m = metric_name base ^ "_total" in
       header m "counter" (Printf.sprintf "SAGMA counter %s" base);
-      line "%s%s %d" m labels v)
-    s.Metrics.counters;
-  List.iter
-    (fun (name, v) ->
-      let base, labels = split_labels name in
+      line "%s%s %d" m (block labels) v);
+  each
+    (fun snap -> snap.Metrics.gauges)
+    (fun base labels v ->
       let m = metric_name base in
       header m "gauge" (Printf.sprintf "SAGMA gauge %s" base);
-      line "%s%s %d" m labels v)
-    s.Metrics.gauges;
-  List.iter
-    (fun (name, h) ->
-      let base, labels = split_labels name in
+      line "%s%s %d" m (block labels) v);
+  each
+    (fun snap -> snap.Metrics.histograms)
+    (fun base labels h ->
       let m = metric_name base in
       header m "histogram" (Printf.sprintf "SAGMA histogram %s" base);
-      Array.iter
-        (fun (bound, cum) ->
-          line "%s_bucket%s %d" m
-            (with_label labels (Printf.sprintf "le=\"%s\"" (le_value bound)))
-            cum)
-        h.Metrics.h_buckets;
-      line "%s_sum%s %s" m labels (float_value h.Metrics.h_sum);
-      line "%s_count%s %d" m labels h.Metrics.h_count;
+      let cum = ref 0 in
+      Array.iteri
+        (fun i n ->
+          cum := !cum + n;
+          let bound =
+            if i < Array.length Metrics.bucket_bounds then Metrics.bucket_bounds.(i) else infinity
+          in
+          let le = Printf.sprintf "le=\"%s\"" (le_value bound) in
+          line "%s_bucket%s %d" m (block (labels @ [ le ])) !cum)
+        h.Metrics.h_counts;
+      line "%s_sum%s %s" m (block labels) (float_value h.Metrics.h_sum);
+      line "%s_count%s %d" m (block labels) h.Metrics.h_count;
       (* Quantile estimates as companion gauges (histogram series may not
          carry a `quantile` label themselves). *)
       List.iter
-        (fun (suffix, v) ->
+        (fun (suffix, q) ->
           let g = m ^ "_" ^ suffix in
           header g "gauge" (Printf.sprintf "SAGMA histogram quantile %s %s" base suffix);
-          line "%s%s %s" g labels (float_value v))
-        [ ("p50", h.Metrics.h_p50); ("p95", h.Metrics.h_p95); ("p99", h.Metrics.h_p99) ])
-    s.Metrics.histograms;
+          line "%s%s %s" g (block labels) (float_value (Metrics.quantile h q)))
+        [ ("p50", 0.50); ("p95", 0.95); ("p99", 0.99) ]);
   Buffer.contents buf

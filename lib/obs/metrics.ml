@@ -12,8 +12,9 @@ type counter = { c_name : string; c_slot : int; cell : int Atomic.t }
    0.001 · 2^i. Observations are milliseconds or small cardinalities, so
    the grid spans sub-microsecond to ~10⁶ with one array index; the last
    slot of [buckets] is the +∞ overflow bucket. A fixed grid keeps
-   [observe] allocation-free and makes snapshots directly exposable in
-   Prometheus text format. *)
+   [observe] allocation-free, and since every node shares it, a
+   snapshot carries only the raw counts and histograms merge by adding
+   them. *)
 let bucket_bounds : float array = Array.init 31 (fun i -> 0.001 *. (2. ** float_of_int i))
 let num_buckets = Array.length bucket_bounds + 1
 
@@ -212,10 +213,7 @@ type hist_stats = {
   h_sum : float;
   h_min : float;
   h_max : float;
-  h_buckets : (float * int) array;
-  h_p50 : float;
-  h_p95 : float;
-  h_p99 : float;
+  h_counts : int array;
 }
 
 (* Quantile estimate from the bucket counts, Prometheus
@@ -223,20 +221,20 @@ type hist_stats = {
    observation and interpolate linearly inside it. The overflow bucket
    has no upper bound, so estimates landing there (and interpolations
    past the observed extremes) are clamped to [min, max]. *)
-let quantile_of_buckets ~(count : int) ~(min_v : float) ~(max_v : float) (counts : int array)
-    (q : float) : float =
-  let rank = q *. float_of_int count in
+let quantile (h : hist_stats) (q : float) : float =
+  let counts = h.h_counts in
+  let rank = q *. float_of_int h.h_count in
   let rec go i cum =
-    if i >= Array.length counts then max_v
+    if i >= Array.length counts then h.h_max
     else begin
       let cum' = cum + counts.(i) in
       if float_of_int cum' >= rank && counts.(i) > 0 then begin
-        if i >= Array.length bucket_bounds then max_v
+        if i >= Array.length bucket_bounds then h.h_max
         else begin
           let lower = if i = 0 then 0. else bucket_bounds.(i - 1) in
           let upper = bucket_bounds.(i) in
           let frac = (rank -. float_of_int cum) /. float_of_int counts.(i) in
-          Float.min max_v (Float.max min_v (lower +. ((upper -. lower) *. frac)))
+          Float.min h.h_max (Float.max h.h_min (lower +. ((upper -. lower) *. frac)))
         end
       end
       else go (i + 1) cum'
@@ -273,27 +271,10 @@ let snapshot () : snapshot =
         Mutex.lock h.lock;
         let stats =
           if h.obs_count = 0 then None
-          else begin
-            (* Cumulative counts per upper bound, +∞ last — the shape
-               Prometheus exposition wants. *)
-            let cum = ref 0 in
-            let cumulative =
-              Array.mapi
-                (fun i n ->
-                  cum := !cum + n;
-                  ((if i < Array.length bucket_bounds then bucket_bounds.(i) else infinity),
-                   !cum))
-                h.buckets
-            in
-            let quantile =
-              quantile_of_buckets ~count:h.obs_count ~min_v:h.obs_min ~max_v:h.obs_max
-                h.buckets
-            in
+          else
             Some
-              { h_count = h.obs_count; h_sum = h.obs_sum; h_min = h.obs_min;
-                h_max = h.obs_max; h_buckets = cumulative; h_p50 = quantile 0.50;
-                h_p95 = quantile 0.95; h_p99 = quantile 0.99 }
-          end
+              { h_count = h.obs_count; h_sum = h.obs_sum; h_min = h.obs_min; h_max = h.obs_max;
+                h_counts = Array.copy h.buckets }
         in
         Mutex.unlock h.lock;
         match stats with None -> acc | Some s -> (name, s) :: acc)
@@ -306,9 +287,8 @@ let snapshot () : snapshot =
 (* --- fleet federation --------------------------------------------------------
 
    A coordinator merges its shards' snapshots into one fleet view:
-   counters and gauges sum pointwise by name, histograms merge
-   bucket-wise (every histogram shares the fixed grid) with the
-   quantiles re-estimated from the merged buckets. *)
+   counters and gauges sum pointwise by name, histograms add their
+   bucket counts (every histogram shares the fixed grid). *)
 
 let merge_assoc (a : (string * int) list) (b : (string * int) list) : (string * int) list =
   let tbl = Hashtbl.create 64 in
@@ -322,31 +302,10 @@ let merge_assoc (a : (string * int) list) (b : (string * int) list) : (string * 
 let merge_hist_stats (a : hist_stats) (b : hist_stats) : hist_stats =
   if a.h_count = 0 then b
   else if b.h_count = 0 then a
-  else begin
-    let base = if Array.length a.h_buckets >= Array.length b.h_buckets then a else b in
-    (* Cumulative counts add pointwise on a shared grid; the lookup by
-       bound keeps a foreign peer's shorter grid from misaligning. *)
-    let cum_at (h : hist_stats) (bound : float) : int =
-      Array.fold_left (fun acc (b', cum) -> if b' <= bound && cum > acc then cum else acc) 0
-        h.h_buckets
-    in
-    let h_buckets =
-      Array.map (fun (bound, _) -> (bound, cum_at a bound + cum_at b bound)) base.h_buckets
-    in
-    let raw = Array.make (Array.length h_buckets) 0 in
-    let prev = ref 0 in
-    Array.iteri
-      (fun i (_, cum) ->
-        raw.(i) <- cum - !prev;
-        prev := cum)
-      h_buckets;
-    let h_count = a.h_count + b.h_count in
-    let h_min = Float.min a.h_min b.h_min in
-    let h_max = Float.max a.h_max b.h_max in
-    let quantile = quantile_of_buckets ~count:h_count ~min_v:h_min ~max_v:h_max raw in
-    { h_count; h_sum = a.h_sum +. b.h_sum; h_min; h_max; h_buckets; h_p50 = quantile 0.50;
-      h_p95 = quantile 0.95; h_p99 = quantile 0.99 }
-  end
+  else
+    { h_count = a.h_count + b.h_count; h_sum = a.h_sum +. b.h_sum;
+      h_min = Float.min a.h_min b.h_min; h_max = Float.max a.h_max b.h_max;
+      h_counts = Array.map2 ( + ) a.h_counts b.h_counts }
 
 let merge_snapshots (a : snapshot) (b : snapshot) : snapshot =
   let merge_hists xs ys =
@@ -391,7 +350,7 @@ let pp_snapshot fmt (s : snapshot) =
       Format.fprintf fmt "%-36s n=%d sum=%.3f min=%.3f max=%.3f mean=%.3f p50=%.3f p95=%.3f p99=%.3f@,"
         name h.h_count h.h_sum h.h_min h.h_max
         (h.h_sum /. float_of_int h.h_count)
-        h.h_p50 h.h_p95 h.h_p99)
+        (quantile h 0.50) (quantile h 0.95) (quantile h 0.99))
     s.histograms;
   Format.fprintf fmt "@]"
 
@@ -403,7 +362,8 @@ let snapshot_to_json (s : snapshot) : Json.t =
     Json.Obj
       [ ("count", Json.int h.h_count); ("sum", Num h.h_sum); ("min", Num h.h_min);
         ("max", Num h.h_max); ("mean", Num (h.h_sum /. float_of_int h.h_count));
-        ("p50", Num h.h_p50); ("p95", Num h.h_p95); ("p99", Num h.h_p99) ]
+        ("p50", Num (quantile h 0.50)); ("p95", Num (quantile h 0.95));
+        ("p99", Num (quantile h 0.99)) ]
   in
   Obj
     [ ("counters", ints s.counters); ("gauges", ints s.gauges);

@@ -104,15 +104,15 @@ type hist_stats = {
   h_sum : float;
   h_min : float;
   h_max : float;
-  h_buckets : (float * int) array;
-      (** cumulative count per upper bound ({!bucket_bounds} order, +∞
-          last) — directly exposable as Prometheus [_bucket] series *)
-  h_p50 : float;
-  h_p95 : float;
-  h_p99 : float;
-      (** quantile estimates: linear interpolation inside the bucket
-          holding the q·count-th observation, clamped to [min, max] *)
+  h_counts : int array;
+      (** per-bucket (not cumulative) counts: one slot per
+          {!bucket_bounds} entry, then the +∞ overflow slot *)
 }
+
+val quantile : hist_stats -> float -> float
+(** [quantile h q] estimates the q-quantile: linear interpolation
+    inside the bucket holding the q·count-th observation, clamped to
+    [min, max]. Readers compute the p50/p95/p99 they print with it. *)
 
 type snapshot = {
   counters : (string * int) list;        (** nonzero counters, sorted *)
@@ -124,9 +124,8 @@ val snapshot : unit -> snapshot
 
 val merge_hist_stats : hist_stats -> hist_stats -> hist_stats
 (** Combine two histograms of the same metric from different nodes:
-    counts, sums and cumulative buckets add pointwise (all histograms
-    share {!bucket_bounds}), min/max widen, and p50/p95/p99 are
-    re-estimated from the merged buckets. *)
+    counts, sums and bucket counts add pointwise (all histograms share
+    {!bucket_bounds}) and min/max widen. *)
 
 val merge_snapshots : snapshot -> snapshot -> snapshot
 (** Fleet federation: pointwise sum of counters and gauges by name,

@@ -1,8 +1,8 @@
 (** SLO watchdog: declarative alert rules over {!Metrics} snapshots.
 
-    A {!rule} compares a signal — a counter ratio or per-second rate
-    over the poll interval, a gauge level, a histogram p99, or the
-    fleet's down-shard count — against a threshold. {!poll} evaluates
+    A {!rule} fires while a signal — a counter ratio over the poll
+    interval, a gauge level, a histogram p99, or the fleet's
+    down-shard count — is above its threshold. {!poll} evaluates
     every rule, tracks per-rule firing state, and emits a structured
     [alert] log event (via {!Log}) on each firing→resolved transition.
     Active alerts are served to peers in the
@@ -18,14 +18,12 @@ type source =
           interval — e.g. the error rate
           [ratio:proto.requests_failed/proto.requests]. Not evaluated
           when the denominator saw no traffic. *)
-  | Rate of string  (** delta(counter) per second over the poll interval *)
   | Gauge of string  (** current gauge level *)
   | P99 of string  (** a histogram's p99 estimate, in ms *)
   | Shards_down  (** unreachable-shard count, fed by the caller *)
 
-type cmp = Gt | Lt
-
-type rule = { r_name : string; r_source : source; r_cmp : cmp; r_threshold : float }
+type rule = { r_name : string; r_source : source; r_threshold : float }
+(** Fires while the source's value is above [r_threshold]. *)
 
 type alert = {
   a_rule : string;
@@ -35,29 +33,17 @@ type alert = {
   a_message : string;  (** human-readable, e.g. ["shard-down: shards_down = 1 > 0"] *)
 }
 
-val default_rules : rule list
-(** [error-rate] (ratio > 0.5), [p99-latency] (p99 proto.request_ms >
-    30000 ms), [queue-depth] (pool.queue_depth > 128), [shard-down]
-    (shards_down > 0). *)
-
-val parse_rules : string -> (rule list, string) result
-(** Parse a rule file: one [name source cmp threshold] per line
-    (whitespace-separated), blank lines and [#] comments skipped.
-    Sources: [ratio:a/b], [rate:c], [gauge:g], [p99:h], [shards_down];
-    comparisons [>] and [<]. Errors name the offending line. *)
-
-val rule_to_string : rule -> string
-(** The rule in file syntax — [parse_rules] round-trips it. *)
-
 type t
 
 val create : ?rules:rule list -> unit -> t
-(** A watchdog with no firing alerts and no poll history;
-    [rules] defaults to {!default_rules}. *)
+(** A watchdog with no firing alerts and no poll history. [rules]
+    defaults to the SLO set [error-rate] (ratio > 0.5), [p99-latency]
+    (p99 proto.request_ms > 30000 ms), [queue-depth]
+    (pool.queue_depth > 128) and [shard-down] (shards_down > 0). *)
 
 val poll : ?now:float -> t -> snapshot:Metrics.snapshot -> shards_down:int -> unit
-(** One evaluation pass against the current snapshot. Rules needing a
-    delta (ratio, rate) stay silent on the first poll. Transitions emit
+(** One evaluation pass against the current snapshot. Ratio rules need
+    a delta, so they stay silent on the first poll. Transitions emit
     [alert] log events: firing at [Warn], resolved at [Info]; steady
     states are silent. [?now] (epoch seconds) defaults to the wall
     clock — tests pin it. Thread-safe. *)

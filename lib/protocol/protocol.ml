@@ -29,7 +29,7 @@ module Watchdog = Sagma_obs.Watchdog
 module Json = Sagma_obs.Json
 
 let magic = "SG"
-let version = 9
+let version = 10
 
 exception Version_mismatch of { expected : int; got : int }
 
@@ -151,8 +151,12 @@ type topology = {
   tp_shards : string list;  (* coordinator only: "host:port" endpoints *)
 }
 
+(* [sr_snapshot] is the node's own view (a coordinator's is the fleet
+   merge); [sr_shards] holds each reachable shard's snapshot under its
+   index, empty except on a coordinator. *)
 type stats_report = {
   sr_snapshot : Sagma_obs.Metrics.snapshot;
+  sr_shards : (int * Sagma_obs.Metrics.snapshot) list;
   sr_audit : Sagma_obs.Audit.summary;
   sr_uptime_s : float;
   sr_start_time : float;   (* epoch seconds *)
@@ -210,36 +214,46 @@ let get_counts (s : W.source) : (string * int) list =
       let v = W.get_int s in
       (name, v))
 
+(* A histogram is its raw bucket counts on the one grid every node
+   shares; readers derive cumulative buckets and quantiles. The count
+   array arrives from the network, so its length is checked. *)
 let put_hist_stats (s : W.sink) (h : Metrics.hist_stats) : unit =
   W.put_int s h.Metrics.h_count;
   W.put_f64 s h.Metrics.h_sum;
   W.put_f64 s h.Metrics.h_min;
   W.put_f64 s h.Metrics.h_max;
-  W.put_list s
-    (fun s (bound, cum) ->
-      W.put_f64 s bound;
-      W.put_int s cum)
-    (Array.to_list h.Metrics.h_buckets);
-  W.put_f64 s h.Metrics.h_p50;
-  W.put_f64 s h.Metrics.h_p95;
-  W.put_f64 s h.Metrics.h_p99
+  W.put_array s W.put_int h.Metrics.h_counts
 
 let get_hist_stats (s : W.source) : Metrics.hist_stats =
   let h_count = W.get_int s in
   let h_sum = W.get_f64 s in
   let h_min = W.get_f64 s in
   let h_max = W.get_f64 s in
-  let h_buckets =
-    Array.of_list
-      (W.get_list s (fun s ->
-           let bound = W.get_f64 s in
-           let cum = W.get_int s in
-           (bound, cum)))
+  let h_counts = W.get_array s W.get_int in
+  let slots = Array.length Metrics.bucket_bounds + 1 in
+  if Array.length h_counts <> slots then
+    W.fail "histogram has %d bucket counts, want %d" (Array.length h_counts) slots;
+  { Metrics.h_count; h_sum; h_min; h_max; h_counts }
+
+let put_snapshot (s : W.sink) (snap : Metrics.snapshot) : unit =
+  put_counts s snap.Metrics.counters;
+  put_counts s snap.Metrics.gauges;
+  W.put_list s
+    (fun s (name, h) ->
+      W.put_bytes s name;
+      put_hist_stats s h)
+    snap.Metrics.histograms
+
+let get_snapshot (s : W.source) : Metrics.snapshot =
+  let counters = get_counts s in
+  let gauges = get_counts s in
+  let histograms =
+    W.get_list s (fun s ->
+        let name = W.get_bytes s in
+        let h = get_hist_stats s in
+        (name, h))
   in
-  let h_p50 = W.get_f64 s in
-  let h_p95 = W.get_f64 s in
-  let h_p99 = W.get_f64 s in
-  { Metrics.h_count; h_sum; h_min; h_max; h_buckets; h_p50; h_p95; h_p99 }
+  { Metrics.counters; gauges; histograms }
 
 (* --- tracing codecs ------------------------------------------------------- *)
 
@@ -322,13 +336,12 @@ let get_topology (s : W.source) : topology =
   { tp_role; tp_shard_index; tp_shard_count; tp_shards }
 
 let put_stats_report (s : W.sink) (r : stats_report) : unit =
-  put_counts s r.sr_snapshot.Metrics.counters;
-  put_counts s r.sr_snapshot.Metrics.gauges;
+  put_snapshot s r.sr_snapshot;
   W.put_list s
-    (fun s (name, h) ->
-      W.put_bytes s name;
-      put_hist_stats s h)
-    r.sr_snapshot.Metrics.histograms;
+    (fun s (i, snap) ->
+      W.put_int s i;
+      put_snapshot s snap)
+    r.sr_shards;
   W.put_int s r.sr_audit.Audit.s_requests;
   W.put_int s r.sr_audit.Audit.s_probes;
   W.put_int s r.sr_audit.Audit.s_checks_run;
@@ -339,13 +352,12 @@ let put_stats_report (s : W.sink) (r : stats_report) : unit =
   put_topology s r.sr_topology
 
 let get_stats_report (s : W.source) : stats_report =
-  let counters = get_counts s in
-  let gauges = get_counts s in
-  let histograms =
+  let sr_snapshot = get_snapshot s in
+  let sr_shards =
     W.get_list s (fun s ->
-        let name = W.get_bytes s in
-        let h = get_hist_stats s in
-        (name, h))
+        let i = W.get_int s in
+        let snap = get_snapshot s in
+        (i, snap))
   in
   let s_requests = W.get_int s in
   let s_probes = W.get_int s in
@@ -355,7 +367,7 @@ let get_stats_report (s : W.source) : stats_report =
   let sr_start_time = W.get_f64 s in
   let sr_gc = get_gc_stats s in
   let sr_topology = get_topology s in
-  { sr_snapshot = { Metrics.counters; gauges; histograms };
+  { sr_snapshot; sr_shards;
     sr_audit = { Audit.s_requests; s_probes; s_checks_run; s_check_failures };
     sr_uptime_s; sr_start_time; sr_gc; sr_topology }
 
@@ -528,14 +540,22 @@ let decode_response (s : string) : response = fst (decode_response_x s)
 (* --- JSON rendering ----------------------------------------------------------
 
    `sagma_cli stats --json` must carry everything the human and
-   Prometheus paths render — snapshot, uptime/start-time, audit
-   summary, GC block, topology — as one object. Kept here next to the
+   Prometheus paths render — snapshot, per-shard snapshots,
+   uptime/start-time, audit summary, GC block, topology — as one
+   object. Kept here next to the
    types so the shape and the codec evolve together. *)
 
 let stats_report_to_json (r : stats_report) : Json.t =
   let a = r.sr_audit and g = r.sr_gc and t = r.sr_topology in
   Obj
-    [ ("snapshot", Metrics.snapshot_to_json r.sr_snapshot); ("uptime_s", Num r.sr_uptime_s);
+    [ ("snapshot", Metrics.snapshot_to_json r.sr_snapshot);
+      ( "shards",
+        Arr
+          (List.map
+             (fun (i, snap) ->
+               Json.Obj [ ("index", Json.int i); ("snapshot", Metrics.snapshot_to_json snap) ])
+             r.sr_shards) );
+      ("uptime_s", Num r.sr_uptime_s);
       ("start_time", Num r.sr_start_time);
       ( "audit",
         Obj

@@ -17,7 +17,7 @@ val magic : string
 (** ["SG"] — the two bytes opening every frame. *)
 
 val version : int
-(** The one wire protocol version this build speaks (currently 9). *)
+(** The one wire protocol version this build speaks (currently 10). *)
 
 exception Version_mismatch of { expected : int; got : int }
 
@@ -95,6 +95,11 @@ type topology = {
 
 type stats_report = {
   sr_snapshot : Sagma_obs.Metrics.snapshot;
+      (** the node's own snapshot; on a coordinator, the fleet merge of
+          its own and every reachable shard's *)
+  sr_shards : (int * Sagma_obs.Metrics.snapshot) list;
+      (** coordinator only: each reachable shard's snapshot under its
+          index in the fan-out order; empty on other nodes *)
   sr_audit : Sagma_obs.Audit.summary;
   sr_uptime_s : float;  (** seconds since the server started *)
   sr_start_time : float;  (** server start, epoch seconds *)
@@ -138,8 +143,10 @@ val failed : error_code -> ('a, unit, string, response) format4 -> 'a
 
 val stats_report_to_json : stats_report -> Sagma_obs.Json.t
 (** One JSON object carrying everything a {!Stats_report} holds —
-    [snapshot], [uptime_s]/[start_time], [audit], [gc], [topology] — so `sagma stats --json` drops nothing the
-    human and Prometheus paths render. *)
+    [snapshot], [shards] (a list of [{index, snapshot}]),
+    [uptime_s]/[start_time], [audit], [gc], [topology] — so
+    `sagma stats --json` drops nothing the human and Prometheus paths
+    render. *)
 
 val health_report_to_json : health_report -> Sagma_obs.Json.t
 (** One JSON object: [status], [uptime_s], [alerts], [shards]. *)

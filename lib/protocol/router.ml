@@ -379,38 +379,19 @@ let first_failure (results : (P.response * Trace.rtrace option) array) : P.respo
 
 (* --- stats federation ------------------------------------------------------ *)
 
-(* Rename every series of a shard's snapshot into its labeled form:
-   proto.requests → proto.requests{shard="1"}. *)
-let label_snapshot (i : int) (s : Obs.snapshot) : Obs.snapshot =
-  let tag name = Export.labeled name [ ("shard", string_of_int i) ] in
-  { Obs.counters = List.map (fun (n, v) -> (tag n, v)) s.Obs.counters;
-    gauges = List.map (fun (n, v) -> (tag n, v)) s.Obs.gauges;
-    histograms = List.map (fun (n, h) -> (tag n, h)) s.Obs.histograms }
-
 (* The coordinator's Stats reply covers the fleet: its own snapshot is
    ⊕-merged with every reachable shard's into unlabeled fleet
-   aggregates, and each shard's snapshot additionally rides along as
-   {shard="i"}-labeled series. Unreachable or failing shards are
-   skipped — a Stats scrape must degrade, never fail. *)
-let federated_snapshot (r : t) : Obs.snapshot =
-  let own = Obs.snapshot () in
-  let results = fanout r P.Stats in
-  let fleet = ref own in
-  let labeled = ref [] in
-  Array.iteri
-    (fun i (resp, _) ->
-      match resp with
-      | P.Stats_report rep ->
-        fleet := Obs.merge_snapshots !fleet rep.P.sr_snapshot;
-        labeled := label_snapshot i rep.P.sr_snapshot :: !labeled
-      | _ -> ())
-    results;
-  List.fold_left
-    (fun acc s ->
-      { Obs.counters = acc.Obs.counters @ s.Obs.counters;
-        gauges = acc.Obs.gauges @ s.Obs.gauges;
-        histograms = acc.Obs.histograms @ s.Obs.histograms })
-    !fleet (List.rev !labeled)
+   aggregates, and each shard's snapshot also rides along under its
+   index. Unreachable or failing shards are skipped — a Stats scrape
+   must degrade, never fail. *)
+let federated_snapshot (r : t) : Obs.snapshot * (int * Obs.snapshot) list =
+  let shards =
+    Array.to_list (fanout r P.Stats)
+    |> List.mapi (fun i (resp, _) ->
+           match resp with P.Stats_report rep -> Some (i, rep.P.sr_snapshot) | _ -> None)
+    |> List.filter_map Fun.id
+  in
+  (List.fold_left (fun acc (_, s) -> Obs.merge_snapshots acc s) (Obs.snapshot ()) shards, shards)
 
 let handle (r : t) (req : P.request) : P.response =
   match req with

@@ -73,12 +73,13 @@ val down_count : t -> int
 val topology : t -> Protocol.topology
 (** The ["coordinator"] topology a coordinator reports in Stats. *)
 
-val federated_snapshot : t -> Sagma_obs.Metrics.snapshot
-(** The fleet's metrics: this process's snapshot ⊕-merged with every
-    reachable shard's (one [Stats] fan-out) into unlabeled fleet
-    aggregates, plus each shard's series labeled [{shard="i"}].
-    Unreachable or failing shards are skipped, so a scrape degrades
-    instead of failing. *)
+val federated_snapshot :
+  t -> Sagma_obs.Metrics.snapshot * (int * Sagma_obs.Metrics.snapshot) list
+(** The fleet's metrics from one [Stats] fan-out: this process's
+    snapshot ⊕-merged with every reachable shard's into unlabeled fleet
+    aggregates, and each reachable shard's own snapshot under its index
+    in the fan-out order. Unreachable or failing shards are skipped, so
+    a scrape degrades instead of failing. *)
 
 val handle : t -> Protocol.request -> Protocol.response
 (** Route one table request ([Upload], [Drop], [Append], [Aggregate],

@@ -112,15 +112,21 @@ let gc_stats_now () : Protocol.gc_stats =
     gs_major_collections = g.Gc.major_collections; gs_compactions = g.Gc.compactions;
     gs_heap_words = g.Gc.heap_words; gs_top_heap_words = g.Gc.top_heap_words }
 
-let handle (s : t) (req : Protocol.request) : Protocol.response =
+(* [aggregated] receives the table snapshot and token an Aggregate
+   read, so {!handle_encoded} can audit the request against exactly
+   what it saw. *)
+let handle_x ~(aggregated : (Scheme.enc_table * Scheme.token) option ref) (s : t)
+    (req : Protocol.request) : Protocol.response =
   match (req, s.fleet) with
   | Protocol.Stats, _ ->
     (* A read-only snapshot: safe to serve even while the registry is
        being written — counters are atomic, histograms lock per cell.
        A coordinator's covers the fleet. *)
+    let sr_snapshot, sr_shards =
+      match s.fleet with Some r -> Router.federated_snapshot r | None -> (Obs.snapshot (), [])
+    in
     Protocol.Stats_report
-      { Protocol.sr_snapshot =
-          (match s.fleet with Some r -> Router.federated_snapshot r | None -> Obs.snapshot ());
+      { Protocol.sr_snapshot; sr_shards;
         sr_audit = Audit.summary ();
         sr_uptime_s = Unix.gettimeofday () -. s.started; sr_start_time = s.started;
         sr_gc = gc_stats_now ();
@@ -173,6 +179,7 @@ let handle (s : t) (req : Protocol.request) : Protocol.response =
     | None -> Protocol.failed Protocol.No_such_table "no such table %S" name
     | Some e -> (
       let et = with_lock s (fun () -> e.table) in
+      aggregated := Some (et, token);
       (* A storage node only pairs the rows of its slice; the
          coordinator ⊕-merges the per-shard partials back into the
          full answer. *)
@@ -248,11 +255,15 @@ let handle (s : t) (req : Protocol.request) : Protocol.response =
             | Invalid_argument msg -> Protocol.failed Protocol.Bad_request "%s" msg
             | Failure msg -> Protocol.failed Protocol.Internal_error "%s" msg)))
 
+let handle (s : t) (req : Protocol.request) : Protocol.response =
+  handle_x ~aggregated:(ref None) s req
+
 (* Handle a raw encoded request, never letting an exception cross the
    transport boundary. Each request gets a fresh id shared by its log
    lines and its audit trace: the audit brackets the whole handler, so
    every index probe [Scheme.aggregate] fires lands in this request's
-   trace. *)
+   trace, and an answered Aggregate's trace is then checked against the
+   declared leakage. *)
 let handle_encoded (s : t) (raw : string) : string =
   Obs.incr m_requests;
   Obs.add m_bytes_in (String.length raw);
@@ -261,6 +272,7 @@ let handle_encoded (s : t) (raw : string) : string =
   let t0 = Unix.gettimeofday () in
   let kind = ref "undecodable" in
   let rtrace : Trace.rtrace option ref = ref None in
+  let aggregated = ref None in
   let response =
     Obs.observe_ms h_request_ms (fun () ->
         try
@@ -281,11 +293,11 @@ let handle_encoded (s : t) (raw : string) : string =
             let trace_id =
               match tc with Some { Protocol.tc_id = Some id; _ } -> Some id | _ -> None
             in
-            let resp, rt = Trace.with_request ?trace_id (fun () -> handle s req) in
+            let resp, rt = Trace.with_request ?trace_id (fun () -> handle_x ~aggregated s req) in
             rtrace := Some rt;
             resp
           end
-          else handle s req
+          else handle_x ~aggregated s req
         with
         | Sagma_wire.Wire.Decode_error msg ->
           Protocol.failed Protocol.Bad_request "malformed request: %s" msg
@@ -298,6 +310,19 @@ let handle_encoded (s : t) (raw : string) : string =
         | Division_by_zero -> Protocol.failed Protocol.Internal_error "division by zero")
   in
   let trace = Audit.end_request () in
+  (* A storage node's audited Aggregate: the prediction comes from the
+     same table snapshot and token the aggregation read (a coordinator
+     probes nothing and never sets [aggregated]). *)
+  (match (trace, !aggregated, response) with
+   | Some t, Some (et, token), Protocol.Aggregates _ -> (
+     match Sagma.Leakage.audit_check et token t with
+     | Audit.Pass -> ()
+     | Audit.Fail errors ->
+       Log.warn "audit_fail"
+         ~fields:
+           [ Log.int "req" req_id;
+             ("errors", Sagma_obs.Json.Arr (List.map (fun e -> Sagma_obs.Json.Str e) errors)) ])
+   | _ -> ());
   (match response with Protocol.Failed _ -> Obs.incr m_failed | _ -> ());
   (* Add the byte counts to the trace's counts (the completed ring holds
      the same record, so exports see them too), then attach the record

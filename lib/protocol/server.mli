@@ -79,6 +79,10 @@ val handle_encoded : t -> string -> string
     {!Protocol.version}. Brackets the handler with a fresh request id shared by the
     [Sagma_obs.Log] "request" event (which carries
     [duration_ms]/[bytes_out]) and the [Sagma_obs.Audit] trace (when
-    those subsystems are enabled). Sampled requests (see {!create}) run
+    those subsystems are enabled). With auditing on, an answered
+    [Aggregate] on a single server or shard is checked with
+    [Sagma.Leakage.audit_check] against the table snapshot and token
+    it read; a failed check logs an [audit_fail] warning with the
+    errors. Sampled requests (see {!create}) run
     under a [Sagma_obs.Trace] request context and attach an EXPLAIN
     trailer to the reply. *)

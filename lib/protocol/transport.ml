@@ -109,19 +109,15 @@ let call ?max_frame ?trace (fd : Unix.file_descr) (req : Protocol.request) : Pro
    SO_RCVTIMEO surfaces here as EAGAIN, ending the connection without
    touching any other). Send-side failures — EPIPE from a peer gone
    mid-reply, a send deadline — end this connection the same way
-   instead of escaping to the accept loop. [after_request] runs once
-   per handled request — the server binary hooks periodic metric dumps
-   here. The [handler] is any raw-frame function, such as
-   [Server.handle_encoded state]. *)
-let serve_connection ?(after_request = fun () -> ()) ?max_frame ?stop
-    (handler : string -> string) (fd : Unix.file_descr) : unit =
+   instead of escaping to the accept loop. The [handler] is any
+   raw-frame function, such as [Server.handle_encoded state]. *)
+let serve_connection ?max_frame ?stop (handler : string -> string) (fd : Unix.file_descr) :
+    unit =
   let rec loop () =
     match recv ?max_frame ?stop fd with
     | raw ->
       (match send ?stop fd (handler raw) with
-       | () ->
-         after_request ();
-         loop ()
+       | () -> loop ()
        | exception (Failure _ | Unix.Unix_error _) -> ())
     | exception (Failure _ | End_of_file | Unix.Unix_error _) -> ()
   in
@@ -131,7 +127,7 @@ let peer_name = function
   | Unix.ADDR_INET (addr, port) -> Printf.sprintf "%s:%d" (Unix.string_of_inet_addr addr) port
   | Unix.ADDR_UNIX path -> path
 
-let listen_and_serve ?after_request ?(workers = 0) ?(max_conns = 64)
+let listen_and_serve ?(workers = 0) ?(max_conns = 64)
     ?request_timeout_ms ?(max_frame = default_server_max_frame)
     ?(stop = fun () -> false) ~(port : int) (handler : string -> string) : unit =
   (* A peer that disappears mid-reply must surface as EPIPE on the
@@ -191,7 +187,7 @@ let listen_and_serve ?after_request ?(workers = 0) ?(max_conns = 64)
         close_conn conn;
         Log.info "conn.closed" ~fields:[ Log.str "peer" peer ])
       (fun () ->
-        try serve_connection ?after_request ~max_frame ~stop handler conn with _ -> ())
+        try serve_connection ~max_frame ~stop handler conn with _ -> ())
   in
   (* Over the limit: answer with a structured Busy failure (framed at
      the current protocol version — the request is unread, so the

@@ -36,7 +36,6 @@ val call_x :
     trace record of the request — present when the server traced it. *)
 
 val serve_connection :
-  ?after_request:(unit -> unit) ->
   ?max_frame:int ->
   ?stop:(unit -> bool) ->
   (string -> string) ->
@@ -44,14 +43,11 @@ val serve_connection :
   unit
 (** Serve one connection until the peer closes, a read/write deadline
     set on the fd fires, or a send fails (e.g. [EPIPE] from a peer gone
-    mid-reply) — never letting an I/O error escape. [after_request]
-    runs after each handled request (e.g. to dump metrics
-    periodically). The handler maps one raw request frame to one raw
+    mid-reply) — never letting an I/O error escape. The handler maps one raw request frame to one raw
     response frame — [Server.handle_encoded state], whatever the node's
     role. *)
 
 val listen_and_serve :
-  ?after_request:(unit -> unit) ->
   ?workers:int ->
   ?max_conns:int ->
   ?request_timeout_ms:int ->

@@ -203,6 +203,9 @@ print(f"raw-frame probe OK: one protocol version ({version})")
 EOF
 # The audit ran and flagged nothing.
 "$CLI" stats --port "$OBS_PORT" | grep "^audit: " | grep -q " failures=0"
+# ...and it did run: every answered Aggregate was checked against the
+# declared leakage.
+"$CLI" stats --port "$OBS_PORT" | grep "^audit: " | grep -q " checks=[1-9]"
 # The structured log is non-empty JSON lines including request events
 # (now with duration_ms/bytes_out) and, with --slow-query-ms 1, at
 # least one slow_query event carrying a span tree (a nested object) and
@@ -311,6 +314,8 @@ grep -q "$SHARD1_PORT" "$CL_DIR/health_ok.out"
 grep -q '{shard="0"}' "$CL_DIR/coord_expo.txt"
 grep -q '{shard="1"}' "$CL_DIR/coord_expo.txt"
 grep -q '^sagma_router_shard_up{shard="0",endpoint=' "$CL_DIR/coord_expo.txt"
+# Shard labels are added at the printer, merged with the bucket bound.
+grep -q 'sagma_proto_request_ms_bucket{shard="0",le="+Inf"}' "$CL_DIR/coord_expo.txt"
 # Per-shard columns in the human view, and the --json satellite fix:
 # one whole report object, not just the counter map.
 "$CLI" stats --port "$COORD_PORT" --cluster > "$CL_DIR/cluster_stats.out"

@@ -17,8 +17,8 @@
    If a deliberate change to the scheme, the encryption or the wire
    encoding moves a digest, re-record it and say why in the commit. The
    reply digests hash the whole frame, version byte included: moving
-   from protocol version 8 to 9 re-recorded them, and the previous
-   tree with only its version byte set to 9 produces the same five
+   from protocol version 9 to 10 re-recorded them, and the previous
+   tree with only its version byte set to 10 produces the same five
    digests, so no other reply byte moved. *)
 
 module Value = Sagma_db.Value
@@ -130,15 +130,15 @@ let test_dynamic () =
 
 let cases =
   [ ("level-1 count: 2-attribute SUM", level1, sum2,
-     "320f543e5575cc098ed27c6e23da3b1982ff149d0123f56da499e7e4a55d2498");
+     "0c247e7606f7e7128e5677e8bdbaf2e17a7de3f533fea607f945c17ebd4c08cc");
     ("level-1 count: COUNT", level1, count1,
-     "6eab2fd672179cbfc1996b7251896d7c22f7e90bcadf3559dc74dcd10af884b6");
+     "6f295256fe015e81e8542f55ef54fb28c406c0d952d4234a9d38ac04f8848315");
     ("paired count: COUNT with dummy rows", paired, count1,
-     "a030e12269ab56ac71fba1f5a63d372ba8cc2d157ce6621dc8fa34acc802d14c");
+     "b8a8b4cc0f8148c8a5ea4c02419b32c38802bbfe77bb9f268665a84c57217adc");
     ("paired count: 2-attribute SUM with dummy rows", paired, sum2,
-     "7cb04f1af6b1742203e70b0d9853880e3e2dc1990c72915144ed5f614e17f790");
+     "3fe1a8b76804f83d941b61c96a1227d2cae73a46b1036019e59aae2fed2faf49");
     ("B = 3: 2-attribute SUM", wide, sum2,
-     "38b67eaa539e6cc115fc428586ee8b2bb230ab7c03840f3d0ed7ddf4ed9a8738") ]
+     "7d7e200dd6012242aa29ec50872c82d1fc5005e077b4cb1daf9169c3514ed085") ]
 
 (* Uploads: a config with an equality filter column and a range-filter
    column, so every keyword family (grp/jgrp, flt, rng) is posted. Each

@@ -57,7 +57,7 @@ let append_row, append_keywords =
   Scheme.append_payload client ~values:[| 7 |] ~groups:[| str "y" |] ~filters:[ ("f", vi 1) ]
 
 (* A populated metrics snapshot so the Stats_report frame exercises the
-   histogram codec (buckets, quantiles, f64 fields). *)
+   histogram codec (bucket counts, f64 fields) and a shard entry. *)
 let stats_report =
   let module M = Sagma_obs.Metrics in
   M.reset ();
@@ -68,7 +68,8 @@ let stats_report =
   M.set_enabled false;
   let snap = M.snapshot () in
   M.reset ();
-  { P.sr_snapshot = snap; sr_audit = Sagma_obs.Audit.summary (); sr_uptime_s = 9.5;
+  { P.sr_snapshot = snap; sr_shards = [ (1, snap) ]; sr_audit = Sagma_obs.Audit.summary ();
+    sr_uptime_s = 9.5;
     sr_start_time = 1234.0;
     sr_gc =
       { P.gs_minor_words = 1e6; gs_promoted_words = 2e5; gs_major_words = 3e5;
@@ -192,6 +193,54 @@ let t_response_canonical = R.test ~count:40 ~name:"response encoding canonical"
     (R.arbitrary ~print:String.escaped (Gen.oneofl response_corpus))
     (fun frame -> P.encode_response (P.decode_response frame) = frame)
 
+(* --- histograms on the wire ----------------------------------------------------- *)
+
+module M = Sagma_obs.Metrics
+
+(* A registry histogram over [obs] (nonempty), as a node snapshots it. *)
+let hist_of (obs : float list) : M.hist_stats =
+  M.reset ();
+  M.set_enabled true;
+  List.iter (M.observe (M.histogram "prop.quantile_ms")) obs;
+  M.set_enabled false;
+  let h = List.assoc "prop.quantile_ms" (M.snapshot ()).M.histograms in
+  M.reset ();
+  h
+
+let stats_with (h : M.hist_stats) : string =
+  let snap = { M.counters = []; gauges = []; histograms = [ ("h", h) ] } in
+  P.encode_response
+    (P.Stats_report { stats_report with P.sr_snapshot = snap; sr_shards = [ (0, snap) ] })
+
+(* Observations spread over the whole grid, overflow slot included. *)
+let observation = Gen.map (fun k -> 0.0005 *. (2. ** (float_of_int k /. 3.))) (Gen.int_range 0 110)
+
+let t_hist_quantile_rt = R.test ~count:100 ~name:"stats histogram roundtrip keeps quantiles"
+    (R.arbitrary
+       ~print:(fun l -> String.concat " " (List.map string_of_float l))
+       (Gen.map2 (fun x xs -> x :: xs) observation (Gen.list ~max_len:30 observation)))
+    (fun obs ->
+      let h = hist_of obs in
+      match P.decode_response (stats_with h) with
+      | P.Stats_report { P.sr_snapshot; sr_shards = [ (0, shard) ]; _ } ->
+        List.for_all
+          (fun (snap : M.snapshot) ->
+            let h' = List.assoc "h" snap.M.histograms in
+            h' = h && List.for_all (fun q -> M.quantile h' q = M.quantile h q) [ 0.5; 0.95; 0.99 ])
+          [ sr_snapshot; shard ]
+      | _ -> false)
+
+(* The count array comes from the network: any length but the grid's
+   (31 bounds plus the overflow slot) is a malformed frame. *)
+let t_hist_length_checked = R.test ~count:40 ~name:"stats histogram count length checked"
+    (R.arbitrary ~print:string_of_int (Gen.oneof [ Gen.oneofl [ 31; 33 ]; Gen.int_range 0 64 ]))
+    (fun n ->
+      if n = Array.length M.bucket_bounds + 1 then raise R.Discard;
+      let h = { M.h_count = 1; h_sum = 1.; h_min = 1.; h_max = 1.; h_counts = Array.make n 0 } in
+      match P.decode_response (stats_with h) with
+      | _ -> false
+      | exception W.Decode_error _ -> true)
+
 (* --- adversarial inputs ------------------------------------------------------- *)
 
 let well_behaved (decode : string -> unit) (s : string) : bool =
@@ -313,5 +362,6 @@ let t_server_garbage = R.test ~count:200 ~name:"server absorbs garbage"
 let () =
   R.run ~suite:"test_prop_wire"
     [ t_int_rt; t_u62_rt; t_u32_rt; t_bytes_rt; t_compound_rt; t_count_guard; t_z_rt;
-      t_value_rt; t_request_canonical; t_response_canonical; t_truncation; t_mutation;
+      t_value_rt; t_request_canonical; t_response_canonical; t_hist_quantile_rt;
+      t_hist_length_checked; t_truncation; t_mutation;
       t_garbage; t_server_valid; t_other_version; t_server_mutated; t_server_garbage ]

@@ -250,9 +250,11 @@ let test_stats_roundtrip () =
   M.observe h 0.5;
   M.observe h 12.0;
   M.set_enabled false;
+  let snap = M.snapshot () in
   let report =
-    { P.sr_snapshot = M.snapshot (); sr_audit = A.summary (); sr_uptime_s = 12.5;
-      sr_start_time = 1000.25; sr_gc = sample_gc_stats; sr_topology = sample_topology }
+    { P.sr_snapshot = snap; sr_shards = [ (1, snap) ]; sr_audit = A.summary ();
+      sr_uptime_s = 12.5; sr_start_time = 1000.25; sr_gc = sample_gc_stats;
+      sr_topology = sample_topology }
   in
   M.reset ();
   Alcotest.(check bool) "Stats roundtrips" true
@@ -261,6 +263,8 @@ let test_stats_roundtrip () =
   (match P.decode_response (P.encode_response resp) with
    | P.Stats_report r ->
      Alcotest.(check bool) "snapshot survives the wire" true (r.P.sr_snapshot = report.P.sr_snapshot);
+     Alcotest.(check bool) "shard snapshots survive the wire" true
+       (r.P.sr_shards = report.P.sr_shards);
      Alcotest.(check bool) "gauges survive the wire" true
        (List.assoc_opt "test.proto_gauge" r.P.sr_snapshot.Sagma_obs.Metrics.gauges = Some 3);
      Alcotest.(check bool) "audit summary survives the wire" true (r.P.sr_audit = report.P.sr_audit);
@@ -288,6 +292,34 @@ let test_stats_via_server () =
         Alcotest.(check bool) "request latency histogram present" true
           (List.mem_assoc "proto.request_ms" sr_snapshot.M.histograms)
       | _ -> Alcotest.fail "expected Stats_report from the server")
+
+(* With auditing on, a served SUM's trace is checked against the
+   declared leakage, on a single server and on a shard alike: one
+   check per answered Aggregate, none failing. *)
+let test_served_audit () =
+  let module A = Sagma_obs.Audit in
+  let agg = P.encode_request (P.Aggregate { name = "t"; token = Scheme.token client query }) in
+  A.reset ();
+  A.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      A.set_enabled false;
+      A.reset ())
+    (fun () ->
+      List.iteri
+        (fun k state ->
+          (match Server.handle state (P.Upload { name = "t"; table = enc }) with
+           | P.Ack -> ()
+           | _ -> Alcotest.fail "upload failed");
+          (match decode_with state agg with
+           | P.Aggregates _ -> ()
+           | _ -> Alcotest.fail "expected Aggregates");
+          match Server.handle state P.Stats with
+          | P.Stats_report { P.sr_audit; _ } ->
+            Alcotest.(check int) "one check per served Aggregate" (k + 1) sr_audit.A.s_checks_run;
+            Alcotest.(check int) "no check failed" 0 sr_audit.A.s_check_failures
+          | _ -> Alcotest.fail "expected Stats_report")
+        [ Server.create (); Server.create ~shard:(1, 2) () ])
 
 let test_error_code_roundtrip () =
   List.iter
@@ -394,7 +426,7 @@ let empty_snapshot = { Sagma_obs.Metrics.counters = []; gauges = []; histograms 
 let test_gc_roundtrip () =
   (* Stats_report heap stats survive the wire... *)
   let report =
-    { P.sr_snapshot = empty_snapshot; sr_audit = Sagma_obs.Audit.summary ();
+    { P.sr_snapshot = empty_snapshot; sr_shards = []; sr_audit = Sagma_obs.Audit.summary ();
       sr_uptime_s = 1.5; sr_start_time = 10.; sr_gc = sample_gc_stats;
       sr_topology = sample_topology }
   in
@@ -757,7 +789,7 @@ let check_other_versions_rejected what decode frame =
 
 let test_topology_roundtrip () =
   let report =
-    { P.sr_snapshot = empty_snapshot; sr_audit = Sagma_obs.Audit.summary ();
+    { P.sr_snapshot = empty_snapshot; sr_shards = []; sr_audit = Sagma_obs.Audit.summary ();
       sr_uptime_s = 1.; sr_start_time = 10.; sr_gc = sample_gc_stats;
       sr_topology = sample_topology }
   in
@@ -1190,6 +1222,8 @@ let test_stats_report_json () =
     { P.sr_snapshot =
         { Sagma_obs.Metrics.counters = [ ("proto.requests", 17) ]; gauges = [ ("pool.queue_depth", 2) ];
           histograms = [] };
+      sr_shards =
+        [ (0, { Sagma_obs.Metrics.counters = [ ("proto.requests", 5) ]; gauges = []; histograms = [] }) ];
       sr_audit = Sagma_obs.Audit.summary (); sr_uptime_s = 12.5; sr_start_time = 99.25;
       sr_gc = sample_gc_stats; sr_topology = sample_topology }
   in
@@ -1198,7 +1232,8 @@ let test_stats_report_json () =
     (fun needle ->
       Alcotest.(check bool) (Printf.sprintf "stats json carries %s" needle) true (contains j needle))
     [ "\"snapshot\":"; "\"proto.requests\":17"; "\"pool.queue_depth\":2"; "\"uptime_s\":12.5";
-      "\"start_time\":99.25"; "\"audit\":"; "\"gc\":"; "\"topology\":"; "\"role\":\"shard\"" ];
+      "\"start_time\":99.25"; "\"audit\":"; "\"gc\":"; "\"topology\":"; "\"role\":\"shard\"";
+      "\"shards\":[{\"index\":0,\"snapshot\":{\"counters\":{\"proto.requests\":5}" ];
   (* Both sections are always present, with their fields. *)
   List.iter
     (fun needle ->
@@ -1307,8 +1342,8 @@ let test_draining () =
     (fun () -> drain "coordinator" (Server.create ~fleet:r ()))
 
 (* A coordinator node answers Stats and Health for the fleet: the
-   federated snapshot with per-shard labeled series, the "coordinator"
-   topology and the per-shard health block. *)
+   federated snapshot plus each shard's own under its index, the
+   "coordinator" topology and the per-shard health block. *)
 let test_coordinator_node_stats_health () =
   let module M = Sagma_obs.Metrics in
   let s0 = Server.create ~shard:(0, 2) () in
@@ -1332,17 +1367,21 @@ let test_coordinator_node_stats_health () =
                | P.Ack -> ()
                | _ -> Alcotest.fail "upload through the coordinator node failed");
               (match Server.handle node P.Stats with
-               | P.Stats_report { P.sr_snapshot; sr_topology = t; _ } ->
+               | P.Stats_report { P.sr_snapshot; sr_shards; sr_topology = t; _ } ->
                  Alcotest.(check string) "topology role" "coordinator" t.P.tp_role;
                  Alcotest.(check (list string)) "topology endpoints" [ "7489"; "7490" ]
                    t.P.tp_shards;
+                 Alcotest.(check (list int)) "one snapshot per shard, by index" [ 0; 1 ]
+                   (List.map fst sr_shards);
                  List.iter
-                   (fun label ->
+                   (fun (i, snap) ->
                      Alcotest.(check bool)
-                       (Printf.sprintf "federated counters carry %s" label)
-                       true
-                       (List.exists (fun (name, _) -> contains name label) sr_snapshot.M.counters))
-                   [ "{shard=\"0\"}"; "{shard=\"1\"}" ]
+                       (Printf.sprintf "shard %d snapshot carries counters" i)
+                       true (snap.M.counters <> []))
+                   sr_shards;
+                 (* No shard identity leaks into the fleet's series names. *)
+                 Alcotest.(check bool) "fleet names unlabeled" false
+                   (List.exists (fun (name, _) -> contains name "shard=") sr_snapshot.M.counters)
                | _ -> Alcotest.fail "expected Stats_report");
               match Server.handle node P.Health with
               | P.Health_report hr ->
@@ -1402,6 +1441,7 @@ let () =
       ( "stats and health",
         [ Alcotest.test_case "stats roundtrip" `Quick test_stats_roundtrip;
           Alcotest.test_case "stats via server" `Quick test_stats_via_server;
+          Alcotest.test_case "served aggregate is audited" `Quick test_served_audit;
           Alcotest.test_case "gc telemetry roundtrip" `Quick test_gc_roundtrip;
           Alcotest.test_case "stats report json" `Quick test_stats_report_json;
           Alcotest.test_case "health roundtrip" `Quick test_health_roundtrip;
