@@ -53,6 +53,7 @@ module Obs = Sagma_obs.Metrics
 module Export = Sagma_obs.Export
 module Trace = Sagma_obs.Trace
 module Log = Sagma_obs.Log
+module Audit = Sagma_obs.Audit
 module Pool = Sagma_pool.Pool
 module Scheme = Sagma.Scheme
 module Bgn = Sagma.Scheme.Bgn
@@ -230,16 +231,37 @@ let call_shard (r : t) (sh : shard) (req : P.request) : P.response * Trace.rtrac
            Unix.setsockopt_float fd Unix.SO_RCVTIMEO deadline;
            Unix.setsockopt_float fd Unix.SO_SNDTIMEO deadline
          with Unix.Unix_error _ | Invalid_argument _ -> ());
-      Transport.send fd (P.encode_request ?trace req);
-      P.decode_response_x (Transport.recv fd))
+      Transport.call_x ?trace fd req)
 
-(* [call_shard] with every failure mode — unreachable endpoint,
-   deadline, malformed reply, or the shard's own [Failed] — turned into
-   a [Failed] response naming the shard, so the client always learns
-   which node broke the query. Transport-level failures mark the shard
-   down for the prober; any decoded reply marks it up. When probing is
-   on, a known-down shard is fast-failed without a connect attempt —
-   the background prober notices recovery within one interval. *)
+(* [call_shard] with its health bookkeeping, shared by fan-out calls
+   and probes: any decoded reply — even a [Failed] — proves the shard
+   alive and marks it up; a transport-level failure (unreachable
+   endpoint, deadline, malformed reply) bumps [errors], marks the shard
+   down and comes back as [Error message]. *)
+let exchange (r : t) (i : int) (sh : shard) ~(errors : Obs.counter) (req : P.request) :
+    (P.response * Trace.rtrace option, string) result =
+  let t0 = Unix.gettimeofday () in
+  let down msg =
+    Obs.incr errors;
+    record_failure r i sh msg;
+    Error msg
+  in
+  match call_shard r sh req with
+  | reply ->
+    record_success r i sh ((Unix.gettimeofday () -. t0) *. 1000.);
+    Ok reply
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+    down (Printf.sprintf "deadline exceeded after %d ms" r.deadline_ms)
+  | exception Unix.Unix_error (e, _, _) -> down (Unix.error_message e)
+  | exception (Failure msg | Sagma_wire.Wire.Decode_error msg) -> down msg
+
+(* A fan-out call: every failure mode — unreachable endpoint, deadline,
+   malformed reply, or the shard's own [Failed] — becomes a [Failed]
+   response naming the shard, so the client always learns which node
+   broke the query. An application-level failure from a live shard (no
+   such table, bad request, ...) is not unhealth. When probing is on, a
+   known-down shard is fast-failed without a connect attempt — the
+   background prober notices recovery within one interval. *)
 let safe_call (r : t) (i : int) (sh : shard) (req : P.request) :
     P.response * Trace.rtrace option =
   let label = shard_label i sh in
@@ -250,34 +272,13 @@ let safe_call (r : t) (i : int) (sh : shard) (req : P.request) :
         sh.sh_last_error,
       None )
   end
-  else begin
-    let t0 = Unix.gettimeofday () in
-    let lived () = record_success r i sh ((Unix.gettimeofday () -. t0) *. 1000.) in
-    match call_shard r sh req with
-    | P.Failed { code; message }, x ->
-      (* An application-level failure from a live shard (no such table,
-         bad request, ...) is not unhealth — the shard answered. *)
+  else
+    match exchange r i sh ~errors:m_shard_errors req with
+    | Ok (P.Failed { code; message }, x) ->
       Obs.incr m_shard_errors;
-      lived ();
       (P.Failed { code; message = Printf.sprintf "%s: %s" label message }, x)
-    | resp, x ->
-      lived ();
-      (resp, x)
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      Obs.incr m_shard_errors;
-      let msg = Printf.sprintf "deadline exceeded after %d ms" r.deadline_ms in
-      record_failure r i sh msg;
-      (P.failed P.Internal_error "%s: %s" label msg, None)
-    | exception Unix.Unix_error (e, _, _) ->
-      Obs.incr m_shard_errors;
-      let msg = Unix.error_message e in
-      record_failure r i sh msg;
-      (P.failed P.Internal_error "%s: %s" label msg, None)
-    | exception (Failure msg | Sagma_wire.Wire.Decode_error msg) ->
-      Obs.incr m_shard_errors;
-      record_failure r i sh msg;
-      (P.failed P.Internal_error "%s: %s" label msg, None)
-  end
+    | Ok reply -> reply
+    | Error msg -> (P.failed P.Internal_error "%s: %s" label msg, None)
 
 (* --- background probing ---------------------------------------------------- *)
 
@@ -285,21 +286,7 @@ let safe_call (r : t) (i : int) (sh : shard) (req : P.request) :
    is never itself fast-failed. *)
 let probe_shard (r : t) (i : int) (sh : shard) : unit =
   Obs.incr m_probes;
-  let t0 = Unix.gettimeofday () in
-  let finish_ok () = record_success r i sh ((Unix.gettimeofday () -. t0) *. 1000.) in
-  let failed msg =
-    Obs.incr m_probe_failures;
-    record_failure r i sh msg
-  in
-  match call_shard r sh P.Health with
-  | _, _ ->
-    (* Any decoded reply — Health_report, even a Failed — proves the
-       shard is alive and answering. *)
-    finish_ok ()
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-    failed (Printf.sprintf "deadline exceeded after %d ms" r.deadline_ms)
-  | exception Unix.Unix_error (e, _, _) -> failed (Unix.error_message e)
-  | exception (Failure msg | Sagma_wire.Wire.Decode_error msg) -> failed msg
+  ignore (exchange r i sh ~errors:m_probe_failures P.Health)
 
 let probe_all (r : t) : unit =
   match r.probe_pool with
@@ -381,17 +368,30 @@ let first_failure (results : (P.response * Trace.rtrace option) array) : P.respo
 
 (* The coordinator's Stats reply covers the fleet: its own snapshot is
    ⊕-merged with every reachable shard's into unlabeled fleet
-   aggregates, and each shard's snapshot also rides along under its
-   index. Unreachable or failing shards are skipped — a Stats scrape
-   must degrade, never fail. *)
-let federated_snapshot (r : t) : Obs.snapshot * (int * Obs.snapshot) list =
-  let shards =
+   aggregates, each shard's snapshot also rides along under its index,
+   and the audit summary is the sum of its own and every reachable
+   shard's (a coordinator probes and checks nothing itself). Unreachable
+   or failing shards are skipped — a Stats scrape must degrade, never
+   fail. *)
+let federated_snapshot (r : t) :
+    Obs.snapshot * (int * Obs.snapshot) list * Audit.summary =
+  let reports =
     Array.to_list (fanout r P.Stats)
     |> List.mapi (fun i (resp, _) ->
-           match resp with P.Stats_report rep -> Some (i, rep.P.sr_snapshot) | _ -> None)
+           match resp with P.Stats_report rep -> Some (i, rep) | _ -> None)
     |> List.filter_map Fun.id
   in
-  (List.fold_left (fun acc (_, s) -> Obs.merge_snapshots acc s) (Obs.snapshot ()) shards, shards)
+  let add_audit (a : Audit.summary) (_, rep) =
+    let b = rep.P.sr_audit in
+    { Audit.s_requests = a.Audit.s_requests + b.Audit.s_requests;
+      s_probes = a.s_probes + b.s_probes;
+      s_checks_run = a.s_checks_run + b.s_checks_run;
+      s_check_failures = a.s_check_failures + b.s_check_failures }
+  in
+  let shards = List.map (fun (i, rep) -> (i, rep.P.sr_snapshot)) reports in
+  ( List.fold_left (fun acc (_, s) -> Obs.merge_snapshots acc s) (Obs.snapshot ()) shards,
+    shards,
+    List.fold_left add_audit (Audit.summary ()) reports )
 
 let handle (r : t) (req : P.request) : P.response =
   match req with

@@ -74,12 +74,14 @@ val topology : t -> Protocol.topology
 (** The ["coordinator"] topology a coordinator reports in Stats. *)
 
 val federated_snapshot :
-  t -> Sagma_obs.Metrics.snapshot * (int * Sagma_obs.Metrics.snapshot) list
+  t ->
+  Sagma_obs.Metrics.snapshot * (int * Sagma_obs.Metrics.snapshot) list * Sagma_obs.Audit.summary
 (** The fleet's metrics from one [Stats] fan-out: this process's
     snapshot ⊕-merged with every reachable shard's into unlabeled fleet
-    aggregates, and each reachable shard's own snapshot under its index
-    in the fan-out order. Unreachable or failing shards are skipped, so
-    a scrape degrades instead of failing. *)
+    aggregates, each reachable shard's own snapshot under its index in
+    the fan-out order, and this process's audit summary plus every
+    reachable shard's. Unreachable or failing shards are skipped, so a
+    scrape degrades instead of failing. *)
 
 val handle : t -> Protocol.request -> Protocol.response
 (** Route one table request ([Upload], [Drop], [Append], [Aggregate],

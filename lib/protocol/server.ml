@@ -3,7 +3,7 @@
    Deliberately key-free: the state holds only what the client uploaded
    (semantically secure ciphertexts, the SSE index, public parameters),
    and every operation is expressible from public data — aggregation is
-   {!Sagma.Scheme.aggregate}, appends extend SSE postings from tokens.
+   {!Sagma.Scheme.aggregate}, an append is {!Sagma.Scheme.append}.
    The handler is transport-agnostic; {!Transport} adds framing.
 
    A server can also be one storage node of a scatter-gather fleet
@@ -38,18 +38,6 @@ let h_request_ms = Obs.histogram "proto.request_ms"
    a multi-MiB one is a memory-amplification vector. *)
 let max_table_name_len = 1024
 
-(* One registered table: the immutable snapshot plus a per-token
-   posting-count cache keyed by {!Sse.token_id}. Without the cache every
-   append re-walks each keyword's postings ([Sse.search]) under the
-   registry lock just to learn the next counter — O(postings) per
-   keyword, quadratic over a stream of appends. The first append of a
-   token pays one search; after that the counter is O(1). Upload
-   replaces the whole entry, so the cache can never outlive its index. *)
-type entry = {
-  mutable table : Scheme.enc_table;
-  post_counts : (string, int) Hashtbl.t;
-}
-
 (* Connection handlers may run on several pool domains at once, so the
    table registry takes a lock around every access. Aggregation — the
    expensive part — runs OUTSIDE the lock on a snapshot: [enc_table]
@@ -60,7 +48,7 @@ type entry = {
    connections (a task awaiting futures on its own pool deadlocks). *)
 type t = {
   lock : Mutex.t;
-  tables : (string, entry) Hashtbl.t;
+  tables : (string, Scheme.enc_table) Hashtbl.t;
   agg_pool : Pool.t option;
   shard : (int * int) option;  (* (index, count) storage-node slice *)
   fleet : Router.t option;     (* coordinator: table requests fan out here *)
@@ -90,7 +78,7 @@ let with_lock (s : t) (f : unit -> 'a) : 'a =
 
 let table_names (s : t) : (string * int) list =
   with_lock s (fun () ->
-      Hashtbl.fold (fun name e acc -> (name, Array.length e.table.Scheme.rows) :: acc) s.tables [])
+      Hashtbl.fold (fun name et acc -> (name, Array.length et.Scheme.rows) :: acc) s.tables [])
   |> List.sort compare
 
 (* Stable kebab-case name of the request constructor (log field). *)
@@ -122,12 +110,13 @@ let handle_x ~(aggregated : (Scheme.enc_table * Scheme.token) option ref) (s : t
     (* A read-only snapshot: safe to serve even while the registry is
        being written — counters are atomic, histograms lock per cell.
        A coordinator's covers the fleet. *)
-    let sr_snapshot, sr_shards =
-      match s.fleet with Some r -> Router.federated_snapshot r | None -> (Obs.snapshot (), [])
+    let sr_snapshot, sr_shards, sr_audit =
+      match s.fleet with
+      | Some r -> Router.federated_snapshot r
+      | None -> (Obs.snapshot (), [], Audit.summary ())
     in
     Protocol.Stats_report
-      { Protocol.sr_snapshot; sr_shards;
-        sr_audit = Audit.summary ();
+      { Protocol.sr_snapshot; sr_shards; sr_audit;
         sr_uptime_s = Unix.gettimeofday () -. s.started; sr_start_time = s.started;
         sr_gc = gc_stats_now ();
         sr_topology =
@@ -160,8 +149,7 @@ let handle_x ~(aggregated : (Scheme.enc_table * Scheme.token) option ref) (s : t
       (String.length name) max_table_name_len
   | _, Some r -> Router.handle r req
   | Protocol.Upload { name; table }, None ->
-    with_lock s (fun () ->
-        Hashtbl.replace s.tables name { table; post_counts = Hashtbl.create 8 });
+    with_lock s (fun () -> Hashtbl.replace s.tables name table);
     Protocol.Ack
   | Protocol.List_tables, None -> Protocol.Tables (table_names s)
   | Protocol.Drop name, None ->
@@ -177,8 +165,7 @@ let handle_x ~(aggregated : (Scheme.enc_table * Scheme.token) option ref) (s : t
        requests pay for the lookup, not for each other's pairings. *)
     match with_lock s (fun () -> Hashtbl.find_opt s.tables name) with
     | None -> Protocol.failed Protocol.No_such_table "no such table %S" name
-    | Some e -> (
-      let et = with_lock s (fun () -> e.table) in
+    | Some et -> (
       aggregated := Some (et, token);
       (* A storage node only pairs the rows of its slice; the
          coordinator ⊕-merges the per-shard partials back into the
@@ -205,12 +192,10 @@ let handle_x ~(aggregated : (Scheme.enc_table * Scheme.token) option ref) (s : t
     with_lock s (fun () ->
         match Hashtbl.find_opt s.tables name with
         | None -> Protocol.failed Protocol.No_such_table "no such table %S" name
-        | Some e when e.table.Scheme.index_mode = Scheme.Oxt_conjunctive ->
-          ignore (row, keywords);
+        | Some et when et.Scheme.index_mode = Scheme.Oxt_conjunctive ->
           Protocol.failed Protocol.Unsupported
             "remote appends are unsupported for OXT-indexed tables"
-        | Some e -> (
-          let et = e.table in
+        | Some et -> (
           let local = Array.length et.Scheme.rows in
           let encode_row = Sagma_wire.Wire.encode Sagma.Serialize.put_enc_row in
           match row_id with
@@ -228,28 +213,7 @@ let handle_x ~(aggregated : (Scheme.enc_table * Scheme.token) option ref) (s : t
               "append out of sync: coordinator row id %d, local next row %d" id local
           | _ -> (
             try
-              let id = local in
-              (* Each keyword's next counter comes from the cache when
-                 warm; a cold token pays one [Sse.search]. The cache is
-                 committed only after every [add_with_token] succeeded,
-                 so a failed append cannot desynchronize it. *)
-              let index, bumped =
-                List.fold_left
-                  (fun (index, bumped) tok ->
-                    let tid = Sse.token_id tok in
-                    let counter =
-                      match List.assoc_opt tid bumped with
-                      | Some c -> c
-                      | None -> (
-                        match Hashtbl.find_opt e.post_counts tid with
-                        | Some c -> c
-                        | None -> List.length (Sse.search index tok))
-                    in
-                    (Sse.add_with_token index tok ~counter id, (tid, counter + 1) :: bumped))
-                  (et.Scheme.index, []) keywords
-              in
-              List.iter (fun (tid, c) -> Hashtbl.replace e.post_counts tid c) bumped;
-              e.table <- { et with Scheme.rows = Array.append et.Scheme.rows [| row |]; index };
+              Hashtbl.replace s.tables name (Scheme.append et row keywords);
               Protocol.Ack
             with
             | Invalid_argument msg -> Protocol.failed Protocol.Bad_request "%s" msg

@@ -227,8 +227,8 @@ let listen_and_serve ?(workers = 0) ?(max_conns = 64)
            else begin
              register conn;
              set_deadlines conn;
-             if Pool.workers pool = 0 then handle_conn conn peer
-             else ignore (Pool.submit pool (fun () -> handle_conn conn peer))
+             (* A zero-worker pool runs the task inline. *)
+             ignore (Pool.submit pool (fun () -> handle_conn conn peer))
            end;
            accept_loop ()
          | exception Unix.Unix_error ((EINTR | ECONNABORTED | EAGAIN | EWOULDBLOCK) as e, _, _)

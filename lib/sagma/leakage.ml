@@ -236,7 +236,7 @@ let simulate (pk : Bgn.public_key) (leak : t) (drbg : Drbg.t) : simulated =
   while Hashtbl.length dict < leak.index_size do
     Hashtbl.replace dict (Drbg.bytes drbg Sse.label_size) (Drbg.bytes drbg Sse.id_size)
   done;
-  let sim_index = { Sse.dict; entries = Hashtbl.length dict } in
+  let sim_index = Sse.of_dict dict in
   { sim_rows;
     sim_index;
     sim_tokens = Hashtbl.fold (fun tag tok acc -> (tag, tok) :: acc) tokens [] }

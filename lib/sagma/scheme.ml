@@ -331,9 +331,16 @@ let encrypt_table ?(dummy_groups : Value.t array list = []) ?(index_mode = Per_a
 
 (* Database updates (§3/§8: "this algorithm can be used for database
    updates after the initial table encryption if the bucket index I is
-   updated correspondingly"): EncRow one new row and extend the SSE
-   postings. The per-keyword counters are recovered by replaying the
-   keyword search, which only uses key material the client holds. *)
+   updated correspondingly"). [append] is the one function that grows
+   the Π_bas index: it needs only the encrypted row and its keywords'
+   tokens, so a client appending locally and a server applying a remote
+   Append run the same code. In OXT mode Π_bas holds the filters only;
+   the bucket postings need the OXT keys and stay with [append_row]. *)
+let append (et : enc_table) (row : enc_row) (tokens : Sse.token list) : enc_table =
+  { et with
+    rows = Array.append et.rows [| row |];
+    index = Sse.add et.index tokens (Array.length et.rows) }
+
 let append_row ?(range_values : (string * int) list = []) (c : client) (et : enc_table)
     ~(values : int array) ~(groups : Value.t array) ~(filters : (string * Value.t) list) :
     enc_table =
@@ -342,26 +349,17 @@ let append_row ?(range_values : (string * int) list = []) (c : client) (et : enc
       ~dummy:false
   in
   let id = Array.length et.rows in
-  let index =
-    List.fold_left
-      (fun index kw ->
-        let counter = List.length (Sse.search index (Sse.token c.sse_key kw)) in
-        Sse.add c.sse_key index kw ~counter id)
-      et.index keywords
-  in
   let add_oxt oxt kw =
     let counter = Oxt.stag_count oxt (Oxt.stag c.oxt_key kw) in
     Oxt.add (oxt_params ()) c.oxt_key oxt kw ~counter id
   in
-  { et with
-    rows = Array.append et.rows [| row |];
-    index;
+  { (append et row (List.map (Sse.token c.sse_key) keywords)) with
     oxt_index = Option.map (fun oxt -> List.fold_left add_oxt oxt oxt_keywords) et.oxt_index }
 
 (* Client-side half of a *remote* append: the encrypted row plus the SSE
-   tokens of its keywords. A server holding the encrypted table can
-   derive the new postings from the tokens alone (Sse.add_with_token);
-   see Sagma_protocol.Server. [index_mode] must match the remote table. *)
+   tokens of its keywords. A server holding the encrypted table applies
+   them with [append]; see Sagma_protocol.Server. [index_mode] must
+   match the remote table. *)
 let append_payload ?(index_mode = Per_attribute) ?(range_values : (string * int) list = [])
     (c : client) ~(values : int array) ~(groups : Value.t array)
     ~(filters : (string * Value.t) list) : enc_row * Sse.token list =

@@ -124,6 +124,13 @@ val filter_keyword : column:string -> Value.t -> string
 
 (** {1 Database updates} *)
 
+val append : enc_table -> enc_row -> Sse.token list -> enc_table
+(** [append et row tokens] appends [row] and posts it in the Π_bas
+    index under each token at that keyword's next counter. Public data
+    only: the one function that grows a table's Π_bas index, for a local
+    {!append_row} and a served Append alike. In {!Oxt_conjunctive} mode
+    it does not touch the OXT index. Non-destructive. *)
+
 val append_row :
   ?range_values:(string * int) list ->
   client ->
@@ -132,9 +139,10 @@ val append_row :
   groups:Value.t array ->
   filters:(string * Value.t) list ->
   enc_table
-(** Encrypt and append one row, extending the SSE postings (the paper's
-    EncRow-based update). [range_values] supplies the row's entries for
-    range-filter columns. Non-destructive. *)
+(** Encrypt and append one row (the paper's EncRow-based update):
+    EncRow, then {!append} with the row's keyword tokens, plus the OXT
+    postings in {!Oxt_conjunctive} mode. [range_values] supplies the
+    row's entries for range-filter columns. Non-destructive. *)
 
 val append_payload :
   ?index_mode:index_mode ->
@@ -145,8 +153,7 @@ val append_payload :
   filters:(string * Value.t) list ->
   enc_row * Sse.token list
 (** Client half of a remote append: the encrypted row plus the SSE tokens
-    from which a server extends the postings itself
-    (see [Sagma_protocol.Server]). *)
+    a server passes to {!append} (see [Sagma_protocol.Server]). *)
 
 (** {1 Tokens (Algorithm 4)} *)
 

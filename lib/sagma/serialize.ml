@@ -196,7 +196,7 @@ let get_enc_row (s : W.source) : Scheme.enc_row =
     pre_count = None }
 
 let put_sse_index (s : W.sink) (i : Sse.index) : unit =
-  W.put_u32 s i.Sse.entries;
+  W.put_u32 s (Sse.size i);
   let entries = Hashtbl.fold (fun k v acc -> (k, v) :: acc) i.Sse.dict [] in
   (* Canonical order so equal indexes encode identically. *)
   W.put_list s
@@ -206,7 +206,8 @@ let put_sse_index (s : W.sink) (i : Sse.index) : unit =
     (List.sort compare entries)
 
 let get_sse_index (s : W.source) : Sse.index =
-  let entries = W.get_u32 s in
+  (* The posting count is redundant with the pair list that follows. *)
+  ignore (W.get_u32 s);
   let pairs =
     W.get_list s (fun s ->
         let k = W.get_bytes s in
@@ -215,7 +216,7 @@ let get_sse_index (s : W.source) : Sse.index =
   in
   let dict = Hashtbl.create (2 * List.length pairs) in
   List.iter (fun (k, v) -> Hashtbl.replace dict k v) pairs;
-  { Sse.dict; entries }
+  Sse.of_dict dict
 
 (* --- OXT components ------------------------------------------------------ *)
 

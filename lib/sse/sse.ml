@@ -21,10 +21,19 @@ module Drbg = Sagma_crypto.Drbg
 
 type key = Prf.key
 
+module Counters = Map.Make (String)
+
+type counters = int Counters.t
+
+(* [next] maps a token's label key to its keyword's next posting
+   counter. Only {!add} fills it and it never goes on the wire. It is
+   persistent, so every older index value keeps its own counters. *)
 type index = {
   dict : (string, string) Hashtbl.t;  (* label -> masked id *)
-  entries : int;                      (* total (keyword, id) pairs *)
+  next : counters;
 }
+
+let of_dict (dict : (string, string) Hashtbl.t) : index = { dict; next = Counters.empty }
 
 type token = {
   t_label : Prf.key;  (* K1: label derivation *)
@@ -73,31 +82,7 @@ let build (k : key) (assoc : (string * int list) list) : index =
           Hashtbl.add dict label value)
         ids)
     assoc;
-  { dict; entries }
-
-(* [add k index w id] appends one posting; the caller must pass the
-   current result-count for [w] as the counter (supports the paper's
-   EncRow-based updates). Non-destructive: the input index is copied, so
-   values holding the old index stay valid (an append costs O(index)). *)
-let add (k : key) (index : index) (w : string) ~(counter : int) (id : int) : index =
-  let t = token k w in
-  let label, value = entry t counter id in
-  if Hashtbl.mem index.dict label then failwith "Sse.add: label collision";
-  let dict = Hashtbl.copy index.dict in
-  Hashtbl.add dict label value;
-  { dict; entries = index.entries + 1 }
-
-(* Token-based insertion: everything needed to extend a keyword's posting
-   list is derivable from its token, so a server holding a token (e.g.
-   during a remote append) can insert the next entry itself. This trades
-   forward privacy for update support, like most token-revealing dynamic
-   SSE schemes. Non-destructive, like {!add}. *)
-let add_with_token (index : index) (t : token) ~(counter : int) (id : int) : index =
-  let label, value = entry t counter id in
-  if Hashtbl.mem index.dict label then failwith "Sse.add_with_token: label collision";
-  let dict = Hashtbl.copy index.dict in
-  Hashtbl.add dict label value;
-  { dict; entries = index.entries + 1 }
+  of_dict dict
 
 let m_searches = Sagma_obs.Metrics.counter "sse.searches"
 let m_postings = Sagma_obs.Metrics.counter "sse.postings_scanned"
@@ -119,6 +104,31 @@ let search (index : index) (t : token) : int list =
 
 let size (index : index) = Hashtbl.length index.dict
 
+(* [add index tokens id] posts row [id] under each token at its
+   keyword's next counter (the paper's EncRow-based updates). Tokens
+   suffice, so a server can apply a remote append itself, trading
+   forward privacy for update support like most token-revealing dynamic
+   SSE schemes. A cold token's counter costs one search of the old
+   index; a repeated token gets consecutive counters. Non-destructive:
+   the dictionary is copied once per call. *)
+let add (index : index) (tokens : token list) (id : int) : index =
+  let dict = Hashtbl.copy index.dict in
+  let next =
+    List.fold_left
+      (fun next t ->
+        let counter =
+          match Counters.find_opt t.t_label next with
+          | Some c -> c
+          | None -> List.length (search index t)
+        in
+        let label, value = entry t counter id in
+        if Hashtbl.mem dict label then failwith "Sse.add: label collision";
+        Hashtbl.add dict label value;
+        Counters.add t.t_label (counter + 1) next)
+      index.next tokens
+  in
+  { dict; next }
+
 (* --- simulator ----------------------------------------------------------
 
    For the security experiment (§4.2): given only the index size and, per
@@ -132,7 +142,7 @@ let simulate_index (drbg : Drbg.t) ~(entries : int) : index =
   for _ = 1 to entries do
     Hashtbl.add dict (Drbg.bytes drbg label_size) (Drbg.bytes drbg id_size)
   done;
-  { dict; entries }
+  of_dict dict
 
 let simulate_token (drbg : Drbg.t) : token =
   { t_label = Drbg.bytes drbg Prf.key_size; t_mask = Drbg.bytes drbg Prf.key_size }

@@ -14,10 +14,18 @@ module Drbg = Sagma_crypto.Drbg
 
 type key = Prf.key
 
-type index = {
-  dict : (string, string) Hashtbl.t;  (** label → masked id *)
-  entries : int;                      (** total postings *)
+type counters
+(** Each keyword's next posting counter, keyed by its token. Filled only
+    by {!add} and never serialized. *)
+
+type index = private {
+  dict : (string, string) Hashtbl.t;  (** label → masked id, one per posting *)
+  next : counters;
 }
+
+val of_dict : (string, string) Hashtbl.t -> index
+(** An index over an existing dictionary, with cold counters (a decoded
+    index, the simulator's). *)
 
 type token = {
   t_label : Prf.key;  (** K₁: label derivation *)
@@ -39,24 +47,24 @@ val token_id : token -> string
 val entry : token -> int -> int -> string * string
 (** [entry t counter id] is the [(label, masked id)] pair for the
     [counter]-th posting of the token's keyword. Exposed for the
-    simulator and for server-side appends. *)
+    simulator. *)
 
 val build : key -> (string * int list) list -> index
 (** Build the encrypted index from keyword → matching ids. *)
-
-val add : key -> index -> string -> counter:int -> int -> index
-(** Append one posting ([counter] = current posting count of the
-    keyword). Non-destructive: the input index remains valid. *)
-
-val add_with_token : index -> token -> counter:int -> int -> index
-(** Like {!add} but from a token — what a server does during remote
-    appends (trading forward privacy for update support). *)
 
 val search : index -> token -> int list
 (** Walk the token's counters until a label misses; returns matching row
     ids in insertion order. *)
 
 val size : index -> int
+
+val add : index -> token list -> int -> index
+(** [add index tokens id] posts row [id] under each token at its
+    keyword's next counter: the one way an index grows after {!build}.
+    Works from tokens alone, so a server can apply a remote append. A
+    warm token's counter is cached in the index; a cold one costs one
+    {!search} of [index]. A token repeated in [tokens] gets consecutive
+    counters. Non-destructive: the input index remains valid. *)
 
 (** {1 Simulator} (for the §4.2 security experiment) *)
 

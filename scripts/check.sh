@@ -258,10 +258,12 @@ CSV
 # router fanning out over them. --metrics on the shards lets the
 # coordinator's sampled requests pull EXPLAIN trailers back for span
 # grafting; --trace-sample 1 on the coordinator traces every request.
-"$SERVER" --port "$SHARD0_PORT" --shard-of 0/2 --metrics \
+# --audit on the shards checks each answered Aggregate; the
+# coordinator's Stats reply sums their audit summaries.
+"$SERVER" --port "$SHARD0_PORT" --shard-of 0/2 --metrics --audit \
   > "$CL_DIR/shard0.out" 2>&1 &
 SHARD0_PID=$!
-"$SERVER" --port "$SHARD1_PORT" --shard-of 1/2 --metrics \
+"$SERVER" --port "$SHARD1_PORT" --shard-of 1/2 --metrics --audit \
   > "$CL_DIR/shard1.out" 2>&1 &
 SHARD1_PID=$!
 sleep 1
@@ -288,6 +290,9 @@ grep -q "4000" "$CL_DIR/query.out"
 # The Stats topology line names each node's role.
 "$CLI" stats --port "$COORD_PORT" | grep -q "^topology: coordinator over 2 shards"
 "$CLI" stats --port "$SHARD0_PORT" | grep -q "^topology: shard 0/2"
+# The shards audited the remote query, and the coordinator reports it.
+"$CLI" stats --port "$COORD_PORT" | grep "^audit: " | grep -q " checks=[1-9]"
+"$CLI" stats --port "$COORD_PORT" | grep "^audit: " | grep -q " failures=0"
 # The distributed request renders as ONE stitched span tree on the
 # coordinator: request -> fanout -> shard:N -> remote:<phase>, the
 # remote spans grafted from each shard's EXPLAIN trailer.

@@ -838,11 +838,10 @@ let test_table_name_validation () =
    | _ -> Alcotest.fail "weird name mangled in listing");
   Alcotest.(check bool) "weird name drops" true (Server.handle state (P.Drop weird) = P.Ack)
 
-(* Append recomputed every keyword's posting counter with a full
-   [Sse.search] under the registry lock — O(postings) per append. The
-   per-token counter cache makes warm appends O(1): against a
-   10k-posting token, the first append pays one search and the rest
-   scan nothing. *)
+(* Finding a keyword's next posting counter by a full [Sse.search] is
+   O(postings) per append under the registry lock. The index's own
+   counter cache makes warm appends O(1): against a 10k-posting token,
+   the first append pays one search and the rest scan nothing. *)
 let test_append_posting_count_cached () =
   let module M = Sagma_obs.Metrics in
   let fat_tok = Sse.token (Sse.gen (Drbg.create "pr9-fat")) "fat-keyword" in
@@ -852,9 +851,7 @@ let test_append_posting_count_cached () =
     let label, value = Sse.entry fat_tok c (c mod 15) in
     Hashtbl.add dict label value
   done;
-  let fat_enc =
-    { enc with Scheme.index = { Sse.dict; entries = enc.Scheme.index.Sse.entries + postings } }
-  in
+  let fat_enc = { enc with Scheme.index = Sse.of_dict dict } in
   let state = Server.create () in
   (match Server.handle state (P.Upload { name = "t"; table = fat_enc }) with
    | P.Ack -> ()
@@ -891,6 +888,32 @@ let test_append_posting_count_cached () =
       Alcotest.(check bool)
         (Printf.sprintf "50 warm appends took %.0f ms" (elapsed *. 1000.))
         true (elapsed < 2.))
+
+(* An Append's token list is outside input: a token it repeats must
+   post the row once per occurrence at consecutive counters, never
+   collide on one label. *)
+let test_append_repeated_token () =
+  let row, keywords =
+    Scheme.append_payload client ~values:[| 1 |] ~groups:[| str "x" |] ~filters:[ ("f", vi 0) ]
+  in
+  let tok = List.hd keywords in
+  let before = Sse.search enc.Scheme.index tok in
+  let appended = Scheme.append enc row (tok :: keywords) in
+  Alcotest.(check (list int)) "both postings found" (before @ [ 15; 15 ])
+    (Sse.search appended.Scheme.index tok);
+  let state = Server.create () in
+  let send keywords =
+    match Server.handle state (P.Append { name = "t"; row; keywords; row_id = None }) with
+    | P.Ack -> ()
+    | P.Failed { message; _ } -> Alcotest.failf "append failed: %s" message
+    | _ -> Alcotest.fail "unexpected reply to Append"
+  in
+  (match Server.handle state (P.Upload { name = "t"; table = enc }) with
+   | P.Ack -> ()
+   | _ -> Alcotest.fail "upload failed");
+  send (tok :: keywords);
+  (* The next append continues after both postings. *)
+  send keywords
 
 (* The EXPLAIN cost block's bytes_out was filled from the response's
    first encoding, before the trailer itself was attached — always
@@ -1389,6 +1412,41 @@ let test_coordinator_node_stats_health () =
                 Alcotest.(check int) "one health entry per shard" 2 (List.length hr.P.hr_shards)
               | _ -> Alcotest.fail "expected Health_report")))
 
+(* A coordinator checks nothing itself; its Stats audit summary is its
+   own plus every reachable shard's. The three nodes here share one
+   process's audit state, so the reply reads three times it. *)
+let test_coordinator_sums_audits () =
+  let module A = Sagma_obs.Audit in
+  let s0 = Server.create ~shard:(0, 2) () in
+  let s1 = Server.create ~shard:(1, 2) () in
+  A.reset ();
+  A.set_enabled true;
+  with_handler ~port:7489 (Server.handle_encoded s0) (fun () ->
+      with_handler ~port:7490 (Server.handle_encoded s1) (fun () ->
+          let r = Router.create [ "7489"; "7490" ] in
+          Fun.protect
+            ~finally:(fun () ->
+              Router.shutdown r;
+              A.set_enabled false;
+              A.reset ())
+            (fun () ->
+              let node = Server.create ~fleet:r () in
+              (match Server.handle node (P.Upload { name = "t"; table = enc }) with
+               | P.Ack -> ()
+               | _ -> Alcotest.fail "upload through the coordinator node failed");
+              (match
+                 Server.handle node (P.Aggregate { name = "t"; token = Scheme.token client query })
+               with
+               | P.Aggregates _ -> ()
+               | _ -> Alcotest.fail "expected Aggregates");
+              Alcotest.(check int) "each shard checked its Aggregate" 2
+                (A.summary ()).A.s_checks_run;
+              match Server.handle node P.Stats with
+              | P.Stats_report { P.sr_audit; _ } ->
+                Alcotest.(check int) "own summary plus both shards'" 6 sr_audit.A.s_checks_run;
+                Alcotest.(check int) "no check failed" 0 sr_audit.A.s_check_failures
+              | _ -> Alcotest.fail "expected Stats_report")))
+
 let qprop name count gen f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count gen f)
 
 let props =
@@ -1451,14 +1509,16 @@ let () =
         [ Alcotest.test_case "topology roundtrip" `Quick test_topology_roundtrip;
           Alcotest.test_case "append row id roundtrip" `Quick test_append_row_id_roundtrip;
           Alcotest.test_case "table name validation" `Quick test_table_name_validation;
-          Alcotest.test_case "append posting-count cache" `Quick test_append_posting_count_cached ] );
+          Alcotest.test_case "append posting-count cache" `Quick test_append_posting_count_cached;
+          Alcotest.test_case "append repeated token" `Quick test_append_repeated_token ] );
       ( "coordinator",
         [ Alcotest.test_case "scatter-gather" `Quick test_coordinator_scatter_gather;
           Alcotest.test_case "shard down" `Quick test_coordinator_shard_down;
           Alcotest.test_case "query during append" `Quick test_coordinator_query_during_append;
           Alcotest.test_case "append retry" `Quick test_coordinator_append_retry;
           Alcotest.test_case "health probing" `Quick test_coordinator_health_probing;
-          Alcotest.test_case "node stats and health" `Quick test_coordinator_node_stats_health ] );
+          Alcotest.test_case "node stats and health" `Quick test_coordinator_node_stats_health;
+          Alcotest.test_case "stats sums shard audits" `Quick test_coordinator_sums_audits ] );
       ("transport", [ Alcotest.test_case "socket roundtrip" `Quick test_socket_roundtrip ]);
       ( "concurrency",
         [ Alcotest.test_case "parallel clients" `Quick test_parallel_clients;

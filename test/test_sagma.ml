@@ -580,6 +580,91 @@ let test_append_row () =
     [ ([ "Finance" ], 4000, 1) ]
     (results_to_list (Scheme.query example_client enc qf))
 
+(* The index carries each keyword's next posting counter: a local
+   append finds a fat keyword's counter with one search, and appends to
+   its result scan no postings at all. *)
+let test_append_row_counter_cached () =
+  let module Sse = Sagma_sse.Sse in
+  let module M = Sagma_obs.Metrics in
+  let tok =
+    Sse.token example_client.Scheme.sse_key (Scheme.filter_keyword ~column:"Name" (str "Zed"))
+  in
+  let postings = 10_000 in
+  let dict = Hashtbl.copy example_enc.Scheme.index.Sse.dict in
+  for c = 0 to postings - 1 do
+    let label, value = Sse.entry tok c (c mod 5) in
+    Hashtbl.add dict label value
+  done;
+  let fat = { example_enc with Scheme.index = Sse.of_dict dict } in
+  let append enc =
+    Scheme.append_row example_client enc ~values:[| 1 |] ~groups:[| str "male"; str "Sales" |]
+      ~filters:[ ("Name", str "Zed") ]
+  in
+  let scanned () =
+    Option.value ~default:0 (List.assoc_opt "sse.postings_scanned" (M.snapshot ()).M.counters)
+  in
+  M.reset ();
+  M.set_enabled true;
+  let enc, cold, warm =
+    Fun.protect
+      ~finally:(fun () ->
+        M.set_enabled false;
+        M.reset ())
+      (fun () ->
+        let enc = append fat in
+        let cold = scanned () in
+        let enc = List.fold_left (fun enc _ -> append enc) enc (List.init 5 Fun.id) in
+        (enc, cold, scanned ()))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "cold append walked the %d postings once (%d)" postings cold)
+    true
+    (cold >= postings && cold < 2 * postings);
+  Alcotest.(check int) "warm appends scan no postings" cold warm;
+  Alcotest.(check (list int)) "every append posted at the next counter"
+    (List.init 6 (fun k -> 5 + k))
+    (List.filteri (fun i _ -> i >= postings) (Sse.search enc.Scheme.index tok))
+
+(* Appends never mutate their input: two appends to the same table give
+   two tables that each hold exactly their own new row, and the shared
+   parent still answers as before. The parent's counters are warm, so a
+   cache shared between index values would misplace the second
+   branch's postings. *)
+let test_append_non_destructive () =
+  let base =
+    Scheme.append_row example_client example_enc ~values:[| 100 |]
+      ~groups:[| str "male"; str "Sales" |] ~filters:[ ("Name", str "Zed") ]
+  in
+  let a =
+    Scheme.append_row example_client base ~values:[| 200 |]
+      ~groups:[| str "female"; str "Finance" |]
+      ~filters:[ ("Name", str "Zed"); ("Department", str "Finance") ]
+  in
+  let b =
+    Scheme.append_row example_client base ~values:[| 300 |]
+      ~groups:[| str "male"; str "Facility" |]
+      ~filters:[ ("Name", str "Zed"); ("Department", str "Facility") ]
+  in
+  let q =
+    Query.make ~where:[ ("Name", str "Zed") ] ~group_by:[ "Gender"; "Department" ]
+      (Query.Sum "Salary")
+  in
+  let check name expected enc =
+    Alcotest.(check (list (triple (list string) int int)))
+      name expected
+      (results_to_list (Scheme.query example_client enc q))
+  in
+  check "first branch" [ ([ "female"; "Finance" ], 200, 1); ([ "male"; "Sales" ], 100, 1) ] a;
+  check "second branch" [ ([ "male"; "Facility" ], 300, 1); ([ "male"; "Sales" ], 100, 1) ] b;
+  check "parent unchanged" [ ([ "male"; "Sales" ], 100, 1) ] base;
+  check_matches_oracle "second branch, unfiltered"
+    (Table.of_rows example_schema
+       (Table.rows example_table
+       @ [ [| vi 6; vi 100; str "male"; str "Zed"; str "Sales" |];
+           [| vi 7; vi 300; str "male"; str "Zed"; str "Facility" |] ]))
+    b example_client
+    (Query.make ~group_by:[ "Gender"; "Department" ] (Query.Sum "Salary"))
+
 let test_append_row_validation () =
   let enc = Scheme.encrypt_table example_client example_table in
   Alcotest.check_raises "group arity" (Invalid_argument "Scheme.append_row: group arity mismatch")
@@ -709,7 +794,9 @@ let () =
       ("splits", [ Alcotest.test_case "split + merge roundtrip" `Quick test_value_split_roundtrip ]);
       ( "updates",
         [ Alcotest.test_case "append row" `Quick test_append_row;
-          Alcotest.test_case "append validation" `Quick test_append_row_validation ] );
+          Alcotest.test_case "append validation" `Quick test_append_row_validation;
+          Alcotest.test_case "append counters cached" `Quick test_append_row_counter_cached;
+          Alcotest.test_case "append non-destructive" `Quick test_append_non_destructive ] );
       ( "range-filters",
         [ Alcotest.test_case "matches oracle" `Slow test_range_filter_matches_oracle;
           Alcotest.test_case "full range" `Quick test_range_filter_empty_result;

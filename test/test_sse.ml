@@ -42,11 +42,11 @@ let test_index_size () =
 
 let test_add_posting () =
   let idx = Sse.build key [ ("k", [ 10; 20 ]) ] in
-  let idx = Sse.add key idx "k" ~counter:2 30 in
+  let idx = Sse.add idx [ Sse.token key "k" ] 30 in
   Alcotest.(check (list int)) "after add" [ 10; 20; 30 ]
     (sorted (Sse.search idx (Sse.token key "k")));
   (* New keyword via add. *)
-  let idx = Sse.add key idx "fresh" ~counter:0 77 in
+  let idx = Sse.add idx [ Sse.token key "fresh" ] 77 in
   Alcotest.(check (list int)) "fresh keyword" [ 77 ]
     (Sse.search idx (Sse.token key "fresh"))
 
