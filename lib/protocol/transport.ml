@@ -37,6 +37,11 @@ let m_rejected = Obs.counter "transport.rejected"
 let m_accept_retries = Obs.counter "transport.accept_retries"
 let g_inflight = Obs.gauge "transport.inflight"
 
+(* Connections being served by every listener of this process; each
+   listener's own count, which sheds arrivals, stays local to it. *)
+let connected = Atomic.make 0
+let connections () = Atomic.get connected
+
 (* Retry a syscall interrupted by a signal — unless the process is
    shutting down, in which case the signal may be the very reason to
    stop blocking. *)
@@ -179,10 +184,12 @@ let listen_and_serve ?(workers = 0) ?(max_conns = 64)
   let handle_conn conn peer =
     Obs.incr m_conns;
     Obs.gauge_incr g_inflight;
+    Atomic.incr connected;
     Log.info "conn.accepted" ~fields:[ Log.str "peer" peer ];
     Fun.protect
       ~finally:(fun () ->
         ignore (Atomic.fetch_and_add inflight (-1));
+        Atomic.decr connected;
         Obs.gauge_decr g_inflight;
         close_conn conn;
         Log.info "conn.closed" ~fields:[ Log.str "peer" peer ])

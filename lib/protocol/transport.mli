@@ -79,6 +79,11 @@ val listen_and_serve :
     [transport.rejected], [transport.accept_retries], plus the pool's
     [pool.tasks]/[pool.queue_depth]. *)
 
+val connections : unit -> int
+(** Connections being served right now by every {!listen_and_serve}
+    loop of this process (0 when none runs). The server offers its
+    aggregation helpers only while this is below its core count. *)
+
 val connect : ?host:string -> port:int -> unit -> Unix.file_descr
 (** TCP connection to [host:port] (default loopback). [?host] accepts a
     dotted quad or a resolvable name; @raise Failure when it resolves

@@ -231,10 +231,17 @@ val aggregate :
   token ->
   agg_result
 (** Algorithm 5. Deliberately takes only public data — no keys.
-    Row work within each joint bucket is split across worker domains
-    (the paper's multi-core parallelization) when [pool] is given: a
-    long-lived pool spawned once per process. The caller runs one chunk
-    itself, so a [w]-worker pool gives [w + 1]-way parallelism.
+    Each joint bucket's level-1 combination (every row's shifts, with
+    one shared inversion) runs on the caller. Two lists of independent
+    jobs follow, run through {!Sagma_pool.Pool.run_jobs}: first one
+    precomputation per row ciphertext whose cache slot is empty, then
+    one product of pairings per (block, CRT channel) accumulator, plus
+    one per block in [Count_paired] mode, each over all the bucket's
+    rows. The caller drains each list itself; with [pool] (a long-lived
+    pool spawned once per process) idle workers help, which is the
+    paper's multi-core parallelization. A job computes exactly what it
+    computes inline, so the result is byte-identical with or without a
+    pool, whatever the bucket's row count.
 
     [owned] restricts pairing work to the rows this node is responsible
     for in a sharded deployment (replicated storage, partitioned

@@ -1145,7 +1145,9 @@ let test_prof_attributes_pairing_loop () =
 (* A traced SUM served through the request pipeline carries the whole
    cost block in its EXPLAIN trailer — the multi-pairing and batched
    inversion counters included — and, under the profiler, the
-   request's allocation table. *)
+   request's allocation table. A server with an aggregation pool
+   reports the same pairing counts, cold and warm: helpers' pairings
+   land in the request, and a precomputation job is no cache hit. *)
 let test_served_explain_counts () =
   with_metrics @@ fun () ->
   let module P = Sagma_protocol.Protocol in
@@ -1157,25 +1159,48 @@ let test_served_explain_counts () =
       Prof.stop ();
       Prof.reset ())
   @@ fun () ->
-  let st = Server.create () in
-  ignore (Server.handle st (P.Upload { name = "t"; table = Scheme.encrypt_table client table }));
   let tok = Scheme.token client (Query.make ~group_by:[ "dept" ] (Query.Sum "salary")) in
-  let served () =
-    let raw =
-      Server.handle_encoded st
-        (P.encode_request ~trace:{ P.tc_id = None; tc_sampled = true }
-           (P.Aggregate { name = "t"; token = tok }))
+  (* A cold then a warm served Aggregate on a fresh upload. *)
+  let cold_warm st =
+    ignore (Server.handle st (P.Upload { name = "t"; table = Scheme.encrypt_table client table }));
+    let served () =
+      let raw =
+        Server.handle_encoded st
+          (P.encode_request ~trace:{ P.tc_id = None; tc_sampled = true }
+             (P.Aggregate { name = "t"; token = tok }))
+      in
+      match P.decode_response_x raw with
+      | P.Aggregates _, Some rt -> rt
+      | _ -> Alcotest.fail "expected a traced Aggregates reply"
     in
-    match P.decode_response_x raw with
-    | P.Aggregates _, Some rt -> rt
-    | _ -> Alcotest.fail "expected a traced Aggregates reply"
+    let cold = served () in
+    (cold, served ())
   in
-  let first = served () in
+  let first, warm = cold_warm (Server.create ()) in
   List.iter
     (fun name -> Alcotest.(check bool) (name ^ " > 0") true (count first name > 0))
     [ "cost.prod_calls"; "cost.invm_batch"; "alloc.pairing_loop" ];
-  Alcotest.(check bool) "cost.precomp_hits > 0 on the repeated query" true
-    (count (served ()) "cost.precomp_hits" > 0)
+  (* A cold query builds one table per (row, channel) and finds it
+     cached at every other block; a warm one finds every table. *)
+  let channels = Scheme.Crt.channels client.Scheme.pp.Scheme.channels in
+  Alcotest.(check int) "cold: hits = pairings - tables built"
+    (count first "cost.pairings" - (count first "cost.agg_rows" * channels))
+    (count first "cost.precomp_hits");
+  Alcotest.(check int) "warm: every pairing hits" (count warm "cost.pairings")
+    (count warm "cost.precomp_hits");
+  let pool = Sagma_pool.Pool.create ~name:"explain" ~workers:1 () in
+  let pooled_cold, pooled_warm =
+    Fun.protect
+      ~finally:(fun () -> Sagma_pool.Pool.shutdown pool)
+      (fun () -> cold_warm (Server.create ~agg_pool:pool ()))
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check int) (name ^ ", cold: pooled = inline") (count first name)
+        (count pooled_cold name);
+      Alcotest.(check int) (name ^ ", warm: pooled = inline") (count warm name)
+        (count pooled_warm name))
+    [ "cost.pairings"; "cost.prod_calls"; "cost.miller_steps"; "cost.precomp_hits" ]
 
 let test_prof_light_span () =
   with_metrics @@ fun () ->

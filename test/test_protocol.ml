@@ -1385,6 +1385,15 @@ let test_coordinator_node_stats_health () =
               (match Server.create ~shard:(0, 2) ~fleet:r () with
                | _ -> Alcotest.fail "a coordinator node accepted ?shard"
                | exception Invalid_argument _ -> ());
+              (* Only a single server lends aggregation helpers: a fleet
+                 query already runs one part per shard. *)
+              let pool = Sagma_pool.Pool.create ~name:"refused" ~workers:0 () in
+              (match Server.create ~agg_pool:pool ~shard:(0, 2) () with
+               | _ -> Alcotest.fail "a shard accepted ?agg_pool"
+               | exception Invalid_argument _ -> ());
+              (match Server.create ~agg_pool:pool ~fleet:r () with
+               | _ -> Alcotest.fail "a coordinator node accepted ?agg_pool"
+               | exception Invalid_argument _ -> ());
               let node = Server.create ~fleet:r () in
               (match Server.handle node (P.Upload { name = "t"; table = enc }) with
                | P.Ack -> ()
