@@ -4,15 +4,13 @@
    Append requests using only public parameters; it never sees a key.
 
      dune exec bin/sagma_server.exe -- --port 7477 \
-       [--workers N] [--max-conns M] [--request-timeout-ms T] \
+       [--max-conns M] [--request-timeout-ms T] \
        [--max-frame BYTES] \
        [--shard-of I/N | --coordinator HOST:PORT,...] \
        [--metrics] [--audit] [--trace-sample N] [--slow-query-ms T] \
        [--profile] \
        [--log-json FILE] [--log-level LEVEL]
 
-   --workers    serve connections on an N-domain pool (default 4;
-                0 = sequential, the pre-concurrency behavior).
    --shard-of   run as storage node I of an N-shard scatter-gather
                 fleet ("I/N", zero-based): stores every uploaded row
                 but only pairs the rows of slice row mod N = I, so a
@@ -24,7 +22,7 @@
                 row ids. Mutually exclusive with --shard-of.
    --shard-deadline-ms  coordinator-side per-shard call deadline
                 (default 5000; 0 = none).
-   --max-conns  shed connections beyond M in flight with a Failed Busy
+   --max-conns  shed connections beyond M open with a Failed Busy
                 response (default 64).
    --request-timeout-ms  per-connection read/write deadline; a peer
                 stalled past it loses only its own connection
@@ -58,16 +56,21 @@
    --watchdog-interval-ms  evaluate the SLO watchdog rules every T ms;
                 firing/resolved transitions emit `alert` log events and
                 active alerts ride in Health replies
-                (default 1000; 0 disables the watchdog).
+                (default 1000; 0 disables the watchdog). The
+                error-rate, p99-latency and queue-depth rules read
+                metrics, which stay at zero unless --metrics or a
+                tracing flag is on; without them only a coordinator's
+                shard-down rule can fire.
 
-   A single server (neither --shard-of nor --coordinator) lends idle
-   cores to each query: its aggregation pool has one domain fewer than
-   Domain.recommended_domain_count (), spawned on first use, and its
-   helpers join a query's pairing jobs only while fewer clients are
-   connected than there are cores; a query that finds every core taken
-   retires the idle helpers. Shards and coordinators aggregate inline:
-   a fleet query already runs one part per shard. There is no flag for
-   this; the start log reports the size as agg_pool_size (1 = inline).
+   Each connection is served by a thread of the main domain that only
+   reads frames; every request runs on the node's one domain pool,
+   sized from Domain.recommended_domain_count () and spawned on
+   demand, so an idle or stalled client holds a thread, never a core.
+   A single server (neither --shard-of nor --coordinator) also lends
+   that pool's idle workers to each query's pairing jobs; shards and
+   coordinators aggregate inline, since a fleet query already runs one
+   part per shard. There is no flag for this; the start log reports
+   the size as pool_size.
 
    SIGINT/SIGTERM trigger a graceful shutdown: stop accepting (health
    turns "draining"), drain in-flight requests, flush logs and a final
@@ -79,7 +82,6 @@ module Watchdog = Sagma_obs.Watchdog
 
 let () =
   let port = ref 7477 in
-  let workers = ref 4 in
   let max_conns = ref 64 in
   let request_timeout_ms = ref 30000 in
   let max_frame = ref Sagma_protocol.Transport.default_server_max_frame in
@@ -97,10 +99,8 @@ let () =
   let watchdog_interval_ms = ref 1000 in
   let args =
     [ ("--port", Arg.Set_int port, "Listen port (default 7477)");
-      ("--workers", Arg.Set_int workers,
-       "Connection-serving domains (default 4; 0 = sequential)");
       ("--max-conns", Arg.Set_int max_conns,
-       "In-flight connection limit; excess get Failed Busy (default 64)");
+       "Open connection limit; excess get Failed Busy (default 64)");
       ("--request-timeout-ms", Arg.Set_int request_timeout_ms,
        "Per-connection read/write deadline in ms (default 30000; 0 = none)");
       ("--max-frame", Arg.Set_int max_frame,
@@ -124,11 +124,12 @@ let () =
       ("--probe-interval-ms", Arg.Set_int probe_interval_ms,
        "Coordinator shard-probe period in ms (default 1000; 0 = off)");
       ("--watchdog-interval-ms", Arg.Set_int watchdog_interval_ms,
-       "SLO watchdog evaluation period in ms (default 1000; 0 = off)") ]
+       "SLO watchdog evaluation period in ms (default 1000; 0 = off; rules other than \
+        shard-down need --metrics or tracing)") ]
   in
   Arg.parse args
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "sagma_server [--port P] [--workers N] [--max-conns M] [--request-timeout-ms T] [--metrics] [--audit] [--log-json FILE] [--log-level L]";
+    "sagma_server [--port P] [--max-conns M] [--request-timeout-ms T] [--metrics] [--audit] [--log-json FILE] [--log-level L]";
   (match Log.level_of_string !log_level with
    | Some l -> Log.set_level l
    | None -> raise (Arg.Bad (Printf.sprintf "bad --log-level %S" !log_level)));
@@ -161,16 +162,9 @@ let () =
          with _ -> raise (Arg.Bad (Printf.sprintf "bad --shard-of %S (want I/N)" !shard_of)))
       | None -> raise (Arg.Bad (Printf.sprintf "bad --shard-of %S (want I/N)" !shard_of))
   in
-  (* A single server lends idle cores to each query's aggregation jobs:
-     one pool sized from the host, separate from the connection pool.
-     Shards and coordinators aggregate inline, since a fleet query
-     already runs one part per shard. *)
-  let agg_pool =
-    let cores = Domain.recommended_domain_count () in
-    if !shard_of = "" && !coordinator = "" && cores > 1 then
-      Some (Pool.create ~name:"aggregation" ~workers:(cores - 1) ())
-    else None
-  in
+  (* One pool runs every request of this node and, on a single server,
+     lends its idle workers to each query's aggregation jobs. *)
+  let pool = Pool.create ~name:"requests" ~workers:(Domain.recommended_domain_count ()) () in
   let watchdog =
     if !watchdog_interval_ms > 0 then Some (Watchdog.create ()) else None
   in
@@ -188,7 +182,9 @@ let () =
   in
   Option.iter Sagma_protocol.Router.start_probes router;
   let state =
-    Sagma_protocol.Server.create ?agg_pool ?shard ?fleet:router ~trace_sample:!trace_sample
+    Sagma_protocol.Server.create
+      ?agg_pool:(if !shard_of = "" && !coordinator = "" then Some pool else None)
+      ?shard ?fleet:router ~trace_sample:!trace_sample
       ~slow_query_ms:!slow_query_ms ?watchdog ()
   in
   let role =
@@ -209,15 +205,14 @@ let () =
   in
   Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
   Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
-  (* The watchdog poll loop runs on its own domain: it only reads the
-     metrics snapshot and the router's down-shard count, so it never
-     contends with request handling. *)
-  let watchdog_domain =
+  (* The watchdog poll loop is a thread of this domain: it only reads
+     the metrics snapshot and the router's down-shard count. *)
+  let watchdog_thread =
     match watchdog with
     | None -> None
     | Some wd ->
       Some
-        (Domain.spawn (fun () ->
+        (Thread.create (fun () ->
              let interval = float_of_int !watchdog_interval_ms /. 1000.0 in
              while not (Atomic.get stop) do
                (try
@@ -234,10 +229,11 @@ let () =
                  Unix.sleepf 0.05;
                  slept := !slept +. 0.05
                done
-             done))
+             done)
+           ())
   in
-  Printf.printf "sagma_server: listening on 127.0.0.1:%d (workers %d, max-conns %d)%s%s%s%s%s%s\n%!"
-    !port !workers !max_conns role
+  Printf.printf "sagma_server: listening on 127.0.0.1:%d (pool %d, max-conns %d)%s%s%s%s%s%s\n%!"
+    !port (Pool.workers pool) !max_conns role
     (if !metrics then " (metrics on)" else "")
     (if !audit then " (audit on)" else "")
     (if !trace_sample > 0 then Printf.sprintf " (tracing 1/%d)" !trace_sample else "")
@@ -246,9 +242,8 @@ let () =
      ^ if !log_json <> "" then Printf.sprintf " (logging to %s)" !log_json else "");
   Log.info "server.start"
     ~fields:
-      [ Log.int "port" !port; Log.int "workers" !workers; Log.int "max_conns" !max_conns;
-        Log.int "request_timeout_ms" !request_timeout_ms;
-        Log.int "agg_pool_size" (match agg_pool with Some p -> Pool.workers p + 1 | None -> 1);
+      [ Log.int "port" !port; Log.int "pool_size" (Pool.workers pool);
+        Log.int "max_conns" !max_conns; Log.int "request_timeout_ms" !request_timeout_ms;
         Log.str "role"
           (match (router, shard) with
            | Some _, _ -> "coordinator"
@@ -260,15 +255,14 @@ let () =
         Log.int "probe_interval_ms" (if router = None then 0 else !probe_interval_ms);
         Log.int "watchdog_interval_ms" !watchdog_interval_ms;
         Log.int "protocol_version" Sagma_protocol.Protocol.version ];
-  Sagma_protocol.Transport.listen_and_serve ~workers:!workers
-    ~max_conns:!max_conns ~request_timeout_ms:!request_timeout_ms ~max_frame:!max_frame
+  Sagma_protocol.Transport.listen_and_serve ~pool ~max_conns:!max_conns ~request_timeout_ms:!request_timeout_ms ~max_frame:!max_frame
     ~stop:(fun () -> Atomic.get stop)
     ~port:!port (Sagma_protocol.Server.handle_encoded state);
   (* listen_and_serve only returns once drained: flush the final
      numbers, then the log stream. *)
-  Option.iter Domain.join watchdog_domain;
+  Option.iter Thread.join watchdog_thread;
   Option.iter Sagma_protocol.Router.shutdown router;
-  Option.iter Pool.shutdown agg_pool;
+  Pool.shutdown pool;
   Log.info "server.stop" ~fields:[ Log.int "port" !port ];
   if !metrics then
     Format.eprintf "-- final metrics --@.%a@." Sagma_obs.Metrics.pp_snapshot

@@ -1,18 +1,18 @@
 (* A fixed-size domain pool: worker domains are fed from a shared queue
    and outlive their tasks, so the cost of [Domain.spawn] is paid once
-   per worker instead of per connection or per aggregation bucket.
+   per worker instead of per request or per aggregation bucket.
 
-   Two independent instances serve the two server-side uses — one pool
-   runs connection handlers, another lends idle domains to a query's
-   aggregation jobs ([run_jobs]). There the caller drains its own job
-   list and waits only for helpers already inside one of its jobs;
-   helpers never await anything, so neither pool can deadlock.
+   A server node runs one pool: its requests are tasks, and [run_jobs]
+   lends the workers no request occupies to a query's aggregation jobs.
+   There the caller drains its own job list and waits only for helpers
+   already inside one of its jobs, and helpers never await anything,
+   so a request never waits on a task still queued on its own pool.
 
    An idle worker is not free: it holds no runtime lock while blocked
    in [Condition.wait], but OCaml 5 stops every domain for each minor
-   collection, idle ones included, so a busy process pays for each one
-   it keeps. Workers are therefore spawned on demand, up to the pool's
-   size, when a task finds none idle, and [trim] retires the idle ones. *)
+   collection, idle ones included. Workers are therefore spawned on
+   demand, up to the pool's size, when a task finds none idle, and
+   [run_jobs] offers helpers only to workers that would sit idle. *)
 
 module Obs = Sagma_obs.Metrics
 module Trace = Sagma_obs.Trace
@@ -40,41 +40,39 @@ type t = {
   queue : (unit -> unit) Queue.t;
   mutable closed : bool;   (* no further submits; workers drain and exit *)
   mutable joined : bool;   (* some caller already owns the Domain.join *)
-  domains : (int, unit Domain.t) Hashtbl.t;  (* live workers, by spawn number *)
-  mutable spawned : int;   (* spawn numbers handed out *)
+  mutable domains : unit Domain.t list;  (* every worker spawned *)
   mutable idle : int;      (* workers blocked waiting for a task *)
-  mutable retire : int;    (* workers [trim] still asks to exit *)
+  mutable running : int;   (* workers inside a task *)
 }
 
 (* Workers drain the queue even after [closed] is set, so shutdown
-   completes queued work rather than dropping it. A worker that finds
-   the queue empty while [retire] is positive leaves the pool; one
-   that leaves because of [closed] stays listed for [shutdown] to join. *)
-let rec worker_loop (p : t) (key : int) : unit =
+   completes queued work rather than dropping it. *)
+let worker_loop (p : t) : unit =
   Mutex.lock p.lock;
-  while Queue.is_empty p.queue && (not p.closed) && p.retire = 0 do
-    p.idle <- p.idle + 1;
-    Condition.wait p.nonempty p.lock;
-    p.idle <- p.idle - 1
-  done;
-  match Queue.take_opt p.queue with
-  | Some task ->
-    Mutex.unlock p.lock;
-    Obs.gauge_decr g_queue_depth;
-    task ();
-    worker_loop p key
-  | None ->
-    if not p.closed then begin
-      p.retire <- p.retire - 1;
-      Hashtbl.remove p.domains key
-    end;
-    Mutex.unlock p.lock
+  let rec next () =
+    while Queue.is_empty p.queue && not p.closed do
+      p.idle <- p.idle + 1;
+      Condition.wait p.nonempty p.lock;
+      p.idle <- p.idle - 1
+    done;
+    match Queue.take_opt p.queue with
+    | Some task ->
+      p.running <- p.running + 1;
+      Mutex.unlock p.lock;
+      Obs.gauge_decr g_queue_depth;
+      task ();
+      Mutex.lock p.lock;
+      p.running <- p.running - 1;
+      next ()
+    | None -> Mutex.unlock p.lock
+  in
+  next ()
 
 let create ?(name = "pool") ~(workers : int) () : t =
   if workers < 0 then invalid_arg "Pool.create: workers must be >= 0";
   { p_name = name; size = workers; lock = Mutex.create (); nonempty = Condition.create ();
-    queue = Queue.create (); closed = false; joined = false; domains = Hashtbl.create 4;
-    spawned = 0; idle = 0; retire = 0 }
+    queue = Queue.create (); closed = false; joined = false; domains = []; idle = 0;
+    running = 0 }
 
 let workers (p : t) : int = p.size
 
@@ -115,12 +113,9 @@ let submit (p : t) (fn : unit -> 'a) : 'a future =
     end;
     (* Spawn before queueing, so a failed spawn leaves nothing queued.
        The new worker blocks on [lock] until this submit releases it. *)
-    if Queue.length p.queue >= p.idle && Hashtbl.length p.domains < p.size then begin
-      let key = p.spawned in
-      match Domain.spawn (fun () -> worker_loop p key) with
-      | d ->
-        p.spawned <- key + 1;
-        Hashtbl.replace p.domains key d
+    if Queue.length p.queue >= p.idle && List.length p.domains < p.size then begin
+      match Domain.spawn (fun () -> worker_loop p) with
+      | d -> p.domains <- d :: p.domains
       | exception e ->
         Mutex.unlock p.lock;
         raise e
@@ -148,29 +143,17 @@ let await (fut : 'a future) : 'a =
   in
   wait ()
 
-let trim (p : t) : unit =
-  Mutex.lock p.lock;
-  if p.idle > 0 then begin
-    p.retire <- p.idle;
-    Condition.broadcast p.nonempty
-  end;
-  Mutex.unlock p.lock
-
 let shutdown (p : t) : unit =
   Mutex.lock p.lock;
   p.closed <- true;
   Condition.broadcast p.nonempty;
   let join_here = not p.joined in
   p.joined <- true;
-  let live = List.of_seq (Hashtbl.to_seq_values p.domains) in
+  let live = p.domains in
   Mutex.unlock p.lock;
   if join_here then List.iter Domain.join live
 
-let live_workers (p : t) : int =
-  Mutex.lock p.lock;
-  let n = Hashtbl.length p.domains in
-  Mutex.unlock p.lock;
-  n
+let live_workers (p : t) : int = Mutex.protect p.lock (fun () -> List.length p.domains)
 
 (* One job list being drained. [next], [inside] and [error] change under
    [b_lock]; a job writes only its own result slot, and the caller reads
@@ -245,7 +228,11 @@ let run_jobs (pool : t option) (jobs : (unit -> 'a) array) : 'a array =
       { jobs; results = Array.make (Array.length jobs) None; b_lock = Mutex.create ();
         b_idle = Condition.create (); next = 0; inside = 0; error = None }
     in
-    for _ = 1 to min p.size (Array.length jobs - 1) do
+    (* Helpers go only to workers that would otherwise sit idle: those
+       neither running a task nor owed one by the queue. A busy pool
+       gets none, so its queued requests never wait behind them. *)
+    let spare = Mutex.protect p.lock (fun () -> p.size - p.running - Queue.length p.queue) in
+    for _ = 1 to min spare (Array.length jobs - 1) do
       ignore (submit p (help b))
     done;
     let rec drain () =

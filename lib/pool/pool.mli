@@ -2,21 +2,23 @@
 
     Worker domains outlive their tasks and are fed through {!submit},
     so the server path pays the (multi-millisecond) cost of
-    [Domain.spawn] once per worker instead of per connection or per
+    [Domain.spawn] once per worker instead of per request or per
     aggregation bucket. A worker is spawned when a task finds no idle
     one, until the pool's size is reached, so a pool nobody uses runs
     no domain. An idle worker still costs a busy process time: OCaml 5
     stops every domain, idle ones included, for each minor collection.
-    {!trim} retires the idle ones.
 
-    Deadlock discipline: a task running on a pool must never {!await} a
-    future submitted to the {e same} pool — with every worker blocked in
-    such a wait no worker is left to run the awaited tasks. The server
-    therefore uses two instances: one runs connections, the other lends
-    idle domains to a query's aggregation jobs through {!run_jobs}.
-    There the calling domain drains its own job list and waits only for
-    helpers that have taken one of its jobs, and helpers never await
-    anything, so a job list finishes even when no helper ever starts.
+    Deadlock discipline: a task must never {!await} a future submitted
+    to its {e own} pool, since with every worker blocked in such a wait
+    no worker is left to run the awaited tasks. A server node runs its
+    requests and its aggregation helpers on one pool and keeps to this:
+    - a request task never awaits a future of its own pool: {!run_jobs}
+      drains its job list on the caller and waits only for helpers
+      already running one of its jobs, and helpers await nothing;
+    - a coordinator's request awaits the router's separate fan-out
+      pool, whose tasks await nothing;
+    - each node in one process needs its own pool, or a coordinator's
+      requests could hold every worker its shards' requests need.
 
     Observability: submissions bump the [pool.tasks] counter and the
     [pool.queue_depth] gauge (decremented when a worker picks the task
@@ -58,21 +60,19 @@ val workers : t -> int
     inline pool). *)
 
 val live_workers : t -> int
-(** Worker domains spawned and not yet retired. *)
-
-val trim : t -> unit
-(** Retire as many workers as are idle now: each leaves the pool when
-    it next finds the queue empty. Later submits spawn workers again.
-    Queued and running tasks are unaffected. *)
+(** Worker domains spawned so far. *)
 
 val run_jobs : t option -> (unit -> 'a) array -> 'a array
 (** [run_jobs pool jobs] runs every job exactly once and returns the
     results in index order. The calling domain takes jobs from the list
-    itself; with a pool, up to [min (workers pool) (n - 1)] helper tasks
-    are submitted, and an idle worker that picks one up takes jobs from
-    the same list. The caller returns once the list is drained and
-    every helper that took a job has finished its share; helpers that
-    start later find the list empty and return at once.
+    itself; with a pool, one helper task is submitted for each worker
+    that would otherwise sit idle (the pool's size minus the workers
+    running a task minus the tasks queued, read under the pool's lock),
+    at most [n - 1], and a worker that picks one up takes jobs from the
+    same list. A pool whose workers are all busy gets no helper. The
+    caller returns once the list is drained and every helper that took
+    a job has finished its share; helpers that start later find the
+    list empty and return at once.
 
     One helper's share of the list, from its first job to its last, is
     a ["chunk"] span under the caller's tracing context (helpers inherit

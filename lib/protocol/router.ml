@@ -37,8 +37,8 @@
    runs the request pipeline (sampling, logging, audit, draining) and
    hands every table request to {!handle}.
 
-   Fleet health: with [?probe_interval_ms] set, a background domain
-   sends [Health] to every shard on a small dedicated {!Sagma_pool},
+   Fleet health: with [?probe_interval_ms] set, a background thread
+   sends [Health] to every shard through the fan-out pool,
    maintaining per-shard state (up/down since, consecutive-failure
    streak, last error, EWMA probe RTT) that is served in
    [Health_report], exported as router.shard_up{shard="..."} gauges,
@@ -83,7 +83,10 @@ type shard = {
 type t = {
   lock : Mutex.t;  (* serialises appends: row-id stamping order *)
   shards : shard array;
-  pool : Pool.t;  (* fan-out pool — distinct from any connection-serving pool *)
+  (* Fan-out pool, apart from the node's request pool: a coordinator's
+     request awaits it, and its [shard:N] spans need domain state of
+     their own. *)
+  pool : Pool.t;
   (* Per-table state gleaned from the uploads that passed through: the
      BGN public key (all ⊕-merging needs) and the global row count
      (appends are stamped with it so every replica agrees on ids). *)
@@ -94,9 +97,8 @@ type t = {
   (* Fleet health. *)
   hlock : Mutex.t;
   probe_interval_ms : int;          (* 0 = probing (and fast-fail) off *)
-  probe_pool : Pool.t option;
   probe_stop : bool Atomic.t;
-  mutable probe_domain : unit Domain.t option;
+  mutable probe_thread : Thread.t option;
 }
 
 (* "host:port" (host optional — ":7501" or "7501" mean loopback). *)
@@ -114,8 +116,6 @@ let parse_endpoint (ep : string) : string option * int =
 let shard_label (i : int) (sh : shard) : string =
   Printf.sprintf "shard %d (%s)" i sh.sh_endpoint
 
-(* Forward declaration dance is avoided by defining the probe loop after
-   [call_shard]; [create] stores the domain once spawned. *)
 let create ?(deadline_ms = 5000) ?(probe_interval_ms = 0) (endpoints : string list) : t =
   if endpoints = [] then invalid_arg "Router.create: need at least one shard endpoint";
   let now = Unix.gettimeofday () in
@@ -145,12 +145,8 @@ let create ?(deadline_ms = 5000) ?(probe_interval_ms = 0) (endpoints : string li
   let workers = min (Array.length shards) 8 in
   { lock = Mutex.create (); shards; pool = Pool.create ~name:"fanout" ~workers ();
     pks = Hashtbl.create 8; pks_lock = Mutex.create (); row_counts = Hashtbl.create 8;
-    deadline_ms; hlock = Mutex.create (); probe_interval_ms;
-    probe_pool =
-      (if probe_interval_ms > 0 then
-         Some (Pool.create ~name:"probe" ~workers:(min (Array.length shards) 4) ())
-       else None);
-    probe_stop = Atomic.make false; probe_domain = None }
+    deadline_ms; hlock = Mutex.create (); probe_interval_ms; probe_stop = Atomic.make false;
+    probe_thread = None }
 
 let topology (r : t) : P.topology =
   { P.tp_role = "coordinator"; tp_shard_index = -1; tp_shard_count = Array.length r.shards;
@@ -289,21 +285,17 @@ let probe_shard (r : t) (i : int) (sh : shard) : unit =
   ignore (exchange r i sh ~errors:m_probe_failures P.Health)
 
 let probe_all (r : t) : unit =
-  match r.probe_pool with
-  | None -> ()
-  | Some pool ->
-    let futures =
-      Array.mapi (fun i sh -> Pool.submit pool (fun () -> probe_shard r i sh)) r.shards
-    in
-    Array.iter Pool.await futures
+  Array.mapi (fun i sh -> Pool.submit r.pool (fun () -> probe_shard r i sh)) r.shards
+  |> Array.iter Pool.await
 
-(* The probe loop runs on its own domain (never a pool task — it awaits
-   pool futures), sleeping in short slices so shutdown stays prompt. *)
+(* The probe loop runs on a thread of the calling domain (never a pool
+   task — it awaits pool futures), sleeping in short slices so shutdown
+   stays prompt. *)
 let start_probes (r : t) : unit =
-  if r.probe_interval_ms > 0 && r.probe_domain = None then
-    r.probe_domain <-
+  if r.probe_interval_ms > 0 && r.probe_thread = None then
+    r.probe_thread <-
       Some
-        (Domain.spawn (fun () ->
+        (Thread.create (fun () ->
              let slice = 0.05 in
              let interval = float_of_int r.probe_interval_ms /. 1000. in
              let rec nap left =
@@ -319,16 +311,13 @@ let start_probes (r : t) : unit =
                  loop ()
                end
              in
-             loop ()))
+             loop ())
+           ())
 
 let shutdown (r : t) : unit =
   Atomic.set r.probe_stop true;
-  (match r.probe_domain with
-   | Some d ->
-     r.probe_domain <- None;
-     Domain.join d
-   | None -> ());
-  (match r.probe_pool with Some p -> Pool.shutdown p | None -> ());
+  Option.iter Thread.join r.probe_thread;
+  r.probe_thread <- None;
   Pool.shutdown r.pool
 
 (* Query every shard concurrently on the fan-out pool. Each call runs

@@ -43,9 +43,10 @@ val create : ?deadline_ms:int -> ?probe_interval_ms:int -> string list -> t
     ("host:port"; a bare port means loopback). [deadline_ms] (default
     5000) bounds each shard call's reads and writes, so a dead shard
     yields a prompt [Failed] instead of a hang; 0 disables.
-    The internal fan-out pool has [min shards 8] workers and is always
-    distinct from any connection-serving pool, as required by
-    [Sagma_pool].
+    The internal fan-out pool has [min shards 8] workers. It is apart
+    from the node's request pool, as [Sagma_pool]'s deadlock rule
+    requires of a pool that requests await, and it carries the health
+    probes too.
 
     [probe_interval_ms] (default 0 = off) enables background health
     probing at that period — call {!start_probes} to actually start the
@@ -53,13 +54,13 @@ val create : ?deadline_ms:int -> ?probe_interval_ms:int -> string list -> t
     @raise Invalid_argument on an empty or unparsable endpoint list. *)
 
 val start_probes : t -> unit
-(** Spawn the background probe domain (a no-op when
-    [probe_interval_ms] is 0 or the loop already runs). Each round
-    sends [Health] to every shard on a small dedicated pool and
-    updates the per-shard state. Stopped by {!shutdown}. *)
+(** Start the background probe thread on the calling domain (a no-op
+    when [probe_interval_ms] is 0 or the loop already runs). Each round
+    sends [Health] to every shard through the fan-out pool and updates
+    the per-shard state. Stopped by {!shutdown}. *)
 
 val shutdown : t -> unit
-(** Stop the probe loop (if running) and shut the pools down
+(** Stop the probe loop (if running) and shut the fan-out pool down
     (idempotent via [Sagma_pool]). *)
 
 val shard_health : t -> Protocol.shard_health list

@@ -38,14 +38,14 @@ let h_request_ms = Obs.histogram "proto.request_ms"
    a multi-MiB one is a memory-amplification vector. *)
 let max_table_name_len = 1024
 
-(* Connection handlers may run on several pool domains at once, so the
-   table registry takes a lock around every access. Aggregation — the
+(* Requests may run on several pool domains at once, so the table
+   registry takes a lock around every access. Aggregation — the
    expensive part — runs OUTSIDE the lock on a snapshot: [enc_table]
    values are immutable (Append replaces the whole record rather than
    mutating it), so a concurrent writer can at worst make the snapshot
-   stale, never torn. [agg_pool] lends idle domains to each
-   aggregation's jobs; it must be a different pool from the one running
-   connections (a task awaiting futures on its own pool deadlocks). *)
+   stale, never torn. [agg_pool] lends its idle workers to each
+   aggregation's jobs ([Pool.run_jobs]); it may be the pool running the
+   requests, since a job list never waits on a queued task. *)
 type t = {
   lock : Mutex.t;
   tables : (string, Scheme.enc_table) Hashtbl.t;
@@ -75,20 +75,6 @@ let create ?agg_pool ?shard ?fleet ?(trace_sample = 0) ?(slow_query_ms = 0.) ?wa
     draining = Atomic.make false }
 
 let set_draining (s : t) (d : bool) : unit = Atomic.set s.draining d
-
-(* Helpers join an aggregation only while fewer clients are connected
-   than the pool has domains: each connected client can keep a core
-   busy, so beyond that no core is idle to lend. A query that finds
-   the cores taken also retires the pool's idle workers, which would
-   otherwise slow every domain that is busy (see Pool); a later query
-   with a core to spare spawns them again. *)
-let agg_helpers (s : t) : Pool.t option =
-  match s.agg_pool with
-  | Some p when Transport.connections () <= Pool.workers p -> Some p
-  | Some p ->
-    Pool.trim p;
-    None
-  | None -> None
 
 let with_lock (s : t) (f : unit -> 'a) : 'a =
   Mutex.lock s.lock;
@@ -199,7 +185,7 @@ let handle_x ~(aggregated : (Scheme.enc_table * Scheme.token) option ref) (s : t
       try
         Protocol.Aggregates
           (Trace.with_span "aggregate" (fun () ->
-               Scheme.aggregate ?pool:(agg_helpers s) ?owned et token))
+               Scheme.aggregate ?pool:s.agg_pool ?owned et token))
       with
       | Invalid_argument msg -> Protocol.failed Protocol.Bad_request "%s" msg
       | Failure msg -> Protocol.failed Protocol.Internal_error "%s" msg)

@@ -26,15 +26,12 @@ val create :
 (** [create ()] builds an empty, thread-safe server state: request
     handlers may run concurrently (registry accesses take an internal
     lock; aggregation runs lock-free on immutable table snapshots).
-    [agg_pool] lends idle domains to each aggregation's jobs
-    ({!Sagma.Scheme.aggregate}) — it MUST be a different pool from the
-    one serving connections, or a connection task could await futures
-    only its own pool can run. A [w]-worker pool stands for [w + 1]
-    cores: helpers are offered only while fewer clients are connected
-    ({!Transport.connections}) than that, since each connected client
-    can keep a core busy, and a query that finds no core to spare
-    retires the pool's idle workers ({!Sagma_pool.Pool.trim}). Only a
-    single server takes one.
+    [agg_pool] lends its idle workers to each aggregation's jobs
+    ({!Sagma.Scheme.aggregate}, {!Sagma_pool.Pool.run_jobs}), and may be
+    the pool that runs this node's requests: a job list gets a helper
+    only for a worker that no request occupies and no queued task is
+    owed to, and never waits on a queued task. Only a single server
+    takes one.
 
     [shard:(i, n)] makes this a storage node of an [n]-shard
     scatter-gather fleet (see {!Router}): storage stays replicated

@@ -2,9 +2,11 @@
    serving loops used by the sagma_server binary and the CLI's remote
    commands.
 
-   The accept loop can serve connections concurrently on a fixed-size
-   domain pool ([?workers]); shared server state is the handlers'
-   problem ({!Server} takes its own lock). Per-connection deadlines use
+   The accept loop gives each connection a thread of the listening
+   domain, which only reads frames and runs each one as a task on the
+   node's domain pool; shared server state is the handlers' problem
+   ({!Server} takes its own lock). A silent peer therefore holds a
+   blocked thread, never a pool worker. Per-connection deadlines use
    SO_RCVTIMEO/SO_SNDTIMEO, so a stalled peer surfaces as
    [EAGAIN]/[EWOULDBLOCK] on that connection only. Above [?max_conns]
    in-flight connections, new arrivals are shed with a [Failed Busy]
@@ -36,11 +38,6 @@ let m_bytes_recv = Obs.counter "transport.bytes_recv"
 let m_rejected = Obs.counter "transport.rejected"
 let m_accept_retries = Obs.counter "transport.accept_retries"
 let g_inflight = Obs.gauge "transport.inflight"
-
-(* Connections being served by every listener of this process; each
-   listener's own count, which sheds arrivals, stays local to it. *)
-let connected = Atomic.make 0
-let connections () = Atomic.get connected
 
 (* Retry a syscall interrupted by a signal — unless the process is
    shutting down, in which case the signal may be the very reason to
@@ -110,67 +107,59 @@ let call_x ?max_frame ?trace (fd : Unix.file_descr) (req : Protocol.request) :
 let call ?max_frame ?trace (fd : Unix.file_descr) (req : Protocol.request) : Protocol.response =
   fst (call_x ?max_frame ?trace fd req)
 
-(* Serve one connection until the peer closes (or a deadline fires:
-   SO_RCVTIMEO surfaces here as EAGAIN, ending the connection without
-   touching any other). Send-side failures — EPIPE from a peer gone
-   mid-reply, a send deadline — end this connection the same way
-   instead of escaping to the accept loop. The [handler] is any
-   raw-frame function, such as [Server.handle_encoded state]. *)
-let serve_connection ?max_frame ?stop (handler : string -> string) (fd : Unix.file_descr) :
-    unit =
+(* Read frames until the peer closes (or a deadline fires: SO_RCVTIMEO
+   surfaces here as EAGAIN, ending the connection without touching any
+   other), handing each to [respond], which answers it and says whether
+   the connection lives on. *)
+let serve_frames ?max_frame ?stop (respond : string -> bool) (fd : Unix.file_descr) : unit =
   let rec loop () =
     match recv ?max_frame ?stop fd with
-    | raw ->
-      (match send ?stop fd (handler raw) with
-       | () -> loop ()
-       | exception (Failure _ | Unix.Unix_error _) -> ())
+    | raw -> if respond raw then loop ()
     | exception (Failure _ | End_of_file | Unix.Unix_error _) -> ()
   in
   loop ()
+
+(* Send-side failures — EPIPE from a peer gone mid-reply, a send
+   deadline — end this connection instead of escaping to the caller. *)
+let reply ?stop (handler : string -> string) (fd : Unix.file_descr) (raw : string) : bool =
+  match send ?stop fd (handler raw) with
+  | () -> true
+  | exception (Failure _ | Unix.Unix_error _) -> false
+
+(* The [handler] is any raw-frame function, such as
+   [Server.handle_encoded state]; it runs on the calling thread. *)
+let serve_connection ?max_frame ?stop (handler : string -> string) (fd : Unix.file_descr) :
+    unit =
+  serve_frames ?max_frame ?stop (reply ?stop handler fd) fd
 
 let peer_name = function
   | Unix.ADDR_INET (addr, port) -> Printf.sprintf "%s:%d" (Unix.string_of_inet_addr addr) port
   | Unix.ADDR_UNIX path -> path
 
-let listen_and_serve ?(workers = 0) ?(max_conns = 64)
-    ?request_timeout_ms ?(max_frame = default_server_max_frame)
-    ?(stop = fun () -> false) ~(port : int) (handler : string -> string) : unit =
+let listen_and_serve ~(pool : Pool.t) ?(max_conns = 64) ?request_timeout_ms
+    ?(max_frame = default_server_max_frame) ?(stop = fun () -> false) ~(port : int)
+    (handler : string -> string) : unit =
+  (* Trace and Audit keep a request's state in domain-local storage,
+     which every thread of a domain shares: frames must run on pool
+     workers, one at a time each, never on the connection threads. *)
+  if Pool.workers pool = 0 then invalid_arg "Transport.listen_and_serve: pool has no workers";
   (* A peer that disappears mid-reply must surface as EPIPE on the
      write, handled per-connection — not as a SIGPIPE killing the whole
      process. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let pool = Pool.create ~name:"transport" ~workers () in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
   Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   Unix.listen sock 64;
-  (* In-flight bookkeeping. [conns] lets the drain path unblock reads
-     that are still waiting on slow peers; closing happens exactly once,
-     under the registry lock, so a drained fd can never be reused by a
-     fresh accept while a handler still holds it. *)
+  (* In-flight bookkeeping: each live connection's thread, by fd. The
+     drain path unblocks reads still waiting on slow peers and joins
+     every thread. A thread is registered under [conns_lock] as it is
+     created and unregisters itself, closing its fd, under the same
+     lock as its last act, so a drained fd can never be reused by a
+     fresh accept while its thread still holds it. *)
   let inflight = Atomic.make 0 in
   let conns_lock = Mutex.create () in
-  let conns : (Unix.file_descr, unit) Hashtbl.t = Hashtbl.create 16 in
-  let register fd =
-    Mutex.lock conns_lock;
-    Hashtbl.replace conns fd ();
-    Mutex.unlock conns_lock
-  in
-  let close_conn fd =
-    Mutex.lock conns_lock;
-    if Hashtbl.mem conns fd then begin
-      Hashtbl.remove conns fd;
-      try Unix.close fd with Unix.Unix_error _ -> ()
-    end;
-    Mutex.unlock conns_lock
-  in
-  let shutdown_receives () =
-    Mutex.lock conns_lock;
-    Hashtbl.iter
-      (fun fd () -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-      conns;
-    Mutex.unlock conns_lock
-  in
+  let conns : (Unix.file_descr, Thread.t) Hashtbl.t = Hashtbl.create 16 in
   let set_deadlines fd =
     match request_timeout_ms with
     | Some t when t > 0 ->
@@ -181,26 +170,27 @@ let listen_and_serve ?(workers = 0) ?(max_conns = 64)
        with Unix.Unix_error _ | Invalid_argument _ -> ())
     | _ -> ()
   in
+  (* One task per frame: the worker handles it and writes the reply,
+     and the thread reads the next frame only once that task is done. *)
+  let respond conn raw = Pool.await (Pool.submit pool (fun () -> reply ~stop handler conn raw)) in
   let handle_conn conn peer =
     Obs.incr m_conns;
     Obs.gauge_incr g_inflight;
-    Atomic.incr connected;
     Log.info "conn.accepted" ~fields:[ Log.str "peer" peer ];
-    Fun.protect
-      ~finally:(fun () ->
-        ignore (Atomic.fetch_and_add inflight (-1));
-        Atomic.decr connected;
-        Obs.gauge_decr g_inflight;
-        close_conn conn;
-        Log.info "conn.closed" ~fields:[ Log.str "peer" peer ])
-      (fun () ->
-        try serve_connection ~max_frame ~stop handler conn with _ -> ())
+    (try serve_frames ~max_frame ~stop (respond conn) conn with _ -> ());
+    Log.info "conn.closed" ~fields:[ Log.str "peer" peer ];
+    Obs.gauge_decr g_inflight;
+    ignore (Atomic.fetch_and_add inflight (-1));
+    Mutex.protect conns_lock (fun () ->
+        Hashtbl.remove conns conn;
+        try Unix.close conn with Unix.Unix_error _ -> ())
   in
   (* Over the limit: answer with a structured Busy failure (framed at
      the current protocol version — the request is unread, so the
      peer's version is unknown) and close. A short send deadline keeps
      a hostile peer from parking the accept loop here. *)
   let shed conn peer =
+    ignore (Atomic.fetch_and_add inflight (-1));
     Obs.incr m_rejected;
     Log.warn "conn.rejected"
       ~fields:[ Log.str "peer" peer; Log.int "max_conns" max_conns ];
@@ -212,6 +202,15 @@ let listen_and_serve ?(workers = 0) ?(max_conns = 64)
             (Protocol.failed Protocol.Busy "server at its %d-connection limit" max_conns))
      with Failure _ | Unix.Unix_error _ -> ());
     try Unix.close conn with Unix.Unix_error _ -> ()
+  in
+  let start conn peer =
+    set_deadlines conn;
+    Mutex.protect conns_lock (fun () ->
+        match Thread.create (fun () -> handle_conn conn peer) () with
+        | th ->
+          Hashtbl.replace conns conn th;
+          true
+        | exception _ -> false)
   in
   (* Accept with a short select tick so a stop request never waits on
      the next client, and with retries for the transient accept
@@ -227,16 +226,8 @@ let listen_and_serve ?(workers = 0) ?(max_conns = 64)
         (match Unix.accept sock with
          | conn, peer_addr ->
            let peer = peer_name peer_addr in
-           if Atomic.fetch_and_add inflight 1 >= max_conns then begin
-             ignore (Atomic.fetch_and_add inflight (-1));
-             shed conn peer
-           end
-           else begin
-             register conn;
-             set_deadlines conn;
-             (* A zero-worker pool runs the task inline. *)
-             ignore (Pool.submit pool (fun () -> handle_conn conn peer))
-           end;
+           if Atomic.fetch_and_add inflight 1 >= max_conns || not (start conn peer) then
+             shed conn peer;
            accept_loop ()
          | exception Unix.Unix_error ((EINTR | ECONNABORTED | EAGAIN | EWOULDBLOCK) as e, _, _)
            ->
@@ -253,11 +244,18 @@ let listen_and_serve ?(workers = 0) ?(max_conns = 64)
   in
   accept_loop ();
   (* Drain: no new connections, unblock reads parked on slow peers
-     (their handlers see EOF and finish the response in flight), then
-     wait for every handler task to complete. *)
+     (their threads see EOF once the request in flight has its reply),
+     then join every connection thread. *)
   (try Unix.close sock with Unix.Unix_error _ -> ());
-  shutdown_receives ();
-  Pool.shutdown pool;
+  let live =
+    Mutex.protect conns_lock (fun () ->
+        Hashtbl.fold
+          (fun fd th acc ->
+            (try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ());
+            th :: acc)
+          conns [])
+  in
+  List.iter Thread.join live;
   Log.info "server.drained" ~fields:[ Log.int "rejected" (Obs.value m_rejected) ]
 
 let resolve_host (host : string) : Unix.inet_addr =

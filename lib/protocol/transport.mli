@@ -45,10 +45,10 @@ val serve_connection :
     set on the fd fires, or a send fails (e.g. [EPIPE] from a peer gone
     mid-reply) — never letting an I/O error escape. The handler maps one raw request frame to one raw
     response frame — [Server.handle_encoded state], whatever the node's
-    role. *)
+    role — and runs on the calling thread. *)
 
 val listen_and_serve :
-  ?workers:int ->
+  pool:Sagma_pool.Pool.t ->
   ?max_conns:int ->
   ?request_timeout_ms:int ->
   ?max_frame:int ->
@@ -57,32 +57,36 @@ val listen_and_serve :
   (string -> string) ->
   unit
 (** Accept loop on localhost, serving the given raw-frame handler (see
-    {!serve_connection}). With [?workers = 0] (the default)
-    connections are served sequentially on the calling domain; with
-    [?workers = n > 0] each connection becomes a task on an [n]-domain
-    pool, so slow clients no longer block fast ones. Ignores SIGPIPE
-    process-wide and retries transient accept errors
-    ([EINTR]/[ECONNABORTED]; short backoff on fd exhaustion).
+    {!serve_connection}). Each accepted connection gets a thread of the
+    calling domain, which reads a frame, submits "handle it, then write
+    the reply" to [pool] and waits for that task before it reads the
+    next frame. A silent peer thus holds only its thread, and requests
+    share the pool's workers whatever the number of connections. The
+    node's aggregation helpers come from the same pool (see
+    {!Server.create}). Ignores SIGPIPE process-wide and retries
+    transient accept errors ([EINTR]/[ECONNABORTED]; short backoff on
+    fd exhaustion).
 
     [?max_conns] (default 64) caps in-flight connections: excess
-    arrivals get a current-version [Failed Busy] response and are
-    closed, counted by [transport.rejected]. [?request_timeout_ms] sets
+    arrivals, and any connection whose thread cannot be created, get a
+    current-version [Failed Busy] response and are closed, counted by
+    [transport.rejected]. [?request_timeout_ms] sets
     SO_RCVTIMEO/SO_SNDTIMEO on every accepted fd — a connection idle or
     stalled past the deadline is dropped without touching the others
     (0 disables). [?max_frame] defaults to
     {!default_server_max_frame}.
 
     [?stop] is polled a few times per second; once true the loop stops
-    accepting, unblocks reads parked on slow peers, drains in-flight
-    handlers, and returns — the graceful-shutdown path for
-    SIGINT/SIGTERM. Gauges/counters: [transport.inflight],
-    [transport.rejected], [transport.accept_retries], plus the pool's
-    [pool.tasks]/[pool.queue_depth]. *)
-
-val connections : unit -> int
-(** Connections being served right now by every {!listen_and_serve}
-    loop of this process (0 when none runs). The server offers its
-    aggregation helpers only while this is below its core count. *)
+    accepting, unblocks reads parked on slow peers, lets in-flight
+    requests send their replies, joins every connection thread and
+    returns — the graceful-shutdown path for SIGINT/SIGTERM. The caller
+    owns [pool] and shuts it down. Gauges/counters:
+    [transport.inflight], [transport.rejected],
+    [transport.accept_retries], plus the pool's
+    [pool.tasks]/[pool.queue_depth].
+    @raise Invalid_argument if [pool] has no workers: requests keep
+    their trace and audit state in domain-local storage, which the
+    connection threads share. *)
 
 val connect : ?host:string -> port:int -> unit -> Unix.file_descr
 (** TCP connection to [host:port] (default loopback). [?host] accepts a

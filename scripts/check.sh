@@ -86,7 +86,7 @@ salary,dept
 3000,sales
 4000,facility
 CSV
-"$SERVER" --port "$OBS_PORT" --metrics --audit --workers 4 \
+"$SERVER" --port "$OBS_PORT" --metrics --audit \
   --request-timeout-ms 10000 \
   --trace-sample 1 --slow-query-ms 1 --profile \
   --log-json "$OBS_DIR/server.jsonl" > "$OBS_DIR/server.out" 2>&1 &
@@ -98,7 +98,7 @@ sleep 1
   --port "$OBS_PORT" --name smoke --key-file "$OBS_DIR/sagma.key"
 "$CLI" remote-query --sum salary --group-by dept \
   --port "$OBS_PORT" --name smoke --key-file "$OBS_DIR/sagma.key"
-# Concurrent clients against the 4-worker pool: all must succeed.
+# Concurrent clients: all must succeed.
 for i in 1 2 3; do
   "$CLI" remote-query --sum salary --group-by dept \
     --port "$OBS_PORT" --name smoke --key-file "$OBS_DIR/sagma.key" \
@@ -108,6 +108,13 @@ done
 wait "$CONC_1" "$CONC_2" "$CONC_3"
 for i in 1 2 3; do grep -q "sales" "$OBS_DIR/conc.$i.out"; done
 echo "concurrent queries OK"
+# An idle connection holds only its own thread, never a pool worker:
+# with six open, health must answer at once, long before the 10 s
+# request deadline would drop them.
+bash -c 'for i in 1 2 3 4 5 6; do exec {fd}<>"/dev/tcp/127.0.0.1/$1" || exit 1; done
+timeout 5 "$2" health --port "$1"' idle-smoke "$OBS_PORT" "$CLI" > "$OBS_DIR/idle.out"
+grep -q ": ok (uptime" "$OBS_DIR/idle.out"
+echo "health beside 6 idle connections OK"
 # The Stats RPC must answer with a parseable Prometheus exposition:
 # a known counter, the +Inf-closed bucket family, and quantile gauges.
 "$CLI" stats --port "$OBS_PORT" --prometheus > "$OBS_DIR/exposition.txt"

@@ -1,8 +1,8 @@
 (* Tests for Sagma_pool: result ordering, exception propagation with
    backtraces, shutdown draining queued work, the inline workers=0 mode,
-   workers spawned on demand and retired by trim,
-   job lists drained by the caller with helpers, and agreement between
-   pooled and sequential aggregation. *)
+   workers spawned on demand, job lists drained by the caller with
+   helpers offered only to idle workers, and agreement between pooled
+   and sequential aggregation. *)
 
 module Pool = Sagma_pool.Pool
 module Value = Sagma_db.Value
@@ -65,8 +65,7 @@ let test_inline_mode () =
       Alcotest.(check int) "await sees result" 9 (Pool.await f))
 
 (* Workers are spawned only when a task finds none idle, never beyond
-   the pool's size, and [trim] retires the idle ones; the next task
-   spawns a worker again. *)
+   the pool's size. *)
 let test_spawn_on_demand () =
   with_pool (fun p ->
       Alcotest.(check int) "no worker before the first task" 0 (Pool.live_workers p);
@@ -95,17 +94,59 @@ let test_spawn_on_demand () =
       done;
       Alcotest.(check int) "three blocked tasks, size-2 pool" 2 (Pool.live_workers p);
       Atomic.set release true;
-      Alcotest.(check (list int)) "every task ran" [ 0; 1; 2 ] (List.map Pool.await futs);
-      (* A worker counts as idle once it waits again; trim until both
-         have been caught idle and left. *)
-      let deadline = Unix.gettimeofday () +. 5. in
-      while Pool.live_workers p > 0 && Unix.gettimeofday () < deadline do
-        Pool.trim p;
-        Unix.sleepf 0.001
-      done;
-      Alcotest.(check int) "trim retires idle workers" 0 (Pool.live_workers p);
-      Alcotest.(check int) "a task after trim runs" 7 (Pool.await (Pool.submit p (fun () -> 7)));
-      Alcotest.(check int) "and respawns one worker" 1 (Pool.live_workers p))
+      Alcotest.(check (list int)) "every task ran" [ 0; 1; 2 ] (List.map Pool.await futs))
+
+(* [run_jobs] offers helpers only to workers that would sit idle: with
+   both workers of a 2-worker pool held, every job runs on the caller
+   and no helper task is submitted; with one held, exactly one is. *)
+let test_helpers_only_for_idle_workers () =
+  let tasks () =
+    Option.value ~default:0 (List.assoc_opt "pool.tasks" (Metrics.snapshot ()).Metrics.counters)
+  in
+  let rec chunks (s : Trace.span) =
+    (if s.Trace.name = "chunk" then 1 else 0)
+    + List.fold_left (fun acc c -> acc + chunks c) 0 s.Trace.children
+  in
+  Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ();
+      Trace.reset ())
+  @@ fun () ->
+  List.iter
+    (fun held ->
+      with_pool (fun p ->
+          let release = Atomic.make false in
+          let started = Atomic.make 0 in
+          let holders =
+            List.init held (fun _ ->
+                Pool.submit p (fun () ->
+                    Atomic.incr started;
+                    while not (Atomic.get release) do
+                      Unix.sleepf 0.001
+                    done))
+          in
+          while Atomic.get started < held do
+            Unix.sleepf 0.001
+          done;
+          let caller = Domain.self () in
+          let before = tasks () in
+          let on_caller, rt =
+            Trace.with_request (fun () ->
+                Pool.run_jobs (Some p) (Array.init 8 (fun _ () -> Domain.self () = caller)))
+          in
+          let offered = tasks () - before in
+          Atomic.set release true;
+          List.iter Pool.await holders;
+          if held = 2 then begin
+            Alcotest.(check int) "no helper submitted to a busy pool" 0 offered;
+            Alcotest.(check bool) "every job ran on the caller" true
+              (Array.for_all Fun.id on_caller);
+            Alcotest.(check int) "no chunk span" 0 (chunks rt.Trace.r_root)
+          end
+          else Alcotest.(check int) "one helper for the one idle worker" 1 offered))
+    [ 2; 1 ]
 
 (* A job list on two workers: every job runs once, results come back in
    index order, and the inline path gives the same array. *)
@@ -252,7 +293,9 @@ let () =
           Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
           Alcotest.test_case "shutdown drains queue" `Quick test_shutdown_drains_queue;
           Alcotest.test_case "inline workers=0" `Quick test_inline_mode;
-          Alcotest.test_case "spawn on demand, trim" `Quick test_spawn_on_demand;
+          Alcotest.test_case "spawn on demand" `Quick test_spawn_on_demand;
+          Alcotest.test_case "helpers only for idle workers" `Quick
+            test_helpers_only_for_idle_workers;
           Alcotest.test_case "run_jobs order, once each" `Quick test_run_jobs;
           Alcotest.test_case "run_jobs helper raise" `Quick test_run_jobs_helper_raises ] );
       ( "aggregation",

@@ -483,33 +483,51 @@ let test_socket_roundtrip () =
 
 (* --- concurrent serving (listen_and_serve + domain pool) ------------------------ *)
 
-(* A live TCP server on [port] with table "t" preloaded, torn down
-   gracefully (stop flag + drain) when [f] returns. *)
-let with_live_server ?(workers = 2) ?(max_conns = 16) ?(request_timeout_ms = 0) ?max_frame
-    ?(trace_sample = 0) ?(slow_query_ms = 0.) ~port f =
-  let state = Server.create ~trace_sample ~slow_query_ms () in
-  (match Server.handle state (P.Upload { name = "t"; table = enc }) with
-   | P.Ack -> ()
-   | _ -> Alcotest.fail "preload upload failed");
-  let stop = Atomic.make false in
-  let srv =
-    Domain.spawn (fun () ->
-        Transport.listen_and_serve ~workers ~max_conns ~request_timeout_ms ?max_frame
-          ~stop:(fun () -> Atomic.get stop)
-          ~port (Server.handle_encoded state))
-  in
-  let rec wait_up tries =
+module Pool = Sagma_pool.Pool
+
+(* Wait until something accepts connections on [port]. *)
+let wait_up port =
+  let rec go tries =
     match Transport.connect ~port () with
     | fd -> Unix.close fd
     | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) when tries > 0 ->
       Unix.sleepf 0.02;
-      wait_up (tries - 1)
+      go (tries - 1)
   in
-  wait_up 250;
+  go 250
+
+(* A live endpoint on a [pool_size]-worker pool of its own (each
+   in-process node needs one), serving [handler pool], torn down
+   gracefully (stop flag + drain) when [f] returns. *)
+let with_pool_server ?(pool_size = 2) ?max_conns ?request_timeout_ms ?max_frame ~port handler f
+    =
+  let pool = Pool.create ~name:"requests" ~workers:pool_size () in
+  let stop = Atomic.make false in
+  let srv =
+    Domain.spawn (fun () ->
+        Transport.listen_and_serve ~pool ?max_conns ?request_timeout_ms ?max_frame
+          ~stop:(fun () -> Atomic.get stop)
+          ~port (handler pool))
+  in
+  wait_up port;
   Fun.protect
     ~finally:(fun () ->
       Atomic.set stop true;
-      Domain.join srv)
+      Domain.join srv;
+      Pool.shutdown pool)
+    f
+
+(* A live single server on [port] with table "t" preloaded, lending its
+   request pool to aggregations as the server binary does. *)
+let with_live_server ?pool_size ?max_conns ?request_timeout_ms ?max_frame ?(trace_sample = 0)
+    ?(slow_query_ms = 0.) ~port f =
+  with_pool_server ?pool_size ?max_conns ?request_timeout_ms ?max_frame ~port
+    (fun agg_pool ->
+      let state = Server.create ~agg_pool ~trace_sample ~slow_query_ms () in
+      (match Server.handle state (P.Upload { name = "t"; table = enc }) with
+       | P.Ack -> ()
+       | _ -> Alcotest.fail "preload upload failed");
+      Server.handle_encoded state)
     f
 
 (* COUNT keeps per-request service time small enough for latency
@@ -527,7 +545,7 @@ let aggregate_round fd =
   | _ -> Alcotest.fail "expected aggregates"
 
 let test_parallel_clients () =
-  with_live_server ~workers:3 ~port:7491 (fun _ ->
+  with_live_server ~pool_size:3 ~port:7491 (fun _ ->
       let errors = Atomic.make 0 in
       let threads =
         List.init 3 (fun i ->
@@ -557,20 +575,22 @@ let test_parallel_clients () =
       List.iter Thread.join threads;
       Alcotest.(check int) "all parallel clients answered correctly" 0 (Atomic.get errors))
 
+(* More silent stallers than the pool has workers, each stalling for
+   less than the request deadline: a stalled connection holds only its
+   own thread, so the fast client never waits for a worker. *)
 let test_stalled_client_isolated () =
-  with_live_server ~workers:2 ~request_timeout_ms:300 ~port:7492 (fun _ ->
+  with_live_server ~pool_size:2 ~request_timeout_ms:2000 ~port:7492 (fun _ ->
       let stall_s = 0.8 in
-      let staller =
-        Thread.create
-          (fun () ->
-            let fd = Transport.connect ~port:7492 () in
-            (* Two bytes of a frame header, then silence: the read
-               deadline must reclaim this connection's worker without
-               touching anyone else's. *)
-            ignore (Unix.write fd (Bytes.of_string "\x00\x00") 0 2);
-            Thread.delay stall_s;
-            Unix.close fd)
-          ()
+      let stallers =
+        List.init 3 (fun _ ->
+            Thread.create
+              (fun () ->
+                let fd = Transport.connect ~port:7492 () in
+                (* Two bytes of a frame header, then silence. *)
+                ignore (Unix.write fd (Bytes.of_string "\x00\x00") 0 2);
+                Thread.delay stall_s;
+                Unix.close fd)
+              ())
       in
       Thread.delay 0.05;
       let fd = Transport.connect ~port:7492 () in
@@ -585,15 +605,15 @@ let test_stalled_client_isolated () =
              | _ -> Alcotest.fail "bad reply during stall");
             max_latency := Float.max !max_latency (Unix.gettimeofday () -. t0)
           done);
-      Thread.join staller;
+      List.iter Thread.join stallers;
       Alcotest.(check bool)
-        (Printf.sprintf "fast client unaffected by staller (max %.0f ms)"
+        (Printf.sprintf "fast client unaffected by stallers (max %.0f ms)"
            (!max_latency *. 1000.))
         true
         (!max_latency < stall_s /. 2.))
 
 let test_midrequest_disconnect () =
-  with_live_server ~workers:2 ~port:7493 (fun _ ->
+  with_live_server ~port:7493 (fun _ ->
       (* A peer that dies mid-frame: header promising 100 bytes, 10
          delivered, then gone. *)
       let fd = Transport.connect ~port:7493 () in
@@ -611,7 +631,7 @@ let test_midrequest_disconnect () =
             (aggregate_round fd)))
 
 let test_max_conns_shed () =
-  with_live_server ~workers:2 ~max_conns:1 ~port:7494 (fun _ ->
+  with_live_server ~max_conns:1 ~port:7494 (fun _ ->
       Unix.sleepf 0.05;
       (* occupies the single in-flight slot *)
       let holder = Transport.connect ~port:7494 () in
@@ -632,8 +652,8 @@ let test_max_conns_shed () =
           | P.Tables [ ("t", 15) ] -> ()
           | _ -> Alcotest.fail "server did not recover after shedding"))
 
-(* A --workers 4 server tracing every request, hammered by parallel
-   clients. Every sampled aggregate reply
+(* A server on a 4-worker pool, lending it to aggregations and tracing
+   every request, hammered by parallel clients. Every sampled aggregate reply
    must carry an EXPLAIN trailer; every captured trace must be one
    intact tree (aggregate an ancestor of pairing_loop) with a cost block
    scoped to its own request — no cross-request leakage even though
@@ -649,7 +669,7 @@ let test_traced_parallel_clients () =
       M.reset ();
       Trace.reset ())
     (fun () ->
-      with_live_server ~workers:4 ~trace_sample:1 ~port:7496 (fun _ ->
+      with_live_server ~pool_size:4 ~trace_sample:1 ~port:7496 (fun _ ->
           let errors = Atomic.make 0 in
           let explains = Atomic.make 0 in
           let threads =
@@ -744,8 +764,62 @@ let test_traced_parallel_clients () =
                   (List.exists (fun rt -> rt.Trace.r_id = "cli1") agg_traces)
               | _ -> Alcotest.fail "expected Trace_dump")))
 
+(* Stop with one idle connection and one request in flight: the loop
+   returns once both threads have ended, after the request's reply has
+   gone out. *)
+let test_drain_joins_threads () =
+  let module M = Sagma_obs.Metrics in
+  let inflight () =
+    Option.value ~default:0 (List.assoc_opt "transport.inflight" (M.snapshot ()).M.gauges)
+  in
+  M.reset ();
+  M.set_enabled true;
+  let pool = Pool.create ~name:"drain" ~workers:2 () in
+  Fun.protect
+    ~finally:(fun () ->
+      Pool.shutdown pool;
+      M.set_enabled false;
+      M.reset ())
+  @@ fun () ->
+  let started = Atomic.make false in
+  let slow _ =
+    Atomic.set started true;
+    Unix.sleepf 0.4;
+    P.encode_response (P.Tables [])
+  in
+  let stop = Atomic.make false in
+  (* The gauge is read the moment the loop returns. *)
+  let srv =
+    Domain.spawn (fun () ->
+        Transport.listen_and_serve ~pool ~stop:(fun () -> Atomic.get stop) ~port:7480 slow;
+        inflight ())
+  in
+  wait_up 7480;
+  let idle = Transport.connect ~port:7480 () in
+  let busy = Transport.connect ~port:7480 () in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close idle;
+      Unix.close busy)
+    (fun () ->
+      Transport.send busy (P.encode_request P.List_tables);
+      while not (Atomic.get started) do
+        Unix.sleepf 0.005
+      done;
+      let t0 = Unix.gettimeofday () in
+      Atomic.set stop true;
+      let inflight_at_return = Domain.join srv in
+      let drain_s = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "drained in %.0f ms" (drain_s *. 1000.))
+        true (drain_s < 1.);
+      (match P.decode_response (Transport.recv busy) with
+       | P.Tables [] -> ()
+       | _ -> Alcotest.fail "the in-flight request lost its reply");
+      Alcotest.(check int) "transport.inflight when the loop returns" 0 inflight_at_return)
+
 let test_oversized_frame_rejected () =
-  with_live_server ~workers:2 ~max_frame:65536 ~port:7495 (fun _ ->
+  with_live_server ~max_frame:65536 ~port:7495 (fun _ ->
       let fd = Transport.connect ~port:7495 () in
       (* Header claiming 64 MiB against a 64 KiB cap: the server must
          drop the connection up front instead of buffering the claim. *)
@@ -947,27 +1021,7 @@ let test_explain_bytes_out_exact () =
 
 (* A live TCP endpoint serving an arbitrary raw-frame handler — the
    building block for the cluster tests below. *)
-let with_handler ?(workers = 0) ~port handler f =
-  let stop = Atomic.make false in
-  let srv =
-    Domain.spawn (fun () ->
-        Transport.listen_and_serve ~workers ~max_conns:16 ~request_timeout_ms:0
-          ~stop:(fun () -> Atomic.get stop)
-          ~port handler)
-  in
-  let rec wait_up tries =
-    match Transport.connect ~port () with
-    | fd -> Unix.close fd
-    | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) when tries > 0 ->
-      Unix.sleepf 0.02;
-      wait_up (tries - 1)
-  in
-  wait_up 250;
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.set stop true;
-      Domain.join srv)
-    f
+let with_handler ~port handler f = with_pool_server ~port (fun _ -> handler) f
 
 let test_coordinator_scatter_gather () =
   let module M = Sagma_obs.Metrics in
@@ -1094,8 +1148,8 @@ let test_coordinator_append_retry () =
 
 (* A slow append must not hold up queries: the coordinator serialises
    appends (row-id stamping) but reads a table's public key apart from
-   that lock. Shard 0 sleeps on every Append and serves two connections
-   at once, so only the coordinator could make the Aggregate wait. *)
+   that lock. Shard 0 sleeps on every Append and runs two requests at
+   once, so only the coordinator could make the Aggregate wait. *)
 let test_coordinator_query_during_append () =
   let s0 = Server.create ~shard:(0, 2) () in
   let s1 = Server.create ~shard:(1, 2) () in
@@ -1105,7 +1159,7 @@ let test_coordinator_query_during_append () =
      | _ | (exception _) -> ());
     Server.handle_encoded s0 raw
   in
-  with_handler ~workers:2 ~port:7485 slow_appends (fun () ->
+  with_handler ~port:7485 slow_appends (fun () ->
       with_handler ~port:7486 (Server.handle_encoded s1) (fun () ->
           let r = Router.create [ "7485"; "7486" ] in
           Fun.protect
@@ -1535,6 +1589,7 @@ let () =
           Alcotest.test_case "mid-request disconnect" `Quick test_midrequest_disconnect;
           Alcotest.test_case "max-conns shed -> Busy" `Quick test_max_conns_shed;
           Alcotest.test_case "traced parallel clients" `Quick test_traced_parallel_clients;
-          Alcotest.test_case "oversized frame rejected" `Quick test_oversized_frame_rejected ] );
+          Alcotest.test_case "oversized frame rejected" `Quick test_oversized_frame_rejected;
+          Alcotest.test_case "drain joins connection threads" `Quick test_drain_joins_threads ] );
       ("properties", props);
     ]
