@@ -44,16 +44,25 @@ let load_table ~csv ~schema =
   let schema = parse_schema schema in
   (schema, Csv.parse ~schema contents)
 
-let parse_where (t : Table.t) (clauses : string list) : (string * Value.t) list =
+(* The --where clauses as (column, value) pairs, each value read by
+   [parse column raw]. *)
+let parse_where parse (clauses : string list) : (string * Value.t) list =
   List.map
     (fun clause ->
       match String.index_opt clause '=' with
       | None -> invalid_arg (Printf.sprintf "bad --where %S (want col=value)" clause)
       | Some i ->
         let col = String.sub clause 0 i in
-        let raw = String.sub clause (i + 1) (String.length clause - i - 1) in
-        (col, Value.parse (Table.column_ty t col) raw))
+        (col, parse col (String.sub clause (i + 1) (String.length clause - i - 1))))
     clauses
+
+(* --sum/--count/--avg as one aggregate; none of them means COUNT. *)
+let aggregate_of_flags sum count avg =
+  match (sum, count, avg) with
+  | Some c, false, None -> Query.Sum c
+  | None, _, None -> Query.Count
+  | None, false, Some c -> Query.Avg c
+  | _ -> invalid_arg "choose exactly one of --sum/--count/--avg"
 
 (* --- query ----------------------------------------------------------------- *)
 
@@ -66,8 +75,8 @@ let print_explain (rt : Sagma_obs.Trace.rtrace) =
     (Trace.phase_timings rt.Trace.r_root);
   List.iter (fun (k, v) -> if v <> 0 then Printf.printf "  %-28s %10d\n" k v) rt.Trace.r_counts
 
-let run_query csv schema sql sum count_flag avg group_by where bucket_size threshold seed metrics
-    explain profile =
+let run_query csv schema sql aggregate group_by where bucket_size threshold seed metrics explain
+    profile =
   if metrics || explain || profile then Sagma_obs.Metrics.set_enabled true;
   if profile then Sagma_obs.Prof.start ();
   let _, table = load_table ~csv ~schema in
@@ -77,16 +86,11 @@ let run_query csv schema sql sum count_flag avg group_by where bucket_size thres
       (* Full SQL front end, including BETWEEN range filters. *)
       Sagma_db.Sql.parse_query statement
     | None ->
-      let aggregate =
-        match (sum, count_flag, avg) with
-        | Some c, false, None -> Query.Sum c
-        | None, true, None -> Query.Count
-        | None, false, Some c -> Query.Avg c
-        | None, false, None -> Query.Count
-        | _ -> invalid_arg "choose exactly one of --sum/--count/--avg"
-      in
       if group_by = [] then invalid_arg "--group-by is required without --sql";
-      Query.make ~where:(parse_where table where) ~group_by aggregate
+      let where =
+        parse_where (fun col raw -> Value.parse (Table.column_ty table col) raw) where
+      in
+      Query.make ~where ~group_by aggregate
   in
   let group_by = q.Query.group_by in
   let where = q.Query.where in
@@ -119,27 +123,18 @@ let run_query csv schema sql sum count_flag avg group_by where bucket_size thres
   let t1 = Unix.gettimeofday () in
   let enc = Scheme.encrypt_table client table in
   let t2 = Unix.gettimeofday () in
-  (* The query pipeline proper, each phase under its span. With
-     --explain the whole thing runs inside a Trace request context, so
-     the spans become the request's phase timings and the operation
-     counters are captured into its cost block. *)
-  let run_phases () =
-    let tok = Sagma_obs.Trace.with_span "token" (fun () -> Scheme.token client q) in
-    let agg = Sagma_obs.Trace.with_span "aggregate" (fun () -> Scheme.aggregate enc tok) in
-    let t3 = Unix.gettimeofday () in
-    let results =
-      Sagma_obs.Trace.with_span "decrypt" (fun () ->
-          Scheme.decrypt client tok agg ~total_rows:(Array.length enc.Scheme.rows))
-    in
-    (tok, t3, results)
-  in
-  let (tok, t3, results), request_trace =
+  (* Scheme.query runs token, aggregate and decrypt each under its span.
+     With --explain it runs inside a Trace request context, so the spans
+     become the request's phase timings and the operation counters are
+     captured into its cost block. *)
+  let run () = Scheme.query client enc q in
+  let results, request_trace =
     if explain then
-      let v, rt = Sagma_obs.Trace.with_request run_phases in
+      let v, rt = Sagma_obs.Trace.with_request run in
       (v, Some rt)
-    else (run_phases (), None)
+    else (run (), None)
   in
-  let t4 = Unix.gettimeofday () in
+  let t3 = Unix.gettimeofday () in
   Printf.printf "%s\n" (Query.to_sql q);
   Printf.printf "%-14s | %s\n" (Query.aggregate_name q.Query.aggregate) (String.concat " | " group_by);
   List.iter
@@ -147,10 +142,10 @@ let run_query csv schema sql sum count_flag avg group_by where bucket_size thres
       Printf.printf "%-14g | %s\n" (Scheme.aggregate_value q r)
         (String.concat " | " (List.map Value.to_string r.Scheme.group)))
     results;
-  Printf.printf
-    "\nrows: %d   setup: %.2fs   encrypt: %.2fs   server aggregate: %.2fs   decrypt: %.2fs\n"
-    (Table.row_count table) (t1 -. t0) (t2 -. t1) (t3 -. t2) (t4 -. t3);
-  let leak = Leakage.profile enc [ tok ] in
+  Printf.printf "\nrows: %d   setup: %.2fs   encrypt: %.2fs   query: %.2fs\n"
+    (Table.row_count table) (t1 -. t0) (t2 -. t1) (t3 -. t2);
+  (* Tokens are PRF outputs: this one equals the token the query sent. *)
+  let leak = Leakage.profile enc [ Scheme.token client q ] in
   Printf.printf "leakage: %d SSE index entries; query touched %d bucket/filter tokens\n"
     leak.Leakage.index_size
     (List.length (List.concat_map (fun ql -> ql.Leakage.observations) leak.Leakage.queries));
@@ -259,16 +254,9 @@ let read_file path =
    even when the call raises. A [Failed] reply becomes the command's
    error; any other reply (and its EXPLAIN trailer) is the caller's to
    match. *)
-let remote_call ?trace port req =
+let remote_call port req =
   let fd = Sagma_protocol.Transport.connect ~port () in
-  match
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () -> Sagma_protocol.Transport.call_x ?trace fd req)
-  with
-  | P.Failed { code; message }, _ ->
-    failwith (Printf.sprintf "%s: %s" (P.error_code_to_string code) message)
-  | reply -> reply
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Sagma_protocol.Client.call fd req)
 
 (* Encrypt a CSV locally, persist the secret client state to [key_file]
    (private!), and upload the ciphertexts to the server. *)
@@ -291,58 +279,35 @@ let run_remote_upload csv schema group_by value_cols filter_cols bucket_size thr
 
 (* Query a previously uploaded table: only the token goes up, only
    ciphertext aggregates come back. *)
-let run_remote_query sum count_flag avg group_by where_raw port name key_file seed explain =
+let run_remote_query aggregate group_by where port name key_file seed explain =
   let client = Serialize.client_of_string ~drbg:(Drbg.create (seed ^ "-session")) (read_file key_file) in
-  let aggregate =
-    match (sum, count_flag, avg) with
-    | Some c, false, None -> Query.Sum c
-    | None, _, None -> Query.Count
-    | None, false, Some c -> Query.Avg c
-    | _ -> invalid_arg "choose exactly one of --sum/--count/--avg"
-  in
+  (* Without the table, a filter value is an int when it reads as one. *)
   let where =
-    List.map
-      (fun clause ->
-        match String.index_opt clause '=' with
-        | None -> invalid_arg (Printf.sprintf "bad --where %S" clause)
-        | Some i ->
-          let col = String.sub clause 0 i in
-          let raw = String.sub clause (i + 1) (String.length clause - i - 1) in
-          (* Filter values are parsed as strings unless they look numeric. *)
-          (col, (match int_of_string_opt raw with Some v -> Value.Int v | None -> Value.Str raw)))
-      where_raw
+    parse_where
+      (fun _ raw -> match int_of_string_opt raw with Some v -> Value.Int v | None -> Value.Str raw)
+      where
   in
   let q = Query.make ~where ~group_by aggregate in
-  let tok = Scheme.token client q in
-  let total_rows =
-    match remote_call port P.List_tables with
-    | P.Tables ts, _ ->
-      (match List.assoc_opt name ts with
-       | Some rows -> rows
-       | None -> failwith (Printf.sprintf "no such remote table %S" name))
-    | _ -> failwith "unexpected response"
+  let fd = Sagma_protocol.Transport.connect ~port () in
+  let results, wire_explain =
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () -> Sagma_protocol.Client.query ~explain fd client ~name q)
   in
-  (* --explain sets the sampling flag on the request, forcing the
-     server to trace it and return an EXPLAIN trailer. *)
-  let trace = if explain then Some { P.tc_id = None; tc_sampled = true } else None in
-  match remote_call ?trace port (P.Aggregate { name; token = tok }) with
-  | P.Aggregates agg, wire_explain ->
-    let results = Scheme.decrypt client tok agg ~total_rows in
-    Printf.printf "%s\n" (Query.to_sql q);
-    List.iter
-      (fun r ->
-        Printf.printf "%-14g | %s\n" (Scheme.aggregate_value q r)
-          (String.concat " | " (List.map Value.to_string r.Scheme.group)))
-      results;
-    (* The server may attach a trailer unasked (e.g. --trace-sample 1
-       samples every request); only print it when the user wanted it. *)
-    (match wire_explain with
-     | _ when not explain -> ()
-     | None -> print_endline "\n(no EXPLAIN trailer: server not collecting metrics?)"
-     | Some rt ->
-       Printf.printf "\n-- explain (server trace %s) --\n" rt.Sagma_obs.Trace.r_id;
-       print_explain rt)
-  | _ -> failwith "unexpected response"
+  Printf.printf "%s\n" (Query.to_sql q);
+  List.iter
+    (fun r ->
+      Printf.printf "%-14g | %s\n" (Scheme.aggregate_value q r)
+        (String.concat " | " (List.map Value.to_string r.Scheme.group)))
+    results;
+  (* The server may attach a trailer unasked (e.g. --trace-sample 1
+     samples every request); only print it when the user wanted it. *)
+  match wire_explain with
+  | _ when not explain -> ()
+  | None -> print_endline "\n(no EXPLAIN trailer: server not collecting metrics?)"
+  | Some rt ->
+    Printf.printf "\n-- explain (server trace %s) --\n" rt.Sagma_obs.Trace.r_id;
+    print_explain rt
 
 (* Fetch the server's metrics snapshot + audit summary over the Stats
    RPC. Rendered human-readable by default; --prometheus emits the
@@ -624,23 +589,28 @@ let csv_arg = Arg.(required & opt (some file) None & info [ "csv" ] ~doc:"Input 
 let schema_arg =
   Arg.(required & opt (some string) None & info [ "schema" ] ~doc:"Schema, e.g. salary:int,dept:str.")
 
+(* --sum/--count/--avg, read as one aggregate by [aggregate_of_flags]. *)
+let aggregate_arg =
+  let sum = Arg.(value & opt (some string) None & info [ "sum" ] ~doc:"SUM this column.") in
+  let count = Arg.(value & flag & info [ "count" ] ~doc:"COUNT rows per group.") in
+  let avg = Arg.(value & opt (some string) None & info [ "avg" ] ~doc:"AVG this column.") in
+  Term.(const aggregate_of_flags $ sum $ count $ avg)
+
+let where_arg =
+  Arg.(value & opt_all string [] & info [ "where" ] ~doc:"Equality filter col=value (repeatable).")
+
+let seed_arg = Arg.(value & opt string "sagma-cli" & info [ "seed" ] ~doc:"DRBG seed.")
+
 let query_cmd =
   let sql =
     Arg.(value & opt (some string) None
          & info [ "sql" ] ~doc:"Full SQL statement (supports WHERE ... BETWEEN).")
   in
-  let sum = Arg.(value & opt (some string) None & info [ "sum" ] ~doc:"SUM this column.") in
-  let count = Arg.(value & flag & info [ "count" ] ~doc:"COUNT rows per group.") in
-  let avg = Arg.(value & opt (some string) None & info [ "avg" ] ~doc:"AVG this column.") in
   let group_by =
     Arg.(value & opt (list string) [] & info [ "group-by" ] ~doc:"Grouping columns.")
   in
-  let where =
-    Arg.(value & opt_all string [] & info [ "where" ] ~doc:"Equality filter col=value (repeatable).")
-  in
   let bucket = Arg.(value & opt int 2 & info [ "bucket-size" ] ~doc:"Bucket size B.") in
   let threshold = Arg.(value & opt int 3 & info [ "threshold" ] ~doc:"Max grouping attributes t.") in
-  let seed = Arg.(value & opt string "sagma-cli" & info [ "seed" ] ~doc:"DRBG seed.") in
   let metrics =
     Arg.(value & flag
          & info [ "metrics" ]
@@ -661,8 +631,8 @@ let query_cmd =
   in
   Cmd.v (Cmd.info "query" ~doc:"Encrypt a CSV and answer an aggregation query over ciphertexts.")
     Term.(
-      const run_query $ csv_arg $ schema_arg $ sql $ sum $ count $ avg $ group_by $ where
-      $ bucket $ threshold $ seed $ metrics $ explain $ profile)
+      const run_query $ csv_arg $ schema_arg $ sql $ aggregate_arg $ group_by $ where_arg
+      $ bucket $ threshold $ seed_arg $ metrics $ explain $ profile)
 
 let inspect_cmd =
   let column = Arg.(required & opt (some string) None & info [ "column" ] ~doc:"Column to inspect.") in
@@ -701,25 +671,17 @@ let remote_upload_cmd =
   in
   let bucket = Arg.(value & opt int 2 & info [ "bucket-size" ] ~doc:"Bucket size B.") in
   let threshold = Arg.(value & opt int 2 & info [ "threshold" ] ~doc:"Max grouping attributes t.") in
-  let seed = Arg.(value & opt string "sagma-cli" & info [ "seed" ] ~doc:"DRBG seed.") in
   Cmd.v
     (Cmd.info "remote-upload"
        ~doc:"Encrypt a CSV, save the client key locally and upload ciphertexts to a sagma_server.")
     Term.(
       const run_remote_upload $ csv_arg $ schema_arg $ group_by $ value_cols $ filter_cols
-      $ bucket $ threshold $ seed $ port_arg $ name_arg $ key_file_arg)
+      $ bucket $ threshold $ seed_arg $ port_arg $ name_arg $ key_file_arg)
 
 let remote_query_cmd =
-  let sum = Arg.(value & opt (some string) None & info [ "sum" ] ~doc:"SUM this column.") in
-  let count = Arg.(value & flag & info [ "count" ] ~doc:"COUNT rows per group.") in
-  let avg = Arg.(value & opt (some string) None & info [ "avg" ] ~doc:"AVG this column.") in
   let group_by =
     Arg.(non_empty & opt (list string) [] & info [ "group-by" ] ~doc:"Grouping columns.")
   in
-  let where =
-    Arg.(value & opt_all string [] & info [ "where" ] ~doc:"Equality filter col=value.")
-  in
-  let seed = Arg.(value & opt string "sagma-cli" & info [ "seed" ] ~doc:"DRBG seed.") in
   let explain =
     Arg.(value & flag
          & info [ "explain" ]
@@ -731,8 +693,8 @@ let remote_query_cmd =
     (Cmd.info "remote-query"
        ~doc:"Send a grouping token to a sagma_server and decrypt the returned aggregates.")
     Term.(
-      const run_remote_query $ sum $ count $ avg $ group_by $ where $ port_arg $ name_arg
-      $ key_file_arg $ seed $ explain)
+      const run_remote_query $ aggregate_arg $ group_by $ where_arg $ port_arg $ name_arg
+      $ key_file_arg $ seed_arg $ explain)
 
 let stats_cmd =
   let prometheus =

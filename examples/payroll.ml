@@ -74,13 +74,13 @@ let () =
     Config.make ~bucket_size:2 ~max_group_attrs:2 ~filter_columns:[ "seniority" ]
       ~value_columns:[ "salary" ] ~group_columns:[ "department"; "seniority" ] ()
   in
-  let t =
-    Client_api.create ~mapping_strategy:strategy ~seed:"payroll-client" ~config
+  let client =
+    Scheme.setup ~mapping_strategy:strategy config
       ~domains:[ ("department", dept_domain); ("seniority", seniority_domain) ]
-      ()
+      (Drbg.create "payroll-client")
   in
   (* Encrypt with dummy rows derived from the per-column plans. *)
-  let maps = Client_api.mappings t in
+  let maps = client.Scheme.mappings in
   let dummies =
     Bucketing.dummy_rows
       [| maps.(0); maps.(1) |]
@@ -88,34 +88,34 @@ let () =
   in
   Printf.printf "encrypting %d real rows + %d dummy rows (count mode switches to paired)\n\n"
     (Table.row_count table) (List.length dummies);
-  Client_api.encrypt ~dummy_groups:dummies t ~table;
+  let enc = Scheme.encrypt_table ~dummy_groups:dummies client table in
 
   let q1 = Query.make ~group_by:[ "department" ] (Query.Avg "salary") in
-  show q1 (Client_api.query t q1);
+  show q1 (Scheme.query client enc q1);
   let q2 =
     Query.make ~where:[ ("seniority", str "senior") ] ~group_by:[ "department" ]
       (Query.Sum "salary")
   in
-  show q2 (Client_api.query t q2);
+  show q2 (Scheme.query client enc q2);
 
   (* Value split: "eng" dominates; split it in two sub-values. *)
   print_endline "-- splitting department value \"eng\" into eng.1 / eng.2 --\n";
   let split_table = Bucketing.split_column table ~column:"department" ~value:(str "eng") ~parts:2 in
   let split_dom = Bucketing.split_domain dept_domain ~value:(str "eng") ~parts:2 in
-  let t2 =
-    Client_api.create ~seed:"payroll-split" ~config
+  let split_client =
+    Scheme.setup config
       ~domains:[ ("department", split_dom); ("seniority", seniority_domain) ]
-      ()
+      (Drbg.create "payroll-split")
   in
-  Client_api.encrypt t2 ~table:split_table;
+  let split_enc = Scheme.encrypt_table split_client split_table in
   let q3 = Query.make ~group_by:[ "department" ] (Query.Sum "salary") in
-  let raw = Client_api.query t2 q3 in
+  let raw = Scheme.query split_client split_enc q3 in
   Printf.printf "  raw (split) groups: %s\n"
     (String.concat ", " (List.map (fun r -> Value.to_string (List.hd r.Scheme.group)) raw));
   let merged = Bucketing.merge_split_results raw ~position:0 ~value:(str "eng") ~parts:2 in
   show q3 merged;
   (* Cross-check against the unsplit pipeline. *)
-  let reference = Client_api.query t q3 in
+  let reference = Scheme.query client enc q3 in
   let as_triples rs =
     List.map (fun r -> (List.map Value.to_string r.Scheme.group, r.Scheme.sum, r.Scheme.count)) rs
   in

@@ -46,25 +46,23 @@ let print_results (q : Query.t) (rs : Scheme.result_row list) =
 let () =
   print_endline "== SAGMA quickstart: the paper's worked example ==\n";
   (* 1. Setup (Algorithm 1): fix the scheme parameters and the group
-     column domains. B = 2 and t = 2 as in §3.4's walkthrough. The
-     Client_api facade bundles the client and its encrypted table. *)
+     column domains. B = 2 and t = 2 as in §3.4's walkthrough. *)
   let config =
     Config.make ~bucket_size:2 ~max_group_attrs:2
       ~filter_columns:[ "Department" ]
       ~value_columns:[ "Salary" ]
       ~group_columns:[ "Gender"; "Department" ] ()
   in
-  let t =
-    Client_api.create ~seed:"quickstart" ~config
+  let client =
+    Scheme.setup config
       ~domains:
         [ ("Gender", [ str "male"; str "female" ]);
           ("Department", [ str "Sales"; str "Finance"; str "Facility" ]) ]
-      ()
+      (Drbg.create "quickstart")
   in
   (* 2. EncTable (Algorithm 2): encrypt and "outsource". The server-side
      value holds only BGN ciphertexts and an SSE index. *)
-  Client_api.encrypt t ~table;
-  let enc = Client_api.encrypted t in
+  let enc = Scheme.encrypt_table client table in
   Printf.printf "encrypted %d rows: %d monomial ciphertexts/row, %d CRT channels, SSE index of %d entries\n\n"
     (Array.length enc.Scheme.rows)
     (Array.length enc.Scheme.rows.(0).Scheme.monomial_cts)
@@ -72,7 +70,7 @@ let () =
     (Sagma_sse.Sse.size enc.Scheme.index);
   (* 3. Listing 2: GROUP BY Gender, Department (paper Table 7). *)
   let q2 = Query.make ~group_by:[ "Gender"; "Department" ] (Query.Sum "Salary") in
-  print_results q2 (Client_api.query t q2);
+  print_results q2 (Scheme.query client enc q2);
   (* 4. Listing 1: the same with WHERE Department = 'Sales' (Table 2).
      Filtering runs server-side through the SSE index. *)
   let q1 =
@@ -81,13 +79,16 @@ let () =
       ~group_by:[ "Gender"; "Department" ]
       (Query.Sum "Salary")
   in
-  print_results q1 (Client_api.query t q1);
+  print_results q1 (Scheme.query client enc q1);
   (* 5. COUNT and AVG ride the same machinery. *)
   let qc = Query.make ~group_by:[ "Department" ] Query.Count in
-  print_results qc (Client_api.query t qc);
+  print_results qc (Scheme.query client enc qc);
   let qa = Query.make ~group_by:[ "Gender" ] (Query.Avg "Salary") in
-  print_results qa (Client_api.query t qa);
+  print_results qa (Scheme.query client enc qa);
   (* 6. Appends ride the update path (EncRow + SSE posting extension). *)
-  Client_api.append t ~values:[| 4500 |] ~groups:[| str "female"; str "Finance" |];
-  Printf.printf "after appending one encrypted row (%d total):\n" (Client_api.row_count t);
-  print_results q2 (Client_api.query t q2)
+  let enc =
+    Scheme.append_row client enc ~values:[| 4500 |] ~groups:[| str "female"; str "Finance" |]
+      ~filters:[]
+  in
+  Printf.printf "after appending one encrypted row (%d total):\n" (Array.length enc.Scheme.rows);
+  print_results q2 (Scheme.query client enc q2)

@@ -15,6 +15,7 @@ module Drbg = Sagma_crypto.Drbg
 module P = Sagma_protocol.Protocol
 module Server = Sagma_protocol.Server
 module Transport = Sagma_protocol.Transport
+module Client = Sagma_protocol.Client
 open Sagma
 
 let str s = Value.Str s
@@ -60,31 +61,20 @@ let () =
   let state = Server.create () in
   let server_thread = Thread.create (fun () -> Transport.serve_connection (Server.handle_encoded state) server_fd) () in
 
-  let call req = Transport.call client_fd req in
+  let call req = fst (Client.call client_fd req) in
   let payload = Serialize.enc_table_to_string enc in
   Printf.printf "uploading %d encrypted rows (%d bytes on the wire)\n"
     (Table.row_count table) (String.length payload);
   assert (call (P.Upload { name = "sales"; table = enc }) = P.Ack);
 
   let run_query q =
-    let tok = Scheme.token client q in
-    let total_rows =
-      match call P.List_tables with
-      | P.Tables ts -> List.assoc "sales" ts
-      | _ -> failwith "listing failed"
-    in
-    match call (P.Aggregate { name = "sales"; token = tok }) with
-    | P.Aggregates agg ->
-      Printf.printf "\n%s\n" (Query.to_sql q);
-      List.iter
-        (fun r ->
-          Printf.printf "  %-16s %g\n"
-            (String.concat "/" (List.map Value.to_string r.Scheme.group))
-            (Scheme.aggregate_value q r))
-        (Scheme.decrypt client tok agg ~total_rows)
-    | P.Failed { code; message } ->
-      failwith (Printf.sprintf "%s: %s" (P.error_code_to_string code) message)
-    | _ -> failwith "unexpected response"
+    Printf.printf "\n%s\n" (Query.to_sql q);
+    List.iter
+      (fun r ->
+        Printf.printf "  %-16s %g\n"
+          (String.concat "/" (List.map Value.to_string r.Scheme.group))
+          (Scheme.aggregate_value q r))
+      (fst (Client.query client_fd client ~name:"sales" q))
   in
   run_query (Query.make ~group_by:[ "region" ] (Query.Sum "amount"));
   run_query (Query.make ~group_by:[ "region"; "channel" ] Query.Count);

@@ -16,6 +16,23 @@ sh scripts/dead_exports.sh
 echo "== dune runtest =="
 dune runtest
 
+echo "== examples =="
+# The library surface end to end: the local Scheme workflow with an
+# append, the skew-aware payroll pipeline, and the remote client over
+# a socket pair.
+EX_DIR=$(mktemp -d)
+trap 'rm -rf "$EX_DIR"' EXIT
+_build/default/examples/quickstart.exe > "$EX_DIR/quickstart.out"
+grep -q "after appending one encrypted row (6 total)" "$EX_DIR/quickstart.out"
+grep -q "^  6000  *| female | Finance" "$EX_DIR/quickstart.out"
+_build/default/examples/payroll.exe > "$EX_DIR/payroll.out"
+grep -q "merged split results match the unsplit pipeline — done." "$EX_DIR/payroll.out"
+_build/default/examples/remote_pipeline.exe > "$EX_DIR/remote.out"
+grep -q "server shut down; it never held a key or a plaintext." "$EX_DIR/remote.out"
+trap - EXIT
+rm -rf "$EX_DIR"
+echo "examples OK"
+
 echo "== fuzz smoke (pinned seed, bounded counts) =="
 # A deeper pass over the property/fuzz suites than the runtest default:
 # the pinned seed keeps CI deterministic, the scale bound keeps it fast.
@@ -108,6 +125,15 @@ done
 wait "$CONC_1" "$CONC_2" "$CONC_3"
 for i in 1 2 3; do grep -q "sales" "$OBS_DIR/conc.$i.out"; done
 echo "concurrent queries OK"
+# A remote equality filter: only the sales rows qualify.
+"$CLI" remote-query --sum salary --group-by dept --where dept=sales \
+  --port "$OBS_PORT" --name smoke --key-file "$OBS_DIR/sagma.key" > "$OBS_DIR/where.out"
+grep -q "^4000 .*| sales$" "$OBS_DIR/where.out"
+if grep -q "finance" "$OBS_DIR/where.out"; then
+  echo "remote --where dept=sales returned a finance row" >&2
+  exit 1
+fi
+echo "remote --where OK"
 # An idle connection holds only its own thread, never a pool worker:
 # with six open, health must answer at once, long before the 10 s
 # request deadline would drop them.

@@ -77,32 +77,32 @@ let test_scheme_append_then_query () =
     Config.make ~bucket_size:2 ~max_group_attrs:1 ~value_columns:[ "v" ]
       ~group_columns:[ "g" ] ()
   in
-  let t =
-    Client_api.create ~config
+  let client =
+    Scheme.setup config
       ~domains:[ ("g", [ str "x"; str "y"; str "z" ]) ]
-      ~seed:"append-regression" ()
+      (Drbg.create "append-regression")
   in
   let table =
     Table.of_rows schema [ [| vi 10; str "x" |]; [| vi 20; str "y" |]; [| vi 1; str "x" |] ]
   in
-  Client_api.encrypt t ~table;
+  let enc = Scheme.encrypt_table client table in
   let q = Query.make ~group_by:[ "g" ] (Query.Sum "v") in
-  let results tt =
+  let results enc =
     List.sort compare
       (List.map
          (fun r -> (List.map Value.to_string r.Scheme.group, r.Scheme.sum, r.Scheme.count))
-         (Client_api.query tt q))
+         (Scheme.query client enc q))
   in
   Alcotest.(check (list (triple (list string) int int)))
     "before append"
     [ ([ "x" ], 11, 2); ([ "y" ], 20, 1) ]
-    (results t);
-  Client_api.append t ~values:[| 5 |] ~groups:[| str "z" |] ~filters:[];
-  Client_api.append t ~values:[| 100 |] ~groups:[| str "x" |] ~filters:[];
+    (results enc);
+  let enc = Scheme.append_row client enc ~values:[| 5 |] ~groups:[| str "z" |] ~filters:[] in
+  let enc = Scheme.append_row client enc ~values:[| 100 |] ~groups:[| str "x" |] ~filters:[] in
   Alcotest.(check (list (triple (list string) int int)))
     "after appends"
     [ ([ "x" ], 111, 3); ([ "y" ], 20, 1); ([ "z" ], 5, 1) ]
-    (results t)
+    (results enc)
 
 (* --- Leakage: bucket patterns of permuted tables ------------------------------ *)
 

@@ -1,7 +1,8 @@
-(* Tests for the observability subsystem (Sagma_obs) and the Client_api
-   facade: metrics are free when disabled, counters match the analytic
-   cost model of §3.4 (pairings per row × block × channel), spans nest
-   per query phase, and the facade agrees with the plaintext oracle. *)
+(* Tests for the observability subsystem (Sagma_obs): metrics are free
+   when disabled, counters match the analytic cost model of §3.4
+   (pairings per row × block × channel), spans nest per query phase, and
+   the request audit flags a server that strays from the declared
+   leakage. *)
 
 module Value = Sagma_db.Value
 module Table = Sagma_db.Table
@@ -1274,59 +1275,6 @@ let test_scheme_audit_flags_extra_pairing () =
   let t = Option.get (Audit.end_request ()) in
   check_fails "excess paired rows flagged" (Leakage.audit_check enc tok t)
 
-(* --- Client_api facade vs the plaintext oracle ------------------------------ *)
-
-let results_to_list rs =
-  List.map (fun r -> (List.map Value.to_string r.Scheme.group, r.Scheme.sum, r.Scheme.count)) rs
-
-let oracle_to_list rs =
-  List.map (fun r -> (List.map Value.to_string r.Executor.group, r.Executor.sum, r.Executor.count)) rs
-
-let facade () =
-  let t = Client_api.create ~config ~domains:[ ("dept", dept_domain) ] ~seed:"obs-facade" () in
-  Client_api.encrypt t ~table;
-  t
-
-let check_facade_matches_oracle name t plain_table q =
-  Alcotest.(check (list (triple (list string) int int)))
-    name
-    (oracle_to_list (Executor.run plain_table q))
-    (results_to_list (Client_api.query t q))
-
-let test_facade_matches_executor () =
-  let t = facade () in
-  Alcotest.(check int) "row_count" 4 (Client_api.row_count t);
-  check_facade_matches_oracle "SUM" t table (Query.make ~group_by:[ "dept" ] (Query.Sum "salary"));
-  check_facade_matches_oracle "COUNT" t table (Query.make ~group_by:[ "dept" ] Query.Count);
-  check_facade_matches_oracle "AVG" t table (Query.make ~group_by:[ "dept" ] (Query.Avg "salary"));
-  check_facade_matches_oracle "filtered SUM" t table
-    (Query.make ~where:[ ("dept", str "A") ] ~group_by:[ "dept" ] (Query.Sum "salary"))
-
-let test_facade_append_matches_executor () =
-  let t = facade () in
-  Client_api.append t ~values:[| 5000 |] ~groups:[| str "B" |]
-    ~filters:[ ("dept", str "B") ];
-  Alcotest.(check int) "row appended" 5 (Client_api.row_count t);
-  let extended =
-    Table.of_rows schema
-      [ [| vi 1000; str "A" |];
-        [| vi 2000; str "B" |];
-        [| vi 3000; str "C" |];
-        [| vi 4000; str "A" |];
-        [| vi 5000; str "B" |] ]
-  in
-  check_facade_matches_oracle "SUM after append" t extended
-    (Query.make ~group_by:[ "dept" ] (Query.Sum "salary"));
-  check_facade_matches_oracle "filtered SUM after append" t extended
-    (Query.make ~where:[ ("dept", str "B") ] ~group_by:[ "dept" ] (Query.Sum "salary"))
-
-let test_facade_unencrypted_raises () =
-  let t = Client_api.create ~config ~domains:[ ("dept", dept_domain) ] () in
-  Alcotest.(check int) "no rows yet" 0 (Client_api.row_count t);
-  Alcotest.check_raises "query before encrypt"
-    (Invalid_argument "Client_api: no table encrypted yet") (fun () ->
-      ignore (Client_api.query t (Query.make ~group_by:[ "dept" ] Query.Count)))
-
 let () =
   Alcotest.run "obs"
     [ ( "metrics",
@@ -1388,10 +1336,5 @@ let () =
       ( "scheme audit",
         [ Alcotest.test_case "honest execution passes" `Quick test_scheme_audit_honest_pass;
           Alcotest.test_case "extra probe flagged" `Quick test_scheme_audit_flags_extra_probe;
-          Alcotest.test_case "extra pairing flagged" `Quick test_scheme_audit_flags_extra_pairing ] );
-      ( "facade",
-        [ Alcotest.test_case "matches Executor.run" `Quick test_facade_matches_executor;
-          Alcotest.test_case "append matches Executor.run" `Quick
-            test_facade_append_matches_executor;
-          Alcotest.test_case "query before encrypt raises" `Quick test_facade_unencrypted_raises ] )
+          Alcotest.test_case "extra pairing flagged" `Quick test_scheme_audit_flags_extra_pairing ] )
     ]

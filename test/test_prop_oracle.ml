@@ -1,6 +1,7 @@
 (* Differential oracle: random tables and random GROUP BY / WHERE
    aggregation queries, answered through the full encrypted pipeline
-   (Client_api: Setup → EncTable → Token → Aggregate → Decrypt) and
+   (Scheme.setup → encrypt_table → Scheme.query: Token → Aggregate →
+   Decrypt) and
    through the plaintext Executor — the two must agree exactly. The
    CryptDB, Seabed and ASHE baselines are held to the same oracle, so
    every aggregation scheme in the repository is cross-checked against
@@ -41,11 +42,11 @@ let pool =
     Some p
   | _ -> None
 
-let sagma_results t q =
+let sagma_results client enc q =
   norm
     (List.map
        (fun r -> (List.map Value.to_string r.Scheme.group, r.Scheme.sum, r.Scheme.count))
-       (Client_api.query ?pool t q))
+       (Scheme.query ?pool client enc q))
 
 let report q expected got =
   Printf.printf "    %s\n      oracle:    %s\n      encrypted: %s\n" (Query.to_sql q)
@@ -57,24 +58,25 @@ let report q expected got =
           got));
   false
 
-let config_of (sc : Dbgen.scenario) =
-  Config.make ~bucket_size:sc.bucket_size ~max_group_attrs:sc.max_group_attrs
-    ~filter_columns:(List.map fst sc.filter_domains) ~value_columns:sc.value_columns
-    ~group_columns:(List.map fst sc.group_domains) ()
+(* Algorithm 1 for the scenario's configuration and domains. *)
+let setup (sc : Dbgen.scenario) seed =
+  let config =
+    Config.make ~bucket_size:sc.bucket_size ~max_group_attrs:sc.max_group_attrs
+      ~filter_columns:(List.map fst sc.filter_domains) ~value_columns:sc.value_columns
+      ~group_columns:(List.map fst sc.group_domains) ()
+  in
+  Scheme.setup config ~domains:sc.group_domains (Drbg.create seed)
 
 (* --- SAGMA vs plaintext ------------------------------------------------------- *)
 
 let t_sagma = R.test ~count:12 ~name:"SAGMA = plaintext oracle" scenario_arb
     (fun sc ->
-      let t =
-        Client_api.create ~config:(config_of sc) ~domains:sc.group_domains
-          ~seed:"prop-oracle" ()
-      in
-      Client_api.encrypt t ~table:sc.table;
+      let client = setup sc "prop-oracle" in
+      let enc = Scheme.encrypt_table client sc.table in
       List.for_all
         (fun q ->
           let expected = oracle_results sc.table q in
-          let got = sagma_results t q in
+          let got = sagma_results client enc q in
           got = expected || report q expected got)
         sc.queries)
 
@@ -82,18 +84,15 @@ let t_sagma = R.test ~count:12 ~name:"SAGMA = plaintext oracle" scenario_arb
    indicators and the dummy-safe paired count. *)
 let t_sagma_dummies = R.test ~count:6 ~name:"SAGMA with dummy rows = oracle" scenario_arb
     (fun sc ->
-      let t =
-        Client_api.create ~config:(config_of sc) ~domains:sc.group_domains
-          ~seed:"prop-oracle-dummy" ()
-      in
+      let client = setup sc "prop-oracle-dummy" in
       let dummy =
         Array.of_list (List.map (fun (_, dom) -> List.hd dom) sc.group_domains)
       in
-      Client_api.encrypt t ~dummy_groups:[ dummy; dummy ] ~table:sc.table;
+      let enc = Scheme.encrypt_table ~dummy_groups:[ dummy; dummy ] client sc.table in
       List.for_all
         (fun q ->
           let expected = oracle_results sc.table q in
-          let got = sagma_results t q in
+          let got = sagma_results client enc q in
           got = expected || report q expected got)
         sc.queries)
 
@@ -163,11 +162,8 @@ let t_ashe = R.test ~count:60 ~name:"ASHE sums additively"
 
 let t_agg_value = R.test ~count:8 ~name:"SUM/COUNT/AVG values agree with oracle" scenario_arb
     (fun sc ->
-      let t =
-        Client_api.create ~config:(config_of sc) ~domains:sc.group_domains
-          ~seed:"prop-oracle-agg" ()
-      in
-      Client_api.encrypt t ~table:sc.table;
+      let client = setup sc "prop-oracle-agg" in
+      let enc = Scheme.encrypt_table client sc.table in
       List.for_all
         (fun q ->
           let expected =
@@ -182,7 +178,7 @@ let t_agg_value = R.test ~count:8 ~name:"SUM/COUNT/AVG values agree with oracle"
               (List.map
                  (fun r ->
                    (List.map Value.to_string r.Scheme.group, Scheme.aggregate_value q r))
-                 (Client_api.query t q))
+                 (Scheme.query client enc q))
           in
           got = expected)
         sc.queries)

@@ -458,28 +458,132 @@ let test_gc_roundtrip () =
 
 (* --- transport over a real socket pair ------------------------------------------- *)
 
-let test_socket_roundtrip () =
+(* A key-free server on the far end of a socket pair, serving until [f]
+   returns and closes the client end. *)
+let with_socket_server f =
   let client_fd, server_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let state = Server.create () in
-  let server_thread = Thread.create (fun () -> Transport.serve_connection (Server.handle_encoded state) server_fd) () in
-  (* Upload, list, aggregate, drop — all over the framed byte stream. *)
+  let server_thread =
+    Thread.create (fun () -> Transport.serve_connection (Server.handle_encoded state) server_fd) ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close client_fd;
+      Thread.join server_thread;
+      Unix.close server_fd)
+    (fun () -> f client_fd)
+
+let test_socket_roundtrip () =
+  with_socket_server @@ fun client_fd ->
+  (* Upload, list, aggregate — all over the framed byte stream. *)
   Alcotest.(check bool) "upload" true
     (Transport.call client_fd (P.Upload { name = "remote"; table = enc }) = P.Ack);
   (match Transport.call client_fd P.List_tables with
    | P.Tables [ ("remote", 15) ] -> ()
    | _ -> Alcotest.fail "bad listing");
-  let tok = Scheme.token client query in
-  (match Transport.call client_fd (P.Aggregate { name = "remote"; token = tok }) with
-   | P.Aggregates agg ->
-     let results = Scheme.decrypt client tok agg ~total_rows:15 in
-     Alcotest.(check (list (triple (list string) int int))) "socket aggregate" expected
+  let results, _ = Sagma_protocol.Client.query client_fd client ~name:"remote" query in
+  Alcotest.(check (list (triple (list string) int int))) "socket aggregate" expected
+    (List.map
+       (fun r -> (List.map Value.to_string r.Scheme.group, r.Scheme.sum, r.Scheme.count))
+       results)
+
+(* --- the remote client against the plaintext oracle ------------------------------ *)
+
+module Client = Sagma_protocol.Client
+module Executor = Sagma_db.Executor
+
+let payroll_schema : Table.schema =
+  [ { Table.name = "salary"; ty = Value.TInt }; { Table.name = "dept"; ty = Value.TStr } ]
+
+let payroll_rows =
+  [ [| vi 1000; str "A" |]; [| vi 2000; str "B" |]; [| vi 3000; str "C" |]; [| vi 4000; str "A" |] ]
+
+let payroll_client =
+  Scheme.setup
+    (Config.make ~bucket_size:2 ~max_group_attrs:1 ~filter_columns:[ "dept" ]
+       ~value_columns:[ "salary" ] ~group_columns:[ "dept" ] ())
+    ~domains:[ ("dept", [ str "A"; str "B"; str "C" ]) ]
+    (Drbg.create "protocol-remote-client")
+
+(* A server holding the 4-row payroll table as "payroll", uploaded
+   through [Client.call]. *)
+let with_payroll f =
+  with_socket_server @@ fun fd ->
+  let table = Table.of_rows payroll_schema payroll_rows in
+  (match
+     Client.call fd (P.Upload { name = "payroll"; table = Scheme.encrypt_table payroll_client table })
+   with
+   | P.Ack, _ -> ()
+   | _ -> Alcotest.fail "upload not acknowledged");
+  f fd
+
+let check_remote_matches_executor name fd rows q =
+  let key group = List.map Value.to_string group in
+  Alcotest.(check (list (triple (list string) int int)))
+    name
+    (List.sort compare
        (List.map
-          (fun r -> (List.map Value.to_string r.Scheme.group, r.Scheme.sum, r.Scheme.count))
-          results)
-   | _ -> Alcotest.fail "expected aggregates");
-  Unix.close client_fd;
-  Thread.join server_thread;
-  Unix.close server_fd
+          (fun r -> (key r.Executor.group, r.Executor.sum, r.Executor.count))
+          (Executor.run (Table.of_rows payroll_schema rows) q)))
+    (List.sort compare
+       (List.map
+          (fun r -> (key r.Scheme.group, r.Scheme.sum, r.Scheme.count))
+          (fst (Client.query fd payroll_client ~name:"payroll" q))))
+
+let sum_by_dept = Query.make ~group_by:[ "dept" ] (Query.Sum "salary")
+
+let test_client_matches_executor () =
+  with_payroll @@ fun fd ->
+  let check name q = check_remote_matches_executor name fd payroll_rows q in
+  check "SUM" sum_by_dept;
+  check "COUNT" (Query.make ~group_by:[ "dept" ] Query.Count);
+  check "AVG" (Query.make ~group_by:[ "dept" ] (Query.Avg "salary"));
+  check "filtered SUM"
+    (Query.make ~where:[ ("dept", str "A") ] ~group_by:[ "dept" ] (Query.Sum "salary"))
+
+let test_client_append_matches_executor () =
+  with_payroll @@ fun fd ->
+  let row, keywords =
+    Scheme.append_payload payroll_client ~values:[| 5000 |] ~groups:[| str "B" |]
+      ~filters:[ ("dept", str "B") ]
+  in
+  (match Client.call fd (P.Append { name = "payroll"; row; keywords; row_id = None }) with
+   | P.Ack, _ -> ()
+   | _ -> Alcotest.fail "append not acknowledged");
+  let rows = payroll_rows @ [ [| vi 5000; str "B" |] ] in
+  check_remote_matches_executor "SUM after append" fd rows sum_by_dept;
+  check_remote_matches_executor "filtered SUM after append" fd rows
+    (Query.make ~where:[ ("dept", str "B") ] ~group_by:[ "dept" ] (Query.Sum "salary"))
+
+let test_client_missing_table () =
+  with_payroll @@ fun fd ->
+  Alcotest.check_raises "query of a table never uploaded"
+    (Failure "no such remote table \"never\"") (fun () ->
+      ignore (Client.query fd payroll_client ~name:"never" sum_by_dept))
+
+let test_client_failed_reply () =
+  with_socket_server @@ fun fd ->
+  match Client.call fd (P.Drop "missing") with
+  | _ -> Alcotest.fail "Drop of a missing table answered"
+  | exception Failure msg ->
+    Alcotest.(check bool) (Printf.sprintf "%S names the error code" msg) true
+      (String.starts_with ~prefix:"no-such-table:" msg)
+
+let test_client_explain () =
+  let module M = Sagma_obs.Metrics in
+  M.reset ();
+  M.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      M.set_enabled false;
+      M.reset ();
+      Trace.reset ())
+  @@ fun () ->
+  with_payroll @@ fun fd ->
+  match Client.query ~explain:true fd payroll_client ~name:"payroll" sum_by_dept with
+  | _, Some rt ->
+    Alcotest.(check bool) "cost.agg_rows > 0" true (count rt "cost.agg_rows" > 0)
+  | _, None -> Alcotest.fail "no EXPLAIN trailer on a sampled query"
 
 (* --- concurrent serving (listen_and_serve + domain pool) ------------------------ *)
 
@@ -536,13 +640,9 @@ let count_query = Query.make ~group_by:[ "g" ] Query.Count
 let expected_counts = results_of client enc count_query
 
 let aggregate_round fd =
-  let tok = Scheme.token client count_query in
-  match Transport.call fd (P.Aggregate { name = "t"; token = tok }) with
-  | P.Aggregates agg ->
-    List.map
-      (fun r -> (List.map Value.to_string r.Scheme.group, r.Scheme.sum, r.Scheme.count))
-      (Scheme.decrypt client tok agg ~total_rows:15)
-  | _ -> Alcotest.fail "expected aggregates"
+  List.map
+    (fun r -> (List.map Value.to_string r.Scheme.group, r.Scheme.sum, r.Scheme.count))
+    (fst (Client.query fd client ~name:"t" count_query))
 
 let test_parallel_clients () =
   with_live_server ~pool_size:3 ~port:7491 (fun _ ->
@@ -1583,6 +1683,13 @@ let () =
           Alcotest.test_case "node stats and health" `Quick test_coordinator_node_stats_health;
           Alcotest.test_case "stats sums shard audits" `Quick test_coordinator_sums_audits ] );
       ("transport", [ Alcotest.test_case "socket roundtrip" `Quick test_socket_roundtrip ]);
+      ( "client",
+        [ Alcotest.test_case "matches Executor.run" `Quick test_client_matches_executor;
+          Alcotest.test_case "append matches Executor.run" `Quick
+            test_client_append_matches_executor;
+          Alcotest.test_case "table never uploaded raises" `Quick test_client_missing_table;
+          Alcotest.test_case "Failed reply raises" `Quick test_client_failed_reply;
+          Alcotest.test_case "explain trailer" `Quick test_client_explain ] );
       ( "concurrency",
         [ Alcotest.test_case "parallel clients" `Quick test_parallel_clients;
           Alcotest.test_case "stalled client isolated" `Quick test_stalled_client_isolated;
