@@ -765,10 +765,22 @@ let health_cmd =
              clean \"ok\" with no alerts.")
     Term.(const run_health $ port_arg $ json $ watch $ interval)
 
+(* Commands report a user error (a bad flag value, a missing table or
+   file, a failed remote call) by raising [Failure], [Invalid_argument]
+   or [Sys_error]: that is a message and exit 1. Anything else is still
+   cmdliner's internal error, exit 125. *)
 let () =
   let info = Cmd.info "sagma" ~version:"1.0.0" ~doc:"Secure aggregation grouped by multiple attributes." in
+  let cmd =
+    Cmd.group info
+      [ query_cmd; inspect_cmd; storage_cmd; demo_cmd; remote_upload_cmd; remote_query_cmd;
+        stats_cmd; top_cmd; trace_cmd; health_cmd ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [ query_cmd; inspect_cmd; storage_cmd; demo_cmd; remote_upload_cmd; remote_query_cmd;
-            stats_cmd; top_cmd; trace_cmd; health_cmd ]))
+    (try Cmd.eval ~catch:false cmd with
+     | Failure msg | Invalid_argument msg | Sys_error msg ->
+       prerr_endline ("sagma: " ^ msg);
+       1
+     | e ->
+       prerr_endline ("sagma: internal error, uncaught exception: " ^ Printexc.to_string e);
+       Cmd.Exit.internal_error)

@@ -127,12 +127,33 @@ let () =
        "SLO watchdog evaluation period in ms (default 1000; 0 = off; rules other than \
         shard-down need --metrics or tracing)") ]
   in
-  Arg.parse args
-    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "sagma_server [--port P] [--max-conns M] [--request-timeout-ms T] [--metrics] [--audit] [--log-json FILE] [--log-level L]";
+  let usage =
+    "sagma_server [--port P] [--max-conns M] [--request-timeout-ms T] [--metrics] [--audit] \
+     [--log-json FILE] [--log-level L]"
+  in
+  Arg.parse args (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) usage;
+  (* A bad flag value is reported like Arg.parse reports a bad flag:
+     message, usage, exit 2. Every check runs before anything starts. *)
+  let bad fmt =
+    Printf.ksprintf
+      (fun msg ->
+        prerr_endline ("sagma_server: " ^ msg);
+        Arg.usage args usage;
+        exit 2)
+      fmt
+  in
   (match Log.level_of_string !log_level with
    | Some l -> Log.set_level l
-   | None -> raise (Arg.Bad (Printf.sprintf "bad --log-level %S" !log_level)));
+   | None -> bad "bad --log-level %S" !log_level);
+  if !shard_of <> "" && !coordinator <> "" then bad "--shard-of and --coordinator are mutually exclusive";
+  let shard =
+    if !shard_of = "" then None
+    else
+      match String.split_on_char '/' !shard_of |> List.map int_of_string_opt with
+      | [ Some i; Some n ] when n >= 1 && 0 <= i && i < n -> Some (i, n)
+      | [ Some _; Some _ ] -> bad "--shard-of %s out of range (want 0 <= I < N)" !shard_of
+      | _ -> bad "bad --shard-of %S (want I/N)" !shard_of
+  in
   if !log_json <> "" then Log.to_file !log_json;
   if !audit then Sagma_obs.Audit.set_enabled true;
   (* Tracing is built on the metrics scopes, so either tracing flag
@@ -146,22 +167,6 @@ let () =
     Sagma_obs.Metrics.set_enabled true;
     Sagma_obs.Prof.start ()
   end;
-  if !shard_of <> "" && !coordinator <> "" then
-    raise (Arg.Bad "--shard-of and --coordinator are mutually exclusive");
-  let shard =
-    if !shard_of = "" then None
-    else
-      match String.index_opt !shard_of '/' with
-      | Some k ->
-        (try
-           let i = int_of_string (String.sub !shard_of 0 k) in
-           let n =
-             int_of_string (String.sub !shard_of (k + 1) (String.length !shard_of - k - 1))
-           in
-           Some (i, n)
-         with _ -> raise (Arg.Bad (Printf.sprintf "bad --shard-of %S (want I/N)" !shard_of)))
-      | None -> raise (Arg.Bad (Printf.sprintf "bad --shard-of %S (want I/N)" !shard_of))
-  in
   (* One pool runs every request of this node and, on a single server,
      lends its idle workers to each query's aggregation jobs. *)
   let pool = Pool.create ~name:"requests" ~workers:(Domain.recommended_domain_count ()) () in

@@ -41,9 +41,10 @@ let max_table_name_len = 1024
 (* Requests may run on several pool domains at once, so the table
    registry takes a lock around every access. Aggregation — the
    expensive part — runs OUTSIDE the lock on a snapshot: [enc_table]
-   values are immutable (Append replaces the whole record rather than
-   mutating it), so a concurrent writer can at worst make the snapshot
-   stale, never torn. [agg_pool] lends its idle workers to each
+   values are immutable (its encrypted indexes are persistent values
+   and its rows array is never written; Append stores a new record
+   that shares structure with the old), so a concurrent writer can at
+   worst make the snapshot stale, never torn. [agg_pool] lends its idle workers to each
    aggregation's jobs ([Pool.run_jobs]); it may be the pool running the
    requests, since a job list never waits on a queued task. *)
 type t = {

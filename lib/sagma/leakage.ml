@@ -236,29 +236,25 @@ let simulate (pk : Bgn.public_key) (leak : t) (drbg : Drbg.t) : simulated =
   while Hashtbl.length dict < leak.index_size do
     Hashtbl.replace dict (Drbg.bytes drbg Sse.label_size) (Drbg.bytes drbg Sse.id_size)
   done;
-  let sim_index = Sse.of_dict dict in
+  let sim_index = Sse.of_entries (List.of_seq (Hashtbl.to_seq dict)) in
   { sim_rows;
     sim_index;
     sim_tokens = Hashtbl.fold (fun tag tok acc -> (tag, tok) :: acc) tokens [] }
 
-(* Deterministic byte serialization of a simulated transcript: dictionary
-   entries and tokens are emitted in sorted order so the bytes depend
-   only on the transcript's content, never on hash-table internals —
-   which makes "same DRBG seed ⇒ byte-identical simulation" a testable
-   (and pinned) property. *)
+(* Deterministic byte serialization of a simulated transcript: index
+   entries (already in label order) and tokens are emitted in sorted
+   order so the bytes depend only on the transcript's content, never on
+   hash-table internals — which makes "same DRBG seed ⇒ byte-identical
+   simulation" a testable (and pinned) property. *)
 let transcript_bytes (s : simulated) : string =
   let module W = Sagma_wire.Wire in
   let sink = W.sink () in
   W.put_array sink Serialize.put_enc_row s.sim_rows;
-  let entries =
-    Hashtbl.fold (fun label v acc -> (label, v) :: acc) s.sim_index.Sse.dict []
-    |> List.sort compare
-  in
   W.put_list sink
     (fun k (label, v) ->
       W.put_bytes k label;
       W.put_bytes k v)
-    entries;
+    (Sse.entries s.sim_index);
   W.put_list sink
     (fun k (tag, tok) ->
       W.put_bytes k tag;

@@ -347,11 +347,7 @@ let append_row ?(range_values : (string * int) list = []) (c : client) (et : enc
     encrypt_row c ~caller:"append_row" et.index_mode ~values ~groups ~filters ~range_values
       ~dummy:false
   in
-  let id = Array.length et.rows in
-  let add_oxt oxt kw =
-    let counter = Oxt.stag_count oxt (Oxt.stag c.oxt_key kw) in
-    Oxt.add (oxt_params ()) c.oxt_key oxt kw ~counter id
-  in
+  let add_oxt oxt kw = Oxt.add (oxt_params ()) c.oxt_key oxt kw (Array.length et.rows) in
   { (append et row (List.map (Sse.token c.sse_key) keywords)) with
     oxt_index = Option.map (fun oxt -> List.fold_left add_oxt oxt oxt_keywords) et.oxt_index }
 

@@ -197,26 +197,20 @@ let get_enc_row (s : W.source) : Scheme.enc_row =
 
 let put_sse_index (s : W.sink) (i : Sse.index) : unit =
   W.put_u32 s (Sse.size i);
-  let entries = Hashtbl.fold (fun k v acc -> (k, v) :: acc) i.Sse.dict [] in
-  (* Canonical order so equal indexes encode identically. *)
   W.put_list s
     (fun s (k, v) ->
       W.put_bytes s k;
       W.put_bytes s v)
-    (List.sort compare entries)
+    (Sse.entries i)
 
 let get_sse_index (s : W.source) : Sse.index =
   (* The posting count is redundant with the pair list that follows. *)
   ignore (W.get_u32 s);
-  let pairs =
-    W.get_list s (fun s ->
-        let k = W.get_bytes s in
-        let v = W.get_bytes s in
-        (k, v))
-  in
-  let dict = Hashtbl.create (2 * List.length pairs) in
-  List.iter (fun (k, v) -> Hashtbl.replace dict k v) pairs;
-  Sse.of_dict dict
+  Sse.of_entries
+    (W.get_list s (fun s ->
+         let k = W.get_bytes s in
+         let v = W.get_bytes s in
+         (k, v)))
 
 (* --- OXT components ------------------------------------------------------ *)
 
@@ -232,30 +226,24 @@ let get_oxt_stag (s : W.source) : Oxt.stag =
   { Oxt.s_keyword_key; s_mask_key }
 
 let put_oxt_index (s : W.sink) (i : Oxt.index) : unit =
-  let tset = Hashtbl.fold (fun k v acc -> (k, v) :: acc) i.Oxt.tset [] in
+  let tset, xset = Oxt.entries i in
   W.put_list s
     (fun s (label, entry) ->
       W.put_bytes s label;
       W.put_bytes s entry.Oxt.e;
       put_z s entry.Oxt.y)
-    (List.sort compare tset);
-  let xset = Hashtbl.fold (fun k () acc -> k :: acc) i.Oxt.xset [] in
-  W.put_list s (fun s k -> W.put_bytes s k) (List.sort compare xset)
+    tset;
+  W.put_list s (fun s k -> W.put_bytes s k) xset
 
 let get_oxt_index (s : W.source) : Oxt.index =
-  let tset_entries =
+  let tset =
     W.get_list s (fun s ->
         let label = W.get_bytes s in
         let e = W.get_bytes s in
         let y = get_z s in
         (label, { Oxt.e; y }))
   in
-  let xset_keys = W.get_list s W.get_bytes in
-  let tset = Hashtbl.create (2 * List.length tset_entries) in
-  List.iter (fun (k, v) -> Hashtbl.replace tset k v) tset_entries;
-  let xset = Hashtbl.create (2 * List.length xset_keys) in
-  List.iter (fun k -> Hashtbl.replace xset k ()) xset_keys;
-  { Oxt.tset; xset }
+  Oxt.of_entries (tset, W.get_list s W.get_bytes)
 
 let put_enc_table (s : W.sink) (t : Scheme.enc_table) : unit =
   put_public_params s t.Scheme.pp;

@@ -75,10 +75,21 @@ type tset_entry = {
   y : Z.t;     (* xind · z⁻¹ mod n *)
 }
 
+module Tset = Map.Make (String)
+module Xset = Set.Make (String)
+
+(* Persistent, so an append shares structure with its input. *)
 type index = {
-  tset : (string, tset_entry) Hashtbl.t;  (* label -> entry *)
-  xset : (string, unit) Hashtbl.t;        (* serialized cross tags *)
+  tset : tset_entry Tset.t;  (* label -> entry *)
+  xset : Xset.t;             (* serialized cross tags *)
 }
+
+(* Ascending label and tag order is the canonical wire order. *)
+let entries (index : index) : (string * tset_entry) list * string list =
+  (Tset.bindings index.tset, Xset.elements index.xset)
+
+let of_entries ((tset, xset) : (string * tset_entry) list * string list) : index =
+  { tset = Tset.of_list tset; xset = Xset.of_list xset }
 
 let label_size = 16
 let id_size = 8
@@ -95,50 +106,31 @@ let xind (params : params) (k : key) (id : int) : Z.t =
 let keyword_exponent (params : params) (k : key) (w : string) : Z.t =
   prf_exponent params k.k_x w
 
+(* [post params k index w c id] adds the [c]-th posting of [w]: one
+   TSet entry and its cross tag. *)
+let post (params : params) (k : key) (index : index) (w : string) (c : int) (id : int) : index =
+  let n = params.group.Pairing.n in
+  let label = tset_label k w c in
+  if Tset.mem label index.tset then failwith "Oxt: label collision";
+  let xi = xind params k id in
+  let z = prf_exponent params k.k_z (Printf.sprintf "%s|%d" w c) in
+  let e = Encoding.xor (Sse.encode_id id) (tset_mask k w c) in
+  let fx = keyword_exponent params k w in
+  let xtag = Curve.mul params.group.Pairing.curve (Z.mulm fx xi n) params.base in
+  { tset = Tset.add label { e; y = Z.mulm xi (Z.invm_exn z n) n } index.tset;
+    xset = Xset.add (Curve.serialize xtag) index.xset }
+
 (* [build params k assoc] creates the encrypted structures from keyword →
    matching ids. *)
 let build (params : params) (k : key) (assoc : (string * int list) list) : index =
-  let n = params.group.Pairing.n in
-  let curve = params.group.Pairing.curve in
-  let total = List.fold_left (fun acc (_, ids) -> acc + List.length ids) 0 assoc in
-  let tset = Hashtbl.create (2 * total) in
-  let xset = Hashtbl.create (2 * total) in
-  List.iter
-    (fun (w, ids) ->
-      let fx = keyword_exponent params k w in
-      List.iteri
-        (fun c id ->
-          let xi = xind params k id in
-          let z = prf_exponent params k.k_z (Printf.sprintf "%s|%d" w c) in
-          let y = Z.mulm xi (Z.invm_exn z n) n in
-          let e = Encoding.xor (Sse.encode_id id) (tset_mask k w c) in
-          let label = tset_label k w c in
-          if Hashtbl.mem tset label then failwith "Oxt.build: label collision";
-          Hashtbl.add tset label { e; y };
-          let xtag = Curve.mul curve (Z.mulm fx xi n) params.base in
-          Hashtbl.replace xset (Curve.serialize xtag) ())
-        ids)
-    assoc;
-  { tset; xset }
-
-(* [add params k index w ~counter id] appends one posting (counter =
-   current posting count of [w]). Non-destructive, like Π_bas's add. *)
-let add (params : params) (k : key) (index : index) (w : string) ~(counter : int) (id : int) :
-    index =
-  let n = params.group.Pairing.n in
-  let curve = params.group.Pairing.curve in
-  let label = tset_label k w counter in
-  if Hashtbl.mem index.tset label then failwith "Oxt.add: label collision";
-  let tset = Hashtbl.copy index.tset in
-  let xset = Hashtbl.copy index.xset in
-  let xi = xind params k id in
-  let z = prf_exponent params k.k_z (Printf.sprintf "%s|%d" w counter) in
-  Hashtbl.add tset label
-    { e = Encoding.xor (Sse.encode_id id) (tset_mask k w counter);
-      y = Z.mulm xi (Z.invm_exn z n) n };
-  let fx = keyword_exponent params k w in
-  Hashtbl.replace xset (Curve.serialize (Curve.mul curve (Z.mulm fx xi n) params.base)) ();
-  { tset; xset }
+  List.fold_left
+    (fun index (w, ids) ->
+      fst
+        (List.fold_left
+           (fun (index, c) id -> (post params k index w c id, c + 1))
+           (index, 0) ids))
+    { tset = Tset.empty; xset = Xset.empty }
+    assoc
 
 (* --- tokens ------------------------------------------------------------------ *)
 
@@ -152,11 +144,13 @@ let stag (k : key) (w : string) : stag =
 
 (* Round 1 (server): how many entries the s-term has. *)
 let stag_count (index : index) (st : stag) : int =
-  let rec go c =
-    let label = Prf.eval_trunc st.s_keyword_key (string_of_int c) ~len:label_size in
-    if Hashtbl.mem index.tset label then go (c + 1) else c
-  in
-  go 0
+  Sse.first_absent (fun c ->
+      Tset.mem (Prf.eval_trunc st.s_keyword_key (string_of_int c) ~len:label_size) index.tset)
+
+(* [add params k index w id] appends [id] to [w]'s postings at its next
+   counter. Non-destructive, like Π_bas's add. *)
+let add (params : params) (k : key) (index : index) (w : string) (id : int) : index =
+  post params k index w (stag_count index (stag k w)) id
 
 (* Round 2 (client): x-tokens for the other terms, one row per counter. *)
 let xtokens (params : params) (k : key) ~(s_term : string) ~(x_terms : string list)
@@ -182,13 +176,13 @@ let search (params : params) (index : index) (st : stag)
   Array.iteri
     (fun c per_term ->
       let label = Prf.eval_trunc st.s_keyword_key (string_of_int c) ~len:label_size in
-      match Hashtbl.find_opt index.tset label with
+      match Tset.find_opt label index.tset with
       | None -> ()
       | Some entry ->
         Sagma_obs.Metrics.incr m_postings;
         let all_match =
           Array.for_all
-            (fun xtok -> Hashtbl.mem index.xset (Curve.serialize (Curve.mul curve entry.y xtok)))
+            (fun xtok -> Xset.mem (Curve.serialize (Curve.mul curve entry.y xtok)) index.xset)
             per_term
         in
         if all_match then begin
@@ -215,5 +209,5 @@ let conjunction (params : params) (k : key) (index : index) (terms : string list
     let count = stag_count index st in
     search params index st (xtokens params k ~s_term ~x_terms ~count)
 
-let tset_size (index : index) : int = Hashtbl.length index.tset
-let xset_size (index : index) : int = Hashtbl.length index.xset
+let tset_size (index : index) : int = Tset.cardinal index.tset
+let xset_size (index : index) : int = Xset.cardinal index.xset

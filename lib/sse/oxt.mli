@@ -30,17 +30,23 @@ val gen : Drbg.t -> key
 
 type tset_entry = { e : string; y : Z.t }
 
-type index = {
-  tset : (string, tset_entry) Hashtbl.t;
-  xset : (string, unit) Hashtbl.t;
-}
+type index
+(** An immutable value: a persistent TSet map (label → entry) and XSet
+    (serialized cross tags). *)
+
+val entries : index -> (string * tset_entry) list * string list
+(** TSet bindings and XSet tags, each in ascending order: the canonical
+    serialized form. *)
+
+val of_entries : (string * tset_entry) list * string list -> index
 
 val build : params -> key -> (string * int list) list -> index
 (** Encrypt a keyword → ids association into TSet + XSet. *)
 
-val add : params -> key -> index -> string -> counter:int -> int -> index
-(** Append one posting; [counter] is the keyword's current posting count.
-    Non-destructive. *)
+val add : params -> key -> index -> string -> int -> index
+(** [add params k index w id] appends [id] to [w]'s postings at its next
+    counter, found by {!stag_count}. Non-destructive: the result shares
+    structure with [index], which remains valid. *)
 
 type stag = { s_keyword_key : Prf.key; s_mask_key : Prf.key }
 (** Exposed for serialization. *)
@@ -49,7 +55,8 @@ val stag : key -> string -> stag
 (** Search token for the s-term. *)
 
 val stag_count : index -> stag -> int
-(** Round 1 (server): the s-term's entry count. *)
+(** Round 1 (server): the s-term's entry count, in O(log count) label
+    probes ({!Sse.first_absent}). *)
 
 val xtokens :
   params -> key -> s_term:string -> x_terms:string list -> count:int ->

@@ -21,19 +21,22 @@ module Drbg = Sagma_crypto.Drbg
 
 type key = Prf.key
 
-module Counters = Map.Make (String)
-
-type counters = int Counters.t
+(* Both maps are persistent, so an append shares all but O(log n) of
+   its input and every older index value stays valid. *)
+module Labels = Map.Make (String)
 
 (* [next] maps a token's label key to its keyword's next posting
-   counter. Only {!add} fills it and it never goes on the wire. It is
-   persistent, so every older index value keeps its own counters. *)
+   counter. Only {!add} fills it and it never goes on the wire. *)
 type index = {
-  dict : (string, string) Hashtbl.t;  (* label -> masked id *)
-  next : counters;
+  dict : string Labels.t;  (* label -> masked id *)
+  next : int Labels.t;
 }
 
-let of_dict (dict : (string, string) Hashtbl.t) : index = { dict; next = Counters.empty }
+(* Label order is the canonical wire order. *)
+let entries (index : index) : (string * string) list = Labels.bindings index.dict
+
+let of_entries (entries : (string * string) list) : index =
+  { dict = Labels.of_list entries; next = Labels.empty }
 
 type token = {
   t_label : Prf.key;  (* K1: label derivation *)
@@ -61,28 +64,31 @@ let decode_id (s : string) : int =
   String.iter (fun c -> v := (!v lsl 8) lor Char.code c) s;
   !v
 
-let entry (t : token) (counter : int) (id : int) : string * string =
-  let c = string_of_int counter in
-  let label = Prf.eval_trunc t.t_label c ~len:label_size in
-  let mask = Prf.eval_trunc t.t_mask c ~len:id_size in
-  (label, Sagma_crypto.Encoding.xor (encode_id id) mask)
+let label (t : token) (counter : int) : string =
+  Prf.eval_trunc t.t_label (string_of_int counter) ~len:label_size
 
-(* [build k assoc] creates the encrypted index for an association list of
-   keyword -> matching ids. *)
-let build (k : key) (assoc : (string * int list) list) : index =
-  let entries = List.fold_left (fun acc (_, ids) -> acc + List.length ids) 0 assoc in
-  let dict = Hashtbl.create (2 * entries) in
-  List.iter
-    (fun (w, ids) ->
-      let t = token k w in
-      List.iteri
-        (fun counter id ->
-          let label, value = entry t counter id in
-          if Hashtbl.mem dict label then failwith "Sse.build: label collision";
-          Hashtbl.add dict label value)
-        ids)
-    assoc;
-  of_dict dict
+let mask (t : token) (counter : int) : string =
+  Prf.eval_trunc t.t_mask (string_of_int counter) ~len:id_size
+
+let entry (t : token) (counter : int) (id : int) : string * string =
+  (label t counter, Sagma_crypto.Encoding.xor (encode_id id) (mask t counter))
+
+(* [first_absent present] is the least counter [c] with [present c]
+   false, for a [present] that holds for exactly the counters below some
+   bound. It gallops over counters 0, 1, 3, 7, …, 2^k − 1 until one is
+   absent, then bisects the last gap: about 2⌈log₂ c⌉ + 2 probes. *)
+let first_absent (present : int -> bool) : int =
+  (* Every counter below [lo] is present and [hi] is absent. *)
+  let rec bisect lo hi =
+    if lo = hi then lo
+    else
+      let mid = lo + ((hi - lo) / 2) in
+      if present mid then bisect (mid + 1) hi else bisect lo mid
+  in
+  let rec gallop lo probe =
+    if present probe then gallop (probe + 1) ((2 * probe) + 1) else bisect lo probe
+  in
+  gallop 0 0
 
 let m_searches = Sagma_obs.Metrics.counter "sse.searches"
 let m_postings = Sagma_obs.Metrics.counter "sse.postings_scanned"
@@ -91,43 +97,44 @@ let m_postings = Sagma_obs.Metrics.counter "sse.postings_scanned"
 let search (index : index) (t : token) : int list =
   Sagma_obs.Metrics.incr m_searches;
   let rec go counter acc =
-    let c = string_of_int counter in
-    let label = Prf.eval_trunc t.t_label c ~len:label_size in
-    match Hashtbl.find_opt index.dict label with
+    match Labels.find_opt (label t counter) index.dict with
     | None -> List.rev acc
     | Some masked ->
       Sagma_obs.Metrics.incr m_postings;
-      let mask = Prf.eval_trunc t.t_mask c ~len:id_size in
-      go (counter + 1) (decode_id (Sagma_crypto.Encoding.xor masked mask) :: acc)
+      go (counter + 1) (decode_id (Sagma_crypto.Encoding.xor masked (mask t counter)) :: acc)
   in
   go 0 []
 
-let size (index : index) = Hashtbl.length index.dict
+let size (index : index) = Labels.cardinal index.dict
 
 (* [add index tokens id] posts row [id] under each token at its
    keyword's next counter (the paper's EncRow-based updates). Tokens
    suffice, so a server can apply a remote append itself, trading
    forward privacy for update support like most token-revealing dynamic
-   SSE schemes. A cold token's counter costs one search of the old
-   index; a repeated token gets consecutive counters. Non-destructive:
-   the dictionary is copied once per call. *)
+   SSE schemes. A cold token's counter is found by {!first_absent} over
+   the old index's labels; a repeated token gets consecutive counters.
+   Non-destructive: both maps are persistent. *)
 let add (index : index) (tokens : token list) (id : int) : index =
-  let dict = Hashtbl.copy index.dict in
-  let next =
-    List.fold_left
-      (fun next t ->
-        let counter =
-          match Counters.find_opt t.t_label next with
-          | Some c -> c
-          | None -> List.length (search index t)
-        in
-        let label, value = entry t counter id in
-        if Hashtbl.mem dict label then failwith "Sse.add: label collision";
-        Hashtbl.add dict label value;
-        Counters.add t.t_label (counter + 1) next)
-      index.next tokens
-  in
-  { dict; next }
+  List.fold_left
+    (fun { dict; next } t ->
+      let counter =
+        match Labels.find_opt t.t_label next with
+        | Some c -> c
+        | None -> first_absent (fun c -> Labels.mem (label t c) dict)
+      in
+      let l, v = entry t counter id in
+      if Labels.mem l dict then failwith "Sse.add: label collision";
+      { dict = Labels.add l v dict; next = Labels.add t.t_label (counter + 1) next })
+    index tokens
+
+(* [build k assoc] creates the encrypted index for an association list of
+   keyword -> matching ids, one {!add} per posting. *)
+let build (k : key) (assoc : (string * int list) list) : index =
+  List.fold_left
+    (fun index (w, ids) ->
+      let t = token k w in
+      List.fold_left (fun index id -> add index [ t ] id) index ids)
+    (of_entries []) assoc
 
 (* --- simulator ----------------------------------------------------------
 
@@ -138,11 +145,10 @@ let add (index : index) (tokens : token list) (id : int) : index =
    simulator samples them uniformly and programs consistency. *)
 
 let simulate_index (drbg : Drbg.t) ~(entries : int) : index =
-  let dict = Hashtbl.create (2 * entries) in
-  for _ = 1 to entries do
-    Hashtbl.add dict (Drbg.bytes drbg label_size) (Drbg.bytes drbg id_size)
-  done;
-  of_dict dict
+  of_entries
+    (List.init entries (fun _ ->
+         let label = Drbg.bytes drbg label_size in
+         (label, Drbg.bytes drbg id_size)))
 
 let simulate_token (drbg : Drbg.t) : token =
   { t_label = Drbg.bytes drbg Prf.key_size; t_mask = Drbg.bytes drbg Prf.key_size }

@@ -14,17 +14,17 @@ module Drbg = Sagma_crypto.Drbg
 
 type key = Prf.key
 
-type counters
-(** Each keyword's next posting counter, keyed by its token. Filled only
-    by {!add} and never serialized. *)
+type index
+(** An immutable value: a persistent map from PRF-derived label to
+    masked id, one binding per posting, plus each keyword's next posting
+    counter (filled only by {!add}, never serialized). *)
 
-type index = private {
-  dict : (string, string) Hashtbl.t;  (** label → masked id, one per posting *)
-  next : counters;
-}
+val entries : index -> (string * string) list
+(** The [(label, masked id)] postings in ascending label order: the
+    canonical serialized form. *)
 
-val of_dict : (string, string) Hashtbl.t -> index
-(** An index over an existing dictionary, with cold counters (a decoded
+val of_entries : (string * string) list -> index
+(** An index over existing postings, with cold counters (a decoded
     index, the simulator's). *)
 
 type token = {
@@ -50,7 +50,13 @@ val entry : token -> int -> int -> string * string
     simulator. *)
 
 val build : key -> (string * int list) list -> index
-(** Build the encrypted index from keyword → matching ids. *)
+(** Build the encrypted index from keyword → matching ids: one {!add}
+    per posting, so the built keywords' counters start warm. *)
+
+val first_absent : (int -> bool) -> int
+(** [first_absent present] is the least [c] with [present c] false, for
+    a [present] that holds for exactly the counters [0 … n−1]. It probes
+    O(log n) counters by galloping and bisection. *)
 
 val search : index -> token -> int list
 (** Walk the token's counters until a label misses; returns matching row
@@ -60,16 +66,17 @@ val size : index -> int
 
 val add : index -> token list -> int -> index
 (** [add index tokens id] posts row [id] under each token at its
-    keyword's next counter: the one way an index grows after {!build}.
+    keyword's next counter: the one way an index grows.
     Works from tokens alone, so a server can apply a remote append. A
-    warm token's counter is cached in the index; a cold one costs one
-    {!search} of [index]. A token repeated in [tokens] gets consecutive
-    counters. Non-destructive: the input index remains valid. *)
+    warm token's counter is cached in the index; a cold one costs
+    O(log c) label probes ({!first_absent}) and scans no posting. A token
+    repeated in [tokens] gets consecutive counters. Non-destructive: the
+    result shares structure with [index], which remains valid. *)
 
 (** {1 Simulator} (for the §4.2 security experiment) *)
 
 val simulate_index : Drbg.t -> entries:int -> index
-(** Uniformly random dictionary of the given size. *)
+(** Uniformly random postings, [entries] of them. *)
 
 val simulate_token : Drbg.t -> token
 

@@ -33,6 +33,33 @@ trap - EXIT
 rm -rf "$EX_DIR"
 echo "examples OK"
 
+echo "== user-error exits =="
+# A user error is a one-line message and a plain exit code: 1 from the
+# CLI, 2 plus usage from the server (as for an unknown flag), never an
+# uncaught exception.
+ERR_DIR=$(mktemp -d)
+trap 'rm -rf "$ERR_DIR"' EXIT
+printf 'salary,dept\n1000,sales\n' > "$ERR_DIR/t.csv"
+rc=0
+_build/default/bin/sagma_cli.exe query --csv "$ERR_DIR/t.csv" --schema "salary:int,dept:str" \
+  --sum salary --group-by dept --where dept > /dev/null 2> "$ERR_DIR/cli.err" || rc=$?
+if [ "$rc" -ne 1 ] || ! grep -q "bad --where" "$ERR_DIR/cli.err" \
+  || grep -q "internal error" "$ERR_DIR/cli.err"; then
+  echo "query --where dept: exit $rc, want 1 with a bad --where message:" >&2
+  cat "$ERR_DIR/cli.err" >&2
+  exit 1
+fi
+rc=0
+_build/default/bin/sagma_server.exe --log-level bogus > /dev/null 2> "$ERR_DIR/server.err" || rc=$?
+if [ "$rc" -ne 2 ] || grep -q "Fatal error" "$ERR_DIR/server.err"; then
+  echo "sagma_server --log-level bogus: exit $rc, want 2 with a usage message:" >&2
+  cat "$ERR_DIR/server.err" >&2
+  exit 1
+fi
+trap - EXIT
+rm -rf "$ERR_DIR"
+echo "user-error exits OK"
+
 echo "== fuzz smoke (pinned seed, bounded counts) =="
 # A deeper pass over the property/fuzz suites than the runtest default:
 # the pinned seed keeps CI deterministic, the scale bound keeps it fast.

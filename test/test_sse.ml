@@ -62,6 +62,52 @@ let test_simulated_index_shape () =
   let sim = Sse.simulate_index drbg ~entries:(Sse.size index) in
   Alcotest.(check int) "same size" (Sse.size index) (Sse.size sim)
 
+(* --- galloping counter search ---------------------------------------------- *)
+
+(* Posting counts around the powers of two where galloping turns into
+   bisection. *)
+let boundary_counts = [ 0; 1; 2; 3; 7; 8; 9; 63; 64; 65; 130 ]
+
+let ceil_log2 n =
+  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
+  go 0
+
+let test_first_absent_probes () =
+  List.iter
+    (fun c ->
+      let probes = ref 0 in
+      let found =
+        Sse.first_absent (fun i ->
+            incr probes;
+            i < c)
+      in
+      Alcotest.(check int) (Printf.sprintf "first absent of %d" c) c found;
+      Alcotest.(check bool)
+        (Printf.sprintf "%d probes for %d" !probes c)
+        true
+        (!probes <= (2 * ceil_log2 (c + 1)) + 2))
+    (boundary_counts @ [ 1_000_000 ])
+
+(* A cold [Sse.add] on a keyword with c postings posts at counter c,
+   whatever other keywords the index holds. A decoded index has cold
+   counters; a built one does not. *)
+let test_cold_add_boundaries () =
+  let tok = Sse.token key "w" in
+  List.iter
+    (fun c ->
+      let ids = List.init c (fun i -> 3 * i) in
+      let cold = Sse.of_entries (Sse.entries (Sse.build key [ ("other", [ 5; 6 ]); ("w", ids) ])) in
+      let idx = Sse.add cold [ tok ] 1000 in
+      Alcotest.(check bool)
+        (Printf.sprintf "posted at counter %d" c)
+        true
+        (List.mem (Sse.entry tok c 1000) (Sse.entries idx));
+      Alcotest.(check (list int))
+        (Printf.sprintf "search after %d postings" c)
+        (ids @ [ 1000 ])
+        (Sse.search idx tok))
+    boundary_counts
+
 (* --- dyadic range covers ---------------------------------------------------- *)
 
 module Dyadic = Sagma_sse.Dyadic
@@ -154,6 +200,14 @@ let test_oxt_wrong_key_finds_nothing () =
   Alcotest.(check (list int)) "wrong key" []
     (Oxt.conjunction oxt_params other oxt_index [ "red" ])
 
+let test_oxt_stag_count_boundaries () =
+  List.iter
+    (fun c ->
+      let idx = Oxt.build oxt_params oxt_key [ ("other", [ 1 ]); ("w", List.init c Fun.id) ] in
+      Alcotest.(check int) (Printf.sprintf "stag_count %d" c) c
+        (Oxt.stag_count idx (Oxt.stag oxt_key "w")))
+    boundary_counts
+
 let test_oxt_two_round_api () =
   (* Drive the rounds by hand, as a network deployment would. *)
   let st = Oxt.stag oxt_key "big" in
@@ -215,6 +269,10 @@ let () =
           Alcotest.test_case "dynamic add" `Quick test_add_posting;
           Alcotest.test_case "large ids" `Quick test_large_ids;
           Alcotest.test_case "simulated index shape" `Quick test_simulated_index_shape ] );
+      ( "galloping",
+        [ Alcotest.test_case "first_absent probes" `Quick test_first_absent_probes;
+          Alcotest.test_case "cold add boundaries" `Quick test_cold_add_boundaries;
+          Alcotest.test_case "oxt stag_count boundaries" `Quick test_oxt_stag_count_boundaries ] );
       ( "oxt",
         [ Alcotest.test_case "single term" `Quick test_oxt_single_term;
           Alcotest.test_case "two-term conjunctions" `Quick test_oxt_two_term_conjunctions;
