@@ -767,8 +767,9 @@ let health_cmd =
 
 (* Commands report a user error (a bad flag value, a missing table or
    file, a failed remote call) by raising [Failure], [Invalid_argument]
-   or [Sys_error]: that is a message and exit 1. Anything else is still
-   cmdliner's internal error, exit 125. *)
+   or [Sys_error], and a corrupt key file or frame raises
+   [Wire.Decode_error]: each is a message and exit 1. Anything else is
+   still cmdliner's internal error, exit 125. *)
 let () =
   let info = Cmd.info "sagma" ~version:"1.0.0" ~doc:"Secure aggregation grouped by multiple attributes." in
   let cmd =
@@ -778,7 +779,7 @@ let () =
   in
   exit
     (try Cmd.eval ~catch:false cmd with
-     | Failure msg | Invalid_argument msg | Sys_error msg ->
+     | Failure msg | Invalid_argument msg | Sys_error msg | Sagma_wire.Wire.Decode_error msg ->
        prerr_endline ("sagma: " ^ msg);
        1
      | e ->

@@ -21,7 +21,7 @@ type public_key = {
   group : Pairing.group;
   g : Curve.point;   (* generator of G, order n *)
   h : Curve.point;   (* generator of the order-q1 blinding subgroup *)
-  e_gg : Fp2.t;      (* ê(g, g): level-2 generator *)
+  comb : Curve.comb option Atomic.t;  (* fixed-base tables for g and h, built on first use *)
 }
 
 type secret_key = { q1 : Z.t; q2 : Z.t }
@@ -37,10 +37,11 @@ type c2 = Fp2.t
 let n (pk : public_key) = pk.group.Pairing.n
 
 (* The one place a public key is assembled: key generation and the wire
-   decoder both pass the group and the two points, and the level-2
-   generator is one pairing. *)
+   decoder both pass the group and the two points. Nothing is computed:
+   the comb tables wait for the first encryption, and ê(g, g) for the
+   first level-2 decryption table. *)
 let make_pk (group : Pairing.group) ~(g : Curve.point) ~(h : Curve.point) : public_key =
-  { group; g; h; e_gg = Pairing.pairing group g g }
+  { group; g; h; comb = Atomic.make None }
 
 (* [keygen ~bits drbg] generates a key with an n of roughly [bits] bits
    (two primes of bits/2 each). The paper instantiates 1024-bit n for
@@ -81,11 +82,22 @@ let m_mul = Metrics.counter "bgn.mul"
 
 (* --- level 1 ------------------------------------------------------------ *)
 
-(* m·g + r·h as one signed combination: one shared doubling chain and
-   one inversion, instead of two ladders and an affine addition. *)
+(* The comb tables for g and h. The first encryption under a key builds
+   them, so a key that only ever aggregates (the server's) never holds
+   them. Domains racing here may each build a copy; the slot is filled
+   once, by the first to finish, and every later call reads it. *)
+let comb (pk : public_key) : Curve.comb =
+  match Atomic.get pk.comb with
+  | Some c -> c
+  | None ->
+    let c = Curve.make_comb pk.group.Pairing.curve ~bits:(Z.num_bits (n pk)) [| pk.g; pk.h |] in
+    if Atomic.compare_and_set pk.comb None (Some c) then c else Option.get (Atomic.get pk.comb)
+
+(* m·g + r·h from the comb tables: the doublings shared by both bases,
+   one addition per nonzero column, one inversion. *)
 let blinded_point (pk : public_key) (drbg : Drbg.t) (m : Z.t) : Curve.point =
   let r = random_blinding pk drbg in
-  (Curve.lincomb_batch pk.group.Pairing.curve [| [ (Z.erem m (n pk), pk.g); (r, pk.h) ] |]).(0)
+  Curve.comb_lincomb pk.group.Pairing.curve (comb pk) [| Z.erem m (n pk); r |]
 
 let enc1 (pk : public_key) (drbg : Drbg.t) (m : Z.t) : c1 =
   Metrics.incr m_enc1;
@@ -140,7 +152,7 @@ let lincomb1_batch (pk : public_key) (combos : (Z.t * c1) list array) : c1 array
 
 let rerandomize1 (pk : public_key) (drbg : Drbg.t) (a : c1) : c1 =
   let r = random_blinding pk drbg in
-  (Curve.lincomb_batch pk.group.Pairing.curve [| [ (Z.one, a); (r, pk.h) ] |]).(0)
+  Curve.comb_lincomb ~plus:a pk.group.Pairing.curve (comb pk) [| Z.zero; r |]
 
 (* --- level 2 ------------------------------------------------------------ *)
 
@@ -227,8 +239,11 @@ let gt_q1 (kp : keypair) (x : Fp2.t) : Pairing.Gt.t =
   let g = kp.pk.group in
   Pairing.Gt.pow g (Pairing.Gt.of_fp2 g x) kp.sk.q1
 
+(* The level-2 base ê(g, g)^q1 costs one pairing; a table grown with
+   {!Dlog.resize} keeps it. *)
 let make_dec2_table (kp : keypair) ~(max : int) : dec2_table =
-  Dlog.make (gt_ops kp.pk) (gt_q1 kp kp.pk.e_gg) ~max
+  let pk = kp.pk in
+  Dlog.make (gt_ops pk) (gt_q1 kp (Pairing.pairing pk.group pk.g pk.g)) ~max
 
 let dec2 (kp : keypair) (table : dec2_table) ~(max : int) (c : c2) : int option =
   Dlog.solve table (gt_q1 kp c) ~max

@@ -18,11 +18,14 @@ module Fp2 = Sagma_pairing.Fp2
 module Pairing = Sagma_pairing.Pairing
 module Drbg = Sagma_crypto.Drbg
 
-type public_key = {
+type public_key = private {
   group : Pairing.group;
   g : Curve.point;   (** generator of G, order n *)
   h : Curve.point;   (** generator of the order-q₁ blinding subgroup *)
-  e_gg : Fp2.t;      (** ê(g, g): level-2 generator (cached) *)
+  comb : Curve.comb option Atomic.t;
+      (** {!Curve.make_comb} tables for g and h: empty until the first
+          {!enc1}, {!enc2} or {!rerandomize1} under the key fills it,
+          once. Never on the wire. *)
 }
 
 type secret_key = { q1 : Z.t; q2 : Z.t }
@@ -40,7 +43,8 @@ val n : public_key -> Z.t
 
 val make_pk : Pairing.group -> g:Curve.point -> h:Curve.point -> public_key
 (** The one public-key constructor: {!keygen} and the wire decoder both
-    call it. It computes [e_gg] with one [Pairing.pairing]. *)
+    call it. It computes nothing: no pairing, and the comb tables wait
+    for the first encryption. *)
 
 val keygen : bits:int -> Drbg.t -> keypair
 (** [keygen ~bits] draws two primes of [bits/2] each. The paper's setting
@@ -49,6 +53,10 @@ val keygen : bits:int -> Drbg.t -> keypair
 (** {1 Level 1} *)
 
 val enc1 : public_key -> Drbg.t -> Z.t -> c1
+(** m·g + r·h with r uniform below n: the point {!Curve.lincomb_batch}
+    gives, from the key's comb tables ({!Curve.comb_lincomb}; the first
+    encryption under the key builds them). *)
+
 val enc1_int : public_key -> Drbg.t -> int -> c1
 val add1 : public_key -> c1 -> c1 -> c1
 val neg1 : public_key -> c1 -> c1
@@ -78,6 +86,7 @@ val lincomb1_batch2 :
     inversion. *)
 
 val rerandomize1 : public_key -> Drbg.t -> c1 -> c1
+(** C + r·h with r drawn as {!enc1} draws it, from the same tables. *)
 
 (** {1 Level 2}
 
@@ -127,10 +136,16 @@ val mul_many_pre : public_key -> (precomp1 * c1) list -> c2
     they expect and reuse it (as [Scheme.decrypt] does), rebuilding
     only to trade build cost for shorter walks. *)
 
-type dec1_table
-type dec2_table
+type dec1_table = Curve.point Dlog.table
+type dec2_table = Pairing.Gt.t Dlog.table
 
 val make_dec1_table : keypair -> max:int -> dec1_table
+(** The base q₁·g costs one [Curve.mul]. *)
+
 val dec1 : keypair -> dec1_table -> max:int -> c1 -> int option
+
 val make_dec2_table : keypair -> max:int -> dec2_table
+(** The base ê(g, g)^q₁ costs one pairing and one power. {!Dlog.resize}
+    grows a table for a new bound without either. *)
+
 val dec2 : keypair -> dec2_table -> max:int -> c2 -> int option

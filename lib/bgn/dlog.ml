@@ -17,6 +17,7 @@ type 'a ops = {
 
 type 'a table = {
   ops : 'a ops;
+  base : 'a;
   stride : int;                       (* number of baby steps *)
   baby : (string, int) Hashtbl.t;     (* base^j -> j, 0 <= j < stride *)
   giant : 'a;                         (* base^(-stride) *)
@@ -40,7 +41,11 @@ let make (ops : 'a ops) (base : 'a) ~(max : int) : 'a table =
     acc := ops.mul !acc base
   done;
   (* !acc = base^stride *)
-  { ops; stride; baby; giant = ops.inv !acc }
+  { ops; base; stride; baby; giant = ops.inv !acc }
+
+(* A table for a new bound over the same base, which may have been
+   costly to derive. *)
+let resize (t : 'a table) ~(max : int) : 'a table = make t.ops t.base ~max
 
 (* [solve t target ~max] finds x in [0, max] with base^x = target. *)
 let solve (t : 'a table) (target : 'a) ~(max : int) : int option =

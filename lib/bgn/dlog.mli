@@ -29,3 +29,7 @@ val make : 'a ops -> 'a -> max:int -> 'a table
 val solve : 'a table -> 'a -> max:int -> int option
 (** [solve t target ~max] finds x ∈ [\[0, max\]] with base^x = target,
     for any [max], whatever bound [t] was built for. *)
+
+val resize : 'a table -> max:int -> 'a table
+(** [resize t ~max] is [make] over [t]'s operations and base: a
+    table for a new bound without deriving the base again. *)

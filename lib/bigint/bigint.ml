@@ -128,6 +128,9 @@ let addm a b m = erem (add a b) m
 let subm a b m = erem (sub a b) m
 let mulm a b m = erem (mul a b) m
 
+(* Right-to-left square-and-multiply with [mulm]: the path for small or
+   even moduli, and the reference the windowed Montgomery power is
+   tested against. *)
 let powm_binary base expo m =
   let nbits = num_bits expo in
   let b = ref (erem base m) and acc = ref one in
@@ -237,6 +240,7 @@ module Mont = struct
   let one (c : ctx) : el = Montgomery.one c.mctx
   let zero (c : ctx) : el = Array.make (Array.length (Montgomery.one c.mctx)) 0
   let mul (c : ctx) (a : el) (b : el) : el = Montgomery.mont_mul c.mctx a b
+  let pow (c : ctx) (a : el) (e : t) : el = Montgomery.pow_mont c.mctx a e.mag
   let add (c : ctx) (a : el) (b : el) : el = Montgomery.add c.mctx a b
   let sub (c : ctx) (a : el) (b : el) : el = Montgomery.sub c.mctx a b
   let is_zero (a : el) : bool = Array.for_all (fun l -> l = 0) a
@@ -319,11 +323,35 @@ let random_below (rng : rng) (bound : t) : t =
   in
   go ()
 
+(* |a| mod d for a native 0 < d < 2^26, one pass over the limbs. *)
+let rem_int (a : t) (d : int) : int =
+  if d <= 0 || d >= Nat.base then invalid_arg "Bigint.rem_int: divisor out of range";
+  let r = ref 0 in
+  for i = Array.length a.mag - 1 downto 0 do
+    r := ((!r lsl Nat.limb_bits) lor a.mag.(i)) mod d
+  done;
+  !r
+
+(* The sieve of Eratosthenes over a bitset: [f] sees every prime below
+   [bound] in increasing order, and nothing else is allocated. *)
+let iter_primes_below (bound : int) (f : int -> unit) : unit =
+  let composite = Bytes.make ((max bound 0 + 7) / 8) '\000' in
+  for i = 2 to bound - 1 do
+    if Char.code (Bytes.get composite (i lsr 3)) land (1 lsl (i land 7)) = 0 then begin
+      f i;
+      let j = ref (i * i) in
+      while !j < bound do
+        let byte = !j lsr 3 in
+        Bytes.set composite byte (Char.chr (Char.code (Bytes.get composite byte) lor (1 lsl (!j land 7))));
+        j := !j + i
+      done
+    end
+  done
+
 let small_primes =
-  [ 2; 3; 5; 7; 11; 13; 17; 19; 23; 29; 31; 37; 41; 43; 47; 53; 59; 61; 67;
-    71; 73; 79; 83; 89; 97; 101; 103; 107; 109; 113; 127; 131; 137; 139;
-    149; 151; 157; 163; 167; 173; 179; 181; 191; 193; 197; 199; 211; 223;
-    227; 229; 233; 239; 241; 251 ]
+  let ps = ref [] in
+  iter_primes_below 256 (fun p -> ps := p :: !ps);
+  Array.of_list (List.rev !ps)
 
 (* One Miller–Rabin round with base [a]; true = "probably prime". *)
 let miller_rabin_round n a =
@@ -353,11 +381,7 @@ let is_probable_prime (rng : rng) (n : t) : bool =
   else if is_even n then false
   else begin
     let divisible_by_small =
-      List.exists
-        (fun p ->
-          let p = of_int p in
-          lt p n && is_zero (erem n p))
-        small_primes
+      Array.exists (fun p -> lt (of_int p) n && rem_int n p = 0) small_primes
     in
     if divisible_by_small then false
     else begin

@@ -105,7 +105,13 @@ val subm : t -> t -> t -> t
 val mulm : t -> t -> t -> t
 
 val powm : t -> t -> t -> t
-(** [powm base expo m] is [base^expo mod m]; [expo] must be non-negative. *)
+(** [powm base expo m] is [base^expo mod m]; [expo] must be non-negative.
+    Odd moduli of 96 bits or more take the windowed
+    [Montgomery.powm]. *)
+
+val powm_binary : t -> t -> t -> t
+(** Square-and-multiply with {!mulm}: {!powm}'s path for small or even
+    moduli, and the reference its Montgomery path is tested against. *)
 
 val egcd : t -> t -> t * t * t
 (** [egcd a b = (g, x, y)] with [a*x + b*y = g] and [g = gcd a b >= 0]. *)
@@ -141,6 +147,11 @@ module Mont : sig
   val one : ctx -> el
   val zero : ctx -> el
   val mul : ctx -> el -> el -> el
+
+  val pow : ctx -> el -> t -> el
+  (** [pow c a e] is a^e ([e >= 0]) in Montgomery form, with the fixed
+      4-bit windows of [Montgomery.pow_mont]. *)
+
   val add : ctx -> el -> el -> el
   val sub : ctx -> el -> el -> el
   val is_zero : el -> bool
@@ -151,6 +162,14 @@ module Mont : sig
       array itself, not a copy; do not mutate it. Residues are fully
       reduced, so equal limbs mean equal elements (hash keys). *)
 end
+
+val rem_int : t -> int -> int
+(** [rem_int a d] is [|a| mod d] for a native [0 < d < 2^26], without a
+    bignum division. @raise Invalid_argument for [d] out of range. *)
+
+val iter_primes_below : int -> (int -> unit) -> unit
+(** [iter_primes_below bound f] calls [f] on every prime below [bound],
+    in increasing order (a sieve of Eratosthenes over a bitset). *)
 
 val jacobi : t -> t -> int
 (** Jacobi symbol [(a/n)] for odd positive [n]. *)

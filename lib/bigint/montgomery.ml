@@ -180,17 +180,41 @@ let of_mont (c : ctx) (a : int array) : Nat.t =
   one.(0) <- 1;
   Nat.normalize (mont_mul c a one)
 
-(* Modular exponentiation: base^expo mod n, left-to-right square-and-
-   multiply in Montgomery form. *)
-let powm (c : ctx) (base : Nat.t) (expo : Nat.t) : Nat.t =
+(* The window width of [pow_mont]: 2^4 − 2 products fill the table,
+   then one product per nonzero 4-bit digit instead of one per set bit. *)
+let window = 4
+
+(* base^expo on a Montgomery-form base, result in Montgomery form:
+   fixed 4-bit windows, most significant first. The top window starts
+   the accumulator, so no squaring of one is spent. *)
+let pow_mont (c : ctx) (base_m : int array) (expo : Nat.t) : int array =
   let nbits = Nat.num_bits expo in
-  if nbits = 0 then Nat.rem (Nat.of_int 1) c.n
+  if nbits = 0 then pad c c.one_mont
   else begin
-    let base_m = to_mont c base in
-    let acc = ref (pad c c.one_mont) in
-    for i = nbits - 1 downto 0 do
-      acc := mont_mul c !acc !acc;
-      if Nat.bit expo i then acc := mont_mul c !acc base_m
+    let pows = Array.make (1 lsl window) (pad c c.one_mont) in
+    pows.(1) <- base_m;
+    for i = 2 to (1 lsl window) - 1 do
+      pows.(i) <- mont_mul c pows.(i - 1) base_m
     done;
-    of_mont c !acc
+    let digit j =
+      let d = ref 0 in
+      for b = window - 1 downto 0 do
+        d := (2 * !d) + if Nat.bit expo ((j * window) + b) then 1 else 0
+      done;
+      !d
+    in
+    let top = ((nbits + window - 1) / window) - 1 in
+    let acc = ref pows.(digit top) in
+    for j = top - 1 downto 0 do
+      for _ = 1 to window do
+        acc := mont_mul c !acc !acc
+      done;
+      let d = digit j in
+      if d > 0 then acc := mont_mul c !acc pows.(d)
+    done;
+    !acc
   end
+
+(* Modular exponentiation: base^expo mod n in Montgomery form. *)
+let powm (c : ctx) (base : Nat.t) (expo : Nat.t) : Nat.t =
+  of_mont c (pow_mont c (to_mont c base) expo)

@@ -38,5 +38,10 @@ val sub : ctx -> int array -> int array -> int array
 val one : ctx -> int array
 (** Montgomery form of 1 (R mod n), k-limb padded. *)
 
+val pow_mont : ctx -> int array -> Nat.t -> int array
+(** [pow_mont c b e] is b^e for a Montgomery-form [b], in Montgomery
+    form: fixed 4-bit windows, so about |e| squarings, |e|/4 products
+    and 14 to fill the table. *)
+
 val powm : ctx -> Nat.t -> Nat.t -> Nat.t
-(** base^expo mod n. *)
+(** base^expo mod n, through {!pow_mont}; [base] may be any natural. *)

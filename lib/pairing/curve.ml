@@ -276,6 +276,78 @@ let lincomb_batch2 (cp : params) (first : (Z.t * point) list array)
 let lincomb_batch (cp : params) (combos : (Z.t * point) list array) : point array =
   fst (lincomb_batch2 cp combos [||])
 
+(* --- fixed-base combs ---------------------------------------------------------
+
+   For bases fixed across many multiplications (BGN's g and h), a
+   Lim–Lee comb with eight teeth cuts a scalar below 2^(8·d) into d
+   columns: bit j + d·i of k is tooth i of column j. A base's table
+   holds, for every nonzero eight-bit column value s, the point
+   Σ_{i ∈ s} 2^(d·i)·P, affine in Montgomery form. Then k·P is d − 1
+   doublings plus one mixed addition per nonzero column, instead of |k|
+   doublings; the bases of one comb share the doublings. *)
+
+let comb_teeth = 8
+
+type comb = {
+  spacing : int;                 (* d = ⌈bits / teeth⌉ *)
+  tables : jacobian array array; (* per base, 2^teeth entries at Z = 1 or O; entry 0 is O *)
+}
+
+let make_comb (cp : params) ~(bits : int) (bases : point array) : comb =
+  let spacing = max 1 ((bits + comb_teeth - 1) / comb_teeth) in
+  let size = 1 lsl comb_teeth in
+  let jac_table pt =
+    let t = Array.make size (jac_infinity cp) in
+    let b = ref (jac_of_point cp pt) in
+    for i = 0 to comb_teeth - 1 do
+      if i > 0 then
+        for _ = 1 to spacing do
+          b := jac_double cp !b
+        done;
+      t.(1 lsl i) <- !b
+    done;
+    for s = 1 to size - 1 do
+      let low = s land -s in
+      if s <> low then t.(s) <- jac_add cp t.(s - low) t.(low)
+    done;
+    t
+  in
+  (* Every entry of every base under one batched inversion. *)
+  let affine = to_affine_batch cp (Array.concat (Array.to_list (Array.map jac_table bases))) in
+  let one = M.one cp.mont in
+  let entry = function
+    | Infinity -> jac_infinity cp
+    | Affine (x, y) -> { jx = M.of_z cp.mont x; jy = M.of_z cp.mont y; jz = one }
+  in
+  { spacing; tables = Array.mapi (fun b _ -> Array.init size (fun s -> entry affine.((b * size) + s))) bases }
+
+let comb_lincomb ?(plus = Infinity) (cp : params) (c : comb) (scalars : Z.t array) : point =
+  if Array.length scalars <> Array.length c.tables then
+    invalid_arg "Curve.comb_lincomb: one scalar per base";
+  Array.iter
+    (fun k ->
+      if Z.sign k < 0 || Z.num_bits k > comb_teeth * c.spacing then
+        invalid_arg "Curve.comb_lincomb: scalar out of range")
+    scalars;
+  let d = c.spacing in
+  let column k j =
+    let s = ref 0 in
+    for i = comb_teeth - 1 downto 0 do
+      s := (2 * !s) + if Z.bit k (j + (d * i)) then 1 else 0
+    done;
+    !s
+  in
+  let acc = ref (jac_infinity cp) in
+  for j = d - 1 downto 0 do
+    acc := jac_double cp !acc;
+    Array.iteri
+      (fun b k ->
+        let s = column k j in
+        if s > 0 then acc := jac_add cp !acc c.tables.(b).(s))
+      scalars
+  done;
+  (to_affine_batch cp [| jac_add cp !acc (jac_of_point cp plus) |]).(0)
+
 (* Sample a uniformly random curve point (never Infinity). *)
 let random_point (cp : params) (rng : Z.rng) : point =
   let p = cp.p in

@@ -55,6 +55,25 @@ val lincomb_batch2 :
     first's Jacobian results directly, so both stages share the one
     batched inversion — e.g. column sums and then combinations of them. *)
 
+(** {2 Fixed-base combs} *)
+
+type comb
+(** Lim–Lee comb tables (eight teeth) for a few fixed bases: for each
+    base, the 255 nonzero sums of its multiples 2^(d·i)·P, i < 8, with
+    d = ⌈bits/8⌉, affine in Montgomery form. *)
+
+val make_comb : params -> bits:int -> point array -> comb
+(** [make_comb cp ~bits bases] builds the tables for scalars below
+    2^bits: 7·d doublings and 247 additions per base in Jacobian
+    coordinates, then one {!Z.invm_batch} over every entry. *)
+
+val comb_lincomb : ?plus:point -> params -> comb -> Z.t array -> point
+(** [comb_lincomb ~plus cp c ks] is Σ kᵢ·Pᵢ + [plus] over the comb's
+    bases, one scalar each with 0 <= kᵢ < 2^(8·d): the point
+    {!lincomb_batch} gives, from d shared doublings, one mixed addition
+    per nonzero column of each scalar, and one inversion.
+    @raise Invalid_argument on a scalar count or range mismatch. *)
+
 (** {2 Jacobian steps}
 
     The two steps every ladder here is made of, on Montgomery residues

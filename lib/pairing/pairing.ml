@@ -32,9 +32,26 @@ type group = {
   curve : Curve.params;  (* carries the one Montgomery context for F_p *)
 }
 
+(* The sieve's divisors: every prime below 2^16 as a 16-bit entry, 13 KB
+   in every process that links this module (an int array would take
+   52 KB). *)
+let sieve_primes =
+  let b = Buffer.create 16384 in
+  Z.iter_primes_below (1 lsl 16) (Buffer.add_uint16_le b);
+  Buffer.contents b
+
 (* Construct the group for a given subgroup order [n]: find the smallest
    cofactor ℓ ≡ 0 (mod 4) such that p = ℓ·n − 1 is prime. ℓ ≡ 0 (mod 4)
-   forces p ≡ 3 (mod 4) since n is odd. *)
+   forces p ≡ 3 (mod 4) since n is odd.
+
+   A sieve runs ahead of the primality test: with n mod q computed once
+   per sieve prime q, the candidate ℓ·n − 1 has the factor q exactly
+   when ℓ·(n mod q) ≡ 1 (mod q). Only candidates with no factor q < p
+   reach [Z.is_probable_prime]. A skipped candidate is one the test
+   would have rejected before its random rounds: by trial division, or
+   by a fixed Miller–Rabin base unless it is a strong pseudoprime to all
+   twelve. So the search draws the same random bytes and returns the
+   same ℓ as the unsieved loop. *)
 let make_group ?(rng : Z.rng option) (n : Z.t) : group =
   if Z.is_even n then invalid_arg "Pairing.make_group: n must be odd";
   let rng =
@@ -51,9 +68,23 @@ let make_group ?(rng : Z.rng option) (n : Z.t) : group =
             h := Z.erem (Z.add (Z.mul_int !h 31) (Z.of_int (i + !d))) (Z.of_int 16777213);
             Char.chr (Z.to_int_exn (Z.erem !h (Z.of_int 256))))
   in
+  let n_mod = Bytes.create (String.length sieve_primes) in
+  for i = 0 to (String.length sieve_primes / 2) - 1 do
+    Bytes.set_uint16_le n_mod (2 * i) (Z.rem_int n (String.get_uint16_le sieve_primes (2 * i)))
+  done;
+  let sieved l p =
+    let below = match Z.to_int_opt p with Some p -> p | None -> max_int in
+    let rec go i =
+      i < String.length sieve_primes
+      &&
+      let q = String.get_uint16_le sieve_primes i in
+      q < below && ((l * Bytes.get_uint16_le n_mod i mod q = 1) || go (i + 2))
+    in
+    go 0
+  in
   let rec find l =
     let p = Z.pred (Z.mul (Z.of_int l) n) in
-    if Z.is_probable_prime rng p then (Z.of_int l, p) else find (l + 4)
+    if (not (sieved l p)) && Z.is_probable_prime rng p then (Z.of_int l, p) else find (l + 4)
   in
   let l, p = find 4 in
   { p; n; l; curve = Curve.make_params p }
@@ -147,15 +178,7 @@ let pairing_affine (g : group) (pp : Curve.point) (qq : Curve.point) : Fp2.t =
 (* x⁻¹ = x^(p−2) for x ≠ 0, in Montgomery form. One per [precompute]
    and one per [pairing_prod]; an exponentiation rather than an egcd so
    the whole path stays on Montgomery residues. *)
-let fp_inv (g : group) (x : M.el) : M.el =
-  let mc = g.curve.Curve.mont in
-  let e = Z.sub g.p Z.two in
-  let acc = ref x in
-  for i = Z.num_bits e - 2 downto 0 do
-    acc := M.mul mc !acc !acc;
-    if Z.bit e i then acc := M.mul mc !acc x
-  done;
-  !acc
+let fp_inv (g : group) (x : M.el) : M.el = M.pow g.curve.Curve.mont x (Z.sub g.p Z.two)
 
 (* --- fixed-argument precomputation ------------------------------------------
 

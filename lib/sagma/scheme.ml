@@ -26,6 +26,7 @@ module Query = Sagma_db.Query
 module Drbg = Sagma_crypto.Drbg
 module Bgn = Sagma_bgn.Bgn
 module Crt = Sagma_bgn.Crt_channels
+module Dlog = Sagma_bgn.Dlog
 module Sse = Sagma_sse.Sse
 module Oxt = Sagma_sse.Oxt
 module Curve = Sagma_pairing.Curve
@@ -859,12 +860,14 @@ type result_row = {
 
 (* The cached table if its bound covers [max], else a new one built for
    2·max: as rows grow, a level rebuilds only each time the bound
-   doubles. Any table solves any bound ({!Dlog.solve}); the bound only
-   sets how many giant steps a solve walks. *)
-let covering make (cached : (int * 'a) option) ~(max : int) : int * 'a =
+   doubles, and a rebuild keeps the old table's base. Any table solves
+   any bound ({!Dlog.solve}); the bound only sets how many giant steps a
+   solve walks. *)
+let covering make (cached : (int * 'a Dlog.table) option) ~(max : int) : int * 'a Dlog.table =
   match cached with
   | Some (bound, t) when bound >= max -> (bound, t)
-  | _ -> (2 * max, make ~max:(2 * max))
+  | Some (_, t) -> (2 * max, Dlog.resize t ~max:(2 * max))
+  | None -> (2 * max, make ~max:(2 * max))
 
 let decrypt (c : client) (tok : token) (agg : agg_result) ~(total_rows : int) : result_row list =
   let pp = c.pp in

@@ -4,9 +4,10 @@
 
    Public values (encrypted tables, tokens, aggregates) and the secret
    client state have separate entry points; the latter's output must be
-   kept confidential. BGN public keys travel as (n, g, h): the pairing
-   group is reconstructed deterministically from n on decode, and the
-   cached pairing generators are recomputed. *)
+   kept confidential. BGN public keys travel as (n, g, h): decoding
+   reconstructs the pairing group deterministically from n (one sieved
+   prime search) and computes nothing else — no pairing, and no
+   encryption tables, which only a key that encrypts builds. *)
 
 module W = Sagma_wire.Wire
 module Z = Sagma_bigint.Bigint

@@ -50,6 +50,16 @@ if [ "$rc" -ne 1 ] || ! grep -q "bad --where" "$ERR_DIR/cli.err" \
   exit 1
 fi
 rc=0
+printf 'x' > "$ERR_DIR/short.key"
+_build/default/bin/sagma_cli.exe remote-query --sum salary --group-by dept \
+  --key-file "$ERR_DIR/short.key" > /dev/null 2> "$ERR_DIR/cli.err" || rc=$?
+if [ "$rc" -ne 1 ] || ! grep -q "^sagma: " "$ERR_DIR/cli.err" \
+  || grep -q "internal error" "$ERR_DIR/cli.err"; then
+  echo "remote-query with a one-byte key file: exit $rc, want 1 with a decode message:" >&2
+  cat "$ERR_DIR/cli.err" >&2
+  exit 1
+fi
+rc=0
 _build/default/bin/sagma_server.exe --log-level bogus > /dev/null 2> "$ERR_DIR/server.err" || rc=$?
 if [ "$rc" -ne 2 ] || grep -q "Fatal error" "$ERR_DIR/server.err"; then
   echo "sagma_server --log-level bogus: exit $rc, want 2 with a usage message:" >&2

@@ -973,6 +973,8 @@ let check_aggregate_invms q =
 let test_sum_matches_cost_model () =
   with_metrics @@ fun () ->
   let q = Query.make ~group_by:[ "dept" ] (Query.Sum "salary") in
+  (* The client's first level-2 decryption table pairs ê(g, g) once. *)
+  let table_pairings = if Option.is_none client.Scheme.dec2_tables then 1 else 0 in
   let rows = Scheme.query client enc q in
   Alcotest.(check int) "three groups" 3 (List.length rows);
   (* §3.4: one ciphertext multiplication (pairing) per touched row, per
@@ -990,7 +992,7 @@ let test_sum_matches_cost_model () =
   (* PR 6: the server side runs batched products of pairings, yet the
      pairing count itself must still follow the analytic model — and the
      per-step field inversions of the old affine Miller loop are gone. *)
-  Alcotest.(check int) "pairing.pairings matches bgn.mul" expected_mul
+  Alcotest.(check int) "pairing.pairings matches bgn.mul" (expected_mul + table_pairings)
     (Metrics.value (Metrics.counter "pairing.pairings"));
   Alcotest.(check bool) "aggregation uses pairing_prod" true
     (Metrics.value (Metrics.counter "pairing.prod_calls") > 0);

@@ -180,9 +180,118 @@ let test_pairing_bilinear_composite () =
   let rhs = Fp2.pow ~p:pc (Pairing.pairing group_comp g g) (Z.mul a b) in
   Alcotest.(check bool) "bilinearity (composite)" true (Fp2.equal lhs rhs)
 
+(* --- sieved group search --------------------------------------------------- *)
+
+module Bgn = Sagma_bgn.Bgn
+
+(* The unsieved search: every candidate ℓ = 4, 8, … straight to the
+   primality test. *)
+let plain_group_search n =
+  let rec find l =
+    let p = Z.pred (Z.mul (Z.of_int l) n) in
+    if Z.is_probable_prime rng p then (l, p) else find (l + 4)
+  in
+  find 4
+
+let key_n bits = Bgn.n (Bgn.keygen ~bits (Drbg.create (Printf.sprintf "sieve-%d" bits))).Bgn.pk
+
+let test_sieve_matches_plain_search () =
+  (* Tiny odd n put sieve primes at and above p (n = 3 gives p = 11, a
+     sieve prime itself); the key sizes cover the sizes tests run at. *)
+  let ns = List.map Z.of_int [ 3; 5; 7; 9; 15; 21; 33; 35; 1001 ] @ List.map key_n [ 16; 64; 256 ] in
+  List.iter
+    (fun n ->
+      let g = Pairing.make_group n in
+      let l, p = plain_group_search n in
+      let name = Z.to_string n in
+      Alcotest.(check int) (name ^ ": l") l (Z.to_int_exn g.Pairing.l);
+      Alcotest.(check string) (name ^ ": p") (Z.to_string p) (Z.to_string g.Pairing.p))
+    ns
+
+(* --- fixed-base combs ------------------------------------------------------- *)
+
+let comb_keys = List.map (fun bits -> Bgn.keygen ~bits (Drbg.create (Printf.sprintf "comb-%d" bits))) [ 16; 64; 256 ]
+
+let lincomb cp terms = (Curve.lincomb_batch cp [| terms |]).(0)
+
+(* Every comb sum against the Straus combination, for edge and random
+   scalars. At 16 bits h's order q1 has 8 bits, far below the comb's
+   scalar range. *)
+let test_comb_matches_lincomb () =
+  List.iter
+    (fun (kp : Bgn.keypair) ->
+      let pk = kp.Bgn.pk in
+      let cp = pk.Bgn.group.Pairing.curve and n = Bgn.n pk in
+      let comb = Curve.make_comb cp ~bits:(Z.num_bits n) [| pk.Bgn.g; pk.Bgn.h |] in
+      let a = Pairing.random_order_n_point pk.Bgn.group rng in
+      let ms = [ Z.zero; Z.one; Z.minus_one; Z.pred n; Z.random_below rng n ] in
+      let rs = [ Z.zero; Z.one; Z.pred n; Z.random_below rng n ] in
+      List.iter
+        (fun m ->
+          List.iter
+            (fun r ->
+              let what = Printf.sprintf "%d bits, m = %s, r = %s" (Z.num_bits n) (Z.to_string m) (Z.to_string r) in
+              Alcotest.(check bool) ("m·g + r·h: " ^ what) true
+                (Curve.equal
+                   (Curve.comb_lincomb cp comb [| Z.erem m n; r |])
+                   (lincomb cp [ (m, pk.Bgn.g); (r, pk.Bgn.h) ]));
+              Alcotest.(check bool) ("a + r·h: " ^ what) true
+                (Curve.equal
+                   (Curve.comb_lincomb ~plus:a cp comb [| Z.zero; r |])
+                   (lincomb cp [ (Z.one, a); (r, pk.Bgn.h) ])))
+            rs)
+        ms)
+    comb_keys
+
+(* enc1 and rerandomize1 draw r below n from the DRBG; a twin DRBG
+   replays that r for the reference combination. *)
+let test_enc1_matches_lincomb () =
+  List.iter
+    (fun (kp : Bgn.keypair) ->
+      let pk = kp.Bgn.pk in
+      let cp = pk.Bgn.group.Pairing.curve and n = Bgn.n pk in
+      let seed = Printf.sprintf "enc1-%d" (Z.num_bits n) in
+      let d = Drbg.create seed and twin = Drbg.create seed in
+      let next_r () = Z.random_below (Drbg.rng twin) n in
+      let a = Pairing.random_order_n_point pk.Bgn.group rng in
+      List.iter
+        (fun m ->
+          let c = Bgn.enc1 pk d m in
+          let r = next_r () in
+          Alcotest.(check bool) ("enc1 " ^ Z.to_string m) true
+            (Curve.equal c (lincomb cp [ (Z.erem m n, pk.Bgn.g); (r, pk.Bgn.h) ]));
+          let c' = Bgn.rerandomize1 pk d a in
+          let r' = next_r () in
+          Alcotest.(check bool) "rerandomize1" true
+            (Curve.equal c' (lincomb cp [ (Z.one, a); (r', pk.Bgn.h) ])))
+        [ Z.zero; Z.one; Z.minus_one; Z.pred n; Z.random_below rng n ])
+    comb_keys
+
+(* Two domains make the first encryptions under a fresh key at once:
+   both may build the tables, one copy lands, and every ciphertext
+   decrypts. *)
+let test_comb_race () =
+  let kp = Bgn.keygen ~bits:64 (Drbg.create "comb-race") in
+  let pk = kp.Bgn.pk in
+  Alcotest.(check bool) "a fresh key has no tables" true (Option.is_none (Atomic.get pk.Bgn.comb));
+  let encrypt seed ms = Domain.spawn (fun () -> List.map (fun m -> (m, Bgn.enc1_int pk (Drbg.create seed) m)) ms) in
+  let d1 = encrypt "race-1" [ 3; 5; 7 ] and d2 = encrypt "race-2" [ 11; 13; 17 ] in
+  let cts = Domain.join d1 @ Domain.join d2 in
+  Alcotest.(check bool) "the slot is filled" true (Option.is_some (Atomic.get pk.Bgn.comb));
+  let table = Bgn.make_dec1_table kp ~max:32 in
+  List.iter
+    (fun (m, c) -> Alcotest.(check (option int)) (Printf.sprintf "dec1 %d" m) (Some m) (Bgn.dec1 kp table ~max:32 c))
+    cts
+
 let () =
   Alcotest.run "pairing"
-    [ ("group", [ Alcotest.test_case "parameters" `Quick test_group_params ]);
+    [ ("group",
+        [ Alcotest.test_case "parameters" `Quick test_group_params;
+          Alcotest.test_case "sieved search = plain search" `Quick test_sieve_matches_plain_search ] );
+      ("comb",
+        [ Alcotest.test_case "comb = lincomb" `Quick test_comb_matches_lincomb;
+          Alcotest.test_case "enc1/rerandomize1 = lincomb" `Quick test_enc1_matches_lincomb;
+          Alcotest.test_case "two domains, fresh key" `Quick test_comb_race ] );
       ( "fp2",
         [ Alcotest.test_case "pow small" `Quick test_fp2_pow;
           Alcotest.test_case "fermat" `Quick test_fp2_fermat ]

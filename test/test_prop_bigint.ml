@@ -190,6 +190,34 @@ let t_mont = R.test ~count:150 ~name:"Mont ring ops match plain modular arithmet
       && Z.Mont.is_zero (Z.Mont.zero c)
       && Z.Mont.equal ma (Z.Mont.of_z c (Z.add a m)))
 
+(* The windowed Montgomery power against square-and-multiply, on odd
+   moduli from 96 to 2100 bits. Exponents have an exact bit length:
+   0–5 bits, a multiple of the 4-bit window, or any length up to 260;
+   bases are 0, below the modulus, the modulus itself or above it. *)
+let exact_bits k = Gen.map (fun z -> if k = 0 then Z.zero else Z.add (Z.shift_left Z.one (k - 1)) z) (Gen.bigint_bits (max 0 (k - 1)))
+
+let t_mont_powm = R.test ~count:120 ~name:"windowed Montgomery.powm = powm_binary"
+    (R.arbitrary
+       ~print:(fun ((a, e), m) ->
+         Printf.sprintf "(%s^%s mod %s)" (Z.to_string a) (Z.to_string e) (Z.to_string m))
+       (Gen.bind (Gen.int_range 96 2100) (fun bits ->
+            Gen.bind (Gen.map (fun z -> Z.add z Z.one) (Gen.map (fun z -> Z.shift_left z 1) (exact_bits (bits - 1))))
+              (fun m ->
+                Gen.pair
+                  (Gen.pair
+                     (Gen.oneof
+                        [ Gen.return Z.zero; Gen.bigint_below m; Gen.return m;
+                          Gen.map (Z.add m) (Gen.bigint_bits bits) ])
+                     (Gen.bind
+                        (Gen.oneof [ Gen.int_range 0 5; Gen.map (fun w -> 4 * w) (Gen.int_range 1 65); Gen.int_range 6 260 ])
+                        exact_bits))
+                  (Gen.return m)))))
+    (fun ((a, e), m) ->
+      let nat z = Sagma_bigint.Nat.of_bytes_be (Z.to_bytes_be z) in
+      let ctx = Sagma_bigint.Montgomery.make (nat m) in
+      let got = Z.of_bytes_be (Sagma_bigint.Nat.to_bytes_be (Sagma_bigint.Montgomery.powm ctx (nat a) (nat e))) in
+      Z.equal got (Z.powm_binary a e m))
+
 let t_egcd = R.test ~count:300 ~name:"egcd Bezout identity" z2_arb
     (fun (a, b) ->
       let g, x, y = Z.egcd a b in
@@ -318,6 +346,6 @@ let () =
   R.run ~suite:"test_prop_bigint"
     [ t_add_comm; t_add_assoc; t_mul_comm; t_mul_assoc; t_distrib; t_add_sub; t_neg; t_mul_int;
       t_divmod; t_ediv; t_divmod_native; t_string_rt; t_hex_rt; t_bytes_rt; t_shift; t_num_bits;
-      t_powm_iter; t_powm_add; t_invm; t_invm_batch; t_mont; t_egcd; t_crt; t_jacobi_mult;
+      t_powm_iter; t_powm_add; t_invm; t_invm_batch; t_mont; t_mont_powm; t_egcd; t_crt; t_jacobi_mult;
       t_jacobi_square; t_sqrtm;
       t_random_below; t_division_edges ]
