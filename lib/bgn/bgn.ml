@@ -58,13 +58,15 @@ let keygen ~(bits : int) (drbg : Drbg.t) : keypair =
   let q2 = distinct () in
   let group = Pairing.make_group ~rng (Z.mul q1 q2) in
   let curve = group.Pairing.curve in
-  (* Points of order exactly n = q1·q2: the sampler rejects candidates
-     either prime factor kills, given the factorization. *)
-  let order_n () = Pairing.random_order_n_point ~factors:[ q1; q2 ] group rng in
-  let g = order_n () in
-  let u = order_n () in
-  let h = Curve.mul curve q2 u in
-  { pk = make_pk group ~g ~h; sk = { q1; q2 } }
+  (* g has order n = q1·q2. h = q2·(ℓ·P) for a random curve point P,
+     redrawn while h = O: a nonzero h has order q1, and ℓ·P = O gives
+     h = O too. *)
+  let g = Pairing.random_order_n_point ~factors:[ q1; q2 ] group rng in
+  let rec blinding () =
+    let h = Curve.mul curve q2 (Curve.mul curve group.Pairing.l (Curve.random_point curve rng)) in
+    if Curve.is_infinity h then blinding () else h
+  in
+  { pk = make_pk group ~g ~h:(blinding ()); sk = { q1; q2 } }
 
 let random_blinding (pk : public_key) (drbg : Drbg.t) : Z.t =
   Z.random_below (Drbg.rng drbg) (n pk)

@@ -170,40 +170,34 @@ type ctx = {
   x_parent : frame option;
   x_scope : Metrics.scope option;
   x_alloc : alloc_tab option;
-  x_req_id : string option;
 }
 
 let capture () : ctx =
-  if not !Metrics.enabled then { x_parent = None; x_scope = None; x_alloc = None; x_req_id = None }
+  if not !Metrics.enabled then { x_parent = None; x_scope = None; x_alloc = None }
   else begin
     let st = Domain.DLS.get state in
     let parent = match st.d_stack with fr :: _ -> Some fr | [] -> st.d_base in
-    { x_parent = parent; x_scope = Metrics.scope_current (); x_alloc = st.d_alloc;
-      x_req_id = st.d_req_id }
+    { x_parent = parent; x_scope = Metrics.scope_current (); x_alloc = st.d_alloc }
   end
 
 let with_ctx (ctx : ctx) (f : unit -> 'a) : 'a =
   let st = Domain.DLS.get state in
   let saved_base = st.d_base and saved_stack = st.d_stack and saved_alloc = st.d_alloc in
-  let saved_req_id = st.d_req_id in
   let saved_scope = Metrics.scope_swap ctx.x_scope in
   st.d_base <- ctx.x_parent;
   st.d_stack <- [];
   st.d_alloc <- ctx.x_alloc;
-  st.d_req_id <- ctx.x_req_id;
   Fun.protect
     ~finally:(fun () ->
       ignore (Metrics.scope_swap saved_scope);
       st.d_base <- saved_base;
       st.d_stack <- saved_stack;
-      st.d_alloc <- saved_alloc;
-      st.d_req_id <- saved_req_id)
+      st.d_alloc <- saved_alloc)
     f
 
-(* The id of the request currently being traced on this domain (set by
-   [with_request], inherited through [capture]/[with_ctx]). A
-   query router propagates this across the coordinator → shard hop as
-   the trace context, so both nodes record the same trace id. *)
+(* The id of the request [with_request] is tracing on this domain. A
+   query router propagates it across the coordinator → shard hop as the
+   trace context, so both nodes record the same trace id. *)
 let current_request_id () : string option = (Domain.DLS.get state).d_req_id
 
 (* Graft an already-completed span — e.g. one rebuilt from a shard's

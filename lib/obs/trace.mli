@@ -76,11 +76,11 @@ val with_request : ?trace_id:string -> (unit -> 'a) -> 'a * rtrace
     record (no counts, an empty root span). *)
 
 val current_request_id : unit -> string option
-(** The id of the request currently being traced on this domain — set
-    by {!with_request}, inherited through {!capture}/{!with_ctx},
-    [None] outside a traced request. A query router propagates this
-    across the coordinator → shard hop (as the trace context of its
-    shard calls), so both nodes record the same trace id. *)
+(** The id of the request {!with_request} is tracing on this domain,
+    [None] outside a traced request (pool tasks do not inherit it). A
+    query router propagates this across the coordinator → shard hop (as
+    the trace context of its shard calls), so both nodes record the
+    same trace id. *)
 
 val attach_span : span -> unit
 (** Graft an already-completed span — e.g. one rebuilt from a shard's

@@ -380,9 +380,9 @@ let pairing_prod (g : group) (pairs : (Precomp.t * Curve.point) list) : Fp2.t =
     Sagma_obs.Metrics.add m_miller_steps (!steps * nlive);
     final_exp g !f
 
-(* The scalar entry point, kept source-compatible: one precomputation,
-   one pair, one final exponentiation. Callers that pair against the
-   same left argument repeatedly should hold a [Precomp.t] instead. *)
+(* The scalar entry point: one precomputation, one pair, one final
+   exponentiation. Callers that pair against the same left argument
+   repeatedly should hold a [Precomp.t] instead. *)
 let pairing (g : group) (pp : Curve.point) (qq : Curve.point) : Fp2.t =
   pairing_prod g [ (precompute g pp, qq) ]
 

@@ -103,8 +103,8 @@ val pairing_prod : group -> (Precomp.t * Curve.point) list -> Fp2.t
 
 val pairing : group -> Curve.point -> Curve.point -> Fp2.t
 (** ê(P, Q); returns 1 when either argument is the point at infinity.
-    Equivalent to [pairing_prod g [(precompute g p, q)]] — kept for
-    source compatibility and one-off pairings. *)
+    Equivalent to [pairing_prod g [(precompute g p, q)]], for one-off
+    pairings. *)
 
 val pairing_affine : group -> Curve.point -> Curve.point -> Fp2.t
 (** Reference implementation on affine coordinates (one field inversion

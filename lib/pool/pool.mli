@@ -15,8 +15,6 @@
     - a request task never awaits a future of its own pool: {!run_jobs}
       drains its job list on the caller and waits only for helpers
       already running one of its jobs, and helpers await nothing;
-    - a coordinator's request awaits the router's separate fan-out
-      pool, whose tasks await nothing;
     - each node in one process needs its own pool, or a coordinator's
       requests could hold every worker its shards' requests need.
 

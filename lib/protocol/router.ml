@@ -3,13 +3,13 @@
 
    It owns no rows: every table request is routed to a fleet of shard
    endpoints and the replies are combined. The interesting case is
-   [Aggregate]: the fan out queries all shards concurrently (over
-   {!Sagma_pool}), each shard pairs only the rows it owns (a storage
-   node created with [?shard]), and the per-bucket level-2 partial
-   sums come back ⊕-mergeable — BGN
-   ciphertexts are additively homomorphic — so the router combines them
-   with {!Sagma.Scheme.merge_agg_results} using only the table's PUBLIC
-   key and returns one [Aggregates] reply. The router never decrypts
+   [Aggregate]: the fan-out queries all shards at once, each call on a
+   thread of the calling domain, each shard pairs only the rows it owns
+   (a storage node created with [?shard]), and the per-bucket level-2
+   partial sums come back ⊕-mergeable — BGN ciphertexts are additively
+   homomorphic — so the router combines them with
+   {!Sagma.Scheme.merge_agg_results} using only the table's PUBLIC key
+   and returns one [Aggregates] reply. The router never decrypts
    anything (it has no secret key to decrypt with); the client pays a
    single decrypt, same as against one server.
 
@@ -22,9 +22,9 @@
    Tracing: when the router's own request is sampled, each shard call
    carries the router's trace id as its trace context (with the
    sampling flag forced), so coordinator and shards record the same
-   id; the shard's EXPLAIN phase timings are grafted back under the
-   router's per-shard span, rendering the distributed request as one
-   tree: request → fanout → shard:N → remote:aggregate.
+   id. After the join, each shard's call time and EXPLAIN phase timings
+   become spans of the router's request, rendering the distributed
+   request as one tree: request → fanout → shard:N → remote:aggregate.
 
    One protocol version: coordinator and shards ship in the same build,
    so the router never negotiates. A shard built at another version
@@ -38,15 +38,14 @@
    hands every table request to {!handle}.
 
    Fleet health: with [?probe_interval_ms] set, a background thread
-   sends [Health] to every shard through the fan-out pool,
-   maintaining per-shard state (up/down since, consecutive-failure
-   streak, last error, EWMA probe RTT) that is served in
-   [Health_report], exported as router.shard_up{shard="..."} gauges,
-   and used to fast-fail fan-out calls to known-down shards (the prober
-   keeps watching, so a recovered shard rejoins within one interval).
-   Direct shard traffic feeds the same state opportunistically: a
-   transport-level failure marks the shard down, any reply marks it
-   up. *)
+   sends [Health] to every shard, maintaining per-shard state (up/down
+   since, consecutive-failure streak, last error, EWMA probe RTT) that
+   is served in [Health_report], exported as
+   router.shard_up{shard="..."} gauges, and used to fast-fail fan-out
+   calls to known-down shards (the prober keeps watching, so a
+   recovered shard rejoins within one interval). Direct shard traffic
+   feeds the same state opportunistically: a transport-level failure
+   marks the shard down, any reply marks it up. *)
 
 module P = Protocol
 module Obs = Sagma_obs.Metrics
@@ -54,7 +53,6 @@ module Export = Sagma_obs.Export
 module Trace = Sagma_obs.Trace
 module Log = Sagma_obs.Log
 module Audit = Sagma_obs.Audit
-module Pool = Sagma_pool.Pool
 module Scheme = Sagma.Scheme
 module Bgn = Sagma.Scheme.Bgn
 
@@ -83,10 +81,15 @@ type shard = {
 type t = {
   lock : Mutex.t;  (* serialises appends: row-id stamping order *)
   shards : shard array;
-  (* Fan-out pool, apart from the node's request pool: a coordinator's
-     request awaits it, and its [shard:N] spans need domain state of
-     their own. *)
-  pool : Pool.t;
+  (* The gate of [on_threads]: shard calls are admitted first come,
+     first served, at most as many at once as there are shards.
+     Overlapping queries would make each shard run both aggregations at
+     once and answer both late; taking turns answers the first at its
+     service time. *)
+  gate : Mutex.t;
+  turn : Condition.t;           (* broadcast whenever a call ends *)
+  mutable tickets : int;        (* tickets handed out, one per call *)
+  mutable finished : int;       (* calls that have ended *)
   (* Per-table state gleaned from the uploads that passed through: the
      BGN public key (all ⊕-merging needs) and the global row count
      (appends are stamped with it so every replica agrees on ids). *)
@@ -142,11 +145,10 @@ let create ?(deadline_ms = 5000) ?(probe_interval_ms = 0) (endpoints : string li
              sh_up_gauge = g })
          endpoints)
   in
-  let workers = min (Array.length shards) 8 in
-  { lock = Mutex.create (); shards; pool = Pool.create ~name:"fanout" ~workers ();
-    pks = Hashtbl.create 8; pks_lock = Mutex.create (); row_counts = Hashtbl.create 8;
-    deadline_ms; hlock = Mutex.create (); probe_interval_ms; probe_stop = Atomic.make false;
-    probe_thread = None }
+  { lock = Mutex.create (); shards; gate = Mutex.create (); turn = Condition.create ();
+    tickets = 0; finished = 0; pks = Hashtbl.create 8; pks_lock = Mutex.create ();
+    row_counts = Hashtbl.create 8; deadline_ms; hlock = Mutex.create (); probe_interval_ms;
+    probe_stop = Atomic.make false; probe_thread = None }
 
 let topology (r : t) : P.topology =
   { P.tp_role = "coordinator"; tp_shard_index = -1; tp_shard_count = Array.length r.shards;
@@ -188,36 +190,31 @@ let record_failure (r : t) (i : int) (sh : shard) (msg : string) : unit =
           Log.int "failures" failures ]
 
 let shard_health (r : t) : P.shard_health list =
-  Mutex.lock r.hlock;
-  let out =
-    Array.to_list
-      (Array.mapi
-         (fun i sh ->
-           { P.shc_index = i; shc_endpoint = sh.sh_endpoint; shc_reachable = sh.sh_up;
-             shc_since = sh.sh_since; shc_failures = sh.sh_failures;
-             shc_last_error = sh.sh_last_error; shc_rtt_ms = sh.sh_rtt_ms })
-         r.shards)
-  in
-  Mutex.unlock r.hlock;
-  out
+  Mutex.protect r.hlock (fun () ->
+      Array.to_list
+        (Array.mapi
+           (fun i sh ->
+             { P.shc_index = i; shc_endpoint = sh.sh_endpoint; shc_reachable = sh.sh_up;
+               shc_since = sh.sh_since; shc_failures = sh.sh_failures;
+               shc_last_error = sh.sh_last_error; shc_rtt_ms = sh.sh_rtt_ms })
+           r.shards))
 
 let down_count (r : t) : int =
-  Mutex.lock r.hlock;
-  let n = Array.fold_left (fun acc sh -> if sh.sh_up then acc else acc + 1) 0 r.shards in
-  Mutex.unlock r.hlock;
-  n
+  Mutex.protect r.hlock (fun () ->
+      Array.fold_left (fun acc sh -> if sh.sh_up then acc else acc + 1) 0 r.shards)
 
 (* --- shard calls ----------------------------------------------------------- *)
 
+(* The shard calls' trace context: the traced request's id, sampling
+   forced. Read on the request thread, never on a shard thread. *)
+let trace_ctx () : P.trace_ctx option =
+  Option.map (fun id -> { P.tc_id = Some id; tc_sampled = true }) (Trace.current_request_id ())
+
 (* One shard exchange: fresh connection and the router's deadline on
    both directions. *)
-let call_shard (r : t) (sh : shard) (req : P.request) : P.response * Trace.rtrace option =
+let call_shard (r : t) (sh : shard) ~(trace : P.trace_ctx option) (req : P.request) :
+    P.response * Trace.rtrace option =
   Obs.incr m_shard_calls;
-  let trace =
-    match Trace.current_request_id () with
-    | Some id -> Some { P.tc_id = Some id; tc_sampled = true }
-    | None -> None
-  in
   let deadline = float_of_int r.deadline_ms /. 1000. in
   let fd = Transport.connect ?host:sh.sh_host ~port:sh.sh_port () in
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
@@ -234,7 +231,7 @@ let call_shard (r : t) (sh : shard) (req : P.request) : P.response * Trace.rtrac
    alive and marks it up; a transport-level failure (unreachable
    endpoint, deadline, malformed reply) bumps [errors], marks the shard
    down and comes back as [Error message]. *)
-let exchange (r : t) (i : int) (sh : shard) ~(errors : Obs.counter) (req : P.request) :
+let exchange (r : t) (i : int) (sh : shard) ~(errors : Obs.counter) ~trace (req : P.request) :
     (P.response * Trace.rtrace option, string) result =
   let t0 = Unix.gettimeofday () in
   let down msg =
@@ -242,7 +239,7 @@ let exchange (r : t) (i : int) (sh : shard) ~(errors : Obs.counter) (req : P.req
     record_failure r i sh msg;
     Error msg
   in
-  match call_shard r sh req with
+  match call_shard r sh ~trace req with
   | reply ->
     record_success r i sh ((Unix.gettimeofday () -. t0) *. 1000.);
     Ok reply
@@ -258,7 +255,7 @@ let exchange (r : t) (i : int) (sh : shard) ~(errors : Obs.counter) (req : P.req
    such table, bad request, ...) is not unhealth. When probing is on, a
    known-down shard is fast-failed without a connect attempt — the
    background prober notices recovery within one interval. *)
-let safe_call (r : t) (i : int) (sh : shard) (req : P.request) :
+let safe_call (r : t) (i : int) (sh : shard) ~trace (req : P.request) :
     P.response * Trace.rtrace option =
   let label = shard_label i sh in
   if r.probe_interval_ms > 0 && not sh.sh_up then begin
@@ -269,28 +266,74 @@ let safe_call (r : t) (i : int) (sh : shard) (req : P.request) :
       None )
   end
   else
-    match exchange r i sh ~errors:m_shard_errors req with
+    match exchange r i sh ~errors:m_shard_errors ~trace req with
     | Ok (P.Failed { code; message }, x) ->
       Obs.incr m_shard_errors;
       (P.Failed { code; message = Printf.sprintf "%s: %s" label message }, x)
     | Ok reply -> reply
     | Error msg -> (P.failed P.Internal_error "%s: %s" label msg, None)
 
+(* Run [f i sh] for every shard at once, each on its own thread of the
+   calling domain but the last, which the caller runs itself, and return
+   the results in shard order; a shard whose thread cannot be started
+   gets [Error message]. The threads share the caller's domain state, so
+   [f] must open no span. The first exception a call raises is re-raised
+   once every thread has joined.
+
+   Every call passes the gate: the request thread takes one ticket per
+   shard, consecutive, so its calls queue together, and a call runs once
+   its ticket is below [finished] plus the shard count. Calls start in
+   ticket order and at most that many run at once. *)
+let on_threads (r : t) (f : int -> shard -> 'a) : ('a, string) result array =
+  let n = Array.length r.shards in
+  let first =
+    Mutex.protect r.gate (fun () ->
+        let t = r.tickets in
+        r.tickets <- t + n;
+        t)
+  in
+  let ended () =
+    Mutex.protect r.gate (fun () ->
+        r.finished <- r.finished + 1;
+        Condition.broadcast r.turn)
+  in
+  let results = Array.make n (Error "not started") in
+  let raised = Array.make n None in
+  let start i sh =
+    let run () =
+      Mutex.protect r.gate (fun () ->
+          while first + i >= r.finished + n do
+            Condition.wait r.turn r.gate
+          done);
+      (try results.(i) <- Ok (f i sh)
+       with e -> raised.(i) <- Some (e, Printexc.get_raw_backtrace ()));
+      ended ()
+    in
+    if i = n - 1 then (run (); None)
+    else
+      match Thread.create run () with
+      | th -> Some th
+      | exception e ->
+        ended ();
+        results.(i) <- Error (Printexc.to_string e);
+        None
+  in
+  Array.iter (Option.iter Thread.join) (Array.mapi start r.shards);
+  Array.iter (Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt)) raised;
+  results
+
 (* --- background probing ---------------------------------------------------- *)
 
-(* One lightweight [Health] probe. Runs outside [safe_call] so a probe
-   is never itself fast-failed. *)
-let probe_shard (r : t) (i : int) (sh : shard) : unit =
-  Obs.incr m_probes;
-  ignore (exchange r i sh ~errors:m_probe_failures P.Health)
-
+(* One lightweight [Health] probe per shard. Runs outside [safe_call] so
+   a probe is never itself fast-failed. *)
 let probe_all (r : t) : unit =
-  Array.mapi (fun i sh -> Pool.submit r.pool (fun () -> probe_shard r i sh)) r.shards
-  |> Array.iter Pool.await
+  on_threads r (fun i sh ->
+      Obs.incr m_probes;
+      ignore (exchange r i sh ~errors:m_probe_failures ~trace:None P.Health))
+  |> ignore
 
-(* The probe loop runs on a thread of the calling domain (never a pool
-   task — it awaits pool futures), sleeping in short slices so shutdown
-   stays prompt. *)
+(* The probe loop runs on a thread of the calling domain, sleeping in
+   short slices so shutdown stays prompt. *)
 let start_probes (r : t) : unit =
   if r.probe_interval_ms > 0 && r.probe_thread = None then
     r.probe_thread <-
@@ -317,36 +360,38 @@ let start_probes (r : t) : unit =
 let shutdown (r : t) : unit =
   Atomic.set r.probe_stop true;
   Option.iter Thread.join r.probe_thread;
-  r.probe_thread <- None;
-  Pool.shutdown r.pool
+  r.probe_thread <- None
 
-(* Query every shard concurrently on the fan-out pool. Each call runs
-   under a "shard:N" span (the pool inherits the router's trace
-   context, so these land under "fanout" in the request tree), and a
-   traced shard's EXPLAIN phase timings are grafted back as
-   "remote:..." child spans — the cross-node stitch. *)
+(* Query every shard at once through [on_threads]. After the join each
+   shard gets a "shard:N" span under "fanout", timed by its thread, with
+   a traced shard's EXPLAIN phase timings as "remote:..." children that
+   end with the call — the cross-node stitch. *)
 let fanout (r : t) (req : P.request) : (P.response * Trace.rtrace option) array =
   Obs.incr m_fanouts;
   Trace.with_span "fanout" @@ fun () ->
-  let futures =
-    Array.mapi
-      (fun i sh ->
-        Pool.submit r.pool (fun () ->
-            Trace.with_span (Printf.sprintf "shard:%d" i) (fun () ->
-                let ((_, x) as result) = safe_call r i sh req in
-                Option.iter
-                  (fun rt ->
-                    List.iter
-                      (fun (name, ms) ->
-                        Trace.attach_span
-                          { Trace.name = "remote:" ^ name;
-                            t0 = Unix.gettimeofday () -. (ms /. 1000.); ms; children = [] })
-                      (Trace.phase_timings rt.Trace.r_root))
-                  x;
-                result)))
-      r.shards
+  let trace = trace_ctx () in
+  let calls =
+    on_threads r (fun i sh ->
+        let t0 = Unix.gettimeofday () in
+        let reply = safe_call r i sh ~trace req in
+        (t0, Unix.gettimeofday (), reply))
   in
-  Array.map Pool.await futures
+  Array.mapi
+    (fun i call ->
+      match call with
+      | Ok (t0, t1, ((_, x) as reply)) ->
+        let phases = match x with Some rt -> Trace.phase_timings rt.Trace.r_root | None -> [] in
+        let remote (name, ms) =
+          { Trace.name = "remote:" ^ name; t0 = t1 -. (ms /. 1000.); ms; children = [] }
+        in
+        Trace.attach_span
+          { Trace.name = Printf.sprintf "shard:%d" i; t0; ms = (t1 -. t0) *. 1000.;
+            children = List.map remote phases };
+        reply
+      | Error msg ->
+        Obs.incr m_shard_errors;
+        (P.failed P.Internal_error "%s: no thread: %s" (shard_label i r.shards.(i)) msg, None))
+    calls
 
 let first_failure (results : (P.response * Trace.rtrace option) array) : P.response option =
   Array.find_map
@@ -390,12 +435,8 @@ let handle (r : t) (req : P.request) : P.response =
   | P.List_tables ->
     (* Replicas are identical by construction; one (live) shard speaks
        for the fleet. *)
-    let i =
-      let n = Array.length r.shards in
-      let rec find k = if k >= n then 0 else if r.shards.(k).sh_up then k else find (k + 1) in
-      find 0
-    in
-    fst (safe_call r i r.shards.(i) P.List_tables)
+    let i = Option.value ~default:0 (Array.find_index (fun sh -> sh.sh_up) r.shards) in
+    fst (safe_call r i r.shards.(i) ~trace:(trace_ctx ()) P.List_tables)
   | P.Upload { name; table } -> (
     let results = fanout r req in
     match first_failure results with
@@ -436,22 +477,16 @@ let handle (r : t) (req : P.request) : P.response =
       P.failed P.No_such_table
         "no such table %S (uploads must pass through this coordinator)" name
     | Some pk -> (
-      let results = fanout r req in
-      let parts = ref [] in
-      let failure = ref None in
-      Array.iteri
-        (fun i (resp, _) ->
-          match (resp, !failure) with
-          | _, Some _ -> ()
-          | P.Aggregates a, None -> parts := a :: !parts
-          | (P.Failed _ as f), None -> failure := Some f
-          | _, None ->
-            failure :=
-              Some
-                (P.failed P.Internal_error "%s: unexpected reply to Aggregate"
-                   (shard_label i r.shards.(i))))
-        results;
-      match !failure with
+      let part i = function
+        | P.Aggregates a, _ -> Ok a
+        | (P.Failed _ as f), _ -> Error f
+        | _ ->
+          Error
+            (P.failed P.Internal_error "%s: unexpected reply to Aggregate"
+               (shard_label i r.shards.(i)))
+      in
+      let parts = Array.to_list (Array.mapi part (fanout r req)) in
+      match List.find_map (function Error f -> Some f | Ok _ -> None) parts with
       | Some f -> f
       | None ->
         (* ⊕-merge of the per-shard partials: public-key group
@@ -459,5 +494,5 @@ let handle (r : t) (req : P.request) : P.response =
         Obs.incr m_merges;
         P.Aggregates
           (Trace.with_span "merge" (fun () ->
-               Scheme.merge_agg_results pk (List.rev !parts))))
+               Scheme.merge_agg_results pk (List.filter_map Result.to_option parts))))
   end

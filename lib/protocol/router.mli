@@ -4,13 +4,14 @@
     answers [Stats]/[Traces]/[Health] from {!federated_snapshot},
     {!topology} and {!shard_health}, and runs the request pipeline.
 
-    The router owns no rows: [Aggregate] fans out to every shard
-    concurrently (over [Sagma_pool]), each shard — a [Server] created
-    with [?shard] — pairs only the rows it owns, and the per-bucket
-    partial sums come back ⊕-mergeable
-    ([Sagma.Scheme.merge_agg_results], public key only). The router NEVER decrypts; the client pays one decrypt, same
-    as against a single server, and receives bytes identical to the
-    single-server answer.
+    The router owns no rows: [Aggregate] fans out to every shard at
+    once, on threads of the calling domain, each shard — a
+    [Server] created with [?shard] — pairs only the rows it owns, and
+    the per-bucket partial sums come back ⊕-mergeable
+    ([Sagma.Scheme.merge_agg_results], public key only). The router
+    NEVER decrypts; the client pays one decrypt, same as against a
+    single server, and receives bytes identical to the single-server
+    answer.
 
     [Upload]/[Append] fan to every shard (storage is replicated — the
     SSE index is PRF-opaque and cannot be split server-side); appends
@@ -25,8 +26,9 @@
     failure.
 
     Tracing: when the router's request is sampled, shard calls carry
-    the router's trace id as their trace context, and shard EXPLAIN
-    timings are grafted back under the per-shard spans — the
+    the router's trace id as their trace context. The per-shard spans
+    are built after the join from each call's measured start and
+    duration, with the shard's EXPLAIN timings as their children — the
     distributed request renders as one tree:
     request → fanout → shard:N → remote:aggregate.
 
@@ -43,10 +45,12 @@ val create : ?deadline_ms:int -> ?probe_interval_ms:int -> string list -> t
     ("host:port"; a bare port means loopback). [deadline_ms] (default
     5000) bounds each shard call's reads and writes, so a dead shard
     yields a prompt [Failed] instead of a hang; 0 disables.
-    The internal fan-out pool has [min shards 8] workers. It is apart
-    from the node's request pool, as [Sagma_pool]'s deadlock rule
-    requires of a pool that requests await, and it carries the health
-    probes too.
+    The router starts no domain: a fan-out makes each shard call on
+    its own thread of the domain that called {!handle}, the last on
+    the calling thread itself. Calls are admitted
+    first come, first served, at most as many at once as there are
+    shards, so one fan-out never waits for itself and concurrent
+    requests take turns at the shards.
 
     [probe_interval_ms] (default 0 = off) enables background health
     probing at that period — call {!start_probes} to actually start the
@@ -56,12 +60,11 @@ val create : ?deadline_ms:int -> ?probe_interval_ms:int -> string list -> t
 val start_probes : t -> unit
 (** Start the background probe thread on the calling domain (a no-op
     when [probe_interval_ms] is 0 or the loop already runs). Each round
-    sends [Health] to every shard through the fan-out pool and updates
-    the per-shard state. Stopped by {!shutdown}. *)
+    sends [Health] to every shard the way a fan-out sends its calls,
+    and updates the per-shard state. Stopped by {!shutdown}. *)
 
 val shutdown : t -> unit
-(** Stop the probe loop (if running) and shut the fan-out pool down
-    (idempotent via [Sagma_pool]). *)
+(** Stop the probe loop, if it runs, and join its thread. Idempotent. *)
 
 val shard_health : t -> Protocol.shard_health list
 (** The per-shard block a [Health_report] carries, one entry per

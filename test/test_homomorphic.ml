@@ -157,7 +157,17 @@ let test_bgn_mul_bilinearity_of_blinding () =
     let ca = Bgn.enc1_int pk drbg 8 and cb = Bgn.enc1_int pk drbg 9 in
     Alcotest.(check (option int)) "product" (Some 72)
       (Bgn.dec2 kp table2 ~max:100 (Bgn.mul pk ca cb))
-  done
+  done;
+  (* It vanishes because the blinding point h has order q1: h ≠ O and
+     q1·h = O, whatever the key. *)
+  List.iter
+    (fun seed ->
+      let kp = Bgn.keygen ~bits:64 (Drbg.create seed) in
+      let h = kp.Bgn.pk.Bgn.h and cp = kp.Bgn.pk.Bgn.group.Pairing.curve in
+      Alcotest.(check bool) (seed ^ ": h <> O") false (Curve.is_infinity h);
+      Alcotest.(check bool) (seed ^ ": q1·h = O") true
+        (Curve.is_infinity (Curve.mul cp kp.Bgn.sk.Bgn.q1 h)))
+    [ "blinding-1"; "blinding-2"; "blinding-3"; "blinding-4" ]
 
 let test_bgn_table_reuse () =
   let table = Bgn.make_dec1_table kp ~max:500 in

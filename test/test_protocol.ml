@@ -1164,6 +1164,7 @@ let test_coordinator_scatter_gather () =
               let tok = Scheme.token client query in
               let solves_before = dlog_solves () in
               let calls_before = counter "router.shard_calls" in
+              let tasks_before = counter "pool.tasks" in
               let merged =
                 match Router.handle r (P.Aggregate { name = "t"; token = tok }) with
                 | P.Aggregates a -> a
@@ -1172,6 +1173,10 @@ let test_coordinator_scatter_gather () =
               in
               Alcotest.(check int) "one aggregate call per shard" 2
                 (counter "router.shard_calls" - calls_before);
+              (* The fan-out runs on threads: the only pool tasks are the
+                 two shard listeners' requests. *)
+              Alcotest.(check int) "the router submits no pool task" 2
+                (counter "pool.tasks" - tasks_before);
               (* Shards and coordinator only pair and ⊕-merge: discrete
                  logs are the client's job, inside its decrypt. *)
               Alcotest.(check int) "no dlog solved while coordinating" solves_before
@@ -1627,6 +1632,123 @@ let test_coordinator_sums_audits () =
                 Alcotest.(check int) "no check failed" 0 sr_audit.A.s_check_failures
               | _ -> Alcotest.fail "expected Stats_report")))
 
+(* A fan-out has no concurrency cap: ten shards that each take 0.5 s per
+   request answer one Drop in about 0.5 s, not in waves. *)
+let test_coordinator_no_fanout_cap () =
+  let ports = List.init 10 (fun i -> 7510 + i) in
+  let nodes = List.mapi (fun i _ -> Server.create ~shard:(i, 10) ()) ports in
+  let slow node raw =
+    Unix.sleepf 0.5;
+    Server.handle_encoded node raw
+  in
+  let rec serve = function
+    | [] -> fun f -> f ()
+    | (port, node) :: rest ->
+      fun f -> with_pool_server ~pool_size:1 ~port (fun _ -> slow node) (fun () -> serve rest f)
+  in
+  serve (List.combine ports nodes) (fun () ->
+      let r = Router.create (List.map string_of_int ports) in
+      Fun.protect
+        ~finally:(fun () -> Router.shutdown r)
+        (fun () ->
+          (match Router.handle r (P.Upload { name = "t"; table = enc }) with
+           | P.Ack -> ()
+           | _ -> Alcotest.fail "coordinator upload failed");
+          let t0 = Unix.gettimeofday () in
+          let reply = Router.handle r (P.Drop "t") in
+          let elapsed = Unix.gettimeofday () -. t0 in
+          (match reply with
+           | P.Ack -> ()
+           | P.Failed { message; _ } -> Alcotest.failf "coordinator drop: %s" message
+           | _ -> Alcotest.fail "unexpected drop reply");
+          Alcotest.(check bool)
+            (Printf.sprintf "10 slow shards answered in %.0f ms, under 900" (elapsed *. 1000.))
+            true (elapsed < 0.9)))
+
+(* Concurrent fan-outs take turns at the shards: two shards that take
+   0.3 s per request answer the first of two simultaneous Drops at about
+   0.3 s and the second at about 0.6 s, not both at 0.6 s. *)
+let test_coordinator_fanouts_take_turns () =
+  let slow node raw =
+    Unix.sleepf 0.3;
+    Server.handle_encoded node raw
+  in
+  with_handler ~port:7522 (slow (Server.create ~shard:(0, 2) ())) (fun () ->
+      with_handler ~port:7523 (slow (Server.create ~shard:(1, 2) ())) (fun () ->
+          let r = Router.create [ "7522"; "7523" ] in
+          Fun.protect
+            ~finally:(fun () -> Router.shutdown r)
+            (fun () ->
+              let t0 = Unix.gettimeofday () in
+              let took = Array.make 2 0. in
+              let drop k () =
+                ignore (Router.handle r (P.Drop "t"));
+                took.(k) <- Unix.gettimeofday () -. t0
+              in
+              let other = Thread.create (drop 1) () in
+              drop 0 ();
+              Thread.join other;
+              let first = Float.min took.(0) took.(1) and second = Float.max took.(0) took.(1) in
+              Alcotest.(check bool)
+                (Printf.sprintf "fan-outs answered at %.0f and %.0f ms, one after the other"
+                   (first *. 1000.) (second *. 1000.))
+                true
+                (second -. first >= 0.2))))
+
+(* The coordinator's trace of a sampled Aggregate, as its EXPLAIN
+   trailer carries it, is one stitched tree: request → fanout →
+   {shard:0, shard:1}, each shard span holding the shard's own
+   remote:aggregate phase and lasting at least as long. *)
+let test_coordinator_stitched_trace () =
+  let module M = Sagma_obs.Metrics in
+  let s0 = Server.create ~shard:(0, 2) () in
+  let s1 = Server.create ~shard:(1, 2) () in
+  with_handler ~port:7520 (Server.handle_encoded s0) (fun () ->
+      with_handler ~port:7521 (Server.handle_encoded s1) (fun () ->
+          let r = Router.create [ "7520"; "7521" ] in
+          let node = Server.create ~fleet:r ~trace_sample:1 () in
+          M.reset ();
+          Trace.reset ();
+          M.set_enabled true;
+          Fun.protect
+            ~finally:(fun () ->
+              Router.shutdown r;
+              M.set_enabled false;
+              M.reset ();
+              Trace.reset ())
+            (fun () ->
+              (match Server.handle node (P.Upload { name = "t"; table = enc }) with
+               | P.Ack -> ()
+               | _ -> Alcotest.fail "upload through the coordinator node failed");
+              let raw =
+                Server.handle_encoded node
+                  (P.encode_request (P.Aggregate { name = "t"; token = Scheme.token client query }))
+              in
+              let find name spans =
+                match List.filter (fun sp -> sp.Trace.name = name) spans with
+                | [ sp ] -> sp
+                | l -> Alcotest.failf "expected one %s span, got %d" name (List.length l)
+              in
+              match P.decode_response_x raw with
+              | P.Aggregates _, Some rt ->
+                let root = rt.Trace.r_root in
+                Alcotest.(check string) "root" "request" root.Trace.name;
+                let fanout = find "fanout" root.Trace.children in
+                Alcotest.(check (list string)) "one span per shard, in shard order"
+                  [ "shard:0"; "shard:1" ]
+                  (List.map (fun sp -> sp.Trace.name) fanout.Trace.children);
+                List.iter
+                  (fun shard ->
+                    let remote = find "remote:aggregate" shard.Trace.children in
+                    Alcotest.(check bool)
+                      (Printf.sprintf "%s (%.2f ms) spans its remote:aggregate (%.2f ms)"
+                         shard.Trace.name shard.Trace.ms remote.Trace.ms)
+                      true
+                      (shard.Trace.ms >= remote.Trace.ms))
+                  fanout.Trace.children
+              | _, None -> Alcotest.fail "sampled reply carried no EXPLAIN trailer"
+              | _ -> Alcotest.fail "expected Aggregates")))
+
 let qprop name count gen f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count gen f)
 
 let props =
@@ -1698,7 +1820,10 @@ let () =
           Alcotest.test_case "append retry" `Quick test_coordinator_append_retry;
           Alcotest.test_case "health probing" `Quick test_coordinator_health_probing;
           Alcotest.test_case "node stats and health" `Quick test_coordinator_node_stats_health;
-          Alcotest.test_case "stats sums shard audits" `Quick test_coordinator_sums_audits ] );
+          Alcotest.test_case "stats sums shard audits" `Quick test_coordinator_sums_audits;
+          Alcotest.test_case "no fan-out concurrency cap" `Quick test_coordinator_no_fanout_cap;
+          Alcotest.test_case "fan-outs take turns" `Quick test_coordinator_fanouts_take_turns;
+          Alcotest.test_case "stitched trace" `Quick test_coordinator_stitched_trace ] );
       ("transport", [ Alcotest.test_case "socket roundtrip" `Quick test_socket_roundtrip ]);
       ( "client",
         [ Alcotest.test_case "matches Executor.run" `Quick test_client_matches_executor;
